@@ -13,6 +13,7 @@
 
 #include "bench_common.h"
 #include "query/closure_prefilter.h"
+#include "query/faithful_join_evaluator.h"
 #include "query/join_evaluator.h"
 #include "query/online_evaluator.h"
 
@@ -27,18 +28,20 @@ void RunJoinMode(benchmark::State& state, bool faithful, bool anchor_early,
   const Pipeline& p = GetPipeline(GraphKind::kBarabasiAlbert, nodes);
   const BoundPathExpression& expr = GetExpr(p, kQ1);
   const auto& pairs = GetPairs(p, expr);
-  JoinIndexOptions opts;
-  opts.faithful_post_filter = faithful;
+  FaithfulJoinOptions opts;
   opts.anchor_endpoints_early = anchor_early;
   opts.max_intermediate_tuples = size_t{1} << 24;
-  JoinIndexEvaluator eval(*p.g, p.lg, *p.oracle, *p.cluster_index, p.tables,
-                          opts);
+  const std::unique_ptr<const JoinIndexEvaluator> eval =
+      faithful ? std::make_unique<FaithfulJoinEvaluator>(
+                     *p.g, p.lg, *p.oracle, *p.cluster_index, opts)
+               : std::make_unique<JoinIndexEvaluator>(*p.g, p.lg,
+                                                      *p.cluster_index, opts);
   size_t i = 0;
   uint64_t tuples = 0, filtered = 0;
   for (auto _ : state) {
     const auto& [src, dst] = pairs[i++ % pairs.size()];
     ReachQuery q{src, dst, &expr, false};
-    auto r = eval.Evaluate(q);
+    auto r = eval->Evaluate(q);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       break;
@@ -165,7 +168,6 @@ void BM_UnreachableDeny(benchmark::State& state) {
     auto cidx = ClusterJoinIndex::Build(pipe->lg, *pipe->oracle);
     pipe->cluster_index =
         std::make_unique<ClusterJoinIndex>(std::move(cidx).ValueOrDie());
-    pipe->tables = BaseTables::Build(pipe->lg);
     pipe->closure = std::make_unique<TransitiveClosure>(
         TransitiveClosure::Build(pipe->csr, true));
   }

@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "index/base_tables.h"
 
 namespace sargus {
 namespace bench {
@@ -88,7 +89,7 @@ void BM_StorageComparison(benchmark::State& state) {
       static_cast<double>(p.closure->MemoryBytes());
   state.counters["join_index_bytes"] = static_cast<double>(
       p.oracle->MemoryBytes() + p.cluster_index->MemoryBytes() +
-      p.tables.MemoryBytes() + p.lg.MemoryBytes());
+      BaseTables::Build(p.lg).MemoryBytes() + p.lg.MemoryBytes());
   state.counters["graph_bytes"] = static_cast<double>(p.csr.MemoryBytes());
 }
 BENCHMARK(BM_StorageComparison)->Arg(1000)->Arg(4000)->Arg(16000);

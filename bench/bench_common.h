@@ -16,7 +16,6 @@
 #include "core/path_parser.h"
 #include "graph/csr.h"
 #include "graph/line_graph.h"
-#include "index/base_tables.h"
 #include "index/cluster_index.h"
 #include "index/line_oracle.h"
 #include "index/transitive_closure.h"
@@ -48,7 +47,6 @@ struct Pipeline {
   LineGraph lg;
   std::unique_ptr<LineReachabilityOracle> oracle;
   std::unique_ptr<ClusterJoinIndex> cluster_index;
-  BaseTables tables;
   std::unique_ptr<TransitiveClosure> closure;  // undirected prefilter
 };
 
@@ -112,7 +110,6 @@ inline const Pipeline& GetPipeline(GraphKind kind, size_t nodes,
   if (!cidx.ok()) std::abort();
   p->cluster_index =
       std::make_unique<ClusterJoinIndex>(std::move(cidx).ValueOrDie());
-  p->tables = BaseTables::Build(p->lg);
   p->closure = std::make_unique<TransitiveClosure>(
       TransitiveClosure::Build(p->csr, /*as_undirected=*/false));
   return *cache.emplace(key, std::move(p)).first->second;

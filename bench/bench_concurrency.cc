@@ -20,12 +20,14 @@
 ///    looped one by one (per-decision latency, single thread);
 ///  * BM_MutationThroughputQueued/threads:N vs
 ///    BM_MutationThroughputMutex/threads:N — N producers pushing
-///    durable mutations through the MPSC MutationQueue (pipelined
-///    submission, WalSyncPolicy::kGroupCommit: one fsync + one
-///    published view per batch) vs the retired contract (external
-///    mutex, inline path, kEveryRecord: one fsync + one publish per
-///    op). The write-pipeline acceptance criterion reads these two
-///    series: queued ≥ 3x mutex at 8 producers, no regression at 1;
+///    durable mutations into one engine: pipelined submission through
+///    the MPSC MutationQueue (one fsync + one published view per
+///    group-commit batch) vs the retired single-writer contract
+///    (producers serialize behind an external mutex and call the
+///    synchronous AddEdge/RemoveEdge, so every batch holds one op: one
+///    fsync + one publish per op). The write-pipeline acceptance
+///    criterion reads these two series: queued ≥ 3x mutex at 8
+///    producers, no regression at 1;
 ///  * BM_ReadWriteInterferenceZipf/threads:N — thread 0 streams
 ///    queued mutations while N-1 readers draw Zipf-skewed (theta 0.99)
 ///    requester/resource mixes; items counts reader decisions only.
@@ -36,7 +38,6 @@
 
 #include <cstdlib>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -221,41 +222,38 @@ struct MutationFixture {
   std::mutex legacy_mu;  // the retired external single-writer contract
 };
 
-MutationFixture& GetMutationFixture(bool queued) {
-  static std::map<bool, std::unique_ptr<MutationFixture>> cache;
-  auto it = cache.find(queued);
-  if (it != cache.end()) return *it->second;
+/// Both producer series share one durable engine.
+MutationFixture& GetMutationFixture() {
+  static MutationFixture* fx = [] {
+    auto* fx = new MutationFixture();
+    fx->g = std::make_unique<SocialGraph>(
+        MakeGraph(GraphKind::kBarabasiAlbert, kWriterNodes, 3, 42));
+    const ResourceId res = fx->store.RegisterResource(0, "res");
+    if (!fx->store.AddRuleFromPaths(res, {"friend[1,2]"}).ok()) std::abort();
 
-  auto fx = std::make_unique<MutationFixture>();
-  fx->g = std::make_unique<SocialGraph>(
-      MakeGraph(GraphKind::kBarabasiAlbert, kWriterNodes, 3, 42));
-  const ResourceId res = fx->store.RegisterResource(0, "res");
-  if (!fx->store.AddRuleFromPaths(res, {"friend[1,2]"}).ok()) std::abort();
+    EngineOptions options;
+    // Keep fold/snapshot work out of the measured loop; the overlay stays
+    // bounded anyway because every producer toggles its edge.
+    options.compact_threshold = 1u << 30;
+    options.audit_capacity = 0;
+    fx->engine = std::make_unique<AccessControlEngine>(*fx->g, fx->store,
+                                                       options);
+    if (!fx->engine->RebuildIndexes().ok()) std::abort();
 
-  EngineOptions options;
-  // Keep fold/snapshot work out of the measured loop; the overlay stays
-  // bounded anyway because every producer toggles its edge.
-  options.compact_threshold = 1u << 30;
-  options.audit_capacity = 0;
-  options.async_mutations = queued;
-  fx->engine = std::make_unique<AccessControlEngine>(*fx->g, fx->store,
-                                                     options);
-  if (!fx->engine->RebuildIndexes().ok()) std::abort();
-
-  char tmpl[] = "/tmp/sargus_bench_concurrency_XXXXXX";
-  fx->dir = mkdtemp(tmpl);
-  DurabilityOptions durability;
-  durability.wal_sync = queued ? storage::WalSyncPolicy::kGroupCommit
-                               : storage::WalSyncPolicy::kEveryRecord;
-  durability.snapshot_on_compaction = false;
-  if (!fx->engine->EnableDurability(fx->dir, durability).ok()) std::abort();
-  return *cache.emplace(queued, std::move(fx)).first->second;
+    char tmpl[] = "/tmp/sargus_bench_concurrency_XXXXXX";
+    fx->dir = mkdtemp(tmpl);
+    DurabilityOptions durability;
+    durability.snapshot_on_compaction = false;
+    if (!fx->engine->EnableDurability(fx->dir, durability).ok()) std::abort();
+    return fx;
+  }();
+  return *fx;
 }
 
 /// N producers over the MPSC queue: pipelined submission with a bounded
 /// ticket window, group-commit batches behind the scenes.
 void BM_MutationThroughputQueued(benchmark::State& state) {
-  MutationFixture& f = GetMutationFixture(/*queued=*/true);
+  MutationFixture& f = GetMutationFixture();
   AccessControlEngine& engine = *f.engine;
   const auto src = static_cast<NodeId>(2 * state.thread_index());
   const auto dst = static_cast<NodeId>(2 * state.thread_index() + 1);
@@ -286,10 +284,11 @@ BENCHMARK(BM_MutationThroughputQueued)
     ->UseRealTime();
 
 /// The same op stream under the retired contract: producers serialize
-/// behind an external mutex, each op runs the inline path — its own
-/// WAL fsync (kEveryRecord) and its own view republication.
+/// behind an external mutex and wait out each synchronous call, so
+/// every op is its own batch — its own WAL fsync and its own view
+/// republication.
 void BM_MutationThroughputMutex(benchmark::State& state) {
-  MutationFixture& f = GetMutationFixture(/*queued=*/false);
+  MutationFixture& f = GetMutationFixture();
   AccessControlEngine& engine = *f.engine;
   const auto src = static_cast<NodeId>(2 * state.thread_index());
   const auto dst = static_cast<NodeId>(2 * state.thread_index() + 1);

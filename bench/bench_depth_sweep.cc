@@ -35,8 +35,7 @@ void RunSweep(benchmark::State& state, const std::string& tmpl, bool join) {
   const BoundPathExpression& expr = GetExpr(p, tmpl);
   const auto& pairs = GetPairs(p, expr);
   OnlineEvaluator bfs(*p.g, p.csr, TraversalOrder::kBfs);
-  JoinIndexEvaluator jidx(*p.g, p.lg, *p.oracle, *p.cluster_index, p.tables,
-                          JoinIndexOptions{});
+  JoinIndexEvaluator jidx(*p.g, p.lg, *p.cluster_index);
   const Evaluator& eval = join ? static_cast<const Evaluator&>(jidx)
                                : static_cast<const Evaluator&>(bfs);
   size_t i = 0;

@@ -13,12 +13,12 @@
 ///    mutation cost must be flat in |V| (the acceptance criterion for
 ///    the overlay subsystem), with compaction as a bounded amortized
 ///    add-on, while the rebuild-per-mutation baseline grows linearly;
-///  * the compaction-latency series (BM_CompactStall*): the
-///    writer-observed Compact() stall under the blocking mode (the full
-///    fold + rebuild, linear in |V|) vs the background double-buffered
-///    mode (an O(overlay) freeze — flat in |V|, the ≥10x-at-64k
-///    acceptance series), plus incremental-vs-full index maintenance on
-///    small insertion-only overlays (BM_CompactIncrementalVsFull).
+///  * the compaction-latency series (BM_CompactStall*): the whole
+///    synchronous compaction (Compact() + WaitForCompaction(): fold +
+///    rebuild, linear in |V|) vs the writer-observed Compact() stall
+///    (an O(overlay) freeze — flat in |V|, the ≥10x-at-64k acceptance
+///    series), plus incremental-vs-full index maintenance on small
+///    insertion-only overlays (BM_CompactIncrementalVsFull).
 
 #include <benchmark/benchmark.h>
 
@@ -61,7 +61,6 @@ void BM_ChurnJoinIndex(benchmark::State& state) {
       LineGraph lg;
       std::unique_ptr<LineReachabilityOracle> oracle;
       std::unique_ptr<ClusterJoinIndex> cidx;
-      BaseTables tables;
     };
     auto s = std::make_unique<Stack>();
     s->csr = CsrSnapshot::Build(g);
@@ -71,7 +70,6 @@ void BM_ChurnJoinIndex(benchmark::State& state) {
         std::move(oracle).ValueOrDie());
     auto cidx = ClusterJoinIndex::Build(s->lg, *s->oracle);
     s->cidx = std::make_unique<ClusterJoinIndex>(std::move(cidx).ValueOrDie());
-    s->tables = BaseTables::Build(s->lg);
     return s;
   };
   auto stack = rebuild();
@@ -84,8 +82,7 @@ void BM_ChurnJoinIndex(benchmark::State& state) {
       ++rebuilds;
     }
     ++i;
-    JoinIndexEvaluator eval(g, stack->lg, *stack->oracle, *stack->cidx,
-                            stack->tables, JoinIndexOptions{});
+    JoinIndexEvaluator eval(g, stack->lg, *stack->cidx);
     NodeId src = static_cast<NodeId>(rng.NextBounded(kNodes));
     NodeId dst = static_cast<NodeId>(rng.NextBounded(kNodes));
     ReachQuery q{src, dst, &*expr, false};
@@ -288,9 +285,10 @@ void StageFreshInsertions(AccessControlEngine& engine, const SocialGraph& g,
   }
 }
 
-/// Writer-observed Compact() stall, blocking mode: the timed region is
-/// the full fold + index rebuild — linear in |V| (the pre-PR behavior,
-/// and the baseline for the background series below).
+/// Synchronous compaction: the timed region is Compact() +
+/// WaitForCompaction(), the full fold + index rebuild — linear in |V|
+/// (what a writer would stall for without the compaction thread, and
+/// the baseline for the background series below).
 void BM_CompactStallBlocking(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, n, 3, 42);
@@ -299,8 +297,7 @@ void BM_CompactStallBlocking(benchmark::State& state) {
   (void)store.AddRuleFromPaths(res, {kQ1}).ValueOrDie();
   AccessControlEngine engine(g, store,
                              {.evaluator = EvaluatorChoice::kOnlineBfs,
-                              .compact_threshold = 0,
-                              .background_compaction = false});
+                              .compact_threshold = 0});
   if (auto st = engine.RebuildIndexes(); !st.ok()) {
     state.SkipWithError(st.ToString().c_str());
     return;
@@ -312,6 +309,7 @@ void BM_CompactStallBlocking(benchmark::State& state) {
     StageFreshInsertions(engine, g, friend_label, n, 64, rng);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.Compact().ok());
+    engine.WaitForCompaction();
   }
   state.counters["nodes"] = static_cast<double>(n);
 }
@@ -335,8 +333,7 @@ void BM_CompactStallBackground(benchmark::State& state) {
   (void)store.AddRuleFromPaths(res, {kQ1}).ValueOrDie();
   AccessControlEngine engine(g, store,
                              {.evaluator = EvaluatorChoice::kOnlineBfs,
-                              .compact_threshold = 0,
-                              .background_compaction = true});
+                              .compact_threshold = 0});
   if (auto st = engine.RebuildIndexes(); !st.ok()) {
     state.SkipWithError(st.ToString().c_str());
     return;
@@ -363,9 +360,9 @@ BENCHMARK(BM_CompactStallBackground)
     ->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
-/// Full compaction wall time (blocking, so the timer sees the whole
-/// build) with the incremental index patch on vs off, on an
-/// insertion-only overlay well under the 5%-of-|E| gate. Run under
+/// Full compaction wall time (Compact() + WaitForCompaction(), so the
+/// timer sees the whole build) with the incremental index patch on vs
+/// off, on an insertion-only overlay well under the 5%-of-|E| gate. Run under
 /// kAuto so the join stack — the part the patch actually skips
 /// (Tarjan + condensation + label sweep) — is in play. The staged
 /// insertions hang off a fresh node so the patch is always applicable
@@ -381,7 +378,6 @@ void BM_CompactIncrementalVsFull(benchmark::State& state) {
       g, store,
       {.evaluator = EvaluatorChoice::kAuto,
        .compact_threshold = 0,
-       .background_compaction = false,
        .incremental_max_fraction = incremental ? 0.05 : 0.0});
   if (auto st = engine.RebuildIndexes(); !st.ok()) {
     state.SkipWithError(st.ToString().c_str());
@@ -398,6 +394,7 @@ void BM_CompactIncrementalVsFull(benchmark::State& state) {
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.Compact().ok());
+    engine.WaitForCompaction();
   }
   state.counters["nodes"] = static_cast<double>(n);
   state.counters["incremental_compactions"] =

@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "index/base_tables.h"
 
 namespace sargus {
 namespace bench {

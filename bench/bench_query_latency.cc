@@ -83,8 +83,7 @@ void BM_JoinIndex(benchmark::State& state) {
   RunQueryBench(state, static_cast<size_t>(state.range(0)),
                 [](const Pipeline& p) {
                   return std::make_unique<JoinIndexEvaluator>(
-                      *p.g, p.lg, *p.oracle, *p.cluster_index, p.tables,
-                      JoinIndexOptions{});
+                      *p.g, p.lg, *p.cluster_index);
                 });
 }
 BENCHMARK(BM_JoinIndex)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000);
@@ -94,8 +93,7 @@ void BM_JoinIndexWithPrefilter(benchmark::State& state) {
       state, static_cast<size_t>(state.range(0)), [](const Pipeline& p) {
         struct Combo : Evaluator {
           Combo(const Pipeline& p)
-              : join(*p.g, p.lg, *p.oracle, *p.cluster_index, p.tables,
-                     JoinIndexOptions{}),
+              : join(*p.g, p.lg, *p.cluster_index),
                 filtered(*p.closure, join) {}
           Result<Evaluation> EvaluateWith(const ReachQuery& q,
                                           EvalContext& ctx) const override {
@@ -139,8 +137,7 @@ void BM_GrantVsDeny(benchmark::State& state) {
   const auto& all = GetPairs(p, expr, 128);
 
   OnlineEvaluator bfs(*p.g, p.csr, TraversalOrder::kBfs);
-  JoinIndexEvaluator jidx(*p.g, p.lg, *p.oracle, *p.cluster_index, p.tables,
-                          JoinIndexOptions{});
+  JoinIndexEvaluator jidx(*p.g, p.lg, *p.cluster_index);
   const Evaluator& eval = join ? static_cast<const Evaluator&>(jidx)
                                : static_cast<const Evaluator&>(bfs);
   // Partition pairs by actual outcome.

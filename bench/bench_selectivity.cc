@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "index/base_tables.h"
 #include "query/join_evaluator.h"
 #include "query/online_evaluator.h"
 
@@ -25,8 +26,7 @@ void RunSelectivity(benchmark::State& state, bool join) {
       GetExpr(p, "friend[1,2]/colleague[1]");
   const auto& pairs = GetPairs(p, expr);
   OnlineEvaluator bfs(*p.g, p.csr, TraversalOrder::kBfs);
-  JoinIndexEvaluator jidx(*p.g, p.lg, *p.oracle, *p.cluster_index, p.tables,
-                          JoinIndexOptions{});
+  JoinIndexEvaluator jidx(*p.g, p.lg, *p.cluster_index);
   const Evaluator& eval = join ? static_cast<const Evaluator&>(jidx)
                                : static_cast<const Evaluator&>(bfs);
   size_t i = 0;
@@ -41,7 +41,7 @@ void RunSelectivity(benchmark::State& state, bool join) {
     benchmark::DoNotOptimize(r->granted);
   }
   state.counters["friend_rows"] = static_cast<double>(
-      p.tables.Rows(p.g->labels().Lookup("friend")).size());
+      BaseTables::Build(p.lg).Rows(p.g->labels().Lookup("friend")).size());
   state.SetLabel("|Sigma|=" + std::to_string(num_labels) +
                  (join ? " [join]" : " [bfs]"));
 }

@@ -73,6 +73,8 @@ class AppendFile {
   AppendFile& operator=(const AppendFile&) = delete;
   ~AppendFile();
 
+  /// On failure a prefix of `bytes` may be on disk while size() still
+  /// reports the size before the call: TruncateTo(that size) undoes it.
   Status Append(std::span<const uint8_t> bytes);
   /// fdatasync the file contents.
   Status Sync();

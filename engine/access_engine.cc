@@ -175,24 +175,6 @@ Status AccessControlEngine::RebuildIndexes() {
   return RebuildIndexesLocked();
 }
 
-Status AccessControlEngine::RefreshPolicies() {
-  if (options_.async_mutations) return SubmitRefreshPolicies().Wait().status;
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  if (!built_) {
-    return Status::FailedPrecondition(
-        "RefreshPolicies: call RebuildIndexes() first");
-  }
-  if (RefreshPolicySnapshotIfStale()) {
-    PublishView();
-    // Ordering marker only — policies themselves are not persisted; a
-    // recovery replays this as a RefreshPolicies against the caller's
-    // re-registered store.
-    SARGUS_RETURN_IF_ERROR(WalLogLocked(storage::WalRecord::Kind::kPolicyRefresh,
-                                        0, 0, kInvalidLabel));
-  }
-  return OkStatus();
-}
-
 // ---- Dynamic mutations ------------------------------------------------------
 
 Status AccessControlEngine::CheckMutable() const {
@@ -224,93 +206,34 @@ Status AccessControlEngine::CheckEndpoints(NodeId src, NodeId dst) const {
   return OkStatus();
 }
 
+// The synchronous calls are Submit + Wait over the queue.
+
 Status AccessControlEngine::AddEdge(NodeId src, NodeId dst,
                                     const std::string& label) {
-  if (options_.async_mutations) {
-    return SubmitAddEdge(src, dst, label).Wait().status;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  // Validate fully *before* interning: a failed AddEdge must leave the
-  // graph (including its label dictionary) untouched.
-  SARGUS_RETURN_IF_ERROR(CheckEndpoints(src, dst));
-  LabelId id = graph_->labels().Lookup(label);
-  if (id == kInvalidLabel) {
-    id = mutable_graph_->labels().Intern(label);
-    if (id == kInvalidLabel) {
-      return Status::ResourceExhausted("AddEdge: label dictionary full");
-    }
-  }
-  SARGUS_RETURN_IF_ERROR(StageAddEdge(src, dst, id));
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kAddEdge, src, dst, id));
-  return FinishMutation();
+  return SubmitAddEdge(src, dst, label).Wait().status;
 }
 
 Status AccessControlEngine::AddEdge(NodeId src, NodeId dst, LabelId label) {
-  if (options_.async_mutations) {
-    return SubmitAddEdge(src, dst, label).Wait().status;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  if (label >= graph_->labels().size()) {
-    return Status::InvalidArgument("AddEdge: unknown label id");
-  }
-  SARGUS_RETURN_IF_ERROR(StageAddEdge(src, dst, label));
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kAddEdge, src, dst, label));
-  return FinishMutation();
+  return SubmitAddEdge(src, dst, label).Wait().status;
 }
 
 Status AccessControlEngine::RemoveEdge(NodeId src, NodeId dst,
                                        const std::string& label) {
-  if (options_.async_mutations) {
-    return SubmitRemoveEdge(src, dst, label).Wait().status;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  const LabelId id = graph_->labels().Lookup(label);
-  if (id == kInvalidLabel) {
-    return Status::NotFound("RemoveEdge: unknown label '" + label + "'");
-  }
-  SARGUS_RETURN_IF_ERROR(StageRemoveEdge(src, dst, id));
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kRemoveEdge, src, dst, id));
-  return FinishMutation();
+  return SubmitRemoveEdge(src, dst, label).Wait().status;
 }
 
 Status AccessControlEngine::RemoveEdge(NodeId src, NodeId dst, LabelId label) {
-  if (options_.async_mutations) {
-    return SubmitRemoveEdge(src, dst, label).Wait().status;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  if (label >= graph_->labels().size()) {
-    return Status::NotFound("RemoveEdge: unknown label id");
-  }
-  SARGUS_RETURN_IF_ERROR(StageRemoveEdge(src, dst, label));
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kRemoveEdge, src, dst, label));
-  return FinishMutation();
+  return SubmitRemoveEdge(src, dst, label).Wait().status;
 }
 
 Result<NodeId> AccessControlEngine::AddNode() {
-  if (options_.async_mutations) {
-    WriteOutcome out = SubmitAddNode().Wait();
-    if (!out.status.ok()) return out.status;
-    return out.node;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  const NodeId id = static_cast<NodeId>(LogicalNumNodesLocked());
-  (void)overlay_.StageNode();
-  if (building_) {
-    journal_.push_back({JournalOp::Kind::kAddNode, 0, 0, kInvalidLabel});
-  }
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kAddNode, 0, 0, kInvalidLabel));
-  SARGUS_RETURN_IF_ERROR(FinishMutation());
-  return id;
+  WriteOutcome out = SubmitAddNode().Wait();
+  if (!out.status.ok()) return out.status;
+  return out.node;
+}
+
+Status AccessControlEngine::RefreshPolicies() {
+  return SubmitRefreshPolicies().Wait().status;
 }
 
 // ---- Queued mutation front end ----------------------------------------------
@@ -463,16 +386,22 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
                                           WriteOutcome* outcomes) {
   std::lock_guard<std::mutex> lock(mutation_mu_);
   std::vector<storage::WalRecord> wal_batch;
-  if (durable_ && !wal_replaying_) wal_batch.reserve(ops.size());
-  std::vector<storage::WalRecord>* wal_sink =
-      (durable_ && !wal_replaying_) ? &wal_batch : nullptr;
+  std::vector<storage::WalRecord>* wal_sink = nullptr;
+  if (durable_ && !wal_replaying_) {
+    wal_batch.reserve(ops.size());
+    wal_sink = &wal_batch;
+  }
+  // What a failed WAL commit rolls back to (the overlay comes from the
+  // published view, see below).
+  const size_t journal_before = journal_.size();
+  const auto policy_before = policy_;
   bool any_graph_mutation = false;
   bool policy_refreshed = false;
   for (size_t i = 0; i < ops.size(); ++i) {
     WriteOutcome& out = outcomes[i];
     if (ops[i].kind == WriteOp::Kind::kRefreshPolicies) {
       // Policy refresh needs built indexes but not the mutable-graph
-      // constructor (same guard as the legacy call).
+      // constructor.
       if (!built_) {
         out.status = Status::FailedPrecondition(
             "RefreshPolicies: call RebuildIndexes() first");
@@ -503,25 +432,31 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
   const Status wal_status = WalCommitBatchLocked(wal_batch);
   if (!wal_status.ok()) {
     // An acknowledged mutation must be WAL-durable. Fail every op that
-    // believed it committed; their staged effects surface on the next
-    // publish, matching the legacy per-record failure path (which also
-    // stages before it logs) — and no view is published here.
+    // believed it committed and put the overlay, journal and policy
+    // snapshot back as they were: a failed ticket's op never surfaces
+    // on a later publish. (Labels it interned stay; ids only grow.) The
+    // WAL cut the torn batch off, and no view is published here.
     for (size_t i = 0; i < ops.size(); ++i) {
       if (outcomes[i].status.ok()) outcomes[i].status = wal_status;
     }
+    // Every committed batch, compaction completion and rebuild publishes
+    // before it lets go of mutation_mu_ (a failed rebuild leaves the
+    // engine unbuilt, so nothing stages after it), so the published
+    // view's frozen copy is the overlay as this batch found it.
+    // Restoring from it keeps the copy off the commit path.
+    {
+      std::lock_guard<std::mutex> view_lock(view_mu_);
+      overlay_ = view_->overlay();
+    }
+    journal_.resize(journal_before);
+    policy_ = policy_before;
     return;
   }
 
   if (any_graph_mutation) {
     // One publication (and at most one compaction kick) for the whole
-    // batch — the amortization the queue exists for. A failed tail
-    // (synchronous compaction) is batch-wide.
-    const Status fin = FinishMutation();
-    if (!fin.ok()) {
-      for (size_t i = 0; i < ops.size(); ++i) {
-        if (outcomes[i].status.ok()) outcomes[i].status = fin;
-      }
-    }
+    // batch — the amortization the queue exists for.
+    FinishMutation();
   } else if (policy_refreshed) {
     PublishView();
   }
@@ -576,12 +511,9 @@ Status AccessControlEngine::StageRemoveEdge(NodeId src, NodeId dst,
   return OkStatus();
 }
 
-Status AccessControlEngine::FinishMutation() {
+void AccessControlEngine::FinishMutation() {
   if (effective_compact_threshold_ != 0 &&
       overlay_.size() >= effective_compact_threshold_ && !building_) {
-    if (!options_.background_compaction) {
-      return CompactBlockingLocked();  // publishes
-    }
     // Kick the build and fall through: the staged mutation must be
     // visible now, on a view over the *current* snapshot.
     StartBackgroundCompactionLocked();
@@ -590,7 +522,6 @@ Status AccessControlEngine::FinishMutation() {
   // publish a view carrying the new frozen overlay.
   (void)RefreshPolicySnapshotIfStale();
   PublishView();
-  return OkStatus();
 }
 
 // ---- Compaction -------------------------------------------------------------
@@ -625,32 +556,6 @@ void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
   frozen.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) {
     (void)mutable_graph_->AddEdge(t.src, t.dst, t.label);
   });
-}
-
-Status AccessControlEngine::CompactBlockingLocked() {
-  CompactionJob job;
-  job.prev_idx = idx_;
-  job.frozen = overlay_;
-  job.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
-  bool incremental = false;
-  auto bundle = BuildNextBundle(job, &incremental);
-  if (!bundle.ok()) return bundle.status();
-
-  FoldOverlayIntoGraph(job.frozen);
-  idx_ = std::move(*bundle);
-  snapshot_generation_.fetch_add(1, std::memory_order_release);
-  overlay_.Clear();
-  journal_.clear();
-  (incremental ? incremental_compactions_ : full_compactions_) += 1;
-  // Full policy rebuild: we are on the external writer's thread, where
-  // reading the store is safe — and fresh labels may fix failed binds.
-  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_, options_);
-  RecomputeEffectiveThreshold();
-  PublishView();
-  if (durable_ && durability_.snapshot_on_compaction) {
-    SARGUS_RETURN_IF_ERROR(SaveSnapshotLocked());
-  }
-  return OkStatus();
 }
 
 void AccessControlEngine::StartBackgroundCompactionLocked() {
@@ -799,7 +704,6 @@ Status AccessControlEngine::Compact() {
   std::lock_guard<std::mutex> lock(mutation_mu_);
   SARGUS_RETURN_IF_ERROR(CheckMutable());
   if (overlay_.empty()) return OkStatus();
-  if (!options_.background_compaction) return CompactBlockingLocked();
   if (building_) {
     // A build is in flight; have its completion chain a follow-up that
     // folds everything staged meanwhile. WaitForCompaction() drains
@@ -822,15 +726,6 @@ bool AccessControlEngine::compaction_in_flight() const {
 }
 
 // ---- Durability -------------------------------------------------------------
-
-Status AccessControlEngine::WalLogLocked(storage::WalRecord::Kind kind,
-                                         NodeId src, NodeId dst,
-                                         LabelId label) {
-  if (!durable_ || wal_replaying_) return OkStatus();
-  // The inline (async_mutations off) path: one record, synced per the
-  // configured policy. The batched path goes through WalCommitBatchLocked.
-  return wal_.Append(MakeWalRecordLocked(kind, src, dst, label));
-}
 
 Status AccessControlEngine::SaveSnapshotLocked() {
   if (!durable_) {

@@ -35,22 +35,21 @@
 /// needs the whole stack and fails with kFailedPrecondition if it is
 /// missing.
 ///
-/// Compaction model (double-buffered, see docs/ARCHITECTURE.md): with
-/// EngineOptions::background_compaction (the default), `Compact()` —
-/// explicit or threshold-triggered — freezes a copy of the overlay and
-/// returns immediately; a dedicated compaction thread builds the next
-/// SnapshotIndexes bundle against graph ⊕ frozen-overlay (incrementally
-/// patched when the delta is insertion-only and small — see
-/// SnapshotIndexes::BuildIncremental — else a full rebuild) while the
+/// Compaction model (double-buffered, see docs/ARCHITECTURE.md):
+/// `Compact()` — explicit or threshold-triggered — freezes a copy of the
+/// overlay and returns immediately; a dedicated compaction thread builds
+/// the next SnapshotIndexes bundle against graph ⊕ frozen-overlay
+/// (incrementally patched when the delta is insertion-only and small —
+/// see SnapshotIndexes::BuildIncremental — else a full rebuild) while the
 /// writer keeps staging mutations, which are also recorded in a replay
 /// journal. On completion the compaction thread briefly takes the
 /// writer lock, folds the frozen overlay into the SocialGraph, swaps in
 /// the new bundle, replays the journal into a fresh overlay relative to
 /// the new snapshot, and publishes — so neither readers nor the writer
 /// ever stall on an index rebuild. `WaitForCompaction()` blocks until
-/// the pipeline is idle (tests and benchmarks use it for determinism);
-/// with background_compaction off, Compact() performs the whole fold +
-/// rebuild synchronously before returning.
+/// the pipeline is idle, so synchronous compaction is `Compact()`
+/// followed by `WaitForCompaction()` (tests and benchmarks use it for
+/// determinism).
 ///
 /// Snapshot-consistency contract: every published view owns the pairing
 /// between its snapshot indexes and its frozen overlay. While a view's
@@ -84,18 +83,12 @@
 ///    remove that too).
 ///  * MUTATIONS — `AddEdge`, `RemoveEdge`, `AddNode`, `RefreshPolicies`
 ///    (and their Submit* siblings) are safe to call from any number of
-///    threads concurrently. With EngineOptions::async_mutations (the
-///    default) every mutation is routed through the engine's
-///    MutationQueue (engine/write_queue.h): SubmitX() enqueues and
-///    returns a WriteTicket; the legacy synchronous calls are
-///    Submit+Wait shims over the same queue, so concurrent callers are
-///    serialized by submission order and committed in group-commit
-///    batches (one WAL fsync + one published view per batch). This
-///    retires the old contract that pushed writer serialization onto
-///    callers. With async_mutations off the legacy inline path runs
-///    instead, and mutations revert to requiring external
-///    serialization (the mutex-serialized baseline the concurrency
-///    bench measures).
+///    threads concurrently. Every mutation is routed through the
+///    engine's MutationQueue (engine/write_queue.h): SubmitX() enqueues
+///    and returns a WriteTicket, and the synchronous calls are
+///    SubmitX().Wait(), so concurrent callers are serialized by
+///    submission order and committed in group-commit batches (one WAL
+///    fsync + one published view per batch).
 ///  * CONTROL PLANE — `RebuildIndexes`, `Compact`, `WaitForCompaction`,
 ///    `EnableDurability`, `SaveSnapshot` remain one-at-a-time calls:
 ///    externally serialize them against each other. They are safe
@@ -167,19 +160,16 @@ struct SnapshotStamp;  // snapshot_format.h
 
 /// Durability configuration (storage/ subsystem; see the "Durability &
 /// recovery" section of docs/ARCHITECTURE.md). An engine with
-/// EnableDurability attached logs every mutation to an append-only WAL
-/// and serializes its whole serving state (graph + overlay + prebuilt
+/// EnableDurability attached logs every mutation batch to an append-only
+/// WAL and serializes its whole serving state (graph + overlay + prebuilt
 /// index stack) into an atomic snapshot bundle, so OpenFromDir restores
 /// a serving engine without recomputing a single index.
 struct DurabilityOptions {
-  /// fdatasync every WAL append (default): an acknowledged mutation
-  /// survives a crash. kGroupCommit fsyncs once per queued batch —
-  /// with async_mutations that is still "every acknowledged mutation
-  /// survives" (tickets complete after the batch sync) at a fraction of
-  /// the fsyncs; with the inline path it degrades single appends to
-  /// ride the next sync. kNever trades the tail for append speed;
-  /// reopen never corrupts either way (a torn tail — torn batch
-  /// included — is detected and truncated).
+  /// fdatasync once per group-commit batch (default): tickets complete
+  /// after the batch sync, so an acknowledged mutation survives a
+  /// crash. kNever trades the tail for append speed; reopen never
+  /// corrupts either way (a torn tail — torn batch included — is
+  /// detected and truncated).
   storage::WalSyncPolicy wal_sync = storage::WalSyncPolicy::kEveryRecord;
   /// Truncate the WAL once a bundle covering it is durably published.
   /// Tests turn this off to exercise the crash window between "bundle
@@ -229,10 +219,10 @@ class AccessControlEngine {
   Status RebuildIndexes();
 
   /// Stages edge src -[label]-> dst as added and publishes a view that
-  /// sees it. O(overlay size) — flat in |V| — and, under background
-  /// compaction, never blocks on a rebuild even when it trips the
-  /// threshold. Idempotent when the logical edge already exists.
-  /// Interns an unknown label name. kInvalidArgument for out-of-range
+  /// sees it (SubmitAddEdge().Wait()). O(overlay size) — flat in |V| —
+  /// and never blocks on a rebuild, even when it trips the threshold.
+  /// Idempotent when the logical edge already exists. Interns an unknown
+  /// label name. kInvalidArgument for out-of-range
   /// endpoints, kFailedPrecondition before RebuildIndexes or on a
   /// const-graph engine. (Mutable-graph constructor only.)
   Status AddEdge(NodeId src, NodeId dst, const std::string& label);
@@ -253,17 +243,15 @@ class AccessControlEngine {
 
   /// Folds every staged mutation into the SocialGraph, clears the
   /// overlay, installs a fresh (or incrementally patched) index bundle,
-  /// and publishes. No-op on an empty overlay. With background
-  /// compaction (default) this returns as soon as the frozen inputs are
-  /// captured — the build, fold and publish happen on the compaction
-  /// thread (WaitForCompaction() for synchronous semantics); a second
-  /// Compact() while one is in flight makes its completion chain a
-  /// follow-up that folds everything staged meanwhile. Views acquired
-  /// before and
-  /// after see the same logical graph; only the cost profile changes
-  /// (index pruning and the join index come back online). Old views
-  /// stay valid: they answer against their frozen snapshot + overlay
-  /// for as long as they are held.
+  /// and publishes. No-op on an empty overlay. Returns as soon as the
+  /// frozen inputs are captured — the build, fold and publish happen on
+  /// the compaction thread (WaitForCompaction() for synchronous
+  /// semantics); a second Compact() while one is in flight makes its
+  /// completion chain a follow-up that folds everything staged
+  /// meanwhile. Views acquired before and after see the same logical
+  /// graph; only the cost profile changes (index pruning and the join
+  /// index come back online). Old views stay valid: they answer against
+  /// their frozen snapshot + overlay for as long as they are held.
   Status Compact();
 
   /// Blocks until no compaction is building or completing. After this
@@ -287,10 +275,9 @@ class AccessControlEngine {
   // returns a future-backed WriteTicket immediately; the dedicated
   // writer thread group-commits queued mutations in batches (one WAL
   // fsync + one published view per batch — see engine/write_queue.h).
-  // ticket.Wait() returns the same Status the synchronous call would
-  // have, plus the (generation, overlay_version) stamp the mutation
-  // landed in. Works regardless of async_mutations (the option only
-  // controls whether the *legacy* calls above shim through the queue).
+  // ticket.Wait() returns the Status the synchronous call above
+  // reports (it is exactly SubmitX().Wait()), plus the (generation,
+  // overlay_version) stamp the mutation landed in.
 
   WriteTicket SubmitAddEdge(NodeId src, NodeId dst, const std::string& label);
   WriteTicket SubmitAddEdge(NodeId src, NodeId dst, LabelId label);
@@ -475,9 +462,9 @@ class AccessControlEngine {
   /// fsync) and publishes ONE view. outcomes[i] receives op i's status
   /// and the per-op (generation, overlay_version) stamp — identical to
   /// the stamp op i's WAL record carries. Errors are isolated per op
-  /// (a bad op fails only its own outcome) except batch-wide failures
-  /// (WAL append, synchronous compaction), which overwrite every
-  /// previously-OK outcome in the batch.
+  /// (a bad op fails only its own outcome) except a failed WAL commit,
+  /// which overwrites every previously-OK outcome in the batch and
+  /// rolls the writer state back to where the batch started.
   void ApplyWriteBatch(std::span<const WriteOp> ops, WriteOutcome* outcomes);
   /// Stages one op (no WAL, no publish); fills `out`'s stamp/node and
   /// appends the op's WAL record to `wal_batch` on success. Caller
@@ -499,8 +486,8 @@ class AccessControlEngine {
   /// freshly opened bundle never pays the map rebuild on the WAL-replay
   /// path).
   bool EdgeInBaseLocked(NodeId src, NodeId dst, LabelId label) const;
-  /// Post-staging tail: kick/perform compaction at threshold, publish.
-  Status FinishMutation();
+  /// Post-staging tail: kick compaction at threshold, publish.
+  void FinishMutation();
   /// Mutation-entry guard: mutable graph + built indexes.
   Status CheckMutable() const;
   /// Staged endpoints must lie inside the logical node range (snapshot
@@ -510,7 +497,7 @@ class AccessControlEngine {
 
   /// Builds the next bundle for `job`: the incremental patch when
   /// applicable, the full merged rebuild otherwise. Lock-free — this is
-  /// the expensive part both compaction modes share. Sets
+  /// the expensive part of a compaction. Sets
   /// `*incremental` to which path ran.
   Result<std::shared_ptr<const SnapshotIndexes>> BuildNextBundle(
       const CompactionJob& job, bool* incremental) const;
@@ -518,9 +505,6 @@ class AccessControlEngine {
   /// removals, then additions in the frozen copy's iteration order (the
   /// order BuildMerged predicted edge ids in).
   void FoldOverlayIntoGraph(const DeltaOverlay& frozen);
-  /// Synchronous compaction (background_compaction off, and the
-  /// threshold path in that mode). Caller holds mutation_mu_.
-  Status CompactBlockingLocked();
   /// Captures the frozen inputs, starts/wakes the compaction thread.
   /// Caller holds mutation_mu_.
   void StartBackgroundCompactionLocked();
@@ -537,11 +521,6 @@ class AccessControlEngine {
   void RecomputeEffectiveThreshold();
   /// SaveSnapshot body; caller holds mutation_mu_.
   Status SaveSnapshotLocked();
-  /// Appends one mutation record stamped with the current (generation,
-  /// overlay version). No-op unless durable (and not mid-replay). Caller
-  /// holds mutation_mu_; pass kInvalidLabel for label-less kinds.
-  Status WalLogLocked(storage::WalRecord::Kind kind, NodeId src, NodeId dst,
-                      LabelId label);
   /// Re-applies the uncovered suffix of `records` through
   /// ApplyWriteBatch in bounded batches (with WAL re-appends
   /// suppressed), so recovery pays one view publication per batch
@@ -617,7 +596,7 @@ class AccessControlEngine {
   std::shared_ptr<const AccessReadView> view_;  // guarded by view_mu_
 
   /// Durability state. Written under mutation_mu_ (setup happens before
-  /// the engine is shared); WAL appends run inside the mutation path,
+  /// the engine is shared); WAL appends run inside ApplyWriteBatch,
   /// which already holds mutation_mu_.
   bool durable_ = false;
   bool wal_replaying_ = false;

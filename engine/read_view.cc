@@ -56,7 +56,7 @@ EvaluatorKind AutoPick(const BoundPathExpression& expr,
 
 namespace {
 
-/// The join-index stack (line graph, oracle, cluster index, tables) is
+/// The join-index stack (line graph, oracle, cluster index) is
 /// by far the heaviest build; skip it entirely for online-only
 /// configurations, which only need the CSR.
 bool NeedJoinStack(const EngineOptions& options) {
@@ -65,8 +65,8 @@ bool NeedJoinStack(const EngineOptions& options) {
 }
 
 /// Finishes a bundle whose csr (and, when `lg_built`, line graph +
-/// oracle) are already in place: the cluster index, base tables and
-/// closure are always derived fresh — they are linear-ish in the line
+/// oracle) are already in place: the cluster index and closure are
+/// always derived fresh — they are linear-ish in the line
 /// graph, unlike the SCC/sweep work the incremental path avoids.
 Status FinishBundle(SnapshotIndexes& idx, bool lg_built,
                     const EngineOptions& options) {
@@ -81,7 +81,6 @@ Status FinishBundle(SnapshotIndexes& idx, bool lg_built,
     auto cluster = ClusterJoinIndex::Build(idx.lg, *idx.oracle);
     if (!cluster.ok()) return cluster.status();
     idx.cluster = std::make_unique<ClusterJoinIndex>(std::move(*cluster));
-    idx.tables = BaseTables::Build(idx.lg);
     idx.join_built = true;
   }
   if (options.use_closure_prefilter) {
@@ -231,10 +230,8 @@ AccessReadView::AccessReadView(const SocialGraph& graph,
   bidi = std::make_unique<BidirectionalEvaluator>(*graph_, idx_->csr,
                                                   &overlay_);
   if (idx_->join_built) {
-    join = std::make_unique<JoinIndexEvaluator>(*graph_, idx_->lg,
-                                                *idx_->oracle, *idx_->cluster,
-                                                idx_->tables,
-                                                options_.join_options);
+    join = std::make_unique<JoinIndexEvaluator>(
+        *graph_, idx_->lg, *idx_->cluster, options_.join_options);
   }
   if (idx_->closure != nullptr) {
     for (size_t i = 0; i < kNumEvaluatorKinds; ++i) {

@@ -8,7 +8,7 @@
 /// frozen bundle of everything one CheckAccess needs:
 ///
 ///   * a `SnapshotIndexes` (CSR + line graph + oracle + cluster index +
-///     base tables + closure), shared across views until the next
+///     closure), shared across views until the next
 ///     RebuildIndexes/Compact;
 ///   * a `PolicySnapshot` (resource table + eagerly bound, compiled
 ///     rules), shared across views until the policy store changes;
@@ -49,7 +49,6 @@
 #include "graph/csr.h"
 #include "graph/delta_overlay.h"
 #include "graph/line_graph.h"
-#include "index/base_tables.h"
 #include "index/cluster_index.h"
 #include "index/line_oracle.h"
 #include "index/transitive_closure.h"
@@ -71,7 +70,10 @@ enum class EvaluatorChoice {
 };
 
 /// Build-time engine configuration. Everything request-scoped (witness,
-/// evaluator override) lives on AccessRequest instead.
+/// evaluator override) lives on AccessRequest instead. Mutations always
+/// go through the engine's MutationQueue, and compaction always runs on
+/// its compaction thread (see access_engine.h); the write_queue_* knobs
+/// size the former.
 struct EngineOptions {
   /// Default evaluator for requests that carry no override. Also decides
   /// which indexes RebuildIndexes constructs (kAuto/kJoinIndex build the
@@ -100,30 +102,12 @@ struct EngineOptions {
   /// disables auto-compaction (the overlay then grows until an explicit
   /// Compact()).
   size_t compact_threshold = kCompactThresholdAuto;
-  /// Run Compact() (explicit and threshold-triggered) on the engine's
-  /// dedicated compaction thread: the next index bundle is built
-  /// against a frozen graph+overlay while the writer keeps staging
-  /// mutations, which are replayed onto the new snapshot when it
-  /// publishes. Off = the pre-double-buffering behavior: Compact()
-  /// blocks the writer for the whole rebuild (kept for benchmarks and
-  /// for callers that want strict synchronous semantics without
-  /// WaitForCompaction()).
-  bool background_compaction = true;
   /// Compactions whose staged delta is insertion-only and no larger
   /// than this fraction of the snapshot's edges patch the line graph /
   /// oracle incrementally instead of rebuilding them (see
   /// SnapshotIndexes::BuildIncremental). 0 disables incremental
   /// maintenance.
   double incremental_max_fraction = 0.05;
-  /// Route the legacy synchronous mutation calls (AddEdge / RemoveEdge /
-  /// AddNode / RefreshPolicies) through the engine's MPSC MutationQueue
-  /// as Submit+Wait shims (engine/write_queue.h): mutations become safe
-  /// to call from any number of threads, serialized by submission order
-  /// and committed in group-commit batches. Off = the pre-queue inline
-  /// path, which requires callers to serialize mutations externally
-  /// (kept as the mutex-serialized baseline bench_concurrency measures
-  /// the queue against). The SubmitX() surface works either way.
-  bool async_mutations = true;
   /// Mutations the queue holds before Submit blocks (backpressure).
   size_t write_queue_capacity = 4096;
   /// Most mutations the writer thread drains into one group-commit
@@ -196,9 +180,11 @@ struct SnapshotIndexes {
   LineGraph lg;
   std::unique_ptr<LineReachabilityOracle> oracle;
   std::unique_ptr<ClusterJoinIndex> cluster;
-  BaseTables tables;
   std::unique_ptr<TransitiveClosure> closure;
-  /// True when the join stack (lg/oracle/cluster/tables) was built.
+  /// True when the join stack (lg/oracle/cluster) was built. The
+  /// paper's per-label base tables are not part of it: only
+  /// FaithfulJoinEvaluator (query/faithful_join_evaluator.h) reads them,
+  /// and it builds its own.
   bool join_built = false;
 
   /// Builds the bundle the configuration needs (the join stack only for
@@ -216,8 +202,8 @@ struct SnapshotIndexes {
       EdgeId first_new_edge, const EngineOptions& options);
 
   /// Incremental variant of BuildMerged: patches `prev`'s line graph and
-  /// reachability oracle instead of rebuilding them (the CSR, closure,
-  /// cluster and base tables are re-derived — all linear). Only
+  /// reachability oracle instead of rebuilding them (the CSR, closure
+  /// and cluster index are re-derived — all linear). Only
   /// applicable when the delta is insertion-only (removals shrink
   /// reachability, which labels cannot un-learn), no larger than
   /// options.incremental_max_fraction of the snapshot's edges, and the

@@ -5,11 +5,11 @@
 /// \brief MutationQueue: the engine's MPSC write front end — any thread
 /// submits mutations, one dedicated writer thread group-commits them.
 ///
-/// Before this subsystem the engine's mutation surface carried a
-/// single-writer contract: N producers had to serialize AddEdge /
-/// RemoveEdge / AddNode / RefreshPolicies behind an external mutex, and
-/// every mutation paid its own WAL fsync and its own O(overlay) view
-/// republication. The queue turns that into a batching problem:
+/// The queue is the engine's only mutation path. Without it N producers
+/// would have to serialize AddEdge / RemoveEdge / AddNode /
+/// RefreshPolicies behind an external mutex, and every mutation would
+/// pay its own WAL fsync and its own O(overlay) view republication. The
+/// queue turns that into a batching problem:
 ///
 ///   * **Submission** — SubmitX() from any thread copies the operation
 ///     into a bounded MPSC queue and returns a WriteTicket immediately.
@@ -20,30 +20,28 @@
 ///   * **Group commit** — a dedicated writer thread drains the queue in
 ///     bounded batches (MutationQueueOptions::max_batch), stages every
 ///     op of a batch into the engine's DeltaOverlay, appends all WAL
-///     records with ONE Wal::AppendBatch (one fsync under
-///     WalSyncPolicy::kGroupCommit), and publishes ONE read view for
-///     the whole batch — amortizing both the fsync and the O(overlay)
-///     republication that previously ran per mutation.
+///     records with ONE WalWriter::AppendBatch (one fsync under the
+///     default WalSyncPolicy::kEveryRecord), and publishes ONE read view
+///     for the whole batch — amortizing both the fsync and the
+///     O(overlay) republication over every op in it. A batch whose WAL
+///     commit fails fails every op in it and leaves no trace: the torn
+///     bytes are cut off the log and the staged ops are rolled back.
 ///   * **Ticketed completion** — each WriteTicket resolves to a
 ///     WriteOutcome: the per-op Status (errors are isolated — one bad
 ///     op fails only its own ticket, the rest of the batch commits) and
 ///     the (generation, overlay_version) stamp the mutation landed in,
 ///     exactly the stamp its WAL record carries and the stamp
 ///     AccessDecision reports. Wait() blocks until the batch containing
-///     the op has been staged, WAL-committed, and published, so a
-///     returned OK means the same thing the old synchronous call meant.
+///     the op has been staged, WAL-committed, and published.
 ///
 /// Shutdown: tickets are never abandoned. Ops still queued when the
 /// queue shuts down complete with kUnavailable without being applied,
 /// and Submit after shutdown returns a ticket born kUnavailable.
 ///
-/// The engine owns one MutationQueue and (by default —
-/// EngineOptions::async_mutations) routes its legacy synchronous
-/// mutation calls through it as Submit + Wait shims, which is what
-/// retires the external single-writer contract: mutations are now safe
-/// to call from any number of threads concurrently. The writer thread
-/// is started lazily on the first submission, so read-only engines
-/// never pay for it.
+/// The engine owns one MutationQueue, and its synchronous mutation calls
+/// are SubmitX().Wait() over it, so mutations are safe to call from any
+/// number of threads concurrently. The writer thread is started lazily
+/// on the first submission, so read-only engines never pay for it.
 
 #include <condition_variable>
 #include <cstdint>

@@ -6,8 +6,9 @@
 /// paper's join-based evaluation (§3.3).
 ///
 /// For each (label, orientation) the table lists every line vertex with
-/// that label as a (line vertex, tail, head) row, sorted by tail. The
-/// faithful join evaluator scans these and joins consecutive steps; the
+/// that label as a (line vertex, tail, head) row, sorted by tail. Only
+/// FaithfulJoinEvaluator (which owns its tables) scans these and joins
+/// consecutive steps; the serving engine never builds them. The
 /// selectivity bench reads row counts to show the tables shrink as the
 /// label alphabet grows.
 
@@ -19,10 +20,6 @@
 #include "graph/line_graph.h"
 
 namespace sargus {
-
-namespace storage {
-struct StorageAccess;
-}
 
 class BaseTables {
  public:
@@ -48,8 +45,6 @@ class BaseTables {
   }
 
  private:
-  friend struct storage::StorageAccess;
-
   // Index 2*label + (backward ? 1 : 0).
   std::vector<std::vector<Row>> tables_;
 };

@@ -39,7 +39,7 @@ struct EvalStats {
   uint64_t pairs_visited = 0;
   /// Join tuples materialized (join engines).
   uint64_t tuples_generated = 0;
-  /// Tuples discarded by post-processing (faithful join mode).
+  /// Tuples discarded by post-processing (FaithfulJoinEvaluator).
   uint64_t tuples_post_filtered = 0;
   /// Concrete label sequences (line queries) evaluated (join engines).
   uint64_t line_queries = 0;

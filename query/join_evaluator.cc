@@ -40,11 +40,21 @@ Result<Evaluation> JoinIndexEvaluator::EvaluateWith(const ReachQuery& q,
         hops.push_back(Hop{steps[i].label, steps[i].backward, &steps[i]});
       }
     }
-    auto matched = EvaluateSequence(q, hops, ctx, &out);
-    if (!matched.ok()) return matched.status();
-    if (*matched) {
-      out.granted = true;
-      return out;
+    // Feasibility prune via the cluster index's label-pair summary:
+    // consecutive hops must at least be reachability-compatible.
+    bool feasible = true;
+    for (size_t h = 0; feasible && h + 1 < hops.size(); ++h) {
+      feasible = cluster_->LabelPairReachable(hops[h].label, hops[h].backward,
+                                              hops[h + 1].label,
+                                              hops[h + 1].backward);
+    }
+    if (feasible) {
+      auto matched = JoinSequence(q, hops, ctx, &out);
+      if (!matched.ok()) return matched.status();
+      if (*matched) {
+        out.granted = true;
+        return out;
+      }
     }
     // Advance the odometer.
     size_t i = 0;
@@ -58,27 +68,10 @@ Result<Evaluation> JoinIndexEvaluator::EvaluateWith(const ReachQuery& q,
   return out;
 }
 
-Result<bool> JoinIndexEvaluator::EvaluateSequence(const ReachQuery& q,
-                                                  const std::vector<Hop>& hops,
-                                                  EvalContext& ctx,
-                                                  Evaluation* eval) const {
-  // Feasibility prune via the cluster index's label-pair summary:
-  // consecutive hops must at least be reachability-compatible.
-  for (size_t i = 0; i + 1 < hops.size(); ++i) {
-    if (!cluster_->LabelPairReachable(hops[i].label, hops[i].backward,
-                                      hops[i + 1].label,
-                                      hops[i + 1].backward)) {
-      return false;
-    }
-  }
-  return options_.faithful_post_filter ? FaithfulJoin(q, hops, eval)
-                                       : AdjacencyJoin(q, hops, ctx, eval);
-}
-
-Result<bool> JoinIndexEvaluator::AdjacencyJoin(const ReachQuery& q,
-                                               const std::vector<Hop>& hops,
-                                               EvalContext& ctx,
-                                               Evaluation* eval) const {
+Result<bool> JoinIndexEvaluator::JoinSequence(const ReachQuery& q,
+                                              const std::vector<Hop>& hops,
+                                              EvalContext& ctx,
+                                              Evaluation* eval) const {
   // Frontier of line vertices after each hop, deduplicated per hop via
   // the pooled epoch set (one epoch per hop — an O(1) reset, where the
   // seed code re-zeroed an O(|line vertices|) array per sequence).
@@ -160,8 +153,8 @@ Result<bool> JoinIndexEvaluator::AdjacencyJoin(const ReachQuery& q,
         next.push_back(nx);
         if (track) next_parents.push_back(static_cast<LineVertexId>(fpos));
         ++eval->stats.tuples_generated;
-        // Cap is on *live* tuples (this hop's frontier), mirroring
-        // faithful mode — not on cumulative work across sequences.
+        // Cap is on *live* tuples (this hop's frontier), as in the
+        // faithful join — not on cumulative work across sequences.
         if (next.size() > options_.max_intermediate_tuples) {
           return Status::ResourceExhausted("adjacency join exceeded tuple cap");
         }
@@ -173,86 +166,6 @@ Result<bool> JoinIndexEvaluator::AdjacencyJoin(const ReachQuery& q,
       parents.push_back(std::move(next_parents));
     }
     if (frontier.empty() && !last) return false;
-  }
-  return false;
-}
-
-Result<bool> JoinIndexEvaluator::FaithfulJoin(const ReachQuery& q,
-                                              const std::vector<Hop>& hops,
-                                              Evaluation* eval) const {
-  // The paper's formulation: materialize per-hop candidate tables, join
-  // consecutive hops on line-graph *reachability* (the precomputed
-  // oracle), and post-process tuples down to true consecutive adjacency
-  // and, if unanchored, to the query endpoints.
-  const size_t m = hops.size();
-  const bool anchor = options_.anchor_endpoints_early;
-
-  // Tuples are full chains (one line vertex per completed hop).
-  std::vector<std::vector<LineVertexId>> tuples;
-  for (const BaseTables::Row& row :
-       tables_->Rows(hops[0].label, hops[0].backward)) {
-    if (anchor && row.tail != q.src) continue;
-    if (!BoundPathExpression::NodePasses(*graph_, row.head, *hops[0].step)) {
-      continue;
-    }
-    tuples.push_back({row.line});
-    ++eval->stats.tuples_generated;
-    if (tuples.size() > options_.max_intermediate_tuples) {
-      return Status::ResourceExhausted("faithful join exceeded tuple cap");
-    }
-  }
-
-  for (size_t i = 1; i < m && !tuples.empty(); ++i) {
-    const bool last = (i + 1 == m);
-    std::vector<std::vector<LineVertexId>> joined;
-    for (const auto& chain : tuples) {
-      const LineVertexId prev = chain.back();
-      for (const BaseTables::Row& row :
-           tables_->Rows(hops[i].label, hops[i].backward)) {
-        if (anchor && last && row.head != q.dst) continue;
-        if (!BoundPathExpression::NodePasses(*graph_, row.head,
-                                             *hops[i].step)) {
-          continue;
-        }
-        // Reachability join: prev must reach row.line in the line graph.
-        if (!oracle_->ReachableVia(prev, row.line, options_.oracle_mode)) {
-          continue;
-        }
-        std::vector<LineVertexId> extended = chain;
-        extended.push_back(row.line);
-        joined.push_back(std::move(extended));
-        ++eval->stats.tuples_generated;
-        if (joined.size() > options_.max_intermediate_tuples) {
-          return Status::ResourceExhausted("faithful join exceeded tuple cap");
-        }
-      }
-    }
-    tuples.swap(joined);
-  }
-
-  // Post-processing: adjacency of consecutive hops, plus endpoint checks
-  // when they were not anchored during the joins.
-  for (const auto& chain : tuples) {
-    bool keep = chain.size() == m;
-    if (keep && lg_->vertex(chain.front()).tail != q.src) keep = false;
-    if (keep && lg_->vertex(chain.back()).head != q.dst) keep = false;
-    for (size_t i = 0; keep && i + 1 < chain.size(); ++i) {
-      if (lg_->vertex(chain[i]).head != lg_->vertex(chain[i + 1]).tail) {
-        keep = false;
-      }
-    }
-    if (!keep) {
-      ++eval->stats.tuples_post_filtered;
-      continue;
-    }
-    if (q.want_witness) {
-      eval->witness.clear();
-      eval->witness.push_back(lg_->vertex(chain.front()).tail);
-      for (LineVertexId lv : chain) {
-        eval->witness.push_back(lg_->vertex(lv).head);
-      }
-    }
-    return true;
   }
   return false;
 }

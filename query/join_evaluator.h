@@ -2,46 +2,38 @@
 #define SARGUS_QUERY_JOIN_EVALUATOR_H_
 
 /// \file join_evaluator.h
-/// \brief The paper's precomputed join pipeline (§3.3/§3.4).
+/// \brief The precomputed join pipeline that serves kJoinIndex
+/// (paper §3.3/§3.4).
 ///
 /// A bound expression expands into concrete label sequences (one per
 /// choice of hop count in every step — the multiplicative "line query"
-/// expansion bench_depth_sweep.cc charts). Each sequence is evaluated as
-/// a join over line vertices:
+/// expansion bench_depth_sweep.cc charts). Infeasible sequences are
+/// discarded upfront via the cluster index's label-pair reachability
+/// summary; each remaining sequence is evaluated as a frontier join
+/// over line vertices through the ClusterJoinIndex: one cluster lookup
+/// per (frontier vertex, hop), endpoint-anchored on both sides, early
+/// exit on the first match.
 ///
-///  * adjacency mode (default) — frontier join through the
-///    ClusterJoinIndex: one cluster lookup per (frontier vertex, hop),
-///    endpoint-anchored on both sides, early exit on the first match;
-///  * faithful mode (faithful_post_filter) — the paper's formulation:
-///    per-hop base tables joined pairwise on *oracle reachability*, full
-///    tuples materialized, then post-processed down to adjacency (and, if
-///    anchor_endpoints_early is off, to the query endpoints). Kept for
-///    the ablation; the tuple cap guards its appetite.
-///
-/// Infeasible sequences are discarded upfront via the cluster index's
-/// label-pair reachability summary.
+/// The paper's own formulation — reachability joins over per-label base
+/// tables, then a post-filter — is FaithfulJoinEvaluator
+/// (query/faithful_join_evaluator.h), which reuses the expansion and
+/// the prune above and replaces only the per-sequence join.
+
+#include <vector>
 
 #include "graph/csr.h"
 #include "graph/line_graph.h"
-#include "index/base_tables.h"
 #include "index/cluster_index.h"
-#include "index/line_oracle.h"
 #include "query/evaluator.h"
 
 namespace sargus {
 
+/// Work caps; exceeding either fails the query with kResourceExhausted.
 struct JoinIndexOptions {
-  /// Reproduce the paper's reachability-join + post-filter evaluation.
-  bool faithful_post_filter = false;
-  /// Restrict the first/last hop tables to the query endpoints up front
-  /// (faithful mode only; adjacency mode always anchors).
-  bool anchor_endpoints_early = true;
-  /// Abort with kResourceExhausted beyond this many live tuples.
+  /// Live tuples (one hop's frontier) allowed per sequence.
   size_t max_intermediate_tuples = size_t{1} << 22;
-  /// Abort with kResourceExhausted beyond this many concrete sequences.
+  /// Concrete sequences an expression may expand to.
   size_t max_line_queries = 4096;
-  /// Oracle mode used for reachability joins in faithful mode.
-  OracleMode oracle_mode = OracleMode::kTwoHop;
 };
 
 class JoinIndexEvaluator : public Evaluator {
@@ -49,46 +41,36 @@ class JoinIndexEvaluator : public Evaluator {
   /// All referenced structures must outlive the evaluator and must have
   /// been built over the same graph/line-graph.
   JoinIndexEvaluator(const SocialGraph& graph, const LineGraph& lg,
-                     const LineReachabilityOracle& oracle,
                      const ClusterJoinIndex& cluster_index,
-                     const BaseTables& tables, JoinIndexOptions options)
-      : graph_(&graph),
-        lg_(&lg),
-        oracle_(&oracle),
-        cluster_(&cluster_index),
-        tables_(&tables),
-        options_(options) {}
+                     JoinIndexOptions options = {})
+      : graph_(&graph), lg_(&lg), cluster_(&cluster_index), options_(options) {}
 
-  std::string_view name() const override {
-    return options_.faithful_post_filter ? "join-index-faithful"
-                                         : "join-index";
-  }
+  std::string_view name() const override { return "join-index"; }
 
  protected:
-  Result<Evaluation> EvaluateWith(const ReachQuery& q,
-                                  EvalContext& ctx) const override;
-
- private:
   struct Hop {
     LabelId label = kInvalidLabel;
     bool backward = false;
     const BoundStep* step = nullptr;  // filter source
   };
 
-  /// Evaluates one concrete sequence; appends to `eval`'s stats.
-  Result<bool> EvaluateSequence(const ReachQuery& q,
-                                const std::vector<Hop>& hops,
-                                EvalContext& ctx, Evaluation* eval) const;
-  Result<bool> AdjacencyJoin(const ReachQuery& q, const std::vector<Hop>& hops,
-                             EvalContext& ctx, Evaluation* eval) const;
-  Result<bool> FaithfulJoin(const ReachQuery& q, const std::vector<Hop>& hops,
-                            Evaluation* eval) const;
+  Result<Evaluation> EvaluateWith(const ReachQuery& q,
+                                  EvalContext& ctx) const override;
 
+  /// Joins one concrete sequence that passed the label-pair prune;
+  /// appends to `eval`'s stats (and witness, when requested).
+  virtual Result<bool> JoinSequence(const ReachQuery& q,
+                                    const std::vector<Hop>& hops,
+                                    EvalContext& ctx, Evaluation* eval) const;
+
+  const SocialGraph& graph() const { return *graph_; }
+  const LineGraph& lg() const { return *lg_; }
+  const JoinIndexOptions& options() const { return options_; }
+
+ private:
   const SocialGraph* graph_;
   const LineGraph* lg_;
-  const LineReachabilityOracle* oracle_;
   const ClusterJoinIndex* cluster_;
-  const BaseTables* tables_;
   JoinIndexOptions options_;
 };
 

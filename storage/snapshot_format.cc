@@ -4,7 +4,6 @@
 
 #include "common/checksum.h"
 #include "common/file_util.h"
-#include "index/base_tables.h"
 #include "index/cluster_index.h"
 #include "index/intervals.h"
 #include "index/line_oracle.h"
@@ -130,14 +129,6 @@ void StorageAccess::SaveCluster(const ClusterJoinIndex& c, BlobWriter& w) {
   w.PutVec(c.label_reach_);
 }
 
-void StorageAccess::SaveTables(const BaseTables& t, BlobWriter& w) {
-  w.PutU64(t.tables_.size());
-  for (const auto& rows : t.tables_) {
-    // Row is {u32, u32, u32}, padding-free -> bulk copy.
-    w.PutVec(rows);
-  }
-}
-
 void StorageAccess::SaveClosure(const TransitiveClosure& c, BlobWriter& w) {
   w.PutU8(c.undirected_ ? 1 : 0);
   w.PutU32(c.num_components_);
@@ -202,8 +193,6 @@ Status WriteBundle(const std::string& path, const BundlePayload& payload) {
     add(SectionKind::kCluster,
         [&](BlobWriter& w) { StorageAccess::SaveCluster(*idx.cluster, w); });
   }
-  add(SectionKind::kTables,
-      [&](BlobWriter& w) { StorageAccess::SaveTables(idx.tables, w); });
   if (idx.closure != nullptr) {
     add(SectionKind::kClosure,
         [&](BlobWriter& w) { StorageAccess::SaveClosure(*idx.closure, w); });

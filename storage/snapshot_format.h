@@ -61,7 +61,9 @@ inline constexpr char kSnapshotFileName[] = "snapshot.sargus";
 inline constexpr char kWalFileName[] = "wal.log";
 
 inline constexpr uint64_t kBundleMagic = 0x3150414E53475253ULL;  // "SRGSNAP1"
-inline constexpr uint32_t kBundleVersion = 1;
+/// Version 2 dropped the base-table section (kind 6); a version-1
+/// bundle is refused, not migrated.
+inline constexpr uint32_t kBundleVersion = 2;
 inline constexpr uint32_t kBundlePageSize = 4096;
 /// Fixed header fields end here; section table entries follow.
 inline constexpr size_t kBundleSectionTableOffset = 64;
@@ -83,7 +85,7 @@ enum class SectionKind : uint32_t {
   kLineGraph = 3,
   kOracle = 4,
   kCluster = 5,
-  kTables = 6,
+  // 6 held the paper's base tables up to version 1; retired, never reused.
   kClosure = 7,
   kOverlay = 8,
 };
@@ -278,9 +280,6 @@ struct StorageAccess {
 
   static void SaveCluster(const ClusterJoinIndex& c, BlobWriter& w);
   static Status LoadCluster(BlobReader& r, ClusterJoinIndex* c);
-
-  static void SaveTables(const BaseTables& t, BlobWriter& w);
-  static Status LoadTables(BlobReader& r, BaseTables* t);
 
   static void SaveClosure(const TransitiveClosure& c, BlobWriter& w);
   static Status LoadClosure(BlobReader& r, TransitiveClosure* c);

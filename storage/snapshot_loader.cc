@@ -8,7 +8,6 @@
 
 #include "common/checksum.h"
 #include "common/file_util.h"
-#include "index/base_tables.h"
 #include "index/cluster_index.h"
 #include "index/intervals.h"
 #include "index/line_oracle.h"
@@ -166,16 +165,6 @@ Status StorageAccess::LoadCluster(BlobReader& r, ClusterJoinIndex* c) {
   return FinishSection(r, "cluster");
 }
 
-Status StorageAccess::LoadTables(BlobReader& r, BaseTables* t) {
-  const uint64_t num_tables = r.GetU64();
-  if (!r.ok() || num_tables > r.Remaining()) {
-    return Status::DataLoss("bundle: base-table count out of range");
-  }
-  t->tables_.resize(num_tables);
-  for (auto& rows : t->tables_) r.GetVec(&rows);
-  return FinishSection(r, "tables");
-}
-
 Status StorageAccess::LoadClosure(BlobReader& r, TransitiveClosure* c) {
   c->undirected_ = r.GetU8() != 0;
   c->num_components_ = r.GetU32();
@@ -235,7 +224,8 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   // pre-allocate the owned index structures, before fanning out.
   uint64_t seen = 0;
   for (const BundleInfo::Section& s : info.sections) {
-    if (s.kind < SectionKind::kGraph || s.kind > SectionKind::kOverlay) {
+    if (s.kind < SectionKind::kGraph || s.kind > SectionKind::kOverlay ||
+        static_cast<uint32_t>(s.kind) == 6) {  // the retired tables kind
       return Status::DataLoss("bundle: unknown section kind");
     }
     const uint64_t kind_bit = 1ULL << static_cast<uint32_t>(s.kind);
@@ -284,9 +274,6 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
         statuses[i] =
             StorageAccess::LoadCluster(r, out.indexes->cluster.get());
         break;
-      case SectionKind::kTables:
-        statuses[i] = StorageAccess::LoadTables(r, &out.indexes->tables);
-        break;
       case SectionKind::kClosure:
         statuses[i] =
             StorageAccess::LoadClosure(r, out.indexes->closure.get());
@@ -322,8 +309,7 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
     return (seen & (1ULL << static_cast<uint32_t>(kind))) != 0;
   };
   if (!require(SectionKind::kGraph) || !require(SectionKind::kCsr) ||
-      !require(SectionKind::kLineGraph) || !require(SectionKind::kTables) ||
-      !require(SectionKind::kOverlay)) {
+      !require(SectionKind::kLineGraph) || !require(SectionKind::kOverlay)) {
     return Status::DataLoss("bundle: required section missing");
   }
   if (out.indexes->join_built &&

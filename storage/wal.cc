@@ -168,18 +168,8 @@ Result<WalWriter> WalWriter::Open(const std::string& path,
   return out;
 }
 
-Status WalWriter::Append(const WalRecord& rec) {
-  const std::vector<uint8_t> bytes = EncodeWalRecord(rec);
-  SARGUS_RETURN_IF_ERROR(file_.Append(bytes));
-  append_count_ += 1;
-  if (sync_policy_ == WalSyncPolicy::kEveryRecord) {
-    sync_count_ += 1;
-    return file_.Sync();
-  }
-  return OkStatus();
-}
-
 Status WalWriter::AppendBatch(std::span<const WalRecord> recs) {
+  SARGUS_RETURN_IF_ERROR(failed_);
   if (recs.empty()) return OkStatus();
   // One gathered write: sealing the batch into a single buffer keeps the
   // kernel from interleaving anything between the records, and a crash
@@ -189,12 +179,19 @@ Status WalWriter::AppendBatch(std::span<const WalRecord> recs) {
     const std::vector<uint8_t> one = EncodeWalRecord(rec);
     bytes.insert(bytes.end(), one.begin(), one.end());
   }
-  SARGUS_RETURN_IF_ERROR(file_.Append(bytes));
-  append_count_ += recs.size();
-  if (sync_policy_ != WalSyncPolicy::kNever) {
+  const uint64_t before = file_.size();
+  Status status = file_.Append(bytes);
+  if (status.ok() && sync_policy_ != WalSyncPolicy::kNever) {
     sync_count_ += 1;
-    return file_.Sync();
+    status = file_.Sync();
   }
+  if (!status.ok()) {
+    // Cut the torn (or unsynced) batch off, so the next acknowledged
+    // batch is never written behind a record ReadWal would stop at.
+    if (!file_.TruncateTo(before).ok()) failed_ = status;
+    return status;
+  }
+  append_count_ += recs.size();
   return OkStatus();
 }
 

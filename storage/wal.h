@@ -6,9 +6,11 @@
 /// length-prefixed, checksummed writer operations.
 ///
 /// Every engine mutation (AddEdge / RemoveEdge / AddNode / policy
-/// refresh) appends one record *after* it is staged and *before* the
-/// call returns, stamped with the (snapshot_generation, overlay_version)
-/// the mutation landed in — the same stamps AccessDecision carries. A
+/// refresh) appends one record *after* it is staged and *before* its
+/// ticket completes (a group-commit batch appends all of its records
+/// with one AppendBatch), stamped with the (snapshot_generation,
+/// overlay_version) the mutation landed in — the same stamps
+/// AccessDecision carries. A
 /// snapshot bundle (storage/snapshot_format.h) is stamped the same way,
 /// which yields the recovery rule:
 ///
@@ -61,21 +63,15 @@ inline constexpr uint32_t kWalMaxPayloadBytes = 1 << 20;
 
 /// When appends are made durable.
 ///
-///  * kEveryRecord — fdatasync each Append (a crashed writer loses
-///    nothing it acknowledged). AppendBatch still syncs only once, at
-///    the end of the batch: durability is equivalent because nothing in
-///    the batch is acknowledged until AppendBatch returns.
-///  * kGroupCommit — fdatasync once per AppendBatch; single Appends are
-///    NOT synced (they ride with the next batch sync, an explicit
-///    Sync(), or the OS). Pair with the engine's MutationQueue, whose
-///    tickets complete only after the batch sync — then an acknowledged
-///    mutation still survives a crash, at one fsync per batch instead
-///    of one per record.
+///  * kEveryRecord — fdatasync once per AppendBatch (a crashed writer
+///    loses nothing it acknowledged: the engine completes a batch's
+///    tickets only after AppendBatch returns, so one sync per batch makes
+///    every record in it durable).
 ///  * kNever — leave flushing to the OS (fast, loses the unsynced tail
 ///    on power failure — still never corrupts: the tail, torn batch
 ///    included, is detected and truncated to the last whole record on
 ///    reopen).
-enum class WalSyncPolicy { kEveryRecord, kGroupCommit, kNever };
+enum class WalSyncPolicy { kEveryRecord, kNever };
 
 struct WalRecord {
   enum class Kind : uint8_t {
@@ -126,18 +122,16 @@ class WalWriter {
   WalWriter(WalWriter&&) noexcept = default;
   WalWriter& operator=(WalWriter&&) noexcept = default;
 
-  /// Appends one record (and fdatasyncs under kEveryRecord only).
-  Status Append(const WalRecord& rec);
-
   /// Group commit: seals all of `recs` into one gathered write and
   /// fdatasyncs ONCE at the end (unless kNever). On return every record
   /// of the batch is durable per the policy — the engine completes the
-  /// batch's tickets only after this returns. A crash mid-write leaves
-  /// a torn batch tail that ReadWal truncates to the last whole record;
-  /// record boundaries within the batch are preserved (each record
-  /// carries its own length prefix + checksum), so a prefix of the
-  /// batch can survive — which is safe, because nothing was
-  /// acknowledged.
+  /// batch's tickets only after this returns. All-or-nothing: on a
+  /// failed write or sync the file is cut back to its size before the
+  /// batch, so no torn record can sit in front of the next batch. If
+  /// that cut fails too, the writer stays failed and returns the error
+  /// from every later AppendBatch. (A crash mid-write still leaves a
+  /// torn tail, which ReadWal truncates on reopen — safe, because
+  /// nothing in the batch was acknowledged.)
   Status AppendBatch(std::span<const WalRecord> recs);
 
   /// Drops every record: the log shrinks back to its file header. Called
@@ -148,7 +142,7 @@ class WalWriter {
   uint64_t size() const { return file_.size(); }
   bool is_open() const { return file_.is_open(); }
 
-  /// Records appended (Append + AppendBatch) and fdatasyncs issued by
+  /// Records appended and fdatasyncs issued by
   /// appends over this writer's lifetime — the "one fsync per batch"
   /// tests read these. Truncate/Open-header syncs are not counted.
   uint64_t append_count() const { return append_count_; }
@@ -159,6 +153,8 @@ class WalWriter {
   WalSyncPolicy sync_policy_ = WalSyncPolicy::kEveryRecord;
   uint64_t append_count_ = 0;
   uint64_t sync_count_ = 0;
+  /// Set when a failed batch could not be cut back off the file.
+  Status failed_ = OkStatus();
 };
 
 }  // namespace sargus::storage

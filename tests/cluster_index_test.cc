@@ -13,29 +13,31 @@ using testing_util::MakeDiamond;
 TEST(BaseTables, RowsPerLabel) {
   auto s = BuildStack(MakeDiamond(), /*include_backward=*/false);
   ASSERT_NE(s, nullptr);
+  const BaseTables tables = BaseTables::Build(s->lg);
   const LabelId friend_l = s->g.labels().Lookup("friend");
   const LabelId colleague_l = s->g.labels().Lookup("colleague");
-  EXPECT_EQ(s->tables.Rows(friend_l).size(), 5u);
-  EXPECT_EQ(s->tables.Rows(colleague_l).size(), 3u);
-  EXPECT_TRUE(s->tables.Rows(kInvalidLabel).empty());
+  EXPECT_EQ(tables.Rows(friend_l).size(), 5u);
+  EXPECT_EQ(tables.Rows(colleague_l).size(), 3u);
+  EXPECT_TRUE(tables.Rows(kInvalidLabel).empty());
   // Rows are tail-sorted.
-  const auto rows = s->tables.Rows(friend_l);
+  const auto rows = tables.Rows(friend_l);
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LE(rows[i - 1].tail, rows[i].tail);
   }
   // No backward tables when the line graph is forward-only.
-  EXPECT_TRUE(s->tables.Rows(friend_l, /*backward=*/true).empty());
+  EXPECT_TRUE(tables.Rows(friend_l, /*backward=*/true).empty());
 }
 
 TEST(BaseTables, BackwardOrientationRows) {
   auto s = BuildStack(MakeDiamond(), /*include_backward=*/true);
   ASSERT_NE(s, nullptr);
+  const BaseTables tables = BaseTables::Build(s->lg);
   const LabelId friend_l = s->g.labels().Lookup("friend");
-  EXPECT_EQ(s->tables.Rows(friend_l).size(), 5u);
-  EXPECT_EQ(s->tables.Rows(friend_l, true).size(), 5u);
+  EXPECT_EQ(tables.Rows(friend_l).size(), 5u);
+  EXPECT_EQ(tables.Rows(friend_l, true).size(), 5u);
   // A backward row swaps the endpoints of its forward twin.
-  const auto fwd = s->tables.Rows(friend_l);
-  const auto bwd = s->tables.Rows(friend_l, true);
+  const auto fwd = tables.Rows(friend_l);
+  const auto bwd = tables.Rows(friend_l, true);
   for (const auto& row : bwd) {
     const auto& lv = s->lg.vertex(row.line);
     EXPECT_TRUE(lv.backward);

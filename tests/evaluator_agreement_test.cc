@@ -8,6 +8,7 @@
 #include "graph/delta_overlay.h"
 #include "query/bidirectional.h"
 #include "query/closure_prefilter.h"
+#include "query/faithful_join_evaluator.h"
 #include "query/join_evaluator.h"
 #include "query/online_evaluator.h"
 #include "synth/generators.h"
@@ -29,16 +30,12 @@ void CheckAgreement(const Stack& s, const std::vector<std::string>& exprs) {
   OnlineEvaluator bfs(s.g, s.csr, TraversalOrder::kBfs);
   OnlineEvaluator dfs(s.g, s.csr, TraversalOrder::kDfs);
   BidirectionalEvaluator bidi(s.g, s.csr);
-  JoinIndexEvaluator join(s.g, s.lg, *s.oracle, *s.cluster, s.tables, {});
-  JoinIndexOptions faithful_opts;
-  faithful_opts.faithful_post_filter = true;
-  JoinIndexEvaluator faithful(s.g, s.lg, *s.oracle, *s.cluster, s.tables,
-                              faithful_opts);
-  JoinIndexOptions unanchored_opts;
-  unanchored_opts.faithful_post_filter = true;
+  JoinIndexEvaluator join(s.g, s.lg, *s.cluster);
+  FaithfulJoinEvaluator faithful(s.g, s.lg, *s.oracle, *s.cluster);
+  FaithfulJoinOptions unanchored_opts;
   unanchored_opts.anchor_endpoints_early = false;
-  JoinIndexEvaluator unanchored(s.g, s.lg, *s.oracle, *s.cluster, s.tables,
-                                unanchored_opts);
+  FaithfulJoinEvaluator unanchored(s.g, s.lg, *s.oracle, *s.cluster,
+                                   unanchored_opts);
   ClosurePrefilterEvaluator pref_dir(*s.closure_directed, bfs);
   ClosurePrefilterEvaluator pref_undir(*s.closure_undirected, join);
 
@@ -151,8 +148,7 @@ TEST(EvaluatorAgreement, PrefilterDelegatesInvalidQueriesToInner) {
 TEST(EvaluatorAgreement, JoinRefusesBackwardWithoutBackwardLineGraph) {
   auto s = BuildStack(MakeDiamond(), /*include_backward=*/false);
   ASSERT_NE(s, nullptr);
-  JoinIndexEvaluator join(s->g, s->lg, *s->oracle, *s->cluster, s->tables,
-                          {});
+  JoinIndexEvaluator join(s->g, s->lg, *s->cluster);
   const BoundPathExpression expr = MustBind(s->g, "friend-[1]");
   auto r = join.Evaluate(ReachQuery{1, 0, &expr, false});
   ASSERT_FALSE(r.ok());
@@ -170,8 +166,7 @@ TEST(EvaluatorAgreement, AdjacencyTupleCapBoundsLiveTuplesNotCumulativeWork) {
   ASSERT_NE(s, nullptr);
   JoinIndexOptions opts;
   opts.max_intermediate_tuples = 2;
-  JoinIndexEvaluator join(s->g, s->lg, *s->oracle, *s->cluster, s->tables,
-                          opts);
+  JoinIndexEvaluator join(s->g, s->lg, *s->cluster, opts);
   const BoundPathExpression expr = MustBind(s->g, "friend[1,5]");
   auto r = join.Evaluate(ReachQuery{0, 5, &expr, false});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -301,12 +296,8 @@ TEST(EvaluatorAgreement, WitnessesAgreeOnValidity) {
 
   OnlineEvaluator bfs(s->g, s->csr, TraversalOrder::kBfs);
   BidirectionalEvaluator bidi(s->g, s->csr);
-  JoinIndexEvaluator join(s->g, s->lg, *s->oracle, *s->cluster, s->tables,
-                          {});
-  JoinIndexOptions faithful_opts;
-  faithful_opts.faithful_post_filter = true;
-  JoinIndexEvaluator faithful(s->g, s->lg, *s->oracle, *s->cluster,
-                              s->tables, faithful_opts);
+  JoinIndexEvaluator join(s->g, s->lg, *s->cluster);
+  FaithfulJoinEvaluator faithful(s->g, s->lg, *s->oracle, *s->cluster);
   for (const Evaluator* eval :
        {static_cast<const Evaluator*>(&bfs),
         static_cast<const Evaluator*>(&bidi),

@@ -177,9 +177,7 @@ TEST_F(ScratchReuseTest, EpochWraparoundKeepsDecisionsStable) {
 /// The adjacency join's per-sequence seen array comes from the pool too.
 TEST_F(ScratchReuseTest, JoinEvaluatorReusesLineScratch) {
   const BoundPathExpression expr = MustBind(stack_->g, "friend[1,2]/colleague[1]");
-  JoinIndexEvaluator join(stack_->g, stack_->lg, *stack_->oracle,
-                          *stack_->cluster, stack_->tables,
-                          JoinIndexOptions{});
+  JoinIndexEvaluator join(stack_->g, stack_->lg, *stack_->cluster);
   EvalContext ctx;
 
   auto grant1 = join.Evaluate(ReachQuery{0, 3, &expr, true}, ctx);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -117,6 +119,11 @@ std::vector<WalRecord> SampleRecords() {
   return recs;
 }
 
+/// One-record group commit (the writer has no single-record append).
+Status AppendOne(storage::WalWriter& w, const WalRecord& rec) {
+  return w.AppendBatch(std::span<const WalRecord>(&rec, 1));
+}
+
 void ExpectRecordsEq(const std::vector<WalRecord>& got,
                      const std::vector<WalRecord>& want, size_t want_count) {
   ASSERT_EQ(got.size(), want_count);
@@ -137,7 +144,7 @@ TEST(Wal, RoundTrip) {
   {
     auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
     ASSERT_TRUE(w.ok()) << w.status().ToString();
-    for (const auto& r : recs) ASSERT_TRUE(w->Append(r).ok());
+    for (const auto& r : recs) ASSERT_TRUE(AppendOne(*w, r).ok());
   }
   auto contents = storage::ReadWal(path);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
@@ -159,7 +166,7 @@ TEST(Wal, TornTailIsTruncatedOnReopen) {
   {
     auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
     ASSERT_TRUE(w.ok());
-    for (const auto& r : recs) ASSERT_TRUE(w->Append(r).ok());
+    for (const auto& r : recs) ASSERT_TRUE(AppendOne(*w, r).ok());
   }
   // Tear the last record: drop its final byte (the checksum's tail).
   auto bytes = ReadAll(path);
@@ -176,7 +183,7 @@ TEST(Wal, TornTailIsTruncatedOnReopen) {
   auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever,
                                     static_cast<int64_t>(contents->valid_bytes));
   ASSERT_TRUE(w.ok()) << w.status().ToString();
-  ASSERT_TRUE(w->Append(recs[0]).ok());
+  ASSERT_TRUE(AppendOne(*w, recs[0]).ok());
   auto again = storage::ReadWal(path);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->tail_status.ok());
@@ -190,7 +197,7 @@ TEST(Wal, HeaderDamageIsInvalidArgument) {
   {
     auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
     ASSERT_TRUE(w.ok());
-    ASSERT_TRUE(w->Append(SampleRecords()[0]).ok());
+    ASSERT_TRUE(AppendOne(*w, SampleRecords()[0]).ok());
   }
   auto bytes = ReadAll(path);
   bytes[3] ^= 0x40;  // magic
@@ -205,7 +212,7 @@ TEST(Wal, TruncateResetsToHeader) {
   const std::string path = dir.File("wal.log");
   auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
   ASSERT_TRUE(w.ok());
-  for (const auto& r : SampleRecords()) ASSERT_TRUE(w->Append(r).ok());
+  for (const auto& r : SampleRecords()) ASSERT_TRUE(AppendOne(*w, r).ok());
   ASSERT_TRUE(w->Truncate().ok());
   EXPECT_EQ(w->size(), storage::kWalFileHeaderBytes);
   auto contents = storage::ReadWal(path);
@@ -214,19 +221,18 @@ TEST(Wal, TruncateResetsToHeader) {
   EXPECT_TRUE(contents->records.empty());
 }
 
-// AppendBatch round-trips byte-identically to N single Appends, and the
-// fsync accounting matches the policy table: kGroupCommit syncs once
-// per batch and never for single appends; kEveryRecord syncs every
-// single append but still only once per batch (nothing in a batch is
-// acknowledged before AppendBatch returns); kNever never syncs.
+// A batch round-trips byte-identically to the same records committed
+// one at a time, and the fsync accounting matches the policy table:
+// kEveryRecord syncs once per batch (nothing in a batch is acknowledged
+// before AppendBatch returns); kNever never syncs.
 TEST(Wal, AppendBatchRoundTripAndSyncCounters) {
   TempDir dir;
   const auto recs = SampleRecords();
 
   {
-    const std::string path = dir.File("group.log");
+    const std::string path = dir.File("every.log");
     auto w = storage::WalWriter::Open(path,
-                                      storage::WalSyncPolicy::kGroupCommit);
+                                      storage::WalSyncPolicy::kEveryRecord);
     ASSERT_TRUE(w.ok());
     ASSERT_TRUE(w->AppendBatch(recs).ok());
     EXPECT_EQ(w->append_count(), recs.size());
@@ -234,9 +240,9 @@ TEST(Wal, AppendBatchRoundTripAndSyncCounters) {
     ASSERT_TRUE(w->AppendBatch({}).ok());  // empty batch: no write, no sync
     EXPECT_EQ(w->append_count(), recs.size());
     EXPECT_EQ(w->sync_count(), 1u);
-    ASSERT_TRUE(w->Append(recs[0]).ok());  // single append rides, no sync
+    ASSERT_TRUE(AppendOne(*w, recs[0]).ok());  // a batch of one: one sync
     EXPECT_EQ(w->append_count(), recs.size() + 1);
-    EXPECT_EQ(w->sync_count(), 1u);
+    EXPECT_EQ(w->sync_count(), 2u);
 
     auto contents = storage::ReadWal(path);
     ASSERT_TRUE(contents.ok());
@@ -249,35 +255,23 @@ TEST(Wal, AppendBatchRoundTripAndSyncCounters) {
                     recs, recs.size());
   }
   {
-    const std::string path = dir.File("every.log");
-    auto w = storage::WalWriter::Open(path,
-                                      storage::WalSyncPolicy::kEveryRecord);
-    ASSERT_TRUE(w.ok());
-    ASSERT_TRUE(w->Append(recs[0]).ok());
-    ASSERT_TRUE(w->Append(recs[1]).ok());
-    EXPECT_EQ(w->sync_count(), 2u);
-    ASSERT_TRUE(w->AppendBatch(recs).ok());
-    EXPECT_EQ(w->append_count(), recs.size() + 2);
-    EXPECT_EQ(w->sync_count(), 3u);  // the whole batch cost one more
-  }
-  {
     const std::string path = dir.File("never.log");
     auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
     ASSERT_TRUE(w.ok());
-    ASSERT_TRUE(w->Append(recs[0]).ok());
+    ASSERT_TRUE(AppendOne(*w, recs[0]).ok());
     ASSERT_TRUE(w->AppendBatch(recs).ok());
     EXPECT_EQ(w->append_count(), recs.size() + 1);
     EXPECT_EQ(w->sync_count(), 0u);
   }
 
-  // A batch's bytes are identical to the same records appended one at a
-  // time — record boundaries inside the batch are preserved.
+  // A batch's bytes are identical to the same records committed one at
+  // a time — record boundaries inside the batch are preserved.
   EXPECT_EQ(ReadAll(dir.File("never.log")), [&] {
     const std::string path = dir.File("singles.log");
     auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
     EXPECT_TRUE(w.ok());
-    EXPECT_TRUE(w->Append(recs[0]).ok());
-    for (const auto& r : recs) EXPECT_TRUE(w->Append(r).ok());
+    EXPECT_TRUE(AppendOne(*w, recs[0]).ok());
+    for (const auto& r : recs) EXPECT_TRUE(AppendOne(*w, r).ok());
     return ReadAll(path);
   }());
 }
@@ -313,7 +307,7 @@ TEST(Wal, TornBatchTailTruncatesToLastWholeRecord) {
 
   // A recovering writer resumes at the boundary and a fresh batch lands
   // cleanly after the surviving prefix.
-  auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kGroupCommit,
+  auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kEveryRecord,
                                     static_cast<int64_t>(contents->valid_bytes));
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   ASSERT_TRUE(w->AppendBatch(recs).ok());
@@ -468,6 +462,58 @@ TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
   ExpectDecisionEquivalence(engine, **ok, g.NumNodes(), store.NumResources());
 }
 
+// Version 2 dropped the base-table section. A bundle whose resealed
+// header says version 1, or whose section table names the retired kind
+// 6 (here: a well-formed extra entry aliasing the graph section's
+// checksummed bytes), is refused outright — never half-adopted.
+TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
+  TempDir dir;
+  SocialGraph g = MakeDiamond();
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+  auto info = storage::ReadBundleInfo(bundle_path);
+  ASSERT_TRUE(info.ok());
+  const size_t num_sections = info->sections.size();
+  ASSERT_LT(num_sections, storage::kBundleMaxSections);
+
+  auto poke_u32 = [](std::vector<uint8_t>& bytes, size_t at, uint32_t v) {
+    std::memcpy(bytes.data() + at, &v, sizeof v);
+  };
+  auto reseal = [](std::vector<uint8_t>& bytes) {
+    const uint64_t sum = Fnv1a64(bytes.data(), storage::kBundlePageSize - 8);
+    std::memcpy(bytes.data() + storage::kBundlePageSize - 8, &sum, sizeof sum);
+  };
+  std::vector<uint8_t> version1 = pristine;
+  poke_u32(version1, 8, 1);
+  reseal(version1);
+
+  std::vector<uint8_t> retired_kind = pristine;
+  const size_t entry = storage::kBundleSectionTableOffset +
+                       num_sections * storage::kBundleSectionEntryBytes;
+  std::memcpy(retired_kind.data() + entry,
+              retired_kind.data() + storage::kBundleSectionTableOffset,
+              storage::kBundleSectionEntryBytes);
+  poke_u32(retired_kind, entry, 6);
+  poke_u32(retired_kind, 56, static_cast<uint32_t>(num_sections + 1));
+  reseal(retired_kind);
+
+  for (const auto* bytes : {&version1, &retired_kind}) {
+    SCOPED_TRACE(bytes == &version1 ? "version 1" : "section kind 6");
+    WriteAll(bundle_path, *bytes);
+    auto loaded = storage::LoadBundle(bundle_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    SocialGraph g2;
+    auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  }
+}
+
 // Randomized equivalence across all three graph families: generate,
 // attach policies, mutate (adds, removes, node growth), save at an
 // arbitrary point, keep mutating so a WAL tail exists, reopen, compare
@@ -593,6 +639,61 @@ TEST(Recovery, SkipsRecordsCoveredByTheBundle) {
   EXPECT_EQ(wal->records.size(), 5u);
 }
 
+// A failed group commit leaves no trace. A file-size limit a few bytes
+// above the WAL's size makes the first batch's write tear; the WAL must
+// cut the torn bytes off and the engine must roll the failed op's
+// staging back. Once the limit is lifted, a second batch is
+// acknowledged — and both the live engine and a reopen see the second
+// edge and not the first. Runs in a child: the limit is process-wide.
+TEST(Recovery, FailedGroupCommitLeavesNoTrace) {
+  TempDir dir;
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Exit codes: 0 pass; 10 setup; 11 the capped commit succeeded;
+    // 12 the uncapped commit failed; 13 live engine wrong; 14 reopen
+    // failed; 15 reopened engine wrong.
+    SocialGraph g = MakeDiamond();
+    PolicyStore store;
+    const ResourceId photo = store.RegisterResource(0, "photo");
+    const ResourceId note = store.RegisterResource(3, "note");
+    if (!store.AddRuleFromPaths(photo, {"friend[1]"}).ok() ||
+        !store.AddRuleFromPaths(note, {"friend[1]"}).ok()) {
+      _exit(10);
+    }
+    // 0 -friend-> 3 (the failed op) would admit 3 to the photo;
+    // 3 -friend-> 5 (the acknowledged one) admits 5 to the note.
+    auto sees_only_second = [&](const AccessControlEngine& e) {
+      auto first = e.CheckAccess({.requester = 3, .resource = photo});
+      auto second = e.CheckAccess({.requester = 5, .resource = note});
+      return first.ok() && !first->granted && second.ok() && second->granted;
+    };
+    AccessControlEngine engine(g, store);
+    if (!engine.RebuildIndexes().ok() ||
+        !engine.EnableDurability(dir.path()).ok()) {
+      _exit(10);
+    }
+    signal(SIGXFSZ, SIG_IGN);  // an over-limit write fails with EFBIG
+    rlimit unlimited;
+    if (getrlimit(RLIMIT_FSIZE, &unlimited) != 0) _exit(10);
+    rlimit capped = unlimited;
+    capped.rlim_cur = engine.wal_size_bytes() + 8;
+    if (setrlimit(RLIMIT_FSIZE, &capped) != 0) _exit(10);
+    if (engine.SubmitAddEdge(0, 3, "friend").Wait().status.ok()) _exit(11);
+    if (setrlimit(RLIMIT_FSIZE, &unlimited) != 0) _exit(10);
+    if (!engine.SubmitAddEdge(3, 5, "friend").Wait().status.ok()) _exit(12);
+    if (!sees_only_second(engine)) _exit(13);
+    SocialGraph g2;
+    auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
+    if (!reopened.ok()) _exit(14);
+    _exit(sees_only_second(**reopened) ? 0 : 15);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "see the exit-code legend above";
+}
+
 // SIGKILL the WAL-appending process mid-stream, reopen, and verify the
 // recovered engine agrees with a mirror engine driven by what an
 // independent WAL read says survived. Every record the child saw
@@ -617,7 +718,8 @@ TEST(Recovery, KillAndReopenReplaysAckedRecords) {
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // Child: append fsynced records forever, ack each on the pipe. The
+    // Child: commit fsynced one-record batches forever, ack each on the
+    // pipe. The
     // parent SIGKILLs us mid-stream; no cleanup must be needed for the
     // log to stay recoverable.
     close(pipefd[0]);
@@ -632,7 +734,7 @@ TEST(Recovery, KillAndReopenReplaysAckedRecords) {
       rec.src = i % 6;
       rec.dst = (i + 2) % 6;
       rec.label = "friend";
-      if (!w->Append(rec).ok()) _exit(2);
+      if (!AppendOne(*w, rec).ok()) _exit(2);
       const char ack = 1;
       if (write(pipefd[1], &ack, 1) != 1) _exit(3);
     }
@@ -672,8 +774,8 @@ TEST(Recovery, KillAndReopenReplaysAckedRecords) {
 }
 
 // The group-commit variant of the harness above: the child appends
-// whole batches (AppendBatch under kGroupCommit — one fsync per batch)
-// and acks per *batch*. SIGKILL can land mid-batch-write, leaving a
+// whole batches under the default sync policy (one fsync per
+// AppendBatch) and acks per *batch*. SIGKILL can land mid-batch-write, leaving a
 // torn batch tail; reopen must keep every acked batch intact and
 // truncate the tail to the last whole record. A surviving prefix of the
 // unacked batch is fine — nothing in it was acknowledged.
@@ -700,7 +802,7 @@ TEST(Recovery, KillAndReopenKeepsAckedGroupCommitBatches) {
   if (child == 0) {
     close(pipefd[0]);
     auto w = storage::WalWriter::Open(dir.File(storage::kWalFileName),
-                                      storage::WalSyncPolicy::kGroupCommit);
+                                      DurabilityOptions{}.wal_sync);
     if (!w.ok()) _exit(1);
     for (uint32_t b = 0;; ++b) {
       std::vector<WalRecord> batch;
@@ -870,7 +972,7 @@ TEST(Corruption, WalBitFlipMatrix) {
         rec.dst = static_cast<NodeId>(seed_rng.NextBounded(100));
         rec.label = seed_rng.NextBool(0.5) ? "friend" : "colleague";
       }
-      ASSERT_TRUE(w->Append(rec).ok());
+      ASSERT_TRUE(AppendOne(*w, rec).ok());
       recs.push_back(rec);
     }
   }

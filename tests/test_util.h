@@ -14,7 +14,6 @@
 #include "core/path_parser.h"
 #include "graph/csr.h"
 #include "graph/line_graph.h"
-#include "index/base_tables.h"
 #include "index/cluster_index.h"
 #include "index/line_oracle.h"
 #include "index/transitive_closure.h"
@@ -30,7 +29,6 @@ struct Stack {
   LineGraph lg;
   std::unique_ptr<LineReachabilityOracle> oracle;
   std::unique_ptr<ClusterJoinIndex> cluster;
-  BaseTables tables;
   std::unique_ptr<TransitiveClosure> closure_directed;
   std::unique_ptr<TransitiveClosure> closure_undirected;
 };
@@ -47,7 +45,6 @@ inline std::unique_ptr<Stack> BuildStack(SocialGraph g,
   auto cluster = ClusterJoinIndex::Build(s->lg, *s->oracle);
   if (!cluster.ok()) return nullptr;
   s->cluster = std::make_unique<ClusterJoinIndex>(std::move(*cluster));
-  s->tables = BaseTables::Build(s->lg);
   s->closure_directed = std::make_unique<TransitiveClosure>(
       TransitiveClosure::Build(s->csr, /*as_undirected=*/false));
   s->closure_undirected = std::make_unique<TransitiveClosure>(

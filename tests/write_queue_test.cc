@@ -101,9 +101,7 @@ TEST(WriteQueueTicket, StampsMatchWalMirrorOracle) {
   PolicyStore store = MakeStore();
   AccessControlEngine engine(g, store);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
-  DurabilityOptions durability;
-  durability.wal_sync = storage::WalSyncPolicy::kGroupCommit;
-  ASSERT_TRUE(engine.EnableDurability(dir.path(), durability).ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
 
   // Pile everything into one deterministic batch.
   engine.write_queue().PauseForTesting(true);
@@ -292,9 +290,7 @@ TEST(WriteQueueGroupCommit, OneFsyncPerBatch) {
   PolicyStore store = MakeStore();
   AccessControlEngine engine(g, store);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
-  DurabilityOptions durability;
-  durability.wal_sync = storage::WalSyncPolicy::kGroupCommit;
-  ASSERT_TRUE(engine.EnableDurability(dir.path(), durability).ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
 
   // One batch of 10: 10 records, ONE fsync.
   engine.write_queue().PauseForTesting(true);
@@ -342,9 +338,7 @@ TEST(WriteQueueInterleave, RandomizedProducersAgreeWithSerialMirror) {
   PolicyStore store = MakeStore();
   AccessControlEngine engine(g, store);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
-  DurabilityOptions durability;
-  durability.wal_sync = storage::WalSyncPolicy::kGroupCommit;
-  ASSERT_TRUE(engine.EnableDurability(dir.path(), durability).ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
 
   constexpr int kProducers = 4;
   constexpr int kOpsPerProducer = 150;  // 600 total: below the
