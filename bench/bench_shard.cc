@@ -262,7 +262,7 @@ void BM_ShardTransportCall(benchmark::State& state) {
     wire::CheckRequest req;
     req.requester = static_cast<NodeId>(requesters.Next());
     req.resource = f->resources[targets.Next()];
-    auto reply = transport.Check(0, req, no_deadline);
+    auto reply = transport.Call(0, req, no_deadline);
     benchmark::DoNotOptimize(reply);
   }
   state.SetItemsProcessed(state.iterations());

@@ -38,15 +38,6 @@ thread_local TlsViewCache tls_view_cache;
 
 }  // namespace
 
-namespace {
-MutationQueueOptions QueueOptionsFrom(const EngineOptions& options) {
-  MutationQueueOptions qopts;
-  qopts.capacity = options.write_queue_capacity;
-  qopts.max_batch = options.write_queue_max_batch;
-  return qopts;
-}
-}  // namespace
-
 AccessControlEngine::AccessControlEngine(const SocialGraph& graph,
                                          const PolicyStore& store,
                                          EngineOptions options)
@@ -55,7 +46,7 @@ AccessControlEngine::AccessControlEngine(const SocialGraph& graph,
       options_(options),
       engine_id_(NextEngineId()),
       write_queue_(
-          std::make_unique<MutationQueue>(this, QueueOptionsFrom(options))) {}
+          std::make_unique<MutationQueue>(this, options.write_queue_capacity)) {}
 
 AccessControlEngine::AccessControlEngine(SocialGraph& graph,
                                          const PolicyStore& store,
@@ -66,7 +57,7 @@ AccessControlEngine::AccessControlEngine(SocialGraph& graph,
       options_(options),
       engine_id_(NextEngineId()),
       write_queue_(
-          std::make_unique<MutationQueue>(this, QueueOptionsFrom(options))) {}
+          std::make_unique<MutationQueue>(this, options.write_queue_capacity)) {}
 
 AccessControlEngine::~AccessControlEngine() {
   // Queue first: a draining batch can kick a compaction, so the
@@ -127,7 +118,7 @@ bool AccessControlEngine::RefreshPolicySnapshotIfStale() {
       policy_->source_num_rules == store_->NumRules()) {
     return false;
   }
-  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_, options_);
+  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_);
   return true;
 }
 
@@ -153,7 +144,7 @@ Status AccessControlEngine::RebuildIndexesLocked() {
   // Unconditional policy rebuild: fresh dictionary entries (labels
   // interned since the last build) may fix previously failed binds, and
   // auto picks depend on the new bundle.
-  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_, options_);
+  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_);
   built_ = true;
   snapshot_generation_.fetch_add(1, std::memory_order_release);
   RecomputeEffectiveThreshold();
@@ -614,7 +605,7 @@ AccessControlEngine::FinishCompactionLocked(
   // policy snapshot WITHOUT touching the store (rule registration on
   // the user's thread must not race this thread — store changes surface
   // at the next external write-path publish).
-  policy_ = PolicySnapshot::WithAutoPicks(*policy_, *idx_, options_);
+  policy_ = PolicySnapshot::WithAutoPicks(*policy_, *idx_);
   RecomputeEffectiveThreshold();
   PublishView();
 
@@ -822,7 +813,7 @@ Status AccessControlEngine::ReplayWal(std::span<const storage::WalRecord> record
     wal_replaying_ = true;  // suppress WAL re-appends
   }
   Status status = OkStatus();
-  const size_t batch = std::max<size_t>(1, options_.write_queue_max_batch);
+  const size_t batch = MutationQueue::kMaxBatch;
   std::vector<WriteOutcome> outcomes;
   for (size_t off = 0; off < ops.size() && status.ok(); off += batch) {
     const size_t n = std::min(batch, ops.size() - off);
@@ -882,7 +873,7 @@ Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
     engine->snapshot_generation_.store(loaded.stamp.generation,
                                        std::memory_order_release);
     engine->policy_ =
-        PolicySnapshot::Build(store, *graph, *engine->idx_, options);
+        PolicySnapshot::Build(store, *graph, *engine->idx_);
     engine->built_ = true;
     engine->RecomputeEffectiveThreshold();
     engine->PublishView();

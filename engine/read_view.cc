@@ -18,6 +18,10 @@ namespace {
 /// request (see CheckAccessBatch).
 constexpr size_t kBatchAudienceCutoff = 4;
 
+/// kAuto sends expressions expanding beyond this many line queries to
+/// online search instead of the join index.
+constexpr uint64_t kAutoMaxExpansions = 64;
+
 /// Maps a request-level choice onto a concrete kind, using the path's
 /// precomputed automatic pick for kAuto.
 EvaluatorKind KindForChoice(EvaluatorChoice choice, EvaluatorKind auto_pick) {
@@ -40,13 +44,12 @@ EvaluatorKind KindForChoice(EvaluatorChoice choice, EvaluatorKind auto_pick) {
 /// wins on point queries unless it was never built, the expression needs
 /// an orientation the line graph lacks, or it expands combinatorially.
 EvaluatorKind AutoPick(const BoundPathExpression& expr,
-                       const SnapshotIndexes& idx,
-                       const EngineOptions& options) {
+                       const SnapshotIndexes& idx) {
   if (!idx.join_built) return EvaluatorKind::kOnlineBfs;
   if (expr.HasBackwardStep() && !idx.lg.includes_backward()) {
     return EvaluatorKind::kOnlineBfs;
   }
-  if (expr.ExpansionCount() > options.auto_max_expansions) {
+  if (expr.ExpansionCount() > kAutoMaxExpansions) {
     return EvaluatorKind::kOnlineBfs;
   }
   return EvaluatorKind::kJoinIndex;
@@ -154,7 +157,7 @@ SnapshotIndexes::BuildIncremental(const SnapshotIndexes& prev,
 
 std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
     const PolicyStore& store, const SocialGraph& graph,
-    const SnapshotIndexes& idx, const EngineOptions& options) {
+    const SnapshotIndexes& idx) {
   auto policy = std::make_shared<PolicySnapshot>();
   policy->source_num_resources = store.NumResources();
   policy->source_num_rules = store.NumRules();
@@ -176,7 +179,7 @@ std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
       } else {
         cp.bound =
             std::make_shared<const BoundPathExpression>(std::move(*bound));
-        cp.auto_pick = AutoPick(*cp.bound, idx, options);
+        cp.auto_pick = AutoPick(*cp.bound, idx);
       }
       rule.paths.push_back(std::move(cp));
     }
@@ -185,8 +188,7 @@ std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
 }
 
 std::shared_ptr<const PolicySnapshot> PolicySnapshot::WithAutoPicks(
-    const PolicySnapshot& prev, const SnapshotIndexes& idx,
-    const EngineOptions& options) {
+    const PolicySnapshot& prev, const SnapshotIndexes& idx) {
   auto policy = std::make_shared<PolicySnapshot>();
   policy->source_num_resources = prev.source_num_resources;
   policy->source_num_rules = prev.source_num_rules;
@@ -195,7 +197,7 @@ std::shared_ptr<const PolicySnapshot> PolicySnapshot::WithAutoPicks(
   for (CompiledRule& rule : policy->rules) {
     for (CompiledPath& path : rule.paths) {
       if (path.bound != nullptr) {
-        path.auto_pick = AutoPick(*path.bound, idx, options);
+        path.auto_pick = AutoPick(*path.bound, idx);
       }
     }
   }
@@ -230,8 +232,8 @@ AccessReadView::AccessReadView(const SocialGraph& graph,
   bidi = std::make_unique<BidirectionalEvaluator>(*graph_, idx_->csr,
                                                   &overlay_);
   if (idx_->join_built) {
-    join = std::make_unique<JoinIndexEvaluator>(
-        *graph_, idx_->lg, *idx_->cluster, options_.join_options);
+    join = std::make_unique<JoinIndexEvaluator>(*graph_, idx_->lg,
+                                                *idx_->cluster);
   }
   if (idx_->closure != nullptr) {
     for (size_t i = 0; i < kNumEvaluatorKinds; ++i) {

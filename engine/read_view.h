@@ -85,10 +85,6 @@ struct EngineOptions {
   /// Build the line graph with backward orientations (required when any
   /// policy uses `label-[a,b]` steps and the join index may serve it).
   bool line_graph_backward = false;
-  /// kAuto sends expressions expanding beyond this many line queries to
-  /// online search instead of the join index.
-  uint64_t auto_max_expansions = 64;
-  JoinIndexOptions join_options;
   /// Decisions kept in the engine's audit ring (0 disables auditing —
   /// and with it the only lock on the engine's CheckAccess facade).
   size_t audit_capacity = 1024;
@@ -109,10 +105,9 @@ struct EngineOptions {
   /// maintenance.
   double incremental_max_fraction = 0.05;
   /// Mutations the queue holds before Submit blocks (backpressure).
+  /// The writer drains at most MutationQueue::kMaxBatch of them into
+  /// one group-commit batch (one WAL fsync, one published view).
   size_t write_queue_capacity = 4096;
-  /// Most mutations the writer thread drains into one group-commit
-  /// batch (one WAL fsync, one published view).
-  size_t write_queue_max_batch = 512;
 
   static constexpr size_t kCompactThresholdAuto =
       std::numeric_limits<size_t>::max();
@@ -252,7 +247,7 @@ struct PolicySnapshot {
 
   static std::shared_ptr<const PolicySnapshot> Build(
       const PolicyStore& store, const SocialGraph& graph,
-      const SnapshotIndexes& idx, const EngineOptions& options);
+      const SnapshotIndexes& idx);
 
   /// Clone of `prev` with every path's automatic evaluator pick
   /// recomputed against a new index bundle — what a background
@@ -261,8 +256,7 @@ struct PolicySnapshot {
   /// user's thread), so binds that failed in `prev` stay failed until
   /// the next store-refreshing publish (any external write-path call).
   static std::shared_ptr<const PolicySnapshot> WithAutoPicks(
-      const PolicySnapshot& prev, const SnapshotIndexes& idx,
-      const EngineOptions& options);
+      const PolicySnapshot& prev, const SnapshotIndexes& idx);
 };
 
 /// An immutable, reference-counted serving snapshot. See the file

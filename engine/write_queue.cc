@@ -24,12 +24,8 @@ bool WriteTicket::done() const {
   return state_->done;
 }
 
-MutationQueue::MutationQueue(AccessControlEngine* engine,
-                             MutationQueueOptions options)
-    : engine_(engine), options_(options) {
-  if (options_.capacity == 0) options_.capacity = 1;
-  if (options_.max_batch == 0) options_.max_batch = 1;
-}
+MutationQueue::MutationQueue(AccessControlEngine* engine, size_t capacity)
+    : engine_(engine), capacity_(capacity == 0 ? 1 : capacity) {}
 
 MutationQueue::~MutationQueue() { Shutdown(); }
 
@@ -49,7 +45,7 @@ WriteTicket MutationQueue::Submit(WriteOp op) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     nonfull_.wait(lock, [&] {
-      return shutdown_ || queue_.size() < options_.capacity;
+      return shutdown_ || queue_.size() < capacity_;
     });
     if (shutdown_) {
       stats_.rejected += 1;
@@ -129,7 +125,7 @@ void MutationQueue::WriterLoop() {
         return shutdown_ || (!paused_ && !queue_.empty());
       });
       if (shutdown_) return;  // Shutdown() drains the leftovers
-      const size_t take = std::min(queue_.size(), options_.max_batch);
+      const size_t take = std::min(queue_.size(), kMaxBatch);
       for (size_t i = 0; i < take; ++i) {
         ops.push_back(std::move(queue_.front().op));
         states.push_back(std::move(queue_.front().state));

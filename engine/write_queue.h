@@ -18,7 +18,7 @@
 ///     queue is FIFO, so one producer's ops apply in the order it
 ///     submitted them.
 ///   * **Group commit** — a dedicated writer thread drains the queue in
-///     bounded batches (MutationQueueOptions::max_batch), stages every
+///     bounded batches (MutationQueue::kMaxBatch), stages every
 ///     op of a batch into the engine's DeltaOverlay, appends all WAL
 ///     records with ONE WalWriter::AppendBatch (one fsync under the
 ///     default WalSyncPolicy::kEveryRecord), and publishes ONE read view
@@ -124,13 +124,6 @@ class WriteTicket {
   std::shared_ptr<State> state_;
 };
 
-struct MutationQueueOptions {
-  /// Ops the queue holds before Submit blocks (backpressure bound).
-  size_t capacity = 4096;
-  /// Max ops the writer drains into one group-commit batch.
-  size_t max_batch = 512;
-};
-
 /// Relaxed counters for tests and the bench (read with stats()).
 struct WriteQueueStats {
   /// Ops accepted into the queue.
@@ -151,9 +144,14 @@ struct WriteQueueStats {
 /// methods are thread-safe.
 class MutationQueue {
  public:
-  /// `engine` must outlive the queue. The writer thread starts lazily on
-  /// the first Submit.
-  MutationQueue(AccessControlEngine* engine, MutationQueueOptions options);
+  /// Max ops the writer drains into one group-commit batch (WAL replay
+  /// batches the same way).
+  static constexpr size_t kMaxBatch = 512;
+
+  /// `engine` must outlive the queue. `capacity` is the number of ops
+  /// the queue holds before Submit blocks (backpressure bound). The
+  /// writer thread starts lazily on the first Submit.
+  MutationQueue(AccessControlEngine* engine, size_t capacity);
   ~MutationQueue();
 
   MutationQueue(const MutationQueue&) = delete;
@@ -191,7 +189,7 @@ class MutationQueue {
                        WriteOutcome outcome);
 
   AccessControlEngine* engine_;
-  MutationQueueOptions options_;
+  size_t capacity_;
 
   mutable std::mutex mu_;
   std::condition_variable nonempty_;

@@ -14,8 +14,7 @@ namespace sargus {
 Result<BoundarySummary> BoundarySummary::Build(
     const SocialGraph& graph, const CsrSnapshot& csr,
     const DeltaOverlay& overlay, std::span<const NodeId> boundary,
-    const PolicySnapshot& policy, wire::Stamp stamp,
-    const BoundarySummaryOptions& options) {
+    const PolicySnapshot& policy, wire::Stamp stamp) {
   BoundarySummary summary;
   summary.stamp_ = stamp;
   summary.boundary_.assign(boundary.begin(), boundary.end());
@@ -45,7 +44,7 @@ Result<BoundarySummary> BoundarySummary::Build(
       const uint32_t S = nfa.NumStates();
       if (S == 0) continue;
       const size_t product_size = num_nodes * S;
-      if (summary.boundary_.size() * S > options.max_boundary_configs ||
+      if (summary.boundary_.size() * S > kMaxBoundaryConfigs ||
           product_size > UINT32_MAX) {
         continue;  // Unbuilt; the router falls back to frontier exchange.
       }
@@ -98,7 +97,7 @@ Result<BoundarySummary> BoundarySummary::Build(
       }
       SARGUS_ASSIGN_OR_RETURN(
           ps.labels,
-          TwoHopLabeling::BuildRestricted(dag, ps.comp_of, options.two_hop));
+          TwoHopLabeling::BuildRestricted(dag, ps.comp_of));
       ps.built = true;
       summary.paths_[r][p] = std::move(ps);
     }
@@ -124,16 +123,6 @@ bool BoundarySummary::Reaches(RuleId rule, uint32_t path, size_t from_idx,
   const PathSummary& ps = paths_[rule][path];
   return ps.labels.Reachable(ps.comp_of[from_idx * ps.num_states + from_state],
                              ps.comp_of[to_idx * ps.num_states + to_state]);
-}
-
-size_t BoundarySummary::MemoryBytes() const {
-  size_t bytes = boundary_.capacity() * sizeof(NodeId);
-  for (const auto& rule : paths_) {
-    for (const PathSummary& ps : rule) {
-      bytes += ps.comp_of.capacity() * sizeof(uint32_t) + ps.labels.MemoryBytes();
-    }
-  }
-  return bytes;
 }
 
 }  // namespace sargus

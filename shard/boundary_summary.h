@@ -39,16 +39,13 @@
 
 namespace sargus {
 
-struct BoundarySummaryOptions {
-  TwoHopOptions two_hop;
-  /// Skip (leave unbuilt) any path whose boundary-config count
-  /// |boundary| × |states| exceeds this; the router falls back to
-  /// frontier exchange for unbuilt paths.
-  size_t max_boundary_configs = size_t{1} << 16;
-};
-
 class BoundarySummary {
  public:
+  /// Build skips (leaves unbuilt) any path whose boundary-config count
+  /// |boundary| × |states| exceeds this; the router falls back to
+  /// frontier exchange for unbuilt paths.
+  static constexpr size_t kMaxBoundaryConfigs = size_t{1} << 16;
+
   /// Builds summaries for every successfully bound path of every rule in
   /// `policy`, over the product space of (csr ⊕ overlay) with attribute
   /// filters evaluated against `graph` — exactly the iteration the live
@@ -60,8 +57,7 @@ class BoundarySummary {
                                        const DeltaOverlay& overlay,
                                        std::span<const NodeId> boundary,
                                        const PolicySnapshot& policy,
-                                       wire::Stamp stamp,
-                                       const BoundarySummaryOptions& options);
+                                       wire::Stamp stamp);
 
   /// The read-view stamp this summary reflects. The router compares it
   /// against the shard's *current* view stamp before every use.
@@ -77,7 +73,7 @@ class BoundarySummary {
   int64_t BoundaryIndexOf(NodeId node) const;
 
   /// Whether a usable summary exists for (rule, path). False for failed
-  /// binds and paths skipped by max_boundary_configs.
+  /// binds and paths skipped by kMaxBoundaryConfigs.
   bool PathBuilt(RuleId rule, uint32_t path) const;
 
   /// Exact shard-local product reachability between boundary configs:
@@ -86,8 +82,6 @@ class BoundarySummary {
   /// and PathBuilt(rule, path) must hold.
   bool Reaches(RuleId rule, uint32_t path, size_t from_idx,
                uint32_t from_state, size_t to_idx, uint32_t to_state) const;
-
-  size_t MemoryBytes() const;
 
  private:
   struct PathSummary {

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <future>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "shard/shard_engine.h"
@@ -33,17 +34,13 @@ std::chrono::steady_clock::time_point DeadlinePoint(uint64_t deadline_ms) {
 ThreadedTransport::ThreadedTransport(std::vector<ShardEngine*> engines,
                                      ThreadedTransportOptions options)
     : engines_(std::move(engines)), options_(std::move(options)) {
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  if (options_.workers_per_shard == 0) options_.workers_per_shard = 1;
   workers_.reserve(engines_.size());
   for (size_t s = 0; s < engines_.size(); ++s) {
     workers_.push_back(std::make_unique<Worker>());
   }
   // Spawn only after every Worker exists: WorkerLoop indexes workers_.
   for (uint32_t s = 0; s < engines_.size(); ++s) {
-    for (uint32_t w = 0; w < options_.workers_per_shard; ++w) {
-      workers_[s]->threads.emplace_back([this, s] { WorkerLoop(s); });
-    }
+    workers_[s]->thread = std::thread([this, s] { WorkerLoop(s); });
   }
 }
 
@@ -56,9 +53,7 @@ ThreadedTransport::~ThreadedTransport() {
     w->nonempty.notify_all();
     w->nonfull.notify_all();
   }
-  for (auto& w : workers_) {
-    for (std::thread& t : w->threads) t.join();
-  }
+  for (auto& w : workers_) w->thread.join();
 }
 
 ThreadedTransport::QueueStats ThreadedTransport::queue_stats(
@@ -95,10 +90,10 @@ bool ThreadedTransport::Enqueue(uint32_t shard, Job job, uint64_t deadline_ms,
                                 Status* why) {
   Worker& w = *workers_[shard];
   std::unique_lock<std::mutex> lock(w.mu);
-  while (!w.shutdown && w.queue.size() >= options_.queue_capacity) {
+  while (!w.shutdown && w.queue.size() >= kQueueCapacity) {
     if (deadline_ms != 0) {
       w.nonfull.wait_until(lock, DeadlinePoint(deadline_ms));
-      if (!w.shutdown && w.queue.size() >= options_.queue_capacity &&
+      if (!w.shutdown && w.queue.size() >= kQueueCapacity &&
           SteadyNowMs() > deadline_ms) {
         w.cancelled.fetch_add(1, kRelaxed);
         *why = Status::DeadlineExceeded(
@@ -122,10 +117,10 @@ bool ThreadedTransport::Enqueue(uint32_t shard, Job job, uint64_t deadline_ms,
   return true;
 }
 
-template <typename Reply, typename CallFn>
-TransportTicket<Reply> ThreadedTransport::SubmitImpl(
-    uint32_t shard, const TransportCallOptions& opts, bool caller_deadline,
-    CallFn call) {
+template <typename Request>
+TransportTicket<ReplyFor<Request>> ThreadedTransport::SubmitJob(
+    uint32_t shard, const Request& request, const TransportCallOptions& opts) {
+  using Reply = ReplyFor<Request>;
   auto promise = std::make_shared<std::promise<Result<Reply>>>();
   auto future =
       std::make_shared<std::future<Result<Reply>>>(promise->get_future());
@@ -133,7 +128,7 @@ TransportTicket<Reply> ThreadedTransport::SubmitImpl(
   Worker* w = workers_[shard].get();
   Job job;
   job.run = [this, shard, w, promise, cancelled, deadline = opts.deadline_ms,
-             call = std::move(call)](bool aborted) {
+             engine = engines_[shard], req = request](bool aborted) {
     if (aborted) {
       promise->set_value(Status::Unavailable(
           "transport shut down before dispatch (shard " +
@@ -150,13 +145,17 @@ TransportTicket<Reply> ThreadedTransport::SubmitImpl(
     }
     w->executed.fetch_add(1, kRelaxed);
     if (options_.pre_dispatch_hook) options_.pre_dispatch_hook(shard);
-    promise->set_value(call());
+    promise->set_value(Serve(*engine, req));
   };
   Status why = OkStatus();
   if (!Enqueue(shard, std::move(job), opts.deadline_ms, &why)) {
     return TransportTicket<Reply>::Ready(std::move(why));
   }
-  const uint64_t wait_deadline = caller_deadline ? opts.deadline_ms : 0;
+  // The deadline is enforced only worker-side, BEFORE the engine call,
+  // for mutations: an error reply must always mean the mutation was
+  // never applied (fail-stop-before-apply; see file comment).
+  const uint64_t wait_deadline =
+      std::is_same_v<Request, wire::MutateRequest> ? 0 : opts.deadline_ms;
   return TransportTicket<Reply>::Deferred(
       [shard, future, cancelled, wait_deadline]() -> Result<Reply> {
         if (wait_deadline != 0 &&
@@ -173,70 +172,28 @@ TransportTicket<Reply> ThreadedTransport::SubmitImpl(
       });
 }
 
-Result<wire::CheckReply> ThreadedTransport::Check(
+TransportTicket<wire::CheckReply> ThreadedTransport::Submit(
     uint32_t shard, const wire::CheckRequest& request,
     const TransportCallOptions& opts) {
-  return SubmitCheck(shard, request, opts).Wait();
+  return SubmitJob(shard, request, opts);
 }
 
-Result<wire::BatchCheckReply> ThreadedTransport::CheckBatch(
+TransportTicket<wire::BatchCheckReply> ThreadedTransport::Submit(
     uint32_t shard, const wire::BatchCheckRequest& request,
     const TransportCallOptions& opts) {
-  return SubmitBatch(shard, request, opts).Wait();
+  return SubmitJob(shard, request, opts);
 }
 
-Result<wire::WalkReply> ThreadedTransport::ExpandFrontier(
+TransportTicket<wire::WalkReply> ThreadedTransport::Submit(
     uint32_t shard, const wire::WalkRequest& request,
     const TransportCallOptions& opts) {
-  return SubmitWalk(shard, request, opts).Wait();
+  return SubmitJob(shard, request, opts);
 }
 
-Result<wire::MutateReply> ThreadedTransport::Mutate(
+TransportTicket<wire::MutateReply> ThreadedTransport::Submit(
     uint32_t shard, const wire::MutateRequest& request,
     const TransportCallOptions& opts) {
-  // caller_deadline=false: the deadline is enforced only worker-side,
-  // BEFORE the engine call, so an error reply always means the mutation
-  // was never applied (fail-stop-before-apply; see file comment).
-  return SubmitImpl<wire::MutateReply>(
-             shard, opts, /*caller_deadline=*/false,
-             [engine = engines_[shard],
-              req = request]() -> Result<wire::MutateReply> {
-               return engine->Mutate(req);
-             })
-      .Wait();
-}
-
-TransportTicket<wire::CheckReply> ThreadedTransport::SubmitCheck(
-    uint32_t shard, const wire::CheckRequest& request,
-    const TransportCallOptions& opts) {
-  return SubmitImpl<wire::CheckReply>(
-      shard, opts, /*caller_deadline=*/true,
-      [engine = engines_[shard],
-       req = request]() -> Result<wire::CheckReply> {
-        return engine->Check(req);
-      });
-}
-
-TransportTicket<wire::BatchCheckReply> ThreadedTransport::SubmitBatch(
-    uint32_t shard, const wire::BatchCheckRequest& request,
-    const TransportCallOptions& opts) {
-  return SubmitImpl<wire::BatchCheckReply>(
-      shard, opts, /*caller_deadline=*/true,
-      [engine = engines_[shard],
-       req = request]() -> Result<wire::BatchCheckReply> {
-        return engine->CheckBatch(req);
-      });
-}
-
-TransportTicket<wire::WalkReply> ThreadedTransport::SubmitWalk(
-    uint32_t shard, const wire::WalkRequest& request,
-    const TransportCallOptions& opts) {
-  return SubmitImpl<wire::WalkReply>(
-      shard, opts, /*caller_deadline=*/true,
-      [engine = engines_[shard],
-       req = request]() -> Result<wire::WalkReply> {
-        return engine->ExpandFrontier(req);
-      });
+  return SubmitJob(shard, request, opts);
 }
 
 uint64_t ThreadedTransport::NowMs() { return SteadyNowMs(); }

@@ -5,13 +5,13 @@
 /// \brief ThreadedTransport: a thread-per-shard executor behind the
 /// ShardTransport seam.
 ///
-/// Each shard gets a dedicated worker (configurably several) draining a
-/// bounded MPSC job queue. A call is a job: Submit* copies the request,
-/// enqueues a closure, and returns a TransportTicket backed by a
-/// future; the synchronous four-call interface is Submit + Wait. With
-/// the async surface the router can scatter one sub-batch (or one
-/// frontier walk) per shard and gather them in a fixed order — shard
-/// count becomes a throughput multiplier instead of pure overhead.
+/// Each shard gets one dedicated worker thread draining a bounded MPSC
+/// job queue (kQueueCapacity jobs), so one shard's calls execute in
+/// FIFO order. A call is a job: Submit copies the request, enqueues a
+/// closure, and returns a TransportTicket backed by a future. With that
+/// the router can scatter one sub-batch (or one frontier walk) per shard
+/// and gather them in a fixed order — shard count becomes a throughput
+/// multiplier instead of pure overhead.
 ///
 /// Deadline / cancellation semantics (all times on the steady-clock
 /// NowMs() scale InProcessTransport uses):
@@ -28,13 +28,12 @@
 ///     the work; a job already mid-execution runs to completion into an
 ///     abandoned future (reads are side-effect free, so this is safe).
 ///
-/// Mutations are the exception: Mutate waits unconditionally and the
-/// deadline is enforced ONLY worker-side, before the engine call. A
-/// caller abandoning a mutation mid-apply could otherwise observe a
-/// transport error for a mutation that DID apply, breaking the
-/// fail-stop-before-apply contract every rollback path relies on. So a
-/// Mutate error still means "never applied", and there deliberately is
-/// no SubmitMutate.
+/// Mutations are the exception: a mutation ticket's Wait() blocks
+/// unconditionally and the deadline is enforced ONLY worker-side, before
+/// the engine call. A caller abandoning a mutation mid-apply could
+/// otherwise observe a transport error for a mutation that DID apply,
+/// breaking the fail-stop-before-apply contract every rollback path
+/// relies on. So a mutation error still means "never applied".
 ///
 /// Shutdown protocol: the destructor flips each worker's shutdown flag,
 /// wakes everyone, and joins. Jobs still queued at shutdown complete as
@@ -63,22 +62,19 @@ namespace sargus {
 class ShardEngine;
 
 struct ThreadedTransportOptions {
-  /// Jobs one shard's queue holds before Submit blocks (backpressure).
-  size_t queue_capacity = 1024;
-  /// Worker threads per shard. 1 (the default) keeps per-shard FIFO
-  /// execution; more lets one shard overlap its own requests too.
-  uint32_t workers_per_shard = 1;
   /// Test seam: runs on the worker thread immediately before the
   /// engine call (the slow-shard tests sleep here to simulate a
   /// struggling shard). Never set in production.
   std::function<void(uint32_t shard)> pre_dispatch_hook;
 };
 
-/// Thread-per-shard executor over in-process ShardEngines. Reads are
-/// safe from any number of threads; Mutate inherits the engines'
-/// single-writer contract (and the per-shard queue serializes it).
+/// Thread-per-shard executor over in-process ShardEngines. Safe from any
+/// number of threads.
 class ThreadedTransport final : public ShardTransport {
  public:
+  /// Jobs one shard's queue holds before Submit blocks (backpressure).
+  static constexpr size_t kQueueCapacity = 1024;
+
   /// `engines` must outlive the transport.
   explicit ThreadedTransport(std::vector<ShardEngine*> engines,
                              ThreadedTransportOptions options = {});
@@ -101,27 +97,17 @@ class ThreadedTransport final : public ShardTransport {
     return static_cast<uint32_t>(engines_.size());
   }
 
-  Result<wire::CheckReply> Check(uint32_t shard,
-                                 const wire::CheckRequest& request,
-                                 const TransportCallOptions& opts) override;
-  Result<wire::BatchCheckReply> CheckBatch(
-      uint32_t shard, const wire::BatchCheckRequest& request,
-      const TransportCallOptions& opts) override;
-  Result<wire::WalkReply> ExpandFrontier(
-      uint32_t shard, const wire::WalkRequest& request,
-      const TransportCallOptions& opts) override;
-  Result<wire::MutateReply> Mutate(uint32_t shard,
-                                   const wire::MutateRequest& request,
-                                   const TransportCallOptions& opts) override;
-
-  TransportTicket<wire::CheckReply> SubmitCheck(
+  TransportTicket<wire::CheckReply> Submit(
       uint32_t shard, const wire::CheckRequest& request,
       const TransportCallOptions& opts) override;
-  TransportTicket<wire::BatchCheckReply> SubmitBatch(
+  TransportTicket<wire::BatchCheckReply> Submit(
       uint32_t shard, const wire::BatchCheckRequest& request,
       const TransportCallOptions& opts) override;
-  TransportTicket<wire::WalkReply> SubmitWalk(
+  TransportTicket<wire::WalkReply> Submit(
       uint32_t shard, const wire::WalkRequest& request,
+      const TransportCallOptions& opts) override;
+  TransportTicket<wire::MutateReply> Submit(
+      uint32_t shard, const wire::MutateRequest& request,
       const TransportCallOptions& opts) override;
 
   uint64_t NowMs() override;
@@ -139,11 +125,11 @@ class ThreadedTransport final : public ShardTransport {
     std::condition_variable nonfull;
     std::deque<Job> queue;
     bool shutdown = false;
-    std::vector<std::thread> threads;
     std::atomic<uint64_t> submitted{0};
     std::atomic<uint64_t> executed{0};
     std::atomic<uint64_t> cancelled{0};
     std::atomic<uint64_t> rejected{0};
+    std::thread thread;
   };
 
   void WorkerLoop(uint32_t shard);
@@ -152,14 +138,14 @@ class ThreadedTransport final : public ShardTransport {
   /// kUnavailable (shutdown).
   bool Enqueue(uint32_t shard, Job job, uint64_t deadline_ms, Status* why);
 
-  /// Shared submit shape: package `call` (which already owns a copy of
-  /// its request) as a job, enqueue it, hand back a future-backed
-  /// ticket. `caller_deadline` gates the Wait-side deadline abandon —
-  /// true for reads, false for mutations (see file comment).
-  template <typename Reply, typename CallFn>
-  TransportTicket<Reply> SubmitImpl(uint32_t shard,
-                                    const TransportCallOptions& opts,
-                                    bool caller_deadline, CallFn call);
+  /// Shared body of the four Submit overloads: package a copy of
+  /// `request` as a job, enqueue it, hand back a future-backed ticket.
+  /// Read tickets give up at the deadline; mutation tickets do not (see
+  /// file comment).
+  template <typename Request>
+  TransportTicket<ReplyFor<Request>> SubmitJob(
+      uint32_t shard, const Request& request,
+      const TransportCallOptions& opts);
 
   std::vector<ShardEngine*> engines_;
   ThreadedTransportOptions options_;

@@ -19,9 +19,13 @@ std::vector<uint32_t> ContiguousAssignment(size_t num_nodes,
   return shard_of;
 }
 
+/// Label-propagation sweeps before packing. The propagation usually
+/// converges in 3-5 sweeps on social graphs; the cap keeps worst-case
+/// cost linear.
+constexpr uint32_t kCommunitySweeps = 4;
+
 std::vector<uint32_t> CommunityAssignment(const SocialGraph& g,
-                                          uint32_t num_shards,
-                                          uint32_t sweeps) {
+                                          uint32_t num_shards) {
   const size_t n = g.NumNodes();
 
   // Undirected adjacency (CSR over live edges, both directions).
@@ -48,7 +52,7 @@ std::vector<uint32_t> CommunityAssignment(const SocialGraph& g,
   std::vector<NodeId> label(n);
   std::iota(label.begin(), label.end(), NodeId{0});
   std::vector<uint32_t> count(n, 0);
-  for (uint32_t sweep = 0; sweep < sweeps; ++sweep) {
+  for (uint32_t sweep = 0; sweep < kCommunitySweeps; ++sweep) {
     bool changed = false;
     for (NodeId v = 0; v < n; ++v) {
       if (degree[v] == 0) continue;
@@ -111,8 +115,7 @@ Result<GraphPartition> GraphPartitioner::Partition(
   GraphPartition part;
   part.num_shards = options.num_shards;
   part.shard_of = options.strategy == PartitionStrategy::kCommunity
-                      ? CommunityAssignment(g, options.num_shards,
-                                            options.community_sweeps)
+                      ? CommunityAssignment(g, options.num_shards)
                       : ContiguousAssignment(g.NumNodes(), options.num_shards);
 
   part.members.resize(options.num_shards);

@@ -35,10 +35,6 @@ enum class PartitionStrategy {
 struct PartitionOptions {
   uint32_t num_shards = 1;
   PartitionStrategy strategy = PartitionStrategy::kContiguous;
-  /// Label-propagation sweeps before packing (kCommunity only). The
-  /// propagation usually converges in 3-5 sweeps on social graphs; the
-  /// cap keeps worst-case cost linear.
-  uint32_t community_sweeps = 4;
 };
 
 struct GraphPartition {

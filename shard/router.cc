@@ -13,6 +13,9 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+/// Seed for the deterministic backoff jitter.
+constexpr uint64_t kJitterSeed = 0x5eedULL;
+
 uint64_t ConfigKey(const wire::FrontierEntry& e) {
   return (static_cast<uint64_t>(e.node) << 32) | e.state;
 }
@@ -120,8 +123,7 @@ Status ShardRouter::Build() {
         "ShardRouter: transport_decorator returned null");
   }
   health_ = std::make_unique<ShardHealthTracker>(
-      partition_.num_shards, options_.robustness.breaker_failure_threshold,
-      options_.robustness.breaker_open_ms);
+      partition_.num_shards, kBreakerFailureThreshold, kBreakerOpenMs);
 
   resources_.clear();
   resources_.reserve(master_store_->NumResources());
@@ -214,14 +216,23 @@ RouterCounters ShardRouter::counters() const {
   return c;
 }
 
-template <typename Reply, typename SubmitFn>
-ShardRouter::PendingCall<Reply> ShardRouter::BeginCall(uint32_t shard,
-                                                       uint64_t salt,
-                                                       SubmitFn&& submit) const {
+uint64_t ShardRouter::AttemptDeadline(uint64_t now,
+                                      uint64_t budget_deadline) const {
+  const uint32_t per_call = options_.robustness.call_deadline_ms;
+  if (per_call == 0) return budget_deadline;
+  const uint64_t deadline = now + per_call;
+  return budget_deadline != 0 && deadline > budget_deadline ? budget_deadline
+                                                            : deadline;
+}
+
+template <typename Request>
+ShardRouter::PendingCall<Request> ShardRouter::BeginCall(
+    uint32_t shard, uint64_t salt, const Request& request) const {
   const RouterRobustnessOptions& rb = options_.robustness;
-  PendingCall<Reply> pc;
+  PendingCall<Request> pc;
   pc.shard = shard;
   pc.salt = salt;
+  pc.request = &request;
   const uint64_t now = transport_->NowMs();
   pc.budget_deadline = rb.op_budget_ms == 0 ? 0 : now + rb.op_budget_ms;
   if (!health_->AllowCall(shard, now)) {
@@ -229,34 +240,25 @@ ShardRouter::PendingCall<Reply> ShardRouter::BeginCall(uint32_t shard,
                                    ": circuit breaker open");
     return pc;
   }
-  TransportCallOptions opts;
-  if (rb.call_deadline_ms != 0) {
-    opts.deadline_ms = now + rb.call_deadline_ms;
-    if (pc.budget_deadline != 0 && opts.deadline_ms > pc.budget_deadline) {
-      opts.deadline_ms = pc.budget_deadline;
-    }
-  } else {
-    opts.deadline_ms = pc.budget_deadline;
-  }
-  pc.ticket = submit(opts);
+  pc.ticket = transport_->Submit(
+      shard, request, {.deadline_ms = AttemptDeadline(now, pc.budget_deadline)});
   return pc;
 }
 
-template <typename Reply, typename Fn>
-Result<Reply> ShardRouter::FinishCall(PendingCall<Reply>& pending,
-                                      Fn&& call) const {
+template <typename Request>
+Result<ReplyFor<Request>> ShardRouter::FinishCall(
+    PendingCall<Request>& pending) const {
   const RouterRobustnessOptions& rb = options_.robustness;
   if (pending.early.has_value()) return *pending.early;
   const uint32_t shard = pending.shard;
   const uint32_t attempts = std::max<uint32_t>(1, rb.max_attempts);
   Status last = OkStatus();
   for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    std::optional<Result<Reply>> r;
-    if (attempt == 0) {
-      // Attempt 0 was submitted by BeginCall; collect it. On a serial
-      // transport the ticket is already resolved.
-      r = pending.ticket.Wait();
-    } else {
+    if (attempt > 0) {
+      // Retries run synchronously on the gathering thread: by the time
+      // a retry is warranted the scatter is already collapsing, and a
+      // serial retry keeps the attempt ordering the breaker sees
+      // identical to the pre-scatter router's.
       const uint64_t now = transport_->NowMs();
       if (pending.budget_deadline != 0 && now > pending.budget_deadline) {
         counters_.timeouts.fetch_add(1, kRelaxed);
@@ -270,33 +272,22 @@ Result<Reply> ShardRouter::FinishCall(PendingCall<Reply>& pending,
             (last.ok() ? "" : " (last attempt: " + last.ToString() + ")"));
       }
       counters_.retries.fetch_add(1, kRelaxed);
-      TransportCallOptions opts;
-      if (rb.call_deadline_ms != 0) {
-        opts.deadline_ms = now + rb.call_deadline_ms;
-        if (pending.budget_deadline != 0 &&
-            opts.deadline_ms > pending.budget_deadline) {
-          opts.deadline_ms = pending.budget_deadline;
-        }
-      } else {
-        opts.deadline_ms = pending.budget_deadline;
-      }
-      // Retries run synchronously on the gathering thread: by the time
-      // a retry is warranted the scatter is already collapsing, and a
-      // serial retry keeps the attempt ordering the breaker sees
-      // identical to the pre-scatter router's.
-      r = call(opts);
+      pending.ticket = transport_->Submit(
+          shard, *pending.request,
+          {.deadline_ms = AttemptDeadline(now, pending.budget_deadline)});
     }
-    if (r->ok()) {
+    Result<ReplyFor<Request>> r = pending.ticket.Wait();
+    if (r.ok()) {
       // The transport worked; an in-band reply status is an answer,
       // not an infrastructure failure.
       health_->RecordSuccess(shard);
-      return std::move(*r);
+      return r;
     }
     health_->RecordFailure(shard, transport_->NowMs());
-    if (r->status().code() == StatusCode::kDeadlineExceeded) {
+    if (r.status().code() == StatusCode::kDeadlineExceeded) {
       counters_.timeouts.fetch_add(1, kRelaxed);
     }
-    last = r->status();
+    last = r.status();
     if (attempt + 1 < attempts) {
       uint64_t backoff = std::min<uint64_t>(
           uint64_t{rb.backoff_base_ms} << attempt, rb.backoff_max_ms);
@@ -305,7 +296,7 @@ Result<Reply> ShardRouter::FinishCall(PendingCall<Reply>& pending,
         // salt). The salt is content-derived, so concurrent retry
         // storms jitter identically no matter how they interleave —
         // yet distinct calls never lockstep.
-        const uint64_t h = Mix64(rb.jitter_seed ^ (uint64_t{shard} << 40) ^
+        const uint64_t h = Mix64(kJitterSeed ^ (uint64_t{shard} << 40) ^
                                  (uint64_t{attempt} << 32) ^
                                  Mix64(pending.salt));
         const double frac = static_cast<double>(h >> 11) * 0x1.0p-53;
@@ -318,14 +309,11 @@ Result<Reply> ShardRouter::FinishCall(PendingCall<Reply>& pending,
   return last;
 }
 
-template <typename Reply, typename Fn>
-Result<Reply> ShardRouter::CallShard(uint32_t shard, uint64_t salt,
-                                     Fn&& call) const {
-  PendingCall<Reply> pc =
-      BeginCall<Reply>(shard, salt, [&](const TransportCallOptions& opts) {
-        return TransportTicket<Reply>::Ready(call(opts));
-      });
-  return FinishCall<Reply>(pc, call);
+template <typename Request>
+Result<ReplyFor<Request>> ShardRouter::CallShard(uint32_t shard, uint64_t salt,
+                                                 const Request& request) const {
+  PendingCall<Request> pc = BeginCall(shard, salt, request);
+  return FinishCall(pc);
 }
 
 Result<wire::MutateReply> ShardRouter::CallMutate(
@@ -333,10 +321,7 @@ Result<wire::MutateReply> ShardRouter::CallMutate(
   const uint64_t salt = (uint64_t{static_cast<uint8_t>(req.op)} << 56) ^
                         (uint64_t{req.src} << 28) ^ (uint64_t{req.dst} << 8) ^
                         req.label;
-  return CallShard<wire::MutateReply>(
-      shard, salt, [&](const TransportCallOptions& opts) {
-        return transport_->Mutate(shard, req, opts);
-      });
+  return CallShard(shard, salt, req);
 }
 
 Result<AccessDecision> ShardRouter::CheckAccess(
@@ -400,10 +385,9 @@ Result<AccessDecision> ShardRouter::DecideMultiImpl(
   const uint32_t owner_shard = topo->shard_of[res.owner];
   const uint64_t check_salt =
       (uint64_t{request.requester} << 32) ^ request.resource;
-  const Result<wire::CheckReply> local_r = CallShard<wire::CheckReply>(
-      owner_shard, check_salt, [&](const TransportCallOptions& opts) {
-        return transport_->Check(owner_shard, ToWire(request), opts);
-      });
+  const wire::CheckRequest local_req = ToWire(request);
+  const Result<wire::CheckReply> local_r =
+      CallShard(owner_shard, check_salt, local_req);
   if (!local_r.ok()) {
     // The owner's shard is unreachable (retries and breaker already
     // consulted). Degrade when allowed: conclude exactly from fresh
@@ -574,10 +558,7 @@ Result<bool> ShardRouter::PathReaches(const ShardTopology& topo, RuleId rule,
   const uint32_t owner_shard = topo.shard_of[owner];
   const uint64_t walk_salt = (uint64_t{rule} << 48) ^ (uint64_t{path} << 40) ^
                              (uint64_t{owner} << 20) ^ requester;
-  const Result<wire::WalkReply> r1r = CallShard<wire::WalkReply>(
-      owner_shard, walk_salt, [&](const TransportCallOptions& opts) {
-        return transport_->ExpandFrontier(owner_shard, phase1, opts);
-      });
+  const Result<wire::WalkReply> r1r = CallShard(owner_shard, walk_salt, phase1);
   if (!r1r.ok()) return r1r.status();
   const wire::WalkReply& r1 = *r1r;
   if (r1.status_code != 0) {
@@ -667,7 +648,7 @@ Result<ShardRouter::ComposeOutcome> ShardRouter::ComposeSummaries(
     if (from_idx < 0) return ComposeOutcome::kStale;
     for (size_t j = 0; j < sum->num_boundary(); ++j) {
       for (uint32_t t2 = 0; t2 < num_states; ++t2) {
-        if (++tests > options_.max_composition_tests) {
+        if (++tests > kMaxCompositionTests) {
           return ComposeOutcome::kCapped;
         }
         if (!sum->Reaches(rule, path, static_cast<size_t>(from_idx),
@@ -719,10 +700,7 @@ Result<ShardRouter::ComposeOutcome> ShardRouter::ComposeSummaries(
   const uint64_t fin_salt = 0xF1A7ULL ^ (uint64_t{rule} << 48) ^
                             (uint64_t{path} << 40) ^ (uint64_t{owner} << 20) ^
                             requester;
-  const Result<wire::WalkReply> rfr = CallShard<wire::WalkReply>(
-      req_shard, fin_salt, [&](const TransportCallOptions& opts) {
-        return transport_->ExpandFrontier(req_shard, fin, opts);
-      });
+  const Result<wire::WalkReply> rfr = CallShard(req_shard, fin_salt, fin);
   if (!rfr.ok()) return rfr.status();
   const wire::WalkReply& rf = *rfr;
   if (rf.status_code != 0) {
@@ -779,13 +757,10 @@ Result<bool> ShardRouter::FallbackWalk(
     if (active.empty()) break;
     ++rounds;
     // Scatter: submit every active shard's walk before gathering any.
-    std::vector<PendingCall<wire::WalkReply>> calls(active.size());
+    std::vector<PendingCall<wire::WalkRequest>> calls(active.size());
     for (size_t k = 0; k < active.size(); ++k) {
       const uint32_t s = active[k];
-      calls[k] = BeginCall<wire::WalkReply>(
-          s, base_salt ^ (rounds << 8), [&](const TransportCallOptions& opts) {
-            return transport_->SubmitWalk(s, reqs[s], opts);
-          });
+      calls[k] = BeginCall(s, base_salt ^ (rounds << 8), reqs[s]);
     }
     // Barrier gather, ascending shard order: every ticket is resolved —
     // even after an acceptance or failure — so no walk is abandoned
@@ -793,11 +768,7 @@ Result<bool> ShardRouter::FallbackWalk(
     // exactly (the agreement wall relies on this).
     std::vector<std::vector<wire::FrontierEntry>> next(shards_.size());
     for (size_t k = 0; k < active.size(); ++k) {
-      const uint32_t s = active[k];
-      Result<wire::WalkReply> rr = FinishCall<wire::WalkReply>(
-          calls[k], [&](const TransportCallOptions& opts) {
-            return transport_->ExpandFrontier(s, reqs[s], opts);
-          });
+      Result<wire::WalkReply> rr = FinishCall(calls[k]);
       const Status st = rr.ok()
                             ? wire::UnpackStatus(rr->status_code, rr->error)
                             : rr.status();
@@ -867,7 +838,7 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
   struct GroupCall {
     uint32_t shard = 0;
     wire::BatchCheckRequest batch;
-    PendingCall<wire::BatchCheckReply> pending;
+    PendingCall<wire::BatchCheckRequest> pending;
   };
   std::vector<GroupCall> group_calls;
   for (uint32_t s = 0; s < groups.size(); ++s) {
@@ -885,18 +856,11 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
     const uint64_t salt = 0xBA7CULL ^ (uint64_t{gc.shard} << 48) ^
                           (gc.batch.requests.size() << 36) ^
                           (uint64_t{head.requester} << 18) ^ head.resource;
-    gc.pending = BeginCall<wire::BatchCheckReply>(
-        gc.shard, salt, [&](const TransportCallOptions& opts) {
-          return transport_->SubmitBatch(gc.shard, gc.batch, opts);
-        });
+    gc.pending = BeginCall(gc.shard, salt, gc.batch);
   }
   for (GroupCall& gc : group_calls) {
     const uint32_t s = gc.shard;
-    const Result<wire::BatchCheckReply> replies_r =
-        FinishCall<wire::BatchCheckReply>(
-            gc.pending, [&](const TransportCallOptions& opts) {
-              return transport_->CheckBatch(s, gc.batch, opts);
-            });
+    const Result<wire::BatchCheckReply> replies_r = FinishCall(gc.pending);
     // A transport failure (or short reply) escalates every slot of the
     // group to the per-request procedure, which carries its own retry /
     // degraded handling.
@@ -1159,7 +1123,7 @@ Status ShardRouter::RefreshSummaries() {
   if (!options_.build_summaries || shards_.size() <= 1) return OkStatus();
   const auto topo = topology();
   for (auto& shard : shards_) {
-    SARGUS_RETURN_IF_ERROR(shard->RefreshSummary(*topo, options_.summary));
+    SARGUS_RETURN_IF_ERROR(shard->RefreshSummary(*topo));
   }
   return OkStatus();
 }

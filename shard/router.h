@@ -81,7 +81,9 @@ namespace sargus {
 /// serving"). Every transport call gets a per-attempt deadline; failed
 /// attempts retry with exponential backoff + deterministic jitter under
 /// a per-operation budget; a shard that keeps failing trips a breaker
-/// and fails fast until a half-open probe succeeds.
+/// (ShardRouter::kBreakerFailureThreshold consecutive failures) and
+/// fails fast for ShardRouter::kBreakerOpenMs until a half-open probe
+/// succeeds.
 struct RouterRobustnessOptions {
   /// Per-attempt deadline, ms (0 = none).
   uint32_t call_deadline_ms = 50;
@@ -96,45 +98,35 @@ struct RouterRobustnessOptions {
   uint32_t backoff_base_ms = 1;
   uint32_t backoff_max_ms = 32;
   double backoff_jitter = 0.5;
-  /// Consecutive transport failures that open a shard's breaker.
-  uint32_t breaker_failure_threshold = 3;
-  /// How long an open breaker fails fast before allowing one half-open
-  /// probe, ms.
-  uint32_t breaker_open_ms = 100;
   /// When an owner shard is unreachable, answer cross-shard checks that
   /// are concludable exactly from fresh boundary summaries instead of
   /// failing them (the decision is stamped with degraded_reason).
   /// Checks that cannot be concluded exactly still fail with
   /// kUnavailable — degraded mode never guesses.
   bool allow_degraded = true;
-  /// Seed for the deterministic backoff jitter.
-  uint64_t jitter_seed = 0x5eedULL;
 };
 
 struct RouterOptions {
   PartitionOptions partition;
   EngineOptions engine;
-  BoundarySummaryOptions summary;
   /// Build boundary summaries at Build()/RefreshSummaries() and consult
   /// them before falling back to frontier exchange. Off = every
   /// cross-shard path goes straight to the fallback (the forced-
   /// fallback tests and the bench's no-summary series use this).
   bool build_summaries = true;
-  /// Summary-composition work cap (reachability tests per path); an
-  /// exceeding composition falls back to frontier exchange.
-  size_t max_composition_tests = size_t{1} << 20;
   /// Retry / breaker / degraded-serving policy.
   RouterRobustnessOptions robustness;
   /// Put the thread-per-shard executor (shard/executor_transport.h)
   /// behind the transport seam instead of the serial
   /// InProcessTransport. CheckAccessBatch sub-batches and frontier-
   /// exchange rounds then really run concurrently across shards (the
-  /// router scatters through Submit* and gathers in shard order, so
-  /// decisions are byte-identical to the serial transport's). Like a
-  /// transport_decorator, this disables the N == 1 direct passthrough
-  /// so single-shard configurations exercise the executor too.
+  /// router submits every shard's call before waiting on any and
+  /// gathers in shard order, so decisions are byte-identical to the
+  /// serial transport's). Like a transport_decorator, this disables the
+  /// N == 1 direct passthrough so single-shard configurations exercise
+  /// the executor too.
   bool threaded_transport = false;
-  /// Executor knobs (queue bounds, workers per shard, test hook) when
+  /// Executor test seam (see ThreadedTransportOptions) when
   /// threaded_transport is set.
   ThreadedTransportOptions executor;
   /// Wraps the router's transport at Build() — the seam the fault-
@@ -185,6 +177,15 @@ struct RouterCounters {
 
 class ShardRouter {
  public:
+  /// Consecutive transport failures that open a shard's breaker.
+  static constexpr uint32_t kBreakerFailureThreshold = 3;
+  /// How long an open breaker fails fast before allowing one half-open
+  /// probe, ms.
+  static constexpr uint32_t kBreakerOpenMs = 100;
+  /// Summary-composition work cap (reachability tests per path); an
+  /// exceeding composition falls back to frontier exchange.
+  static constexpr size_t kMaxCompositionTests = size_t{1} << 20;
+
   /// `graph` and `store` must outlive the router. For num_shards == 1
   /// the router serves `graph` in place; otherwise it owns per-shard
   /// copies and `graph` becomes the frozen master (the router never
@@ -328,32 +329,38 @@ class ShardRouter {
   /// half, so fan-out paths can submit every shard's call before
   /// waiting on any. BeginCall consults the circuit breaker, builds the
   /// attempt-0 deadline, and submits; FinishCall waits the ticket and
-  /// runs the bounded retry loop (synchronously, via `call`) with
-  /// jittered exponential backoff on failure. `salt` feeds the jitter
-  /// hash and must be derived from the call's CONTENT (shard, request
-  /// identity), never shared mutable state, so concurrent retries
-  /// jitter deterministically regardless of interleaving.
-  template <typename Reply>
+  /// runs the bounded retry loop (resubmitting `request` and waiting
+  /// each attempt in turn) with jittered exponential backoff on
+  /// failure. `request` must outlive FinishCall. `salt` feeds the
+  /// jitter hash and must be derived from the call's CONTENT (shard,
+  /// request identity), never shared mutable state, so concurrent
+  /// retries jitter deterministically regardless of interleaving.
+  template <typename Request>
   struct PendingCall {
     uint32_t shard = 0;
     uint64_t salt = 0;
     uint64_t budget_deadline = 0;
+    const Request* request = nullptr;
     /// Set when the call failed before submission (breaker open).
     std::optional<Status> early;
-    TransportTicket<Reply> ticket;
+    TransportTicket<ReplyFor<Request>> ticket;
   };
-  template <typename Reply, typename SubmitFn>
-  PendingCall<Reply> BeginCall(uint32_t shard, uint64_t salt,
-                               SubmitFn&& submit) const;
-  template <typename Reply, typename Fn>
-  Result<Reply> FinishCall(PendingCall<Reply>& pending, Fn&& call) const;
+  template <typename Request>
+  PendingCall<Request> BeginCall(uint32_t shard, uint64_t salt,
+                                 const Request& request) const;
+  template <typename Request>
+  Result<ReplyFor<Request>> FinishCall(PendingCall<Request>& pending) const;
 
   /// The serial composition of the two halves: one robust logical
   /// transport call with per-attempt deadlines, bounded retries, and
-  /// circuit-breaker consultation. `call` runs one attempt given its
-  /// TransportCallOptions.
-  template <typename Reply, typename Fn>
-  Result<Reply> CallShard(uint32_t shard, uint64_t salt, Fn&& call) const;
+  /// circuit-breaker consultation.
+  template <typename Request>
+  Result<ReplyFor<Request>> CallShard(uint32_t shard, uint64_t salt,
+                                     const Request& request) const;
+
+  /// The per-attempt deadline: `now` + call_deadline_ms, capped by the
+  /// op budget's absolute deadline (either may be 0 = none).
+  uint64_t AttemptDeadline(uint64_t now, uint64_t budget_deadline) const;
 
   Result<wire::MutateReply> CallMutate(uint32_t shard,
                                        const wire::MutateRequest& req);

@@ -102,14 +102,12 @@ ShardEngine::ShardEngine(uint32_t id, std::unique_ptr<SocialGraph> graph,
       owned_graph_(std::move(graph)),
       owned_store_(std::move(store)),
       graph_(owned_graph_.get()),
-      store_(owned_store_.get()),
       engine_(*owned_graph_, *owned_store_, options) {}
 
 ShardEngine::ShardEngine(uint32_t id, SocialGraph& graph,
                          const PolicyStore& store, const EngineOptions& options)
     : id_(id),
       graph_(&graph),
-      store_(&store),
       engine_(graph, store, options) {}
 
 void ShardEngine::SetTopology(std::shared_ptr<const ShardTopology> topology) {
@@ -287,8 +285,7 @@ wire::MutateReply ShardEngine::Mutate(const wire::MutateRequest& request) {
   return ReplyFromOutcome(request, SubmitMutate(request).Wait());
 }
 
-Status ShardEngine::RefreshSummary(const ShardTopology& topology,
-                                   const BoundarySummaryOptions& options) {
+Status ShardEngine::RefreshSummary(const ShardTopology& topology) {
   const auto view = engine_.AcquireReadView();
   if (view == nullptr) {
     return Status::FailedPrecondition("RefreshSummary: indexes not built");
@@ -301,7 +298,7 @@ Status ShardEngine::RefreshSummary(const ShardTopology& topology,
       BoundarySummary::Build(
           view->graph(), view->csr(), view->overlay(),
           topology.boundary[id_], view->policy(),
-          {view->snapshot_generation(), view->overlay_version()}, options));
+          {view->snapshot_generation(), view->overlay_version()}));
   auto shared = std::make_shared<const BoundarySummary>(std::move(built));
   std::lock_guard<std::mutex> lock(summary_mu_);
   summary_ = std::move(shared);

@@ -75,10 +75,8 @@ class ShardEngine {
   /// Builds the wrapped engine's indexes; required before any request.
   Status Build() { return engine_.RebuildIndexes(); }
 
-  uint32_t id() const { return id_; }
   AccessControlEngine& engine() { return engine_; }
   const AccessControlEngine& engine() const { return engine_; }
-  const SocialGraph& graph() const { return *graph_; }
 
   /// Interns `name` into the shard graph's label dictionary, returning
   /// the id. The router pre-interns new labels into every shard (master
@@ -131,8 +129,7 @@ class ShardEngine {
 
   /// Rebuilds this shard's boundary summary from its current read view
   /// and `topology`'s boundary list, stamped with the view's stamps.
-  Status RefreshSummary(const ShardTopology& topology,
-                        const BoundarySummaryOptions& options);
+  Status RefreshSummary(const ShardTopology& topology);
 
   /// The last built summary (null before the first RefreshSummary). The
   /// router checks its stamp against ViewStamp() before trusting it.
@@ -143,7 +140,6 @@ class ShardEngine {
   std::unique_ptr<SocialGraph> owned_graph_;
   std::unique_ptr<PolicyStore> owned_store_;
   SocialGraph* graph_;
-  const PolicyStore* store_;
   AccessControlEngine engine_;  // after the owned pieces: ctor order
 
   mutable std::mutex topo_mu_;
@@ -152,6 +148,25 @@ class ShardEngine {
   mutable std::mutex summary_mu_;
   std::shared_ptr<const BoundarySummary> summary_;
 };
+
+/// The handler for each request message as one overload set, so the
+/// transports dispatch every request kind through one code path.
+inline wire::CheckReply Serve(ShardEngine& shard,
+                              const wire::CheckRequest& request) {
+  return shard.Check(request);
+}
+inline wire::BatchCheckReply Serve(ShardEngine& shard,
+                                   const wire::BatchCheckRequest& request) {
+  return shard.CheckBatch(request);
+}
+inline wire::WalkReply Serve(ShardEngine& shard,
+                             const wire::WalkRequest& request) {
+  return shard.ExpandFrontier(request);
+}
+inline wire::MutateReply Serve(ShardEngine& shard,
+                               const wire::MutateRequest& request) {
+  return shard.Mutate(request);
+}
 
 }  // namespace sargus
 

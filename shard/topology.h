@@ -14,7 +14,6 @@
 /// a CheckAccess in flight during an AddEdge sees one coherent pair of
 /// (graph view, topology) snapshots.
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -58,12 +57,6 @@ struct ShardTopology {
     const auto it = cut_in.find(node);
     if (it == cut_in.end()) return {};
     return it->second;
-  }
-
-  /// Whether `node` is on `shard`'s boundary list (binary search).
-  bool IsBoundary(uint32_t shard, NodeId node) const {
-    const std::vector<NodeId>& b = boundary[shard];
-    return std::binary_search(b.begin(), b.end(), node);
   }
 };
 

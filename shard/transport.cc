@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "shard/shard_engine.h"
 
@@ -43,39 +44,39 @@ void InProcessTransport::SleepMs(uint32_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-Status InProcessTransport::CheckDeadline(const TransportCallOptions& opts) {
+template <typename Request>
+TransportTicket<ReplyFor<Request>> InProcessTransport::Run(
+    uint32_t shard, const Request& request, const TransportCallOptions& opts) {
+  using Ticket = TransportTicket<ReplyFor<Request>>;
   if (opts.deadline_ms != 0 && NowMs() > opts.deadline_ms) {
-    return Status::DeadlineExceeded("transport: call deadline passed");
+    return Ticket::Ready(
+        Status::DeadlineExceeded("transport: call deadline passed"));
   }
-  return OkStatus();
+  return Ticket::Ready(Serve(*engines_[shard], request));
 }
 
-Result<wire::CheckReply> InProcessTransport::Check(
+TransportTicket<wire::CheckReply> InProcessTransport::Submit(
     uint32_t shard, const wire::CheckRequest& request,
     const TransportCallOptions& opts) {
-  SARGUS_RETURN_IF_ERROR(CheckDeadline(opts));
-  return engines_[shard]->Check(request);
+  return Run(shard, request, opts);
 }
 
-Result<wire::BatchCheckReply> InProcessTransport::CheckBatch(
+TransportTicket<wire::BatchCheckReply> InProcessTransport::Submit(
     uint32_t shard, const wire::BatchCheckRequest& request,
     const TransportCallOptions& opts) {
-  SARGUS_RETURN_IF_ERROR(CheckDeadline(opts));
-  return engines_[shard]->CheckBatch(request);
+  return Run(shard, request, opts);
 }
 
-Result<wire::WalkReply> InProcessTransport::ExpandFrontier(
+TransportTicket<wire::WalkReply> InProcessTransport::Submit(
     uint32_t shard, const wire::WalkRequest& request,
     const TransportCallOptions& opts) {
-  SARGUS_RETURN_IF_ERROR(CheckDeadline(opts));
-  return engines_[shard]->ExpandFrontier(request);
+  return Run(shard, request, opts);
 }
 
-Result<wire::MutateReply> InProcessTransport::Mutate(
+TransportTicket<wire::MutateReply> InProcessTransport::Submit(
     uint32_t shard, const wire::MutateRequest& request,
     const TransportCallOptions& opts) {
-  SARGUS_RETURN_IF_ERROR(CheckDeadline(opts));
-  return engines_[shard]->Mutate(request);
+  return Run(shard, request, opts);
 }
 
 // ---- FaultInjectionTransport ------------------------------------------------
@@ -231,21 +232,26 @@ void FaultInjectionTransport::MutateBytes(ShardState& st,
   }
 }
 
-template <typename Reply, typename DecodeFn>
+template <typename Reply>
 Result<Reply> FaultInjectionTransport::CorruptReply(uint32_t shard,
-                                                    const Reply& reply,
-                                                    DecodeFn decode) {
+                                                    const Reply& reply) {
   std::vector<uint8_t> bytes = wire::Encode(reply);
   ShardState& st = *states_[shard];
   {
     std::lock_guard<std::mutex> lock(st.mu);
     MutateBytes(st, bytes);
   }
-  Result<Reply> decoded = decode(std::span<const uint8_t>(bytes));
+  Result<wire::Message> decoded = wire::ParseMessage(bytes);
   if (!decoded.ok()) {
     return Status::Unavailable(
         "injected: corrupt reply frame from shard " + std::to_string(shard) +
         " (" + decoded.status().message() + ")");
+  }
+  Reply* same = std::get_if<Reply>(&*decoded);
+  if (same == nullptr) {
+    return Status::Unavailable("injected: corrupt reply frame from shard " +
+                               std::to_string(shard) +
+                               " (decoded as another message type)");
   }
   // The checksum held, so the mutation round-tripped to an identical
   // frame — accepting it is safe (and astronomically rare).
@@ -253,32 +259,23 @@ Result<Reply> FaultInjectionTransport::CorruptReply(uint32_t shard,
     std::lock_guard<std::mutex> lock(st.mu);
     ++st.counters.corrupt_survived;
   }
-  return std::move(decoded).ValueOrDie();
+  return std::move(*same);
 }
 
-Result<wire::CheckReply> FaultInjectionTransport::Check(
-    uint32_t shard, const wire::CheckRequest& request,
-    const TransportCallOptions& opts) {
-  return SubmitCheck(shard, request, opts).Wait();
-}
-
-Result<wire::BatchCheckReply> FaultInjectionTransport::CheckBatch(
-    uint32_t shard, const wire::BatchCheckRequest& request,
-    const TransportCallOptions& opts) {
-  return SubmitBatch(shard, request, opts).Wait();
-}
-
-Result<wire::WalkReply> FaultInjectionTransport::ExpandFrontier(
-    uint32_t shard, const wire::WalkRequest& request,
-    const TransportCallOptions& opts) {
-  return SubmitWalk(shard, request, opts).Wait();
-}
-
-TransportTicket<wire::CheckReply> FaultInjectionTransport::SubmitCheck(
-    uint32_t shard, const wire::CheckRequest& request,
-    const TransportCallOptions& opts) {
-  using Ticket = TransportTicket<wire::CheckReply>;
-  const FaultKind fault = DrawFault(shard);
+template <typename Request>
+TransportTicket<ReplyFor<Request>> FaultInjectionTransport::Inject(
+    uint32_t shard, const Request& request, const TransportCallOptions& opts) {
+  using Reply = ReplyFor<Request>;
+  using Ticket = TransportTicket<Reply>;
+  FaultKind fault = DrawFault(shard);
+  // Mutations are fail-stop-before-apply (file comment in transport.h):
+  // ANY fault fires before the mutation is delivered. A corrupt fault
+  // on a mutation therefore degrades to a drop — we cannot corrupt a
+  // reply we refuse to produce.
+  if (std::is_same_v<Request, wire::MutateRequest> &&
+      fault == FaultKind::kCorrupt) {
+    fault = FaultKind::kDrop;
+  }
   if (fault == FaultKind::kDrop) return Ticket::Ready(DropStatus(shard));
   if (fault == FaultKind::kErrorReply) {
     return Ticket::Ready(ErrorReplyStatus(shard));
@@ -288,80 +285,37 @@ TransportTicket<wire::CheckReply> FaultInjectionTransport::SubmitCheck(
   }
   // The deadline was already enforced against THIS transport's (virtual)
   // clock; the inner transport runs a different clock, so the deadline
-  // must not leak through (kNoInnerDeadline below likewise).
-  Ticket inner = inner_->SubmitCheck(shard, request, kNoInnerDeadline);
+  // must not leak through.
+  Ticket inner = inner_->Submit(shard, request, kNoInnerDeadline);
   if (fault != FaultKind::kCorrupt) return inner;
-  return std::move(inner).Then(
-      [this, shard](Result<wire::CheckReply> r) -> Result<wire::CheckReply> {
-        if (!r.ok()) return r;
-        return CorruptReply(shard, *r, [](std::span<const uint8_t> b) {
-          return wire::DecodeCheckReply(b);
-        });
-      });
+  return std::move(inner).Then([this, shard](Result<Reply> r) -> Result<Reply> {
+    if (!r.ok()) return r;
+    return CorruptReply(shard, *r);
+  });
 }
 
-TransportTicket<wire::BatchCheckReply> FaultInjectionTransport::SubmitBatch(
+TransportTicket<wire::CheckReply> FaultInjectionTransport::Submit(
+    uint32_t shard, const wire::CheckRequest& request,
+    const TransportCallOptions& opts) {
+  return Inject(shard, request, opts);
+}
+
+TransportTicket<wire::BatchCheckReply> FaultInjectionTransport::Submit(
     uint32_t shard, const wire::BatchCheckRequest& request,
     const TransportCallOptions& opts) {
-  using Ticket = TransportTicket<wire::BatchCheckReply>;
-  const FaultKind fault = DrawFault(shard);
-  if (fault == FaultKind::kDrop) return Ticket::Ready(DropStatus(shard));
-  if (fault == FaultKind::kErrorReply) {
-    return Ticket::Ready(ErrorReplyStatus(shard));
-  }
-  if (Status s = DeadlineStatus(shard, opts); !s.ok()) {
-    return Ticket::Ready(std::move(s));
-  }
-  Ticket inner = inner_->SubmitBatch(shard, request, kNoInnerDeadline);
-  if (fault != FaultKind::kCorrupt) return inner;
-  return std::move(inner).Then(
-      [this,
-       shard](Result<wire::BatchCheckReply> r) -> Result<wire::BatchCheckReply> {
-        if (!r.ok()) return r;
-        return CorruptReply(shard, *r, [](std::span<const uint8_t> b) {
-          return wire::DecodeBatchCheckReply(b);
-        });
-      });
+  return Inject(shard, request, opts);
 }
 
-TransportTicket<wire::WalkReply> FaultInjectionTransport::SubmitWalk(
+TransportTicket<wire::WalkReply> FaultInjectionTransport::Submit(
     uint32_t shard, const wire::WalkRequest& request,
     const TransportCallOptions& opts) {
-  using Ticket = TransportTicket<wire::WalkReply>;
-  const FaultKind fault = DrawFault(shard);
-  if (fault == FaultKind::kDrop) return Ticket::Ready(DropStatus(shard));
-  if (fault == FaultKind::kErrorReply) {
-    return Ticket::Ready(ErrorReplyStatus(shard));
-  }
-  if (Status s = DeadlineStatus(shard, opts); !s.ok()) {
-    return Ticket::Ready(std::move(s));
-  }
-  Ticket inner = inner_->SubmitWalk(shard, request, kNoInnerDeadline);
-  if (fault != FaultKind::kCorrupt) return inner;
-  return std::move(inner).Then(
-      [this, shard](Result<wire::WalkReply> r) -> Result<wire::WalkReply> {
-        if (!r.ok()) return r;
-        return CorruptReply(shard, *r, [](std::span<const uint8_t> b) {
-          return wire::DecodeWalkReply(b);
-        });
-      });
+  return Inject(shard, request, opts);
 }
 
-Result<wire::MutateReply> FaultInjectionTransport::Mutate(
+TransportTicket<wire::MutateReply> FaultInjectionTransport::Submit(
     uint32_t shard, const wire::MutateRequest& request,
     const TransportCallOptions& opts) {
-  // Mutations are fail-stop-before-apply (file comment in transport.h):
-  // ANY fault fires before the mutation is delivered, so a failed
-  // Mutate was never applied. A corrupt fault on a mutation therefore
-  // degrades to a drop — we cannot corrupt a reply we refuse to
-  // produce.
-  const FaultKind fault = DrawFault(shard);
-  if (fault == FaultKind::kDrop || fault == FaultKind::kCorrupt) {
-    return DropStatus(shard);
-  }
-  if (fault == FaultKind::kErrorReply) return ErrorReplyStatus(shard);
-  SARGUS_RETURN_IF_ERROR(DeadlineStatus(shard, opts));
-  return inner_->Mutate(shard, request, kNoInnerDeadline);
+  return Inject(shard, request, opts);
 }
 
 // ---- ShardHealthTracker -----------------------------------------------------

@@ -6,14 +6,17 @@
 /// wrong across it.
 ///
 /// ShardTransport is the one interface the ShardRouter uses to reach a
-/// ShardEngine's data plane (Check / CheckBatch / ExpandFrontier /
-/// Mutate). Two implementations ship:
+/// ShardEngine's data plane, and it has one call surface: Submit(shard,
+/// request, opts), overloaded on the four request messages (check, batch
+/// check, frontier walk, mutation), returns a TransportTicket whose
+/// Wait() yields the typed reply. Call() is Submit + Wait. Two
+/// implementations ship:
 ///
-///   * InProcessTransport — direct virtual calls into the engines,
-///     typed structs passed through untouched. This is the production
-///     in-process path; it adds one indirect call per request and
-///     nothing else, so the fault-free sharded tier stays within a few
-///     percent of calling the engines directly.
+///   * InProcessTransport — direct calls into the engines, typed structs
+///     passed through untouched, tickets born ready. This is the
+///     production in-process path; it adds one indirect call per request
+///     and nothing else, so the fault-free sharded tier stays within a
+///     few percent of calling the engines directly.
 ///   * FaultInjectionTransport — a decorator that wraps any transport
 ///     and injects faults per shard: dropped calls (kUnavailable),
 ///     injected delays against a virtual clock (driving deadlines to
@@ -33,10 +36,11 @@
 /// exactly this split: transport errors are retryable infrastructure
 /// faults; in-band errors are answers.
 ///
-/// Mutations are fail-stop-before-apply: when FaultInjectionTransport
-/// decides to fault a Mutate call, it faults BEFORE delivering it, so a
-/// failed Mutate was never applied on the shard. This models a
-/// connection that died before the request hit the wire. The
+/// Mutations are fail-stop-before-apply: a transport error on a
+/// mutation means the shard never applied it. FaultInjectionTransport
+/// faults a mutation BEFORE delivering it (modelling a connection that
+/// died before the request hit the wire), and no transport gives up on
+/// a mutation ticket once the mutation may have been delivered. The
 /// retransmit-after-apply duplicate problem is real for sockets and is
 /// explicitly out of scope until a real socket transport exists
 /// (exactly-once needs request ids and reply caching — a protocol
@@ -69,6 +73,28 @@ namespace sargus {
 
 class ShardEngine;
 
+/// The reply message each request message is answered with.
+template <typename Request>
+struct ReplyOf;
+template <>
+struct ReplyOf<wire::CheckRequest> {
+  using type = wire::CheckReply;
+};
+template <>
+struct ReplyOf<wire::BatchCheckRequest> {
+  using type = wire::BatchCheckReply;
+};
+template <>
+struct ReplyOf<wire::WalkRequest> {
+  using type = wire::WalkReply;
+};
+template <>
+struct ReplyOf<wire::MutateRequest> {
+  using type = wire::MutateReply;
+};
+template <typename Request>
+using ReplyFor = typename ReplyOf<Request>::type;
+
 /// Per-call knobs. `deadline_ms` is an ABSOLUTE transport-clock time
 /// (NowMs() scale); 0 means no deadline. The transport checks it before
 /// dispatch and after any injected delay.
@@ -76,13 +102,12 @@ struct TransportCallOptions {
   uint64_t deadline_ms = 0;
 };
 
-/// Handle to one in-flight asynchronous transport call. Wait() is
-/// single-shot and yields exactly what the matching synchronous call
-/// would have returned (including kDeadlineExceeded when the call's
-/// deadline passes while waiting). Tickets from a serial transport are
-/// born ready — the call already ran inline at Submit — so router
-/// scatter-gather code is transport-agnostic: it always submits
-/// everything, then waits in a fixed order.
+/// Handle to one in-flight transport call. Wait() is single-shot and
+/// yields the reply or the transport error (including kDeadlineExceeded
+/// when a read's deadline passes while waiting). Tickets from a serial
+/// transport are born ready — the call already ran inline at Submit —
+/// so router scatter-gather code is transport-agnostic: it always
+/// submits everything, then waits in a fixed order.
 template <typename Reply>
 class TransportTicket {
  public:
@@ -137,61 +162,43 @@ class ShardTransport {
 
   virtual uint32_t num_shards() const = 0;
 
-  /// Data-plane calls. Non-OK only for kUnavailable / kDeadlineExceeded
-  /// (see file comment); shard-side errors ride in reply.status_code.
-  virtual Result<wire::CheckReply> Check(uint32_t shard,
-                                         const wire::CheckRequest& request,
-                                         const TransportCallOptions& opts) = 0;
-  virtual Result<wire::BatchCheckReply> CheckBatch(
-      uint32_t shard, const wire::BatchCheckRequest& request,
-      const TransportCallOptions& opts) = 0;
-  virtual Result<wire::WalkReply> ExpandFrontier(
-      uint32_t shard, const wire::WalkRequest& request,
-      const TransportCallOptions& opts) = 0;
-  virtual Result<wire::MutateReply> Mutate(uint32_t shard,
-                                           const wire::MutateRequest& request,
-                                           const TransportCallOptions& opts) = 0;
-
-  /// Async submission surface, for router scatter-gather. Submit*
-  /// returns a ticket whose Wait() yields exactly what the matching
-  /// synchronous call would have returned. The transport copies the
-  /// request if it needs it past return, so the caller's buffer only
-  /// has to outlive the Submit call itself. The base implementation
-  /// runs the call inline and returns a ready ticket — serial
-  /// transports get the async surface for free; ThreadedTransport
-  /// (shard/executor_transport.h) overrides these to enqueue onto its
-  /// per-shard workers. There is deliberately no SubmitMutate: the
-  /// fail-stop-before-apply mutation contract is only easy to reason
-  /// about when a mutation is never in flight past its caller.
-  virtual TransportTicket<wire::CheckReply> SubmitCheck(
+  /// The call surface. Submits one request to `shard` and returns its
+  /// ticket; the transport copies the request if it needs it past
+  /// return, so the caller's buffer only has to outlive the Submit call
+  /// itself. A ticket's error is only ever kUnavailable /
+  /// kDeadlineExceeded (see file comment); shard-side errors ride in the
+  /// reply's status_code. Read tickets may give up at the deadline;
+  /// mutation tickets never do once the mutation may have reached the
+  /// shard, so a failed mutation was never applied.
+  virtual TransportTicket<wire::CheckReply> Submit(
       uint32_t shard, const wire::CheckRequest& request,
-      const TransportCallOptions& opts) {
-    return TransportTicket<wire::CheckReply>::Ready(
-        Check(shard, request, opts));
-  }
-  virtual TransportTicket<wire::BatchCheckReply> SubmitBatch(
+      const TransportCallOptions& opts) = 0;
+  virtual TransportTicket<wire::BatchCheckReply> Submit(
       uint32_t shard, const wire::BatchCheckRequest& request,
-      const TransportCallOptions& opts) {
-    return TransportTicket<wire::BatchCheckReply>::Ready(
-        CheckBatch(shard, request, opts));
-  }
-  virtual TransportTicket<wire::WalkReply> SubmitWalk(
+      const TransportCallOptions& opts) = 0;
+  virtual TransportTicket<wire::WalkReply> Submit(
       uint32_t shard, const wire::WalkRequest& request,
-      const TransportCallOptions& opts) {
-    return TransportTicket<wire::WalkReply>::Ready(
-        ExpandFrontier(shard, request, opts));
+      const TransportCallOptions& opts) = 0;
+  virtual TransportTicket<wire::MutateReply> Submit(
+      uint32_t shard, const wire::MutateRequest& request,
+      const TransportCallOptions& opts) = 0;
+
+  /// Submit + Wait.
+  template <typename Request>
+  Result<ReplyFor<Request>> Call(uint32_t shard, const Request& request,
+                                 const TransportCallOptions& opts = {}) {
+    return Submit(shard, request, opts).Wait();
   }
 
   /// Transport clock, milliseconds. Monotonic; origin unspecified.
   virtual uint64_t NowMs() = 0;
-  /// Backoff sleep. Real time on the in-process transport; virtual-
+  /// Backoff sleep. Real time on the in-process transports; virtual-
   /// clock advance on the fault decorator (tests never really wait).
   virtual void SleepMs(uint32_t ms) = 0;
 };
 
-/// Direct calls into in-process ShardEngines. Thread-safe for reads the
-/// same way the engines are; Mutate inherits the single-writer
-/// contract.
+/// Direct calls into in-process ShardEngines. Thread-safe the same way
+/// the engines are.
 class InProcessTransport final : public ShardTransport {
  public:
   /// `engines` must outlive the transport.
@@ -201,26 +208,29 @@ class InProcessTransport final : public ShardTransport {
     return static_cast<uint32_t>(engines_.size());
   }
 
-  Result<wire::CheckReply> Check(uint32_t shard,
-                                 const wire::CheckRequest& request,
-                                 const TransportCallOptions& opts) override;
-  Result<wire::BatchCheckReply> CheckBatch(
+  TransportTicket<wire::CheckReply> Submit(
+      uint32_t shard, const wire::CheckRequest& request,
+      const TransportCallOptions& opts) override;
+  TransportTicket<wire::BatchCheckReply> Submit(
       uint32_t shard, const wire::BatchCheckRequest& request,
       const TransportCallOptions& opts) override;
-  Result<wire::WalkReply> ExpandFrontier(
+  TransportTicket<wire::WalkReply> Submit(
       uint32_t shard, const wire::WalkRequest& request,
       const TransportCallOptions& opts) override;
-  Result<wire::MutateReply> Mutate(uint32_t shard,
-                                   const wire::MutateRequest& request,
-                                   const TransportCallOptions& opts) override;
+  TransportTicket<wire::MutateReply> Submit(
+      uint32_t shard, const wire::MutateRequest& request,
+      const TransportCallOptions& opts) override;
 
   uint64_t NowMs() override;
   void SleepMs(uint32_t ms) override;
 
  private:
-  /// Deadline gate shared by every call: kDeadlineExceeded once the
-  /// clock has passed opts.deadline_ms.
-  Status CheckDeadline(const TransportCallOptions& opts);
+  /// Shared body of the four Submit overloads: the deadline gate, then
+  /// the engine's handler, as a born-ready ticket.
+  template <typename Request>
+  TransportTicket<ReplyFor<Request>> Run(uint32_t shard,
+                                         const Request& request,
+                                         const TransportCallOptions& opts);
 
   std::vector<ShardEngine*> engines_;
 };
@@ -235,6 +245,7 @@ enum class FaultKind : uint8_t {
   kErrorReply = 2,
   /// The typed reply is encoded, mutated, and re-decoded; the checksum
   /// almost always turns this into kUnavailable ("corrupt reply frame").
+  /// On a mutation it degrades to kDrop (fail-stop-before-apply).
   kCorrupt = 3,
   /// The virtual clock advances by a seeded amount in
   /// [delay_min_ms, delay_max_ms] before delivery; a passed deadline
@@ -280,6 +291,12 @@ struct FaultCounters {
 /// knob is per shard. Thread-safe: probabilistic sampling runs under a
 /// per-shard mutex (chaos tests hammer it from many reader threads),
 /// blackout flags and the virtual clock are atomics.
+///
+/// The fault (and its per-shard call index / rng draw) is decided at
+/// SUBMIT time on the submitting thread, so a single-threaded caller
+/// sees the same deterministic fault sequence whether the inner
+/// transport is serial or threaded. Corrupt faults chain onto the inner
+/// ticket and mangle the reply at gather time.
 class FaultInjectionTransport final : public ShardTransport {
  public:
   FaultInjectionTransport(std::unique_ptr<ShardTransport> inner,
@@ -296,36 +313,19 @@ class FaultInjectionTransport final : public ShardTransport {
 
   FaultCounters counters(uint32_t shard) const;
 
-  ShardTransport& inner() { return *inner_; }
-
   uint32_t num_shards() const override { return inner_->num_shards(); }
 
-  Result<wire::CheckReply> Check(uint32_t shard,
-                                 const wire::CheckRequest& request,
-                                 const TransportCallOptions& opts) override;
-  Result<wire::BatchCheckReply> CheckBatch(
-      uint32_t shard, const wire::BatchCheckRequest& request,
-      const TransportCallOptions& opts) override;
-  Result<wire::WalkReply> ExpandFrontier(
-      uint32_t shard, const wire::WalkRequest& request,
-      const TransportCallOptions& opts) override;
-  Result<wire::MutateReply> Mutate(uint32_t shard,
-                                   const wire::MutateRequest& request,
-                                   const TransportCallOptions& opts) override;
-
-  /// Async surface: the fault (and its per-shard call index / rng
-  /// draw) is decided at SUBMIT time on the submitting thread, so a
-  /// single-threaded caller sees the same deterministic fault sequence
-  /// whether the inner transport is serial or threaded. Corrupt faults
-  /// chain onto the inner ticket and mangle the reply at gather time.
-  TransportTicket<wire::CheckReply> SubmitCheck(
+  TransportTicket<wire::CheckReply> Submit(
       uint32_t shard, const wire::CheckRequest& request,
       const TransportCallOptions& opts) override;
-  TransportTicket<wire::BatchCheckReply> SubmitBatch(
+  TransportTicket<wire::BatchCheckReply> Submit(
       uint32_t shard, const wire::BatchCheckRequest& request,
       const TransportCallOptions& opts) override;
-  TransportTicket<wire::WalkReply> SubmitWalk(
+  TransportTicket<wire::WalkReply> Submit(
       uint32_t shard, const wire::WalkRequest& request,
+      const TransportCallOptions& opts) override;
+  TransportTicket<wire::MutateReply> Submit(
+      uint32_t shard, const wire::MutateRequest& request,
       const TransportCallOptions& opts) override;
 
   /// Virtual clock: starts at a fixed epoch, advances only through
@@ -347,6 +347,13 @@ class FaultInjectionTransport final : public ShardTransport {
     std::atomic<bool> blackout{false};
   };
 
+  /// Shared body of the four Submit overloads: draw the fault, apply
+  /// it, and forward to the inner transport when the call survives.
+  template <typename Request>
+  TransportTicket<ReplyFor<Request>> Inject(uint32_t shard,
+                                            const Request& request,
+                                            const TransportCallOptions& opts);
+
   /// Decides this call's fate (advancing the per-shard call index and
   /// rng) and applies any delay to the clock. Returns the fault to
   /// apply; a non-OK deadline turns into kDeadlineExceeded upstream.
@@ -359,9 +366,8 @@ class FaultInjectionTransport final : public ShardTransport {
 
   /// Encode -> flip seeded bytes -> decode. Returns the surviving reply
   /// (byte-identical or it would not have decoded) or kUnavailable.
-  template <typename Reply, typename DecodeFn>
-  Result<Reply> CorruptReply(uint32_t shard, const Reply& reply,
-                             DecodeFn decode);
+  template <typename Reply>
+  Result<Reply> CorruptReply(uint32_t shard, const Reply& reply);
 
   /// Seeded byte mutation used by CorruptReply (under the shard mutex).
   void MutateBytes(ShardState& st, std::vector<uint8_t>& bytes);

@@ -785,14 +785,14 @@ TEST(ShardTransport, InProcessMatchesDirect) {
       ToWire(AccessRequest{.requester = 9, .resource = w.resources[0]});
   for (uint32_t s = 0; s < 2; ++s) {
     const wire::CheckReply direct = router.shard(s).Check(req);
-    auto through = transport.Check(s, req, {});
+    auto through = transport.Call(s, req, {});
     ASSERT_TRUE(through.ok());
     EXPECT_EQ(*through, direct);
   }
   // A deadline in the past fails cleanly before touching the shard.
   TransportCallOptions past;
   past.deadline_ms = 1;
-  EXPECT_EQ(transport.Check(0, req, past).status().code(),
+  EXPECT_EQ(transport.Call(0, req, past).status().code(),
             StatusCode::kDeadlineExceeded);
 }
 
@@ -874,7 +874,7 @@ TEST(ShardTransport, FaultInjectionDeterministic) {
           .requester = static_cast<NodeId>(i % 60),
           .resource = w.resources[static_cast<size_t>(i) %
                                   w.resources.size()]});
-      auto r = t.Check(static_cast<uint32_t>(i % 2), req, call);
+      auto r = t.Call(static_cast<uint32_t>(i % 2), req, call);
       if (!r.ok()) {
         // The transport error contract: nothing but these two codes.
         EXPECT_TRUE(r.status().code() == StatusCode::kUnavailable ||
@@ -1048,7 +1048,7 @@ TEST(ShardTransport, ThreadedExecutorMatchesSyncAndCountsQueue) {
       ToWire(AccessRequest{.requester = 9, .resource = w.resources[0]});
   for (uint32_t s = 0; s < 2; ++s) {
     const wire::CheckReply direct = router.shard(s).Check(req);
-    auto through = transport.Check(s, req, {});
+    auto through = transport.Call(s, req, {});
     ASSERT_TRUE(through.ok()) << through.status().ToString();
     EXPECT_EQ(*through, direct);
   }
@@ -1061,8 +1061,8 @@ TEST(ShardTransport, ThreadedExecutorMatchesSyncAndCountsQueue) {
         .requester = static_cast<NodeId>(i),
         .resource = w.resources[static_cast<size_t>(i) % w.resources.size()]}));
   }
-  auto t0 = transport.SubmitBatch(0, breq, {});
-  auto t1 = transport.SubmitBatch(1, breq, {});
+  auto t0 = transport.Submit(0, breq, {});
+  auto t1 = transport.Submit(1, breq, {});
   ASSERT_TRUE(t0.valid());
   ASSERT_TRUE(t1.valid());
   auto r0 = t0.Wait();
@@ -1076,7 +1076,7 @@ TEST(ShardTransport, ThreadedExecutorMatchesSyncAndCountsQueue) {
   // refused worker-side (or submit-side) as an explicit timeout.
   TransportCallOptions past;
   past.deadline_ms = 1;
-  EXPECT_EQ(transport.Check(0, req, past).status().code(),
+  EXPECT_EQ(transport.Call(0, req, past).status().code(),
             StatusCode::kDeadlineExceeded);
 
   // Queue accounting: everything submitted was either executed or
@@ -1117,15 +1117,34 @@ TEST(ShardTransport, ThreadedExecutorMutateIsFailStop) {
   mreq.label_name = "friend";
   TransportCallOptions past;
   past.deadline_ms = 1;
-  EXPECT_EQ(transport.Mutate(0, mreq, past).status().code(),
+  EXPECT_EQ(transport.Call(0, mreq, past).status().code(),
             StatusCode::kDeadlineExceeded);
   EXPECT_EQ(router.shard(0).ViewStamp(), before);
 
   // Without a deadline the same mutation applies and the stamp moves.
-  auto ok = transport.Mutate(0, mreq, {});
+  auto ok = transport.Call(0, mreq, {});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->status_code, 0);
   EXPECT_NE(router.shard(0).ViewStamp(), before);
+
+  // A mutation already dispatched when its deadline passes is waited
+  // out, never abandoned: the caller gets the applied reply, not a
+  // timeout for a mutation that did apply.
+  ThreadedTransportOptions slow;
+  slow.pre_dispatch_hook = [](uint32_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  };
+  ThreadedTransport slow_transport({&router.shard(0), &router.shard(1)},
+                                   slow);
+  wire::MutateRequest late = mreq;
+  late.dst = 3;
+  const wire::Stamp before_late = router.shard(0).ViewStamp();
+  TransportCallOptions soon;
+  soon.deadline_ms = slow_transport.NowMs() + 200;
+  auto applied = slow_transport.Call(0, late, soon);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->status_code, 0);
+  EXPECT_NE(router.shard(0).ViewStamp(), before_late);
 }
 
 // ---- Backoff jitter: a pure function of call content -----------------------
