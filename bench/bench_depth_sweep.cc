@@ -34,7 +34,7 @@ void RunSweep(benchmark::State& state, const std::string& tmpl, bool join) {
   const Pipeline& p = GetPipeline(GraphKind::kBarabasiAlbert, 8000);
   const BoundPathExpression& expr = GetExpr(p, tmpl);
   const auto& pairs = GetPairs(p, expr);
-  OnlineEvaluator bfs(*p.g, p.csr, TraversalOrder::kBfs);
+  OnlineEvaluator bfs(*p.g, p.csr);
   JoinIndexEvaluator jidx(*p.g, p.lg, *p.cluster_index);
   const Evaluator& eval = join ? static_cast<const Evaluator&>(jidx)
                                : static_cast<const Evaluator&>(bfs);

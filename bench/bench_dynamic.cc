@@ -109,7 +109,7 @@ void BM_ChurnOnline(benchmark::State& state) {
       csr = std::make_unique<CsrSnapshot>(CsrSnapshot::Build(g));
     }
     ++i;
-    OnlineEvaluator eval(g, *csr, TraversalOrder::kBfs);
+    OnlineEvaluator eval(g, *csr);
     NodeId src = static_cast<NodeId>(rng.NextBounded(kNodes));
     NodeId dst = static_cast<NodeId>(rng.NextBounded(kNodes));
     ReachQuery q{src, dst, &*expr, false};

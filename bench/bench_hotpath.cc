@@ -89,7 +89,7 @@ void RunShortGrant(benchmark::State& state, const Evaluator& eval,
 
 void BM_ShortGrant_OnlineBfs_WarmScratch(benchmark::State& state) {
   const LightPipeline& p = GetLightPipeline(state.range(0));
-  OnlineEvaluator eval(*p.g, p.csr, TraversalOrder::kBfs);
+  OnlineEvaluator eval(*p.g, p.csr);
   RunShortGrant(state, eval, p, /*cold_scratch=*/false);
 }
 BENCHMARK(BM_ShortGrant_OnlineBfs_WarmScratch)
@@ -97,7 +97,7 @@ BENCHMARK(BM_ShortGrant_OnlineBfs_WarmScratch)
 
 void BM_ShortGrant_OnlineBfs_ColdScratch(benchmark::State& state) {
   const LightPipeline& p = GetLightPipeline(state.range(0));
-  OnlineEvaluator eval(*p.g, p.csr, TraversalOrder::kBfs);
+  OnlineEvaluator eval(*p.g, p.csr);
   RunShortGrant(state, eval, p, /*cold_scratch=*/true);
 }
 BENCHMARK(BM_ShortGrant_OnlineBfs_ColdScratch)

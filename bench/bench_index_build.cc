@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "index/base_tables.h"
+#include "index/intervals.h"
 
 namespace sargus {
 namespace bench {
@@ -24,6 +25,9 @@ void BM_FullPipeline(benchmark::State& state) {
     CsrSnapshot csr = CsrSnapshot::Build(g);
     LineGraph lg = LineGraph::Build(csr);
     auto oracle = LineReachabilityOracle::Build(lg);
+    // The paper's interval labels are not part of the serving oracle;
+    // build them from its DAG so the series keeps the whole pipeline.
+    IntervalIndex intervals = IntervalIndex::Build(oracle->dag());
     auto cidx = ClusterJoinIndex::Build(lg, *oracle);
     BaseTables tables = BaseTables::Build(lg);
     benchmark::DoNotOptimize(cidx->NumCenters());
@@ -35,12 +39,12 @@ void BM_FullPipeline(benchmark::State& state) {
         static_cast<double>(oracle->dag().NumVertices());
     state.counters["twohop_size"] =
         static_cast<double>(oracle->two_hop()->LabelingSize());
-    state.counters["interval_count"] = static_cast<double>(
-        oracle->intervals()->forward.TotalIntervals() +
-        oracle->intervals()->backward.TotalIntervals());
+    state.counters["interval_count"] =
+        static_cast<double>(intervals.forward.TotalIntervals() +
+                            intervals.backward.TotalIntervals());
     state.counters["index_bytes"] = static_cast<double>(
-        oracle->MemoryBytes() + cidx->MemoryBytes() + tables.MemoryBytes() +
-        lg.MemoryBytes());
+        oracle->MemoryBytes() + intervals.MemoryBytes() +
+        cidx->MemoryBytes() + tables.MemoryBytes() + lg.MemoryBytes());
     state.counters["centers"] = static_cast<double>(cidx->NumCenters());
   }
   state.SetLabel(std::string(GraphKindName(kind)) + " |V|=" +

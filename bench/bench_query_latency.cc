@@ -54,20 +54,10 @@ void RunQueryBench(benchmark::State& state, size_t nodes,
 void BM_OnlineBfs(benchmark::State& state) {
   RunQueryBench(state, static_cast<size_t>(state.range(0)),
                 [](const Pipeline& p) {
-                  return std::make_unique<OnlineEvaluator>(
-                      *p.g, p.csr, TraversalOrder::kBfs);
+                  return std::make_unique<OnlineEvaluator>(*p.g, p.csr);
                 });
 }
 BENCHMARK(BM_OnlineBfs)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000);
-
-void BM_OnlineDfs(benchmark::State& state) {
-  RunQueryBench(state, static_cast<size_t>(state.range(0)),
-                [](const Pipeline& p) {
-                  return std::make_unique<OnlineEvaluator>(
-                      *p.g, p.csr, TraversalOrder::kDfs);
-                });
-}
-BENCHMARK(BM_OnlineDfs)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000);
 
 void BM_OnlineBidirectional(benchmark::State& state) {
   RunQueryBench(state, static_cast<size_t>(state.range(0)),
@@ -136,7 +126,7 @@ void BM_GrantVsDeny(benchmark::State& state) {
   const BoundPathExpression& expr = GetExpr(p, kQ1);
   const auto& all = GetPairs(p, expr, 128);
 
-  OnlineEvaluator bfs(*p.g, p.csr, TraversalOrder::kBfs);
+  OnlineEvaluator bfs(*p.g, p.csr);
   JoinIndexEvaluator jidx(*p.g, p.lg, *p.cluster_index);
   const Evaluator& eval = join ? static_cast<const Evaluator&>(jidx)
                                : static_cast<const Evaluator&>(bfs);

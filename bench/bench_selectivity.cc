@@ -25,7 +25,7 @@ void RunSelectivity(benchmark::State& state, bool join) {
   const BoundPathExpression& expr =
       GetExpr(p, "friend[1,2]/colleague[1]");
   const auto& pairs = GetPairs(p, expr);
-  OnlineEvaluator bfs(*p.g, p.csr, TraversalOrder::kBfs);
+  OnlineEvaluator bfs(*p.g, p.csr);
   JoinIndexEvaluator jidx(*p.g, p.lg, *p.cluster_index);
   const Evaluator& eval = join ? static_cast<const Evaluator&>(jidx)
                                : static_cast<const Evaluator&>(bfs);

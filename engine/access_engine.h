@@ -31,9 +31,8 @@
 /// the bounded overlay size). When the overlay exceeds the effective
 /// compaction threshold (EngineOptions::compact_threshold; the default
 /// scales as max(1024, |E|/16)), the engine automatically Compact()s.
-/// kOnlineBfs/kOnlineDfs/kBidirectional only need the CSR; kJoinIndex
-/// needs the whole stack and fails with kFailedPrecondition if it is
-/// missing.
+/// kOnlineBfs only needs the CSR; kJoinIndex needs the whole stack and
+/// fails with kFailedPrecondition if it is missing.
 ///
 /// Compaction model (double-buffered, see docs/ARCHITECTURE.md):
 /// `Compact()` — explicit or threshold-triggered — freezes a copy of the

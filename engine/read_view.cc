@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "query/bidirectional.h"
 #include "query/closure_prefilter.h"
 #include "query/eval_context.h"
 #include "query/online_evaluator.h"
@@ -30,10 +29,6 @@ EvaluatorKind KindForChoice(EvaluatorChoice choice, EvaluatorKind auto_pick) {
       return auto_pick;
     case EvaluatorChoice::kOnlineBfs:
       return EvaluatorKind::kOnlineBfs;
-    case EvaluatorChoice::kOnlineDfs:
-      return EvaluatorKind::kOnlineDfs;
-    case EvaluatorChoice::kBidirectional:
-      return EvaluatorKind::kBidirectional;
     case EvaluatorChoice::kJoinIndex:
       return EvaluatorKind::kJoinIndex;
   }
@@ -142,7 +137,7 @@ SnapshotIndexes::BuildIncremental(const SnapshotIndexes& prev,
     idx->lg = LineGraph::BuildIncremental(prev.lg, idx->csr, first_new_edge);
     auto oracle = LineReachabilityOracle::BuildIncremental(
         *prev.oracle, idx->lg,
-        static_cast<LineVertexId>(prev.lg.NumVertices()), {});
+        static_cast<LineVertexId>(prev.lg.NumVertices()));
     if (!oracle.has_value()) {
       // An insertion closed a line-graph cycle: components must merge,
       // which only the full Tarjan pass can do.
@@ -222,15 +217,8 @@ AccessReadView::AccessReadView(const SocialGraph& graph,
   // immutable structures plus this view's frozen overlay; building them
   // per publication is a handful of small allocations.
   auto& bfs = base_[static_cast<size_t>(EvaluatorKind::kOnlineBfs)];
-  auto& dfs = base_[static_cast<size_t>(EvaluatorKind::kOnlineDfs)];
-  auto& bidi = base_[static_cast<size_t>(EvaluatorKind::kBidirectional)];
   auto& join = base_[static_cast<size_t>(EvaluatorKind::kJoinIndex)];
-  bfs = std::make_unique<OnlineEvaluator>(*graph_, idx_->csr,
-                                          TraversalOrder::kBfs, &overlay_);
-  dfs = std::make_unique<OnlineEvaluator>(*graph_, idx_->csr,
-                                          TraversalOrder::kDfs, &overlay_);
-  bidi = std::make_unique<BidirectionalEvaluator>(*graph_, idx_->csr,
-                                                  &overlay_);
+  bfs = std::make_unique<OnlineEvaluator>(*graph_, idx_->csr, &overlay_);
   if (idx_->join_built) {
     join = std::make_unique<JoinIndexEvaluator>(*graph_, idx_->lg,
                                                 *idx_->cluster);

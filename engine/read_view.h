@@ -59,13 +59,17 @@ namespace sargus {
 
 struct EvalContext;
 
+/// The paper's two ways to decide a request, plus the automatic pick
+/// between them. The other evaluators in query/ (bidirectional search,
+/// the faithful join) are library-only: the agreement tests and the
+/// benchmarks construct them directly, the engine never serves them.
 enum class EvaluatorChoice {
   /// Join index when built and the expression expands modestly; online
   /// BFS otherwise. The paper's deployment advice, codified.
   kAuto,
+  /// Online product-space BFS: no index, immune to graph churn.
   kOnlineBfs,
-  kOnlineDfs,
-  kBidirectional,
+  /// The precomputed join over 2-hop reachability labels.
   kJoinIndex,
 };
 
@@ -161,11 +165,9 @@ struct AccessDecision {
 /// view's evaluator arrays.
 enum class EvaluatorKind : uint8_t {
   kOnlineBfs = 0,
-  kOnlineDfs = 1,
-  kBidirectional = 2,
-  kJoinIndex = 3,
+  kJoinIndex = 1,
 };
-inline constexpr size_t kNumEvaluatorKinds = 4;
+inline constexpr size_t kNumEvaluatorKinds = 2;
 
 /// The immutable index bundle one RebuildIndexes produces. Shared (via
 /// shared_ptr) by every view published until the next rebuild; nothing

@@ -94,4 +94,25 @@ IntervalIndex IntervalIndex::Build(const Dag& dag, uint64_t seed) {
   return idx;
 }
 
+bool IntervalFilteredReachable(const Dag& dag, const IntervalLabeling& forward,
+                               uint32_t cu, uint32_t cv) {
+  if (cu == cv) return true;
+  if (!forward.MayReach(cu, cv)) return false;
+  std::vector<uint32_t> stack{cu};
+  std::vector<uint8_t> visited(dag.NumVertices(), 0);
+  visited[cu] = 1;
+  while (!stack.empty()) {
+    const uint32_t x = stack.back();
+    stack.pop_back();
+    if (x == cv) return true;
+    for (uint32_t w : dag.Out(x)) {
+      if (!visited[w] && forward.MayReach(w, cv)) {
+        visited[w] = 1;
+        stack.push_back(w);
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace sargus

@@ -7,10 +7,15 @@
 /// Each of K randomized post-order traversals assigns every DAG vertex an
 /// interval [low, post]; a vertex u can only reach v if u's interval
 /// contains v's in *every* traversal. Containment is a necessary — not
-/// sufficient — condition, so interval labels are a filter: the oracle
-/// pairs them with a pruned DFS for exact answers (OracleMode::kIntervals),
-/// or skips the DFS entirely when any traversal refutes containment (the
-/// common negative case).
+/// sufficient — condition, so interval labels are a filter:
+/// IntervalFilteredReachable pairs them with a pruned DFS for exact
+/// answers, and skips the DFS entirely when any traversal refutes
+/// containment (the common negative case).
+///
+/// Not part of the serving stack: LineReachabilityOracle answers with
+/// 2-hop labels only. The ablation and index-build benchmarks build an
+/// IntervalIndex from the oracle's dag() to measure the paper's
+/// alternative.
 
 #include <cstdint>
 #include <vector>
@@ -18,10 +23,6 @@
 #include "index/scc.h"
 
 namespace sargus {
-
-namespace storage {
-struct StorageAccess;
-}
 
 /// Interval labels for one direction (descendants or ancestors).
 class IntervalLabeling {
@@ -51,8 +52,6 @@ class IntervalLabeling {
   }
 
  private:
-  friend struct storage::StorageAccess;
-
   struct Interval {
     uint32_t low = 0;
     uint32_t post = 0;
@@ -72,6 +71,12 @@ struct IntervalIndex {
     return forward.MemoryBytes() + backward.MemoryBytes();
   }
 };
+
+/// Exact DAG reachability cu ->* cv (cu == cv counts as reachable) by a
+/// DFS from cu that prunes every vertex whose `forward` interval cannot
+/// contain cv. `forward` must label `dag`.
+bool IntervalFilteredReachable(const Dag& dag, const IntervalLabeling& forward,
+                               uint32_t cu, uint32_t cv);
 
 }  // namespace sargus
 

@@ -7,12 +7,11 @@
 namespace sargus {
 
 Result<LineReachabilityOracle> LineReachabilityOracle::Build(
-    const LineGraph& lg, Options options) {
+    const LineGraph& lg) {
   LineReachabilityOracle oracle;
   oracle.scc_ = ComputeScc(lg);
   oracle.dag_ = BuildCondensation(oracle.scc_, lg);
-  oracle.intervals_ = IntervalIndex::Build(oracle.dag_, options.interval_seed);
-  auto two_hop = TwoHopLabeling::Build(oracle.dag_, options.two_hop);
+  auto two_hop = TwoHopLabeling::Build(oracle.dag_);
   if (!two_hop.ok()) return two_hop.status();
   oracle.two_hop_ = std::move(*two_hop);
   return oracle;
@@ -20,7 +19,7 @@ Result<LineReachabilityOracle> LineReachabilityOracle::Build(
 
 std::optional<LineReachabilityOracle> LineReachabilityOracle::BuildIncremental(
     const LineReachabilityOracle& prev, const LineGraph& lg,
-    LineVertexId first_new_vertex, Options options) {
+    LineVertexId first_new_vertex) {
   const size_t num_line = lg.NumVertices();
   const uint32_t old_components = prev.scc_.num_components;
 
@@ -69,46 +68,16 @@ std::optional<LineReachabilityOracle> LineReachabilityOracle::BuildIncremental(
     return std::nullopt;
   }
 
-  oracle.intervals_ = IntervalIndex::Build(oracle.dag_, options.interval_seed);
   oracle.two_hop_ = TwoHopLabeling::PatchInsertions(
       prev.two_hop_, oracle.dag_, old_components, new_arcs);
   return oracle;
 }
 
-bool LineReachabilityOracle::ReachableVia(LineVertexId u, LineVertexId v,
-                                          OracleMode mode) const {
+bool LineReachabilityOracle::Reachable(LineVertexId u, LineVertexId v) const {
   if (u >= scc_.component_of.size() || v >= scc_.component_of.size()) {
     return false;
   }
-  return ComponentReachable(scc_.component_of[u], scc_.component_of[v], mode);
-}
-
-bool LineReachabilityOracle::ComponentReachable(uint32_t cu, uint32_t cv,
-                                                OracleMode mode) const {
-  if (cu == cv) return true;
-  if (mode == OracleMode::kTwoHop) {
-    return two_hop_.Reachable(cu, cv);
-  }
-  // Interval mode: GRAIL containment is a necessary condition, so a failed
-  // check is a certain negative; otherwise run a DFS over the DAG pruning
-  // every subtree whose interval cannot contain the target.
-  const IntervalLabeling& fwd = intervals_.forward;
-  if (!fwd.MayReach(cu, cv)) return false;
-  std::vector<uint32_t> stack{cu};
-  std::vector<uint8_t> visited(dag_.NumVertices(), 0);
-  visited[cu] = 1;
-  while (!stack.empty()) {
-    const uint32_t x = stack.back();
-    stack.pop_back();
-    if (x == cv) return true;
-    for (uint32_t w : dag_.Out(x)) {
-      if (!visited[w] && fwd.MayReach(w, cv)) {
-        visited[w] = 1;
-        stack.push_back(w);
-      }
-    }
-  }
-  return false;
+  return ComponentReachable(scc_.component_of[u], scc_.component_of[v]);
 }
 
 }  // namespace sargus

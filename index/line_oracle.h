@@ -8,14 +8,13 @@
 /// Pipeline (the paper's §4 construction, one stage per bench in
 /// bench_index_build.cc):
 ///
-///   line graph --SCC--> condensation DAG --> interval labels (GRAIL)
-///                                        \-> 2-hop labels (pruned landmark)
+///   line graph --SCC--> condensation DAG --> 2-hop labels (pruned landmark)
 ///
 /// Queries map both line vertices to their DAG components and answer
-/// within-component immediately; across components either the 2-hop labels
-/// (exact, default) or interval-filtered pruned DFS (exact; fast negatives)
-/// decide, selected by OracleMode per call so the ablation bench can pit
-/// them against each other on identical structures.
+/// within-component immediately; across components the 2-hop labels
+/// decide. The GRAIL interval labels the paper also describes are a
+/// benchmark artifact (index/intervals.h), built from dag() by the
+/// benches that measure them; the oracle neither builds nor stores them.
 
 #include <cstdint>
 #include <memory>
@@ -23,7 +22,6 @@
 
 #include "common/result.h"
 #include "graph/line_graph.h"
-#include "index/intervals.h"
 #include "index/scc.h"
 #include "index/two_hop.h"
 
@@ -33,46 +31,32 @@ namespace storage {
 struct StorageAccess;
 }
 
-enum class OracleMode { kTwoHop, kIntervals };
-
 class LineReachabilityOracle {
  public:
-  struct Options {
-    TwoHopOptions two_hop;
-    uint64_t interval_seed = 0x5eed;
-  };
-
-  /// Builds the full SCC -> DAG -> (intervals, 2-hop) stack over `lg`.
-  static Result<LineReachabilityOracle> Build(const LineGraph& lg,
-                                              Options options);
-  static Result<LineReachabilityOracle> Build(const LineGraph& lg) {
-    return Build(lg, Options{});
-  }
+  /// Builds the full SCC -> DAG -> 2-hop stack over `lg`.
+  static Result<LineReachabilityOracle> Build(const LineGraph& lg);
 
   /// Incremental build for an insertion-only delta: `lg` must be
   /// LineGraph::BuildIncremental of prev's line graph — old vertex ids
   /// preserved, new vertices appended from `first_new_vertex`. Skips
   /// the two implicit-arc enumerations (Tarjan + condensation) and the
   /// full label sweep: each new line vertex becomes its own condensation
-  /// vertex, the DAG is extended with the arcs it induces, intervals are
-  /// re-labeled (linear), and the 2-hop labels are patched
-  /// (TwoHopLabeling::PatchInsertions). Returns nullopt — caller falls
-  /// back to a full Build — when an inserted edge closes a cycle in the
-  /// line graph (the appended-singleton-component assumption breaks:
-  /// existing SCCs would have to merge).
+  /// vertex, the DAG is extended with the arcs it induces, and the 2-hop
+  /// labels are patched (TwoHopLabeling::PatchInsertions). Returns
+  /// nullopt — caller falls back to a full Build — when an inserted edge
+  /// closes a cycle in the line graph (the appended-singleton-component
+  /// assumption breaks: existing SCCs would have to merge).
   static std::optional<LineReachabilityOracle> BuildIncremental(
       const LineReachabilityOracle& prev, const LineGraph& lg,
-      LineVertexId first_new_vertex, Options options);
+      LineVertexId first_new_vertex);
 
   /// Exact line-graph reachability u ->* v (u == v counts as reachable).
-  bool Reachable(LineVertexId u, LineVertexId v) const {
-    return ReachableVia(u, v, OracleMode::kTwoHop);
-  }
-
-  bool ReachableVia(LineVertexId u, LineVertexId v, OracleMode mode) const;
+  bool Reachable(LineVertexId u, LineVertexId v) const;
 
   /// Component-level reachability (cu, cv are DAG vertices).
-  bool ComponentReachable(uint32_t cu, uint32_t cv, OracleMode mode) const;
+  bool ComponentReachable(uint32_t cu, uint32_t cv) const {
+    return cu == cv || two_hop_.Reachable(cu, cv);
+  }
 
   uint32_t ComponentOf(LineVertexId v) const {
     return scc_.component_of[v];
@@ -81,12 +65,10 @@ class LineReachabilityOracle {
   const SccResult& scc() const { return scc_; }
   const Dag& dag() const { return dag_; }
   const TwoHopLabeling* two_hop() const { return &two_hop_; }
-  const IntervalIndex* intervals() const { return &intervals_; }
 
   size_t MemoryBytes() const {
     return scc_.component_of.capacity() * sizeof(uint32_t) +
-           dag_.MemoryBytes() + intervals_.MemoryBytes() +
-           two_hop_.MemoryBytes();
+           dag_.MemoryBytes() + two_hop_.MemoryBytes();
   }
 
  private:
@@ -94,7 +76,6 @@ class LineReachabilityOracle {
 
   SccResult scc_;
   Dag dag_;
-  IntervalIndex intervals_;
   TwoHopLabeling two_hop_;
 };
 

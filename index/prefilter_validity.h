@@ -5,11 +5,11 @@
 /// \brief Which index-based pruning directions stay sound while a
 /// DeltaOverlay holds pending mutations.
 ///
-/// Every index in this directory (transitive closure, GRAIL intervals,
-/// 2-hop labels, the line oracle built on them) is a snapshot of the
-/// *base* graph. While the overlay is non-empty, the logical graph
-/// differs from that snapshot, and index answers are only usable as
-/// one-sided approximations:
+/// Every index in this directory (transitive closure, 2-hop labels, the
+/// line oracle built on them, the benchmark-only GRAIL intervals) is a
+/// snapshot of the *base* graph. While the overlay is non-empty, the
+/// logical graph differs from that snapshot, and index answers are only
+/// usable as one-sided approximations:
 ///
 ///  * "unreachable in the index ⇒ deny" (negative pruning) is broken by
 ///    pending *insertions* — an added edge may create the very path the

@@ -21,7 +21,7 @@ Result<Evaluation> BidirectionalEvaluator::EvaluateWith(
 
   QueryScratch& scratch = ctx.scratch;
   // Forward side: the shared walker over scratch.visited/frontier.
-  ProductWalker forward(*graph_, *csr_, nfa, TraversalOrder::kBfs, scratch,
+  ProductWalker forward(*graph_, *csr_, nfa, scratch,
                         /*track_parents=*/false, overlay_);
   // Backward side: membership + FIFO frontier from the same pool.
   scratch.visited_back.BeginEpoch(LogicalNumNodes(*csr_, overlay_) *
@@ -105,8 +105,7 @@ Result<Evaluation> BidirectionalEvaluator::EvaluateWith(
     // stats.
     Evaluation rerun =
         ForwardProductSearch(*graph_, *csr_, nfa, q.src, q.dst,
-                             TraversalOrder::kBfs, /*want_witness=*/true,
-                             scratch, overlay_);
+                             /*want_witness=*/true, scratch, overlay_);
     if (rerun.granted) {
       out.witness = std::move(rerun.witness);
       out.stats.pairs_visited += rerun.stats.pairs_visited;

@@ -54,8 +54,8 @@ struct QueryScratch {
   /// `visited` contains it in the current epoch, so stale values are
   /// harmless and the array is never cleared.
   std::vector<ProductParent> parents;
-  /// Forward frontier: FIFO via a moving head index (BFS) or LIFO via
-  /// pop_back (DFS). Cleared (capacity kept) per query.
+  /// Forward frontier: FIFO via the walker's moving head index (BFS).
+  /// Cleared (capacity kept) per query.
   std::vector<ProductConfig> frontier;
 
   /// Backward-side membership + frontier for bidirectional search.

@@ -41,9 +41,7 @@ Result<bool> FaithfulJoinEvaluator::JoinSequence(const ReachQuery& q,
           continue;
         }
         // Reachability join: prev must reach row.line in the line graph.
-        if (!oracle_->ReachableVia(prev, row.line, oracle_mode_)) {
-          continue;
-        }
+        if (!oracle_->Reachable(prev, row.line)) continue;
         std::vector<LineVertexId> extended = chain;
         extended.push_back(row.line);
         joined.push_back(std::move(extended));

@@ -24,8 +24,6 @@ struct FaithfulJoinOptions : JoinIndexOptions {
   /// Restrict the first/last hop tables to the query endpoints up front
   /// instead of leaving the endpoint check to post-processing.
   bool anchor_endpoints_early = true;
-  /// Oracle mode used for the reachability joins.
-  OracleMode oracle_mode = OracleMode::kTwoHop;
 };
 
 class FaithfulJoinEvaluator : public JoinIndexEvaluator {
@@ -39,8 +37,7 @@ class FaithfulJoinEvaluator : public JoinIndexEvaluator {
       : JoinIndexEvaluator(graph, lg, cluster_index, options),
         oracle_(&oracle),
         tables_(BaseTables::Build(lg)),
-        anchor_endpoints_early_(options.anchor_endpoints_early),
-        oracle_mode_(options.oracle_mode) {}
+        anchor_endpoints_early_(options.anchor_endpoints_early) {}
 
   std::string_view name() const override { return "join-index-faithful"; }
 
@@ -52,7 +49,6 @@ class FaithfulJoinEvaluator : public JoinIndexEvaluator {
   const LineReachabilityOracle* oracle_;
   BaseTables tables_;
   bool anchor_endpoints_early_;
-  OracleMode oracle_mode_;
 };
 
 }  // namespace sargus

@@ -9,8 +9,7 @@ Result<Evaluation> OnlineEvaluator::EvaluateWith(const ReachQuery& q,
   SARGUS_RETURN_IF_ERROR(
       ValidateQuery(q, *graph_, LogicalNumNodes(*csr_, overlay_)));
   return ForwardProductSearch(*graph_, *csr_, q.expr->automaton(), q.src,
-                              q.dst, order_, q.want_witness, ctx.scratch,
-                              overlay_);
+                              q.dst, q.want_witness, ctx.scratch, overlay_);
 }
 
 }  // namespace sargus

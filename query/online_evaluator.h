@@ -6,7 +6,7 @@
 /// baseline.
 ///
 /// Explores the product space (graph node × hop-automaton state) from the
-/// source, BFS or DFS order, stopping the moment the destination is
+/// source in breadth-first order, stopping the moment the destination is
 /// reached in an accepting configuration. No precomputation: immune to
 /// graph churn (rebuild the CSR and go), pays full exploration on denies.
 /// The traversal itself is the shared ProductWalker; per-query state
@@ -28,13 +28,10 @@ class OnlineEvaluator : public Evaluator {
   /// see AddEdge/RemoveEdge immediately without a rebuild; an empty
   /// overlay costs one branch per expansion.
   OnlineEvaluator(const SocialGraph& graph, const CsrSnapshot& csr,
-                  TraversalOrder order = TraversalOrder::kBfs,
                   const DeltaOverlay* overlay = nullptr)
-      : graph_(&graph), csr_(&csr), overlay_(overlay), order_(order) {}
+      : graph_(&graph), csr_(&csr), overlay_(overlay) {}
 
-  std::string_view name() const override {
-    return order_ == TraversalOrder::kBfs ? "online-bfs" : "online-dfs";
-  }
+  std::string_view name() const override { return "online-bfs"; }
 
  protected:
   Result<Evaluation> EvaluateWith(const ReachQuery& q,
@@ -44,7 +41,6 @@ class OnlineEvaluator : public Evaluator {
   const SocialGraph* graph_;
   const CsrSnapshot* csr_;
   const DeltaOverlay* overlay_;
-  TraversalOrder order_;
 };
 
 }  // namespace sargus

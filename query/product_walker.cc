@@ -27,8 +27,8 @@ std::vector<NodeId> ProductWalker::BuildWitness(NodeId final_node, NodeId at,
 Evaluation ForwardProductSearch(const SocialGraph& graph,
                                 const CsrSnapshot& csr,
                                 const HopAutomaton& nfa, NodeId src,
-                                NodeId dst, TraversalOrder order,
-                                bool want_witness, QueryScratch& scratch,
+                                NodeId dst, bool want_witness,
+                                QueryScratch& scratch,
                                 const DeltaOverlay* overlay) {
   Evaluation out;
   if (nfa.AcceptsEmpty() && src == dst) {
@@ -37,7 +37,7 @@ Evaluation ForwardProductSearch(const SocialGraph& graph,
     return out;
   }
 
-  ProductWalker walker(graph, csr, nfa, order, scratch, want_witness, overlay);
+  ProductWalker walker(graph, csr, nfa, scratch, want_witness, overlay);
   walker.SeedStarts(src);
   out.granted =
       walker.Run([&](NodeId entered, NodeId from, uint32_t from_state) {

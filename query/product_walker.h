@@ -45,26 +45,22 @@
 
 namespace sargus {
 
-enum class TraversalOrder { kBfs, kDfs };
-
 class ProductWalker {
  public:
-  /// Opens a fresh walk over `scratch`. `graph`, `csr`, `nfa` and
-  /// `scratch` must outlive the walker; `csr` must snapshot `graph` and
-  /// `nfa` must be compiled from an expression bound to it. With
-  /// `track_parents`, parent links are recorded for BuildWitness.
+  /// Opens a fresh breadth-first walk over `scratch`. `graph`, `csr`,
+  /// `nfa` and `scratch` must outlive the walker; `csr` must snapshot
+  /// `graph` and `nfa` must be compiled from an expression bound to it.
+  /// With `track_parents`, parent links are recorded for BuildWitness.
   /// `overlay` (optional) layers pending mutations over `csr`; it must be
   /// relative to exactly that snapshot and outlive the walker.
   ProductWalker(const SocialGraph& graph, const CsrSnapshot& csr,
-                const HopAutomaton& nfa, TraversalOrder order,
-                QueryScratch& scratch, bool track_parents,
-                const DeltaOverlay* overlay = nullptr)
+                const HopAutomaton& nfa, QueryScratch& scratch,
+                bool track_parents, const DeltaOverlay* overlay = nullptr)
       : graph_(&graph),
         csr_(&csr),
         overlay_(overlay),
         nfa_(&nfa),
         scratch_(&scratch),
-        order_(order),
         track_parents_(track_parents),
         num_states_(nfa.NumStates()) {
     // Size by the logical node range — snapshot nodes plus staged node
@@ -101,15 +97,11 @@ class ProductWalker {
   }
 
   /// Configurations still awaiting expansion.
-  size_t Remaining() const {
-    return order_ == TraversalOrder::kBfs
-               ? scratch_->frontier.size() - head_
-               : scratch_->frontier.size();
-  }
+  size_t Remaining() const { return scratch_->frontier.size() - head_; }
 
-  /// Pops one configuration and expands it. For every outgoing (or, for
-  /// backward steps, incoming) edge whose far node passes the step
-  /// filter:
+  /// Pops the oldest configuration (FIFO) and expands it. For every
+  /// outgoing (or, for backward steps, incoming) edge whose far node
+  /// passes the step filter:
   ///   * when the successor closure accepts, `on_accept(entered, from,
   ///     from_state)` runs first — returning true stops the walk (the
   ///     entered node is a match endpoint);
@@ -118,13 +110,7 @@ class ProductWalker {
   /// Returns true when a callback stopped the walk.
   template <typename OnAcceptEdge, typename OnFreshPush>
   bool Step(OnAcceptEdge&& on_accept, OnFreshPush&& on_push) {
-    ProductConfig c;
-    if (order_ == TraversalOrder::kBfs) {
-      c = scratch_->frontier[head_++];
-    } else {
-      c = scratch_->frontier.back();
-      scratch_->frontier.pop_back();
-    }
+    const ProductConfig c = scratch_->frontier[head_++];
     ++pairs_visited_;
 
     const BoundStep& step = nfa_->StepSpec(c.state);
@@ -167,7 +153,6 @@ class ProductWalker {
   const DeltaOverlay* overlay_;
   const HopAutomaton* nfa_;
   QueryScratch* scratch_;
-  TraversalOrder order_;
   bool track_parents_;
   uint32_t num_states_;
   size_t head_ = 0;
@@ -176,15 +161,15 @@ class ProductWalker {
 
 /// The complete forward product-space search both OnlineEvaluator and
 /// BidirectionalEvaluator's witness reconstruction run: seed at `src`,
-/// walk in `order`, grant on reaching `dst` in an accepting
+/// walk breadth-first, grant on reaching `dst` in an accepting
 /// configuration, optionally reconstructing the witness path. Validation
 /// is the caller's job (ValidateQuery). `overlay` layers pending
 /// mutations over `csr` (nullptr = the snapshot alone).
 Evaluation ForwardProductSearch(const SocialGraph& graph,
                                 const CsrSnapshot& csr,
                                 const HopAutomaton& nfa, NodeId src,
-                                NodeId dst, TraversalOrder order,
-                                bool want_witness, QueryScratch& scratch,
+                                NodeId dst, bool want_witness,
+                                QueryScratch& scratch,
                                 const DeltaOverlay* overlay = nullptr);
 
 }  // namespace sargus

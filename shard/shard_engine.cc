@@ -44,7 +44,12 @@ wire::CheckRequest ToWire(const AccessRequest& request) {
   return w;
 }
 
-AccessRequest FromWire(const wire::CheckRequest& request) {
+static_assert(static_cast<uint8_t>(EvaluatorChoice::kJoinIndex) + 1 ==
+                  wire::kNumEvaluatorChoices,
+              "the wire's override range must cover exactly EvaluatorChoice");
+
+Result<AccessRequest> FromWire(const wire::CheckRequest& request) {
+  SARGUS_RETURN_IF_ERROR(wire::ValidateCheckRequest(request));
   AccessRequest r;
   r.requester = request.requester;
   r.resource = request.resource;
@@ -127,17 +132,26 @@ wire::Stamp ShardEngine::ViewStamp() const {
 }
 
 wire::CheckReply ShardEngine::Check(const wire::CheckRequest& request) const {
-  return ToWire(engine_.CheckAccess(FromWire(request)));
+  Result<AccessRequest> r = FromWire(request);
+  if (!r.ok()) return ToWire(Result<AccessDecision>(r.status()));
+  return ToWire(engine_.CheckAccess(*r));
 }
 
 wire::BatchCheckReply ShardEngine::CheckBatch(
     const wire::BatchCheckRequest& request) const {
   std::vector<AccessRequest> requests;
   requests.reserve(request.requests.size());
-  for (const wire::CheckRequest& r : request.requests) {
-    requests.push_back(FromWire(r));
-  }
   wire::BatchCheckReply reply;
+  for (const wire::CheckRequest& r : request.requests) {
+    Result<AccessRequest> decoded = FromWire(r);
+    if (!decoded.ok()) {
+      // Fails every slot, as the decoder fails the whole frame.
+      reply.replies.assign(request.requests.size(),
+                           ToWire(Result<AccessDecision>(decoded.status())));
+      return reply;
+    }
+    requests.push_back(*decoded);
+  }
   for (const Result<AccessDecision>& d : engine_.CheckAccessBatch(requests)) {
     reply.replies.push_back(ToWire(d));
   }
@@ -207,8 +221,8 @@ wire::WalkReply ShardEngine::ExpandFrontier(
 
   const auto topo = topology();
   QueryScratch& scratch = ThreadLocalEvalContext().scratch;
-  ProductWalker walker(view->graph(), view->csr(), nfa, TraversalOrder::kBfs,
-                       scratch, /*track_parents=*/false, &view->overlay());
+  ProductWalker walker(view->graph(), view->csr(), nfa, scratch,
+                       /*track_parents=*/false, &view->overlay());
   if (request.seed == wire::WalkSeed::kOwnerStarts) {
     walker.SeedStarts(request.owner);
   } else {

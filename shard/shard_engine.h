@@ -52,7 +52,9 @@ Result<PolicyStore> ClonePolicyStore(const PolicyStore& store);
 // Wire <-> engine request/decision conversion, shared by the router and
 // the shard engines.
 wire::CheckRequest ToWire(const AccessRequest& request);
-AccessRequest FromWire(const wire::CheckRequest& request);
+/// kInvalidArgument (wire::ValidateCheckRequest) for an override byte
+/// that names no EvaluatorChoice.
+Result<AccessRequest> FromWire(const wire::CheckRequest& request);
 wire::CheckReply ToWire(const Result<AccessDecision>& decision);
 /// Rebuilds the engine-shaped decision; `requester`/`resource` come from
 /// the request the reply answered (the wire reply does not repeat them).

@@ -265,6 +265,20 @@ CheckReply TakeCheckReplyBody(ByteReader& r) {
 
 }  // namespace
 
+Status ValidateCheckRequest(const CheckRequest& request) {
+  if (request.has_evaluator_override > 1) {
+    return Status::InvalidArgument(
+        "wire: has_evaluator_override " +
+        std::to_string(request.has_evaluator_override) + " is not 0/1");
+  }
+  if (request.evaluator_override >= kNumEvaluatorChoices) {
+    return Status::InvalidArgument(
+        "wire: unknown evaluator override " +
+        std::to_string(request.evaluator_override));
+  }
+  return OkStatus();
+}
+
 std::vector<uint32_t> ResidualHopBudgets(const HopAutomaton& nfa) {
   const std::vector<BoundStep>& steps = nfa.bound_steps();
   std::vector<uint64_t> suffix(steps.size() + 1, 0);
@@ -306,6 +320,7 @@ Result<CheckRequest> DecodeCheckRequest(std::span<const uint8_t> bytes) {
   SARGUS_RETURN_IF_ERROR(TakeHeader(r, MsgType::kCheckRequest));
   CheckRequest m = TakeCheckRequestBody(r);
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
+  SARGUS_RETURN_IF_ERROR(ValidateCheckRequest(m));
   return m;
 }
 
@@ -345,6 +360,9 @@ Result<BatchCheckRequest> DecodeBatchCheckRequest(
   m.requests.reserve(n);
   for (uint32_t i = 0; i < n; ++i) m.requests.push_back(TakeCheckRequestBody(r));
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
+  for (const CheckRequest& c : m.requests) {
+    SARGUS_RETURN_IF_ERROR(ValidateCheckRequest(c));
+  }
   return m;
 }
 

@@ -5,7 +5,6 @@
 #include "common/checksum.h"
 #include "common/file_util.h"
 #include "index/cluster_index.h"
-#include "index/intervals.h"
 #include "index/line_oracle.h"
 #include "index/scc.h"
 #include "index/transitive_closure.h"
@@ -106,9 +105,6 @@ void StorageAccess::SaveOracle(const LineReachabilityOracle& o,
   w.PutVec(d.bwd_offsets_);
   w.PutVec(d.bwd_arcs_);
   w.PutVec(d.topo_order_);
-  // Interval labels: Interval is {u32, u32}, padding-free -> bulk copy.
-  w.PutVec(o.intervals_.forward.intervals_);
-  w.PutVec(o.intervals_.backward.intervals_);
   // 2-hop labels.
   const TwoHopLabeling& t = o.two_hop_;
   w.PutVec(t.out_offsets_);

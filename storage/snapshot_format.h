@@ -61,9 +61,10 @@ inline constexpr char kSnapshotFileName[] = "snapshot.sargus";
 inline constexpr char kWalFileName[] = "wal.log";
 
 inline constexpr uint64_t kBundleMagic = 0x3150414E53475253ULL;  // "SRGSNAP1"
-/// Version 2 dropped the base-table section (kind 6); a version-1
-/// bundle is refused, not migrated.
-inline constexpr uint32_t kBundleVersion = 2;
+/// Version 2 dropped the base-table section (kind 6); version 3 dropped
+/// the interval labels from the oracle section. Older bundles are
+/// refused with kDataLoss, not migrated.
+inline constexpr uint32_t kBundleVersion = 3;
 inline constexpr uint32_t kBundlePageSize = 4096;
 /// Fixed header fields end here; section table entries follow.
 inline constexpr size_t kBundleSectionTableOffset = 64;

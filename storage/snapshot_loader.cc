@@ -9,7 +9,6 @@
 #include "common/checksum.h"
 #include "common/file_util.h"
 #include "index/cluster_index.h"
-#include "index/intervals.h"
 #include "index/line_oracle.h"
 #include "index/scc.h"
 #include "index/transitive_closure.h"
@@ -142,8 +141,6 @@ Status StorageAccess::LoadOracle(BlobReader& r, LineReachabilityOracle* o) {
   r.GetVec(&d.bwd_offsets_);
   r.GetVec(&d.bwd_arcs_);
   r.GetVec(&d.topo_order_);
-  r.GetVec(&o->intervals_.forward.intervals_);
-  r.GetVec(&o->intervals_.backward.intervals_);
   TwoHopLabeling& t = o->two_hop_;
   r.GetVec(&t.out_offsets_);
   r.GetVec(&t.out_hubs_);

@@ -28,8 +28,8 @@ std::vector<NodeId> CollectMatchingAudience(const SocialGraph& g,
   };
   if (nfa.AcceptsEmpty()) mark(src);
 
-  ProductWalker walker(g, csr, nfa, TraversalOrder::kBfs, scratch,
-                       /*track_parents=*/false, overlay);
+  ProductWalker walker(g, csr, nfa, scratch, /*track_parents=*/false,
+                       overlay);
   walker.SeedStarts(src);
   walker.Run([&](NodeId entered, NodeId, uint32_t) {
     mark(entered);

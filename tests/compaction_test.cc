@@ -19,8 +19,8 @@
 namespace sargus {
 namespace {
 
-using testing_util::BruteForceMatch;
 using testing_util::MakeDiamond;
+using testing_util::MirrorGraph;
 using testing_util::MustBind;
 
 // ---- Shared fixtures --------------------------------------------------------
@@ -44,22 +44,6 @@ struct EngineFixture {
     auto r = engine->CheckAccess({.requester = requester, .resource = res});
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() && r->granted;
-  }
-};
-
-/// The logical graph materialized eagerly — the semantics every engine
-/// state (pre-, mid-, and post-compaction) must match.
-struct Mirror {
-  SocialGraph g;
-  explicit Mirror(const SocialGraph& base) : g(base) {}
-  void Add(NodeId s, NodeId d, LabelId l) { (void)g.AddEdge(s, d, l); }
-  void Remove(NodeId s, NodeId d, LabelId l) {
-    auto id = g.FindEdge(s, d, l);
-    if (id.has_value()) (void)g.RemoveEdge(*id);
-  }
-  bool Match(const BoundPathExpression& expr, NodeId src, NodeId dst) const {
-    CsrSnapshot csr = CsrSnapshot::Build(g);
-    return BruteForceMatch(g, csr, expr, src, dst);
   }
 };
 
@@ -182,7 +166,7 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
                   {.evaluator = EvaluatorChoice::kAuto,
                    .compact_threshold = 0});
   const BoundPathExpression expr = MustBind(f.g, "colleague[1]");
-  Mirror mirror(f.g);
+  MirrorGraph mirror(f.g);
   const LabelId co = f.g.labels().Lookup("colleague");
   const LabelId fr = f.g.labels().Lookup("friend");
 
@@ -370,7 +354,7 @@ std::map<std::pair<EdgeId, bool>, LineVertexId> LineIdentity(
 }
 
 /// Exhaustively compares the two bundles' oracles over every matched
-/// line-vertex pair, in both oracle modes.
+/// line-vertex pair.
 void ExpectOraclesAgree(const SnapshotIndexes& a, const SnapshotIndexes& b,
                         const char* label) {
   auto ma = LineIdentity(a.lg);
@@ -383,13 +367,9 @@ void ExpectOraclesAgree(const SnapshotIndexes& a, const SnapshotIndexes& b,
     for (const auto& [ka2, va2] : ma) {
       const LineVertexId vb = itb->second;
       const LineVertexId vb2 = mb.at(ka2);
-      const bool full = b.oracle->ReachableVia(vb, vb2, OracleMode::kTwoHop);
-      ASSERT_EQ(a.oracle->ReachableVia(va, va2, OracleMode::kTwoHop), full)
+      const bool full = b.oracle->Reachable(vb, vb2);
+      ASSERT_EQ(a.oracle->Reachable(va, va2), full)
           << label << ": two-hop diverges on (" << ka.first
-          << (ka.second ? "b" : "f") << ") -> (" << ka2.first
-          << (ka2.second ? "b" : "f") << ")";
-      ASSERT_EQ(a.oracle->ReachableVia(va, va2, OracleMode::kIntervals), full)
-          << label << ": intervals diverge on (" << ka.first
           << (ka.second ? "b" : "f") << ") -> (" << ka2.first
           << (ka2.second ? "b" : "f") << ")";
       ++checked;

@@ -16,8 +16,8 @@
 namespace sargus {
 namespace {
 
-using testing_util::BruteForceMatch;
 using testing_util::MakeDiamond;
+using testing_util::MirrorGraph;
 using testing_util::MustBind;
 
 // ---- DeltaOverlay unit ------------------------------------------------------
@@ -310,33 +310,8 @@ TEST(EngineOverlay, ClosurePrefilterStaysActiveUnderPureDeletions) {
 
 // ---- Randomized interleaved mutations vs rebuild-from-scratch oracle --------
 
-/// Oracle: the logical graph materialized as a plain SocialGraph that
-/// receives every mutation, rebuilt into a fresh CSR per check — exactly
-/// the semantics the overlay must emulate lazily.
-struct MirrorOracle {
-  SocialGraph g;
-
-  explicit MirrorOracle(const SocialGraph& base) : g(base) {}
-
-  void Add(NodeId s, NodeId d, LabelId l) { (void)g.AddEdge(s, d, l); }
-  void Remove(NodeId s, NodeId d, LabelId l) {
-    auto id = g.FindEdge(s, d, l);
-    if (id.has_value()) (void)g.RemoveEdge(*id);
-  }
-  bool Match(const BoundPathExpression& expr, NodeId src, NodeId dst) const {
-    CsrSnapshot csr = CsrSnapshot::Build(g);
-    return BruteForceMatch(g, csr, expr, src, dst);
-  }
-  /// A uniformly random live edge, if any.
-  std::optional<Edge> RandomLiveEdge(Rng& rng) const {
-    if (g.NumEdges() == 0) return std::nullopt;
-    for (int attempts = 0; attempts < 256; ++attempts) {
-      EdgeId e = static_cast<EdgeId>(rng.NextBounded(g.EdgeSlotCount()));
-      if (g.IsLiveEdge(e)) return g.edge(e);
-    }
-    return std::nullopt;
-  }
-};
+// The oracle is testing_util::MirrorGraph: the logical graph materialized
+// as a plain SocialGraph, rebuilt into a fresh CSR per check.
 
 TEST(EngineOverlay, RandomizedInterleavedMutationsAgreeWithOracle) {
   auto gen = GenerateErdosRenyi(
@@ -369,7 +344,7 @@ TEST(EngineOverlay, RandomizedInterleavedMutationsAgreeWithOracle) {
                               .compact_threshold = 16});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
 
-  MirrorOracle oracle(g);
+  MirrorGraph oracle(g);
   // Bound once against the engine graph; label/attr ids are shared with
   // the mirror (it is a copy) and survive compaction (dictionaries only
   // grow).
@@ -457,7 +432,7 @@ TEST(EngineOverlay, AudienceCollectionSeesOverlay) {
   ov.StageAdd(4, 5, fr);     // extends the friend ball of 0
   ov.StageRemove(0, 1, fr);  // cuts the 0 -> 1 -> 2 branch
 
-  MirrorOracle oracle(g);
+  MirrorGraph oracle(g);
   oracle.Add(4, 5, fr);
   oracle.Remove(0, 1, fr);
 

@@ -45,7 +45,6 @@ TEST_F(EngineTest, GrantAndDenyAcrossEvaluatorChoices) {
 
   for (EvaluatorChoice choice :
        {EvaluatorChoice::kAuto, EvaluatorChoice::kOnlineBfs,
-        EvaluatorChoice::kOnlineDfs, EvaluatorChoice::kBidirectional,
         EvaluatorChoice::kJoinIndex}) {
     EngineOptions opts;
     opts.evaluator = choice;
@@ -178,15 +177,13 @@ TEST_F(EngineTest, PerRequestEvaluatorOverride) {
   EXPECT_EQ(by_default->evaluator_name, "join-index");
 
   // Same decision, different engine, chosen per request.
-  for (EvaluatorChoice choice :
-       {EvaluatorChoice::kOnlineBfs, EvaluatorChoice::kOnlineDfs,
-        EvaluatorChoice::kBidirectional}) {
-    auto r = engine.CheckAccess(
-        {.requester = 3, .resource = res, .evaluator_override = choice});
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->granted) << static_cast<int>(choice);
-    EXPECT_NE(r->evaluator_name, "join-index");
-  }
+  auto online_bfs = engine.CheckAccess(
+      {.requester = 3,
+       .resource = res,
+       .evaluator_override = EvaluatorChoice::kOnlineBfs});
+  ASSERT_TRUE(online_bfs.ok());
+  EXPECT_TRUE(online_bfs->granted);
+  EXPECT_EQ(online_bfs->evaluator_name, "online-bfs");
 
   // Forcing the join index on an online-only configuration (which never
   // built the join stack) fails loudly when nothing grants.

@@ -26,9 +26,11 @@ using testing_util::Stack;
 /// The invariant this suite enforces (and every future optimization PR
 /// must keep green): all evaluators return identical grant/deny for every
 /// (expression, src, dst) triple, and match an independent brute force.
+/// The engine serves only online BFS and the join index; bidirectional
+/// search and the faithful join are library evaluators, held to the same
+/// law here.
 void CheckAgreement(const Stack& s, const std::vector<std::string>& exprs) {
-  OnlineEvaluator bfs(s.g, s.csr, TraversalOrder::kBfs);
-  OnlineEvaluator dfs(s.g, s.csr, TraversalOrder::kDfs);
+  OnlineEvaluator bfs(s.g, s.csr);
   BidirectionalEvaluator bidi(s.g, s.csr);
   JoinIndexEvaluator join(s.g, s.lg, *s.cluster);
   FaithfulJoinEvaluator faithful(s.g, s.lg, *s.oracle, *s.cluster);
@@ -39,8 +41,8 @@ void CheckAgreement(const Stack& s, const std::vector<std::string>& exprs) {
   ClosurePrefilterEvaluator pref_dir(*s.closure_directed, bfs);
   ClosurePrefilterEvaluator pref_undir(*s.closure_undirected, join);
 
-  const Evaluator* evaluators[] = {&bfs,        &dfs,      &bidi,
-                                   &join,       &faithful, &unanchored,
+  const Evaluator* evaluators[] = {&bfs,        &bidi,     &join,
+                                   &faithful,   &unanchored,
                                    &pref_dir,   &pref_undir};
 
   for (const std::string& text : exprs) {
@@ -132,7 +134,7 @@ TEST(EvaluatorAgreement, PrefilterDelegatesInvalidQueriesToInner) {
   // the inner evaluator reports the proper error (regression).
   auto s = BuildStack(MakeDiamond(), /*include_backward=*/false);
   ASSERT_NE(s, nullptr);
-  OnlineEvaluator bfs(s->g, s->csr, TraversalOrder::kBfs);
+  OnlineEvaluator bfs(s->g, s->csr);
   ClosurePrefilterEvaluator pref(*s->closure_directed, bfs);
   const BoundPathExpression expr = MustBind(s->g, "friend[1]");
   // Out-of-range endpoint: error, not deny.
@@ -183,13 +185,12 @@ void CheckOverlayAgreement(const Stack& s, const DeltaOverlay& overlay,
                            const SocialGraph& mirror,
                            const std::vector<std::string>& exprs) {
   const CsrSnapshot mirror_csr = CsrSnapshot::Build(mirror);
-  OnlineEvaluator bfs(s.g, s.csr, TraversalOrder::kBfs, &overlay);
-  OnlineEvaluator dfs(s.g, s.csr, TraversalOrder::kDfs, &overlay);
+  OnlineEvaluator bfs(s.g, s.csr, &overlay);
   BidirectionalEvaluator bidi(s.g, s.csr, &overlay);
   // Conservative prefilter: with pending insertions it must delegate
   // rather than fast-deny from the stale closure.
   ClosurePrefilterEvaluator pref(*s.closure_undirected, bfs, &overlay);
-  const Evaluator* evaluators[] = {&bfs, &dfs, &bidi, &pref};
+  const Evaluator* evaluators[] = {&bfs, &bidi, &pref};
 
   for (const std::string& text : exprs) {
     const BoundPathExpression expr = MustBind(s.g, text);
@@ -294,7 +295,7 @@ TEST(EvaluatorAgreement, WitnessesAgreeOnValidity) {
       MustBind(s->g, "friend[1,2]/colleague[1]");
   const ReachQuery q{0, 3, &expr, /*want_witness=*/true};
 
-  OnlineEvaluator bfs(s->g, s->csr, TraversalOrder::kBfs);
+  OnlineEvaluator bfs(s->g, s->csr);
   BidirectionalEvaluator bidi(s->g, s->csr);
   JoinIndexEvaluator join(s->g, s->lg, *s->cluster);
   FaithfulJoinEvaluator faithful(s->g, s->lg, *s->oracle, *s->cluster);

@@ -17,6 +17,7 @@ namespace {
 
 using testing_util::BruteForceMatch;
 using testing_util::MakeDiamond;
+using testing_util::MirrorGraph;
 using testing_util::MustBind;
 
 // ---- View lifecycle ---------------------------------------------------------
@@ -185,18 +186,6 @@ TEST(ReadView, BatchAgreesWithLoopAndIsPositional) {
 
 // ---- Concurrency ------------------------------------------------------------
 
-/// Mirror of the logical graph, rebuilt into fresh snapshots per check —
-/// the semantics every published view must freeze.
-struct MirrorOracle {
-  SocialGraph g;
-  explicit MirrorOracle(const SocialGraph& base) : g(base) {}
-  void Add(NodeId s, NodeId d, LabelId l) { (void)g.AddEdge(s, d, l); }
-  void Remove(NodeId s, NodeId d, LabelId l) {
-    auto id = g.FindEdge(s, d, l);
-    if (id.has_value()) (void)g.RemoveEdge(*id);
-  }
-};
-
 TEST(ReadView, ConcurrentReadersVsMutatorAgreeWithPerStateOracle) {
   auto gen = GenerateErdosRenyi(
       {.base = {.num_nodes = 16, .seed = 99}, .avg_out_degree = 2.0});
@@ -253,7 +242,7 @@ TEST(ReadView, ConcurrentReadersVsMutatorAgreeWithPerStateOracle) {
   std::map<StateKey, Matrix> oracle_by_state;
   std::mutex oracle_mu;  // map insertions race reader starts, not lookups
 
-  MirrorOracle mirror(g);
+  MirrorGraph mirror(g);
   auto record_state = [&]() {
     Matrix m(kNumResources * kNumNodes, 0);
     CsrSnapshot csr = CsrSnapshot::Build(mirror.g);
@@ -351,13 +340,7 @@ TEST(ReadView, ConcurrentReadersVsMutatorAgreeWithPerStateOracle) {
       mirror.Add(s, d, l);
     } else {
       // Remove a random live logical edge of the mirror, if any.
-      std::optional<Edge> picked;
-      for (int attempts = 0; attempts < 256 && !picked.has_value();
-           ++attempts) {
-        EdgeId e =
-            static_cast<EdgeId>(rng.NextBounded(mirror.g.EdgeSlotCount()));
-        if (mirror.g.IsLiveEdge(e)) picked = mirror.g.edge(e);
-      }
+      const std::optional<Edge> picked = mirror.RandomLiveEdge(rng);
       if (!picked.has_value()) continue;
       ASSERT_TRUE(
           engine.RemoveEdge(picked->src, picked->dst, picked->label).ok());

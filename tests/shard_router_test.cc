@@ -178,6 +178,25 @@ TEST(Wire, RejectsCorruptFrames) {
   bad_version[4] = 0xEE;
   EXPECT_EQ(wire::DecodeCheckRequest(bad_version).status().code(),
             StatusCode::kInvalidArgument);
+  // A protocol-2 header: its evaluator byte numbered five choices.
+  auto protocol2 = bytes;
+  protocol2[4] = 2;
+  EXPECT_EQ(wire::DecodeCheckRequest(protocol2).status().code(),
+            StatusCode::kInvalidArgument);
+  // Correctly checksummed frames whose override fields name no
+  // EvaluatorChoice, alone and inside a batch.
+  const wire::CheckRequest past_last{.has_evaluator_override = 1,
+                                     .evaluator_override = 9};
+  const wire::CheckRequest flag_not_bool{.has_evaluator_override = 2};
+  for (const wire::CheckRequest& bad : {past_last, flag_not_bool}) {
+    EXPECT_EQ(wire::DecodeCheckRequest(wire::Encode(bad)).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(wire::DecodeBatchCheckRequest(
+                  wire::Encode(wire::BatchCheckRequest{{{}, bad}}))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
   // Wrong message type for the decoder.
   EXPECT_FALSE(wire::DecodeWalkRequest(bytes).ok());
   // Truncation at every prefix length must error, never crash.
@@ -813,6 +832,23 @@ TEST(ShardTransport, HandleFrameDispatch) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, shard.Check(req));
   EXPECT_EQ(reply->granted, 1);
+
+  // Handed over in process (no decoder ran), an override byte past the
+  // last EvaluatorChoice reaches no engine: the check fails, and so does
+  // every slot of a batch carrying it, as its decoded frame would.
+  wire::CheckRequest bad_override = req;
+  bad_override.has_evaluator_override = 1;
+  bad_override.evaluator_override = 9;
+  EXPECT_EQ(wire::UnpackStatus(shard.Check(bad_override).status_code, "")
+                .code(),
+            StatusCode::kInvalidArgument);
+  const wire::BatchCheckReply batch =
+      shard.CheckBatch(wire::BatchCheckRequest{{req, bad_override}});
+  ASSERT_EQ(batch.replies.size(), 2u);
+  for (const wire::CheckReply& slot : batch.replies) {
+    EXPECT_EQ(wire::UnpackStatus(slot.status_code, "").code(),
+              StatusCode::kInvalidArgument);
+  }
 
   // Mutations through the byte path take the writer path too.
   wire::MutateRequest mreq;

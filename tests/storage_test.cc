@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.h"
@@ -490,6 +491,10 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   std::vector<uint8_t> version1 = pristine;
   poke_u32(version1, 8, 1);
   reseal(version1);
+  // Version 2 still carried interval labels in the oracle section.
+  std::vector<uint8_t> version2 = pristine;
+  poke_u32(version2, 8, 2);
+  reseal(version2);
 
   std::vector<uint8_t> retired_kind = pristine;
   const size_t entry = storage::kBundleSectionTableOffset +
@@ -501,8 +506,12 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   poke_u32(retired_kind, 56, static_cast<uint32_t>(num_sections + 1));
   reseal(retired_kind);
 
-  for (const auto* bytes : {&version1, &retired_kind}) {
-    SCOPED_TRACE(bytes == &version1 ? "version 1" : "section kind 6");
+  const std::pair<const char*, const std::vector<uint8_t>*> cases[] = {
+      {"version 1", &version1},
+      {"version 2", &version2},
+      {"section kind 6", &retired_kind}};
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
     WriteAll(bundle_path, *bytes);
     auto loaded = storage::LoadBundle(bundle_path);
     ASSERT_FALSE(loaded.ok());

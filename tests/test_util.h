@@ -3,13 +3,16 @@
 
 /// \file test_util.h
 /// \brief Shared fixtures: hand-built graphs, a full index stack bundle,
-/// and an independent brute-force reference evaluator used to anchor the
-/// cross-evaluator agreement suite.
+/// an independent brute-force reference evaluator used to anchor the
+/// cross-evaluator agreement suite, and the materialized mirror graph
+/// the mutation suites check the engine against.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/path_expression.h"
 #include "core/path_parser.h"
 #include "graph/csr.h"
@@ -140,6 +143,36 @@ inline bool BruteForceMatch(const SocialGraph& g, const CsrSnapshot& csr,
   }
   return false;
 }
+
+/// The logical graph materialized eagerly: a plain SocialGraph that
+/// receives every mutation the engine stages, rebuilt into a fresh CSR
+/// per check — the semantics the overlay emulates lazily and every
+/// engine state (pre-, mid- and post-compaction, every published view)
+/// must match.
+struct MirrorGraph {
+  SocialGraph g;
+
+  explicit MirrorGraph(const SocialGraph& base) : g(base) {}
+
+  void Add(NodeId s, NodeId d, LabelId l) { (void)g.AddEdge(s, d, l); }
+  void Remove(NodeId s, NodeId d, LabelId l) {
+    auto id = g.FindEdge(s, d, l);
+    if (id.has_value()) (void)g.RemoveEdge(*id);
+  }
+  bool Match(const BoundPathExpression& expr, NodeId src, NodeId dst) const {
+    CsrSnapshot csr = CsrSnapshot::Build(g);
+    return BruteForceMatch(g, csr, expr, src, dst);
+  }
+  /// A uniformly random live edge, if any.
+  std::optional<Edge> RandomLiveEdge(Rng& rng) const {
+    if (g.NumEdges() == 0) return std::nullopt;
+    for (int attempts = 0; attempts < 256; ++attempts) {
+      EdgeId e = static_cast<EdgeId>(rng.NextBounded(g.EdgeSlotCount()));
+      if (g.IsLiveEdge(e)) return g.edge(e);
+    }
+    return std::nullopt;
+  }
+};
 
 }  // namespace testing_util
 }  // namespace sargus
