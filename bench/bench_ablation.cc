@@ -171,10 +171,7 @@ void BM_UnreachableDeny(benchmark::State& state) {
     g = nullptr;
     pipe->csr = CsrSnapshot::Build(*pipe->g);
     pipe->lg = LineGraph::Build(pipe->csr);
-    auto oracle = LineReachabilityOracle::Build(pipe->lg);
-    pipe->oracle = std::make_unique<LineReachabilityOracle>(
-        std::move(oracle).ValueOrDie());
-    auto cidx = ClusterJoinIndex::Build(pipe->lg, *pipe->oracle);
+    auto cidx = ClusterJoinIndex::Build(pipe->lg, pipe->csr);
     pipe->cluster_index =
         std::make_unique<ClusterJoinIndex>(std::move(cidx).ValueOrDie());
     pipe->closure = std::make_unique<TransitiveClosure>(

@@ -106,7 +106,7 @@ inline const Pipeline& GetPipeline(GraphKind kind, size_t nodes,
   if (!oracle.ok()) std::abort();
   p->oracle = std::make_unique<LineReachabilityOracle>(
       std::move(oracle).ValueOrDie());
-  auto cidx = ClusterJoinIndex::Build(p->lg, *p->oracle);
+  auto cidx = ClusterJoinIndex::Build(p->lg, p->csr);
   if (!cidx.ok()) std::abort();
   p->cluster_index =
       std::make_unique<ClusterJoinIndex>(std::move(cidx).ValueOrDie());

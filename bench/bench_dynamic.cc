@@ -54,21 +54,17 @@ void BM_ChurnJoinIndex(benchmark::State& state) {
   auto expr = BoundPathExpression::Bind(*parsed, g);
   Rng rng(7);
 
-  // Full pipeline, rebuilt on every mutation.
+  // The serving join stack, rebuilt on every mutation.
   auto rebuild = [&g]() {
     struct Stack {
       CsrSnapshot csr;
       LineGraph lg;
-      std::unique_ptr<LineReachabilityOracle> oracle;
       std::unique_ptr<ClusterJoinIndex> cidx;
     };
     auto s = std::make_unique<Stack>();
     s->csr = CsrSnapshot::Build(g);
     s->lg = LineGraph::Build(s->csr);
-    auto oracle = LineReachabilityOracle::Build(s->lg);
-    s->oracle = std::make_unique<LineReachabilityOracle>(
-        std::move(oracle).ValueOrDie());
-    auto cidx = ClusterJoinIndex::Build(s->lg, *s->oracle);
+    auto cidx = ClusterJoinIndex::Build(s->lg, s->csr);
     s->cidx = std::make_unique<ClusterJoinIndex>(std::move(cidx).ValueOrDie());
     return s;
   };

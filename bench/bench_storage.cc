@@ -5,7 +5,7 @@
 ///
 ///  * BM_ColdStartRebuild: the baseline — construct an engine over the
 ///    already-loaded graph and RebuildIndexes() (CSR, line graph,
-///    oracle, cluster index);
+///    cluster index);
 ///  * BM_ColdStartOpenFromDir: the durable path — OpenFromDir() over a
 ///    saved bundle plus a WAL tail of kTailMutations records (load,
 ///    checksum-verify every section, adopt, replay). The

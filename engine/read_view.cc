@@ -54,29 +54,25 @@ EvaluatorKind AutoPick(const BoundPathExpression& expr,
 
 namespace {
 
-/// The join-index stack (line graph, oracle, cluster index) is
-/// by far the heaviest build; skip it entirely for online-only
-/// configurations, which only need the CSR.
+/// The join-index stack (line graph, cluster index) is by far the
+/// heaviest build; skip it entirely for online-only configurations,
+/// which only need the CSR.
 bool NeedJoinStack(const EngineOptions& options) {
   return options.evaluator == EvaluatorChoice::kAuto ||
          options.evaluator == EvaluatorChoice::kJoinIndex;
 }
 
-/// Finishes a bundle whose csr (and, when `lg_built`, line graph +
-/// oracle) are already in place: the cluster index and closure are
-/// always derived fresh — they are linear-ish in the line
-/// graph, unlike the SCC/sweep work the incremental path avoids.
+/// Finishes a bundle whose csr (and, when `lg_built`, line graph) are
+/// already in place: the cluster index and closure are always derived
+/// fresh from them.
 Status FinishBundle(SnapshotIndexes& idx, bool lg_built,
                     const EngineOptions& options) {
   if (NeedJoinStack(options)) {
     if (!lg_built) {
       idx.lg = LineGraph::Build(
           idx.csr, {.include_backward = options.line_graph_backward});
-      auto oracle = LineReachabilityOracle::Build(idx.lg);
-      if (!oracle.ok()) return oracle.status();
-      idx.oracle = std::make_unique<LineReachabilityOracle>(std::move(*oracle));
     }
-    auto cluster = ClusterJoinIndex::Build(idx.lg, *idx.oracle);
+    auto cluster = ClusterJoinIndex::Build(idx.lg, idx.csr);
     if (!cluster.ok()) return cluster.status();
     idx.cluster = std::make_unique<ClusterJoinIndex>(std::move(*cluster));
     idx.join_built = true;
@@ -114,9 +110,8 @@ SnapshotIndexes::BuildIncremental(const SnapshotIndexes& prev,
                                   const DeltaOverlay& overlay,
                                   EdgeId first_new_edge,
                                   const EngineOptions& options) {
-  // Gate: insertion-only (deleted reachability cannot be patched out of
-  // the labels) and small relative to the snapshot — past the fraction
-  // the resumed sweeps stop beating the batch build.
+  // Gate: insertion-only (the extended line graph keeps every previous
+  // vertex, so no edge may go) and small relative to the snapshot.
   if (options.incremental_max_fraction <= 0.0 || overlay.has_deletions()) {
     return std::shared_ptr<const SnapshotIndexes>(nullptr);
   }
@@ -131,19 +126,10 @@ SnapshotIndexes::BuildIncremental(const SnapshotIndexes& prev,
   idx->csr = CsrSnapshot::Build(graph, overlay, first_new_edge);
   bool lg_built = false;
   if (NeedJoinStack(options)) {
-    if (!prev.join_built || prev.oracle == nullptr) {
+    if (!prev.join_built) {
       return std::shared_ptr<const SnapshotIndexes>(nullptr);
     }
     idx->lg = LineGraph::BuildIncremental(prev.lg, idx->csr, first_new_edge);
-    auto oracle = LineReachabilityOracle::BuildIncremental(
-        *prev.oracle, idx->lg,
-        static_cast<LineVertexId>(prev.lg.NumVertices()));
-    if (!oracle.has_value()) {
-      // An insertion closed a line-graph cycle: components must merge,
-      // which only the full Tarjan pass can do.
-      return std::shared_ptr<const SnapshotIndexes>(nullptr);
-    }
-    idx->oracle = std::make_unique<LineReachabilityOracle>(std::move(*oracle));
     lg_built = true;
   }
   SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, lg_built, options));

@@ -7,9 +7,8 @@
 /// The serving model is RCU-style snapshot publication. A view is a
 /// frozen bundle of everything one CheckAccess needs:
 ///
-///   * a `SnapshotIndexes` (CSR + line graph + oracle + cluster index +
-///     closure), shared across views until the next
-///     RebuildIndexes/Compact;
+///   * a `SnapshotIndexes` (CSR + line graph + cluster index + closure),
+///     shared across views until the next RebuildIndexes/Compact;
 ///   * a `PolicySnapshot` (resource table + eagerly bound, compiled
 ///     rules), shared across views until the policy store changes;
 ///   * a frozen copy of the DeltaOverlay as of publication, so staged
@@ -50,7 +49,6 @@
 #include "graph/delta_overlay.h"
 #include "graph/line_graph.h"
 #include "index/cluster_index.h"
-#include "index/line_oracle.h"
 #include "index/transitive_closure.h"
 #include "query/evaluator.h"
 #include "query/join_evaluator.h"
@@ -103,8 +101,8 @@ struct EngineOptions {
   /// Compact()).
   size_t compact_threshold = kCompactThresholdAuto;
   /// Compactions whose staged delta is insertion-only and no larger
-  /// than this fraction of the snapshot's edges patch the line graph /
-  /// oracle incrementally instead of rebuilding them (see
+  /// than this fraction of the snapshot's edges extend the previous
+  /// line graph instead of rebuilding it (see
   /// SnapshotIndexes::BuildIncremental). 0 disables incremental
   /// maintenance.
   double incremental_max_fraction = 0.05;
@@ -175,13 +173,13 @@ inline constexpr size_t kNumEvaluatorKinds = 2;
 struct SnapshotIndexes {
   CsrSnapshot csr;
   LineGraph lg;
-  std::unique_ptr<LineReachabilityOracle> oracle;
   std::unique_ptr<ClusterJoinIndex> cluster;
   std::unique_ptr<TransitiveClosure> closure;
-  /// True when the join stack (lg/oracle/cluster) was built. The
-  /// paper's per-label base tables are not part of it: only
-  /// FaithfulJoinEvaluator (query/faithful_join_evaluator.h) reads them,
-  /// and it builds its own.
+  /// True when the join stack (lg/cluster) was built. The paper's
+  /// per-label base tables and line-graph reachability oracle are not
+  /// part of it: only FaithfulJoinEvaluator
+  /// (query/faithful_join_evaluator.h) reads them; it builds its own
+  /// tables and takes the oracle from its caller.
   bool join_built = false;
 
   /// Builds the bundle the configuration needs (the join stack only for
@@ -198,16 +196,15 @@ struct SnapshotIndexes {
       const SocialGraph& graph, const DeltaOverlay& overlay,
       EdgeId first_new_edge, const EngineOptions& options);
 
-  /// Incremental variant of BuildMerged: patches `prev`'s line graph and
-  /// reachability oracle instead of rebuilding them (the CSR, closure
-  /// and cluster index are re-derived — all linear). Only
-  /// applicable when the delta is insertion-only (removals shrink
-  /// reachability, which labels cannot un-learn), no larger than
-  /// options.incremental_max_fraction of the snapshot's edges, and the
-  /// insertions close no cycle in the line graph; returns null (not an
-  /// error) when any of these fail and the caller should fall back to
-  /// the full BuildMerged. Produces the same answers as the full build
-  /// (the equivalence test suite pins this on randomized overlays).
+  /// Incremental variant of BuildMerged: extends `prev`'s line graph with
+  /// the staged edges instead of rebuilding it (the CSR, closure and
+  /// cluster index are re-derived). Only applicable when the delta is
+  /// insertion-only (the extended line graph keeps every previous
+  /// vertex) and no larger than options.incremental_max_fraction of the
+  /// snapshot's edges; returns null (not an error) when either fails and
+  /// the caller should fall back to the full BuildMerged. Produces the
+  /// same answers as the full build (the equivalence test suite pins
+  /// this on randomized overlays).
   static Result<std::shared_ptr<const SnapshotIndexes>> BuildIncremental(
       const SnapshotIndexes& prev, const SocialGraph& graph,
       const DeltaOverlay& overlay, EdgeId first_new_edge,

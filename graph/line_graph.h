@@ -55,10 +55,9 @@ class LineGraph {
   /// edge of `prev`'s snapshot (same ids) plus edges with ids ≥
   /// `first_new_edge` — the shape an insertion-only compaction produces
   /// (CsrSnapshot::Build(g, overlay, first_new_edge)). Vertices of prev
-  /// keep their LineVertexIds — the property that lets the reachability
-  /// oracle be patched instead of rebuilt — and new-edge vertices are
-  /// appended (forward orientation, then backward when prev carried
-  /// backward orientations). The tail/head bucket lists are re-derived
+  /// keep their LineVertexIds and new-edge vertices are appended
+  /// (forward orientation, then backward when prev carried backward
+  /// orientations). The tail/head bucket lists are re-derived
   /// (linear), not the vertices.
   static LineGraph BuildIncremental(const LineGraph& prev,
                                     const CsrSnapshot& csr,

@@ -2,10 +2,19 @@
 
 #include <algorithm>
 
+#include "index/scc.h"
+
 namespace sargus {
 
-Result<ClusterJoinIndex> ClusterJoinIndex::Build(
-    const LineGraph& lg, const LineReachabilityOracle& oracle) {
+Result<ClusterJoinIndex> ClusterJoinIndex::Build(const LineGraph& lg,
+                                                 const CsrSnapshot& csr) {
+  const size_t orientations = lg.includes_backward() ? 2 : 1;
+  if (csr.NumNodes() != lg.NumGraphNodes() ||
+      csr.NumEdges() * orientations != lg.NumVertices()) {
+    return Status::InvalidArgument(
+        "ClusterJoinIndex::Build: the CSR is not the snapshot the line "
+        "graph was built from");
+  }
   ClusterJoinIndex idx;
   idx.num_nodes_ = lg.NumGraphNodes();
   size_t max_label = 0;
@@ -14,11 +23,6 @@ Result<ClusterJoinIndex> ClusterJoinIndex::Build(
   }
   idx.num_oriented_labels_ = lg.NumVertices() ? 2 * (max_label + 1) : 0;
   const size_t num_buckets = idx.num_oriented_labels_ * idx.num_nodes_;
-  if (oracle.scc().component_of.size() != lg.NumVertices()) {
-    return Status::InvalidArgument(
-        "ClusterJoinIndex::Build: oracle was built over a different line "
-        "graph");
-  }
 
   // Counting sort into (oriented label, tail) buckets.
   idx.offsets_.assign(num_buckets + 1, 0);
@@ -43,51 +47,84 @@ Result<ClusterJoinIndex> ClusterJoinIndex::Build(
     }
   }
 
-  // Label-pair reachability: for each oriented label, BFS over the DAG
-  // from every component containing that label; intersect the reached set
-  // with every other label's component membership.
-  const size_t ol_count = idx.num_oriented_labels_;
-  const Dag& dag = oracle.dag();
-  const size_t c = dag.NumVertices();
-  // Membership: component -> bitmask over oriented labels (<= 32 labels
-  // per the bench fixtures; wider alphabets fall back to per-label sets).
-  std::vector<std::vector<uint8_t>> label_comps(ol_count,
-                                                std::vector<uint8_t>(c, 0));
-  for (LineVertexId v = 0; v < lg.NumVertices(); ++v) {
-    const LineGraph::Vertex& lv = lg.vertex(v);
-    const size_t ol = 2 * static_cast<size_t>(lv.label) + (lv.backward);
-    label_comps[ol][oracle.ComponentOf(v)] = 1;
+  idx.label_reach_ = idx.LabelPairMatrix(lg, csr);
+  return idx;
+}
+
+std::vector<uint8_t> ClusterJoinIndex::LabelPairMatrix(
+    const LineGraph& lg, const CsrSnapshot& csr) const {
+  const size_t ol_count = num_oriented_labels_;
+  std::vector<uint8_t> matrix(ol_count * ol_count, 0);
+  if (ol_count == 0) return matrix;
+
+  // Condense H: the CSR's out-edges, plus its in-edges when the line
+  // graph holds backward orientations.
+  const bool backward = lg.includes_backward();
+  auto for_each_succ = [&csr, backward](uint32_t v, auto&& emit) {
+    for (const auto& e : csr.Out(v)) emit(e.other);
+    if (backward) {
+      for (const auto& e : csr.In(v)) emit(e.other);
+    }
+  };
+  const SccResult scc = ComputeSccGeneric(num_nodes_, for_each_succ);
+  const std::vector<uint32_t>& comp = scc.component_of;
+  std::vector<std::pair<uint32_t, uint32_t>> arcs;
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    for_each_succ(u, [&](uint32_t w) {
+      if (comp[u] != comp[w]) arcs.emplace_back(comp[u], comp[w]);
+    });
   }
-  idx.label_reach_.assign(ol_count * ol_count, 0);
-  std::vector<uint8_t> reached(c);
-  std::vector<uint32_t> queue;
-  for (size_t ol = 0; ol < ol_count; ++ol) {
-    std::fill(reached.begin(), reached.end(), 0);
-    queue.clear();
-    for (uint32_t comp = 0; comp < c; ++comp) {
-      if (label_comps[ol][comp]) {
-        reached[comp] = 1;
-        queue.push_back(comp);
+  const Dag dag = Dag::FromArcs(scc.num_components, std::move(arcs));
+
+  // Per oriented label, the distinct components holding a head and a
+  // tail of its line vertices. members_ groups vertices by oriented
+  // label, so one "last label that listed it" stamp per component
+  // deduplicates every list.
+  const size_t c = dag.NumVertices();
+  std::vector<std::vector<uint32_t>> heads(ol_count);
+  std::vector<std::vector<uint32_t>> tails(ol_count);
+  std::vector<uint32_t> head_stamp(c, UINT32_MAX);
+  std::vector<uint32_t> tail_stamp(c, UINT32_MAX);
+  for (uint32_t ol = 0; ol < ol_count; ++ol) {
+    for (uint32_t i = offsets_[ol * num_nodes_];
+         i < offsets_[(ol + 1) * num_nodes_]; ++i) {
+      const LineGraph::Vertex& lv = lg.vertex(members_[i]);
+      const uint32_t ch = comp[lv.head];
+      const uint32_t ct = comp[lv.tail];
+      if (head_stamp[ch] != ol) {
+        head_stamp[ch] = ol;
+        heads[ol].push_back(ch);
+      }
+      if (tail_stamp[ct] != ol) {
+        tail_stamp[ct] = ol;
+        tails[ol].push_back(ct);
       }
     }
-    if (queue.empty()) continue;
+  }
+
+  // One DAG search per oriented label A from its head components; B is
+  // reachable from A iff the search touched one of B's tail components.
+  std::vector<uint32_t> reached(c, UINT32_MAX);  // stamp: source label
+  std::vector<uint32_t> queue;
+  for (uint32_t a = 0; a < ol_count; ++a) {
+    if (heads[a].empty()) continue;
+    queue = heads[a];
+    for (uint32_t v : queue) reached[v] = a;
     for (size_t head = 0; head < queue.size(); ++head) {
       for (uint32_t w : dag.Out(queue[head])) {
-        if (!reached[w]) {
-          reached[w] = 1;
+        if (reached[w] != a) {
+          reached[w] = a;
           queue.push_back(w);
         }
       }
     }
-    for (size_t other = 0; other < ol_count; ++other) {
-      bool any = false;
-      for (uint32_t comp = 0; comp < c && !any; ++comp) {
-        any = reached[comp] && label_comps[other][comp];
-      }
-      idx.label_reach_[ol * ol_count + other] = any;
+    for (uint32_t b = 0; b < ol_count; ++b) {
+      matrix[a * ol_count + b] =
+          a == b || std::any_of(tails[b].begin(), tails[b].end(),
+                                [&](uint32_t v) { return reached[v] == a; });
     }
   }
-  return idx;
+  return matrix;
 }
 
 std::span<const LineVertexId> ClusterJoinIndex::Cluster(LabelId label,

@@ -10,11 +10,15 @@
 /// frontier by one `label` hop from node u" is then a single cluster
 /// lookup instead of a scan of the label's whole base table.
 ///
-/// On top of the clusters, Build derives a label-pair reachability summary
-/// from the oracle's condensation DAG: label A can precede label B in some
-/// path iff some A-cluster member reaches some B-cluster member. The join
-/// evaluator uses it to discard infeasible concrete label sequences before
-/// generating a single tuple.
+/// On top of the clusters, Build derives a label-pair reachability summary:
+/// label A can precede label B in some path iff some A line vertex reaches
+/// some B line vertex. It is computed on the node graph, not the line
+/// graph: for line vertices a ≠ b, a reaches b iff head(a) reaches tail(b)
+/// in H, the graph whose arcs are the line vertices (G, or G ∪ Gᵀ when the
+/// line graph carries backward orientations). So Build condenses H — |V|
+/// vertices, not the line graph's |E| — and runs one DAG search per
+/// oriented label. The join evaluator uses the summary to discard
+/// infeasible concrete label sequences before generating a single tuple.
 
 #include <cstdint>
 #include <span>
@@ -22,8 +26,8 @@
 
 #include "common/result.h"
 #include "common/types.h"
+#include "graph/csr.h"
 #include "graph/line_graph.h"
-#include "index/line_oracle.h"
 
 namespace sargus {
 
@@ -35,8 +39,10 @@ class ClusterJoinIndex {
  public:
   ClusterJoinIndex() = default;
 
+  /// `csr` must be the snapshot `lg` was built from; a CSR whose node or
+  /// edge count disagrees with `lg` is kInvalidArgument.
   static Result<ClusterJoinIndex> Build(const LineGraph& lg,
-                                        const LineReachabilityOracle& oracle);
+                                        const CsrSnapshot& csr);
 
   /// Members of cluster (label, orientation, tail=node): the line vertices
   /// a frontier at `node` extends through for one hop of `label`.
@@ -48,9 +54,19 @@ class ClusterJoinIndex {
 
   /// May an edge of (label a, orientation) precede — via any number of
   /// line-graph arcs — an edge of (label b, orientation)? Sound prune:
-  /// false means no concrete sequence pairing them can match.
+  /// false means no concrete sequence pairing them can match. A pair
+  /// with a == b (same orientation) holds iff the oriented label has an
+  /// edge.
   bool LabelPairReachable(LabelId a, bool a_backward, LabelId b,
                           bool b_backward) const;
+
+  /// The label-pair stage of Build on its own: the row-major matrix over
+  /// oriented labels (2 * label + backward) that LabelPairReachable
+  /// reads, computed from this index's clusters and the node graph.
+  /// Build stores its result; it is public so the construction
+  /// benchmarks can time the stage.
+  std::vector<uint8_t> LabelPairMatrix(const LineGraph& lg,
+                                       const CsrSnapshot& csr) const;
 
   size_t MemoryBytes() const {
     return offsets_.capacity() * sizeof(uint32_t) +
@@ -61,7 +77,6 @@ class ClusterJoinIndex {
  private:
   friend struct storage::StorageAccess;
 
-  size_t OrientedLabelCount() const { return num_oriented_labels_; }
   size_t BucketIndex(LabelId label, bool backward, NodeId node) const {
     return (2 * static_cast<size_t>(label) + (backward ? 1 : 0)) *
                num_nodes_ +

@@ -15,10 +15,13 @@
 /// decide. The GRAIL interval labels the paper also describes are a
 /// benchmark artifact (index/intervals.h), built from dag() by the
 /// benches that measure them; the oracle neither builds nor stores them.
+///
+/// The oracle is a library structure, not part of the serving bundle:
+/// FaithfulJoinEvaluator joins on it and the index-construction benches
+/// measure it. The serving join index derives its label-pair summary
+/// from the node graph instead (index/cluster_index.h).
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 
 #include "common/result.h"
 #include "graph/line_graph.h"
@@ -27,28 +30,10 @@
 
 namespace sargus {
 
-namespace storage {
-struct StorageAccess;
-}
-
 class LineReachabilityOracle {
  public:
   /// Builds the full SCC -> DAG -> 2-hop stack over `lg`.
   static Result<LineReachabilityOracle> Build(const LineGraph& lg);
-
-  /// Incremental build for an insertion-only delta: `lg` must be
-  /// LineGraph::BuildIncremental of prev's line graph — old vertex ids
-  /// preserved, new vertices appended from `first_new_vertex`. Skips
-  /// the two implicit-arc enumerations (Tarjan + condensation) and the
-  /// full label sweep: each new line vertex becomes its own condensation
-  /// vertex, the DAG is extended with the arcs it induces, and the 2-hop
-  /// labels are patched (TwoHopLabeling::PatchInsertions). Returns
-  /// nullopt — caller falls back to a full Build — when an inserted edge
-  /// closes a cycle in the line graph (the appended-singleton-component
-  /// assumption breaks: existing SCCs would have to merge).
-  static std::optional<LineReachabilityOracle> BuildIncremental(
-      const LineReachabilityOracle& prev, const LineGraph& lg,
-      LineVertexId first_new_vertex);
 
   /// Exact line-graph reachability u ->* v (u == v counts as reachable).
   bool Reachable(LineVertexId u, LineVertexId v) const;
@@ -72,8 +57,6 @@ class LineReachabilityOracle {
   }
 
  private:
-  friend struct storage::StorageAccess;
-
   SccResult scc_;
   Dag dag_;
   TwoHopLabeling two_hop_;

@@ -5,8 +5,9 @@
 /// \brief Which index-based pruning directions stay sound while a
 /// DeltaOverlay holds pending mutations.
 ///
-/// Every index in this directory (transitive closure, 2-hop labels, the
-/// line oracle built on them, the benchmark-only GRAIL intervals) is a
+/// Every index in this directory (transitive closure, the cluster
+/// index's label-pair matrix, the library 2-hop labels and the line
+/// oracle built on them, the benchmark-only GRAIL intervals) is a
 /// snapshot of the *base* graph. While the overlay is non-empty, the
 /// logical graph differs from that snapshot, and index answers are only
 /// usable as one-sided approximations:

@@ -9,7 +9,7 @@
 /// (reciprocal friendships create many) collapse into one vertex. The SCC
 /// routine is an iterative Tarjan templated on an adjacency callback so the
 /// same code runs over the implicit line graph and over plain CSR node
-/// graphs (TransitiveClosure).
+/// graphs (TransitiveClosure, ClusterJoinIndex's label-pair matrix).
 
 #include <cstdint>
 #include <span>
@@ -19,10 +19,6 @@
 #include "graph/line_graph.h"
 
 namespace sargus {
-
-namespace storage {
-struct StorageAccess;
-}
 
 struct SccResult {
   /// Component of each input vertex. Components are numbered in reverse
@@ -63,8 +59,6 @@ class Dag {
                       std::vector<std::pair<uint32_t, uint32_t>> arcs);
 
  private:
-  friend struct storage::StorageAccess;
-
   size_t num_vertices_ = 0;
   std::vector<uint32_t> fwd_offsets_{0};
   std::vector<uint32_t> fwd_arcs_;

@@ -5,10 +5,7 @@
 #include "common/checksum.h"
 #include "common/file_util.h"
 #include "index/cluster_index.h"
-#include "index/line_oracle.h"
-#include "index/scc.h"
 #include "index/transitive_closure.h"
-#include "index/two_hop.h"
 
 namespace sargus::storage {
 
@@ -92,29 +89,6 @@ void StorageAccess::SaveLineGraph(const LineGraph& lg, BlobWriter& w) {
   w.PutU8(lg.includes_backward_ ? 1 : 0);
 }
 
-void StorageAccess::SaveOracle(const LineReachabilityOracle& o,
-                               BlobWriter& w) {
-  // SCC result (public struct).
-  w.PutVec(o.scc_.component_of);
-  w.PutU32(o.scc_.num_components);
-  // Condensation DAG.
-  const Dag& d = o.dag_;
-  w.PutU64(d.num_vertices_);
-  w.PutVec(d.fwd_offsets_);
-  w.PutVec(d.fwd_arcs_);
-  w.PutVec(d.bwd_offsets_);
-  w.PutVec(d.bwd_arcs_);
-  w.PutVec(d.topo_order_);
-  // 2-hop labels.
-  const TwoHopLabeling& t = o.two_hop_;
-  w.PutVec(t.out_offsets_);
-  w.PutVec(t.out_hubs_);
-  w.PutVec(t.in_offsets_);
-  w.PutVec(t.in_hubs_);
-  w.PutVec(t.rank_of_);
-  w.PutVec(t.vertex_of_);
-}
-
 void StorageAccess::SaveCluster(const ClusterJoinIndex& c, BlobWriter& w) {
   w.PutU64(c.num_nodes_);
   w.PutU64(c.num_oriented_labels_);
@@ -181,10 +155,6 @@ Status WriteBundle(const std::string& path, const BundlePayload& payload) {
       [&](BlobWriter& w) { StorageAccess::SaveCsr(idx.csr, w); });
   add(SectionKind::kLineGraph,
       [&](BlobWriter& w) { StorageAccess::SaveLineGraph(idx.lg, w); });
-  if (idx.oracle != nullptr) {
-    add(SectionKind::kOracle,
-        [&](BlobWriter& w) { StorageAccess::SaveOracle(*idx.oracle, w); });
-  }
   if (idx.cluster != nullptr) {
     add(SectionKind::kCluster,
         [&](BlobWriter& w) { StorageAccess::SaveCluster(*idx.cluster, w); });

@@ -62,9 +62,10 @@ inline constexpr char kWalFileName[] = "wal.log";
 
 inline constexpr uint64_t kBundleMagic = 0x3150414E53475253ULL;  // "SRGSNAP1"
 /// Version 2 dropped the base-table section (kind 6); version 3 dropped
-/// the interval labels from the oracle section. Older bundles are
-/// refused with kDataLoss, not migrated.
-inline constexpr uint32_t kBundleVersion = 3;
+/// the interval labels from the oracle section; version 4 dropped the
+/// oracle section (kind 4). Older bundles are refused with kDataLoss,
+/// not migrated.
+inline constexpr uint32_t kBundleVersion = 4;
 inline constexpr uint32_t kBundlePageSize = 4096;
 /// Fixed header fields end here; section table entries follow.
 inline constexpr size_t kBundleSectionTableOffset = 64;
@@ -84,9 +85,9 @@ enum class SectionKind : uint32_t {
   kGraph = 1,
   kCsr = 2,
   kLineGraph = 3,
-  kOracle = 4,
+  // 4 held the line-graph reachability oracle up to version 3 and 6 the
+  // paper's base tables up to version 1; both retired, never reused.
   kCluster = 5,
-  // 6 held the paper's base tables up to version 1; retired, never reused.
   kClosure = 7,
   kOverlay = 8,
 };
@@ -275,9 +276,6 @@ struct StorageAccess {
 
   static void SaveLineGraph(const LineGraph& lg, BlobWriter& w);
   static Status LoadLineGraph(BlobReader& r, LineGraph* lg);
-
-  static void SaveOracle(const LineReachabilityOracle& o, BlobWriter& w);
-  static Status LoadOracle(BlobReader& r, LineReachabilityOracle* o);
 
   static void SaveCluster(const ClusterJoinIndex& c, BlobWriter& w);
   static Status LoadCluster(BlobReader& r, ClusterJoinIndex* c);

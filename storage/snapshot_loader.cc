@@ -9,10 +9,7 @@
 #include "common/checksum.h"
 #include "common/file_util.h"
 #include "index/cluster_index.h"
-#include "index/line_oracle.h"
-#include "index/scc.h"
 #include "index/transitive_closure.h"
-#include "index/two_hop.h"
 
 namespace sargus::storage {
 
@@ -131,26 +128,6 @@ Status StorageAccess::LoadLineGraph(BlobReader& r, LineGraph* lg) {
   return FinishSection(r, "line-graph");
 }
 
-Status StorageAccess::LoadOracle(BlobReader& r, LineReachabilityOracle* o) {
-  r.GetVec(&o->scc_.component_of);
-  o->scc_.num_components = r.GetU32();
-  Dag& d = o->dag_;
-  d.num_vertices_ = r.GetU64();
-  r.GetVec(&d.fwd_offsets_);
-  r.GetVec(&d.fwd_arcs_);
-  r.GetVec(&d.bwd_offsets_);
-  r.GetVec(&d.bwd_arcs_);
-  r.GetVec(&d.topo_order_);
-  TwoHopLabeling& t = o->two_hop_;
-  r.GetVec(&t.out_offsets_);
-  r.GetVec(&t.out_hubs_);
-  r.GetVec(&t.in_offsets_);
-  r.GetVec(&t.in_hubs_);
-  r.GetVec(&t.rank_of_);
-  r.GetVec(&t.vertex_of_);
-  return FinishSection(r, "oracle");
-}
-
 Status StorageAccess::LoadCluster(BlobReader& r, ClusterJoinIndex* c) {
   c->num_nodes_ = r.GetU64();
   c->num_oriented_labels_ = r.GetU64();
@@ -221,18 +198,17 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   // pre-allocate the owned index structures, before fanning out.
   uint64_t seen = 0;
   for (const BundleInfo::Section& s : info.sections) {
+    const uint32_t raw_kind = static_cast<uint32_t>(s.kind);
     if (s.kind < SectionKind::kGraph || s.kind > SectionKind::kOverlay ||
-        static_cast<uint32_t>(s.kind) == 6) {  // the retired tables kind
+        raw_kind == 4 || raw_kind == 6) {  // the retired oracle and tables
       return Status::DataLoss("bundle: unknown section kind");
     }
-    const uint64_t kind_bit = 1ULL << static_cast<uint32_t>(s.kind);
+    const uint64_t kind_bit = 1ULL << raw_kind;
     if (seen & kind_bit) {
       return Status::DataLoss("bundle: duplicate section");
     }
     seen |= kind_bit;
-    if (s.kind == SectionKind::kOracle) {
-      out.indexes->oracle = std::make_unique<LineReachabilityOracle>();
-    } else if (s.kind == SectionKind::kCluster) {
+    if (s.kind == SectionKind::kCluster) {
       out.indexes->cluster = std::make_unique<ClusterJoinIndex>();
     } else if (s.kind == SectionKind::kClosure) {
       out.indexes->closure = std::make_unique<TransitiveClosure>();
@@ -263,9 +239,6 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
         break;
       case SectionKind::kLineGraph:
         statuses[i] = StorageAccess::LoadLineGraph(r, &out.indexes->lg);
-        break;
-      case SectionKind::kOracle:
-        statuses[i] = StorageAccess::LoadOracle(r, out.indexes->oracle.get());
         break;
       case SectionKind::kCluster:
         statuses[i] =
@@ -309,8 +282,7 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
       !require(SectionKind::kLineGraph) || !require(SectionKind::kOverlay)) {
     return Status::DataLoss("bundle: required section missing");
   }
-  if (out.indexes->join_built &&
-      (out.indexes->oracle == nullptr || out.indexes->cluster == nullptr)) {
+  if (out.indexes->join_built && out.indexes->cluster == nullptr) {
     return Status::DataLoss("bundle: join stack flagged but sections missing");
   }
   if (((info.flags & kFlagClosure) != 0) != (out.indexes->closure != nullptr)) {

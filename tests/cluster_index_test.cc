@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "index/base_tables.h"
 #include "index/cluster_index.h"
+#include "synth/generators.h"
 #include "tests/test_util.h"
 
 namespace sargus {
@@ -95,14 +100,131 @@ TEST(ClusterJoinIndex, LabelPairReachability) {
                                               false));
 }
 
-TEST(ClusterJoinIndex, RejectsMismatchedOracle) {
-  auto s1 = BuildStack(MakeDiamond(), false);
-  auto s2 = BuildStack(MakeDiamond(), true);  // different vertex count
-  ASSERT_NE(s1, nullptr);
-  ASSERT_NE(s2, nullptr);
-  auto bad = ClusterJoinIndex::Build(s2->lg, *s1->oracle);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+TEST(ClusterJoinIndex, RejectsMismatchedCsr) {
+  auto s = BuildStack(MakeDiamond(), /*include_backward=*/true);
+  ASSERT_NE(s, nullptr);
+  // One more edge: the edge count disagrees with the line graph.
+  SocialGraph more_edges = MakeDiamond();
+  ASSERT_TRUE(more_edges.AddEdge(3, 4, "friend").ok());
+  // One more node: the node count disagrees.
+  SocialGraph more_nodes = MakeDiamond();
+  more_nodes.AddNode();
+  for (const SocialGraph* g : {&more_edges, &more_nodes}) {
+    auto bad = ClusterJoinIndex::Build(s->lg, CsrSnapshot::Build(*g));
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+/// Checks every oriented-label pair (plus one label past the alphabet)
+/// against brute force over the line-graph oracle: A precedes B iff some
+/// A vertex reaches some B vertex. Returns the number of unreachable
+/// pairs whose labels both have vertices, so callers can assert the
+/// cases discriminate.
+size_t ExpectLabelPairsMatchOracle(const testing_util::Stack& s) {
+  size_t num_labels = 0;
+  for (LineVertexId v = 0; v < s.lg.NumVertices(); ++v) {
+    num_labels = std::max<size_t>(num_labels, s.lg.vertex(v).label + 1u);
+  }
+  std::vector<std::vector<LineVertexId>> by_label(2 * (num_labels + 1));
+  for (LineVertexId v = 0; v < s.lg.NumVertices(); ++v) {
+    const auto& lv = s.lg.vertex(v);
+    by_label[2 * lv.label + (lv.backward ? 1 : 0)].push_back(v);
+  }
+  size_t unreachable = 0;
+  for (size_t a = 0; a < by_label.size(); ++a) {
+    for (size_t b = 0; b < by_label.size(); ++b) {
+      bool expected = false;
+      for (LineVertexId u : by_label[a]) {
+        for (LineVertexId w : by_label[b]) {
+          if (s.oracle->Reachable(u, w)) {
+            expected = true;
+            break;
+          }
+        }
+        if (expected) break;
+      }
+      const bool got = s.cluster->LabelPairReachable(
+          static_cast<LabelId>(a / 2), a % 2 == 1,
+          static_cast<LabelId>(b / 2), b % 2 == 1);
+      EXPECT_EQ(got, expected) << "oriented labels " << a << " -> " << b;
+      if (!expected && !by_label[a].empty() && !by_label[b].empty()) {
+        ++unreachable;
+      }
+    }
+  }
+  return unreachable;
+}
+
+TEST(ClusterJoinIndex, LabelPairsMatchLineOracleBruteForce) {
+  const std::vector<std::string> labels = {"friend", "colleague", "family",
+                                           "follows"};
+  struct Case {
+    std::string name;
+    SocialGraph graph;
+  };
+  std::vector<Case> cases;
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    // Dense and reciprocal, then sparse and one-way: the sparse graphs
+    // leave many label pairs unreachable.
+    for (const double reciprocity : {0.5, 0.0}) {
+      const bool sparse = reciprocity == 0.0;
+      const SocialGraphSpec base{.num_nodes = 48,
+                                 .seed = seed,
+                                 .labels = labels,
+                                 .reciprocity = reciprocity};
+      const std::string tag = std::string(sparse ? " sparse" : " dense") +
+                              " seed " + std::to_string(seed);
+      auto er = GenerateErdosRenyi(
+          {.base = base, .avg_out_degree = sparse ? 0.8 : 2.5});
+      auto ba = GenerateBarabasiAlbert(
+          {.base = base, .edges_per_node = sparse ? 1u : 2u});
+      auto ws = GenerateWattsStrogatz(
+          {.base = base,
+           .neighbors_per_side = sparse ? 1u : 2u,
+           .rewire_probability = 0.2});
+      ASSERT_TRUE(er.ok() && ba.ok() && ws.ok());
+      cases.push_back({"ER" + tag, std::move(*er)});
+      cases.push_back({"BA" + tag, std::move(*ba)});
+      cases.push_back({"WS" + tag, std::move(*ws)});
+    }
+  }
+  {
+    // Self-loops, 2-cycles and a one-way tail, labels mixed on each.
+    SocialGraph g;
+    for (int i = 0; i < 7; ++i) g.AddNode();
+    ASSERT_TRUE(g.AddEdge(0, 0, "friend").ok());
+    ASSERT_TRUE(g.AddEdge(0, 1, "colleague").ok());
+    ASSERT_TRUE(g.AddEdge(1, 2, "friend").ok());
+    ASSERT_TRUE(g.AddEdge(2, 1, "family").ok());
+    ASSERT_TRUE(g.AddEdge(3, 3, "family").ok());
+    ASSERT_TRUE(g.AddEdge(4, 5, "colleague").ok());
+    ASSERT_TRUE(g.AddEdge(5, 4, "colleague").ok());
+    ASSERT_TRUE(g.AddEdge(5, 6, "follows").ok());
+    cases.push_back({"self-loops and 2-cycles", std::move(g)});
+  }
+  {
+    SocialGraph g;
+    for (int i = 0; i < 4; ++i) g.AddNode();
+    cases.push_back({"no edges", std::move(g)});
+  }
+  cases.push_back({"no nodes", SocialGraph()});
+
+  size_t unreachable = 0;
+  for (const Case& c : cases) {
+    for (const bool backward : {false, true}) {
+      SCOPED_TRACE(c.name + (backward ? " with backward" : " forward"));
+      auto s = BuildStack(c.graph, backward);
+      ASSERT_NE(s, nullptr);
+      unreachable += ExpectLabelPairsMatchOracle(*s);
+      // Label ids past the alphabet: false, however the pair is asked.
+      EXPECT_FALSE(s->cluster->LabelPairReachable(LabelId{9}, false,
+                                                  LabelId{9}, false));
+    }
+  }
+  // Some pairs of labels that have edges must be unreachable, or the
+  // comparison would not discriminate.
+  EXPECT_GT(unreachable, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -353,29 +356,64 @@ std::map<std::pair<EdgeId, bool>, LineVertexId> LineIdentity(
   return m;
 }
 
-/// Exhaustively compares the two bundles' oracles over every matched
-/// line-vertex pair.
-void ExpectOraclesAgree(const SnapshotIndexes& a, const SnapshotIndexes& b,
-                        const char* label) {
-  auto ma = LineIdentity(a.lg);
-  auto mb = LineIdentity(b.lg);
+/// The (edge, orientation) identities of `ids`, sorted.
+std::vector<std::pair<EdgeId, bool>> Identities(
+    const LineGraph& lg, std::span<const LineVertexId> ids) {
+  std::vector<std::pair<EdgeId, bool>> out;
+  for (LineVertexId v : ids) {
+    out.emplace_back(lg.vertex(v).edge, lg.vertex(v).backward);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Compares a patched bundle's join stack with the full build's: the
+/// same line vertices by identity, the same members in every cluster,
+/// and the same label-pair matrix (one label past the alphabet
+/// included).
+void ExpectJoinStacksAgree(const SnapshotIndexes& a, const SnapshotIndexes& b,
+                           const char* label) {
+  ASSERT_TRUE(a.join_built && b.join_built) << label;
+  ASSERT_EQ(a.lg.NumGraphNodes(), b.lg.NumGraphNodes()) << label;
+  ASSERT_EQ(a.lg.includes_backward(), b.lg.includes_backward()) << label;
+  const auto ma = LineIdentity(a.lg);
+  const auto mb = LineIdentity(b.lg);
   ASSERT_EQ(ma.size(), mb.size()) << label;
-  size_t checked = 0;
-  for (const auto& [ka, va] : ma) {
-    auto itb = mb.find(ka);
-    ASSERT_NE(itb, mb.end()) << label;
-    for (const auto& [ka2, va2] : ma) {
-      const LineVertexId vb = itb->second;
-      const LineVertexId vb2 = mb.at(ka2);
-      const bool full = b.oracle->Reachable(vb, vb2);
-      ASSERT_EQ(a.oracle->Reachable(va, va2), full)
-          << label << ": two-hop diverges on (" << ka.first
-          << (ka.second ? "b" : "f") << ") -> (" << ka2.first
-          << (ka2.second ? "b" : "f") << ")";
-      ++checked;
+  size_t num_labels = 0;
+  for (const auto& [key, va] : ma) {
+    auto itb = mb.find(key);
+    ASSERT_NE(itb, mb.end()) << label << ": edge " << key.first;
+    const auto& x = a.lg.vertex(va);
+    const auto& y = b.lg.vertex(itb->second);
+    ASSERT_EQ(std::tie(x.tail, x.head, x.label),
+              std::tie(y.tail, y.head, y.label))
+        << label << ": edge " << key.first;
+    num_labels = std::max<size_t>(num_labels, x.label + 1u);
+  }
+  for (LabelId l = 0; l <= num_labels; ++l) {
+    for (const bool backward : {false, true}) {
+      for (NodeId v = 0; v < a.lg.NumGraphNodes(); ++v) {
+        ASSERT_EQ(Identities(a.lg, a.cluster->Cluster(l, backward, v)),
+                  Identities(b.lg, b.cluster->Cluster(l, backward, v)))
+            << label << ": cluster (" << l << (backward ? "b" : "f") << ", "
+            << v << ")";
+      }
     }
   }
-  EXPECT_GT(checked, 0u) << label;
+  EXPECT_EQ(a.cluster->NumCenters(), b.cluster->NumCenters()) << label;
+  for (LabelId la = 0; la <= num_labels; ++la) {
+    for (LabelId lb = 0; lb <= num_labels; ++lb) {
+      for (const bool ba : {false, true}) {
+        for (const bool bb : {false, true}) {
+          EXPECT_EQ(a.cluster->LabelPairReachable(la, ba, lb, bb),
+                    b.cluster->LabelPairReachable(la, ba, lb, bb))
+              << label << ": label pair " << la << (ba ? "b" : "f")
+              << " -> " << lb << (bb ? "b" : "f");
+        }
+      }
+    }
+  }
+  EXPECT_GT(ma.size(), 0u) << label;
 }
 
 TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildRandomized) {
@@ -385,8 +423,9 @@ TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildRandomized) {
 
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     // Random DAG base (edges low -> high) plus forward-oriented staged
-    // insertions: the logical graph stays acyclic, so the patch path
-    // must apply on every seed — no silent fallback weakening the test.
+    // insertions: insertion-only with the fraction gate lifted, so the
+    // patch path must apply on every seed — no silent fallback
+    // weakening the test.
     Rng rng(7000 + seed);
     SocialGraph g;
     const size_t n = 26;
@@ -428,16 +467,15 @@ TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildRandomized) {
                                  << ": acyclic delta unexpectedly fell back";
     auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
     ASSERT_TRUE(full.ok());
-    ExpectOraclesAgree(**patched, **full,
-                       ("seed " + std::to_string(seed)).c_str());
+    ExpectJoinStacksAgree(**patched, **full,
+                          ("seed " + std::to_string(seed)).c_str());
   }
 }
 
 TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildOnCyclicBase) {
-  // The base may be arbitrarily cyclic (Tarjan already condensed it);
-  // what the patch needs is only that the *insertions* close no new
-  // cycle. Random ER bases + insertions hanging off fresh staged nodes
-  // (unreachable, so never cycle-closing) pin that case down.
+  // Cyclic ER bases (reciprocal ties) plus insertions hanging off a
+  // fresh staged node: the patched line graph must keep the base's
+  // clusters and label pairs exactly.
   EngineOptions options;
   options.evaluator = EvaluatorChoice::kAuto;
   options.incremental_max_fraction = 1.0;
@@ -470,14 +508,17 @@ TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildOnCyclicBase) {
     ASSERT_NE(*patched, nullptr) << "seed " << seed;
     auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
     ASSERT_TRUE(full.ok());
-    ExpectOraclesAgree(**patched, **full,
-                       ("cyclic-base seed " + std::to_string(seed)).c_str());
+    ExpectJoinStacksAgree(
+        **patched, **full,
+        ("cyclic-base seed " + std::to_string(seed)).c_str());
   }
 }
 
-TEST(CompactionIncremental, FallsBackOnDeletionsCyclesAndLargeDeltas) {
+TEST(CompactionIncremental, FallsBackOnDeletionsAndLargeDeltas) {
   EngineOptions options;
   options.evaluator = EvaluatorChoice::kAuto;
+  EngineOptions ungated = options;
+  ungated.incremental_max_fraction = 1.0;
 
   // Acyclic chain 0 -f-> 1 -f-> 2.
   SocialGraph g;
@@ -489,27 +530,27 @@ TEST(CompactionIncremental, FallsBackOnDeletionsCyclesAndLargeDeltas) {
   const LabelId fr = g.labels().Lookup("friend");
   const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
 
-  // Deletions cannot be patched out of reachability labels.
+  // Deletions: the patched line graph keeps every previous vertex.
   {
     DeltaOverlay overlay;
     overlay.StageRemove(0, 1, fr);
     auto r = SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                               options);
+                                               ungated);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(*r, nullptr);
   }
-  // A cycle-closing insertion must merge SCCs: fallback.
+  // A cycle-closing insertion patches like any other (no SCC is
+  // maintained incrementally) and matches the full merged build.
   {
     DeltaOverlay overlay;
     overlay.StageAdd(2, 0, fr);
     auto r = SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                               options);
+                                               ungated);
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, nullptr);
-    // The full merged build handles it (sanity).
+    ASSERT_NE(*r, nullptr);
     auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
     ASSERT_TRUE(full.ok());
-    EXPECT_TRUE((*full)->oracle != nullptr);
+    ExpectJoinStacksAgree(**r, **full, "cycle-closing insertion");
   }
   // Delta past the fraction gate (2 edges; 5% of 2 edges is < 1).
   {
@@ -536,9 +577,8 @@ TEST(CompactionIncremental, EngineTakesIncrementalPathForSmallInsertions) {
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   const LabelId fr = g.labels().Lookup("friend");
 
-  // Insertions hanging off a fresh staged node cannot close a line-graph
-  // cycle (nothing reaches a node with no in-edges), so the patch path
-  // is guaranteed applicable.
+  // Six insertions are well under 5% of the snapshot's edges, so the
+  // patch path applies.
   auto id = engine.AddNode();
   ASSERT_TRUE(id.ok());
   for (NodeId d = 1; d <= 6; ++d) {

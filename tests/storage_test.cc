@@ -463,10 +463,12 @@ TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
   ExpectDecisionEquivalence(engine, **ok, g.NumNodes(), store.NumResources());
 }
 
-// Version 2 dropped the base-table section. A bundle whose resealed
-// header says version 1, or whose section table names the retired kind
-// 6 (here: a well-formed extra entry aliasing the graph section's
-// checksummed bytes), is refused outright — never half-adopted.
+// Version 2 dropped the base-table section, version 3 the oracle's
+// interval labels, version 4 the oracle section. A bundle whose resealed
+// header says version 1, 2 or 3, or whose section table names the
+// retired kind 4 or 6 (here: a well-formed extra entry aliasing the
+// graph section's checksummed bytes), is refused outright — never
+// half-adopted.
 TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
@@ -478,6 +480,11 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   const std::vector<uint8_t> pristine = ReadAll(bundle_path);
   auto info = storage::ReadBundleInfo(bundle_path);
   ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->version, 4u);
+  for (const auto& section : info->sections) {
+    EXPECT_NE(static_cast<uint32_t>(section.kind), 4u);
+    EXPECT_NE(static_cast<uint32_t>(section.kind), 6u);
+  }
   const size_t num_sections = info->sections.size();
   ASSERT_LT(num_sections, storage::kBundleMaxSections);
 
@@ -495,21 +502,32 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   std::vector<uint8_t> version2 = pristine;
   poke_u32(version2, 8, 2);
   reseal(version2);
+  // Version 3 still carried the oracle section.
+  std::vector<uint8_t> version3 = pristine;
+  poke_u32(version3, 8, 3);
+  reseal(version3);
 
-  std::vector<uint8_t> retired_kind = pristine;
-  const size_t entry = storage::kBundleSectionTableOffset +
-                       num_sections * storage::kBundleSectionEntryBytes;
-  std::memcpy(retired_kind.data() + entry,
-              retired_kind.data() + storage::kBundleSectionTableOffset,
-              storage::kBundleSectionEntryBytes);
-  poke_u32(retired_kind, entry, 6);
-  poke_u32(retired_kind, 56, static_cast<uint32_t>(num_sections + 1));
-  reseal(retired_kind);
+  auto with_retired_kind = [&](uint32_t kind) {
+    std::vector<uint8_t> bytes = pristine;
+    const size_t entry = storage::kBundleSectionTableOffset +
+                         num_sections * storage::kBundleSectionEntryBytes;
+    std::memcpy(bytes.data() + entry,
+                bytes.data() + storage::kBundleSectionTableOffset,
+                storage::kBundleSectionEntryBytes);
+    poke_u32(bytes, entry, kind);
+    poke_u32(bytes, 56, static_cast<uint32_t>(num_sections + 1));
+    reseal(bytes);
+    return bytes;
+  };
+  const std::vector<uint8_t> oracle_kind = with_retired_kind(4);
+  const std::vector<uint8_t> tables_kind = with_retired_kind(6);
 
   const std::pair<const char*, const std::vector<uint8_t>*> cases[] = {
       {"version 1", &version1},
       {"version 2", &version2},
-      {"section kind 6", &retired_kind}};
+      {"version 3", &version3},
+      {"section kind 4", &oracle_kind},
+      {"section kind 6", &tables_kind}};
   for (const auto& [name, bytes] : cases) {
     SCOPED_TRACE(name);
     WriteAll(bundle_path, *bytes);

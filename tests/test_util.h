@@ -45,7 +45,7 @@ inline std::unique_ptr<Stack> BuildStack(SocialGraph g,
   auto oracle = LineReachabilityOracle::Build(s->lg);
   if (!oracle.ok()) return nullptr;
   s->oracle = std::make_unique<LineReachabilityOracle>(std::move(*oracle));
-  auto cluster = ClusterJoinIndex::Build(s->lg, *s->oracle);
+  auto cluster = ClusterJoinIndex::Build(s->lg, s->csr);
   if (!cluster.ok()) return nullptr;
   s->cluster = std::make_unique<ClusterJoinIndex>(std::move(*cluster));
   s->closure_directed = std::make_unique<TransitiveClosure>(
