@@ -1,10 +1,11 @@
 /// B4 -- End-to-end access-control throughput.
 ///
 /// Full engine path: resource lookup, rule iteration, condition binding
-/// (cached), evaluator dispatch, audit logging. The policy mix mirrors the
+/// (cached), online search, audit logging. The policy mix mirrors the
 /// paper's motivating examples (friends-only, friends-of-friends,
 /// colleague-of-friend, attribute-filtered, incoming-friend). Reported as
-/// decisions/second per evaluator configuration.
+/// decisions/second per engine configuration; the per-evaluator
+/// join-vs-BFS comparison is bench_query_latency's.
 
 #include <benchmark/benchmark.h>
 
@@ -52,12 +53,10 @@ EngineFixture& GetFixture(size_t nodes) {
   return *cache.emplace(nodes, std::move(f)).first->second;
 }
 
-void RunEngineBench(benchmark::State& state, EngineOptions options,
+void RunEngineBench(benchmark::State& state, const EngineOptions& options,
                     bool want_witness = false) {
   const size_t nodes = static_cast<size_t>(state.range(0));
   EngineFixture& f = GetFixture(nodes);
-  // Backward steps in the policy mix need backward line orientations.
-  options.line_graph_backward = true;
   AccessControlEngine engine(*f.g, f.store, options);
   if (auto st = engine.RebuildIndexes(); !st.ok()) {
     state.SkipWithError(st.ToString().c_str());
@@ -85,39 +84,20 @@ void RunEngineBench(benchmark::State& state, EngineOptions options,
       static_cast<double>(grants), benchmark::Counter::kAvgIterations);
 }
 
-void BM_EngineAuto(benchmark::State& state) {
-  EngineOptions o;
-  o.evaluator = EvaluatorChoice::kAuto;
-  RunEngineBench(state, o);
+void BM_Engine(benchmark::State& state) {
+  RunEngineBench(state, EngineOptions{});
 }
-BENCHMARK(BM_EngineAuto)->Arg(1000)->Arg(4000)->Arg(16000);
+BENCHMARK(BM_Engine)->Arg(1000)->Arg(4000)->Arg(16000);
 
-void BM_EngineOnlineBfs(benchmark::State& state) {
+void BM_EngineWithPrefilter(benchmark::State& state) {
   EngineOptions o;
-  o.evaluator = EvaluatorChoice::kOnlineBfs;
-  RunEngineBench(state, o);
-}
-BENCHMARK(BM_EngineOnlineBfs)->Arg(1000)->Arg(4000)->Arg(16000);
-
-void BM_EngineJoinIndex(benchmark::State& state) {
-  EngineOptions o;
-  o.evaluator = EvaluatorChoice::kJoinIndex;
-  RunEngineBench(state, o);
-}
-BENCHMARK(BM_EngineJoinIndex)->Arg(1000)->Arg(4000)->Arg(16000);
-
-void BM_EngineAutoWithPrefilter(benchmark::State& state) {
-  EngineOptions o;
-  o.evaluator = EvaluatorChoice::kAuto;
   o.use_closure_prefilter = true;
   RunEngineBench(state, o);
 }
-BENCHMARK(BM_EngineAutoWithPrefilter)->Arg(1000)->Arg(4000)->Arg(16000);
+BENCHMARK(BM_EngineWithPrefilter)->Arg(1000)->Arg(4000)->Arg(16000);
 
 void BM_EngineWithWitness(benchmark::State& state) {
-  EngineOptions o;
-  o.evaluator = EvaluatorChoice::kAuto;
-  RunEngineBench(state, o, /*want_witness=*/true);
+  RunEngineBench(state, EngineOptions{}, /*want_witness=*/true);
 }
 BENCHMARK(BM_EngineWithWitness)->Arg(4000);
 

@@ -5,10 +5,12 @@
 /// cluster join index) and the resulting index sizes. The headline shape:
 /// construction is super-linear in |E| (the line graph has
 /// sum(in*out) arcs), which is exactly the precomputation-vs-query-time
-/// trade-off the paper positions itself around. The serving engine
-/// builds only the line graph and the cluster index; BM_Stage_LabelPairs
-/// times the node-level label-pair matrix it derives in place of the
-/// line-graph SCC/DAG/2-hop stages.
+/// trade-off the paper positions itself around. The engine serves none
+/// of it (its bundle is the CSR plus an optional closure); the library
+/// join index needs only the line graph and the cluster index, and
+/// BM_Stage_LabelPairs times the node-level label-pair matrix the
+/// cluster index derives in place of the line-graph SCC/DAG/2-hop
+/// stages.
 
 #include <benchmark/benchmark.h>
 
@@ -121,9 +123,9 @@ void BM_Stage_TwoHop(benchmark::State& state) {
 BENCHMARK(BM_Stage_TwoHop)->Arg(4000)->Arg(16000)
     ->Unit(benchmark::kMillisecond);
 
-// The serving join index's label-pair matrix: node-graph SCC,
-// condensation and one DAG search per oriented label. It replaces the
-// three line-graph stages above (SCC, condensation, 2-hop) in serving.
+// The join index's label-pair matrix: node-graph SCC, condensation and
+// one DAG search per oriented label. It replaces the three line-graph
+// stages above (SCC, condensation, 2-hop) for the join index.
 void BM_Stage_LabelPairs(benchmark::State& state) {
   const size_t nodes = static_cast<size_t>(state.range(0));
   const Pipeline& p = GetPipeline(GraphKind::kBarabasiAlbert, nodes);

@@ -74,7 +74,7 @@ AccessControlEngine::~AccessControlEngine() {
 
 void AccessControlEngine::PublishView() {
   auto view = AccessReadView::Create(
-      *graph_, idx_, policy_, overlay_, options_,
+      *graph_, idx_, policy_, overlay_,
       snapshot_generation_.load(std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(view_mu_);
@@ -118,7 +118,7 @@ bool AccessControlEngine::RefreshPolicySnapshotIfStale() {
       policy_->source_num_rules == store_->NumRules()) {
     return false;
   }
-  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_);
+  policy_ = PolicySnapshot::Build(*store_, *graph_);
   return true;
 }
 
@@ -138,13 +138,10 @@ Status AccessControlEngine::RebuildIndexesLocked() {
   // through Compact() instead.
   overlay_.Clear();
   journal_.clear();
-  auto idx = SnapshotIndexes::Build(*graph_, options_);
-  if (!idx.ok()) return idx.status();
-  idx_ = std::move(*idx);
+  idx_ = SnapshotIndexes::Build(*graph_, options_);
   // Unconditional policy rebuild: fresh dictionary entries (labels
-  // interned since the last build) may fix previously failed binds, and
-  // auto picks depend on the new bundle.
-  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_);
+  // interned since the last build) may fix previously failed binds.
+  policy_ = PolicySnapshot::Build(*store_, *graph_);
   built_ = true;
   snapshot_generation_.fetch_add(1, std::memory_order_release);
   RecomputeEffectiveThreshold();
@@ -517,21 +514,6 @@ void AccessControlEngine::FinishMutation() {
 
 // ---- Compaction -------------------------------------------------------------
 
-Result<std::shared_ptr<const SnapshotIndexes>>
-AccessControlEngine::BuildNextBundle(const CompactionJob& job,
-                                     bool* incremental) const {
-  *incremental = false;
-  auto patched = SnapshotIndexes::BuildIncremental(
-      *job.prev_idx, *graph_, job.frozen, job.first_new_edge, options_);
-  if (!patched.ok()) return patched.status();
-  if (*patched != nullptr) {
-    *incremental = true;
-    return patched;
-  }
-  return SnapshotIndexes::BuildMerged(*graph_, job.frozen, job.first_new_edge,
-                                      options_);
-}
-
 void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
   // Nodes first (staged edges may name them), then removals, then
   // additions — additions in the frozen copy's iteration order, which
@@ -551,7 +533,6 @@ void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
 
 void AccessControlEngine::StartBackgroundCompactionLocked() {
   CompactionJob job;
-  job.prev_idx = idx_;
   job.frozen = overlay_;  // the freeze: an O(overlay) copy, flat in |V|
   job.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
   building_ = true;
@@ -569,8 +550,7 @@ void AccessControlEngine::StartBackgroundCompactionLocked() {
 
 std::optional<AccessControlEngine::CompactionJob>
 AccessControlEngine::FinishCompactionLocked(
-    CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle,
-    bool incremental) {
+    CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle) {
   FoldOverlayIntoGraph(job.frozen);
   idx_ = std::move(bundle);
   snapshot_generation_.fetch_add(1, std::memory_order_release);
@@ -598,14 +578,13 @@ AccessControlEngine::FinishCompactionLocked(
     }
   }
   journal_.clear();
-  (incremental ? incremental_compactions_ : full_compactions_) += 1;
+  ++full_compactions_;
   last_compaction_status_ = OkStatus();
 
-  // Auto picks depend on the new bundle; recompute them from the frozen
-  // policy snapshot WITHOUT touching the store (rule registration on
-  // the user's thread must not race this thread — store changes surface
-  // at the next external write-path publish).
-  policy_ = PolicySnapshot::WithAutoPicks(*policy_, *idx_);
+  // The policy snapshot is reused as is: rebuilding it would read the
+  // store, and rule registration on the user's thread must not race this
+  // thread (store changes surface at the next external write-path
+  // publish).
   RecomputeEffectiveThreshold();
   PublishView();
 
@@ -630,7 +609,6 @@ AccessControlEngine::FinishCompactionLocked(
   recompact_requested_ = false;
   if (!chain) return std::nullopt;
   CompactionJob next;
-  next.prev_idx = idx_;
   next.frozen = overlay_;
   next.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
   building_ = true;
@@ -655,22 +633,12 @@ void AccessControlEngine::CompactionWorker() {
     // journaling) mutations, readers keep serving published views. The
     // graph object is stable during the build — staging never writes
     // it, and only this thread folds.
-    bool incremental = false;
-    auto bundle = BuildNextBundle(job, &incremental);
+    auto bundle = SnapshotIndexes::BuildMerged(*graph_, job.frozen,
+                                               job.first_new_edge, options_);
     std::optional<CompactionJob> next;
     {
       std::lock_guard<std::mutex> lock(mutation_mu_);
-      if (bundle.ok()) {
-        next = FinishCompactionLocked(job, std::move(*bundle), incremental);
-      } else {
-        // Leave the old snapshot serving; the overlay (still relative
-        // to it, journal included) is intact, so nothing is lost and a
-        // later Compact() retries.
-        last_compaction_status_ = bundle.status();
-        building_ = false;
-        recompact_requested_ = false;
-        journal_.clear();
-      }
+      next = FinishCompactionLocked(job, std::move(bundle));
     }
     {
       std::lock_guard<std::mutex> lock(comp_mu_);
@@ -843,24 +811,11 @@ Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
 
   // The bundle only holds what the saving configuration built; an
   // opening configuration that needs more must rebuild from scratch.
-  const bool needs_join = options.evaluator == EvaluatorChoice::kAuto ||
-                          options.evaluator == EvaluatorChoice::kJoinIndex;
-  if (needs_join && (loaded.flags & storage::kFlagJoinBuilt) == 0) {
-    return Status::FailedPrecondition(
-        "OpenFromDir: options need the join stack but the bundle was saved "
-        "without it");
-  }
   if (options.use_closure_prefilter &&
       (loaded.flags & storage::kFlagClosure) == 0) {
     return Status::FailedPrecondition(
         "OpenFromDir: options need the closure prefilter but the bundle was "
         "saved without it");
-  }
-  if (options.line_graph_backward &&
-      (loaded.flags & storage::kFlagBackwardLineGraph) == 0) {
-    return Status::FailedPrecondition(
-        "OpenFromDir: options need backward line-graph orientations but the "
-        "bundle was saved without them");
   }
 
   *graph = std::move(loaded.graph);
@@ -872,8 +827,7 @@ Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
     engine->overlay_ = std::move(loaded.overlay);
     engine->snapshot_generation_.store(loaded.stamp.generation,
                                        std::memory_order_release);
-    engine->policy_ =
-        PolicySnapshot::Build(store, *graph, *engine->idx_);
+    engine->policy_ = PolicySnapshot::Build(store, *graph);
     engine->built_ = true;
     engine->RecomputeEffectiveThreshold();
     engine->PublishView();

@@ -31,16 +31,16 @@
 /// the bounded overlay size). When the overlay exceeds the effective
 /// compaction threshold (EngineOptions::compact_threshold; the default
 /// scales as max(1024, |E|/16)), the engine automatically Compact()s.
-/// kOnlineBfs only needs the CSR; kJoinIndex needs the whole stack and
-/// fails with kFailedPrecondition if it is missing.
+/// Every request is decided by online product-space BFS over the CSR
+/// merged with the view's overlay, optionally behind the closure
+/// prefilter; the paper's precomputed join is a library evaluator
+/// (query/join_evaluator.h) the engine never serves.
 ///
 /// Compaction model (double-buffered, see docs/ARCHITECTURE.md):
 /// `Compact()` — explicit or threshold-triggered — freezes a copy of the
 /// overlay and returns immediately; a dedicated compaction thread builds
-/// the next SnapshotIndexes bundle against graph ⊕ frozen-overlay
-/// (incrementally patched when the delta is insertion-only and small —
-/// see SnapshotIndexes::BuildIncremental — else a full rebuild) while the
-/// writer keeps staging mutations, which are also recorded in a replay
+/// the next SnapshotIndexes bundle against graph ⊕ frozen-overlay while
+/// the writer keeps staging mutations, which are also recorded in a replay
 /// journal. On completion the compaction thread briefly takes the
 /// writer lock, folds the frozen overlay into the SocialGraph, swaps in
 /// the new bundle, replays the journal into a fresh overlay relative to
@@ -52,12 +52,11 @@
 ///
 /// Snapshot-consistency contract: every published view owns the pairing
 /// between its snapshot indexes and its frozen overlay. While a view's
-/// overlay is non-empty, (a) its traversal evaluators merge the overlay
-/// into every neighbor expansion, (b) index-based pruning runs in
-/// conservative mode (pending insertions suspend closure fast-denies —
-/// see index/prefilter_validity.h), and (c) requests whose compiled plan
-/// picked the join index are re-routed to overlay-aware online search,
-/// so every evaluator keeps returning the same grant/deny. Mutating the
+/// overlay is non-empty, (a) online search merges the overlay into every
+/// neighbor expansion and (b) closure pruning runs in conservative mode
+/// (pending insertions suspend its fast-denies — see
+/// index/prefilter_validity.h), so decisions match a rebuild over the
+/// logical graph. Mutating the
 /// SocialGraph directly (rather than through the engine) breaks this
 /// pairing; call RebuildIndexes again if you must.
 ///
@@ -122,15 +121,15 @@
 /// the stamps off a view.
 ///
 /// Policy binding happens at publication, keyed by stable RuleId: every
-/// rule path is bound, its hop automaton compiled, and its automatic
-/// evaluator pick computed once per PolicySnapshot (see read_view.h), so
-/// the request path performs no PathExpression::ToString(), Bind, or
-/// evaluator construction — only array lookups. Rules added to the
+/// rule path is bound and its hop automaton compiled once per
+/// PolicySnapshot (see read_view.h), so the request path performs no
+/// PathExpression::ToString(), Bind, or evaluator construction — only
+/// array lookups. Rules added to the
 /// store after the last publish are invisible to served decisions until
 /// the next *external* write-path call republishes (any mutation does,
 /// or call RefreshPolicies() explicitly; a background-compaction
-/// completion deliberately reuses the frozen policy snapshot — with
-/// refreshed automatic picks — rather than racing the store).
+/// completion deliberately reuses the frozen policy snapshot rather than
+/// racing the store).
 
 #include <atomic>
 #include <condition_variable>
@@ -241,16 +240,16 @@ class AccessControlEngine {
   Result<NodeId> AddNode();
 
   /// Folds every staged mutation into the SocialGraph, clears the
-  /// overlay, installs a fresh (or incrementally patched) index bundle,
-  /// and publishes. No-op on an empty overlay. Returns as soon as the
-  /// frozen inputs are captured — the build, fold and publish happen on
-  /// the compaction thread (WaitForCompaction() for synchronous
-  /// semantics); a second Compact() while one is in flight makes its
-  /// completion chain a follow-up that folds everything staged
-  /// meanwhile. Views acquired before and after see the same logical
-  /// graph; only the cost profile changes (index pruning and the join
-  /// index come back online). Old views stay valid: they answer against
-  /// their frozen snapshot + overlay for as long as they are held.
+  /// overlay, installs a fresh index bundle, and publishes. No-op on an
+  /// empty overlay. Returns as soon as the frozen inputs are captured —
+  /// the build, fold and publish happen on the compaction thread
+  /// (WaitForCompaction() for synchronous semantics); a second Compact()
+  /// while one is in flight makes its completion chain a follow-up that
+  /// folds everything staged meanwhile. Views acquired before and after
+  /// see the same logical graph; only the cost profile changes (the
+  /// overlay merge goes away and closure pruning leaves conservative
+  /// mode). Old views stay valid: they answer against their frozen
+  /// snapshot + overlay for as long as they are held.
   Status Compact();
 
   /// Blocks until no compaction is building or completing. After this
@@ -320,9 +319,9 @@ class AccessControlEngine {
   /// any torn WAL tail, and reopen the WAL for appending. The first
   /// CheckAccess works immediately — no RebuildIndexes. Policies are
   /// not persisted: re-register them on `store` and call
-  /// RefreshPolicies(). kFailedPrecondition when `options` needs an
-  /// index the bundle never built (join stack, closure, backward line
-  /// graph); kDataLoss on corruption.
+  /// RefreshPolicies(). kFailedPrecondition when `options` needs the
+  /// closure but the bundle was saved without it; kDataLoss on
+  /// corruption.
   static Result<std::unique_ptr<AccessControlEngine>> OpenFromDir(
       const std::string& dir, SocialGraph* graph, const PolicyStore& store,
       EngineOptions options = {}, DurabilityOptions durability = {});
@@ -393,16 +392,17 @@ class AccessControlEngine {
     return effective_compact_threshold_;
   }
 
-  /// Completed compactions that took the incremental index-patch path
-  /// vs. a full rebuild (writer-side; for tests and benchmarks).
-  uint64_t incremental_compactions() const { return incremental_compactions_; }
+  /// Completed compactions (writer-side; for tests and benchmarks).
   uint64_t full_compactions() const { return full_compactions_; }
+  /// Always 0: every compaction is a full build. Kept only because
+  /// bench/e2e/churn_write.cc reads it; drop it with that reader.
+  uint64_t incremental_compactions() const { return 0; }
 
   /// Outcome of the most recently *finished* background compaction.
-  /// Compact() itself returns before the build runs, so a failed build
-  /// (the old snapshot keeps serving; staged mutations stay intact) is
-  /// only visible here — check it after WaitForCompaction() if you need
-  /// to know the fold really happened. Thread-safe.
+  /// The build itself cannot fail; with durability attached, the bundle
+  /// save that follows the fold can, and Compact() has returned long
+  /// before, so a failed save (serving continues; durability degrades)
+  /// is only visible here — check it after WaitForCompaction(). Thread-safe.
   Status last_compaction_status() const {
     std::lock_guard<std::mutex> lock(mutation_mu_);
     return last_compaction_status_;
@@ -433,7 +433,6 @@ class AccessControlEngine {
 
   /// Frozen inputs one background compaction builds against.
   struct CompactionJob {
-    std::shared_ptr<const SnapshotIndexes> prev_idx;
     DeltaOverlay frozen;
     EdgeId first_new_edge = 0;
   };
@@ -494,12 +493,6 @@ class AccessControlEngine {
   Status CheckEndpoints(NodeId src, NodeId dst) const;
   size_t LogicalNumNodesLocked() const;
 
-  /// Builds the next bundle for `job`: the incremental patch when
-  /// applicable, the full merged rebuild otherwise. Lock-free — this is
-  /// the expensive part of a compaction. Sets
-  /// `*incremental` to which path ran.
-  Result<std::shared_ptr<const SnapshotIndexes>> BuildNextBundle(
-      const CompactionJob& job, bool* incremental) const;
   /// Applies `frozen` to the mutable graph: staged nodes first, then
   /// removals, then additions in the frozen copy's iteration order (the
   /// order BuildMerged predicted edge ids in).
@@ -514,8 +507,7 @@ class AccessControlEngine {
   /// exceed the threshold) — the worker chains straight into it, and
   /// WaitForCompaction() drains the whole chain.
   std::optional<CompactionJob> FinishCompactionLocked(
-      CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle,
-      bool incremental);
+      CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle);
   /// Re-derives effective_compact_threshold_ from the current snapshot.
   void RecomputeEffectiveThreshold();
   /// SaveSnapshot body; caller holds mutation_mu_.
@@ -541,7 +533,6 @@ class AccessControlEngine {
   bool built_ = false;
   std::atomic<uint64_t> snapshot_generation_{0};
   size_t effective_compact_threshold_ = 0;
-  uint64_t incremental_compactions_ = 0;
   uint64_t full_compactions_ = 0;
 
   /// Writer-side pending mutations relative to the current snapshot.

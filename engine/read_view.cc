@@ -17,128 +17,37 @@ namespace {
 /// request (see CheckAccessBatch).
 constexpr size_t kBatchAudienceCutoff = 4;
 
-/// kAuto sends expressions expanding beyond this many line queries to
-/// online search instead of the join index.
-constexpr uint64_t kAutoMaxExpansions = 64;
-
-/// Maps a request-level choice onto a concrete kind, using the path's
-/// precomputed automatic pick for kAuto.
-EvaluatorKind KindForChoice(EvaluatorChoice choice, EvaluatorKind auto_pick) {
-  switch (choice) {
-    case EvaluatorChoice::kAuto:
-      return auto_pick;
-    case EvaluatorChoice::kOnlineBfs:
-      return EvaluatorKind::kOnlineBfs;
-    case EvaluatorChoice::kJoinIndex:
-      return EvaluatorKind::kJoinIndex;
-  }
-  return EvaluatorKind::kOnlineBfs;
-}
-
-/// The kAuto policy from the paper's deployment advice: the join index
-/// wins on point queries unless it was never built, the expression needs
-/// an orientation the line graph lacks, or it expands combinatorially.
-EvaluatorKind AutoPick(const BoundPathExpression& expr,
-                       const SnapshotIndexes& idx) {
-  if (!idx.join_built) return EvaluatorKind::kOnlineBfs;
-  if (expr.HasBackwardStep() && !idx.lg.includes_backward()) {
-    return EvaluatorKind::kOnlineBfs;
-  }
-  if (expr.ExpansionCount() > kAutoMaxExpansions) {
-    return EvaluatorKind::kOnlineBfs;
-  }
-  return EvaluatorKind::kJoinIndex;
-}
-
-}  // namespace
-
-namespace {
-
-/// The join-index stack (line graph, cluster index) is by far the
-/// heaviest build; skip it entirely for online-only configurations,
-/// which only need the CSR.
-bool NeedJoinStack(const EngineOptions& options) {
-  return options.evaluator == EvaluatorChoice::kAuto ||
-         options.evaluator == EvaluatorChoice::kJoinIndex;
-}
-
-/// Finishes a bundle whose csr (and, when `lg_built`, line graph) are
-/// already in place: the cluster index and closure are always derived
-/// fresh from them.
-Status FinishBundle(SnapshotIndexes& idx, bool lg_built,
-                    const EngineOptions& options) {
-  if (NeedJoinStack(options)) {
-    if (!lg_built) {
-      idx.lg = LineGraph::Build(
-          idx.csr, {.include_backward = options.line_graph_backward});
-    }
-    auto cluster = ClusterJoinIndex::Build(idx.lg, idx.csr);
-    if (!cluster.ok()) return cluster.status();
-    idx.cluster = std::make_unique<ClusterJoinIndex>(std::move(*cluster));
-    idx.join_built = true;
-  }
+/// The CSR is every bundle's core; the closure is derived from it when
+/// the prefilter is on.
+std::shared_ptr<const SnapshotIndexes> FinishBundle(
+    std::shared_ptr<SnapshotIndexes> idx, const EngineOptions& options) {
   if (options.use_closure_prefilter) {
     // Undirected: sound for backward steps too (see closure_prefilter.h).
-    idx.closure = std::make_unique<TransitiveClosure>(
-        TransitiveClosure::Build(idx.csr, /*as_undirected=*/true));
+    idx->closure = std::make_unique<TransitiveClosure>(
+        TransitiveClosure::Build(idx->csr, /*as_undirected=*/true));
   }
-  return OkStatus();
+  return idx;
 }
 
 }  // namespace
 
-Result<std::shared_ptr<const SnapshotIndexes>> SnapshotIndexes::Build(
+std::shared_ptr<const SnapshotIndexes> SnapshotIndexes::Build(
     const SocialGraph& graph, const EngineOptions& options) {
   auto idx = std::make_shared<SnapshotIndexes>();
   idx->csr = CsrSnapshot::Build(graph);
-  SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, /*lg_built=*/false, options));
-  return std::shared_ptr<const SnapshotIndexes>(std::move(idx));
+  return FinishBundle(std::move(idx), options);
 }
 
-Result<std::shared_ptr<const SnapshotIndexes>> SnapshotIndexes::BuildMerged(
+std::shared_ptr<const SnapshotIndexes> SnapshotIndexes::BuildMerged(
     const SocialGraph& graph, const DeltaOverlay& overlay,
     EdgeId first_new_edge, const EngineOptions& options) {
   auto idx = std::make_shared<SnapshotIndexes>();
   idx->csr = CsrSnapshot::Build(graph, overlay, first_new_edge);
-  SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, /*lg_built=*/false, options));
-  return std::shared_ptr<const SnapshotIndexes>(std::move(idx));
-}
-
-Result<std::shared_ptr<const SnapshotIndexes>>
-SnapshotIndexes::BuildIncremental(const SnapshotIndexes& prev,
-                                  const SocialGraph& graph,
-                                  const DeltaOverlay& overlay,
-                                  EdgeId first_new_edge,
-                                  const EngineOptions& options) {
-  // Gate: insertion-only (the extended line graph keeps every previous
-  // vertex, so no edge may go) and small relative to the snapshot.
-  if (options.incremental_max_fraction <= 0.0 || overlay.has_deletions()) {
-    return std::shared_ptr<const SnapshotIndexes>(nullptr);
-  }
-  const double cap =
-      options.incremental_max_fraction * static_cast<double>(
-                                             prev.csr.NumEdges());
-  if (static_cast<double>(overlay.NumAdded()) > cap) {
-    return std::shared_ptr<const SnapshotIndexes>(nullptr);
-  }
-
-  auto idx = std::make_shared<SnapshotIndexes>();
-  idx->csr = CsrSnapshot::Build(graph, overlay, first_new_edge);
-  bool lg_built = false;
-  if (NeedJoinStack(options)) {
-    if (!prev.join_built) {
-      return std::shared_ptr<const SnapshotIndexes>(nullptr);
-    }
-    idx->lg = LineGraph::BuildIncremental(prev.lg, idx->csr, first_new_edge);
-    lg_built = true;
-  }
-  SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, lg_built, options));
-  return std::shared_ptr<const SnapshotIndexes>(std::move(idx));
+  return FinishBundle(std::move(idx), options);
 }
 
 std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
-    const PolicyStore& store, const SocialGraph& graph,
-    const SnapshotIndexes& idx) {
+    const PolicyStore& store, const SocialGraph& graph) {
   auto policy = std::make_shared<PolicySnapshot>();
   policy->source_num_resources = store.NumResources();
   policy->source_num_rules = store.NumRules();
@@ -160,26 +69,8 @@ std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
       } else {
         cp.bound =
             std::make_shared<const BoundPathExpression>(std::move(*bound));
-        cp.auto_pick = AutoPick(*cp.bound, idx);
       }
       rule.paths.push_back(std::move(cp));
-    }
-  }
-  return policy;
-}
-
-std::shared_ptr<const PolicySnapshot> PolicySnapshot::WithAutoPicks(
-    const PolicySnapshot& prev, const SnapshotIndexes& idx) {
-  auto policy = std::make_shared<PolicySnapshot>();
-  policy->source_num_resources = prev.source_num_resources;
-  policy->source_num_rules = prev.source_num_rules;
-  policy->resources = prev.resources;
-  policy->rules = prev.rules;  // shares the bound expressions
-  for (CompiledRule& rule : policy->rules) {
-    for (CompiledPath& path : rule.paths) {
-      if (path.bound != nullptr) {
-        path.auto_pick = AutoPick(*path.bound, idx);
-      }
     }
   }
   return policy;
@@ -189,44 +80,33 @@ AccessReadView::AccessReadView(const SocialGraph& graph,
                                std::shared_ptr<const SnapshotIndexes> idx,
                                std::shared_ptr<const PolicySnapshot> policy,
                                const DeltaOverlay& overlay,
-                               const EngineOptions& options,
                                uint64_t snapshot_generation)
     : graph_(&graph),
-      options_(options),
       idx_(std::move(idx)),
       policy_(std::move(policy)),
       overlay_(overlay),
-      overlay_empty_(overlay.empty()),
       logical_num_nodes_(LogicalNumNodes(idx_->csr, &overlay_)),
       snapshot_generation_(snapshot_generation) {
   // Per-view evaluator instances are pointer bundles over the shared
   // immutable structures plus this view's frozen overlay; building them
   // per publication is a handful of small allocations.
-  auto& bfs = base_[static_cast<size_t>(EvaluatorKind::kOnlineBfs)];
-  auto& join = base_[static_cast<size_t>(EvaluatorKind::kJoinIndex)];
-  bfs = std::make_unique<OnlineEvaluator>(*graph_, idx_->csr, &overlay_);
-  if (idx_->join_built) {
-    join = std::make_unique<JoinIndexEvaluator>(*graph_, idx_->lg,
-                                                *idx_->cluster);
-  }
+  online_ = std::make_unique<OnlineEvaluator>(*graph_, idx_->csr, &overlay_);
+  serving_ = online_.get();
   if (idx_->closure != nullptr) {
-    for (size_t i = 0; i < kNumEvaluatorKinds; ++i) {
-      if (base_[i] == nullptr) continue;
-      // Overlay-aware wrapper: the prefilter self-suspends its fast-deny
-      // while pending insertions make closure pruning unsound.
-      prefiltered_[i] = std::make_unique<ClosurePrefilterEvaluator>(
-          *idx_->closure, *base_[i], &overlay_, graph_);
-    }
+    // Overlay-aware wrapper: the prefilter self-suspends its fast-deny
+    // while pending insertions make closure pruning unsound.
+    prefiltered_ = std::make_unique<ClosurePrefilterEvaluator>(
+        *idx_->closure, *online_, &overlay_, graph_);
+    serving_ = prefiltered_.get();
   }
 }
 
 std::shared_ptr<const AccessReadView> AccessReadView::Create(
     const SocialGraph& graph, std::shared_ptr<const SnapshotIndexes> idx,
     std::shared_ptr<const PolicySnapshot> policy, const DeltaOverlay& overlay,
-    const EngineOptions& options, uint64_t snapshot_generation) {
-  return std::shared_ptr<const AccessReadView>(
-      new AccessReadView(graph, std::move(idx), std::move(policy), overlay,
-                         options, snapshot_generation));
+    uint64_t snapshot_generation) {
+  return std::shared_ptr<const AccessReadView>(new AccessReadView(
+      graph, std::move(idx), std::move(policy), overlay, snapshot_generation));
 }
 
 Result<AccessDecision> AccessReadView::CheckAccess(
@@ -271,13 +151,9 @@ Result<AccessDecision> AccessReadView::CheckResolved(
     return decision;
   }
 
-  const EvaluatorChoice choice =
-      request.evaluator_override.value_or(options_.evaluator);
-
-  // A rule set is a disjunction: one expression failing to evaluate
-  // (unsupported orientation, work cap) must not mask a grant another
-  // expression would produce. Errors are remembered and only surface
-  // when nothing grants.
+  // A rule set is a disjunction: one expression failing to bind or
+  // evaluate must not mask a grant another expression would produce.
+  // Errors are remembered and only surface when nothing grants.
   std::optional<Status> first_error;
   for (const RuleId rule_id : res.rules) {
     for (const PolicySnapshot::CompiledPath& path :
@@ -286,26 +162,9 @@ Result<AccessDecision> AccessReadView::CheckResolved(
         if (!first_error) first_error = path.bind_status;
         continue;
       }
-      EvaluatorKind kind = KindForChoice(choice, path.auto_pick);
-      // The join index answers over the snapshot alone; while the
-      // overlay is non-empty those answers are stale, so join picks
-      // fall through to overlay-aware online search until Compact().
-      if (!overlay_empty_ && kind == EvaluatorKind::kJoinIndex) {
-        kind = EvaluatorKind::kOnlineBfs;
-      }
-      const Evaluator* chosen = Serving(kind);
-      if (chosen == nullptr) {
-        if (!first_error) {
-          first_error = Status::FailedPrecondition(
-              "CheckAccess: the join index was not built under this "
-              "configuration (EngineOptions::evaluator skipped it)");
-        }
-        continue;
-      }
-
       ReachQuery q{res.owner, request.requester, path.bound.get(),
                    request.want_witness};
-      auto r = chosen->Evaluate(q, ctx);
+      auto r = serving_->Evaluate(q, ctx);
       if (!r.ok()) {
         if (!first_error) first_error = r.status();
         continue;
@@ -315,7 +174,7 @@ Result<AccessDecision> AccessReadView::CheckResolved(
       decision.stats.tuples_post_filtered += r->stats.tuples_post_filtered;
       decision.stats.line_queries += r->stats.line_queries;
       decision.stats.prefilter_rejections += r->stats.prefilter_rejections;
-      decision.evaluator_name = chosen->name();
+      decision.evaluator_name = serving_->name();
       if (r->granted) {
         decision.granted = true;
         decision.matched_rule = rule_id;
@@ -418,8 +277,7 @@ std::vector<Result<AccessDecision>> AccessReadView::CheckAccessBatch(
     const PolicySnapshot::ResourceEntry& res = policy_->resources[resource];
     // First pass: requests that need the per-request path — malformed
     // ones, owner short-circuits (no traversal at all), and requests
-    // carrying per-request options the shared walk cannot honor
-    // (witness extraction, evaluator override).
+    // asking for a witness, which the shared walk cannot extract.
     audience_eligible.clear();
     for (size_t k = i; k < end; ++k) {
       const uint32_t slot = order[k];
@@ -428,8 +286,7 @@ std::vector<Result<AccessDecision>> AccessReadView::CheckAccessBatch(
         slots[slot].emplace(Status::InvalidArgument(
             "CheckAccess: requester outside this view's snapshot"));
       } else if (res.owner >= logical_num_nodes_ ||
-                 res.owner == request.requester || request.want_witness ||
-                 request.evaluator_override.has_value()) {
+                 res.owner == request.requester || request.want_witness) {
         slots[slot].emplace(CheckResolved(res, request, ctx));
       } else {
         audience_eligible.push_back(slot);

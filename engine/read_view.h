@@ -7,14 +7,15 @@
 /// The serving model is RCU-style snapshot publication. A view is a
 /// frozen bundle of everything one CheckAccess needs:
 ///
-///   * a `SnapshotIndexes` (CSR + line graph + cluster index + closure),
-///     shared across views until the next RebuildIndexes/Compact;
+///   * a `SnapshotIndexes` (the CSR, plus the closure when the prefilter
+///     is on), shared across views until the next RebuildIndexes/Compact;
 ///   * a `PolicySnapshot` (resource table + eagerly bound, compiled
 ///     rules), shared across views until the policy store changes;
 ///   * a frozen copy of the DeltaOverlay as of publication, so staged
 ///     mutations are visible without any synchronization;
-///   * per-view evaluator instances wired to the three pieces above
-///     (cheap: evaluators are pointer bundles).
+///   * the per-view serving evaluator wired to the three pieces above:
+///     overlay-aware online BFS, behind the closure prefilter when the
+///     bundle has one (cheap: evaluators are pointer bundles).
 ///
 /// `CheckAccess` on a view is fully const and lock-free: any number of
 /// threads may hammer one shared view concurrently, each drawing scratch
@@ -29,12 +30,11 @@
 /// overlay_version) stamps on every AccessDecision identify which
 /// published state a decision was evaluated against.
 ///
-/// Requests are structured: `AccessRequest` carries per-request
-/// `want_witness` and an optional per-request evaluator override, and
-/// `CheckAccessBatch` amortizes resource/rule resolution and scratch
-/// reuse across a whole batch (requests are grouped by resource).
+/// Requests are structured: `AccessRequest` carries a per-request
+/// `want_witness`, and `CheckAccessBatch` amortizes resource/rule
+/// resolution and scratch reuse across a whole batch (requests are
+/// grouped by resource).
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -47,46 +47,21 @@
 #include "engine/policy.h"
 #include "graph/csr.h"
 #include "graph/delta_overlay.h"
-#include "graph/line_graph.h"
-#include "index/cluster_index.h"
 #include "index/transitive_closure.h"
 #include "query/evaluator.h"
-#include "query/join_evaluator.h"
 
 namespace sargus {
 
 struct EvalContext;
 
-/// The paper's two ways to decide a request, plus the automatic pick
-/// between them. The other evaluators in query/ (bidirectional search,
-/// the faithful join) are library-only: the agreement tests and the
-/// benchmarks construct them directly, the engine never serves them.
-enum class EvaluatorChoice {
-  /// Join index when built and the expression expands modestly; online
-  /// BFS otherwise. The paper's deployment advice, codified.
-  kAuto,
-  /// Online product-space BFS: no index, immune to graph churn.
-  kOnlineBfs,
-  /// The precomputed join over 2-hop reachability labels.
-  kJoinIndex,
-};
-
-/// Build-time engine configuration. Everything request-scoped (witness,
-/// evaluator override) lives on AccessRequest instead. Mutations always
-/// go through the engine's MutationQueue, and compaction always runs on
-/// its compaction thread (see access_engine.h); the write_queue_* knobs
-/// size the former.
+/// Build-time engine configuration. Everything request-scoped (witness)
+/// lives on AccessRequest instead. Mutations always go through the
+/// engine's MutationQueue, and compaction always runs on its compaction
+/// thread (see access_engine.h); write_queue_capacity sizes the former.
 struct EngineOptions {
-  /// Default evaluator for requests that carry no override. Also decides
-  /// which indexes RebuildIndexes constructs (kAuto/kJoinIndex build the
-  /// full join stack; online-only choices skip it).
-  EvaluatorChoice evaluator = EvaluatorChoice::kAuto;
   /// Build an (undirected) transitive closure and use it as a fast-deny
-  /// prefilter in front of the chosen evaluator.
+  /// prefilter in front of online search.
   bool use_closure_prefilter = false;
-  /// Build the line graph with backward orientations (required when any
-  /// policy uses `label-[a,b]` steps and the join index may serve it).
-  bool line_graph_backward = false;
   /// Decisions kept in the engine's audit ring (0 disables auditing —
   /// and with it the only lock on the engine's CheckAccess facade).
   size_t audit_capacity = 1024;
@@ -100,12 +75,6 @@ struct EngineOptions {
   /// disables auto-compaction (the overlay then grows until an explicit
   /// Compact()).
   size_t compact_threshold = kCompactThresholdAuto;
-  /// Compactions whose staged delta is insertion-only and no larger
-  /// than this fraction of the snapshot's edges extend the previous
-  /// line graph instead of rebuilding it (see
-  /// SnapshotIndexes::BuildIncremental). 0 disables incremental
-  /// maintenance.
-  double incremental_max_fraction = 0.05;
   /// Mutations the queue holds before Submit blocks (backpressure).
   /// The writer drains at most MutationQueue::kMaxBatch of them into
   /// one group-commit batch (one WAL fsync, one published view).
@@ -124,13 +93,6 @@ struct AccessRequest {
   /// Ask for a witness path on grants. May cost extra; per request, not
   /// per engine.
   bool want_witness = false;
-  /// Force a specific evaluator for this request (kAuto re-runs the
-  /// automatic pick). Unset uses the engine's configured default. A
-  /// forced kJoinIndex on a configuration that never built the join
-  /// stack surfaces kFailedPrecondition; while the overlay is non-empty
-  /// join picks still re-route to overlay-aware online search so every
-  /// evaluator keeps agreeing.
-  std::optional<EvaluatorChoice> evaluator_override;
 };
 
 struct AccessDecision {
@@ -159,32 +121,19 @@ struct AccessDecision {
   std::string degraded_reason;
 };
 
-/// Which concrete evaluator a compiled path resolved to. Indexes the
-/// view's evaluator arrays.
-enum class EvaluatorKind : uint8_t {
-  kOnlineBfs = 0,
-  kJoinIndex = 1,
-};
-inline constexpr size_t kNumEvaluatorKinds = 2;
-
 /// The immutable index bundle one RebuildIndexes produces. Shared (via
 /// shared_ptr) by every view published until the next rebuild; nothing
-/// in it is written after Build returns.
+/// in it is written after Build returns. The join stack (line graph,
+/// cluster index, reachability oracle) is not part of it: the join
+/// evaluators are library-only (query/join_evaluator.h,
+/// query/faithful_join_evaluator.h), built by their callers.
 struct SnapshotIndexes {
   CsrSnapshot csr;
-  LineGraph lg;
-  std::unique_ptr<ClusterJoinIndex> cluster;
   std::unique_ptr<TransitiveClosure> closure;
-  /// True when the join stack (lg/cluster) was built. The paper's
-  /// per-label base tables and line-graph reachability oracle are not
-  /// part of it: only FaithfulJoinEvaluator
-  /// (query/faithful_join_evaluator.h) reads them; it builds its own
-  /// tables and takes the oracle from its caller.
-  bool join_built = false;
 
-  /// Builds the bundle the configuration needs (the join stack only for
-  /// kAuto/kJoinIndex, the closure only when the prefilter is on).
-  static Result<std::shared_ptr<const SnapshotIndexes>> Build(
+  /// Builds the bundle the configuration needs: the CSR, plus the
+  /// closure when the prefilter is on.
+  static std::shared_ptr<const SnapshotIndexes> Build(
       const SocialGraph& graph, const EngineOptions& options);
 
   /// Same bundle over the *logical* graph `graph` ⊕ `overlay`, without
@@ -192,42 +141,25 @@ struct SnapshotIndexes {
   /// frozen inputs. `first_new_edge` is the id the fold will assign the
   /// overlay's first staged addition (the graph's EdgeSlotCount() at
   /// freeze time), so the bundle is identical to Build() after the fold.
-  static Result<std::shared_ptr<const SnapshotIndexes>> BuildMerged(
+  static std::shared_ptr<const SnapshotIndexes> BuildMerged(
       const SocialGraph& graph, const DeltaOverlay& overlay,
       EdgeId first_new_edge, const EngineOptions& options);
-
-  /// Incremental variant of BuildMerged: extends `prev`'s line graph with
-  /// the staged edges instead of rebuilding it (the CSR, closure and
-  /// cluster index are re-derived). Only applicable when the delta is
-  /// insertion-only (the extended line graph keeps every previous
-  /// vertex) and no larger than options.incremental_max_fraction of the
-  /// snapshot's edges; returns null (not an error) when either fails and
-  /// the caller should fall back to the full BuildMerged. Produces the
-  /// same answers as the full build (the equivalence test suite pins
-  /// this on randomized overlays).
-  static Result<std::shared_ptr<const SnapshotIndexes>> BuildIncremental(
-      const SnapshotIndexes& prev, const SocialGraph& graph,
-      const DeltaOverlay& overlay, EdgeId first_new_edge,
-      const EngineOptions& options);
 };
 
-/// The immutable policy bundle: the resource table plus every rule
-/// bound, its automaton compiled, and its automatic evaluator pick
-/// precomputed. Built at publish time; shared by every view until the
-/// PolicyStore grows (rule/resource counts are the staleness key).
-/// Binding is against the SocialGraph's dictionaries, which only grow,
-/// so a policy snapshot stays valid across overlay churn and
-/// compactions — only a store change (or a rebuild, whose fresh
-/// dictionary entries may fix previously failed binds) forces a new one.
+/// The immutable policy bundle: the resource table plus every rule bound
+/// and its automaton compiled. Built at publish time; shared by every
+/// view until the PolicyStore grows (rule/resource counts are the
+/// staleness key). Binding is against the SocialGraph's dictionaries,
+/// which only grow, so a policy snapshot stays valid across overlay
+/// churn and compactions — only a store change (or a rebuild, whose
+/// fresh dictionary entries may fix previously failed binds) forces a
+/// new one.
 struct PolicySnapshot {
   struct CompiledPath {
     /// A failed bind keeps its status here so rule disjunction semantics
     /// can surface it only when nothing grants.
     Status bind_status = OkStatus();
     std::shared_ptr<const BoundPathExpression> bound;
-    /// What kAuto resolves to for this path (join index when built and
-    /// affordable, online BFS otherwise).
-    EvaluatorKind auto_pick = EvaluatorKind::kOnlineBfs;
   };
   struct CompiledRule {
     std::vector<CompiledPath> paths;
@@ -244,18 +176,8 @@ struct PolicySnapshot {
   size_t source_num_resources = 0;
   size_t source_num_rules = 0;
 
-  static std::shared_ptr<const PolicySnapshot> Build(
-      const PolicyStore& store, const SocialGraph& graph,
-      const SnapshotIndexes& idx);
-
-  /// Clone of `prev` with every path's automatic evaluator pick
-  /// recomputed against a new index bundle — what a background
-  /// compaction publishes. Deliberately does NOT touch the PolicyStore
-  /// (the compaction thread must not race rule registration on the
-  /// user's thread), so binds that failed in `prev` stay failed until
-  /// the next store-refreshing publish (any external write-path call).
-  static std::shared_ptr<const PolicySnapshot> WithAutoPicks(
-      const PolicySnapshot& prev, const SnapshotIndexes& idx);
+  static std::shared_ptr<const PolicySnapshot> Build(const PolicyStore& store,
+                                                     const SocialGraph& graph);
 };
 
 /// An immutable, reference-counted serving snapshot. See the file
@@ -266,13 +188,14 @@ struct PolicySnapshot {
 class AccessReadView {
  public:
   /// Freezes `overlay` (by copy) against the given bundles and wires the
-  /// per-view evaluator instances. `graph` must outlive the view; the
-  /// view reads only its node count and attribute columns (see the
-  /// thread-safety contract in access_engine.h).
+  /// per-view serving evaluator: online BFS, behind the closure
+  /// prefilter when the bundle carries a closure. `graph` must outlive
+  /// the view; the view reads only its node count and attribute columns
+  /// (see the thread-safety contract in access_engine.h).
   static std::shared_ptr<const AccessReadView> Create(
       const SocialGraph& graph, std::shared_ptr<const SnapshotIndexes> idx,
       std::shared_ptr<const PolicySnapshot> policy, const DeltaOverlay& overlay,
-      const EngineOptions& options, uint64_t snapshot_generation);
+      uint64_t snapshot_generation);
 
   AccessReadView(const AccessReadView&) = delete;
   AccessReadView& operator=(const AccessReadView&) = delete;
@@ -288,16 +211,12 @@ class AccessReadView {
   /// Decides a whole batch with one scratch context, grouping requests
   /// by resource so the resource entry and its compiled rules are
   /// resolved once per group — and so large groups can share the
-  /// traversal itself: when ≥ 4 requests target one resource (and carry
-  /// no witness/override), the group is answered with one audience walk
-  /// per rule path instead of one product search per request. Decisions
+  /// traversal itself: when ≥ 4 requests target one resource (and ask
+  /// for no witness), the group is answered with one audience walk per
+  /// rule path instead of one product search per request. Decisions
   /// from that shared walk report evaluator_name "batch-audience" and
   /// carry no per-request work stats; grant/deny agrees with the
-  /// per-request path wherever that path produces a decision. (One
-  /// deliberate divergence: the shared walk has no work caps, so a
-  /// query whose per-request join plan would fail with
-  /// kResourceExhausted gets a definitive answer here instead of an
-  /// error.) Results are positional: out[i] answers
+  /// per-request path. Results are positional: out[i] answers
   /// requests[i]; a bad request (unknown resource, out-of-range
   /// requester) fails its own slot only.
   std::vector<Result<AccessDecision>> CheckAccessBatch(
@@ -334,16 +253,7 @@ class AccessReadView {
   AccessReadView(const SocialGraph& graph,
                  std::shared_ptr<const SnapshotIndexes> idx,
                  std::shared_ptr<const PolicySnapshot> policy,
-                 const DeltaOverlay& overlay, const EngineOptions& options,
-                 uint64_t snapshot_generation);
-
-  /// The serving evaluator for `kind`: the prefilter wrapper when the
-  /// closure is configured, the base evaluator otherwise. Null when the
-  /// kind's index was never built (join on an online-only config).
-  const Evaluator* Serving(EvaluatorKind kind) const {
-    const auto i = static_cast<size_t>(kind);
-    return prefiltered_[i] != nullptr ? prefiltered_[i].get() : base_[i].get();
-  }
+                 const DeltaOverlay& overlay, uint64_t snapshot_generation);
 
   /// Core of CheckAccess once the resource entry is resolved.
   Result<AccessDecision> CheckResolved(const PolicySnapshot::ResourceEntry& res,
@@ -364,17 +274,19 @@ class AccessReadView {
       EvalContext& ctx) const;
 
   const SocialGraph* graph_;
-  EngineOptions options_;
   std::shared_ptr<const SnapshotIndexes> idx_;
   std::shared_ptr<const PolicySnapshot> policy_;
   /// Frozen at Create(); evaluators below hold its address.
   DeltaOverlay overlay_;
-  bool overlay_empty_ = true;
   size_t logical_num_nodes_ = 0;
   uint64_t snapshot_generation_ = 0;
 
-  std::array<std::unique_ptr<Evaluator>, kNumEvaluatorKinds> base_;
-  std::array<std::unique_ptr<Evaluator>, kNumEvaluatorKinds> prefiltered_;
+  std::unique_ptr<Evaluator> online_;
+  /// Null unless the bundle carries a closure.
+  std::unique_ptr<Evaluator> prefiltered_;
+  /// What every request is decided by: prefiltered_ when set, else
+  /// online_.
+  const Evaluator* serving_ = nullptr;
 };
 
 }  // namespace sargus

@@ -31,29 +31,6 @@ LineGraph LineGraph::Build(const CsrSnapshot& csr, Options options) {
   return lg;
 }
 
-LineGraph LineGraph::BuildIncremental(const LineGraph& prev,
-                                      const CsrSnapshot& csr,
-                                      EdgeId first_new_edge) {
-  LineGraph lg;
-  const size_t n = csr.NumNodes();
-  lg.num_graph_nodes_ = n;
-  lg.includes_backward_ = prev.includes_backward_;
-  lg.vertices_ = prev.vertices_;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const CsrSnapshot::Entry& e : csr.Out(u)) {
-      if (e.edge < first_new_edge) continue;
-      lg.vertices_.push_back(
-          Vertex{e.edge, u, e.other, e.label, /*backward=*/false});
-      if (prev.includes_backward_) {
-        lg.vertices_.push_back(
-            Vertex{e.edge, e.other, u, e.label, /*backward=*/true});
-      }
-    }
-  }
-  lg.RebuildBuckets(n);
-  return lg;
-}
-
 void LineGraph::RebuildBuckets(size_t n) {
   LineGraph& lg = *this;
   // Bucket vertices by tail and by head (counting sort).

@@ -25,10 +25,6 @@
 
 namespace sargus {
 
-namespace storage {
-struct StorageAccess;
-}
-
 class LineGraph {
  public:
   struct Options {
@@ -50,18 +46,6 @@ class LineGraph {
   static LineGraph Build(const CsrSnapshot& csr) {
     return Build(csr, Options{});
   }
-
-  /// Incremental build for a grown snapshot: `csr` must contain every
-  /// edge of `prev`'s snapshot (same ids) plus edges with ids ≥
-  /// `first_new_edge` — the shape an insertion-only compaction produces
-  /// (CsrSnapshot::Build(g, overlay, first_new_edge)). Vertices of prev
-  /// keep their LineVertexIds and new-edge vertices are appended
-  /// (forward orientation, then backward when prev carried backward
-  /// orientations). The tail/head bucket lists are re-derived
-  /// (linear), not the vertices.
-  static LineGraph BuildIncremental(const LineGraph& prev,
-                                    const CsrSnapshot& csr,
-                                    EdgeId first_new_edge);
 
   size_t NumVertices() const { return vertices_.size(); }
 
@@ -97,8 +81,6 @@ class LineGraph {
   }
 
  private:
-  friend struct storage::StorageAccess;
-
   /// Re-derives the tail/head bucket lists and the implicit arc count
   /// from vertices_ for an n-node snapshot.
   void RebuildBuckets(size_t n);

@@ -4,6 +4,10 @@
 /// \file cluster_index.h
 /// \brief ClusterJoinIndex: the paper's clustered join access structure.
 ///
+/// A library structure: JoinIndexEvaluator and FaithfulJoinEvaluator
+/// read it, and the agreement tests and paper benches build it; the
+/// engine's serving bundle does not carry it.
+///
 /// Line vertices are clustered by (label, orientation, tail node); each
 /// non-empty cluster has a center (its first member) and the W-tables map
 /// a cluster key straight to its member list. A join step "extend the
@@ -30,10 +34,6 @@
 #include "graph/line_graph.h"
 
 namespace sargus {
-
-namespace storage {
-struct StorageAccess;
-}
 
 class ClusterJoinIndex {
  public:
@@ -75,8 +75,6 @@ class ClusterJoinIndex {
   }
 
  private:
-  friend struct storage::StorageAccess;
-
   size_t BucketIndex(LabelId label, bool backward, NodeId node) const {
     return (2 * static_cast<size_t>(label) + (backward ? 1 : 0)) *
                num_nodes_ +

@@ -18,8 +18,8 @@
 ///
 /// The oracle is a library structure, not part of the serving bundle:
 /// FaithfulJoinEvaluator joins on it and the index-construction benches
-/// measure it. The serving join index derives its label-pair summary
-/// from the node graph instead (index/cluster_index.h).
+/// measure it. The cluster index derives its label-pair summary from the
+/// node graph instead (index/cluster_index.h).
 
 #include <cstdint>
 

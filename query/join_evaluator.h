@@ -2,8 +2,17 @@
 #define SARGUS_QUERY_JOIN_EVALUATOR_H_
 
 /// \file join_evaluator.h
-/// \brief The precomputed join pipeline that serves kJoinIndex
-/// (paper §3.3/§3.4).
+/// \brief The paper's precomputed join pipeline (paper §3.3/§3.4), as a
+/// library evaluator.
+///
+/// The engine does not serve it: on the end-to-end read benchmark online
+/// BFS answered the same requests with higher throughput and a lower
+/// tail, and the line graph and cluster index doubled the serving
+/// bundle. The agreement tests and the paper benches (bench_query_latency's
+/// join-vs-BFS series, the ablation, depth and selectivity sweeps)
+/// construct it directly over a LineGraph and ClusterJoinIndex they
+/// build themselves. It answers over that snapshot only: it has no
+/// overlay.
 ///
 /// A bound expression expands into concrete label sequences (one per
 /// choice of hop count in every step — the multiplicative "line query"

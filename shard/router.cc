@@ -407,13 +407,6 @@ Result<AccessDecision> ShardRouter::DecideMultiImpl(
     d->overlay_version = stamp.overlay_version;
     return d;
   }
-  if (request.evaluator_override.has_value() && local.status_code != 0) {
-    // Evaluator overrides are a shard-local concern (the cross-shard
-    // procedure has its own fixed strategy); surface the shard's error
-    // the way a single engine would.
-    return wire::UnpackStatus(local.status_code, local.error);
-  }
-
   // Steps 2-3: per rule path, exact global reachability. Disjunction
   // semantics mirror the engine: first error is remembered and surfaced
   // only when nothing grants.

@@ -37,27 +37,14 @@ wire::CheckRequest ToWire(const AccessRequest& request) {
   w.requester = request.requester;
   w.resource = request.resource;
   w.want_witness = request.want_witness ? 1 : 0;
-  if (request.evaluator_override.has_value()) {
-    w.has_evaluator_override = 1;
-    w.evaluator_override = static_cast<uint8_t>(*request.evaluator_override);
-  }
   return w;
 }
 
-static_assert(static_cast<uint8_t>(EvaluatorChoice::kJoinIndex) + 1 ==
-                  wire::kNumEvaluatorChoices,
-              "the wire's override range must cover exactly EvaluatorChoice");
-
-Result<AccessRequest> FromWire(const wire::CheckRequest& request) {
-  SARGUS_RETURN_IF_ERROR(wire::ValidateCheckRequest(request));
+AccessRequest FromWire(const wire::CheckRequest& request) {
   AccessRequest r;
   r.requester = request.requester;
   r.resource = request.resource;
   r.want_witness = request.want_witness != 0;
-  if (request.has_evaluator_override != 0) {
-    r.evaluator_override =
-        static_cast<EvaluatorChoice>(request.evaluator_override);
-  }
   return r;
 }
 
@@ -132,26 +119,17 @@ wire::Stamp ShardEngine::ViewStamp() const {
 }
 
 wire::CheckReply ShardEngine::Check(const wire::CheckRequest& request) const {
-  Result<AccessRequest> r = FromWire(request);
-  if (!r.ok()) return ToWire(Result<AccessDecision>(r.status()));
-  return ToWire(engine_.CheckAccess(*r));
+  return ToWire(engine_.CheckAccess(FromWire(request)));
 }
 
 wire::BatchCheckReply ShardEngine::CheckBatch(
     const wire::BatchCheckRequest& request) const {
   std::vector<AccessRequest> requests;
   requests.reserve(request.requests.size());
-  wire::BatchCheckReply reply;
   for (const wire::CheckRequest& r : request.requests) {
-    Result<AccessRequest> decoded = FromWire(r);
-    if (!decoded.ok()) {
-      // Fails every slot, as the decoder fails the whole frame.
-      reply.replies.assign(request.requests.size(),
-                           ToWire(Result<AccessDecision>(decoded.status())));
-      return reply;
-    }
-    requests.push_back(*decoded);
+    requests.push_back(FromWire(r));
   }
+  wire::BatchCheckReply reply;
   for (const Result<AccessDecision>& d : engine_.CheckAccessBatch(requests)) {
     reply.replies.push_back(ToWire(d));
   }

@@ -220,8 +220,6 @@ void PutCheckRequestBody(ByteWriter& w, const CheckRequest& m) {
   w.U32(m.requester);
   w.U32(m.resource);
   w.U8(m.want_witness);
-  w.U8(m.has_evaluator_override);
-  w.U8(m.evaluator_override);
 }
 
 CheckRequest TakeCheckRequestBody(ByteReader& r) {
@@ -229,8 +227,6 @@ CheckRequest TakeCheckRequestBody(ByteReader& r) {
   m.requester = r.U32();
   m.resource = r.U32();
   m.want_witness = r.U8();
-  m.has_evaluator_override = r.U8();
-  m.evaluator_override = r.U8();
   return m;
 }
 
@@ -264,20 +260,6 @@ CheckReply TakeCheckReplyBody(ByteReader& r) {
 }
 
 }  // namespace
-
-Status ValidateCheckRequest(const CheckRequest& request) {
-  if (request.has_evaluator_override > 1) {
-    return Status::InvalidArgument(
-        "wire: has_evaluator_override " +
-        std::to_string(request.has_evaluator_override) + " is not 0/1");
-  }
-  if (request.evaluator_override >= kNumEvaluatorChoices) {
-    return Status::InvalidArgument(
-        "wire: unknown evaluator override " +
-        std::to_string(request.evaluator_override));
-  }
-  return OkStatus();
-}
 
 std::vector<uint32_t> ResidualHopBudgets(const HopAutomaton& nfa) {
   const std::vector<BoundStep>& steps = nfa.bound_steps();
@@ -320,7 +302,6 @@ Result<CheckRequest> DecodeCheckRequest(std::span<const uint8_t> bytes) {
   SARGUS_RETURN_IF_ERROR(TakeHeader(r, MsgType::kCheckRequest));
   CheckRequest m = TakeCheckRequestBody(r);
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
-  SARGUS_RETURN_IF_ERROR(ValidateCheckRequest(m));
   return m;
 }
 
@@ -356,13 +337,10 @@ Result<BatchCheckRequest> DecodeBatchCheckRequest(
   ByteReader r(body);
   SARGUS_RETURN_IF_ERROR(TakeHeader(r, MsgType::kBatchCheckRequest));
   BatchCheckRequest m;
-  const uint32_t n = r.Count(11);
+  const uint32_t n = r.Count(9);
   m.requests.reserve(n);
   for (uint32_t i = 0; i < n; ++i) m.requests.push_back(TakeCheckRequestBody(r));
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
-  for (const CheckRequest& c : m.requests) {
-    SARGUS_RETURN_IF_ERROR(ValidateCheckRequest(c));
-  }
   return m;
 }
 

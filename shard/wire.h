@@ -29,7 +29,9 @@
 /// instead of a silently misread message — see the fault-injection
 /// transport in shard/transport.h); v3 renumbered the evaluator override
 /// byte to the three serving choices (v2 also had DFS and bidirectional
-/// values, so a v2 byte means something else under v3).
+/// values, so a v2 byte means something else under v3); v4 dropped the
+/// two override bytes from CheckRequest, since a shard serves one
+/// evaluator.
 ///
 /// Identifier convention: node, label, resource, rule and automaton
 /// state ids in wire messages are GLOBAL — every shard graph keeps the
@@ -52,10 +54,7 @@
 namespace sargus::wire {
 
 inline constexpr uint32_t kMagic = 0x57524753;  // "SGRW", little-endian
-inline constexpr uint32_t kProtocolVersion = 3;
-/// EvaluatorChoice values a CheckRequest may carry (kAuto, kOnlineBfs,
-/// kJoinIndex); shard/shard_engine.cc pins this to the enum.
-inline constexpr uint8_t kNumEvaluatorChoices = 3;
+inline constexpr uint32_t kProtocolVersion = 4;
 
 enum class MsgType : uint8_t {
   kCheckRequest = 1,
@@ -103,19 +102,8 @@ struct CheckRequest {
   NodeId requester = 0;
   ResourceId resource = 0;
   uint8_t want_witness = 0;
-  /// 0 or 1.
-  uint8_t has_evaluator_override = 0;
-  /// EvaluatorChoice as an integer, always < kNumEvaluatorChoices (read
-  /// only when has_evaluator_override).
-  uint8_t evaluator_override = 0;
   bool operator==(const CheckRequest&) const = default;
 };
-
-/// kInvalidArgument when has_evaluator_override is not 0/1 or the
-/// override byte names no EvaluatorChoice. The decoders apply it to
-/// every request they return; a shard applies it to requests handed
-/// over in process.
-Status ValidateCheckRequest(const CheckRequest& request);
 
 struct CheckReply {
   /// sargus StatusCode; non-zero means the request failed and only

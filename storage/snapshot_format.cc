@@ -4,7 +4,6 @@
 
 #include "common/checksum.h"
 #include "common/file_util.h"
-#include "index/cluster_index.h"
 #include "index/transitive_closure.h"
 
 namespace sargus::storage {
@@ -72,33 +71,6 @@ void StorageAccess::SaveCsr(const CsrSnapshot& csr, BlobWriter& w) {
   for (const auto& e : csr.in_entries_) w.PutU32(e.edge);
 }
 
-void StorageAccess::SaveLineGraph(const LineGraph& lg, BlobWriter& w) {
-  // Vertex has padding after label and bool -> columns.
-  w.PutU64(lg.vertices_.size());
-  for (const auto& v : lg.vertices_) w.PutU32(v.edge);
-  for (const auto& v : lg.vertices_) w.PutU32(v.tail);
-  for (const auto& v : lg.vertices_) w.PutU32(v.head);
-  for (const auto& v : lg.vertices_) w.PutU16(v.label);
-  for (const auto& v : lg.vertices_) w.PutU8(v.backward ? 1 : 0);
-  w.PutVec(lg.tail_offsets_);
-  w.PutVec(lg.tail_list_);
-  w.PutVec(lg.head_offsets_);
-  w.PutVec(lg.head_list_);
-  w.PutU64(lg.num_arcs_);
-  w.PutU64(lg.num_graph_nodes_);
-  w.PutU8(lg.includes_backward_ ? 1 : 0);
-}
-
-void StorageAccess::SaveCluster(const ClusterJoinIndex& c, BlobWriter& w) {
-  w.PutU64(c.num_nodes_);
-  w.PutU64(c.num_oriented_labels_);
-  w.PutU64(c.num_centers_);
-  w.PutVec(c.offsets_);
-  w.PutVec(c.members_);
-  w.PutVec(c.centers_);
-  w.PutVec(c.label_reach_);
-}
-
 void StorageAccess::SaveClosure(const TransitiveClosure& c, BlobWriter& w) {
   w.PutU8(c.undirected_ ? 1 : 0);
   w.PutU32(c.num_components_);
@@ -153,12 +125,6 @@ Status WriteBundle(const std::string& path, const BundlePayload& payload) {
       [&](BlobWriter& w) { StorageAccess::SaveGraph(*payload.graph, w); });
   add(SectionKind::kCsr,
       [&](BlobWriter& w) { StorageAccess::SaveCsr(idx.csr, w); });
-  add(SectionKind::kLineGraph,
-      [&](BlobWriter& w) { StorageAccess::SaveLineGraph(idx.lg, w); });
-  if (idx.cluster != nullptr) {
-    add(SectionKind::kCluster,
-        [&](BlobWriter& w) { StorageAccess::SaveCluster(*idx.cluster, w); });
-  }
   if (idx.closure != nullptr) {
     add(SectionKind::kClosure,
         [&](BlobWriter& w) { StorageAccess::SaveClosure(*idx.closure, w); });
@@ -186,8 +152,6 @@ Status WriteBundle(const std::string& path, const BundlePayload& payload) {
   const uint64_t file_size = offset;
 
   uint64_t flags = 0;
-  if (idx.join_built) flags |= kFlagJoinBuilt;
-  if (idx.lg.includes_backward()) flags |= kFlagBackwardLineGraph;
   if (idx.closure != nullptr) {
     flags |= kFlagClosure;
     if (idx.closure->is_undirected()) flags |= kFlagClosureUndirected;

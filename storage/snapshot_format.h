@@ -22,7 +22,7 @@
 /// adopting it
 /// (the corruption-matrix test flips bits everywhere and expects an
 /// explicit kDataLoss, never a crash or a wrong decision). Structs with
-/// interior padding (Edge, CsrSnapshot::Entry, LineGraph::Vertex) are
+/// interior padding (Edge, CsrSnapshot::Entry) are
 /// serialized as parallel scalar columns — raw struct memcpy would
 /// checksum uninitialized padding bytes. Padding-free structs and plain
 /// scalar vectors are bulk-memcpy'd.
@@ -63,9 +63,10 @@ inline constexpr char kWalFileName[] = "wal.log";
 inline constexpr uint64_t kBundleMagic = 0x3150414E53475253ULL;  // "SRGSNAP1"
 /// Version 2 dropped the base-table section (kind 6); version 3 dropped
 /// the interval labels from the oracle section; version 4 dropped the
-/// oracle section (kind 4). Older bundles are refused with kDataLoss,
-/// not migrated.
-inline constexpr uint32_t kBundleVersion = 4;
+/// oracle section (kind 4); version 5 dropped the line-graph and cluster
+/// sections (kinds 3 and 5) and their header flags. Older bundles are
+/// refused with kDataLoss, not migrated.
+inline constexpr uint32_t kBundleVersion = 5;
 inline constexpr uint32_t kBundlePageSize = 4096;
 /// Fixed header fields end here; section table entries follow.
 inline constexpr size_t kBundleSectionTableOffset = 64;
@@ -75,19 +76,18 @@ inline constexpr size_t kBundleMaxSections =
     kBundleSectionEntryBytes;
 
 /// Bundle capability flags (header `flags` field). Redundant with the
-/// section list, kept so option validation reads the header only.
-inline constexpr uint64_t kFlagJoinBuilt = 1ULL << 0;
-inline constexpr uint64_t kFlagBackwardLineGraph = 1ULL << 1;
+/// section list, kept so option validation reads the header only. Bits
+/// 0 and 1 flagged the join stack and backward line-graph orientations
+/// up to version 4; retired, never reused.
 inline constexpr uint64_t kFlagClosure = 1ULL << 2;
 inline constexpr uint64_t kFlagClosureUndirected = 1ULL << 3;
 
 enum class SectionKind : uint32_t {
   kGraph = 1,
   kCsr = 2,
-  kLineGraph = 3,
-  // 4 held the line-graph reachability oracle up to version 3 and 6 the
-  // paper's base tables up to version 1; both retired, never reused.
-  kCluster = 5,
+  // Retired, never reused: 3 held the line graph and 5 the cluster
+  // index up to version 4, 4 the line-graph reachability oracle up to
+  // version 3, and 6 the paper's base tables up to version 1.
   kClosure = 7,
   kOverlay = 8,
 };
@@ -107,9 +107,8 @@ struct SnapshotStamp {
 };
 
 /// What the engine hands the writer. All pointers are borrowed for the
-/// duration of WriteBundle; `indexes` members may be null when never
-/// built (online-only configs skip the join stack, the prefilter is
-/// optional).
+/// duration of WriteBundle; `indexes->closure` is null unless the
+/// prefilter is on.
 struct BundlePayload {
   const SocialGraph* graph = nullptr;
   const SnapshotIndexes* indexes = nullptr;
@@ -273,12 +272,6 @@ struct StorageAccess {
 
   static void SaveCsr(const CsrSnapshot& csr, BlobWriter& w);
   static Status LoadCsr(BlobReader& r, CsrSnapshot* csr);
-
-  static void SaveLineGraph(const LineGraph& lg, BlobWriter& w);
-  static Status LoadLineGraph(BlobReader& r, LineGraph* lg);
-
-  static void SaveCluster(const ClusterJoinIndex& c, BlobWriter& w);
-  static Status LoadCluster(BlobReader& r, ClusterJoinIndex* c);
 
   static void SaveClosure(const TransitiveClosure& c, BlobWriter& w);
   static Status LoadClosure(BlobReader& r, TransitiveClosure* c);

@@ -8,7 +8,6 @@
 
 #include "common/checksum.h"
 #include "common/file_util.h"
-#include "index/cluster_index.h"
 #include "index/transitive_closure.h"
 
 namespace sargus::storage {
@@ -107,38 +106,6 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   return FinishSection(r, "csr");
 }
 
-Status StorageAccess::LoadLineGraph(BlobReader& r, LineGraph* lg) {
-  const uint64_t num_vertices = r.GetU64();
-  if (!r.ok() || num_vertices > r.Remaining() / sizeof(uint32_t)) {
-    return Status::DataLoss("bundle: line-graph vertex count out of range");
-  }
-  lg->vertices_.resize(num_vertices);
-  for (auto& v : lg->vertices_) v.edge = r.GetU32();
-  for (auto& v : lg->vertices_) v.tail = r.GetU32();
-  for (auto& v : lg->vertices_) v.head = r.GetU32();
-  for (auto& v : lg->vertices_) v.label = r.GetU16();
-  for (auto& v : lg->vertices_) v.backward = r.GetU8() != 0;
-  r.GetVec(&lg->tail_offsets_);
-  r.GetVec(&lg->tail_list_);
-  r.GetVec(&lg->head_offsets_);
-  r.GetVec(&lg->head_list_);
-  lg->num_arcs_ = r.GetU64();
-  lg->num_graph_nodes_ = r.GetU64();
-  lg->includes_backward_ = r.GetU8() != 0;
-  return FinishSection(r, "line-graph");
-}
-
-Status StorageAccess::LoadCluster(BlobReader& r, ClusterJoinIndex* c) {
-  c->num_nodes_ = r.GetU64();
-  c->num_oriented_labels_ = r.GetU64();
-  c->num_centers_ = r.GetU64();
-  r.GetVec(&c->offsets_);
-  r.GetVec(&c->members_);
-  r.GetVec(&c->centers_);
-  r.GetVec(&c->label_reach_);
-  return FinishSection(r, "cluster");
-}
-
 Status StorageAccess::LoadClosure(BlobReader& r, TransitiveClosure* c) {
   c->undirected_ = r.GetU8() != 0;
   c->num_components_ = r.GetU32();
@@ -192,25 +159,22 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   out.stamp = info.stamp;
   out.flags = info.flags;
   out.compact_threshold = info.compact_threshold;
-  out.indexes->join_built = (info.flags & kFlagJoinBuilt) != 0;
 
   // Screen the section table serially (duplicates, unknown kinds), and
   // pre-allocate the owned index structures, before fanning out.
   uint64_t seen = 0;
   for (const BundleInfo::Section& s : info.sections) {
     const uint32_t raw_kind = static_cast<uint32_t>(s.kind);
-    if (s.kind < SectionKind::kGraph || s.kind > SectionKind::kOverlay ||
-        raw_kind == 4 || raw_kind == 6) {  // the retired oracle and tables
-      return Status::DataLoss("bundle: unknown section kind");
+    if (s.kind != SectionKind::kGraph && s.kind != SectionKind::kCsr &&
+        s.kind != SectionKind::kClosure && s.kind != SectionKind::kOverlay) {
+      return Status::DataLoss("bundle: unknown section kind");  // or retired
     }
     const uint64_t kind_bit = 1ULL << raw_kind;
     if (seen & kind_bit) {
       return Status::DataLoss("bundle: duplicate section");
     }
     seen |= kind_bit;
-    if (s.kind == SectionKind::kCluster) {
-      out.indexes->cluster = std::make_unique<ClusterJoinIndex>();
-    } else if (s.kind == SectionKind::kClosure) {
+    if (s.kind == SectionKind::kClosure) {
       out.indexes->closure = std::make_unique<TransitiveClosure>();
     }
   }
@@ -236,13 +200,6 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
         break;
       case SectionKind::kCsr:
         statuses[i] = StorageAccess::LoadCsr(r, &out.indexes->csr);
-        break;
-      case SectionKind::kLineGraph:
-        statuses[i] = StorageAccess::LoadLineGraph(r, &out.indexes->lg);
-        break;
-      case SectionKind::kCluster:
-        statuses[i] =
-            StorageAccess::LoadCluster(r, out.indexes->cluster.get());
         break;
       case SectionKind::kClosure:
         statuses[i] =
@@ -279,11 +236,8 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
     return (seen & (1ULL << static_cast<uint32_t>(kind))) != 0;
   };
   if (!require(SectionKind::kGraph) || !require(SectionKind::kCsr) ||
-      !require(SectionKind::kLineGraph) || !require(SectionKind::kOverlay)) {
+      !require(SectionKind::kOverlay)) {
     return Status::DataLoss("bundle: required section missing");
-  }
-  if (out.indexes->join_built && out.indexes->cluster == nullptr) {
-    return Status::DataLoss("bundle: join stack flagged but sections missing");
   }
   if (((info.flags & kFlagClosure) != 0) != (out.indexes->closure != nullptr)) {
     return Status::DataLoss("bundle: closure flag / section mismatch");

@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -53,8 +49,7 @@ struct EngineFixture {
 // ---- Node growth ------------------------------------------------------------
 
 TEST(CompactionNodeGrowth, AddNodeQueryableWithoutRebuild) {
-  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kAuto});
+  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0, {});
   auto old_view = f.engine->AcquireReadView();
   const size_t base_nodes = f.g.NumNodes();
   const uint64_t gen = f.engine->snapshot_generation();
@@ -102,8 +97,7 @@ TEST(CompactionNodeGrowth, AddNodeQueryableWithoutRebuild) {
 }
 
 TEST(CompactionNodeGrowth, BatchAndRequesterGuardsOnStaleViews) {
-  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs});
+  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0, {});
   auto old_view = f.engine->AcquireReadView();
   auto id = f.engine->AddNode();
   ASSERT_TRUE(id.ok());
@@ -135,7 +129,7 @@ TEST(CompactionNodeGrowth, OutOfRangeResourceOwnerFailsLoudly) {
   PolicyStore store;
   const ResourceId ghost = store.RegisterResource(/*owner=*/99, "ghost");
   (void)store.AddRuleFromPaths(ghost, {"friend[1]"}).ValueOrDie();
-  AccessControlEngine engine(g, store, {});
+  AccessControlEngine engine(g, store);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
 
   auto r = engine.CheckAccess({.requester = 1, .resource = ghost});
@@ -166,8 +160,7 @@ TEST(CompactionNodeGrowth, OutOfRangeResourceOwnerFailsLoudly) {
 
 TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kAuto,
-                   .compact_threshold = 0});
+                  {.compact_threshold = 0});
   const BoundPathExpression expr = MustBind(f.g, "colleague[1]");
   MirrorGraph mirror(f.g);
   const LabelId co = f.g.labels().Lookup("colleague");
@@ -245,8 +238,7 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
 
 TEST(CompactionStraddle, ExplicitCompactDuringBuildChainsAFollowUp) {
   EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs,
-                   .compact_threshold = 0});
+                  {.compact_threshold = 0});
   const LabelId co = f.g.labels().Lookup("colleague");
 
   std::atomic<bool> release{false};
@@ -291,8 +283,7 @@ TEST(CompactionStress, ReadersRaceBackgroundCompactions) {
   // itself is the thing under (TSan) test here, correctness per state
   // is pinned by the straddle test above.
   AccessControlEngine engine(g, store,
-                             {.evaluator = EvaluatorChoice::kAuto,
-                              .use_closure_prefilter = true,
+                             {.use_closure_prefilter = true,
                               .compact_threshold = 8});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   const LabelId fr = g.labels().Lookup("friend");
@@ -342,281 +333,12 @@ TEST(CompactionStress, ReadersRaceBackgroundCompactions) {
   EXPECT_GT(engine.snapshot_generation(), 1u);
 }
 
-// ---- Incremental index maintenance ------------------------------------------
-
-/// Maps a line vertex to its (edge, orientation) identity so bundles
-/// built with different vertex orders can be compared.
-std::map<std::pair<EdgeId, bool>, LineVertexId> LineIdentity(
-    const LineGraph& lg) {
-  std::map<std::pair<EdgeId, bool>, LineVertexId> m;
-  for (LineVertexId v = 0; v < lg.NumVertices(); ++v) {
-    const auto& vert = lg.vertex(v);
-    m[{vert.edge, vert.backward}] = v;
-  }
-  return m;
-}
-
-/// The (edge, orientation) identities of `ids`, sorted.
-std::vector<std::pair<EdgeId, bool>> Identities(
-    const LineGraph& lg, std::span<const LineVertexId> ids) {
-  std::vector<std::pair<EdgeId, bool>> out;
-  for (LineVertexId v : ids) {
-    out.emplace_back(lg.vertex(v).edge, lg.vertex(v).backward);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Compares a patched bundle's join stack with the full build's: the
-/// same line vertices by identity, the same members in every cluster,
-/// and the same label-pair matrix (one label past the alphabet
-/// included).
-void ExpectJoinStacksAgree(const SnapshotIndexes& a, const SnapshotIndexes& b,
-                           const char* label) {
-  ASSERT_TRUE(a.join_built && b.join_built) << label;
-  ASSERT_EQ(a.lg.NumGraphNodes(), b.lg.NumGraphNodes()) << label;
-  ASSERT_EQ(a.lg.includes_backward(), b.lg.includes_backward()) << label;
-  const auto ma = LineIdentity(a.lg);
-  const auto mb = LineIdentity(b.lg);
-  ASSERT_EQ(ma.size(), mb.size()) << label;
-  size_t num_labels = 0;
-  for (const auto& [key, va] : ma) {
-    auto itb = mb.find(key);
-    ASSERT_NE(itb, mb.end()) << label << ": edge " << key.first;
-    const auto& x = a.lg.vertex(va);
-    const auto& y = b.lg.vertex(itb->second);
-    ASSERT_EQ(std::tie(x.tail, x.head, x.label),
-              std::tie(y.tail, y.head, y.label))
-        << label << ": edge " << key.first;
-    num_labels = std::max<size_t>(num_labels, x.label + 1u);
-  }
-  for (LabelId l = 0; l <= num_labels; ++l) {
-    for (const bool backward : {false, true}) {
-      for (NodeId v = 0; v < a.lg.NumGraphNodes(); ++v) {
-        ASSERT_EQ(Identities(a.lg, a.cluster->Cluster(l, backward, v)),
-                  Identities(b.lg, b.cluster->Cluster(l, backward, v)))
-            << label << ": cluster (" << l << (backward ? "b" : "f") << ", "
-            << v << ")";
-      }
-    }
-  }
-  EXPECT_EQ(a.cluster->NumCenters(), b.cluster->NumCenters()) << label;
-  for (LabelId la = 0; la <= num_labels; ++la) {
-    for (LabelId lb = 0; lb <= num_labels; ++lb) {
-      for (const bool ba : {false, true}) {
-        for (const bool bb : {false, true}) {
-          EXPECT_EQ(a.cluster->LabelPairReachable(la, ba, lb, bb),
-                    b.cluster->LabelPairReachable(la, ba, lb, bb))
-              << label << ": label pair " << la << (ba ? "b" : "f")
-              << " -> " << lb << (bb ? "b" : "f");
-        }
-      }
-    }
-  }
-  EXPECT_GT(ma.size(), 0u) << label;
-}
-
-TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildRandomized) {
-  EngineOptions options;
-  options.evaluator = EvaluatorChoice::kAuto;
-  options.incremental_max_fraction = 1.0;  // exercise the patch, not the gate
-
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    // Random DAG base (edges low -> high) plus forward-oriented staged
-    // insertions: insertion-only with the fraction gate lifted, so the
-    // patch path must apply on every seed — no silent fallback
-    // weakening the test.
-    Rng rng(7000 + seed);
-    SocialGraph g;
-    const size_t n = 26;
-    for (size_t i = 0; i < n; ++i) g.AddNode();
-    const LabelId fr = g.labels().Intern("friend");
-    const LabelId co = g.labels().Intern("colleague");
-    for (int i = 0; i < 60; ++i) {
-      NodeId s = static_cast<NodeId>(rng.NextBounded(n));
-      NodeId d = static_cast<NodeId>(rng.NextBounded(n));
-      if (s == d) continue;
-      if (s > d) std::swap(s, d);
-      (void)g.AddEdge(s, d, rng.NextBool(0.5) ? fr : co);
-    }
-    auto prev = SnapshotIndexes::Build(g, options);
-    ASSERT_TRUE(prev.ok());
-
-    DeltaOverlay overlay;
-    // A couple of staged nodes (appended = topologically last, so edges
-    // into them keep the DAG property), then random forward insertions —
-    // some touching the staged nodes, some between existing ones.
-    overlay.StageNode();
-    overlay.StageNode();
-    for (int i = 0; i < 10; ++i) {
-      NodeId s = static_cast<NodeId>(rng.NextBounded(n + 2));
-      NodeId d = static_cast<NodeId>(rng.NextBounded(n + 2));
-      if (s == d) continue;
-      if (s > d) std::swap(s, d);
-      const LabelId l = rng.NextBool(0.5) ? fr : co;
-      if (s < n && d < n && g.FindEdge(s, d, l).has_value()) continue;
-      (void)overlay.StageAdd(s, d, l);
-    }
-    const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
-
-    auto patched =
-        SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                          options);
-    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-    ASSERT_NE(*patched, nullptr) << "seed " << seed
-                                 << ": acyclic delta unexpectedly fell back";
-    auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
-    ASSERT_TRUE(full.ok());
-    ExpectJoinStacksAgree(**patched, **full,
-                          ("seed " + std::to_string(seed)).c_str());
-  }
-}
-
-TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildOnCyclicBase) {
-  // Cyclic ER bases (reciprocal ties) plus insertions hanging off a
-  // fresh staged node: the patched line graph must keep the base's
-  // clusters and label pairs exactly.
-  EngineOptions options;
-  options.evaluator = EvaluatorChoice::kAuto;
-  options.incremental_max_fraction = 1.0;
-
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    auto gen = GenerateErdosRenyi(
-        {.base = {.num_nodes = 22, .seed = seed}, .avg_out_degree = 2.4});
-    ASSERT_TRUE(gen.ok());
-    SocialGraph g = std::move(*gen);
-    auto prev = SnapshotIndexes::Build(g, options);
-    ASSERT_TRUE(prev.ok());
-    const LabelId fr = g.labels().Lookup("friend");
-    ASSERT_NE(fr, kInvalidLabel);
-
-    Rng rng(9100 + seed);
-    DeltaOverlay overlay;
-    const NodeId fresh = static_cast<NodeId>(g.NumNodes());
-    overlay.StageNode();
-    for (int i = 0; i < 6; ++i) {
-      // fresh -> existing: the fresh node has no in-edges, so no path
-      // returns to these line vertices.
-      (void)overlay.StageAdd(
-          fresh, static_cast<NodeId>(rng.NextBounded(g.NumNodes())), fr);
-    }
-    const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
-    auto patched =
-        SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                          options);
-    ASSERT_TRUE(patched.ok());
-    ASSERT_NE(*patched, nullptr) << "seed " << seed;
-    auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
-    ASSERT_TRUE(full.ok());
-    ExpectJoinStacksAgree(
-        **patched, **full,
-        ("cyclic-base seed " + std::to_string(seed)).c_str());
-  }
-}
-
-TEST(CompactionIncremental, FallsBackOnDeletionsAndLargeDeltas) {
-  EngineOptions options;
-  options.evaluator = EvaluatorChoice::kAuto;
-  EngineOptions ungated = options;
-  ungated.incremental_max_fraction = 1.0;
-
-  // Acyclic chain 0 -f-> 1 -f-> 2.
-  SocialGraph g;
-  for (int i = 0; i < 3; ++i) g.AddNode();
-  (void)g.AddEdge(0, 1, "friend");
-  (void)g.AddEdge(1, 2, "friend");
-  auto prev = SnapshotIndexes::Build(g, options);
-  ASSERT_TRUE(prev.ok());
-  const LabelId fr = g.labels().Lookup("friend");
-  const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
-
-  // Deletions: the patched line graph keeps every previous vertex.
-  {
-    DeltaOverlay overlay;
-    overlay.StageRemove(0, 1, fr);
-    auto r = SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                               ungated);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, nullptr);
-  }
-  // A cycle-closing insertion patches like any other (no SCC is
-  // maintained incrementally) and matches the full merged build.
-  {
-    DeltaOverlay overlay;
-    overlay.StageAdd(2, 0, fr);
-    auto r = SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                               ungated);
-    ASSERT_TRUE(r.ok());
-    ASSERT_NE(*r, nullptr);
-    auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
-    ASSERT_TRUE(full.ok());
-    ExpectJoinStacksAgree(**r, **full, "cycle-closing insertion");
-  }
-  // Delta past the fraction gate (2 edges; 5% of 2 edges is < 1).
-  {
-    DeltaOverlay overlay;
-    overlay.StageAdd(0, 2, fr);
-    auto r = SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                               options);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, nullptr);
-  }
-}
-
-TEST(CompactionIncremental, EngineTakesIncrementalPathForSmallInsertions) {
-  auto gen = GenerateBarabasiAlbert(
-      {.base = {.num_nodes = 400, .seed = 5}, .edges_per_node = 3});
-  ASSERT_TRUE(gen.ok());
-  SocialGraph g = std::move(*gen);
-  PolicyStore store;
-  const ResourceId res = store.RegisterResource(/*owner=*/0, "doc");
-  (void)store.AddRuleFromPaths(res, {"friend[1,2]"}).ValueOrDie();
-  AccessControlEngine engine(g, store,
-                             {.evaluator = EvaluatorChoice::kAuto,
-                              .compact_threshold = 0});
-  ASSERT_TRUE(engine.RebuildIndexes().ok());
-  const LabelId fr = g.labels().Lookup("friend");
-
-  // Six insertions are well under 5% of the snapshot's edges, so the
-  // patch path applies.
-  auto id = engine.AddNode();
-  ASSERT_TRUE(id.ok());
-  for (NodeId d = 1; d <= 6; ++d) {
-    ASSERT_TRUE(engine.AddEdge(*id, d, fr).ok());
-  }
-  ASSERT_TRUE(engine.Compact().ok());
-  engine.WaitForCompaction();
-  EXPECT_EQ(engine.incremental_compactions(), 1u);
-  EXPECT_EQ(engine.full_compactions(), 0u);
-
-  // The compacted (patched) join index serves and agrees with online
-  // search on the grown graph.
-  for (NodeId req : {*id, NodeId{1}, NodeId{50}, NodeId{399}}) {
-    auto joined = engine.CheckAccess({.requester = req, .resource = res});
-    auto online = engine.CheckAccess(
-        {.requester = req,
-         .resource = res,
-         .evaluator_override = EvaluatorChoice::kOnlineBfs});
-    ASSERT_TRUE(joined.ok());
-    ASSERT_TRUE(online.ok());
-    EXPECT_EQ(joined->granted, online->granted) << req;
-  }
-
-  // A deletion-bearing delta falls back to the full rebuild.
-  ASSERT_TRUE(engine.RemoveEdge(*id, 1, fr).ok());
-  ASSERT_TRUE(engine.Compact().ok());
-  engine.WaitForCompaction();
-  EXPECT_EQ(engine.incremental_compactions(), 1u);
-  EXPECT_EQ(engine.full_compactions(), 1u);
-}
-
 // ---- Threshold scaling ------------------------------------------------------
 
 TEST(CompactionThreshold, DefaultScalesWithEdgesAndOverrideWins) {
   // Small graph: the floor dominates.
   {
-    EngineFixture f(MakeDiamond(), {"friend[1]"}, /*owner=*/0,
-                    {.evaluator = EvaluatorChoice::kOnlineBfs});
+    EngineFixture f(MakeDiamond(), {"friend[1]"}, /*owner=*/0, {});
     EXPECT_EQ(f.engine->effective_compact_threshold(), 1024u);
   }
   // Large graph: |E|/16 dominates and tracks the snapshot.
@@ -627,8 +349,7 @@ TEST(CompactionThreshold, DefaultScalesWithEdgesAndOverrideWins) {
     SocialGraph g = std::move(*gen);
     PolicyStore store;
     (void)store.RegisterResource(0, "doc");
-    AccessControlEngine engine(g, store,
-                               {.evaluator = EvaluatorChoice::kOnlineBfs});
+    AccessControlEngine engine(g, store);
     ASSERT_TRUE(engine.RebuildIndexes().ok());
     const size_t edges = g.NumEdges();
     ASSERT_GT(edges / 16, 1024u);  // the sweep regime this test pins
@@ -637,14 +358,12 @@ TEST(CompactionThreshold, DefaultScalesWithEdgesAndOverrideWins) {
   // Explicit values — including 0 (off) — are used verbatim.
   {
     EngineFixture f(MakeDiamond(), {"friend[1]"}, /*owner=*/0,
-                    {.evaluator = EvaluatorChoice::kOnlineBfs,
-                     .compact_threshold = 7});
+                    {.compact_threshold = 7});
     EXPECT_EQ(f.engine->effective_compact_threshold(), 7u);
   }
   {
     EngineFixture f(MakeDiamond(), {"friend[1]"}, /*owner=*/0,
-                    {.evaluator = EvaluatorChoice::kOnlineBfs,
-                     .compact_threshold = 0});
+                    {.compact_threshold = 0});
     EXPECT_EQ(f.engine->effective_compact_threshold(), 0u);
   }
 }
@@ -672,8 +391,7 @@ TEST(CompactionEpochs, WraparoundUnderGrownNodeSpace) {
   // Engine-level: queries against views whose logical node count grew
   // (AddNode) stay correct across a forced wraparound of the reused
   // per-context scratch.
-  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs});
+  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0, {});
   auto id = f.engine->AddNode();
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(f.engine->AddEdge(0, *id, "colleague").ok());

@@ -129,8 +129,7 @@ struct EngineFixture {
 };
 
 TEST(EngineOverlay, MutationsVisibleWithoutRebuild) {
-  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs});
+  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0, {});
   // Node 0 has no colleague out-edge in the diamond.
   EXPECT_FALSE(f.Granted(5));
   const uint64_t gen = f.engine->snapshot_generation();
@@ -147,8 +146,7 @@ TEST(EngineOverlay, MutationsVisibleWithoutRebuild) {
 }
 
 TEST(EngineOverlay, RemoveMasksBaseEdgeAndAddRestoresIt) {
-  EngineFixture f(MakeDiamond(), {"friend[1,2]/colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs});
+  EngineFixture f(MakeDiamond(), {"friend[1,2]/colleague[1]"}, /*owner=*/0, {});
   // 0 -f-> 4 -c-> 3 grants requester 3.
   EXPECT_TRUE(f.Granted(3));
   // Mask both disjunct paths' colleague hops: 4-c->3 and 2-c->3.
@@ -168,16 +166,16 @@ TEST(EngineOverlay, MutationRequiresMutableGraphAndBuiltIndexes) {
   PolicyStore store;
   (void)store.RegisterResource(0, "doc");
   const SocialGraph& const_g = g;
-  AccessControlEngine const_engine(const_g, store, {});
+  AccessControlEngine const_engine(const_g, store);
   ASSERT_TRUE(const_engine.RebuildIndexes().ok());
   EXPECT_EQ(const_engine.AddEdge(0, 5, "friend").code(),
             StatusCode::kFailedPrecondition);
 
-  AccessControlEngine unbuilt(g, store, {});
+  AccessControlEngine unbuilt(g, store);
   EXPECT_EQ(unbuilt.AddEdge(0, 5, "friend").code(),
             StatusCode::kFailedPrecondition);
 
-  AccessControlEngine engine(g, store, {});
+  AccessControlEngine engine(g, store);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   EXPECT_EQ(engine.AddEdge(0, 99, "friend").code(),
             StatusCode::kInvalidArgument);
@@ -186,8 +184,7 @@ TEST(EngineOverlay, MutationRequiresMutableGraphAndBuiltIndexes) {
 }
 
 TEST(EngineOverlay, CompactFoldsOverlayIntoGraphAndRebuilds) {
-  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs});
+  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0, {});
   ASSERT_TRUE(f.engine->AddEdge(0, 5, "colleague").ok());
   ASSERT_TRUE(f.engine->RemoveEdge(0, 1, "friend").ok());
   const uint64_t gen = f.engine->snapshot_generation();
@@ -212,8 +209,7 @@ TEST(EngineOverlay, CompactFoldsOverlayIntoGraphAndRebuilds) {
 
 TEST(EngineOverlay, AutoCompactionAtThreshold) {
   EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs,
-                   .compact_threshold = 3});
+                  {.compact_threshold = 3});
   const uint64_t gen = f.engine->snapshot_generation();
   ASSERT_TRUE(f.engine->AddEdge(0, 5, "colleague").ok());
   ASSERT_TRUE(f.engine->AddEdge(1, 4, "colleague").ok());
@@ -230,34 +226,6 @@ TEST(EngineOverlay, AutoCompactionAtThreshold) {
   EXPECT_TRUE(f.Granted(5));
 }
 
-TEST(EngineOverlay, JoinIndexPlansRerouteToOnlineUnderOverlay) {
-  EngineFixture f(MakeDiamond(), {"friend[1,2]/colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kAuto});
-  auto before = f.engine->CheckAccess({.requester = 3, .resource = f.res});
-  ASSERT_TRUE(before.ok());
-  EXPECT_TRUE(before->granted);
-  EXPECT_EQ(before->evaluator_name, "join-index");
-
-  // Stage a mutation: join-index plans must fall through to online
-  // search (the snapshot-only index is stale) and see the new edge.
-  ASSERT_TRUE(f.engine->AddEdge(0, 5, "friend").ok());
-  ASSERT_TRUE(f.engine->AddEdge(5, 5, "colleague").ok());
-  auto during = f.engine->CheckAccess({.requester = 5, .resource = f.res});
-  ASSERT_TRUE(during.ok());
-  EXPECT_TRUE(during->granted);  // 0 -f-> 5 -c-> 5
-  EXPECT_EQ(during->evaluator_name, "online-bfs");
-  EXPECT_GT(during->overlay_version, before->overlay_version);
-
-  // Compaction brings the join index back online with the new edges.
-  ASSERT_TRUE(f.engine->Compact().ok());
-  f.engine->WaitForCompaction();
-  auto after = f.engine->CheckAccess({.requester = 5, .resource = f.res});
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(after->granted);
-  EXPECT_EQ(after->evaluator_name, "join-index");
-  EXPECT_GT(after->snapshot_generation, during->snapshot_generation);
-}
-
 TEST(EngineOverlay, ClosurePrefilterSuspendedByPendingInsertions) {
   // Two components: 0 -f-> 1   2 -f-> 3.
   SocialGraph g;
@@ -265,8 +233,7 @@ TEST(EngineOverlay, ClosurePrefilterSuspendedByPendingInsertions) {
   (void)g.AddEdge(0, 1, "friend");
   (void)g.AddEdge(2, 3, "friend");
   EngineFixture f(std::move(g), {"friend[1,3]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs,
-                   .use_closure_prefilter = true});
+                  {.use_closure_prefilter = true});
   // Disconnected: the closure fast-denies.
   auto denied = f.engine->CheckAccess({.requester = 3, .resource = f.res});
   ASSERT_TRUE(denied.ok());
@@ -297,8 +264,7 @@ TEST(EngineOverlay, ClosurePrefilterStaysActiveUnderPureDeletions) {
   (void)g.AddEdge(0, 1, "friend");
   (void)g.AddEdge(2, 3, "friend");
   EngineFixture f(std::move(g), {"friend[1,3]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kOnlineBfs,
-                   .use_closure_prefilter = true});
+                  {.use_closure_prefilter = true});
   ASSERT_TRUE(f.engine->RemoveEdge(2, 3, "friend").ok());
   ASSERT_TRUE(f.engine->overlay().has_deletions());
   auto denied = f.engine->CheckAccess({.requester = 3, .resource = f.res});
@@ -339,8 +305,7 @@ TEST(EngineOverlay, RandomizedInterleavedMutationsAgreeWithOracle) {
   }
 
   AccessControlEngine engine(g, store,
-                             {.evaluator = EvaluatorChoice::kAuto,
-                              .use_closure_prefilter = true,
+                             {.use_closure_prefilter = true,
                               .compact_threshold = 16});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
 

@@ -43,22 +43,23 @@ TEST_F(EngineTest, GrantAndDenyAcrossEvaluatorChoices) {
   ASSERT_TRUE(store_.AddRuleFromPaths(photo, {"friend[1,2]/colleague[1]"})
                   .ok());
 
-  for (EvaluatorChoice choice :
-       {EvaluatorChoice::kAuto, EvaluatorChoice::kOnlineBfs,
-        EvaluatorChoice::kJoinIndex}) {
-    EngineOptions opts;
-    opts.evaluator = choice;
-    AccessControlEngine engine(g_, store_, opts);
+  // The two serving configurations: online BFS alone and behind the
+  // closure prefilter.
+  for (const bool prefilter : {false, true}) {
+    AccessControlEngine engine(g_, store_,
+                               {.use_closure_prefilter = prefilter});
     ASSERT_TRUE(engine.RebuildIndexes().ok());
     // Node 3 is in the audience of owner 0 (0-f->4-c->3).
     auto granted = engine.CheckAccess({.requester = 3, .resource = photo});
     ASSERT_TRUE(granted.ok());
-    EXPECT_TRUE(granted->granted) << static_cast<int>(choice);
+    EXPECT_TRUE(granted->granted) << prefilter;
     EXPECT_TRUE(granted->matched_rule.has_value());
+    EXPECT_EQ(granted->evaluator_name,
+              prefilter ? "closure-prefilter" : "online-bfs");
     // Node 2 is not (no colleague edge ends at 2).
     auto denied = engine.CheckAccess({.requester = 2, .resource = photo});
     ASSERT_TRUE(denied.ok());
-    EXPECT_FALSE(denied->granted) << static_cast<int>(choice);
+    EXPECT_FALSE(denied->granted) << prefilter;
     EXPECT_FALSE(denied->matched_rule.has_value());
   }
 }
@@ -95,48 +96,33 @@ TEST_F(EngineTest, BackwardPolicyNeedsBackwardLineGraph) {
   const ResourceId res = store_.RegisterResource(1, "res");
   ASSERT_TRUE(store_.AddRuleFromPaths(res, {"friend-[1]"}).ok());
 
-  // With kAuto and no backward line graph the engine falls back to online
-  // search: still correct.
+  // The default engine serves backward steps with no extra option: online
+  // search walks the CSR's in-entries.
   AccessControlEngine engine(g_, store_);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   auto r = engine.CheckAccess({.requester = 0, .resource = res});  // edge 0-f->1 reversed
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->granted);
-
-  // Forcing the join index without backward orientations fails loudly.
-  EngineOptions join_opts;
-  join_opts.evaluator = EvaluatorChoice::kJoinIndex;
-  AccessControlEngine join_engine(g_, store_, join_opts);
-  ASSERT_TRUE(join_engine.RebuildIndexes().ok());
-  auto bad = join_engine.CheckAccess({.requester = 0, .resource = res});
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kFailedPrecondition);
-
-  // With line_graph_backward the join index serves it.
-  join_opts.line_graph_backward = true;
-  AccessControlEngine ok_engine(g_, store_, join_opts);
-  ASSERT_TRUE(ok_engine.RebuildIndexes().ok());
-  auto good = ok_engine.CheckAccess({.requester = 0, .resource = res});
-  ASSERT_TRUE(good.ok());
-  EXPECT_TRUE(good->granted);
+  auto denied = engine.CheckAccess({.requester = 3, .resource = res});
+  ASSERT_TRUE(denied.ok());
+  EXPECT_FALSE(denied->granted);
 }
 
 TEST_F(EngineTest, RulePathErrorDoesNotMaskLaterGrant) {
-  // Disjunction semantics: the backward path errors under a forced
-  // forward-only join index, but the second path grants node 1 anyway.
+  // Disjunction semantics: the first path names a label the graph does
+  // not have, so it fails to bind, but the second path grants node 1
+  // anyway.
   const ResourceId res = store_.RegisterResource(0, "res");
-  ASSERT_TRUE(store_.AddRuleFromPaths(res, {"friend-[1]", "friend[1]"}).ok());
-  EngineOptions opts;
-  opts.evaluator = EvaluatorChoice::kJoinIndex;  // no backward line graph
-  AccessControlEngine engine(g_, store_, opts);
+  ASSERT_TRUE(store_.AddRuleFromPaths(res, {"enemy[1]", "friend[1]"}).ok());
+  AccessControlEngine engine(g_, store_);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   auto granted = engine.CheckAccess({.requester = 1, .resource = res});
   ASSERT_TRUE(granted.ok()) << granted.status().ToString();
   EXPECT_TRUE(granted->granted);
-  // When nothing grants, the evaluation error stays loud.
+  // When nothing grants, the bind error stays loud.
   auto err = engine.CheckAccess({.requester = 3, .resource = res});
   ASSERT_FALSE(err.ok());
-  EXPECT_EQ(err.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(err.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(EngineTest, WitnessAndPrefilter) {
@@ -162,47 +148,6 @@ TEST_F(EngineTest, WitnessAndPrefilter) {
   ASSERT_TRUE(bare.ok());
   EXPECT_TRUE(bare->granted);
   EXPECT_TRUE(bare->witness.empty());
-}
-
-TEST_F(EngineTest, PerRequestEvaluatorOverride) {
-  const ResourceId res = store_.RegisterResource(0, "res");
-  ASSERT_TRUE(
-      store_.AddRuleFromPaths(res, {"friend[1,2]/colleague[1]"}).ok());
-  AccessControlEngine engine(g_, store_);  // kAuto: join index serves this
-  ASSERT_TRUE(engine.RebuildIndexes().ok());
-
-  auto by_default = engine.CheckAccess({.requester = 3, .resource = res});
-  ASSERT_TRUE(by_default.ok());
-  EXPECT_TRUE(by_default->granted);
-  EXPECT_EQ(by_default->evaluator_name, "join-index");
-
-  // Same decision, different engine, chosen per request.
-  auto online_bfs = engine.CheckAccess(
-      {.requester = 3,
-       .resource = res,
-       .evaluator_override = EvaluatorChoice::kOnlineBfs});
-  ASSERT_TRUE(online_bfs.ok());
-  EXPECT_TRUE(online_bfs->granted);
-  EXPECT_EQ(online_bfs->evaluator_name, "online-bfs");
-
-  // Forcing the join index on an online-only configuration (which never
-  // built the join stack) fails loudly when nothing grants.
-  AccessControlEngine online(g_, store_,
-                             {.evaluator = EvaluatorChoice::kOnlineBfs});
-  ASSERT_TRUE(online.RebuildIndexes().ok());
-  auto denied = online.CheckAccess(
-      {.requester = 2,
-       .resource = res,
-       .evaluator_override = EvaluatorChoice::kJoinIndex});
-  ASSERT_FALSE(denied.ok());
-  EXPECT_EQ(denied.status().code(), StatusCode::kFailedPrecondition);
-  // A granted owner request never consults an evaluator at all.
-  auto owner = online.CheckAccess(
-      {.requester = 0,
-       .resource = res,
-       .evaluator_override = EvaluatorChoice::kJoinIndex});
-  ASSERT_TRUE(owner.ok());
-  EXPECT_TRUE(owner->owner_access);
 }
 
 TEST_F(EngineTest, ErrorsAndPreconditions) {

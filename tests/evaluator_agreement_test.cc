@@ -26,7 +26,7 @@ using testing_util::Stack;
 /// The invariant this suite enforces (and every future optimization PR
 /// must keep green): all evaluators return identical grant/deny for every
 /// (expression, src, dst) triple, and match an independent brute force.
-/// The engine serves only online BFS and the join index; bidirectional
+/// The engine serves only online BFS; the join index, bidirectional
 /// search and the faithful join are library evaluators, held to the same
 /// law here.
 void CheckAgreement(const Stack& s, const std::vector<std::string>& exprs) {

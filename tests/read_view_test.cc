@@ -214,8 +214,7 @@ TEST(ReadView, ConcurrentReadersVsMutatorAgreeWithPerStateOracle) {
   // Auto-compaction off: the mutator compacts explicitly, so every
   // published state is one it recorded an oracle matrix for.
   AccessControlEngine engine(g, store,
-                             {.evaluator = EvaluatorChoice::kAuto,
-                              .use_closure_prefilter = true,
+                             {.use_closure_prefilter = true,
                               .compact_threshold = 0});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
 

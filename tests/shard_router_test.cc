@@ -10,6 +10,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "engine/access_engine.h"
 #include "shard/executor_transport.h"
@@ -86,8 +87,6 @@ TEST(Wire, CheckRoundTrip) {
   req.requester = 7;
   req.resource = 3;
   req.want_witness = 1;
-  req.has_evaluator_override = 1;
-  req.evaluator_override = 2;
   auto decoded = wire::DecodeCheckRequest(wire::Encode(req));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, req);
@@ -183,20 +182,39 @@ TEST(Wire, RejectsCorruptFrames) {
   protocol2[4] = 2;
   EXPECT_EQ(wire::DecodeCheckRequest(protocol2).status().code(),
             StatusCode::kInvalidArgument);
-  // Correctly checksummed frames whose override fields name no
-  // EvaluatorChoice, alone and inside a batch.
-  const wire::CheckRequest past_last{.has_evaluator_override = 1,
-                                     .evaluator_override = 9};
-  const wire::CheckRequest flag_not_bool{.has_evaluator_override = 2};
-  for (const wire::CheckRequest& bad : {past_last, flag_not_bool}) {
-    EXPECT_EQ(wire::DecodeCheckRequest(wire::Encode(bad)).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(wire::DecodeBatchCheckRequest(
-                  wire::Encode(wire::BatchCheckRequest{{{}, bad}}))
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
-  }
+  // A protocol-3 frame, checksum intact: a v3 CheckRequest carried two
+  // evaluator-override bytes after want_witness. Decoders refuse it
+  // rather than misread it, alone and inside a batch.
+  auto protocol3 = [](wire::MsgType type, std::span<const uint8_t> body) {
+    std::vector<uint8_t> frame = {0x53, 0x47, 0x52, 0x57, 3, 0, 0, 0,
+                                  static_cast<uint8_t>(type)};
+    for (const uint8_t b : body) frame.push_back(b);
+    const uint64_t sum = Fnv1a64(frame);
+    for (int i = 0; i < 8; ++i) frame.push_back(uint8_t(sum >> (8 * i)));
+    return frame;
+  };
+  // requester 7, resource 3, want_witness 0, override {1, kOnlineBfs}.
+  const std::vector<uint8_t> v3_check = {7, 0, 0, 0, 3, 0, 0, 0, 0, 1, 1};
+  const Status v3_status =
+      wire::DecodeCheckRequest(protocol3(wire::MsgType::kCheckRequest,
+                                         v3_check))
+          .status();
+  EXPECT_EQ(v3_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v3_status.message().find("protocol version 3"),
+            std::string::npos)
+      << v3_status.ToString();
+  std::vector<uint8_t> v3_batch = {1, 0, 0, 0};
+  v3_batch.insert(v3_batch.end(), v3_check.begin(), v3_check.end());
+  EXPECT_EQ(wire::DecodeBatchCheckRequest(
+                protocol3(wire::MsgType::kBatchCheckRequest, v3_batch))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(wire::ParseMessage(
+                protocol3(wire::MsgType::kCheckRequest, v3_check))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   // Wrong message type for the decoder.
   EXPECT_FALSE(wire::DecodeWalkRequest(bytes).ok());
   // Truncation at every prefix length must error, never crash.
@@ -832,23 +850,6 @@ TEST(ShardTransport, HandleFrameDispatch) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, shard.Check(req));
   EXPECT_EQ(reply->granted, 1);
-
-  // Handed over in process (no decoder ran), an override byte past the
-  // last EvaluatorChoice reaches no engine: the check fails, and so does
-  // every slot of a batch carrying it, as its decoded frame would.
-  wire::CheckRequest bad_override = req;
-  bad_override.has_evaluator_override = 1;
-  bad_override.evaluator_override = 9;
-  EXPECT_EQ(wire::UnpackStatus(shard.Check(bad_override).status_code, "")
-                .code(),
-            StatusCode::kInvalidArgument);
-  const wire::BatchCheckReply batch =
-      shard.CheckBatch(wire::BatchCheckRequest{{req, bad_override}});
-  ASSERT_EQ(batch.replies.size(), 2u);
-  for (const wire::CheckReply& slot : batch.replies) {
-    EXPECT_EQ(wire::UnpackStatus(slot.status_code, "").code(),
-              StatusCode::kInvalidArgument);
-  }
 
   // Mutations through the byte path take the writer path too.
   wire::MutateRequest mreq;

@@ -437,20 +437,13 @@ TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
   PolicyStore store;
-  // Save under an online-only configuration: no join stack, no closure.
-  EngineOptions online;
-  online.evaluator = EvaluatorChoice::kOnlineBfs;
-  AccessControlEngine engine(g, store, online);
+  // Save under the default configuration: no closure.
+  AccessControlEngine engine(g, store);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
 
   SocialGraph g2;
-  // kAuto needs the join stack the bundle never built.
-  auto need_join = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
-  ASSERT_FALSE(need_join.ok());
-  EXPECT_EQ(need_join.status().code(), StatusCode::kFailedPrecondition);
-
-  EngineOptions closure = online;
+  EngineOptions closure;
   closure.use_closure_prefilter = true;
   auto need_closure =
       AccessControlEngine::OpenFromDir(dir.path(), &g2, store, closure);
@@ -458,17 +451,17 @@ TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
   EXPECT_EQ(need_closure.status().code(), StatusCode::kFailedPrecondition);
 
   // The configuration that saved it opens fine.
-  auto ok = AccessControlEngine::OpenFromDir(dir.path(), &g2, store, online);
+  auto ok = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   ExpectDecisionEquivalence(engine, **ok, g.NumNodes(), store.NumResources());
 }
 
 // Version 2 dropped the base-table section, version 3 the oracle's
-// interval labels, version 4 the oracle section. A bundle whose resealed
-// header says version 1, 2 or 3, or whose section table names the
-// retired kind 4 or 6 (here: a well-formed extra entry aliasing the
-// graph section's checksummed bytes), is refused outright — never
-// half-adopted.
+// interval labels, version 4 the oracle section, version 5 the line-graph
+// and cluster sections. A bundle whose resealed header says version 1 to
+// 4, or whose section table names a retired kind 3 to 6 (here: a
+// well-formed extra entry aliasing the graph section's checksummed
+// bytes), is refused outright — never half-adopted.
 TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
@@ -480,11 +473,12 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   const std::vector<uint8_t> pristine = ReadAll(bundle_path);
   auto info = storage::ReadBundleInfo(bundle_path);
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 4u);
+  EXPECT_EQ(info->version, 5u);
   for (const auto& section : info->sections) {
-    EXPECT_NE(static_cast<uint32_t>(section.kind), 4u);
-    EXPECT_NE(static_cast<uint32_t>(section.kind), 6u);
+    const uint32_t kind = static_cast<uint32_t>(section.kind);
+    EXPECT_TRUE(kind < 3 || kind > 6) << kind;
   }
+  EXPECT_EQ(info->flags & 0b11, 0u);  // the retired join-stack flags
   const size_t num_sections = info->sections.size();
   ASSERT_LT(num_sections, storage::kBundleMaxSections);
 
@@ -506,6 +500,10 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   std::vector<uint8_t> version3 = pristine;
   poke_u32(version3, 8, 3);
   reseal(version3);
+  // Version 4 still carried the line-graph and cluster sections.
+  std::vector<uint8_t> version4 = pristine;
+  poke_u32(version4, 8, 4);
+  reseal(version4);
 
   auto with_retired_kind = [&](uint32_t kind) {
     std::vector<uint8_t> bytes = pristine;
@@ -519,14 +517,19 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
     reseal(bytes);
     return bytes;
   };
+  const std::vector<uint8_t> line_graph_kind = with_retired_kind(3);
   const std::vector<uint8_t> oracle_kind = with_retired_kind(4);
+  const std::vector<uint8_t> cluster_kind = with_retired_kind(5);
   const std::vector<uint8_t> tables_kind = with_retired_kind(6);
 
   const std::pair<const char*, const std::vector<uint8_t>*> cases[] = {
       {"version 1", &version1},
       {"version 2", &version2},
       {"version 3", &version3},
+      {"version 4", &version4},
+      {"section kind 3", &line_graph_kind},
       {"section kind 4", &oracle_kind},
+      {"section kind 5", &cluster_kind},
       {"section kind 6", &tables_kind}};
   for (const auto& [name, bytes] : cases) {
     SCOPED_TRACE(name);
