@@ -2,8 +2,8 @@
 #define SARGUS_SHARD_EXECUTOR_TRANSPORT_H_
 
 /// \file executor_transport.h
-/// \brief ThreadedTransport: a thread-per-shard executor behind the
-/// ShardTransport seam.
+/// \brief ThreadedTransport: the thread-per-shard executor, and the
+/// router's only base transport.
 ///
 /// Each shard gets one dedicated worker thread draining a bounded MPSC
 /// job queue (kQueueCapacity jobs), so one shard's calls execute in
@@ -11,10 +11,12 @@
 /// closure, and returns a TransportTicket backed by a future. With that
 /// the router can scatter one sub-batch (or one frontier walk) per shard
 /// and gather them in a fixed order — shard count becomes a throughput
-/// multiplier instead of pure overhead.
+/// multiplier instead of pure overhead. Every ShardRouter builds one at
+/// Build(), N = 1 included; the fault decorator wraps it, never
+/// replaces it.
 ///
-/// Deadline / cancellation semantics (all times on the steady-clock
-/// NowMs() scale InProcessTransport uses):
+/// Deadline / cancellation semantics (all times on NowMs(), the
+/// steady clock in milliseconds):
 ///
 ///   * Submit-side: while the queue is full, Submit blocks for
 ///     backpressure; if the call's deadline passes first, the job is

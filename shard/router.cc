@@ -72,7 +72,7 @@ bool TouchesCut(const ShardTopology& topo, NodeId node) {
 
 }  // namespace
 
-ShardRouter::ShardRouter(SocialGraph& graph, const PolicyStore& store,
+ShardRouter::ShardRouter(const SocialGraph& graph, const PolicyStore& store,
                          RouterOptions options)
     : master_graph_(&graph),
       master_store_(&store),
@@ -83,38 +83,27 @@ Status ShardRouter::Build() {
       partition_, GraphPartitioner::Partition(*master_graph_, options_.partition));
 
   shards_.clear();
-  if (partition_.num_shards == 1) {
-    // Zero-copy passthrough: one engine over the caller's graph + store.
+  for (uint32_t s = 0; s < partition_.num_shards; ++s) {
+    SARGUS_ASSIGN_OR_RETURN(
+        SocialGraph sub,
+        ExtractShardGraph(*master_graph_, partition_.shard_of, s));
+    SARGUS_ASSIGN_OR_RETURN(PolicyStore cloned,
+                            ClonePolicyStore(*master_store_));
     shards_.push_back(std::make_unique<ShardEngine>(
-        0, *master_graph_, *master_store_, options_.engine));
-  } else {
-    for (uint32_t s = 0; s < partition_.num_shards; ++s) {
-      SARGUS_ASSIGN_OR_RETURN(
-          SocialGraph sub,
-          ExtractShardGraph(*master_graph_, partition_.shard_of, s));
-      SARGUS_ASSIGN_OR_RETURN(PolicyStore cloned,
-                              ClonePolicyStore(*master_store_));
-      shards_.push_back(std::make_unique<ShardEngine>(
-          s, std::make_unique<SocialGraph>(std::move(sub)),
-          std::make_unique<PolicyStore>(std::move(cloned)), options_.engine));
-    }
+        s, std::make_unique<SocialGraph>(std::move(sub)),
+        std::make_unique<PolicyStore>(std::move(cloned)), options_.engine));
   }
   for (auto& shard : shards_) {
     SARGUS_RETURN_IF_ERROR(shard->Build());
   }
 
-  // Stand up the data-plane transport (decorated when the caller
+  // Stand up the data-plane executor (decorated when the caller
   // installed a fault seam) and the per-shard circuit breaker.
   std::vector<ShardEngine*> raw;
   raw.reserve(shards_.size());
   for (auto& shard : shards_) raw.push_back(shard.get());
-  std::unique_ptr<ShardTransport> base;
-  if (options_.threaded_transport) {
-    base = std::make_unique<ThreadedTransport>(std::move(raw),
-                                               options_.executor);
-  } else {
-    base = std::make_unique<InProcessTransport>(std::move(raw));
-  }
+  auto base = std::make_unique<ThreadedTransport>(std::move(raw),
+                                                  options_.executor);
   transport_ = options_.transport_decorator
                    ? options_.transport_decorator(std::move(base))
                    : std::move(base);
@@ -330,12 +319,6 @@ Result<AccessDecision> ShardRouter::CheckAccess(
     return Status::FailedPrecondition("ShardRouter: Build() not called");
   }
   counters_.checks.fetch_add(1, kRelaxed);
-  if (DirectSingleShard()) {
-    // Passthrough: the decision carries the engine's own stamps. A
-    // decorated (fault-injectable) transport disables the shortcut so
-    // single-shard configurations exercise the full robust path.
-    return shards_[0]->engine().CheckAccess(request);
-  }
   return DecideMulti(request);
 }
 
@@ -757,8 +740,8 @@ Result<bool> ShardRouter::FallbackWalk(
     }
     // Barrier gather, ascending shard order: every ticket is resolved —
     // even after an acceptance or failure — so no walk is abandoned
-    // mid-round, and the export merge order matches a serial transport
-    // exactly (the agreement wall relies on this).
+    // mid-round, and the export merge order is the same on every run
+    // however the workers interleave (the agreement wall relies on this).
     std::vector<std::vector<wire::FrontierEntry>> next(shards_.size());
     for (size_t k = 0; k < active.size(); ++k) {
       Result<wire::WalkReply> rr = FinishCall(calls[k]);
@@ -797,9 +780,6 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
     return out;
   }
   counters_.checks.fetch_add(requests.size(), kRelaxed);
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().CheckAccessBatch(requests);
-  }
 
   const auto topo = topology();
   const wire::Stamp stamp = Stamp();
@@ -824,10 +804,9 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
     groups[topo->shard_of[resources_[r.resource].owner]].push_back(i);
   }
   // Scatter: build every group's sub-batch, submit them all through the
-  // async transport surface, THEN gather in shard order. On the
-  // threaded transport the sub-batches execute concurrently, one worker
-  // per owner shard; on a serial transport the submits run inline and
-  // this is exactly the old one-group-at-a-time loop.
+  // async transport surface, THEN gather in shard order. The
+  // sub-batches execute concurrently, one executor worker per owner
+  // shard.
   struct GroupCall {
     uint32_t shard = 0;
     wire::BatchCheckRequest batch;
@@ -890,16 +869,15 @@ Status ShardRouter::AddEdge(NodeId src, NodeId dst, const std::string& label) {
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
   }
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().AddEdge(src, dst, label);
-  }
   const auto topo = topology();
   if (src >= topo->shard_of.size() || dst >= topo->shard_of.size()) {
     return Status::InvalidArgument("AddEdge: endpoint out of range");
   }
-  // Pre-intern the name everywhere (master first) so the id every shard
-  // resolves is identical — the invariant wire frontiers rely on.
-  const LabelId id = master_graph_->labels().Intern(label);
+  // Pre-intern the name into every shard (shard 0 first) so the id every
+  // shard resolves is identical — the invariant wire frontiers rely on.
+  // The caller's graph is never written, so its dictionary stays as
+  // Build() found it.
+  const LabelId id = shards_[0]->InternLabel(label);
   for (auto& shard : shards_) {
     if (shard->InternLabel(label) != id) {
       return Status::Internal("AddEdge: label dictionaries diverged");
@@ -916,9 +894,6 @@ Status ShardRouter::AddEdge(NodeId src, NodeId dst, LabelId label) {
 Status ShardRouter::AddEdgeImpl(NodeId src, NodeId dst, LabelId label) {
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
-  }
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().AddEdge(src, dst, label);
   }
   const auto topo = topology();
   if (src >= topo->shard_of.size() || dst >= topo->shard_of.size()) {
@@ -979,10 +954,9 @@ Status ShardRouter::RemoveEdge(NodeId src, NodeId dst,
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
   }
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().RemoveEdge(src, dst, label);
-  }
-  const LabelId id = master_graph_->labels().Lookup(label);
+  // Shard dictionaries are aligned (see AddEdge) and, unlike the
+  // caller's, know labels interned since Build().
+  const LabelId id = shards_[0]->LookupLabel(label);
   if (id == kInvalidLabel) {
     return Status::NotFound("RemoveEdge: unknown label '" + label + "'");
   }
@@ -997,9 +971,6 @@ Status ShardRouter::RemoveEdge(NodeId src, NodeId dst, LabelId label) {
 Status ShardRouter::RemoveEdgeImpl(NodeId src, NodeId dst, LabelId label) {
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
-  }
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().RemoveEdge(src, dst, label);
   }
   const auto topo = topology();
   if (src >= topo->shard_of.size() || dst >= topo->shard_of.size()) {
@@ -1056,16 +1027,6 @@ Result<NodeId> ShardRouter::AddNode() {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
   }
   const auto topo = topology();
-  if (shards_.size() == 1) {
-    SARGUS_ASSIGN_OR_RETURN(const NodeId id,
-                            shards_[0]->engine().AddNode());
-    auto next = std::make_shared<ShardTopology>(*topo);
-    next->shard_of.push_back(0);
-    ++next->epoch;
-    PublishTopology(std::move(next));
-    return id;
-  }
-
   // Every shard keeps the full node id space, so the node is added to
   // ALL shards (the ids must come back aligned); the topology then
   // assigns ownership to the least-loaded shard. This is a cluster-

@@ -31,14 +31,15 @@
 ///
 /// Mutations route to the owning shard — both owners for a cut edge —
 /// preserving each engine's single-writer contract, and republish a
-/// copy-on-write topology when the cut set or node count changes. The
-/// router's write path must itself be externally serialized (one writer
-/// at a time), mirroring the engine contract; reads are concurrent.
+/// copy-on-write topology when the cut set or node count changes.
 ///
-/// With N = 1 the router is a zero-copy passthrough: one ShardEngine
-/// wraps the caller's graph and store in place, and CheckAccess simply
-/// forwards (decisions carry the engine's own stamps, byte-identical to
-/// going through the engine directly).
+/// The contract is the same at every N, 1 included: Build() copies the
+/// caller's graph into per-shard graphs and clones the caller's store
+/// per shard, so neither is ever written afterwards (mutations and
+/// compactions land in the shard copies), and every data-plane call
+/// reaches its shard through the thread-per-shard executor
+/// (shard/executor_transport.h). An N = 1 router is one copied shard
+/// behind that executor, not a shortcut to a plain engine.
 ///
 /// Robustness (PR 7): every data-plane shard call goes through a
 /// ShardTransport (shard/transport.h) under a retry / deadline /
@@ -112,29 +113,17 @@ struct RouterOptions {
   /// Build boundary summaries at Build()/RefreshSummaries() and consult
   /// them before falling back to frontier exchange. Off = every
   /// cross-shard path goes straight to the fallback (the forced-
-  /// fallback tests and the bench's no-summary series use this).
+  /// fallback tests use this).
   bool build_summaries = true;
   /// Retry / breaker / degraded-serving policy.
   RouterRobustnessOptions robustness;
-  /// Put the thread-per-shard executor (shard/executor_transport.h)
-  /// behind the transport seam instead of the serial
-  /// InProcessTransport. CheckAccessBatch sub-batches and frontier-
-  /// exchange rounds then really run concurrently across shards (the
-  /// router submits every shard's call before waiting on any and
-  /// gathers in shard order, so decisions are byte-identical to the
-  /// serial transport's). Like a transport_decorator, this disables the
-  /// N == 1 direct passthrough so single-shard configurations exercise
-  /// the executor too.
+  /// Ignored: every router runs the thread-per-shard executor. Kept
+  /// only because bench/e2e/sharded_read.cc still sets it.
   bool threaded_transport = false;
-  /// Executor test seam (see ThreadedTransportOptions) when
-  /// threaded_transport is set.
+  /// Executor test seam (see ThreadedTransportOptions).
   ThreadedTransportOptions executor;
-  /// Wraps the router's transport at Build() — the seam the fault-
-  /// injection tests use (wrap the InProcessTransport in a
-  /// FaultInjectionTransport). When set, even an N == 1 router routes
-  /// data-plane calls through the transport so single-shard
-  /// configurations are chaos-testable; when unset, N == 1 stays a
-  /// direct zero-copy passthrough.
+  /// Wraps the router's ThreadedTransport at Build() — the seam the
+  /// fault-injection tests use (wrap it in a FaultInjectionTransport).
   std::function<std::unique_ptr<ShardTransport>(
       std::unique_ptr<ShardTransport>)>
       transport_decorator;
@@ -186,11 +175,11 @@ class ShardRouter {
   /// exceeding composition falls back to frontier exchange.
   static constexpr size_t kMaxCompositionTests = size_t{1} << 20;
 
-  /// `graph` and `store` must outlive the router. For num_shards == 1
-  /// the router serves `graph` in place; otherwise it owns per-shard
-  /// copies and `graph` becomes the frozen master (the router never
-  /// mutates it beyond label interning in AddEdge-by-name).
-  ShardRouter(SocialGraph& graph, const PolicyStore& store,
+  /// `graph` and `store` must outlive the router and stay unmodified
+  /// while it serves. Build() copies them into the shards; the router
+  /// only reads them afterwards (node attributes for summary
+  /// composition) and never writes them.
+  ShardRouter(const SocialGraph& graph, const PolicyStore& store,
               RouterOptions options = {});
 
   /// Partitions, extracts, builds every shard engine, publishes the
@@ -370,22 +359,15 @@ class ShardRouter {
   Status AddEdgeImpl(NodeId src, NodeId dst, LabelId label);
   Status RemoveEdgeImpl(NodeId src, NodeId dst, LabelId label);
 
-  /// True when the router serves a single shard directly, bypassing the
-  /// transport (no decorator, no executor).
-  bool DirectSingleShard() const {
-    return shards_.size() == 1 && !options_.transport_decorator &&
-           !options_.threaded_transport;
-  }
-
-  SocialGraph* master_graph_;
+  const SocialGraph* master_graph_;
   const PolicyStore* master_store_;
   RouterOptions options_;
 
   GraphPartition partition_;
   std::vector<std::unique_ptr<ShardEngine>> shards_;
-  /// Data-plane road to the shards (InProcessTransport, possibly
-  /// decorated). Null until Build(); N == 1 without a decorator
-  /// bypasses it entirely.
+  /// Data-plane road to the shards (a ThreadedTransport, possibly
+  /// decorated). Null until Build(). Declared after shards_, so it is
+  /// destroyed first and its workers never touch a dead engine.
   std::unique_ptr<ShardTransport> transport_;
   std::unique_ptr<ShardHealthTracker> health_;
   /// Owner + rule mirror of the master store (resource-id indexed).

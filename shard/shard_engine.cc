@@ -91,16 +91,9 @@ ShardEngine::ShardEngine(uint32_t id, std::unique_ptr<SocialGraph> graph,
                          std::unique_ptr<PolicyStore> store,
                          const EngineOptions& options)
     : id_(id),
-      owned_graph_(std::move(graph)),
-      owned_store_(std::move(store)),
-      graph_(owned_graph_.get()),
-      engine_(*owned_graph_, *owned_store_, options) {}
-
-ShardEngine::ShardEngine(uint32_t id, SocialGraph& graph,
-                         const PolicyStore& store, const EngineOptions& options)
-    : id_(id),
-      graph_(&graph),
-      engine_(graph, store, options) {}
+      graph_(std::move(graph)),
+      store_(std::move(store)),
+      engine_(*graph_, *store_, options) {}
 
 void ShardEngine::SetTopology(std::shared_ptr<const ShardTopology> topology) {
   std::lock_guard<std::mutex> lock(topo_mu_);

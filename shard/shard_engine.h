@@ -24,11 +24,10 @@
 ///   * RefreshSummary — (re)build the shard's boundary summary against
 ///     its current read view.
 ///
-/// Two construction modes: the multi-shard mode owns its extracted graph
-/// copy and a clone of the master policy store (identical resource/rule
-/// ids — see ClonePolicyStore); the single-shard mode wraps the caller's
-/// graph and store directly, making an N=1 router a true zero-copy
-/// passthrough over one ordinary engine.
+/// A ShardEngine owns its extracted graph copy and a clone of the master
+/// policy store (identical resource/rule ids — see ClonePolicyStore), at
+/// every shard count: an N = 1 router copies the whole graph into its
+/// one shard, so the caller's graph and store are never written.
 
 #include <memory>
 #include <mutex>
@@ -61,15 +60,10 @@ Result<AccessDecision> FromWire(const wire::CheckReply& reply,
 
 class ShardEngine {
  public:
-  /// Multi-shard mode: takes ownership of the extracted shard graph and
-  /// the cloned policy store.
+  /// Takes ownership of the extracted shard graph and the cloned policy
+  /// store.
   ShardEngine(uint32_t id, std::unique_ptr<SocialGraph> graph,
               std::unique_ptr<PolicyStore> store,
-              const EngineOptions& options);
-
-  /// Single-shard passthrough mode: serves `graph`/`store` in place.
-  /// Both must outlive the engine.
-  ShardEngine(uint32_t id, SocialGraph& graph, const PolicyStore& store,
               const EngineOptions& options);
 
   /// Builds the wrapped engine's indexes; required before any request.
@@ -79,10 +73,15 @@ class ShardEngine {
   const AccessControlEngine& engine() const { return engine_; }
 
   /// Interns `name` into the shard graph's label dictionary, returning
-  /// the id. The router pre-interns new labels into every shard (master
+  /// the id. The router pre-interns new labels into every shard (shard 0
   /// first) so ids stay aligned; see ShardRouter::AddEdge.
   LabelId InternLabel(const std::string& name) {
     return graph_->labels().Intern(name);
+  }
+  /// The id of `name` in the shard graph's label dictionary, or
+  /// kInvalidLabel.
+  LabelId LookupLabel(const std::string& name) const {
+    return graph_->labels().Lookup(name);
   }
 
   /// Publishes / pins the current shard map (copy-on-write; see
@@ -137,9 +136,8 @@ class ShardEngine {
 
  private:
   uint32_t id_;
-  std::unique_ptr<SocialGraph> owned_graph_;
-  std::unique_ptr<PolicyStore> owned_store_;
-  SocialGraph* graph_;
+  std::unique_ptr<SocialGraph> graph_;
+  std::unique_ptr<PolicyStore> store_;
   AccessControlEngine engine_;  // after the owned pieces: ctor order
 
   mutable std::mutex topo_mu_;

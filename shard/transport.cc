@@ -1,14 +1,11 @@
 #include "shard/transport.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <variant>
 
-#include "shard/shard_engine.h"
 
 namespace sargus {
 namespace {
@@ -23,61 +20,10 @@ double UnitDraw(std::mt19937_64& rng) {
 /// Deadlines are absolute times on a specific transport's clock. The
 /// fault decorator enforces them against its own virtual clock and must
 /// therefore NOT forward them to the wrapped transport, whose clock is
-/// unrelated (steady_clock for InProcessTransport).
+/// unrelated (steady_clock for ThreadedTransport).
 constexpr TransportCallOptions kNoInnerDeadline{};
 
 }  // namespace
-
-// ---- InProcessTransport -----------------------------------------------------
-
-InProcessTransport::InProcessTransport(std::vector<ShardEngine*> engines)
-    : engines_(std::move(engines)) {}
-
-uint64_t InProcessTransport::NowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-void InProcessTransport::SleepMs(uint32_t ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-template <typename Request>
-TransportTicket<ReplyFor<Request>> InProcessTransport::Run(
-    uint32_t shard, const Request& request, const TransportCallOptions& opts) {
-  using Ticket = TransportTicket<ReplyFor<Request>>;
-  if (opts.deadline_ms != 0 && NowMs() > opts.deadline_ms) {
-    return Ticket::Ready(
-        Status::DeadlineExceeded("transport: call deadline passed"));
-  }
-  return Ticket::Ready(Serve(*engines_[shard], request));
-}
-
-TransportTicket<wire::CheckReply> InProcessTransport::Submit(
-    uint32_t shard, const wire::CheckRequest& request,
-    const TransportCallOptions& opts) {
-  return Run(shard, request, opts);
-}
-
-TransportTicket<wire::BatchCheckReply> InProcessTransport::Submit(
-    uint32_t shard, const wire::BatchCheckRequest& request,
-    const TransportCallOptions& opts) {
-  return Run(shard, request, opts);
-}
-
-TransportTicket<wire::WalkReply> InProcessTransport::Submit(
-    uint32_t shard, const wire::WalkRequest& request,
-    const TransportCallOptions& opts) {
-  return Run(shard, request, opts);
-}
-
-TransportTicket<wire::MutateReply> InProcessTransport::Submit(
-    uint32_t shard, const wire::MutateRequest& request,
-    const TransportCallOptions& opts) {
-  return Run(shard, request, opts);
-}
 
 // ---- FaultInjectionTransport ------------------------------------------------
 

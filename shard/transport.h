@@ -9,14 +9,13 @@
 /// ShardEngine's data plane, and it has one call surface: Submit(shard,
 /// request, opts), overloaded on the four request messages (check, batch
 /// check, frontier walk, mutation), returns a TransportTicket whose
-/// Wait() yields the typed reply. Call() is Submit + Wait. Two
-/// implementations ship:
+/// Wait() yields the typed reply. Call() is Submit + Wait. The router
+/// builds one base transport and may wrap it:
 ///
-///   * InProcessTransport — direct calls into the engines, typed structs
-///     passed through untouched, tickets born ready. This is the
-///     production in-process path; it adds one indirect call per request
-///     and nothing else, so the fault-free sharded tier stays within a
-///     few percent of calling the engines directly.
+///   * ThreadedTransport (shard/executor_transport.h) — the base: one
+///     worker thread and one bounded job queue per shard, typed structs
+///     passed through untouched. Every ShardRouter runs it, N = 1
+///     included.
 ///   * FaultInjectionTransport — a decorator that wraps any transport
 ///     and injects faults per shard: dropped calls (kUnavailable),
 ///     injected delays against a virtual clock (driving deadlines to
@@ -71,8 +70,6 @@
 
 namespace sargus {
 
-class ShardEngine;
-
 /// The reply message each request message is answered with.
 template <typename Request>
 struct ReplyOf;
@@ -104,17 +101,17 @@ struct TransportCallOptions {
 
 /// Handle to one in-flight transport call. Wait() is single-shot and
 /// yields the reply or the transport error (including kDeadlineExceeded
-/// when a read's deadline passes while waiting). Tickets from a serial
-/// transport are born ready — the call already ran inline at Submit —
-/// so router scatter-gather code is transport-agnostic: it always
-/// submits everything, then waits in a fixed order.
+/// when a read's deadline passes while waiting). A ticket whose outcome
+/// is decided at Submit (a refused submit, an injected drop) is born
+/// ready, so router scatter-gather code never special-cases it: it
+/// always submits everything, then waits in a fixed order.
 template <typename Reply>
 class TransportTicket {
  public:
   /// An invalid ticket; Wait() on it is a programming error.
   TransportTicket() = default;
 
-  /// A ticket whose result is already known (serial transports, faults
+  /// A ticket whose result is already known (refused submits, faults
   /// decided at submit time).
   static TransportTicket Ready(Result<Reply> result) {
     auto held = std::make_shared<Result<Reply>>(std::move(result));
@@ -192,47 +189,9 @@ class ShardTransport {
 
   /// Transport clock, milliseconds. Monotonic; origin unspecified.
   virtual uint64_t NowMs() = 0;
-  /// Backoff sleep. Real time on the in-process transports; virtual-
-  /// clock advance on the fault decorator (tests never really wait).
+  /// Backoff sleep. Real time on the executor; virtual-clock advance on
+  /// the fault decorator (tests never really wait).
   virtual void SleepMs(uint32_t ms) = 0;
-};
-
-/// Direct calls into in-process ShardEngines. Thread-safe the same way
-/// the engines are.
-class InProcessTransport final : public ShardTransport {
- public:
-  /// `engines` must outlive the transport.
-  explicit InProcessTransport(std::vector<ShardEngine*> engines);
-
-  uint32_t num_shards() const override {
-    return static_cast<uint32_t>(engines_.size());
-  }
-
-  TransportTicket<wire::CheckReply> Submit(
-      uint32_t shard, const wire::CheckRequest& request,
-      const TransportCallOptions& opts) override;
-  TransportTicket<wire::BatchCheckReply> Submit(
-      uint32_t shard, const wire::BatchCheckRequest& request,
-      const TransportCallOptions& opts) override;
-  TransportTicket<wire::WalkReply> Submit(
-      uint32_t shard, const wire::WalkRequest& request,
-      const TransportCallOptions& opts) override;
-  TransportTicket<wire::MutateReply> Submit(
-      uint32_t shard, const wire::MutateRequest& request,
-      const TransportCallOptions& opts) override;
-
-  uint64_t NowMs() override;
-  void SleepMs(uint32_t ms) override;
-
- private:
-  /// Shared body of the four Submit overloads: the deadline gate, then
-  /// the engine's handler, as a born-ready ticket.
-  template <typename Request>
-  TransportTicket<ReplyFor<Request>> Run(uint32_t shard,
-                                         const Request& request,
-                                         const TransportCallOptions& opts);
-
-  std::vector<ShardEngine*> engines_;
 };
 
 // ---- Fault injection --------------------------------------------------------
@@ -294,8 +253,8 @@ struct FaultCounters {
 ///
 /// The fault (and its per-shard call index / rng draw) is decided at
 /// SUBMIT time on the submitting thread, so a single-threaded caller
-/// sees the same deterministic fault sequence whether the inner
-/// transport is serial or threaded. Corrupt faults chain onto the inner
+/// sees the same deterministic fault sequence however the inner
+/// transport schedules its jobs. Corrupt faults chain onto the inner
 /// ticket and mangle the reply at gather time.
 class FaultInjectionTransport final : public ShardTransport {
  public:

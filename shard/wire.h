@@ -181,8 +181,8 @@ struct MutateRequest {
   NodeId src = 0;
   NodeId dst = 0;
   /// kInvalidLabel means `label_name` carries the label instead (the
-  /// router normally pre-resolves names so ids stay aligned across
-  /// shards; the name path exists for single-shard passthrough).
+  /// router always pre-resolves names so ids stay aligned across
+  /// shards; the name path serves byte-level callers of HandleFrame).
   LabelId label = kInvalidLabel;
   std::string label_name;
   bool operator==(const MutateRequest&) const = default;

@@ -164,7 +164,9 @@ TEST(ZipfSampler, PinsSkewToTheFittedDistribution) {
   double total = 0.0;
   for (uint64_t r = 0; r < kItems; ++r) {
     total += zipf.Probability(r);
-    if (r > 0) EXPECT_LE(zipf.Probability(r), zipf.Probability(r - 1));
+    if (r > 0) {
+      EXPECT_LE(zipf.Probability(r), zipf.Probability(r - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
 }

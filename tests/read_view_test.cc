@@ -179,7 +179,9 @@ TEST(ReadView, BatchAgreesWithLoopAndIsPositional) {
   ASSERT_EQ(facade.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_EQ(facade[i].ok(), batch[i].ok()) << i;
-    if (facade[i].ok()) EXPECT_EQ(facade[i]->granted, batch[i]->granted) << i;
+    if (facade[i].ok()) {
+      EXPECT_EQ(facade[i]->granted, batch[i]->granted) << i;
+    }
   }
   EXPECT_EQ(engine.AuditTrail().size(), 40u);
 }

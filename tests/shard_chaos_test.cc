@@ -108,11 +108,10 @@ ChainFixture MakeChain() {
 
 // ---- Randomized fault storms vs the oracle ---------------------------------
 
-// `threaded` swaps the serial InProcessTransport under the fault
-// decorator for the thread-per-shard ThreadedTransport: the same storm
-// now lands on genuinely concurrent scatter-gather sub-batches and
-// parallel frontier rounds, and every invariant must hold unchanged.
-void RunChaosOracle(uint32_t num_shards, bool threaded = false) {
+// The fault decorator wraps the router's thread-per-shard executor, so
+// the storm lands on genuinely concurrent scatter-gather sub-batches and
+// parallel frontier rounds, and every invariant must hold regardless.
+void RunChaosOracle(uint32_t num_shards) {
   auto g = SmallBa(1000 + num_shards);
   ASSERT_TRUE(g.ok());
   Workload w = MakeWorkload(std::move(*g));
@@ -121,7 +120,6 @@ void RunChaosOracle(uint32_t num_shards, bool threaded = false) {
   RouterOptions opts;
   opts.partition.num_shards = num_shards;
   opts.partition.strategy = PartitionStrategy::kContiguous;
-  opts.threaded_transport = threaded;
   FaultInjectionTransport* fault = nullptr;
   InstallFaultSeam(opts, 0xC4A05 + num_shards, &fault);
   ShardRouter router(w.graph, w.store, opts);
@@ -207,7 +205,9 @@ void RunChaosOracle(uint32_t num_shards, bool threaded = false) {
       req.resource = w.resources[rng.NextBounded(w.resources.size())];
       check_one(req, "single " + std::to_string(i));
     }
-    if (i % 97 == 96) ASSERT_TRUE(router.RefreshSummaries().ok()) << tag;
+    if (i % 97 == 96) {
+      ASSERT_TRUE(router.RefreshSummaries().ok()) << tag;
+    }
   }
 
   // The batch path honors the same contract, slot by slot.
@@ -247,20 +247,6 @@ TEST(ChaosOracle, RandomFaultSchedulesTwoShards) { RunChaosOracle(2); }
 TEST(ChaosOracle, RandomFaultSchedulesFourShards) { RunChaosOracle(4); }
 TEST(ChaosOracle, RandomFaultSchedulesSevenShards) { RunChaosOracle(7); }
 
-// The same storms under real parallelism (chaos-under-parallelism).
-TEST(ShardParallelChaos, FaultStormsOneShardThreaded) {
-  RunChaosOracle(1, /*threaded=*/true);
-}
-TEST(ShardParallelChaos, FaultStormsTwoShardsThreaded) {
-  RunChaosOracle(2, /*threaded=*/true);
-}
-TEST(ShardParallelChaos, FaultStormsFourShardsThreaded) {
-  RunChaosOracle(4, /*threaded=*/true);
-}
-TEST(ShardParallelChaos, FaultStormsSevenShardsThreaded) {
-  RunChaosOracle(7, /*threaded=*/true);
-}
-
 // ---- One slow shard must not stall the rest of a batch ---------------------
 
 TEST(ShardParallelChaos, SlowShardDoesNotStallOtherSubBatches) {
@@ -290,7 +276,6 @@ TEST(ShardParallelChaos, SlowShardDoesNotStallOtherSubBatches) {
   RouterOptions opts;
   opts.partition.num_shards = kShards;
   opts.partition.strategy = PartitionStrategy::kContiguous;
-  opts.threaded_transport = true;
   opts.robustness.call_deadline_ms = 40;
   opts.robustness.op_budget_ms = 120;
   opts.robustness.max_attempts = 1;  // a retry would just re-wait
@@ -356,7 +341,6 @@ TEST(ShardParallelStress, ReadersFanOutFaultsAndWriter) {
   Workload w = MakeWorkload(std::move(*g));
   RouterOptions opts;
   opts.partition.num_shards = 4;
-  opts.threaded_transport = true;
   FaultInjectionTransport* fault = nullptr;
   InstallFaultSeam(opts, 77, &fault);
   ShardRouter router(w.graph, w.store, opts);
@@ -412,7 +396,9 @@ TEST(ShardParallelStress, ReadersFanOutFaultsAndWriter) {
         EXPECT_NE(st.code(), StatusCode::kInternal) << st.ToString();
       }
       if (step % 5 == 0) fault->Blackout(dark, false);
-      if (step % 10 == 9) ASSERT_TRUE(router.RefreshSummaries().ok());
+      if (step % 10 == 9) {
+        ASSERT_TRUE(router.RefreshSummaries().ok());
+      }
     }
   }
   while (reads.load(std::memory_order_relaxed) < 100) {
@@ -651,7 +637,9 @@ TEST(ShardTransportConcurrency, ReadersRaceFaultsAndWriter) {
       }
       if (step % 5 == 0) fault->Blackout(dark, false);
       // The control plane stays reliable throughout.
-      if (step % 10 == 9) ASSERT_TRUE(router.RefreshSummaries().ok());
+      if (step % 10 == 9) {
+        ASSERT_TRUE(router.RefreshSummaries().ok());
+      }
     }
   }
   while (reads.load(std::memory_order_relaxed) < 200) {
