@@ -57,14 +57,11 @@ inline SocialGraph MakeGraph(GraphKind kind, size_t nodes, size_t num_labels,
   base.num_nodes = nodes;
   base.seed = seed;
   base.labels.clear();
-  static const char* kLabelNames[] = {"friend",   "colleague", "family",
-                                      "follows",  "contact",   "l5",
-                                      "l6",       "l7",        "l8",
-                                      "l9",       "l10",       "l11",
-                                      "l12",      "l13",       "l14",
-                                      "l15"};
-  for (size_t i = 0; i < num_labels && i < 16; ++i) {
-    base.labels.push_back(kLabelNames[i]);
+  static const char* kLabelNames[] = {"friend", "colleague", "family",
+                                      "follows", "contact"};
+  for (size_t i = 0; i < num_labels; ++i) {
+    base.labels.push_back(i < 5 ? std::string(kLabelNames[i])
+                                : std::string("l").append(std::to_string(i)));
   }
   Result<SocialGraph> g = [&]() -> Result<SocialGraph> {
     switch (kind) {

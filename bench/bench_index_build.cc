@@ -11,10 +11,16 @@
 /// BM_Stage_LabelPairs times the node-level label-pair matrix the
 /// cluster index derives in place of the line-graph SCC/DAG/2-hop
 /// stages.
+///
+/// BM_CsrBuild times the one build the engine does serve: the CSR
+/// snapshot, over BA graphs at 3 and 64 labels (its cost must not grow
+/// with the label count), plus the merged build a background compaction
+/// runs over graph ⊕ overlay.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "graph/delta_overlay.h"
 #include "index/base_tables.h"
 #include "index/intervals.h"
 
@@ -61,6 +67,52 @@ BENCHMARK(BM_FullPipeline)
                     static_cast<long>(GraphKind::kBarabasiAlbert),
                     static_cast<long>(GraphKind::kWattsStrogatz)},
                    {1000, 2000, 4000, 8000}})
+    ->Unit(benchmark::kMillisecond);
+
+// ---- The serving build: the CSR snapshot -----------------------------------
+
+// Args: nodes, labels, merged. With merged = 1 the build runs over an
+// overlay whose size is 1/16 of the edge count: every 32nd live edge
+// staged for removal and as many new edges staged for addition.
+void BM_CsrBuild(benchmark::State& state) {
+  const size_t nodes = static_cast<size_t>(state.range(0));
+  const size_t num_labels = static_cast<size_t>(state.range(1));
+  const bool merged = state.range(2) != 0;
+  SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, nodes, num_labels, 42);
+  DeltaOverlay overlay;
+  if (merged) {
+    size_t removed = 0;
+    for (EdgeId e = 0; e < g.EdgeSlotCount(); e += 32) {
+      if (!g.IsLiveEdge(e)) continue;
+      const Edge& rec = g.edge(e);
+      removed += overlay.StageRemove(rec.src, rec.dst, rec.label) ? 1 : 0;
+    }
+    Rng rng(7);
+    while (overlay.NumAdded() < removed) {
+      const NodeId s = static_cast<NodeId>(rng.NextBounded(nodes));
+      const NodeId d = static_cast<NodeId>(rng.NextBounded(nodes));
+      const LabelId l = static_cast<LabelId>(rng.NextBounded(num_labels));
+      if (!g.FindEdge(s, d, l).has_value()) (void)overlay.StageAdd(s, d, l);
+    }
+  }
+  const EdgeId first_new_edge = static_cast<EdgeId>(g.EdgeSlotCount());
+  size_t edges = 0;
+  for (auto _ : state) {
+    CsrSnapshot csr = merged ? CsrSnapshot::Build(g, overlay, first_new_edge)
+                             : CsrSnapshot::Build(g);
+    edges = csr.NumEdges();
+    benchmark::DoNotOptimize(csr.Out(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["edges"] = static_cast<double>(edges);
+  state.counters["overlay"] = static_cast<double>(overlay.size());
+  state.counters["s_per_edge"] = benchmark::Counter(
+      static_cast<double>(edges) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CsrBuild)
+    ->ArgsProduct({{16384, 262144}, {3, 64}, {0}})
+    ->Args({262144, 3, 1})
     ->Unit(benchmark::kMillisecond);
 
 // ---- Per-stage breakdown on a fixed mid-size graph -------------------------

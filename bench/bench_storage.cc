@@ -9,7 +9,7 @@
 ///    saved bundle plus a WAL tail of kTailMutations records (load,
 ///    checksum-verify every section, adopt, replay). The
 ///    `speedup_vs_rebuild` counter at 256k nodes is the subsystem's
-///    headline series (~3x on 4 vCPUs against a CSR-only rebuild);
+///    headline series (~2.4x on 4 vCPUs against a CSR-only rebuild);
 ///    `bundle_bytes` tracks on-disk size;
 ///  * BM_SaveSnapshot: writer-observed SaveSnapshot() latency (the
 ///    serialize + atomic-publish cost compaction pays off the serving

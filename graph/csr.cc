@@ -6,90 +6,160 @@
 
 namespace sargus {
 
-CsrSnapshot CsrSnapshot::FromEdgeList(size_t num_nodes,
-                                      const std::vector<Edge>& logical,
-                                      const std::vector<EdgeId>& ids) {
+namespace {
+
+using Entry = CsrSnapshot::Entry;
+
+/// (label, other) order. The graph coalesces duplicate (src, dst, label)
+/// triples, so within one node's range the key is unique and any sort by
+/// it gives the same result.
+bool LabelOtherLess(const Entry& a, const Entry& b) {
+  return a.label != b.label ? a.label < b.label : a.other < b.other;
+}
+
+/// Stable sort of in-ranges by label. Each range arrives sorted by
+/// `other`, so the result is (label, other) order. One instance is
+/// shared across all ranges so the long-range scratch is allocated once.
+class StableLabelSorter {
+ public:
+  /// Ranges up to this length sort by insertion, longer ones by a
+  /// counting pass over their labels.
+  static constexpr size_t kShortRange = 32;
+
+  void Sort(Entry* first, Entry* last) {
+    const size_t n = static_cast<size_t>(last - first);
+    if (n <= kShortRange) {
+      for (Entry* i = first + 1; i < last; ++i) {
+        const Entry x = *i;
+        Entry* j = i;
+        for (; j > first && x.label < j[-1].label; --j) *j = j[-1];
+        *j = x;
+      }
+      return;
+    }
+    LabelId lo = first->label;
+    LabelId hi = first->label;
+    for (const Entry* e = first; e < last; ++e) {
+      lo = std::min(lo, e->label);
+      hi = std::max(hi, e->label);
+    }
+    if (lo == hi) return;
+    const size_t span = static_cast<size_t>(hi - lo) + 1;
+    if (span > n) {
+      // A few labels spread over a wide id range: a count array would
+      // cost more than the range, and the key is unique, so sort by it.
+      std::sort(first, last, LabelOtherLess);
+      return;
+    }
+    counts_.assign(span + 1, 0);
+    for (const Entry* e = first; e < last; ++e) ++counts_[e->label - lo + 1];
+    for (size_t l = 1; l <= span; ++l) counts_[l] += counts_[l - 1];
+    if (scratch_.size() < n) scratch_.resize(n);
+    for (const Entry* e = first; e < last; ++e) {
+      scratch_[counts_[e->label - lo]++] = *e;
+    }
+    std::copy(scratch_.begin(), scratch_.begin() + n, first);
+  }
+
+ private:
+  std::vector<uint32_t> counts_;
+  std::vector<Entry> scratch_;
+};
+
+}  // namespace
+
+template <typename ForEachEdge>
+CsrSnapshot CsrSnapshot::Scatter(size_t num_nodes,
+                                 const ForEachEdge& for_each_edge) {
   CsrSnapshot snap;
   snap.num_nodes_ = num_nodes;
   snap.out_offsets_.assign(num_nodes + 1, 0);
   snap.in_offsets_.assign(num_nodes + 1, 0);
 
   // Counting pass.
-  for (const Edge& rec : logical) {
+  for_each_edge([&](const Edge& rec, EdgeId) {
     ++snap.out_offsets_[rec.src + 1];
     ++snap.in_offsets_[rec.dst + 1];
-  }
+  });
   for (size_t v = 0; v < num_nodes; ++v) {
     snap.out_offsets_[v + 1] += snap.out_offsets_[v];
     snap.in_offsets_[v + 1] += snap.in_offsets_[v];
   }
+  const size_t num_edges = snap.out_offsets_[num_nodes];
+  snap.out_entries_.resize(num_edges);
+  snap.in_entries_.resize(num_edges);
 
-  // Fill pass (cursor copies of the offsets).
-  snap.out_entries_.resize(logical.size());
-  snap.in_entries_.resize(logical.size());
-  std::vector<uint32_t> out_cursor(snap.out_offsets_.begin(),
-                                   snap.out_offsets_.end() - 1);
-  std::vector<uint32_t> in_cursor(snap.in_offsets_.begin(),
-                                  snap.in_offsets_.end() - 1);
-  for (size_t i = 0; i < logical.size(); ++i) {
-    const Edge& rec = logical[i];
-    snap.out_entries_[out_cursor[rec.src]++] = {rec.dst, rec.label, ids[i]};
-    snap.in_entries_[in_cursor[rec.dst]++] = {rec.src, rec.label, ids[i]};
+  // Out-side: scatter by source, then sort each range by (label, dst).
+  std::vector<uint32_t> cursor(snap.out_offsets_.begin(),
+                               snap.out_offsets_.end() - 1);
+  for_each_edge([&](const Edge& rec, EdgeId id) {
+    snap.out_entries_[cursor[rec.src]++] = {rec.dst, rec.label, id};
+  });
+  Entry* out = snap.out_entries_.data();
+  for (size_t v = 0; v < num_nodes; ++v) {
+    std::sort(out + snap.out_offsets_[v], out + snap.out_offsets_[v + 1],
+              LabelOtherLess);
   }
 
-  // Sort each node's range by label (then endpoint for determinism).
-  auto by_label = [](const Entry& a, const Entry& b) {
-    return a.label != b.label ? a.label < b.label : a.other < b.other;
-  };
+  // In-side: transpose the finished out-side in source order, so every
+  // in-range comes out sorted by source; a stable pass by label then
+  // leaves it in (label, src) order.
+  cursor.assign(snap.in_offsets_.begin(), snap.in_offsets_.end() - 1);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    for (const Entry& e : snap.Out(v)) {
+      snap.in_entries_[cursor[e.other]++] = {v, e.label, e.edge};
+    }
+  }
+  Entry* in = snap.in_entries_.data();
+  StableLabelSorter sorter;
   for (size_t v = 0; v < num_nodes; ++v) {
-    std::sort(snap.out_entries_.begin() + snap.out_offsets_[v],
-              snap.out_entries_.begin() + snap.out_offsets_[v + 1], by_label);
-    std::sort(snap.in_entries_.begin() + snap.in_offsets_[v],
-              snap.in_entries_.begin() + snap.in_offsets_[v + 1], by_label);
+    sorter.Sort(in + snap.in_offsets_[v], in + snap.in_offsets_[v + 1]);
   }
   return snap;
 }
 
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g) {
-  std::vector<Edge> logical;
-  std::vector<EdgeId> ids;
-  logical.reserve(g.NumEdges());
-  ids.reserve(g.NumEdges());
-  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-    if (!g.IsLiveEdge(e)) continue;
-    logical.push_back(g.edge(e));
-    ids.push_back(e);
-  }
-  return FromEdgeList(g.NumNodes(), logical, ids);
+  return Scatter(g.NumNodes(), [&g](auto&& fn) {
+    for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+      if (g.IsLiveEdge(e)) fn(g.edge(e), e);
+    }
+  });
 }
 
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
                                const DeltaOverlay& overlay,
                                EdgeId first_new_edge) {
-  // Materialize the logical edge list: surviving base edges keep their
-  // slot ids; staged additions get the ids the fold will assign, in the
-  // overlay's (stable for one frozen copy) iteration order.
-  std::vector<Edge> logical;
-  std::vector<EdgeId> ids;
-  logical.reserve(g.NumEdges() + overlay.NumAdded());
-  ids.reserve(g.NumEdges() + overlay.NumAdded());
-  const bool check_removed = overlay.has_deletions();
-  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-    if (!g.IsLiveEdge(e)) continue;
-    const Edge& rec = g.edge(e);
-    if (check_removed && overlay.IsRemoved(rec.src, rec.dst, rec.label)) {
-      continue;
+  // Surviving base edges keep their slot ids; staged additions get the
+  // ids the fold will assign, in the overlay's (stable for one frozen
+  // copy) iteration order. Staged removals are resolved to slots once,
+  // before the two passes of Scatter, and only edges whose source has a
+  // staged removal pay a hash probe.
+  std::vector<uint8_t> removed;
+  if (overlay.has_deletions()) {
+    std::vector<uint8_t> source_has_removal(g.NumNodes(), 0);
+    overlay.ForEachRemoved([&](const DeltaOverlay::EdgeTriple& t) {
+      if (t.src < g.NumNodes()) source_has_removal[t.src] = 1;
+    });
+    removed.assign(g.EdgeSlotCount(), 0);
+    for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+      if (!g.IsLiveEdge(e)) continue;
+      const Edge& rec = g.edge(e);
+      removed[e] = source_has_removal[rec.src] &&
+                   overlay.IsRemoved(rec.src, rec.dst, rec.label);
     }
-    logical.push_back(rec);
-    ids.push_back(e);
   }
-  EdgeId next = first_new_edge;
-  overlay.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) {
-    logical.push_back(Edge{t.src, t.dst, t.label});
-    ids.push_back(next++);
-  });
-  return FromEdgeList(g.NumNodes() + overlay.num_staged_nodes(), logical,
-                      ids);
+  return Scatter(
+      g.NumNodes() + overlay.num_staged_nodes(), [&](auto&& fn) {
+        for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+          if (g.IsLiveEdge(e) && (removed.empty() || !removed[e])) {
+            fn(g.edge(e), e);
+          }
+        }
+        EdgeId next = first_new_edge;
+        overlay.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) {
+          fn(Edge{t.src, t.dst, t.label}, next++);
+        });
+      });
 }
 
 std::span<const CsrSnapshot::Entry> CsrSnapshot::LabelRange(

@@ -6,9 +6,14 @@
 /// SocialGraph, in both directions.
 ///
 /// This is the structure traversal-based evaluators run on. It is a value
-/// type: Build() walks the live edges once and the result never observes
-/// later mutations of the source graph. Out-entries of a node are sorted
-/// by label so per-label neighbor ranges can be scanned contiguously.
+/// type: the result never observes later mutations of the source graph.
+/// Every node's range, out and in, is sorted by (label, other), so a
+/// per-label neighbor range is contiguous and LabelRange finds it by
+/// binary search.
+///
+/// Build scatters the out-side straight from the edge slots and sorts
+/// each range; the in-side is the out-side transposed in source order,
+/// which leaves only a stable by-label pass per range.
 
 #include <cstdint>
 #include <span>
@@ -54,21 +59,21 @@ class CsrSnapshot {
   size_t NumNodes() const { return num_nodes_; }
   size_t NumEdges() const { return out_entries_.size(); }
 
-  /// Outgoing entries of `node`, sorted by label.
+  /// Outgoing entries of `node`, sorted by (label, other).
   std::span<const Entry> Out(NodeId node) const {
     return {out_entries_.data() + out_offsets_[node],
             out_offsets_[node + 1] - out_offsets_[node]};
   }
 
   /// Incoming entries of `node` (Entry::other is the source), sorted by
-  /// label.
+  /// (label, other).
   std::span<const Entry> In(NodeId node) const {
     return {in_entries_.data() + in_offsets_[node],
             in_offsets_[node + 1] - in_offsets_[node]};
   }
 
   /// Outgoing entries of `node` restricted to `label` (binary search on
-  /// the label-sorted range).
+  /// the (label, other)-sorted range).
   std::span<const Entry> OutWithLabel(NodeId node, LabelId label) const {
     return LabelRange(Out(node), label);
   }
@@ -88,13 +93,14 @@ class CsrSnapshot {
   static std::span<const Entry> LabelRange(std::span<const Entry> all,
                                            LabelId label);
 
-  /// Shared core of both Build overloads: counting-sort the materialized
-  /// logical edge list (record i gets slot id ids[i]) into label-sorted
-  /// per-node ranges. Keeping one copy is what guarantees the merged
-  /// build stays bit-identical to a post-fold rebuild.
-  static CsrSnapshot FromEdgeList(size_t num_nodes,
-                                  const std::vector<Edge>& logical,
-                                  const std::vector<EdgeId>& ids);
+  /// Shared core of both Build overloads. `for_each_edge(fn)` calls
+  /// fn(const Edge&, EdgeId) once per logical edge, in the same order on
+  /// each of its two calls (count, then fill). Keeping one core is what
+  /// guarantees the merged build stays bit-identical to a post-fold
+  /// rebuild.
+  template <typename ForEachEdge>
+  static CsrSnapshot Scatter(size_t num_nodes,
+                             const ForEachEdge& for_each_edge);
 
   size_t num_nodes_ = 0;
   std::vector<uint32_t> out_offsets_{0};

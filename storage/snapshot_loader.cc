@@ -103,6 +103,27 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
       csr->in_offsets_.size() != csr->num_nodes_ + 1) {
     return Status::DataLoss("bundle: csr offset array size mismatch");
   }
+  // Out()/In() and every walker index through these unchecked, so a
+  // section that passes its checksum but is not a well-formed CSR is
+  // refused here rather than read out of bounds later.
+  auto well_formed = [&](const std::vector<uint32_t>& offsets,
+                         const std::vector<CsrSnapshot::Entry>& entries) {
+    if (offsets.empty() || offsets.front() != 0 ||
+        offsets.back() != entries.size()) {
+      return false;
+    }
+    for (size_t v = 0; v + 1 < offsets.size(); ++v) {
+      if (offsets[v] > offsets[v + 1]) return false;
+    }
+    for (const CsrSnapshot::Entry& e : entries) {
+      if (e.other >= csr->num_nodes_) return false;
+    }
+    return true;
+  };
+  if (!well_formed(csr->out_offsets_, csr->out_entries_) ||
+      !well_formed(csr->in_offsets_, csr->in_entries_)) {
+    return Status::DataLoss("bundle: csr offsets or entries out of range");
+  }
   return FinishSection(r, "csr");
 }
 

@@ -104,20 +104,150 @@ void ExpectSameEntries(std::span<const CsrSnapshot::Entry> a,
   }
 }
 
+// ---- The build against a reference ----------------------------------------
+
+/// One direction of a CSR as the reference build lays it out.
+struct ReferenceSide {
+  std::vector<uint32_t> offsets;
+  std::vector<CsrSnapshot::Entry> entries;
+};
+
+/// The straightforward build the fast one must reproduce: copy the live
+/// edges, counting-sort them by endpoint, then std::sort every range by
+/// (label, other).
+ReferenceSide ReferenceBuild(const SocialGraph& g, bool out_side) {
+  std::vector<Edge> edges;
+  std::vector<EdgeId> ids;
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+    if (!g.IsLiveEdge(e)) continue;
+    edges.push_back(g.edge(e));
+    ids.push_back(e);
+  }
+  const size_t n = g.NumNodes();
+  ReferenceSide side;
+  side.offsets.assign(n + 1, 0);
+  for (const Edge& rec : edges) {
+    ++side.offsets[(out_side ? rec.src : rec.dst) + 1];
+  }
+  for (size_t v = 0; v < n; ++v) side.offsets[v + 1] += side.offsets[v];
+  side.entries.resize(edges.size());
+  std::vector<uint32_t> cursor(side.offsets.begin(), side.offsets.end() - 1);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const Edge& rec = edges[i];
+    const NodeId at = out_side ? rec.src : rec.dst;
+    const NodeId other = out_side ? rec.dst : rec.src;
+    side.entries[cursor[at]++] = {other, rec.label, ids[i]};
+  }
+  for (size_t v = 0; v < n; ++v) {
+    std::sort(side.entries.begin() + side.offsets[v],
+              side.entries.begin() + side.offsets[v + 1],
+              [](const CsrSnapshot::Entry& a, const CsrSnapshot::Entry& b) {
+                return a.label != b.label ? a.label < b.label
+                                          : a.other < b.other;
+              });
+  }
+  return side;
+}
+
+void ExpectMatchesReference(const SocialGraph& g, const std::string& where) {
+  const CsrSnapshot csr = CsrSnapshot::Build(g);
+  ASSERT_EQ(csr.NumNodes(), g.NumNodes()) << where;
+  ASSERT_EQ(csr.NumEdges(), g.NumEdges()) << where;
+  const ReferenceSide out = ReferenceBuild(g, /*out_side=*/true);
+  const ReferenceSide in = ReferenceBuild(g, /*out_side=*/false);
+  auto range = [](const ReferenceSide& side, NodeId v) {
+    return std::span<const CsrSnapshot::Entry>(
+        side.entries.data() + side.offsets[v],
+        side.offsets[v + 1] - side.offsets[v]);
+  };
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    ExpectSameEntries(csr.Out(v), range(out, v),
+                      where + " out of " + std::to_string(v));
+    ExpectSameEntries(csr.In(v), range(in, v),
+                      where + " in of " + std::to_string(v));
+  }
+}
+
+std::vector<std::string> LabelNames(size_t count) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < count; ++i) {
+    names.push_back(std::string("l").append(std::to_string(i)));
+  }
+  return names;
+}
+
+/// Adds what the generators do not produce: isolated nodes, self-loops,
+/// tombstoned slots, interned labels no edge uses, and two hubs whose
+/// in-degree exceeds the build's 32-entry insertion-sort cutoff — one
+/// over every label, one over only the first and last label so its
+/// label span can be wider than its range.
+void AddEdgeCases(SocialGraph& g, Rng& rng) {
+  const size_t base = g.NumNodes();
+  const size_t num_labels = g.labels().size();
+  (void)g.AddNodes(3);  // isolated
+  (void)g.labels().Intern("unused-a");
+  (void)g.labels().Intern("unused-b");
+  for (NodeId v = 0; v < base; v += 7) {
+    (void)g.AddEdge(v, v, static_cast<LabelId>(rng.NextBounded(num_labels)));
+  }
+  const NodeId hub = 0;
+  const NodeId narrow_hub = static_cast<NodeId>(base / 2);
+  for (NodeId v = 1; v < base && v < 200; ++v) {
+    const LabelId l = static_cast<LabelId>(rng.NextBounded(num_labels));
+    (void)g.AddEdge(v, hub, l);
+    (void)g.AddEdge(hub, v, static_cast<LabelId>(num_labels - 1 - l));
+  }
+  for (NodeId v = 0; v < base && v < 40; ++v) {
+    const LabelId l = rng.NextBounded(2) == 0
+                          ? LabelId{0}
+                          : static_cast<LabelId>(num_labels - 1);
+    (void)g.AddEdge(v, narrow_hub, l);
+  }
+  for (EdgeId e = 3; e < g.EdgeSlotCount(); e += 11) {
+    if (g.IsLiveEdge(e)) {
+      ASSERT_TRUE(g.RemoveEdge(e).ok());
+    }
+  }
+}
+
+TEST(CsrSnapshot, BuildMatchesReference) {
+  for (const size_t num_labels : {1u, 3u, 64u}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      const uint64_t seed = 17 + kind;
+      const SocialGraphSpec base{.num_nodes = 300,
+                                 .seed = seed,
+                                 .labels = LabelNames(num_labels)};
+      auto gen = kind == 0   ? GenerateErdosRenyi({.base = base})
+                 : kind == 1 ? GenerateBarabasiAlbert({.base = base})
+                             : GenerateWattsStrogatz({.base = base});
+      ASSERT_TRUE(gen.ok());
+      SocialGraph g = std::move(*gen);
+      const std::string where = "kind " + std::to_string(kind) + " labels " +
+                                std::to_string(num_labels);
+      ExpectMatchesReference(g, where);
+      Rng rng(seed);
+      AddEdgeCases(g, rng);
+      ASSERT_GT(CsrSnapshot::Build(g).In(0).size(), 32u) << where;
+      ExpectMatchesReference(g, where + " with edge cases");
+    }
+  }
+}
+
 // Background compaction builds the next bundle from the frozen overlay
 // (Build(g, overlay, first_new_edge)) before it folds that overlay into
 // the graph, and serves the bundle against the folded graph. That is
 // only sound if the merged build equals a plain rebuild after the fold,
 // edge ids included.
 TEST(CsrSnapshot, MergedBuildMatchesPostFoldRebuild) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
+  // Seeds 7 and 8 draw from a 64-label alphabet.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const SocialGraphSpec spec{
+        .num_nodes = 40,
+        .seed = seed,
+        .labels = seed <= 6 ? SocialGraphSpec{}.labels : LabelNames(64)};
     auto gen = seed % 2 == 0
-                   ? GenerateBarabasiAlbert(
-                         {.base = {.num_nodes = 40, .seed = seed},
-                          .edges_per_node = 3})
-                   : GenerateErdosRenyi(
-                         {.base = {.num_nodes = 40, .seed = seed},
-                          .avg_out_degree = 2.5});
+                   ? GenerateBarabasiAlbert({.base = spec, .edges_per_node = 3})
+                   : GenerateErdosRenyi({.base = spec, .avg_out_degree = 2.5});
     ASSERT_TRUE(gen.ok());
     SocialGraph g = std::move(*gen);
     const size_t n = g.NumNodes();
@@ -148,6 +278,17 @@ TEST(CsrSnapshot, MergedBuildMatchesPostFoldRebuild) {
         if (s < n && d < n && g.FindEdge(s, d, l).has_value()) continue;
         (void)overlay.StageAdd(s, d, l);
       }
+    }
+    // Staged nodes with edges in, out, to each other and to themselves.
+    for (size_t k = 0; k < staged; ++k) {
+      const NodeId v = static_cast<NodeId>(n + k);
+      for (int i = 0; i < 3; ++i) {
+        const NodeId w = static_cast<NodeId>(rng.NextBounded(logical));
+        const LabelId l = static_cast<LabelId>(rng.NextBounded(num_labels));
+        (void)overlay.StageAdd(v, w, l);
+        (void)overlay.StageAdd(w, v, l);
+      }
+      (void)overlay.StageAdd(v, v, 0);
     }
     // A base triple removed and then added back: the fold must drop the
     // old slot before it appends the new one, or the graph would

@@ -548,6 +548,87 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
 // attach policies, mutate (adds, removes, node growth), save at an
 // arbitrary point, keep mutating so a WAL tail exists, reopen, compare
 // every decision.
+// A CSR section whose checksum is valid but whose structure is not:
+// offsets that do not start at 0, decrease, or do not end at the entry
+// count, and entries naming a node past the last. Each would let Out(v)
+// or a walk read out of bounds, so each must be refused as kDataLoss.
+TEST(Bundle, RefusesMalformedCsrSection) {
+  TempDir dir;
+  SocialGraph g = MakeDiamond();
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+  auto info = storage::ReadBundleInfo(bundle_path);
+  ASSERT_TRUE(info.ok());
+  size_t table_index = info->sections.size();
+  for (size_t i = 0; i < info->sections.size(); ++i) {
+    if (info->sections[i].kind == storage::SectionKind::kCsr) table_index = i;
+  }
+  ASSERT_LT(table_index, info->sections.size());
+  const storage::BundleInfo::Section csr = info->sections[table_index];
+
+  // Section layout (storage/snapshot_format.cc SaveCsr): num_nodes, then
+  // per side a length-prefixed offset array, the entry count, and the
+  // entry columns other (u32), label (u16), edge (u32).
+  const size_t n = g.NumNodes();
+  const size_t m = g.NumEdges();
+  const size_t out_offsets = 8 + 8;
+  const size_t out_other = out_offsets + 4 * (n + 1) + 8;
+  const size_t in_offsets = out_other + m * (4 + 2 + 4) + 8;
+  const size_t in_other = in_offsets + 4 * (n + 1) + 8;
+  ASSERT_EQ(in_other + m * (4 + 2 + 4), csr.size);
+
+  auto peek_u32 = [&](size_t at) {
+    uint32_t v;
+    std::memcpy(&v, pristine.data() + csr.offset + at, sizeof v);
+    return v;
+  };
+  ASSERT_EQ(peek_u32(out_offsets), 0u);
+  ASSERT_EQ(peek_u32(out_offsets + 4 * n), m);
+  ASSERT_LT(peek_u32(out_offsets + 8), m);
+  auto poked = [&](size_t at, uint32_t v) {
+    std::vector<uint8_t> bytes = pristine;
+    std::memcpy(bytes.data() + csr.offset + at, &v, sizeof v);
+    const uint64_t section_sum =
+        StripedFnv1a64(bytes.data() + csr.offset, csr.size);
+    std::memcpy(bytes.data() + storage::kBundleSectionTableOffset +
+                    table_index * storage::kBundleSectionEntryBytes + 24,
+                &section_sum, sizeof section_sum);
+    const uint64_t header_sum =
+        Fnv1a64(bytes.data(), storage::kBundlePageSize - 8);
+    std::memcpy(bytes.data() + storage::kBundlePageSize - 8, &header_sum,
+                sizeof header_sum);
+    return bytes;
+  };
+  const uint32_t num_nodes = static_cast<uint32_t>(n);
+  const uint32_t num_edges = static_cast<uint32_t>(m);
+  const std::pair<const char*, std::vector<uint8_t>> cases[] = {
+      {"out offsets start past 0", poked(out_offsets, 1)},
+      {"out offsets decrease", poked(out_offsets + 4, num_edges)},
+      {"out offsets end short", poked(out_offsets + 4 * n, num_edges - 1)},
+      {"in offsets start past 0", poked(in_offsets, 1)},
+      {"in offsets end long", poked(in_offsets + 4 * n, num_edges + 1)},
+      {"out entry past the last node", poked(out_other, num_nodes)},
+      {"in entry past the last node",
+       poked(in_other + 4 * (m - 1), 0xFFFFFFFFu)}};
+  // The pristine bytes load, so each refusal below is the poke's doing.
+  ASSERT_TRUE(storage::LoadBundle(bundle_path).ok());
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    WriteAll(bundle_path, bytes);
+    auto loaded = storage::LoadBundle(bundle_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    SocialGraph g2;
+    auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  }
+}
+
 TEST(Bundle, RandomizedRoundTripEquivalence) {
   struct Case {
     const char* name;
