@@ -47,7 +47,10 @@ struct Pipeline {
   LineGraph lg;
   std::unique_ptr<LineReachabilityOracle> oracle;
   std::unique_ptr<ClusterJoinIndex> cluster_index;
-  std::unique_ptr<TransitiveClosure> closure;  // undirected prefilter
+  /// Directed (as_undirected=false): what bench_closure_cost measures,
+  /// and a sound prefilter only for the forward-only expressions the
+  /// query benches run.
+  std::unique_ptr<TransitiveClosure> closure;
 };
 
 /// Generates the graph for (kind, nodes, labels, seed); deterministic.

@@ -4,8 +4,8 @@
 /// (cached), online search, audit logging. The policy mix mirrors the
 /// paper's motivating examples (friends-only, friends-of-friends,
 /// colleague-of-friend, attribute-filtered, incoming-friend). Reported as
-/// decisions/second per engine configuration; the per-evaluator
-/// join-vs-BFS comparison is bench_query_latency's.
+/// decisions/second, with and without witnesses; the per-evaluator
+/// comparison (join, closure prefilter, BFS) is bench_query_latency's.
 
 #include <benchmark/benchmark.h>
 
@@ -53,11 +53,10 @@ EngineFixture& GetFixture(size_t nodes) {
   return *cache.emplace(nodes, std::move(f)).first->second;
 }
 
-void RunEngineBench(benchmark::State& state, const EngineOptions& options,
-                    bool want_witness = false) {
+void RunEngineBench(benchmark::State& state, bool want_witness) {
   const size_t nodes = static_cast<size_t>(state.range(0));
   EngineFixture& f = GetFixture(nodes);
-  AccessControlEngine engine(*f.g, f.store, options);
+  AccessControlEngine engine(*f.g, f.store);
   if (auto st = engine.RebuildIndexes(); !st.ok()) {
     state.SkipWithError(st.ToString().c_str());
     return;
@@ -85,19 +84,12 @@ void RunEngineBench(benchmark::State& state, const EngineOptions& options,
 }
 
 void BM_Engine(benchmark::State& state) {
-  RunEngineBench(state, EngineOptions{});
+  RunEngineBench(state, /*want_witness=*/false);
 }
 BENCHMARK(BM_Engine)->Arg(1000)->Arg(4000)->Arg(16000);
 
-void BM_EngineWithPrefilter(benchmark::State& state) {
-  EngineOptions o;
-  o.use_closure_prefilter = true;
-  RunEngineBench(state, o);
-}
-BENCHMARK(BM_EngineWithPrefilter)->Arg(1000)->Arg(4000)->Arg(16000);
-
 void BM_EngineWithWitness(benchmark::State& state) {
-  RunEngineBench(state, EngineOptions{}, /*want_witness=*/true);
+  RunEngineBench(state, /*want_witness=*/true);
 }
 BENCHMARK(BM_EngineWithWitness)->Arg(4000);
 

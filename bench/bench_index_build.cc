@@ -6,7 +6,7 @@
 /// construction is super-linear in |E| (the line graph has
 /// sum(in*out) arcs), which is exactly the precomputation-vs-query-time
 /// trade-off the paper positions itself around. The engine serves none
-/// of it (its bundle is the CSR plus an optional closure); the library
+/// of it (it serves the CSR alone); the library
 /// join index needs only the line graph and the cluster index, and
 /// BM_Stage_LabelPairs times the node-level label-pair matrix the
 /// cluster index derives in place of the line-graph SCC/DAG/2-hop

@@ -74,7 +74,7 @@ AccessControlEngine::~AccessControlEngine() {
 
 void AccessControlEngine::PublishView() {
   auto view = AccessReadView::Create(
-      *graph_, idx_, policy_, overlay_,
+      *graph_, csr_, policy_, overlay_,
       snapshot_generation_.load(std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(view_mu_);
@@ -125,7 +125,7 @@ bool AccessControlEngine::RefreshPolicySnapshotIfStale() {
 void AccessControlEngine::RecomputeEffectiveThreshold() {
   if (options_.compact_threshold == EngineOptions::kCompactThresholdAuto) {
     effective_compact_threshold_ =
-        std::max<size_t>(1024, idx_->csr.NumEdges() / 16);
+        std::max<size_t>(1024, csr_->NumEdges() / 16);
   } else {
     effective_compact_threshold_ = options_.compact_threshold;
   }
@@ -138,7 +138,7 @@ Status AccessControlEngine::RebuildIndexesLocked() {
   // through Compact() instead.
   overlay_.Clear();
   journal_.clear();
-  idx_ = SnapshotIndexes::Build(*graph_, options_);
+  csr_ = std::make_shared<const CsrSnapshot>(CsrSnapshot::Build(*graph_));
   // Unconditional policy rebuild: fresh dictionary entries (labels
   // interned since the last build) may fix previously failed binds.
   policy_ = PolicySnapshot::Build(*store_, *graph_);
@@ -155,7 +155,7 @@ Status AccessControlEngine::RebuildIndexesLocked() {
 }
 
 Status AccessControlEngine::RebuildIndexes() {
-  // Drain the pipeline first: a build in flight references the bundle
+  // Drain the pipeline first: a build in flight references the CSR
   // and overlay this rebuild replaces, and its completion would fold
   // staged state the contract says a rebuild discards.
   WaitForCompaction();
@@ -179,7 +179,7 @@ Status AccessControlEngine::CheckMutable() const {
 }
 
 size_t AccessControlEngine::LogicalNumNodesLocked() const {
-  return idx_->csr.NumNodes() + overlay_.num_staged_nodes();
+  return csr_->NumNodes() + overlay_.num_staged_nodes();
 }
 
 // Walker visited arrays are sized to snapshot + staged nodes, so staged
@@ -452,7 +452,7 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
 
 bool AccessControlEngine::EdgeInBaseLocked(NodeId src, NodeId dst,
                                            LabelId label) const {
-  if (graph_->edge_lookup_ready() || idx_ == nullptr) {
+  if (graph_->edge_lookup_ready() || csr_ == nullptr) {
     return graph_->FindEdge(src, dst, label).has_value();
   }
   // After OpenFromDir the graph's triple→slot map is deliberately left
@@ -461,8 +461,8 @@ bool AccessControlEngine::EdgeInBaseLocked(NodeId src, NodeId dst,
   // the base graph's live edges, so membership can come from the
   // label-sorted adjacency instead. Nodes past the snapshot's count
   // (staged adds) cannot have base edges.
-  if (src >= idx_->csr.NumNodes()) return false;
-  for (const CsrSnapshot::Entry& e : idx_->csr.OutWithLabel(src, label)) {
+  if (src >= csr_->NumNodes()) return false;
+  for (const CsrSnapshot::Entry& e : csr_->OutWithLabel(src, label)) {
     if (e.other == dst) return true;
   }
   return false;
@@ -517,8 +517,9 @@ void AccessControlEngine::FinishMutation() {
 void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
   // Nodes first (staged edges may name them), then removals, then
   // additions — additions in the frozen copy's iteration order, which
-  // is the order BuildMerged predicted their edge ids in, so the ids
-  // the graph assigns here match the bundle already built against it.
+  // is the order the merged CSR build predicted their edge ids in, so
+  // the ids the graph assigns here match the CSR already built against
+  // it.
   if (frozen.num_staged_nodes() > 0) {
     (void)mutable_graph_->AddNodes(frozen.num_staged_nodes());
   }
@@ -550,9 +551,9 @@ void AccessControlEngine::StartBackgroundCompactionLocked() {
 
 std::optional<AccessControlEngine::CompactionJob>
 AccessControlEngine::FinishCompactionLocked(
-    CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle) {
+    CompactionJob& job, std::shared_ptr<const CsrSnapshot> csr) {
   FoldOverlayIntoGraph(job.frozen);
-  idx_ = std::move(bundle);
+  csr_ = std::move(csr);
   snapshot_generation_.fetch_add(1, std::memory_order_release);
 
   // Replay the mutations staged during the build against the folded
@@ -633,12 +634,12 @@ void AccessControlEngine::CompactionWorker() {
     // journaling) mutations, readers keep serving published views. The
     // graph object is stable during the build — staging never writes
     // it, and only this thread folds.
-    auto bundle = SnapshotIndexes::BuildMerged(*graph_, job.frozen,
-                                               job.first_new_edge, options_);
+    auto csr = std::make_shared<const CsrSnapshot>(
+        CsrSnapshot::Build(*graph_, job.frozen, job.first_new_edge));
     std::optional<CompactionJob> next;
     {
       std::lock_guard<std::mutex> lock(mutation_mu_);
-      next = FinishCompactionLocked(job, std::move(bundle));
+      next = FinishCompactionLocked(job, std::move(csr));
     }
     {
       std::lock_guard<std::mutex> lock(comp_mu_);
@@ -693,7 +694,7 @@ Status AccessControlEngine::SaveSnapshotLocked() {
   }
   storage::BundlePayload payload;
   payload.graph = graph_;
-  payload.indexes = idx_.get();
+  payload.csr = csr_.get();
   payload.overlay = &overlay_;
   payload.stamp = {snapshot_generation_.load(std::memory_order_relaxed),
                    overlay_.version()};
@@ -809,21 +810,12 @@ Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
   SARGUS_ASSIGN_OR_RETURN(storage::LoadedBundle loaded,
                           storage::LoadBundle(BundlePath(dir)));
 
-  // The bundle only holds what the saving configuration built; an
-  // opening configuration that needs more must rebuild from scratch.
-  if (options.use_closure_prefilter &&
-      (loaded.flags & storage::kFlagClosure) == 0) {
-    return Status::FailedPrecondition(
-        "OpenFromDir: options need the closure prefilter but the bundle was "
-        "saved without it");
-  }
-
   *graph = std::move(loaded.graph);
   auto engine = std::unique_ptr<AccessControlEngine>(
       new AccessControlEngine(*graph, store, options));
   {
     std::lock_guard<std::mutex> lock(engine->mutation_mu_);
-    engine->idx_ = std::move(loaded.indexes);
+    engine->csr_ = std::move(loaded.csr);
     engine->overlay_ = std::move(loaded.overlay);
     engine->snapshot_generation_.store(loaded.stamp.generation,
                                        std::memory_order_release);

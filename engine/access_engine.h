@@ -32,18 +32,18 @@
 /// compaction threshold (EngineOptions::compact_threshold; the default
 /// scales as max(1024, |E|/16)), the engine automatically Compact()s.
 /// Every request is decided by online product-space BFS over the CSR
-/// merged with the view's overlay, optionally behind the closure
-/// prefilter; the paper's precomputed join is a library evaluator
-/// (query/join_evaluator.h) the engine never serves.
+/// merged with the view's overlay; the paper's precomputed join and the
+/// closure prefilter are library evaluators (query/join_evaluator.h,
+/// query/closure_prefilter.h) the engine never serves.
 ///
 /// Compaction model (double-buffered, see docs/ARCHITECTURE.md):
 /// `Compact()` — explicit or threshold-triggered — freezes a copy of the
 /// overlay and returns immediately; a dedicated compaction thread builds
-/// the next SnapshotIndexes bundle against graph ⊕ frozen-overlay while
-/// the writer keeps staging mutations, which are also recorded in a replay
-/// journal. On completion the compaction thread briefly takes the
-/// writer lock, folds the frozen overlay into the SocialGraph, swaps in
-/// the new bundle, replays the journal into a fresh overlay relative to
+/// the next CsrSnapshot against graph ⊕ frozen-overlay while the writer
+/// keeps staging mutations, which are also recorded in a replay journal.
+/// On completion the compaction thread briefly takes the writer lock,
+/// folds the frozen overlay into the SocialGraph, swaps in the new CSR,
+/// replays the journal into a fresh overlay relative to
 /// the new snapshot, and publishes — so neither readers nor the writer
 /// ever stall on an index rebuild. `WaitForCompaction()` blocks until
 /// the pipeline is idle, so synchronous compaction is `Compact()`
@@ -51,14 +51,11 @@
 /// determinism).
 ///
 /// Snapshot-consistency contract: every published view owns the pairing
-/// between its snapshot indexes and its frozen overlay. While a view's
-/// overlay is non-empty, (a) online search merges the overlay into every
-/// neighbor expansion and (b) closure pruning runs in conservative mode
-/// (pending insertions suspend its fast-denies — see
-/// index/prefilter_validity.h), so decisions match a rebuild over the
-/// logical graph. Mutating the
-/// SocialGraph directly (rather than through the engine) breaks this
-/// pairing; call RebuildIndexes again if you must.
+/// between its snapshot CSR and its frozen overlay. While a view's
+/// overlay is non-empty, online search merges the overlay into every
+/// neighbor expansion, so decisions match a rebuild over the logical
+/// graph. Mutating the SocialGraph directly (rather than through the
+/// engine) breaks this pairing; call RebuildIndexes again if you must.
 ///
 /// Node growth: `AddNode()` stages a node addition through the overlay —
 /// the returned id is queryable (as requester, resource owner, or edge
@@ -109,7 +106,7 @@
 ///    and edges never disturbs.
 ///
 /// Generation counters: snapshot_generation() increments whenever a new
-/// index bundle is published (RebuildIndexes and every completed
+/// CSR is published (RebuildIndexes and every completed
 /// compaction), and overlay_version() on every staged mutation; the
 /// overlay rebuilt from the replay journal continues the version
 /// sequence, so (generation, version) pairs uniquely name every
@@ -240,15 +237,14 @@ class AccessControlEngine {
   Result<NodeId> AddNode();
 
   /// Folds every staged mutation into the SocialGraph, clears the
-  /// overlay, installs a fresh index bundle, and publishes. No-op on an
+  /// overlay, installs a fresh CSR, and publishes. No-op on an
   /// empty overlay. Returns as soon as the frozen inputs are captured —
   /// the build, fold and publish happen on the compaction thread
   /// (WaitForCompaction() for synchronous semantics); a second Compact()
   /// while one is in flight makes its completion chain a follow-up that
   /// folds everything staged meanwhile. Views acquired before and after
   /// see the same logical graph; only the cost profile changes (the
-  /// overlay merge goes away and closure pruning leaves conservative
-  /// mode). Old views stay valid: they answer against their frozen
+  /// overlay merge goes away). Old views stay valid: they answer against their frozen
   /// snapshot + overlay for as long as they are held.
   Status Compact();
 
@@ -313,15 +309,13 @@ class AccessControlEngine {
   Status SaveSnapshot();
 
   /// Restores an engine from a durability directory: mmap + verify the
-  /// bundle, adopt its graph into `*graph` and its indexes/overlay into
+  /// bundle, adopt its graph into `*graph` and its CSR/overlay into
   /// the engine (no index computation), replay the WAL tail whose
   /// (generation, version) stamps the bundle does not cover, truncate
   /// any torn WAL tail, and reopen the WAL for appending. The first
   /// CheckAccess works immediately — no RebuildIndexes. Policies are
   /// not persisted: re-register them on `store` and call
-  /// RefreshPolicies(). kFailedPrecondition when `options` needs the
-  /// closure but the bundle was saved without it; kDataLoss on
-  /// corruption.
+  /// RefreshPolicies(). kDataLoss on corruption.
   static Result<std::unique_ptr<AccessControlEngine>> OpenFromDir(
       const std::string& dir, SocialGraph* graph, const PolicyStore& store,
       EngineOptions options = {}, DurabilityOptions durability = {});
@@ -374,7 +368,7 @@ class AccessControlEngine {
   /// master copy mutations stage into, not the frozen copy views carry.
   const DeltaOverlay& overlay() const { return overlay_; }
 
-  /// Bumped on every published index bundle (RebuildIndexes and every
+  /// Bumped on every published CSR (RebuildIndexes and every
   /// completed compaction). Safe to read from any thread.
   uint64_t snapshot_generation() const {
     return snapshot_generation_.load(std::memory_order_acquire);
@@ -437,7 +431,7 @@ class AccessControlEngine {
     EdgeId first_new_edge = 0;
   };
 
-  /// Builds a view from the current bundles + overlay and publishes it
+  /// Builds a view from the current snapshots + overlay and publishes it
   /// (release store; readers acquire).
   void PublishView();
   /// Rebuilds policy_ when the store's rule/resource counts moved;
@@ -495,19 +489,19 @@ class AccessControlEngine {
 
   /// Applies `frozen` to the mutable graph: staged nodes first, then
   /// removals, then additions in the frozen copy's iteration order (the
-  /// order BuildMerged predicted edge ids in).
+  /// order the merged CSR build predicted edge ids in).
   void FoldOverlayIntoGraph(const DeltaOverlay& frozen);
   /// Captures the frozen inputs, starts/wakes the compaction thread.
   /// Caller holds mutation_mu_.
   void StartBackgroundCompactionLocked();
-  /// Completion: fold, swap bundles, replay the journal, publish.
+  /// Completion: fold, swap CSRs, replay the journal, publish.
   /// Runs on the compaction thread under mutation_mu_. Returns a
   /// follow-up job when the replayed overlay must compact again (an
   /// explicit Compact() arrived mid-build, or the leftovers already
   /// exceed the threshold) — the worker chains straight into it, and
   /// WaitForCompaction() drains the whole chain.
   std::optional<CompactionJob> FinishCompactionLocked(
-      CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle);
+      CompactionJob& job, std::shared_ptr<const CsrSnapshot> csr);
   /// Re-derives effective_compact_threshold_ from the current snapshot.
   void RecomputeEffectiveThreshold();
   /// SaveSnapshot body; caller holds mutation_mu_.
@@ -547,8 +541,8 @@ class AccessControlEngine {
   /// journal leftovers in a chained compaction at completion.
   bool recompact_requested_ = false;  // guarded by mutation_mu_
 
-  /// Immutable bundles shared by published views (see read_view.h).
-  std::shared_ptr<const SnapshotIndexes> idx_;
+  /// Immutable snapshots shared by published views (see read_view.h).
+  std::shared_ptr<const CsrSnapshot> csr_;
   std::shared_ptr<const PolicySnapshot> policy_;
 
   /// Serializes writer-side state between the external writer and the

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "query/closure_prefilter.h"
 #include "query/eval_context.h"
-#include "query/online_evaluator.h"
 #include "synth/workload.h"
 
 namespace sargus {
@@ -17,34 +15,7 @@ namespace {
 /// request (see CheckAccessBatch).
 constexpr size_t kBatchAudienceCutoff = 4;
 
-/// The CSR is every bundle's core; the closure is derived from it when
-/// the prefilter is on.
-std::shared_ptr<const SnapshotIndexes> FinishBundle(
-    std::shared_ptr<SnapshotIndexes> idx, const EngineOptions& options) {
-  if (options.use_closure_prefilter) {
-    // Undirected: sound for backward steps too (see closure_prefilter.h).
-    idx->closure = std::make_unique<TransitiveClosure>(
-        TransitiveClosure::Build(idx->csr, /*as_undirected=*/true));
-  }
-  return idx;
-}
-
 }  // namespace
-
-std::shared_ptr<const SnapshotIndexes> SnapshotIndexes::Build(
-    const SocialGraph& graph, const EngineOptions& options) {
-  auto idx = std::make_shared<SnapshotIndexes>();
-  idx->csr = CsrSnapshot::Build(graph);
-  return FinishBundle(std::move(idx), options);
-}
-
-std::shared_ptr<const SnapshotIndexes> SnapshotIndexes::BuildMerged(
-    const SocialGraph& graph, const DeltaOverlay& overlay,
-    EdgeId first_new_edge, const EngineOptions& options) {
-  auto idx = std::make_shared<SnapshotIndexes>();
-  idx->csr = CsrSnapshot::Build(graph, overlay, first_new_edge);
-  return FinishBundle(std::move(idx), options);
-}
 
 std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
     const PolicyStore& store, const SocialGraph& graph) {
@@ -77,36 +48,24 @@ std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
 }
 
 AccessReadView::AccessReadView(const SocialGraph& graph,
-                               std::shared_ptr<const SnapshotIndexes> idx,
+                               std::shared_ptr<const CsrSnapshot> csr,
                                std::shared_ptr<const PolicySnapshot> policy,
                                const DeltaOverlay& overlay,
                                uint64_t snapshot_generation)
     : graph_(&graph),
-      idx_(std::move(idx)),
+      csr_(std::move(csr)),
       policy_(std::move(policy)),
       overlay_(overlay),
-      logical_num_nodes_(LogicalNumNodes(idx_->csr, &overlay_)),
-      snapshot_generation_(snapshot_generation) {
-  // Per-view evaluator instances are pointer bundles over the shared
-  // immutable structures plus this view's frozen overlay; building them
-  // per publication is a handful of small allocations.
-  online_ = std::make_unique<OnlineEvaluator>(*graph_, idx_->csr, &overlay_);
-  serving_ = online_.get();
-  if (idx_->closure != nullptr) {
-    // Overlay-aware wrapper: the prefilter self-suspends its fast-deny
-    // while pending insertions make closure pruning unsound.
-    prefiltered_ = std::make_unique<ClosurePrefilterEvaluator>(
-        *idx_->closure, *online_, &overlay_, graph_);
-    serving_ = prefiltered_.get();
-  }
-}
+      logical_num_nodes_(LogicalNumNodes(*csr_, &overlay_)),
+      snapshot_generation_(snapshot_generation),
+      online_(*graph_, *csr_, &overlay_) {}
 
 std::shared_ptr<const AccessReadView> AccessReadView::Create(
-    const SocialGraph& graph, std::shared_ptr<const SnapshotIndexes> idx,
+    const SocialGraph& graph, std::shared_ptr<const CsrSnapshot> csr,
     std::shared_ptr<const PolicySnapshot> policy, const DeltaOverlay& overlay,
     uint64_t snapshot_generation) {
   return std::shared_ptr<const AccessReadView>(new AccessReadView(
-      graph, std::move(idx), std::move(policy), overlay, snapshot_generation));
+      graph, std::move(csr), std::move(policy), overlay, snapshot_generation));
 }
 
 Result<AccessDecision> AccessReadView::CheckAccess(
@@ -164,7 +123,7 @@ Result<AccessDecision> AccessReadView::CheckResolved(
       }
       ReachQuery q{res.owner, request.requester, path.bound.get(),
                    request.want_witness};
-      auto r = serving_->Evaluate(q, ctx);
+      auto r = online_.Evaluate(q, ctx);
       if (!r.ok()) {
         if (!first_error) first_error = r.status();
         continue;
@@ -173,8 +132,7 @@ Result<AccessDecision> AccessReadView::CheckResolved(
       decision.stats.tuples_generated += r->stats.tuples_generated;
       decision.stats.tuples_post_filtered += r->stats.tuples_post_filtered;
       decision.stats.line_queries += r->stats.line_queries;
-      decision.stats.prefilter_rejections += r->stats.prefilter_rejections;
-      decision.evaluator_name = serving_->name();
+      decision.evaluator_name = online_.name();
       if (r->granted) {
         decision.granted = true;
         decision.matched_rule = rule_id;
@@ -230,7 +188,7 @@ void AccessReadView::CheckGroupByAudience(
       // audience is exactly the set of requesters this path grants
       // (sorted, so membership is a binary search).
       std::vector<NodeId> audience = CollectMatchingAudience(
-          *graph_, idx_->csr, *path.bound, res.owner, &ctx, &overlay_);
+          *graph_, *csr_, *path.bound, res.owner, &ctx, &overlay_);
       std::erase_if(remaining, [&](uint32_t slot) {
         if (!std::binary_search(audience.begin(), audience.end(),
                                 requests[slot].requester)) {

@@ -7,15 +7,15 @@
 /// The serving model is RCU-style snapshot publication. A view is a
 /// frozen bundle of everything one CheckAccess needs:
 ///
-///   * a `SnapshotIndexes` (the CSR, plus the closure when the prefilter
-///     is on), shared across views until the next RebuildIndexes/Compact;
+///   * a `CsrSnapshot`, shared across views until the next
+///     RebuildIndexes/Compact;
 ///   * a `PolicySnapshot` (resource table + eagerly bound, compiled
 ///     rules), shared across views until the policy store changes;
 ///   * a frozen copy of the DeltaOverlay as of publication, so staged
 ///     mutations are visible without any synchronization;
 ///   * the per-view serving evaluator wired to the three pieces above:
-///     overlay-aware online BFS, behind the closure prefilter when the
-///     bundle has one (cheap: evaluators are pointer bundles).
+///     overlay-aware online BFS (cheap: an evaluator is a pointer
+///     bundle).
 ///
 /// `CheckAccess` on a view is fully const and lock-free: any number of
 /// threads may hammer one shared view concurrently, each drawing scratch
@@ -47,8 +47,8 @@
 #include "engine/policy.h"
 #include "graph/csr.h"
 #include "graph/delta_overlay.h"
-#include "index/transitive_closure.h"
 #include "query/evaluator.h"
+#include "query/online_evaluator.h"
 
 namespace sargus {
 
@@ -59,9 +59,6 @@ struct EvalContext;
 /// engine's MutationQueue, and compaction always runs on its compaction
 /// thread (see access_engine.h); write_queue_capacity sizes the former.
 struct EngineOptions {
-  /// Build an (undirected) transitive closure and use it as a fast-deny
-  /// prefilter in front of online search.
-  bool use_closure_prefilter = false;
   /// Decisions kept in the engine's audit ring (0 disables auditing —
   /// and with it the only lock on the engine's CheckAccess facade).
   size_t audit_capacity = 1024;
@@ -121,31 +118,6 @@ struct AccessDecision {
   std::string degraded_reason;
 };
 
-/// The immutable index bundle one RebuildIndexes produces. Shared (via
-/// shared_ptr) by every view published until the next rebuild; nothing
-/// in it is written after Build returns. The join stack (line graph,
-/// cluster index, reachability oracle) is not part of it: the join
-/// evaluators are library-only (query/join_evaluator.h,
-/// query/faithful_join_evaluator.h), built by their callers.
-struct SnapshotIndexes {
-  CsrSnapshot csr;
-  std::unique_ptr<TransitiveClosure> closure;
-
-  /// Builds the bundle the configuration needs: the CSR, plus the
-  /// closure when the prefilter is on.
-  static std::shared_ptr<const SnapshotIndexes> Build(
-      const SocialGraph& graph, const EngineOptions& options);
-
-  /// Same bundle over the *logical* graph `graph` ⊕ `overlay`, without
-  /// mutating `graph` — what a background compaction builds against its
-  /// frozen inputs. `first_new_edge` is the id the fold will assign the
-  /// overlay's first staged addition (the graph's EdgeSlotCount() at
-  /// freeze time), so the bundle is identical to Build() after the fold.
-  static std::shared_ptr<const SnapshotIndexes> BuildMerged(
-      const SocialGraph& graph, const DeltaOverlay& overlay,
-      EdgeId first_new_edge, const EngineOptions& options);
-};
-
 /// The immutable policy bundle: the resource table plus every rule bound
 /// and its automaton compiled. Built at publish time; shared by every
 /// view until the PolicyStore grows (rule/resource counts are the
@@ -187,13 +159,12 @@ struct PolicySnapshot {
 /// additionally records the decision in the audit ring).
 class AccessReadView {
  public:
-  /// Freezes `overlay` (by copy) against the given bundles and wires the
-  /// per-view serving evaluator: online BFS, behind the closure
-  /// prefilter when the bundle carries a closure. `graph` must outlive
+  /// Freezes `overlay` (by copy) against the given snapshots and wires
+  /// the per-view serving evaluator, online BFS. `graph` must outlive
   /// the view; the view reads only its node count and attribute columns
   /// (see the thread-safety contract in access_engine.h).
   static std::shared_ptr<const AccessReadView> Create(
-      const SocialGraph& graph, std::shared_ptr<const SnapshotIndexes> idx,
+      const SocialGraph& graph, std::shared_ptr<const CsrSnapshot> csr,
       std::shared_ptr<const PolicySnapshot> policy, const DeltaOverlay& overlay,
       uint64_t snapshot_generation);
 
@@ -231,7 +202,7 @@ class AccessReadView {
 
   /// The frozen pending-mutation set this view layers over its snapshot.
   const DeltaOverlay& overlay() const { return overlay_; }
-  const CsrSnapshot& csr() const { return idx_->csr; }
+  const CsrSnapshot& csr() const { return *csr_; }
   size_t num_resources() const { return policy_->resources.size(); }
 
   /// Raw pieces of the frozen bundle, exposed for the sharded serving
@@ -251,7 +222,7 @@ class AccessReadView {
 
  private:
   AccessReadView(const SocialGraph& graph,
-                 std::shared_ptr<const SnapshotIndexes> idx,
+                 std::shared_ptr<const CsrSnapshot> csr,
                  std::shared_ptr<const PolicySnapshot> policy,
                  const DeltaOverlay& overlay, uint64_t snapshot_generation);
 
@@ -274,19 +245,14 @@ class AccessReadView {
       EvalContext& ctx) const;
 
   const SocialGraph* graph_;
-  std::shared_ptr<const SnapshotIndexes> idx_;
+  std::shared_ptr<const CsrSnapshot> csr_;
   std::shared_ptr<const PolicySnapshot> policy_;
-  /// Frozen at Create(); evaluators below hold its address.
+  /// Frozen at Create(); online_ holds its address.
   DeltaOverlay overlay_;
   size_t logical_num_nodes_ = 0;
   uint64_t snapshot_generation_ = 0;
-
-  std::unique_ptr<Evaluator> online_;
-  /// Null unless the bundle carries a closure.
-  std::unique_ptr<Evaluator> prefiltered_;
-  /// What every request is decided by: prefiltered_ when set, else
-  /// online_.
-  const Evaluator* serving_ = nullptr;
+  /// Decides every request.
+  OnlineEvaluator online_;
 };
 
 }  // namespace sargus

@@ -22,8 +22,9 @@
 ///    insertions.
 ///
 /// Queries that lose their pruning direction fall through to overlay-
-/// aware online search (the AccessControlEngine routes them), so every
-/// evaluator keeps agreeing on grant/deny — conservatism, not staleness.
+/// aware online search (each index-backed evaluator delegates to the one
+/// it wraps), so every evaluator keeps agreeing on grant/deny —
+/// conservatism, not staleness.
 
 #include "graph/delta_overlay.h"
 

@@ -24,10 +24,6 @@
 
 namespace sargus {
 
-namespace storage {
-struct StorageAccess;
-}
-
 class TransitiveClosure {
  public:
   TransitiveClosure() = default;
@@ -66,8 +62,6 @@ class TransitiveClosure {
   }
 
  private:
-  friend struct storage::StorageAccess;
-
   bool undirected_ = false;
   uint32_t num_components_ = 0;
   size_t words_ = 0;  // bitset row width in 64-bit words

@@ -4,7 +4,6 @@
 
 #include "common/checksum.h"
 #include "common/file_util.h"
-#include "index/transitive_closure.h"
 
 namespace sargus::storage {
 
@@ -71,16 +70,6 @@ void StorageAccess::SaveCsr(const CsrSnapshot& csr, BlobWriter& w) {
   for (const auto& e : csr.in_entries_) w.PutU32(e.edge);
 }
 
-void StorageAccess::SaveClosure(const TransitiveClosure& c, BlobWriter& w) {
-  w.PutU8(c.undirected_ ? 1 : 0);
-  w.PutU32(c.num_components_);
-  w.PutU64(c.words_);
-  w.PutU64(c.reachable_pairs_);
-  w.PutVec(c.component_of_);
-  w.PutVec(c.component_size_);
-  w.PutVec(c.reach_);
-}
-
 void StorageAccess::SaveOverlay(const DeltaOverlay& o, BlobWriter& w) {
   // Triples as columns (EdgeTriple has padding); adjacency maps are
   // rebuilt by re-staging on load. Set iteration order is arbitrary but
@@ -104,11 +93,10 @@ void StorageAccess::SaveOverlay(const DeltaOverlay& o, BlobWriter& w) {
 // ---- Bundle assembly --------------------------------------------------------
 
 Status WriteBundle(const std::string& path, const BundlePayload& payload) {
-  if (payload.graph == nullptr || payload.indexes == nullptr ||
+  if (payload.graph == nullptr || payload.csr == nullptr ||
       payload.overlay == nullptr) {
     return Status::InvalidArgument("WriteBundle: null payload component");
   }
-  const SnapshotIndexes& idx = *payload.indexes;
 
   struct PendingSection {
     SectionKind kind;
@@ -124,11 +112,7 @@ Status WriteBundle(const std::string& path, const BundlePayload& payload) {
   add(SectionKind::kGraph,
       [&](BlobWriter& w) { StorageAccess::SaveGraph(*payload.graph, w); });
   add(SectionKind::kCsr,
-      [&](BlobWriter& w) { StorageAccess::SaveCsr(idx.csr, w); });
-  if (idx.closure != nullptr) {
-    add(SectionKind::kClosure,
-        [&](BlobWriter& w) { StorageAccess::SaveClosure(*idx.closure, w); });
-  }
+      [&](BlobWriter& w) { StorageAccess::SaveCsr(*payload.csr, w); });
   add(SectionKind::kOverlay,
       [&](BlobWriter& w) { StorageAccess::SaveOverlay(*payload.overlay, w); });
 
@@ -151,12 +135,6 @@ Status WriteBundle(const std::string& path, const BundlePayload& payload) {
   }
   const uint64_t file_size = offset;
 
-  uint64_t flags = 0;
-  if (idx.closure != nullptr) {
-    flags |= kFlagClosure;
-    if (idx.closure->is_undirected()) flags |= kFlagClosureUndirected;
-  }
-
   std::vector<uint8_t> file(file_size, 0);
   uint8_t* h = file.data();
   PokeU64(h, 0, kBundleMagic);
@@ -165,7 +143,7 @@ Status WriteBundle(const std::string& path, const BundlePayload& payload) {
   PokeU64(h, 16, file_size);
   PokeU64(h, 24, payload.stamp.generation);
   PokeU64(h, 32, payload.stamp.overlay_version);
-  PokeU64(h, 40, flags);
+  PokeU64(h, 40, 0);  // flags: no bit is live
   PokeU64(h, 48, payload.compact_threshold);
   PokeU32(h, 56, static_cast<uint32_t>(sections.size()));
   PokeU32(h, 60, 0);  // reserved
@@ -219,7 +197,9 @@ Result<BundleInfo> ParseBundleHeader(std::span<const uint8_t> bytes) {
   }
   info.stamp.generation = PeekU64(h, 24);
   info.stamp.overlay_version = PeekU64(h, 32);
-  info.flags = PeekU64(h, 40);
+  if (PeekU64(h, 40) != 0) {
+    return Status::DataLoss("bundle: unknown header flags");
+  }
   info.compact_threshold = PeekU64(h, 48);
   const uint32_t num_sections = PeekU32(h, 56);
   if (num_sections > kBundleMaxSections) {

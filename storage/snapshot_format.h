@@ -4,8 +4,8 @@
 /// \file snapshot_format.h
 /// \brief The on-disk snapshot bundle: one versioned, page-aligned,
 /// checksummed file holding everything a serving engine needs — graph,
-/// overlay, and the entire prebuilt index stack — so a restart is an
-/// mmap + verify + adopt, never an index *computation*.
+/// overlay, and the prebuilt CSR — so a restart is an mmap + verify +
+/// adopt, never an index *computation*.
 ///
 /// File layout (little-endian throughout; the build static_asserts it):
 ///
@@ -46,7 +46,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "engine/read_view.h"
+#include "graph/csr.h"
 #include "graph/delta_overlay.h"
 #include "graph/social_graph.h"
 
@@ -75,20 +75,19 @@ inline constexpr size_t kBundleMaxSections =
     (kBundlePageSize - 8 - kBundleSectionTableOffset) /
     kBundleSectionEntryBytes;
 
-/// Bundle capability flags (header `flags` field). Redundant with the
-/// section list, kept so option validation reads the header only. Bits
-/// 0 and 1 flagged the join stack and backward line-graph orientations
-/// up to version 4; retired, never reused.
-inline constexpr uint64_t kFlagClosure = 1ULL << 2;
-inline constexpr uint64_t kFlagClosureUndirected = 1ULL << 3;
+// The header's `flags` field (bytes 40..48) is always written 0 and a
+// loader refuses any nonzero value. Bits 0 and 1 flagged the join stack
+// and backward line-graph orientations up to version 4, bits 2 and 3
+// the transitive closure and its undirected mode; all retired, never
+// reused.
 
 enum class SectionKind : uint32_t {
   kGraph = 1,
   kCsr = 2,
   // Retired, never reused: 3 held the line graph and 5 the cluster
   // index up to version 4, 4 the line-graph reachability oracle up to
-  // version 3, and 6 the paper's base tables up to version 1.
-  kClosure = 7,
+  // version 3, 6 the paper's base tables up to version 1, and 7 the
+  // transitive closure of the served prefilter.
   kOverlay = 8,
 };
 
@@ -107,11 +106,10 @@ struct SnapshotStamp {
 };
 
 /// What the engine hands the writer. All pointers are borrowed for the
-/// duration of WriteBundle; `indexes->closure` is null unless the
-/// prefilter is on.
+/// duration of WriteBundle.
 struct BundlePayload {
   const SocialGraph* graph = nullptr;
-  const SnapshotIndexes* indexes = nullptr;
+  const CsrSnapshot* csr = nullptr;
   const DeltaOverlay* overlay = nullptr;
   SnapshotStamp stamp;
   /// Effective auto-compaction threshold at save time, restored on open.
@@ -128,7 +126,6 @@ struct BundleInfo {
   uint32_t page_size = 0;
   uint64_t file_size = 0;
   SnapshotStamp stamp;
-  uint64_t flags = 0;
   uint64_t compact_threshold = 0;
   struct Section {
     SectionKind kind;
@@ -143,8 +140,8 @@ struct BundleInfo {
 Result<BundleInfo> ReadBundleInfo(const std::string& path);
 
 /// Verifies the header page of an already-mapped bundle (magic, version,
-/// header checksum, section-table bounds). The loader and ReadBundleInfo
-/// share this so "valid header" means one thing.
+/// header checksum, zero flags, section-table bounds). The loader and
+/// ReadBundleInfo share this so "valid header" means one thing.
 Result<BundleInfo> ParseBundleHeader(std::span<const uint8_t> bytes);
 
 // ---- Byte codec -------------------------------------------------------------
@@ -272,9 +269,6 @@ struct StorageAccess {
 
   static void SaveCsr(const CsrSnapshot& csr, BlobWriter& w);
   static Status LoadCsr(BlobReader& r, CsrSnapshot* csr);
-
-  static void SaveClosure(const TransitiveClosure& c, BlobWriter& w);
-  static Status LoadClosure(BlobReader& r, TransitiveClosure* c);
 
   static void SaveOverlay(const DeltaOverlay& o, BlobWriter& w);
   static Status LoadOverlay(BlobReader& r, DeltaOverlay* o);

@@ -8,7 +8,6 @@
 
 #include "common/checksum.h"
 #include "common/file_util.h"
-#include "index/transitive_closure.h"
 
 namespace sargus::storage {
 
@@ -127,17 +126,6 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   return FinishSection(r, "csr");
 }
 
-Status StorageAccess::LoadClosure(BlobReader& r, TransitiveClosure* c) {
-  c->undirected_ = r.GetU8() != 0;
-  c->num_components_ = r.GetU32();
-  c->words_ = r.GetU64();
-  c->reachable_pairs_ = r.GetU64();
-  r.GetVec(&c->component_of_);
-  r.GetVec(&c->component_size_);
-  r.GetVec(&c->reach_);
-  return FinishSection(r, "closure");
-}
-
 Status StorageAccess::LoadOverlay(BlobReader& r, DeltaOverlay* o) {
   auto load_triples = [&r](std::vector<DeltaOverlay::EdgeTriple>* out) {
     const uint64_t n = r.GetU64();
@@ -176,18 +164,17 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   SARGUS_ASSIGN_OR_RETURN(BundleInfo info, ParseBundleHeader(bytes));
 
   LoadedBundle out;
-  out.indexes = std::make_shared<SnapshotIndexes>();
+  out.csr = std::make_shared<CsrSnapshot>();
   out.stamp = info.stamp;
-  out.flags = info.flags;
   out.compact_threshold = info.compact_threshold;
 
-  // Screen the section table serially (duplicates, unknown kinds), and
-  // pre-allocate the owned index structures, before fanning out.
+  // Screen the section table serially (duplicates, unknown kinds) before
+  // fanning out.
   uint64_t seen = 0;
   for (const BundleInfo::Section& s : info.sections) {
     const uint32_t raw_kind = static_cast<uint32_t>(s.kind);
     if (s.kind != SectionKind::kGraph && s.kind != SectionKind::kCsr &&
-        s.kind != SectionKind::kClosure && s.kind != SectionKind::kOverlay) {
+        s.kind != SectionKind::kOverlay) {
       return Status::DataLoss("bundle: unknown section kind");  // or retired
     }
     const uint64_t kind_bit = 1ULL << raw_kind;
@@ -195,9 +182,6 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
       return Status::DataLoss("bundle: duplicate section");
     }
     seen |= kind_bit;
-    if (s.kind == SectionKind::kClosure) {
-      out.indexes->closure = std::make_unique<TransitiveClosure>();
-    }
   }
 
   // Verify and adopt sections concurrently when the machine has the
@@ -220,11 +204,7 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
         statuses[i] = StorageAccess::LoadGraph(r, &out.graph);
         break;
       case SectionKind::kCsr:
-        statuses[i] = StorageAccess::LoadCsr(r, &out.indexes->csr);
-        break;
-      case SectionKind::kClosure:
-        statuses[i] =
-            StorageAccess::LoadClosure(r, out.indexes->closure.get());
+        statuses[i] = StorageAccess::LoadCsr(r, out.csr.get());
         break;
       case SectionKind::kOverlay:
         statuses[i] = StorageAccess::LoadOverlay(r, &out.overlay);
@@ -259,9 +239,6 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   if (!require(SectionKind::kGraph) || !require(SectionKind::kCsr) ||
       !require(SectionKind::kOverlay)) {
     return Status::DataLoss("bundle: required section missing");
-  }
-  if (((info.flags & kFlagClosure) != 0) != (out.indexes->closure != nullptr)) {
-    return Status::DataLoss("bundle: closure flag / section mismatch");
   }
   return out;
 }

@@ -28,14 +28,13 @@
 namespace sargus::storage {
 
 /// A fully adopted bundle, ready for AccessControlEngine::OpenFromDir to
-/// install. `indexes` is mutable here (the loader fills it); the engine
+/// install. `csr` is mutable here (the loader fills it); the engine
 /// freezes it behind shared_ptr<const> on install.
 struct LoadedBundle {
   SocialGraph graph;
-  std::shared_ptr<SnapshotIndexes> indexes;
+  std::shared_ptr<CsrSnapshot> csr;
   DeltaOverlay overlay;
   SnapshotStamp stamp;
-  uint64_t flags = 0;
   uint64_t compact_threshold = 0;
 };
 

@@ -282,9 +282,7 @@ TEST(CompactionStress, ReadersRaceBackgroundCompactions) {
   // while readers hammer and the writer keeps mutating — the pipeline
   // itself is the thing under (TSan) test here, correctness per state
   // is pinned by the straddle test above.
-  AccessControlEngine engine(g, store,
-                             {.use_closure_prefilter = true,
-                              .compact_threshold = 8});
+  AccessControlEngine engine(g, store, {.compact_threshold = 8});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   const LabelId fr = g.labels().Lookup("friend");
 

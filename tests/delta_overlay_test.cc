@@ -226,52 +226,74 @@ TEST(EngineOverlay, AutoCompactionAtThreshold) {
   EXPECT_TRUE(f.Granted(5));
 }
 
-TEST(EngineOverlay, ClosurePrefilterSuspendedByPendingInsertions) {
-  // Two components: 0 -f-> 1   2 -f-> 3.
+// The closure prefilter is a library evaluator (the engine serves online
+// BFS alone), so its overlay conservatism is checked by wrapping an
+// overlay-aware OnlineEvaluator directly, as a view would.
+
+/// Two components, 0 -f-> 1 and 2 -f-> 3, with a snapshot CSR and the
+/// undirected closure the prefilter needs for soundness.
+struct PrefilterFixture {
   SocialGraph g;
-  for (int i = 0; i < 4; ++i) g.AddNode();
-  (void)g.AddEdge(0, 1, "friend");
-  (void)g.AddEdge(2, 3, "friend");
-  EngineFixture f(std::move(g), {"friend[1,3]"}, /*owner=*/0,
-                  {.use_closure_prefilter = true});
+  CsrSnapshot csr;
+  TransitiveClosure closure;
+  BoundPathExpression expr;
+  DeltaOverlay overlay;
+
+  PrefilterFixture() {
+    for (int i = 0; i < 4; ++i) g.AddNode();
+    (void)g.AddEdge(0, 1, "friend");
+    (void)g.AddEdge(2, 3, "friend");
+    Rebuild();
+    expr = MustBind(g, "friend[1,3]");
+  }
+
+  /// What a compaction does: fold the overlay, rebuild both indexes.
+  void Rebuild() {
+    csr = CsrSnapshot::Build(g);
+    closure = TransitiveClosure::Build(csr, /*as_undirected=*/true);
+  }
+
+  Evaluation Check(NodeId requester) {
+    OnlineEvaluator online(g, csr, &overlay);
+    ClosurePrefilterEvaluator prefiltered(closure, online, &overlay, &g);
+    auto r = prefiltered.Evaluate(ReachQuery{0, requester, &expr, false});
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? std::move(*r) : Evaluation{};
+  }
+};
+
+TEST(EngineOverlay, ClosurePrefilterSuspendedByPendingInsertions) {
+  PrefilterFixture f;
   // Disconnected: the closure fast-denies.
-  auto denied = f.engine->CheckAccess({.requester = 3, .resource = f.res});
-  ASSERT_TRUE(denied.ok());
-  EXPECT_FALSE(denied->granted);
-  EXPECT_GE(denied->stats.prefilter_rejections, 1u);
+  const Evaluation denied = f.Check(3);
+  EXPECT_FALSE(denied.granted);
+  EXPECT_GE(denied.stats.prefilter_rejections, 1u);
 
   // A pending insertion bridges the components. The stale closure still
   // says "unreachable" — the prefilter must stand down, not fast-deny.
-  ASSERT_TRUE(f.engine->AddEdge(1, 2, "friend").ok());
-  auto granted = f.engine->CheckAccess({.requester = 3, .resource = f.res});
-  ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted->granted);  // 0 -f-> 1 -f-> 2 -f-> 3
-  EXPECT_EQ(granted->stats.prefilter_rejections, 0u);
+  const LabelId fr = f.g.labels().Lookup("friend");
+  ASSERT_TRUE(f.overlay.StageAdd(1, 2, fr));
+  const Evaluation granted = f.Check(3);
+  EXPECT_TRUE(granted.granted);  // 0 -f-> 1 -f-> 2 -f-> 3
+  EXPECT_EQ(granted.stats.prefilter_rejections, 0u);
 
-  // After compaction the closure covers the bridge; still granted.
-  ASSERT_TRUE(f.engine->Compact().ok());
-  f.engine->WaitForCompaction();
-  auto after = f.engine->CheckAccess({.requester = 3, .resource = f.res});
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(after->granted);
+  // After the fold the closure covers the bridge; still granted.
+  ASSERT_TRUE(f.g.AddEdge(1, 2, fr).ok());
+  f.overlay.Clear();
+  f.Rebuild();
+  EXPECT_TRUE(f.Check(3).granted);
 }
 
 TEST(EngineOverlay, ClosurePrefilterStaysActiveUnderPureDeletions) {
-  // 0 -f-> 1 and an isolated pair 2, 3: deletions cannot create paths,
-  // so the snapshot closure remains a sound over-approximation.
-  SocialGraph g;
-  for (int i = 0; i < 4; ++i) g.AddNode();
-  (void)g.AddEdge(0, 1, "friend");
-  (void)g.AddEdge(2, 3, "friend");
-  EngineFixture f(std::move(g), {"friend[1,3]"}, /*owner=*/0,
-                  {.use_closure_prefilter = true});
-  ASSERT_TRUE(f.engine->RemoveEdge(2, 3, "friend").ok());
-  ASSERT_TRUE(f.engine->overlay().has_deletions());
-  auto denied = f.engine->CheckAccess({.requester = 3, .resource = f.res});
-  ASSERT_TRUE(denied.ok());
-  EXPECT_FALSE(denied->granted);
+  // Deletions cannot create paths, so the snapshot closure remains a
+  // sound over-approximation.
+  PrefilterFixture f;
+  ASSERT_TRUE(f.overlay.StageRemove(2, 3, f.g.labels().Lookup("friend")));
+  ASSERT_TRUE(f.overlay.has_deletions());
+  const Evaluation denied = f.Check(3);
+  EXPECT_FALSE(denied.granted);
   // The fast-deny path still fires (deny pruning stays valid).
-  EXPECT_GE(denied->stats.prefilter_rejections, 1u);
+  EXPECT_GE(denied.stats.prefilter_rejections, 1u);
 }
 
 // ---- Randomized interleaved mutations vs rebuild-from-scratch oracle --------
@@ -304,9 +326,7 @@ TEST(EngineOverlay, RandomizedInterleavedMutationsAgreeWithOracle) {
     resources.push_back({id, owner});
   }
 
-  AccessControlEngine engine(g, store,
-                             {.use_closure_prefilter = true,
-                              .compact_threshold = 16});
+  AccessControlEngine engine(g, store, {.compact_threshold = 16});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
 
   MirrorGraph oracle(g);

@@ -43,25 +43,20 @@ TEST_F(EngineTest, GrantAndDenyAcrossEvaluatorChoices) {
   ASSERT_TRUE(store_.AddRuleFromPaths(photo, {"friend[1,2]/colleague[1]"})
                   .ok());
 
-  // The two serving configurations: online BFS alone and behind the
-  // closure prefilter.
-  for (const bool prefilter : {false, true}) {
-    AccessControlEngine engine(g_, store_,
-                               {.use_closure_prefilter = prefilter});
-    ASSERT_TRUE(engine.RebuildIndexes().ok());
-    // Node 3 is in the audience of owner 0 (0-f->4-c->3).
-    auto granted = engine.CheckAccess({.requester = 3, .resource = photo});
-    ASSERT_TRUE(granted.ok());
-    EXPECT_TRUE(granted->granted) << prefilter;
-    EXPECT_TRUE(granted->matched_rule.has_value());
-    EXPECT_EQ(granted->evaluator_name,
-              prefilter ? "closure-prefilter" : "online-bfs");
-    // Node 2 is not (no colleague edge ends at 2).
-    auto denied = engine.CheckAccess({.requester = 2, .resource = photo});
-    ASSERT_TRUE(denied.ok());
-    EXPECT_FALSE(denied->granted) << prefilter;
-    EXPECT_FALSE(denied->matched_rule.has_value());
-  }
+  // The one serving configuration: online BFS.
+  AccessControlEngine engine(g_, store_);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  // Node 3 is in the audience of owner 0 (0-f->4-c->3).
+  auto granted = engine.CheckAccess({.requester = 3, .resource = photo});
+  ASSERT_TRUE(granted.ok());
+  EXPECT_TRUE(granted->granted);
+  EXPECT_TRUE(granted->matched_rule.has_value());
+  EXPECT_EQ(granted->evaluator_name, "online-bfs");
+  // Node 2 is not (no colleague edge ends at 2).
+  auto denied = engine.CheckAccess({.requester = 2, .resource = photo});
+  ASSERT_TRUE(denied.ok());
+  EXPECT_FALSE(denied->granted);
+  EXPECT_FALSE(denied->matched_rule.has_value());
 }
 
 TEST_F(EngineTest, OwnerAlwaysGranted) {
@@ -125,13 +120,11 @@ TEST_F(EngineTest, RulePathErrorDoesNotMaskLaterGrant) {
   EXPECT_EQ(err.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(EngineTest, WitnessAndPrefilter) {
+TEST_F(EngineTest, WitnessIsPerRequest) {
   const ResourceId res = store_.RegisterResource(0, "res");
   ASSERT_TRUE(
       store_.AddRuleFromPaths(res, {"friend[1,2]/colleague[1]"}).ok());
-  EngineOptions opts;
-  opts.use_closure_prefilter = true;
-  AccessControlEngine engine(g_, store_, opts);
+  AccessControlEngine engine(g_, store_);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
 
   // Witness is per request now, not an engine-wide option.

@@ -215,9 +215,7 @@ TEST(ReadView, ConcurrentReadersVsMutatorAgreeWithPerStateOracle) {
 
   // Auto-compaction off: the mutator compacts explicitly, so every
   // published state is one it recorded an oracle matrix for.
-  AccessControlEngine engine(g, store,
-                             {.use_closure_prefilter = true,
-                              .compact_threshold = 0});
+  AccessControlEngine engine(g, store, {.compact_threshold = 0});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
 
   // Bound once against the engine graph (dictionaries only grow, so

@@ -433,35 +433,14 @@ TEST(Bundle, MissingBundleIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
-TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
-  TempDir dir;
-  SocialGraph g = MakeDiamond();
-  PolicyStore store;
-  // Save under the default configuration: no closure.
-  AccessControlEngine engine(g, store);
-  ASSERT_TRUE(engine.RebuildIndexes().ok());
-  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
-
-  SocialGraph g2;
-  EngineOptions closure;
-  closure.use_closure_prefilter = true;
-  auto need_closure =
-      AccessControlEngine::OpenFromDir(dir.path(), &g2, store, closure);
-  ASSERT_FALSE(need_closure.ok());
-  EXPECT_EQ(need_closure.status().code(), StatusCode::kFailedPrecondition);
-
-  // The configuration that saved it opens fine.
-  auto ok = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  ExpectDecisionEquivalence(engine, **ok, g.NumNodes(), store.NumResources());
-}
-
 // Version 2 dropped the base-table section, version 3 the oracle's
 // interval labels, version 4 the oracle section, version 5 the line-graph
-// and cluster sections. A bundle whose resealed header says version 1 to
-// 4, or whose section table names a retired kind 3 to 6 (here: a
-// well-formed extra entry aliasing the graph section's checksummed
-// bytes), is refused outright — never half-adopted.
+// and cluster sections; the closure section and every header flag bit
+// retired later without a version bump. A bundle whose resealed header
+// says version 1 to 4 or sets any flag bit, or whose section table names
+// a retired kind 3 to 7 (here: a well-formed extra entry aliasing the
+// graph section's checksummed bytes), is refused outright — never
+// half-adopted.
 TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
@@ -476,9 +455,11 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   EXPECT_EQ(info->version, 5u);
   for (const auto& section : info->sections) {
     const uint32_t kind = static_cast<uint32_t>(section.kind);
-    EXPECT_TRUE(kind < 3 || kind > 6) << kind;
+    EXPECT_TRUE(kind < 3 || kind > 7) << kind;
   }
-  EXPECT_EQ(info->flags & 0b11, 0u);  // the retired join-stack flags
+  uint64_t flags = 0;
+  std::memcpy(&flags, pristine.data() + 40, sizeof flags);
+  EXPECT_EQ(flags, 0u);  // no flag bit is live
   const size_t num_sections = info->sections.size();
   ASSERT_LT(num_sections, storage::kBundleMaxSections);
 
@@ -504,6 +485,16 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   std::vector<uint8_t> version4 = pristine;
   poke_u32(version4, 8, 4);
   reseal(version4);
+  // Bits 0-1 flagged the join stack and backward line graph, bits 2-3
+  // the closure and its undirected mode.
+  std::vector<std::vector<uint8_t>> flag_bits;
+  for (int bit = 0; bit < 4; ++bit) {
+    std::vector<uint8_t> bytes = pristine;
+    const uint64_t flag = uint64_t{1} << bit;
+    std::memcpy(bytes.data() + 40, &flag, sizeof flag);
+    reseal(bytes);
+    flag_bits.push_back(std::move(bytes));
+  }
 
   auto with_retired_kind = [&](uint32_t kind) {
     std::vector<uint8_t> bytes = pristine;
@@ -521,6 +512,7 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   const std::vector<uint8_t> oracle_kind = with_retired_kind(4);
   const std::vector<uint8_t> cluster_kind = with_retired_kind(5);
   const std::vector<uint8_t> tables_kind = with_retired_kind(6);
+  const std::vector<uint8_t> closure_kind = with_retired_kind(7);
 
   const std::pair<const char*, const std::vector<uint8_t>*> cases[] = {
       {"version 1", &version1},
@@ -530,7 +522,12 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
       {"section kind 3", &line_graph_kind},
       {"section kind 4", &oracle_kind},
       {"section kind 5", &cluster_kind},
-      {"section kind 6", &tables_kind}};
+      {"section kind 6", &tables_kind},
+      {"section kind 7", &closure_kind},
+      {"flag bit 0", &flag_bits[0]},
+      {"flag bit 1", &flag_bits[1]},
+      {"flag bit 2", &flag_bits[2]},
+      {"flag bit 3", &flag_bits[3]}};
   for (const auto& [name, bytes] : cases) {
     SCOPED_TRACE(name);
     WriteAll(bundle_path, *bytes);
@@ -1002,7 +999,7 @@ TEST(Corruption, BundleBitFlipMatrix) {
     ASSERT_TRUE(loaded.ok());
     storage::BundlePayload payload;
     payload.graph = &loaded->graph;
-    payload.indexes = loaded->indexes.get();
+    payload.csr = loaded->csr.get();
     payload.overlay = &loaded->overlay;
     payload.stamp = loaded->stamp;
     payload.compact_threshold = loaded->compact_threshold;
@@ -1045,7 +1042,7 @@ TEST(Corruption, BundleBitFlipMatrix) {
         << "flip at checksummed byte " << at << " loaded anyway";
     storage::BundlePayload payload;
     payload.graph = &loaded->graph;
-    payload.indexes = loaded->indexes.get();
+    payload.csr = loaded->csr.get();
     payload.overlay = &loaded->overlay;
     payload.stamp = loaded->stamp;
     payload.compact_threshold = loaded->compact_threshold;
