@@ -4,24 +4,22 @@
 /// owners dominate, the way social traffic does) and reports, next to
 /// the latency series, the router's own counters:
 ///
-///  * summary_hit_rate — fraction of cross-shard checks the boundary
-///    summaries resolved without any frontier exchange. The acceptance
-///    criterion for the subsystem is >= 0.80 on the fresh-summary
-///    series (BM_ShardCheckAccess / BM_ShardCheckBatch).
-///  * fallback_rounds_per_walk — mean frontier-exchange rounds when the
-///    fallback does run (the dirty-shard series BM_ShardDirtyChurn
-///    forces it by mutating without RefreshSummaries()).
-///  * cross_share — fraction of checks that needed the cross-shard
-///    machinery at all (the rest were answered owner-locally).
+///  * cross_share — fraction of checks the owner phase left open (the
+///    rest were answered owner-locally).
+///  * phase_one_share — fraction of those open checks that phase one
+///    concluded, with no frontier round.
+///  * fallback_rounds_per_walk — mean frontier rounds per walk that
+///    entered them.
 ///
-/// BM_ShardSummaryRefresh prices the summaries themselves: the full
-/// per-shard product-SCC + restricted 2-hop rebuild.
+/// BM_ShardCheckBatch runs contiguous and community partitions. The
+/// community arm prices the same batches on a partition that follows
+/// the graph's clusters, where walks rarely leave their owner's shard.
 ///
-/// Robustness series (PR 7): BM_ShardDirectCall / BM_ShardTransportCall
+/// Robustness series: BM_ShardDirectCall / BM_ShardTransportCall
 /// price the fault-free executor hop (one job through the shard's worker
 /// queue against a direct engine call), and BM_ShardFaultInjection runs
-/// the full retry / breaker / degraded machinery under a seeded fault
-/// storm, reporting the robustness counters next to the latency.
+/// the full retry / breaker machinery under a seeded fault storm,
+/// reporting the robustness counters next to the latency.
 
 #include <benchmark/benchmark.h>
 
@@ -52,7 +50,8 @@ struct ShardedFixture {
 };
 
 std::unique_ptr<ShardedFixture> MakeFixture(
-    uint32_t shards, FaultInjectionTransport** fault = nullptr) {
+    uint32_t shards, FaultInjectionTransport** fault = nullptr,
+    PartitionStrategy strategy = PartitionStrategy::kContiguous) {
   auto f = std::make_unique<ShardedFixture>();
   f->graph = std::make_unique<SocialGraph>(
       MakeGraph(GraphKind::kBarabasiAlbert, kNodes, 3, /*seed=*/17));
@@ -75,10 +74,10 @@ std::unique_ptr<ShardedFixture> MakeFixture(
   }
   RouterOptions opts;
   opts.partition.num_shards = shards;
-  // Contiguous ranges ignore community structure on purpose: they cut
-  // straight through the BA core, which is what makes the cross-shard
-  // machinery (summaries, fallback) actually carry traffic here.
-  opts.partition.strategy = PartitionStrategy::kContiguous;
+  // Contiguous ranges (the default) ignore community structure on
+  // purpose: they cut straight through the BA core, which is what makes
+  // the frontier exchange actually carry traffic here.
+  opts.partition.strategy = strategy;
   if (fault != nullptr) {
     opts.transport_decorator =
         [fault](std::unique_ptr<ShardTransport> inner)
@@ -106,7 +105,7 @@ void ReportCounters(benchmark::State& state, const RouterCounters& before,
   const double rounds =
       static_cast<double>(after.fallback_rounds - before.fallback_rounds);
   state.counters["cross_share"] = checks > 0 ? cross / checks : 0.0;
-  state.counters["summary_hit_rate"] =
+  state.counters["phase_one_share"] =
       cross > 0 ? 1.0 - fallback_checks / cross : 1.0;
   state.counters["fallback_rounds_per_walk"] = walks > 0 ? rounds / walks : 0.0;
   // Robustness counters (all zero on a fault-free transport).
@@ -116,8 +115,6 @@ void ReportCounters(benchmark::State& state, const RouterCounters& before,
       static_cast<double>(after.timeouts - before.timeouts);
   state.counters["breaker_opens"] =
       static_cast<double>(after.breaker_opens - before.breaker_opens);
-  state.counters["degraded_answers"] =
-      static_cast<double>(after.degraded_answers - before.degraded_answers);
   state.counters["unavailable_errors"] =
       static_cast<double>(after.unavailable_errors - before.unavailable_errors);
 }
@@ -146,8 +143,9 @@ BENCHMARK(BM_ShardCheckAccess)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ShardCheckBatch(benchmark::State& state) {
   const auto shards = static_cast<uint32_t>(state.range(0));
+  const auto strategy = static_cast<PartitionStrategy>(state.range(1));
   constexpr size_t kBatch = 64;
-  auto f = MakeFixture(shards);
+  auto f = MakeFixture(shards, nullptr, strategy);
   if (f == nullptr) {
     state.SkipWithError("fixture build failed");
     return;
@@ -167,11 +165,15 @@ void BM_ShardCheckBatch(benchmark::State& state) {
   ReportCounters(state, before, f->router->counters());
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK(BM_ShardCheckBatch)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_ShardCheckBatch)
+    ->ArgNames({"shards", "strategy"})
+    ->Args({1, static_cast<int64_t>(PartitionStrategy::kContiguous)})
+    ->Args({4, static_cast<int64_t>(PartitionStrategy::kContiguous)})
+    ->Args({8, static_cast<int64_t>(PartitionStrategy::kContiguous)})
+    ->Args({4, static_cast<int64_t>(PartitionStrategy::kCommunity)});
 
-/// Dirty-shard series: a mutation every k checks, never refreshing the
-/// summaries — every cross-shard check after the first mutation takes
-/// the frontier-exchange fallback. Prices the conservatism.
+/// Churn series: a mutation every k checks, each through the router's
+/// both-shards write path, interleaved with single checks.
 void BM_ShardDirtyChurn(benchmark::State& state) {
   const auto checks_per_mutation = static_cast<size_t>(state.range(0));
   auto f = MakeFixture(4);
@@ -201,24 +203,6 @@ void BM_ShardDirtyChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardDirtyChurn)->Arg(16)->Arg(256);
-
-/// Full summary rebuild across all shards (product SCC + condensation +
-/// restricted 2-hop per rule path per shard).
-void BM_ShardSummaryRefresh(benchmark::State& state) {
-  const auto shards = static_cast<uint32_t>(state.range(0));
-  auto f = MakeFixture(shards);
-  if (f == nullptr) {
-    state.SkipWithError("fixture build failed");
-    return;
-  }
-  for (auto _ : state) {
-    if (!f->router->RefreshSummaries().ok()) {
-      state.SkipWithError("refresh failed");
-      return;
-    }
-  }
-}
-BENCHMARK(BM_ShardSummaryRefresh)->Arg(2)->Arg(8);
 
 /// Fault-free transport overhead pair. Both series drive the same
 /// single-shard engine with the same Zipf request stream; the only
@@ -268,9 +252,9 @@ BENCHMARK(BM_ShardTransportCall);
 
 /// The robust path under a seeded probabilistic fault storm: every
 /// shard's transport randomly delays, drops, errors, or corrupts.
-/// Latency here includes retries, backoff, and degraded composition
-/// (all sleeps and delays land on the decorator's virtual clock, so
-/// wall time measures real work, not waiting). The robustness counters
+/// Latency here includes retries and backoff (all sleeps and delays
+/// land on the decorator's virtual clock, so wall time measures real
+/// work, not waiting). The robustness counters
 /// from ReportCounters show what the storm cost; refused_share is the
 /// fraction of checks that ended in an explicit transport error rather
 /// than an exact answer.
@@ -367,8 +351,7 @@ std::unique_ptr<FanOutFixture> MakeFanOutFixture(uint32_t shards) {
 
   // Plant same-shard friend edges from every owner (mirrored into both
   // routers) and draw requesters from those pools: every batch slot is
-  // granted inside its owner's shard, so no slot escalates to the
-  // per-request cross-shard machinery.
+  // granted inside its owner's shard, so no slot needs a walk.
   const auto topo = f->sharded->topology();
   std::vector<std::vector<NodeId>> pools(res.size());
   for (size_t i = 0; i < res.size(); ++i) {

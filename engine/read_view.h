@@ -110,12 +110,6 @@ struct AccessDecision {
   /// stamps of the AccessReadView that served it.
   uint64_t snapshot_generation = 0;
   uint64_t overlay_version = 0;
-  /// Non-empty when the sharded tier answered this check in degraded
-  /// mode (an owner shard was unreachable and the decision was
-  /// concluded exactly from fresh boundary summaries — see
-  /// shard/router.h). The answer is still exact; this records that a
-  /// reduced path produced it. Always empty from a single engine.
-  std::string degraded_reason;
 };
 
 /// The immutable policy bundle: the resource table plus every rule bound
@@ -206,10 +200,10 @@ class AccessReadView {
   size_t num_resources() const { return policy_->resources.size(); }
 
   /// Raw pieces of the frozen bundle, exposed for the sharded serving
-  /// tier (shard/): cross-shard frontier expansion and boundary-summary
-  /// builds run ProductWalker directly over this view's (graph, csr,
-  /// overlay, compiled rules). Same lifetime and immutability contract
-  /// as csr()/overlay() — valid while the view is held, never mutated.
+  /// tier (shard/): cross-shard frontier expansion runs ProductWalker
+  /// directly over this view's (graph, csr, overlay, compiled rules).
+  /// Same lifetime and immutability contract as csr()/overlay() — valid
+  /// while the view is held, never mutated.
   const SocialGraph& graph() const { return *graph_; }
   const PolicySnapshot& policy() const { return *policy_; }
 

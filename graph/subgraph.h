@@ -9,12 +9,12 @@
 /// the source graph — node ids, label ids and attribute ids are global —
 /// but only the edges with at least one endpoint assigned to the shard:
 /// the shard's interior edges plus its side of every cut edge. Keeping
-/// ids global is what lets automaton state numbering, wire frontiers
-/// (shard/wire.h) and boundary summaries compose across shards with no
-/// translation tables, and what makes cross-cut mutations safe: a staged
-/// cut edge's far endpoint always already exists in both shard graphs,
-/// with its attributes, so attribute-filtered steps agree with a
-/// single-engine oracle. Edges are the dominant storage cost at scale;
+/// ids global is what lets automaton state numbering and wire frontiers
+/// (shard/wire.h) compose across shards with no translation tables,
+/// and what makes cross-cut mutations safe: a staged cut edge's far
+/// endpoint always already exists in both shard graphs, with its
+/// attributes, so attribute-filtered steps agree with a single-engine
+/// oracle. Edges are the dominant storage cost at scale;
 /// the O(|V|) node/attribute replication is the accepted price of the
 /// translation-free design (see docs/ARCHITECTURE.md, "Sharded serving
 /// tier").

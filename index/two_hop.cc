@@ -151,39 +151,6 @@ Result<TwoHopLabeling> TwoHopLabeling::Build(const Dag& dag,
   return lab;
 }
 
-Result<TwoHopLabeling> TwoHopLabeling::BuildRestricted(
-    const Dag& dag, std::span<const uint32_t> keep, TwoHopOptions options) {
-  const size_t n = dag.NumVertices();
-  std::vector<uint8_t> keep_mask(n, 0);
-  for (uint32_t v : keep) {
-    if (v >= n) {
-      return Status::InvalidArgument(
-          "BuildRestricted: keep vertex " + std::to_string(v) +
-          " out of range (DAG has " + std::to_string(n) + " vertices)");
-    }
-    keep_mask[v] = 1;
-  }
-
-  SARGUS_ASSIGN_OR_RETURN(TwoHopLabeling lab, Build(dag, options));
-
-  // Re-flatten with non-keep lists dropped. The copies are transient;
-  // the peak is one full labeling, the steady state |keep| lists.
-  std::vector<std::vector<uint32_t>> out_h(n);
-  std::vector<std::vector<uint32_t>> in_h(n);
-  for (uint32_t v = 0; v < n; ++v) {
-    if (!keep_mask[v]) continue;
-    out_h[v].assign(lab.out_hubs_.begin() + lab.out_offsets_[v],
-                    lab.out_hubs_.begin() + lab.out_offsets_[v + 1]);
-    in_h[v].assign(lab.in_hubs_.begin() + lab.in_offsets_[v],
-                   lab.in_hubs_.begin() + lab.in_offsets_[v + 1]);
-  }
-  lab.Flatten(out_h, in_h);
-  // Drop the slack the full build left behind.
-  lab.out_hubs_.shrink_to_fit();
-  lab.in_hubs_.shrink_to_fit();
-  return lab;
-}
-
 void TwoHopLabeling::Flatten(
     const std::vector<std::vector<uint32_t>>& out_hubs,
     const std::vector<std::vector<uint32_t>>& in_hubs) {

@@ -20,7 +20,6 @@
 ///    surrogate. Smaller labelings, much costlier construction.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -40,21 +39,6 @@ class TwoHopLabeling {
  public:
   static Result<TwoHopLabeling> Build(const Dag& dag,
                                       TwoHopOptions options = {});
-
-  /// Build() variant whose *stored* labels cover only the vertices in
-  /// `keep` (order irrelevant, duplicates tolerated, out-of-range
-  /// entries rejected). The pruned sweep still runs over the whole DAG
-  /// — pruning consults every vertex's labels during construction — but
-  /// the flattened result drops all other vertices' hub lists, so the
-  /// resident footprint scales with |keep|, not the DAG. Reachable(u, v)
-  /// stays exact when both endpoints are keep vertices (and trivially
-  /// for u == v); any other pair may report a false negative. The shard
-  /// boundary summaries build through this: they only ever ask
-  /// boundary-to-boundary questions, and shard-cut boundary sets are
-  /// tiny next to the full product DAG (see shard/boundary_summary.h).
-  static Result<TwoHopLabeling> BuildRestricted(const Dag& dag,
-                                                std::span<const uint32_t> keep,
-                                                TwoHopOptions options = {});
 
   /// Exact DAG reachability: u ->* v.
   bool Reachable(uint32_t u, uint32_t v) const;

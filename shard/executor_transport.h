@@ -9,7 +9,7 @@
 /// job queue (kQueueCapacity jobs), so one shard's calls execute in
 /// FIFO order. A call is a job: Submit copies the request, enqueues a
 /// closure, and returns a TransportTicket backed by a future. With that
-/// the router can scatter one sub-batch (or one frontier walk) per shard
+/// the router can scatter one sub-batch (or one walk frame) per shard
 /// and gather them in a fixed order — shard count becomes a throughput
 /// multiplier instead of pure overhead. Every ShardRouter builds one at
 /// Build(), N = 1 included; the fault decorator wraps it, never

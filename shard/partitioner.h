@@ -14,7 +14,8 @@
 ///    node order), then communities packed greedily onto the
 ///    least-loaded shard, largest first. Cuts far fewer edges than
 ///    contiguous ranges on clustered graphs — fewer cut edges means
-///    smaller boundary summaries and fewer cross-shard walks.
+///    fewer walks that leave their owner's shard, and fewer frontier
+///    rounds.
 ///
 /// The partitioner only assigns nodes; building the per-shard graphs is
 /// graph/subgraph.h and wiring them together is shard/router.h.

@@ -33,42 +33,68 @@ bool IsTransportError(const Status& s) {
          s.code() == StatusCode::kDeadlineExceeded;
 }
 
-/// Inserts `node` into a sorted-unique vector.
-void SortedInsert(std::vector<NodeId>& v, NodeId node) {
-  const auto it = std::lower_bound(v.begin(), v.end(), node);
-  if (it == v.end() || *it != node) v.insert(it, node);
+// Per frame kind: the empty test ScatterGather skips on, and the frame
+// content the retry salt is derived from.
+bool FrameEmpty(const wire::BatchCheckRequest& f) { return f.requests.empty(); }
+bool FrameEmpty(const wire::WalkRequest& f) { return f.walks.empty(); }
+
+uint64_t FrameSalt(uint32_t shard, const wire::BatchCheckRequest& f) {
+  const wire::CheckRequest& head = f.requests.front();
+  return (uint64_t{shard} << 48) ^ (uint64_t{f.requests.size()} << 36) ^
+         (uint64_t{head.requester} << 18) ^ head.resource;
 }
 
-void SortedErase(std::vector<NodeId>& v, NodeId node) {
-  const auto it = std::lower_bound(v.begin(), v.end(), node);
-  if (it != v.end() && *it == node) v.erase(it);
+uint64_t FrameSalt(uint32_t shard, const wire::WalkRequest& f) {
+  const wire::Walk& head = f.walks.front();
+  return (uint64_t{shard} << 48) ^ (uint64_t{f.walks.size()} << 36) ^
+         (uint64_t{head.rule} << 28) ^ (uint64_t{head.path} << 24) ^
+         (uint64_t{head.owner} << 12) ^ head.requester;
 }
 
-bool HasCutArc(const ShardTopology& topo, NodeId src, NodeId dst,
-               LabelId label) {
-  for (const CutArc& a : topo.CutOut(src)) {
-    if (a.other == dst && a.label == label) return true;
-  }
-  return false;
-}
+constexpr size_t kNoRule = ~size_t{0};
 
-void EraseCutArc(std::unordered_map<NodeId, std::vector<CutArc>>& map,
-                 NodeId key, NodeId other, LabelId label) {
-  const auto it = map.find(key);
-  if (it == map.end()) return;
-  auto& arcs = it->second;
-  for (auto a = arcs.begin(); a != arcs.end(); ++a) {
-    if (a->other == other && a->label == label) {
-      arcs.erase(a);
-      break;
+/// One batch slot's progress through the decision procedure.
+struct BatchSlot {
+  /// Set when the slot is settled before any walk: a validation error,
+  /// owner access, or a failed owner sub-batch.
+  std::optional<Result<AccessDecision>> settled;
+  /// The owner phase's grant; dropped when an earlier rule grants.
+  std::optional<AccessDecision> owner_grant;
+  /// Position, in the resource's rule order, of the earliest rule known
+  /// to grant.
+  size_t grant_pos = kNoRule;
+  uint64_t pairs_visited = 0;
+  bool frontier = false;
+  /// The first failing walk in (rule, path) order, and its status.
+  size_t error_walk = ~size_t{0};
+  std::optional<Status> error;
+
+  void RecordError(size_t walk, const Status& status) {
+    if (walk < error_walk) {
+      error_walk = walk;
+      error = status;
     }
   }
-  if (arcs.empty()) map.erase(it);
-}
+};
 
-bool TouchesCut(const ShardTopology& topo, NodeId node) {
-  return !topo.CutOut(node).empty() || !topo.CutIn(node).empty();
-}
+/// One (slot, rule path) walk and its frontier-exchange state. A
+/// batch's walks are created in (slot, rule, path) order, so their
+/// index orders a slot's errors.
+struct BatchWalk {
+  uint32_t slot = 0;
+  size_t rule_pos = 0;
+  /// The phase-one walk; frontier rounds resend it with entries.
+  wire::Walk spec;
+  bool live = true;
+  uint64_t rounds = 0;
+  /// Configurations already shipped; each enters a shard once.
+  std::unordered_set<uint64_t> processed;
+  /// Entries for the next round, by owning shard.
+  std::vector<std::vector<wire::FrontierEntry>> pending;
+  /// This round's outcome.
+  bool accepted = false;
+  std::optional<Status> failure;
+};
 
 }  // namespace
 
@@ -120,34 +146,16 @@ Status ShardRouter::Build() {
     const PolicyStore::Resource& res = master_store_->resource(r);
     resources_.push_back(RouterResource{res.owner, res.rules});
   }
-  paths_.assign(master_store_->NumRules(), {});
+  num_paths_.clear();
+  num_paths_.reserve(master_store_->NumRules());
   for (RuleId id = 0; id < master_store_->NumRules(); ++id) {
-    for (const PathExpression& expr : master_store_->rule(id).paths) {
-      RouterPath rp;
-      Result<BoundPathExpression> bound =
-          BoundPathExpression::Bind(expr, *master_graph_);
-      if (bound.ok()) {
-        rp.bound =
-            std::make_shared<const BoundPathExpression>(std::move(*bound));
-      } else {
-        rp.bind_status = bound.status();
-      }
-      paths_[id].push_back(std::move(rp));
-    }
+    num_paths_.push_back(
+        static_cast<uint32_t>(master_store_->rule(id).paths.size()));
   }
 
   auto topo = std::make_shared<ShardTopology>();
   topo->num_shards = partition_.num_shards;
   topo->shard_of = partition_.shard_of;
-  topo->boundary.resize(partition_.num_shards);
-  for (const Edge& e : partition_.cut_edges) {
-    topo->cut_out[e.src].push_back({e.dst, e.label});
-    topo->cut_in[e.dst].push_back({e.src, e.label});
-  }
-  for (const Edge& e : partition_.cut_edges) {
-    SortedInsert(topo->boundary[topo->shard_of[e.src]], e.src);
-    SortedInsert(topo->boundary[topo->shard_of[e.dst]], e.dst);
-  }
   topo->epoch = 1;
   PublishTopology(std::move(topo));
 
@@ -157,9 +165,6 @@ Status ShardRouter::Build() {
   }
 
   built_ = true;
-  if (options_.build_summaries && shards_.size() > 1) {
-    return RefreshSummaries();
-  }
   return OkStatus();
 }
 
@@ -191,16 +196,12 @@ RouterCounters ShardRouter::counters() const {
   c.checks = counters_.checks.load(kRelaxed);
   c.cross_shard_checks = counters_.cross_shard_checks.load(kRelaxed);
   c.local_conclusive = counters_.local_conclusive.load(kRelaxed);
-  c.summary_resolved = counters_.summary_resolved.load(kRelaxed);
   c.fallback_walks = counters_.fallback_walks.load(kRelaxed);
   c.cross_fallback_walks = counters_.cross_fallback_walks.load(kRelaxed);
   c.fallback_rounds = counters_.fallback_rounds.load(kRelaxed);
-  c.stale_summary_fallbacks = counters_.stale_summary_fallbacks.load(kRelaxed);
-  c.capped_compositions = counters_.capped_compositions.load(kRelaxed);
   c.retries = counters_.retries.load(kRelaxed);
   c.timeouts = counters_.timeouts.load(kRelaxed);
   c.breaker_opens = health_ == nullptr ? 0 : health_->opens();
-  c.degraded_answers = counters_.degraded_answers.load(kRelaxed);
   c.unavailable_errors = counters_.unavailable_errors.load(kRelaxed);
   return c;
 }
@@ -313,466 +314,37 @@ Result<wire::MutateReply> ShardRouter::CallMutate(
   return CallShard(shard, salt, req);
 }
 
+template <typename Request>
+std::vector<std::pair<uint32_t, Result<ReplyFor<Request>>>>
+ShardRouter::ScatterGather(const std::vector<Request>& frames,
+                           uint64_t salt_base) const {
+  std::vector<PendingCall<Request>> calls;
+  for (uint32_t s = 0; s < frames.size(); ++s) {
+    if (FrameEmpty(frames[s])) continue;
+    calls.push_back(
+        BeginCall(s, salt_base ^ FrameSalt(s, frames[s]), frames[s]));
+  }
+  // Every ticket is resolved, even after a failure, so no frame is
+  // abandoned mid-round.
+  std::vector<std::pair<uint32_t, Result<ReplyFor<Request>>>> replies;
+  replies.reserve(calls.size());
+  for (PendingCall<Request>& call : calls) {
+    replies.emplace_back(call.shard, FinishCall(call));
+  }
+  return replies;
+}
+
 Result<AccessDecision> ShardRouter::CheckAccess(
     const AccessRequest& request) const {
-  if (!built_) {
-    return Status::FailedPrecondition("ShardRouter: Build() not called");
-  }
-  counters_.checks.fetch_add(1, kRelaxed);
-  return DecideMulti(request);
-}
-
-Result<AccessDecision> ShardRouter::DecideMulti(
-    const AccessRequest& request) const {
-  Result<AccessDecision> d = DecideMultiImpl(request);
-  if (!d.ok()) {
-    if (IsTransportError(d.status())) {
-      counters_.unavailable_errors.fetch_add(1, kRelaxed);
-    }
-  } else if (!d->degraded_reason.empty()) {
-    counters_.degraded_answers.fetch_add(1, kRelaxed);
-  }
-  return d;
-}
-
-Result<AccessDecision> ShardRouter::DecideMultiImpl(
-    const AccessRequest& request) const {
-  const auto topo = topology();
-  if (request.resource >= resources_.size()) {
-    return Status::NotFound("ShardRouter: unknown resource " +
-                            std::to_string(request.resource));
-  }
-  if (request.requester >= topo->shard_of.size()) {
-    return Status::InvalidArgument("ShardRouter: requester " +
-                                   std::to_string(request.requester) +
-                                   " out of range");
-  }
-  const RouterResource& res = resources_[request.resource];
-  const wire::Stamp stamp = Stamp();
-
-  if (request.requester == res.owner) {
-    AccessDecision d;
-    d.granted = true;
-    d.owner_access = true;
-    d.requester = request.requester;
-    d.resource = request.resource;
-    d.evaluator_name = "shard-owner";
-    d.snapshot_generation = stamp.snapshot_generation;
-    d.overlay_version = stamp.overlay_version;
-    return d;
-  }
-
-  // Step 1 (local phase): the owner shard decides over its local edges.
-  // A grant is authoritative — local edges are a subset of global edges
-  // — and carries the witness when one was requested.
-  const uint32_t owner_shard = topo->shard_of[res.owner];
-  const uint64_t check_salt =
-      (uint64_t{request.requester} << 32) ^ request.resource;
-  const wire::CheckRequest local_req = ToWire(request);
-  const Result<wire::CheckReply> local_r =
-      CallShard(owner_shard, check_salt, local_req);
-  if (!local_r.ok()) {
-    // The owner's shard is unreachable (retries and breaker already
-    // consulted). Degrade when allowed: conclude exactly from fresh
-    // boundary summaries, or fail explicitly — never guess.
-    if (options_.robustness.allow_degraded && shards_.size() > 1 &&
-        IsTransportError(local_r.status())) {
-      return DecideDegraded(*topo, request, res.owner, local_r.status());
-    }
-    return local_r.status();
-  }
-  const wire::CheckReply& local = *local_r;
-  if (local.status_code == 0 && local.granted != 0) {
-    counters_.local_conclusive.fetch_add(1, kRelaxed);
-    Result<AccessDecision> d =
-        FromWire(local, request.requester, request.resource);
-    d->snapshot_generation = stamp.snapshot_generation;
-    d->overlay_version = stamp.overlay_version;
-    return d;
-  }
-  // Steps 2-3: per rule path, exact global reachability. Disjunction
-  // semantics mirror the engine: first error is remembered and surfaced
-  // only when nothing grants.
-  counters_.cross_shard_checks.fetch_add(1, kRelaxed);
-  CrossStats cross;
-  cross.pairs_visited = local.pairs_visited;
-  std::optional<Status> first_error;
-  std::optional<RuleId> matched;
-  for (const RuleId rule : res.rules) {
-    for (uint32_t p = 0; p < paths_[rule].size() && !matched; ++p) {
-      const RouterPath& rp = paths_[rule][p];
-      if (!rp.bind_status.ok()) {
-        if (!first_error.has_value()) first_error = rp.bind_status;
-        continue;
-      }
-      Result<bool> reached =
-          PathReaches(*topo, rule, p, res.owner, request.requester, cross);
-      if (!reached.ok()) {
-        if (!first_error.has_value()) first_error = reached.status();
-        continue;
-      }
-      if (*reached) matched = rule;
-    }
-    if (matched.has_value()) break;
-  }
-  if (cross.used_fallback) {
-    counters_.cross_fallback_walks.fetch_add(1, kRelaxed);
-  } else {
-    counters_.summary_resolved.fetch_add(1, kRelaxed);
-  }
-  if (!matched.has_value() && first_error.has_value()) return *first_error;
-
-  AccessDecision d;
-  d.granted = matched.has_value();
-  d.requester = request.requester;
-  d.resource = request.resource;
-  d.matched_rule = matched;
-  d.stats.pairs_visited = cross.pairs_visited;
-  d.evaluator_name = cross.used_fallback  ? "shard-frontier"
-                     : cross.used_summary ? "shard-summary"
-                                          : "shard-local";
-  d.snapshot_generation = stamp.snapshot_generation;
-  d.overlay_version = stamp.overlay_version;
-  return d;
-}
-
-Result<AccessDecision> ShardRouter::DecideDegraded(
-    const ShardTopology& topo, const AccessRequest& request, NodeId owner,
-    const Status& owner_error) const {
-  const auto unavailable = [&](const std::string& why) {
-    return Status::Unavailable("ShardRouter: owner shard unreachable (" +
-                               owner_error.ToString() + ") and " + why);
-  };
-  if (!options_.build_summaries) {
-    return unavailable("boundary summaries are disabled");
-  }
-  counters_.cross_shard_checks.fetch_add(1, kRelaxed);
-  const RouterResource& res = resources_[request.resource];
-  CrossStats cross;
-  std::optional<Status> first_error;
-  std::optional<RuleId> matched;
-  for (const RuleId rule : res.rules) {
-    for (uint32_t p = 0; p < paths_[rule].size() && !matched; ++p) {
-      const RouterPath& rp = paths_[rule][p];
-      if (!rp.bind_status.ok()) {
-        if (!first_error.has_value()) first_error = rp.bind_status;
-        continue;
-      }
-      // Seed the composition at the owner's automaton start closure.
-      // The owner is a boundary vertex of the down shard whenever that
-      // shard participates in cross-shard paths for it; its FRESH
-      // summary (stamps cannot move while the shard is unreachable —
-      // mutations fail stop) then carries the walk across the down
-      // shard without one data-plane call into it. Any obstruction
-      // (non-boundary owner, stale summary, work cap) aborts to an
-      // explicit error: degraded mode has no fallback walk to hide in.
-      const HopAutomaton& nfa = rp.bound->automaton();
-      const std::vector<uint32_t> residual = wire::ResidualHopBudgets(nfa);
-      std::vector<wire::FrontierEntry> seeds;
-      seeds.reserve(nfa.StartStates().size());
-      for (uint32_t s0 : nfa.StartStates()) {
-        seeds.push_back({owner, s0, residual[s0]});
-      }
-      Result<ComposeOutcome> out = ComposeSummaries(
-          topo, rule, p, owner, request.requester, seeds, cross);
-      if (!out.ok()) {
-        if (!first_error.has_value()) first_error = out.status();
-        continue;
-      }
-      switch (*out) {
-        case ComposeOutcome::kGranted:
-          matched = rule;
-          break;
-        case ComposeOutcome::kDenied:
-          break;
-        case ComposeOutcome::kStale:
-          if (!first_error.has_value()) {
-            first_error = unavailable(
-                "a needed boundary summary is stale, unbuilt, or does not "
-                "cover the owner");
-          }
-          break;
-        case ComposeOutcome::kCapped:
-          if (!first_error.has_value()) {
-            first_error = unavailable("summary composition hit its work cap");
-          }
-          break;
-      }
-    }
-    if (matched.has_value()) break;
-  }
-  // A deny is exact only if EVERY rule path concluded; a grant is exact
-  // on its own (summaries never over-approximate).
-  if (!matched.has_value() && first_error.has_value()) return *first_error;
-
-  const wire::Stamp stamp = Stamp();
-  AccessDecision d;
-  d.granted = matched.has_value();
-  d.requester = request.requester;
-  d.resource = request.resource;
-  d.matched_rule = matched;
-  d.stats.pairs_visited = cross.pairs_visited;
-  d.evaluator_name = "shard-degraded";
-  d.snapshot_generation = stamp.snapshot_generation;
-  d.overlay_version = stamp.overlay_version;
-  d.degraded_reason = "owner shard unreachable (" + owner_error.ToString() +
-                      "); concluded exactly from fresh boundary summaries";
-  return d;
-}
-
-Result<bool> ShardRouter::PathReaches(const ShardTopology& topo, RuleId rule,
-                                      uint32_t path, NodeId owner,
-                                      NodeId requester,
-                                      CrossStats& stats) const {
-  // Phase one: walk the owner's shard from the automaton start closure.
-  wire::WalkRequest phase1;
-  phase1.rule = rule;
-  phase1.path = path;
-  phase1.requester = requester;
-  phase1.seed = wire::WalkSeed::kOwnerStarts;
-  phase1.owner = owner;
-  const uint32_t owner_shard = topo.shard_of[owner];
-  const uint64_t walk_salt = (uint64_t{rule} << 48) ^ (uint64_t{path} << 40) ^
-                             (uint64_t{owner} << 20) ^ requester;
-  const Result<wire::WalkReply> r1r = CallShard(owner_shard, walk_salt, phase1);
-  if (!r1r.ok()) return r1r.status();
-  const wire::WalkReply& r1 = *r1r;
-  if (r1.status_code != 0) {
-    return wire::UnpackStatus(r1.status_code, r1.error);
-  }
-  stats.pairs_visited += r1.pairs_visited;
-  if (r1.accepted != 0) return true;
-  // Nothing escaped the shard: the deny is global, no summary needed.
-  if (r1.exports.empty()) return false;
-
-  if (!options_.build_summaries) {
-    return FallbackWalk(topo, rule, path, owner, requester, r1.exports, stats);
-  }
-
-  SARGUS_ASSIGN_OR_RETURN(
-      const ComposeOutcome out,
-      ComposeSummaries(topo, rule, path, owner, requester, r1.exports, stats));
-  switch (out) {
-    case ComposeOutcome::kGranted:
-      return true;
-    case ComposeOutcome::kDenied:
-      return false;
-    case ComposeOutcome::kStale:
-      counters_.stale_summary_fallbacks.fetch_add(1, kRelaxed);
-      return FallbackWalk(topo, rule, path, owner, requester, r1.exports,
-                          stats);
-    case ComposeOutcome::kCapped:
-      counters_.capped_compositions.fetch_add(1, kRelaxed);
-      return FallbackWalk(topo, rule, path, owner, requester, r1.exports,
-                          stats);
-  }
-  return Status::Internal("ShardRouter: unreachable compose outcome");
-}
-
-Result<ShardRouter::ComposeOutcome> ShardRouter::ComposeSummaries(
-    const ShardTopology& topo, RuleId rule, uint32_t path, NodeId owner,
-    NodeId requester, std::span<const wire::FrontierEntry> seeds,
-    CrossStats& stats) const {
-  // Step 2: router-local summary composition. A worklist of boundary
-  // configurations; each is pushed through its shard's summary (exact
-  // boundary-to-boundary product reachability), then expanded across
-  // cut edges, until acceptance, a fixpoint, or a reason to bail
-  // (kStale / kCapped — the caller decides between frontier-exchange
-  // fallback and an explicit degraded-mode error).
-  const RouterPath& rp = paths_[rule][path];
-  const HopAutomaton& nfa = rp.bound->automaton();
-  const uint32_t num_states = nfa.NumStates();
-  const std::vector<uint32_t> residual = wire::ResidualHopBudgets(nfa);
-  const uint32_t req_shard = topo.shard_of[requester];
-
-  std::unordered_set<uint64_t> processed;
-  std::vector<wire::FrontierEntry> queue;
-  std::vector<wire::FrontierEntry> final_seeds;
-  auto enqueue = [&](const wire::FrontierEntry& e) {
-    if (!processed.insert(ConfigKey(e)).second) return;
-    queue.push_back(e);
-    // Entry configurations in the requester's shard also seed the final
-    // local walk (interior acceptance is invisible to summaries, which
-    // only speak boundary-to-boundary).
-    if (topo.shard_of[e.node] == req_shard) final_seeds.push_back(e);
-  };
-  for (const wire::FrontierEntry& e : seeds) enqueue(e);
-
-  // Summaries pinned and freshness-checked once per shard per call.
-  std::vector<std::shared_ptr<const BoundarySummary>> pinned(shards_.size());
-  std::vector<uint8_t> pin_checked(shards_.size(), 0);
-  auto summary_for = [&](uint32_t s) -> const BoundarySummary* {
-    if (pin_checked[s] == 0) {
-      pin_checked[s] = 1;
-      auto sum = shards_[s]->summary();
-      if (sum != nullptr && sum->stamp() == shards_[s]->ViewStamp() &&
-          sum->PathBuilt(rule, path)) {
-        pinned[s] = std::move(sum);
-      }
-    }
-    return pinned[s].get();
-  };
-
-  size_t tests = 0;
-  while (!queue.empty()) {
-    const wire::FrontierEntry entry = queue.back();
-    queue.pop_back();
-    const uint32_t c = topo.shard_of[entry.node];
-    const BoundarySummary* sum = summary_for(c);
-    const int64_t from_idx =
-        sum == nullptr ? -1 : sum->BoundaryIndexOf(entry.node);
-    if (from_idx < 0) return ComposeOutcome::kStale;
-    for (size_t j = 0; j < sum->num_boundary(); ++j) {
-      for (uint32_t t2 = 0; t2 < num_states; ++t2) {
-        if (++tests > kMaxCompositionTests) {
-          return ComposeOutcome::kCapped;
-        }
-        if (!sum->Reaches(rule, path, static_cast<size_t>(from_idx),
-                          entry.state, j, t2)) {
-          continue;
-        }
-        // The walk can sit at boundary vertex bv in state t2; expand the
-        // crossing over every matching cut edge, checking the far node
-        // against the step filter and the accept-after-edge test exactly
-        // as a live walker would.
-        const NodeId bv = sum->boundary_nodes()[j];
-        const BoundStep& step = nfa.StepSpec(t2);
-        const bool accepts = nfa.AcceptsAfterEdge(t2);
-        const std::vector<uint32_t>& targets = nfa.TargetsAfterEdge(t2);
-        const std::span<const CutArc> arcs =
-            step.backward ? topo.CutIn(bv) : topo.CutOut(bv);
-        for (const CutArc& arc : arcs) {
-          if (arc.label != step.label) continue;
-          if (!BoundPathExpression::NodePasses(*master_graph_, arc.other,
-                                               step)) {
-            continue;
-          }
-          if (accepts && arc.other == requester) {
-            stats.used_summary = true;
-            return ComposeOutcome::kGranted;
-          }
-          for (uint32_t t3 : targets) {
-            enqueue({arc.other, t3, residual[t3]});
-          }
-        }
-      }
-    }
-  }
-  stats.used_summary = true;
-  if (final_seeds.empty()) return ComposeOutcome::kDenied;
-
-  // Final local walk in the requester's shard (summaries only speak
-  // boundary-to-boundary; interior acceptance needs a live walk). In
-  // degraded mode, if the requester sits INSIDE the unreachable shard
-  // this call fails and the whole decision surfaces kUnavailable —
-  // exactly right, because no fresh summary can see that acceptance.
-  wire::WalkRequest fin;
-  fin.rule = rule;
-  fin.path = path;
-  fin.requester = requester;
-  fin.seed = wire::WalkSeed::kFrontier;
-  fin.owner = owner;
-  fin.frontier = std::move(final_seeds);
-  const uint64_t fin_salt = 0xF1A7ULL ^ (uint64_t{rule} << 48) ^
-                            (uint64_t{path} << 40) ^ (uint64_t{owner} << 20) ^
-                            requester;
-  const Result<wire::WalkReply> rfr = CallShard(req_shard, fin_salt, fin);
-  if (!rfr.ok()) return rfr.status();
-  const wire::WalkReply& rf = *rfr;
-  if (rf.status_code != 0) {
-    return wire::UnpackStatus(rf.status_code, rf.error);
-  }
-  stats.pairs_visited += rf.pairs_visited;
-  return rf.accepted != 0 ? ComposeOutcome::kGranted : ComposeOutcome::kDenied;
-}
-
-Result<bool> ShardRouter::FallbackWalk(
-    const ShardTopology& topo, RuleId rule, uint32_t path, NodeId owner,
-    NodeId requester, std::span<const wire::FrontierEntry> seeds,
-    CrossStats& stats) const {
-  stats.used_fallback = true;
-  counters_.fallback_walks.fetch_add(1, kRelaxed);
-  const uint64_t base_salt = 0xFA11ULL ^ (uint64_t{rule} << 48) ^
-                             (uint64_t{path} << 40) ^ (uint64_t{owner} << 20) ^
-                             requester;
-
-  // Two-phase rounds: every shard with pending entries walks once per
-  // round; fresh exports only enter the NEXT round's pending sets, so a
-  // round's walks are independent of each other's results — which is
-  // exactly what lets one round SCATTER all its per-shard walks through
-  // the async transport surface and gather them at a barrier. The
-  // global processed set makes each (node, state) configuration cross a
-  // shard boundary at most once, which bounds the rounds.
-  std::unordered_set<uint64_t> processed;
-  std::vector<std::vector<wire::FrontierEntry>> pending(shards_.size());
-  auto enqueue = [&](const wire::FrontierEntry& e,
-                     std::vector<std::vector<wire::FrontierEntry>>& dest) {
-    if (processed.insert(ConfigKey(e)).second) {
-      dest[topo.shard_of[e.node]].push_back(e);
-    }
-  };
-  for (const wire::FrontierEntry& e : seeds) enqueue(e, pending);
-
-  uint64_t rounds = 0;
-  bool accepted = false;
-  std::optional<Status> failure;
-  while (!accepted && !failure.has_value()) {
-    std::vector<wire::WalkRequest> reqs(shards_.size());
-    std::vector<uint32_t> active;
-    for (uint32_t s = 0; s < shards_.size(); ++s) {
-      if (pending[s].empty()) continue;
-      wire::WalkRequest& wr = reqs[s];
-      wr.rule = rule;
-      wr.path = path;
-      wr.requester = requester;
-      wr.seed = wire::WalkSeed::kFrontier;
-      wr.owner = owner;
-      wr.frontier = std::move(pending[s]);
-      active.push_back(s);
-    }
-    if (active.empty()) break;
-    ++rounds;
-    // Scatter: submit every active shard's walk before gathering any.
-    std::vector<PendingCall<wire::WalkRequest>> calls(active.size());
-    for (size_t k = 0; k < active.size(); ++k) {
-      const uint32_t s = active[k];
-      calls[k] = BeginCall(s, base_salt ^ (rounds << 8), reqs[s]);
-    }
-    // Barrier gather, ascending shard order: every ticket is resolved —
-    // even after an acceptance or failure — so no walk is abandoned
-    // mid-round, and the export merge order is the same on every run
-    // however the workers interleave (the agreement wall relies on this).
-    std::vector<std::vector<wire::FrontierEntry>> next(shards_.size());
-    for (size_t k = 0; k < active.size(); ++k) {
-      Result<wire::WalkReply> rr = FinishCall(calls[k]);
-      const Status st = rr.ok()
-                            ? wire::UnpackStatus(rr->status_code, rr->error)
-                            : rr.status();
-      if (!st.ok()) {
-        if (!failure.has_value()) failure = st;
-        continue;
-      }
-      stats.pairs_visited += rr->pairs_visited;
-      if (rr->accepted != 0) {
-        accepted = true;
-      } else {
-        for (const wire::FrontierEntry& e : rr->exports) enqueue(e, next);
-      }
-    }
-    pending = std::move(next);
-  }
-  counters_.fallback_rounds.fetch_add(rounds, kRelaxed);
-  if (accepted) return true;  // a live walk's accept is exact even if a
-                              // sibling shard faulted this round
-  if (failure.has_value()) return *failure;
-  return false;
+  return std::move(
+      CheckAccessBatch(std::span<const AccessRequest>(&request, 1)).front());
 }
 
 std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
     std::span<const AccessRequest> requests) const {
+  std::vector<Result<AccessDecision>> out;
+  out.reserve(requests.size());
   if (!built_) {
-    std::vector<Result<AccessDecision>> out;
-    out.reserve(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       out.emplace_back(
           Status::FailedPrecondition("ShardRouter: Build() not called"));
@@ -783,83 +355,229 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
 
   const auto topo = topology();
   const wire::Stamp stamp = Stamp();
-  std::vector<std::optional<Result<AccessDecision>>> slots(requests.size());
+  const uint32_t num_shards = static_cast<uint32_t>(shards_.size());
+  const auto owner_shard = [&](uint32_t i) {
+    return topo->shard_of[resources_[requests[i].resource].owner];
+  };
+  const auto decision = [&](uint32_t i) {
+    AccessDecision d;
+    d.requester = requests[i].requester;
+    d.resource = requests[i].resource;
+    d.snapshot_generation = stamp.snapshot_generation;
+    d.overlay_version = stamp.overlay_version;
+    return d;
+  };
 
-  // Group by resource-owner shard; one shard-local batch per group.
-  // Shard-local grants are authoritative; everything else escalates.
-  std::vector<std::vector<uint32_t>> groups(shards_.size());
+  // Validate; the owner's own access needs no shard at all.
+  std::vector<BatchSlot> slots(requests.size());
+  std::vector<wire::BatchCheckRequest> owner_frames(num_shards);
+  std::vector<std::vector<uint32_t>> owner_slots(num_shards);
   for (uint32_t i = 0; i < requests.size(); ++i) {
     const AccessRequest& r = requests[i];
     if (r.resource >= resources_.size()) {
-      slots[i] = Status::NotFound("ShardRouter: unknown resource " +
-                                  std::to_string(r.resource));
-      continue;
-    }
-    if (r.requester >= topo->shard_of.size()) {
-      slots[i] = Status::InvalidArgument("ShardRouter: requester " +
-                                         std::to_string(r.requester) +
-                                         " out of range");
-      continue;
-    }
-    groups[topo->shard_of[resources_[r.resource].owner]].push_back(i);
-  }
-  // Scatter: build every group's sub-batch, submit them all through the
-  // async transport surface, THEN gather in shard order. The
-  // sub-batches execute concurrently, one executor worker per owner
-  // shard.
-  struct GroupCall {
-    uint32_t shard = 0;
-    wire::BatchCheckRequest batch;
-    PendingCall<wire::BatchCheckRequest> pending;
-  };
-  std::vector<GroupCall> group_calls;
-  for (uint32_t s = 0; s < groups.size(); ++s) {
-    if (groups[s].empty()) continue;
-    GroupCall gc;
-    gc.shard = s;
-    gc.batch.requests.reserve(groups[s].size());
-    for (uint32_t i : groups[s]) {
-      gc.batch.requests.push_back(ToWire(requests[i]));
-    }
-    group_calls.push_back(std::move(gc));
-  }
-  for (GroupCall& gc : group_calls) {
-    const wire::CheckRequest& head = gc.batch.requests.front();
-    const uint64_t salt = 0xBA7CULL ^ (uint64_t{gc.shard} << 48) ^
-                          (gc.batch.requests.size() << 36) ^
-                          (uint64_t{head.requester} << 18) ^ head.resource;
-    gc.pending = BeginCall(gc.shard, salt, gc.batch);
-  }
-  for (GroupCall& gc : group_calls) {
-    const uint32_t s = gc.shard;
-    const Result<wire::BatchCheckReply> replies_r = FinishCall(gc.pending);
-    // A transport failure (or short reply) escalates every slot of the
-    // group to the per-request procedure, which carries its own retry /
-    // degraded handling.
-    if (!replies_r.ok()) continue;
-    const wire::BatchCheckReply& replies = *replies_r;
-    if (replies.replies.size() != groups[s].size()) continue;  // escalate all
-    for (size_t k = 0; k < groups[s].size(); ++k) {
-      const uint32_t i = groups[s][k];
-      const wire::CheckReply& reply = replies.replies[k];
-      if (reply.status_code != 0 || reply.granted == 0) continue;
-      counters_.local_conclusive.fetch_add(1, kRelaxed);
-      Result<AccessDecision> d =
-          FromWire(reply, requests[i].requester, requests[i].resource);
-      d->snapshot_generation = stamp.snapshot_generation;
-      d->overlay_version = stamp.overlay_version;
-      slots[i] = std::move(d);
+      slots[i].settled = Status::NotFound("ShardRouter: unknown resource " +
+                                          std::to_string(r.resource));
+    } else if (r.requester >= topo->shard_of.size() ||
+               resources_[r.resource].owner >= topo->shard_of.size()) {
+      slots[i].settled = Status::InvalidArgument(
+          "ShardRouter: requester or owner out of range for request " +
+          std::to_string(r.requester) + " -> " + std::to_string(r.resource));
+    } else if (r.requester == resources_[r.resource].owner) {
+      AccessDecision d = decision(i);
+      d.granted = true;
+      d.owner_access = true;
+      d.evaluator_name = "shard-owner";
+      slots[i].settled = std::move(d);
+    } else {
+      owner_frames[owner_shard(i)].requests.push_back(ToWire(r));
+      owner_slots[owner_shard(i)].push_back(i);
     }
   }
 
-  std::vector<Result<AccessDecision>> out;
-  out.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (slots[i].has_value()) {
-      out.push_back(std::move(*slots[i]));
-    } else {
-      out.push_back(DecideMulti(requests[i]));
+  // Step 1: the owner sub-batches. A grant is authoritative; a failed
+  // sub-batch settles its slots with the transport error.
+  for (auto& [s, reply] : ScatterGather(owner_frames, 0xBA7CULL)) {
+    const std::vector<uint32_t>& group = owner_slots[s];
+    if (reply.ok() && reply->replies.size() != group.size()) {
+      reply = Status::Unavailable("shard " + std::to_string(s) +
+                                  ": short batch reply");
     }
+    for (size_t k = 0; k < group.size(); ++k) {
+      BatchSlot& slot = slots[group[k]];
+      if (!reply.ok()) {
+        slot.settled = reply.status();
+        continue;
+      }
+      const wire::CheckReply& check = reply->replies[k];
+      slot.pairs_visited = check.pairs_visited;
+      if (check.status_code != 0 || check.granted == 0) continue;
+      counters_.local_conclusive.fetch_add(1, kRelaxed);
+      const std::vector<RuleId>& rules =
+          resources_[requests[group[k]].resource].rules;
+      const auto it =
+          std::find(rules.begin(), rules.end(), check.matched_rule);
+      slot.grant_pos = check.has_matched_rule != 0 && it != rules.end()
+                           ? static_cast<size_t>(it - rules.begin())
+                           : 0;
+      slot.owner_grant = *FromWire(check, requests[group[k]].requester,
+                                   requests[group[k]].resource);
+      slot.owner_grant->snapshot_generation = stamp.snapshot_generation;
+      slot.owner_grant->overlay_version = stamp.overlay_version;
+    }
+  }
+
+  // Step 2: one walk per (open slot, rule path) ahead of the slot's
+  // earliest known grant, all seeded at the owner in one frame per
+  // owner shard (phase one).
+  std::vector<BatchWalk> walks;
+  std::vector<wire::WalkRequest> frames(num_shards);
+  std::vector<std::vector<size_t>> carried(num_shards);
+  uint64_t cross = 0;
+  for (uint32_t i = 0; i < requests.size(); ++i) {
+    BatchSlot& slot = slots[i];
+    if (slot.settled.has_value() || slot.grant_pos == 0) continue;
+    ++cross;
+    const RouterResource& res = resources_[requests[i].resource];
+    for (size_t pos = 0; pos < res.rules.size() && pos < slot.grant_pos;
+         ++pos) {
+      const RuleId rule = res.rules[pos];
+      // A path that failed to bind comes back as that walk's error.
+      for (uint32_t p = 0; p < num_paths_[rule]; ++p) {
+        BatchWalk& walk = walks.emplace_back();
+        walk.slot = i;
+        walk.rule_pos = pos;
+        walk.spec = {.rule = rule,
+                     .path = p,
+                     .requester = requests[i].requester,
+                     .seed = wire::WalkSeed::kOwnerStarts,
+                     .owner = res.owner,
+                     .frontier = {}};
+        walk.pending.resize(num_shards);
+        frames[owner_shard(i)].walks.push_back(walk.spec);
+        carried[owner_shard(i)].push_back(walks.size() - 1);
+      }
+    }
+  }
+  counters_.cross_shard_checks.fetch_add(cross, kRelaxed);
+
+  // Gather phase one (round 0), then run frontier rounds for every walk
+  // together. Each round gathers in ascending shard order, then settles
+  // the walks in batch order: an accept wins even if a sibling frame of
+  // the same walk faulted, and a grant drops the slot's walks for its
+  // own and later rules.
+  uint64_t round = 0;
+  while (true) {
+    for (auto& [s, reply] : ScatterGather(frames, 0xFA11ULL ^ (round << 8))) {
+      if (reply.ok() && reply->results.size() != carried[s].size()) {
+        reply = Status::Unavailable("shard " + std::to_string(s) +
+                                    ": short walk reply");
+      }
+      for (size_t k = 0; k < carried[s].size(); ++k) {
+        BatchWalk& walk = walks[carried[s][k]];
+        const Status st =
+            reply.ok() ? wire::UnpackStatus(reply->results[k].status_code,
+                                            reply->results[k].error)
+                       : reply.status();
+        if (!st.ok()) {
+          if (!walk.failure.has_value()) walk.failure = st;
+          continue;
+        }
+        const wire::WalkResult& result = reply->results[k];
+        slots[walk.slot].pairs_visited += result.pairs_visited;
+        if (result.accepted != 0) walk.accepted = true;
+        for (const wire::FrontierEntry& e : result.exports) {
+          if (e.node >= topo->shard_of.size()) {
+            // The shard routed by a newer topology than this batch pinned.
+            if (!walk.failure.has_value()) {
+              walk.failure = Status::Unavailable(
+                  "ShardRouter: topology changed during the check");
+            }
+            continue;
+          }
+          if (walk.processed.insert(ConfigKey(e)).second) {
+            walk.pending[topo->shard_of[e.node]].push_back(e);
+          }
+        }
+      }
+    }
+    for (size_t w = 0; w < walks.size(); ++w) {
+      BatchWalk& walk = walks[w];
+      if (!walk.live) continue;
+      BatchSlot& slot = slots[walk.slot];
+      const bool has_pending =
+          std::any_of(walk.pending.begin(), walk.pending.end(),
+                      [](const auto& p) { return !p.empty(); });
+      if (walk.accepted) {
+        slot.grant_pos = walk.rule_pos;
+        slot.owner_grant.reset();  // an earlier rule than the owner's
+        for (BatchWalk& sibling : walks) {
+          if (sibling.slot == walk.slot && sibling.rule_pos >= walk.rule_pos) {
+            sibling.live = false;
+          }
+        }
+      } else if (walk.failure.has_value()) {
+        slot.RecordError(w, *walk.failure);
+        walk.live = false;
+      } else if (!has_pending) {
+        walk.live = false;  // fixpoint: this path does not reach
+      } else if (round == 0) {
+        counters_.fallback_walks.fetch_add(1, kRelaxed);
+        slot.frontier = true;
+      }
+    }
+    ++round;
+    frames.assign(num_shards, {});
+    carried.assign(num_shards, {});
+    bool any = false;
+    for (size_t w = 0; w < walks.size(); ++w) {
+      BatchWalk& walk = walks[w];
+      if (!walk.live) continue;
+      ++walk.rounds;
+      any = true;
+      for (uint32_t s = 0; s < num_shards; ++s) {
+        if (walk.pending[s].empty()) continue;
+        wire::Walk& item = frames[s].walks.emplace_back(walk.spec);
+        item.seed = wire::WalkSeed::kFrontier;
+        item.frontier = std::move(walk.pending[s]);
+        walk.pending[s].clear();
+        carried[s].push_back(w);
+      }
+    }
+    if (!any) break;
+  }
+
+  uint64_t rounds = 0;
+  for (const BatchWalk& walk : walks) rounds += walk.rounds;
+  counters_.fallback_rounds.fetch_add(rounds, kRelaxed);
+
+  const auto finish = [&](uint32_t i) -> Result<AccessDecision> {
+    BatchSlot& slot = slots[i];
+    if (slot.settled.has_value()) return std::move(*slot.settled);
+    if (slot.owner_grant.has_value()) {
+      slot.owner_grant->stats.pairs_visited = slot.pairs_visited;
+      return std::move(*slot.owner_grant);
+    }
+    if (slot.grant_pos == kNoRule && slot.error.has_value()) {
+      return *slot.error;
+    }
+    AccessDecision d = decision(i);
+    d.granted = slot.grant_pos != kNoRule;
+    if (d.granted) {
+      d.matched_rule = resources_[requests[i].resource].rules[slot.grant_pos];
+    }
+    d.stats.pairs_visited = slot.pairs_visited;
+    d.evaluator_name = slot.frontier ? "shard-frontier" : "shard-local";
+    return d;
+  };
+  for (uint32_t i = 0; i < requests.size(); ++i) {
+    if (slots[i].frontier) {
+      counters_.cross_fallback_walks.fetch_add(1, kRelaxed);
+    }
+    Result<AccessDecision> d = finish(i);
+    if (!d.ok() && IsTransportError(d.status())) {
+      counters_.unavailable_errors.fetch_add(1, kRelaxed);
+    }
+    out.push_back(std::move(d));
   }
   return out;
 }
@@ -935,17 +653,7 @@ Status ShardRouter::AddEdgeImpl(NodeId src, NodeId dst, LabelId label) {
                               " vs " + st2.ToString() + ")");
     }
   }
-  if (!st.ok()) return st;
-  if (s1 != s2 && !HasCutArc(*topo, src, dst, label)) {
-    auto next = std::make_shared<ShardTopology>(*topo);
-    next->cut_out[src].push_back({dst, label});
-    next->cut_in[dst].push_back({src, label});
-    SortedInsert(next->boundary[s1], src);
-    SortedInsert(next->boundary[s2], dst);
-    ++next->epoch;
-    PublishTopology(std::move(next));
-  }
-  return OkStatus();
+  return st;
 }
 
 Status ShardRouter::RemoveEdge(NodeId src, NodeId dst,
@@ -1008,17 +716,7 @@ Status ShardRouter::RemoveEdgeImpl(NodeId src, NodeId dst, LabelId label) {
                               " vs " + st2.ToString() + ")");
     }
   }
-  if (!st.ok()) return st;
-  if (s1 != s2 && HasCutArc(*topo, src, dst, label)) {
-    auto next = std::make_shared<ShardTopology>(*topo);
-    EraseCutArc(next->cut_out, src, dst, label);
-    EraseCutArc(next->cut_in, dst, src, label);
-    if (!TouchesCut(*next, src)) SortedErase(next->boundary[s1], src);
-    if (!TouchesCut(*next, dst)) SortedErase(next->boundary[s2], dst);
-    ++next->epoch;
-    PublishTopology(std::move(next));
-  }
-  return OkStatus();
+  return st;
 }
 
 Result<NodeId> ShardRouter::AddNode() {
@@ -1073,15 +771,6 @@ Result<NodeId> ShardRouter::AddNode() {
   return expected;
 }
 
-Status ShardRouter::RefreshSummaries() {
-  if (!options_.build_summaries || shards_.size() <= 1) return OkStatus();
-  const auto topo = topology();
-  for (auto& shard : shards_) {
-    SARGUS_RETURN_IF_ERROR(shard->RefreshSummary(*topo));
-  }
-  return OkStatus();
-}
-
 Status ShardRouter::CompactAll() {
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
@@ -1090,7 +779,7 @@ Status ShardRouter::CompactAll() {
     SARGUS_RETURN_IF_ERROR(shard->engine().Compact());
     shard->engine().WaitForCompaction();
   }
-  return RefreshSummaries();
+  return OkStatus();
 }
 
 }  // namespace sargus

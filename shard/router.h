@@ -13,25 +13,34 @@
 /// over the unpartitioned graph — while all real work happens inside
 /// the shards, reached only through the wire messages of shard/wire.h.
 ///
-/// Decision procedure for a cross-shard check (see PathReaches):
+/// Decision procedure. CheckAccessBatch runs it for a whole batch, and
+/// CheckAccess is a batch of one. It runs in rounds, and each round
+/// sends at most one frame per shard:
 ///
-///   1. *Local phase*: ask the resource owner's shard directly. A grant
-///      is authoritative (shard-local edges are a subset of global
-///      edges); a deny is authoritative only if the phase-one walk's
-///      export set is empty (no configuration escaped the shard).
-///   2. *Summary composition*: compose the shards' boundary summaries
-///      (shard/boundary_summary.h) with the cut-edge table into a
-///      router-local fixpoint over boundary configurations — no shard
-///      traffic at all. Exact when every consulted summary is fresh;
-///      any stale summary aborts to step 3.
-///   3. *Frontier exchange fallback*: two-phase rounds shipping
-///      (node, state, residual-hops) frontiers to the owning shards
-///      until acceptance or a global fixpoint. Always available, always
-///      exact; the summaries only exist to avoid it.
+///   1. *Owner phase*: one shard-local sub-batch per resource-owner
+///      shard. A grant is authoritative (shard-local edges are a subset
+///      of global edges); its matched rule is final when no earlier rule
+///      of the resource is left that could grant across shards.
+///   2. *Frontier exchange*: every slot the owner phase left open gets
+///      one walk per (rule, path). The first frame per owner shard
+///      seeds each such walk at the owner (phase one). Configurations a
+///      walk pushes at nodes another shard owns come back as exports,
+///      and frontier rounds ship them to their owning shards — one
+///      frame per shard per round, carrying every walk with entries
+///      there — until the walk accepts or reaches its fixpoint. Each
+///      walk keeps its own processed set, so a (node, state)
+///      configuration enters a shard at most once per walk, which
+///      bounds the rounds. Exact at every step: a walk never guesses.
+///
+/// matched_rule is the first rule, in the resource's order, with a
+/// reaching path: a grant drops only the slot's walks for its own and
+/// later rules. The first error surfaces only when nothing grants.
+/// Frames are gathered in ascending shard order, so two routers over
+/// copies of one graph agree byte for byte, counters included.
 ///
 /// Mutations route to the owning shard — both owners for a cut edge —
-/// preserving each engine's single-writer contract, and republish a
-/// copy-on-write topology when the cut set or node count changes.
+/// preserving each engine's single-writer contract. AddNode republishes
+/// a copy-on-write topology with the new node's assignment.
 ///
 /// The contract is the same at every N, 1 included: Build() copies the
 /// caller's graph into per-shard graphs and clones the caller's store
@@ -41,19 +50,16 @@
 /// (shard/executor_transport.h). An N = 1 router is one copied shard
 /// behind that executor, not a shortcut to a plain engine.
 ///
-/// Robustness (PR 7): every data-plane shard call goes through a
+/// Robustness: every data-plane shard call goes through a
 /// ShardTransport (shard/transport.h) under a retry / deadline /
-/// circuit-breaker policy (RouterRobustnessOptions). When an owner
-/// shard is unreachable, checks concludable exactly from fresh boundary
-/// summaries are still answered (stamped with degraded_reason);
-/// everything else fails with an explicit kUnavailable or
+/// circuit-breaker policy (RouterRobustnessOptions). A check whose
+/// owner shard is unreachable fails with an explicit kUnavailable or
 /// kDeadlineExceeded — a completed decision is always exact, a
 /// non-answer is always an error, and a silently wrong grant or deny is
 /// never returned. Control-plane operations (Build, AddNode,
-/// RefreshSummaries, CompactAll, stamp and summary reads) stay direct
-/// in-process calls: they model cluster management, which a real
-/// deployment runs over a reliable coordination channel, not the
-/// request path.
+/// CompactAll, stamp reads) stay direct in-process calls: they model
+/// cluster management, which a real deployment runs over a reliable
+/// coordination channel, not the request path.
 
 #include <atomic>
 #include <cstdint>
@@ -67,7 +73,6 @@
 
 #include "common/result.h"
 #include "engine/access_engine.h"
-#include "shard/boundary_summary.h"
 #include "shard/executor_transport.h"
 #include "shard/partitioner.h"
 #include "shard/shard_engine.h"
@@ -78,10 +83,10 @@
 namespace sargus {
 
 /// Retry / deadline / circuit-breaker policy for the router's data-
-/// plane calls (see docs/ARCHITECTURE.md, "Failure model & degraded
-/// serving"). Every transport call gets a per-attempt deadline; failed
-/// attempts retry with exponential backoff + deterministic jitter under
-/// a per-operation budget; a shard that keeps failing trips a breaker
+/// plane calls (see docs/ARCHITECTURE.md, "Failure model"). Every
+/// transport call gets a per-attempt deadline; failed attempts retry
+/// with exponential backoff + deterministic jitter under a
+/// per-operation budget; a shard that keeps failing trips a breaker
 /// (ShardRouter::kBreakerFailureThreshold consecutive failures) and
 /// fails fast for ShardRouter::kBreakerOpenMs until a half-open probe
 /// succeeds.
@@ -99,23 +104,12 @@ struct RouterRobustnessOptions {
   uint32_t backoff_base_ms = 1;
   uint32_t backoff_max_ms = 32;
   double backoff_jitter = 0.5;
-  /// When an owner shard is unreachable, answer cross-shard checks that
-  /// are concludable exactly from fresh boundary summaries instead of
-  /// failing them (the decision is stamped with degraded_reason).
-  /// Checks that cannot be concluded exactly still fail with
-  /// kUnavailable — degraded mode never guesses.
-  bool allow_degraded = true;
 };
 
 struct RouterOptions {
   PartitionOptions partition;
   EngineOptions engine;
-  /// Build boundary summaries at Build()/RefreshSummaries() and consult
-  /// them before falling back to frontier exchange. Off = every
-  /// cross-shard path goes straight to the fallback (the forced-
-  /// fallback tests use this).
-  bool build_summaries = true;
-  /// Retry / breaker / degraded-serving policy.
+  /// Retry / deadline / breaker policy.
   RouterRobustnessOptions robustness;
   /// Ignored: every router runs the thread-per-shard executor. Kept
   /// only because bench/e2e/sharded_read.cc still sets it.
@@ -130,36 +124,26 @@ struct RouterOptions {
 };
 
 /// Monotonic router-level counters (relaxed atomics; read with
-/// counters()). The bench derives its summary-hit-rate from these.
+/// counters()).
 struct RouterCounters {
   uint64_t checks = 0;
-  /// Checks that needed the cross-shard machinery (not answered by an
-  /// owner grant or an owner-shard local grant).
+  /// Checks the owner phase left open (no owner grant, or an owner
+  /// grant with an earlier rule still to try across shards).
   uint64_t cross_shard_checks = 0;
   /// Checks answered by the owner shard's local engine (grant).
   uint64_t local_conclusive = 0;
-  /// Cross-shard checks concluded without any frontier exchange
-  /// (phase-one conclusive or summary composition).
-  uint64_t summary_resolved = 0;
-  /// Frontier-exchange walks run (per path evaluation).
+  /// Walks that outlived phase one and entered frontier rounds.
   uint64_t fallback_walks = 0;
-  /// Cross-shard checks that needed at least one frontier exchange.
+  /// Checks with at least one walk in frontier rounds.
   uint64_t cross_fallback_walks = 0;
-  /// Total frontier-exchange rounds across all fallback walks.
+  /// Frontier rounds, summed over walks.
   uint64_t fallback_rounds = 0;
-  /// Fallbacks caused by a stale/missing/unbuilt summary.
-  uint64_t stale_summary_fallbacks = 0;
-  /// Fallbacks caused by the composition work cap.
-  uint64_t capped_compositions = 0;
   /// Transport-call re-attempts (attempt 2+ of a logical call).
   uint64_t retries = 0;
   /// Transport attempts that ended kDeadlineExceeded.
   uint64_t timeouts = 0;
   /// Circuit-breaker open transitions (closed->open and re-opens).
   uint64_t breaker_opens = 0;
-  /// Checks answered exactly through the degraded (owner-shard-down)
-  /// summary path.
-  uint64_t degraded_answers = 0;
   /// Checks that returned kUnavailable / kDeadlineExceeded.
   uint64_t unavailable_errors = 0;
 };
@@ -171,19 +155,15 @@ class ShardRouter {
   /// How long an open breaker fails fast before allowing one half-open
   /// probe, ms.
   static constexpr uint32_t kBreakerOpenMs = 100;
-  /// Summary-composition work cap (reachability tests per path); an
-  /// exceeding composition falls back to frontier exchange.
-  static constexpr size_t kMaxCompositionTests = size_t{1} << 20;
 
   /// `graph` and `store` must outlive the router and stay unmodified
   /// while it serves. Build() copies them into the shards; the router
-  /// only reads them afterwards (node attributes for summary
-  /// composition) and never writes them.
+  /// never writes them.
   ShardRouter(const SocialGraph& graph, const PolicyStore& store,
               RouterOptions options = {});
 
-  /// Partitions, extracts, builds every shard engine, publishes the
-  /// initial topology, and (when configured) builds boundary summaries.
+  /// Partitions, extracts, builds every shard engine, and publishes the
+  /// initial topology.
   Status Build();
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
@@ -202,11 +182,9 @@ class ShardRouter {
 
   Result<AccessDecision> CheckAccess(const AccessRequest& request) const;
 
-  /// Positional batch. Requests are grouped by resource-owner shard and
-  /// decided with one shard-local batch per group; only slots a
-  /// shard-local batch cannot settle authoritatively (non-grants on a
-  /// multi-shard topology) escalate to the per-request cross-shard
-  /// procedure.
+  /// Positional batch, decided by the procedure in the file comment:
+  /// one owner sub-batch per owner shard, then one walk frame per owner
+  /// shard, then frontier rounds for all of the batch's walks together.
   std::vector<Result<AccessDecision>> CheckAccessBatch(
       std::span<const AccessRequest> requests) const;
 
@@ -241,11 +219,7 @@ class ShardRouter {
   /// assign the id concurrently, not serially.
   Result<NodeId> AddNode();
 
-  /// Rebuilds every shard's boundary summary against its current view.
-  /// No-op when summaries are disabled or N == 1.
-  Status RefreshSummaries();
-
-  /// Compacts every shard (waiting each out), then refreshes summaries.
+  /// Compacts every shard, waiting each out.
   Status CompactAll();
 
  private:
@@ -253,66 +227,8 @@ class ShardRouter {
     NodeId owner = 0;
     std::vector<RuleId> rules;
   };
-  struct RouterPath {
-    Status bind_status = OkStatus();
-    std::shared_ptr<const BoundPathExpression> bound;
-  };
-  /// Per-evaluation bookkeeping threaded through the cross-shard path.
-  struct CrossStats {
-    uint64_t pairs_visited = 0;
-    bool used_summary = false;
-    bool used_fallback = false;
-  };
-
-  /// How a summary-composition run ended (shared by the healthy and
-  /// degraded paths).
-  enum class ComposeOutcome : uint8_t {
-    kGranted = 0,
-    kDenied = 1,
-    /// A consulted summary was missing, stale, or did not cover a
-    /// needed boundary vertex. Healthy path: frontier-exchange
-    /// fallback. Degraded path: kUnavailable.
-    kStale = 2,
-    /// The composition work cap was hit. Same handling as kStale.
-    kCapped = 3,
-  };
 
   void PublishTopology(std::shared_ptr<const ShardTopology> topo);
-
-  /// Full multi-shard decision procedure (file comment, steps 1-3),
-  /// plus retry / breaker / degraded handling. Wrapped by DecideMulti,
-  /// which maintains the robustness counters.
-  Result<AccessDecision> DecideMultiImpl(const AccessRequest& request) const;
-  Result<AccessDecision> DecideMulti(const AccessRequest& request) const;
-
-  /// Degraded decision: the owner's shard is unreachable
-  /// (`owner_error`); conclude every rule path exactly from fresh
-  /// boundary summaries and healthy shards, or fail with kUnavailable.
-  Result<AccessDecision> DecideDegraded(const ShardTopology& topo,
-                                        const AccessRequest& request,
-                                        NodeId owner,
-                                        const Status& owner_error) const;
-
-  /// Does a path from `owner` to `requester` matching (rule, path)
-  /// exist in the global graph? Exact.
-  Result<bool> PathReaches(const ShardTopology& topo, RuleId rule,
-                           uint32_t path, NodeId owner, NodeId requester,
-                           CrossStats& stats) const;
-
-  /// Step 2 core: router-local summary composition from `seeds`,
-  /// finishing with a local walk on the requester's shard when entry
-  /// configurations landed there. Transport failures propagate as
-  /// statuses; composition obstructions come back as kStale / kCapped.
-  Result<ComposeOutcome> ComposeSummaries(
-      const ShardTopology& topo, RuleId rule, uint32_t path, NodeId owner,
-      NodeId requester, std::span<const wire::FrontierEntry> seeds,
-      CrossStats& stats) const;
-
-  /// Step 3: two-phase frontier-exchange rounds from `seeds`.
-  Result<bool> FallbackWalk(const ShardTopology& topo, RuleId rule,
-                            uint32_t path, NodeId owner, NodeId requester,
-                            std::span<const wire::FrontierEntry> seeds,
-                            CrossStats& stats) const;
 
   /// One logical transport call split into a scatter half and a gather
   /// half, so fan-out paths can submit every shard's call before
@@ -347,6 +263,13 @@ class ShardRouter {
   Result<ReplyFor<Request>> CallShard(uint32_t shard, uint64_t salt,
                                      const Request& request) const;
 
+  /// One round: submits frames[s] for every shard with a non-empty
+  /// frame before gathering any, then gathers in ascending shard order.
+  /// Each frame's retry salt is `salt_base` mixed with its content.
+  template <typename Request>
+  std::vector<std::pair<uint32_t, Result<ReplyFor<Request>>>> ScatterGather(
+      const std::vector<Request>& frames, uint64_t salt_base) const;
+
   /// The per-attempt deadline: `now` + call_deadline_ms, capped by the
   /// op budget's absolute deadline (either may be 0 = none).
   uint64_t AttemptDeadline(uint64_t now, uint64_t budget_deadline) const;
@@ -372,9 +295,8 @@ class ShardRouter {
   std::unique_ptr<ShardHealthTracker> health_;
   /// Owner + rule mirror of the master store (resource-id indexed).
   std::vector<RouterResource> resources_;
-  /// Router-side binds against the master dictionaries (rule-id
-  /// indexed; ids identical in every shard).
-  std::vector<std::vector<RouterPath>> paths_;
+  /// Paths per rule (rule-id indexed; ids identical in every shard).
+  std::vector<uint32_t> num_paths_;
   bool built_ = false;
 
   mutable std::mutex topo_mu_;
@@ -394,15 +316,11 @@ class ShardRouter {
     std::atomic<uint64_t> checks{0};
     std::atomic<uint64_t> cross_shard_checks{0};
     std::atomic<uint64_t> local_conclusive{0};
-    std::atomic<uint64_t> summary_resolved{0};
     std::atomic<uint64_t> fallback_walks{0};
     std::atomic<uint64_t> cross_fallback_walks{0};
     std::atomic<uint64_t> fallback_rounds{0};
-    std::atomic<uint64_t> stale_summary_fallbacks{0};
-    std::atomic<uint64_t> capped_compositions{0};
     std::atomic<uint64_t> retries{0};
     std::atomic<uint64_t> timeouts{0};
-    std::atomic<uint64_t> degraded_answers{0};
     std::atomic<uint64_t> unavailable_errors{0};
     // breaker_opens lives on the ShardHealthTracker.
   };

@@ -131,30 +131,25 @@ wire::BatchCheckReply ShardEngine::CheckBatch(
 
 namespace {
 
-wire::WalkReply WalkError(const Status& status) {
-  wire::WalkReply reply;
-  reply.status_code = wire::PackStatus(status);
-  reply.error = std::string(status.message());
-  return reply;
+wire::WalkResult WalkError(const Status& status) {
+  wire::WalkResult result;
+  result.status_code = wire::PackStatus(status);
+  result.error = std::string(status.message());
+  return result;
 }
 
-}  // namespace
-
-wire::WalkReply ShardEngine::ExpandFrontier(
-    const wire::WalkRequest& request) const {
-  const auto view = engine_.AcquireReadView();
-  if (view == nullptr) {
+/// Runs one walk against `view`, exporting every fresh configuration at
+/// a node `topo` assigns to a shard other than `shard`.
+wire::WalkResult RunWalk(const AccessReadView& view, const ShardTopology* topo,
+                         uint32_t shard, const wire::Walk& walk) {
+  const PolicySnapshot& policy = view.policy();
+  if (walk.rule >= policy.rules.size() ||
+      walk.path >= policy.rules[walk.rule].paths.size()) {
     return WalkError(
-        Status::FailedPrecondition("ExpandFrontier: indexes not built"));
-  }
-  const PolicySnapshot& policy = view->policy();
-  if (request.rule >= policy.rules.size() ||
-      request.path >= policy.rules[request.rule].paths.size()) {
-    return WalkError(Status::InvalidArgument(
-        "ExpandFrontier: rule/path out of range"));
+        Status::InvalidArgument("ExpandFrontier: rule/path out of range"));
   }
   const PolicySnapshot::CompiledPath& cp =
-      policy.rules[request.rule].paths[request.path];
+      policy.rules[walk.rule].paths[walk.path];
   if (!cp.bind_status.ok() || cp.bound == nullptr) {
     return WalkError(cp.bind_status.ok()
                          ? Status::FailedPrecondition(
@@ -163,19 +158,19 @@ wire::WalkReply ShardEngine::ExpandFrontier(
   }
   const HopAutomaton& nfa = cp.bound->automaton();
   const uint32_t num_states = nfa.NumStates();
-  const size_t logical = view->logical_num_nodes();
-  if (request.requester >= logical) {
+  const size_t logical = view.logical_num_nodes();
+  if (walk.requester >= logical) {
     return WalkError(
         Status::InvalidArgument("ExpandFrontier: requester out of range"));
   }
   const std::vector<uint32_t> residual = wire::ResidualHopBudgets(nfa);
-  if (request.seed == wire::WalkSeed::kOwnerStarts) {
-    if (request.owner >= logical) {
+  if (walk.seed == wire::WalkSeed::kOwnerStarts) {
+    if (walk.owner >= logical) {
       return WalkError(
           Status::InvalidArgument("ExpandFrontier: owner out of range"));
     }
   } else {
-    for (const wire::FrontierEntry& e : request.frontier) {
+    for (const wire::FrontierEntry& e : walk.frontier) {
       if (e.node >= logical || e.state >= num_states) {
         return WalkError(Status::InvalidArgument(
             "ExpandFrontier: frontier entry out of range"));
@@ -190,33 +185,32 @@ wire::WalkReply ShardEngine::ExpandFrontier(
     }
   }
 
-  const auto topo = topology();
   QueryScratch& scratch = ThreadLocalEvalContext().scratch;
-  ProductWalker walker(view->graph(), view->csr(), nfa, scratch,
-                       /*track_parents=*/false, &view->overlay());
-  if (request.seed == wire::WalkSeed::kOwnerStarts) {
-    walker.SeedStarts(request.owner);
+  ProductWalker walker(view.graph(), view.csr(), nfa, scratch,
+                       /*track_parents=*/false, &view.overlay());
+  if (walk.seed == wire::WalkSeed::kOwnerStarts) {
+    walker.SeedStarts(walk.owner);
   } else {
-    for (const wire::FrontierEntry& e : request.frontier) {
+    for (const wire::FrontierEntry& e : walk.frontier) {
       walker.Push(e.node, e.state, kInvalidNode, 0);
     }
   }
 
-  wire::WalkReply reply;
+  wire::WalkResult result;
   bool accepted = false;
   auto on_accept = [&](NodeId entered, NodeId, uint32_t) {
-    if (entered != request.requester) return false;
+    if (entered != walk.requester) return false;
     accepted = true;
     return true;
   };
   // Fresh configurations at nodes another shard owns are exported as
   // entry points; the walk still continues THROUGH them over this
   // shard's local edges (sound — local edges are a subset of global
-  // edges — and it shortens the composition fixpoint).
+  // edges — and it cuts the rounds the exchange needs).
   auto on_push = [&](NodeId node, uint32_t state) {
     if (topo != nullptr && node < topo->shard_of.size() &&
-        topo->shard_of[node] != id_) {
-      reply.exports.push_back({node, state, residual[state]});
+        topo->shard_of[node] != shard) {
+      result.exports.push_back({node, state, residual[state]});
     }
     return false;
   };
@@ -224,8 +218,30 @@ wire::WalkReply ShardEngine::ExpandFrontier(
     walker.Step(on_accept, on_push);
   }
 
-  reply.accepted = accepted ? 1 : 0;
-  reply.pairs_visited = walker.pairs_visited();
+  result.accepted = accepted ? 1 : 0;
+  result.pairs_visited = walker.pairs_visited();
+  return result;
+}
+
+}  // namespace
+
+wire::WalkReply ShardEngine::ExpandFrontier(
+    const wire::WalkRequest& request) const {
+  // One view and one topology for the whole frame: every walk in it
+  // sees the same published state, and the reply carries its stamp.
+  const auto view = engine_.AcquireReadView();
+  wire::WalkReply reply;
+  reply.results.reserve(request.walks.size());
+  if (view == nullptr) {
+    const wire::WalkResult unbuilt = WalkError(
+        Status::FailedPrecondition("ExpandFrontier: indexes not built"));
+    reply.results.assign(request.walks.size(), unbuilt);
+    return reply;
+  }
+  const auto topo = topology();
+  for (const wire::Walk& walk : request.walks) {
+    reply.results.push_back(RunWalk(*view, topo.get(), id_, walk));
+  }
   reply.stamp = {view->snapshot_generation(), view->overlay_version()};
   return reply;
 }
@@ -268,31 +284,6 @@ wire::MutateReply ShardEngine::ReplyFromOutcome(
 
 wire::MutateReply ShardEngine::Mutate(const wire::MutateRequest& request) {
   return ReplyFromOutcome(request, SubmitMutate(request).Wait());
-}
-
-Status ShardEngine::RefreshSummary(const ShardTopology& topology) {
-  const auto view = engine_.AcquireReadView();
-  if (view == nullptr) {
-    return Status::FailedPrecondition("RefreshSummary: indexes not built");
-  }
-  if (id_ >= topology.boundary.size()) {
-    return Status::InvalidArgument("RefreshSummary: shard id not in topology");
-  }
-  SARGUS_ASSIGN_OR_RETURN(
-      BoundarySummary built,
-      BoundarySummary::Build(
-          view->graph(), view->csr(), view->overlay(),
-          topology.boundary[id_], view->policy(),
-          {view->snapshot_generation(), view->overlay_version()}));
-  auto shared = std::make_shared<const BoundarySummary>(std::move(built));
-  std::lock_guard<std::mutex> lock(summary_mu_);
-  summary_ = std::move(shared);
-  return OkStatus();
-}
-
-std::shared_ptr<const BoundarySummary> ShardEngine::summary() const {
-  std::lock_guard<std::mutex> lock(summary_mu_);
-  return summary_;
 }
 
 std::vector<uint8_t> ShardEngine::HandleFrame(std::span<const uint8_t> frame) {

@@ -12,17 +12,16 @@
 ///   * Check / CheckBatch — plain access decisions over the shard-local
 ///     graph (authoritative when the resource's whole rule evaluation
 ///     stays inside the shard; a building block otherwise);
-///   * ExpandFrontier — run a product-space walk seeded either at a
-///     resource owner (phase one) or at an imported frontier (phase two
-///     and fallback rounds), returning acceptance plus every
-///     configuration that escaped into nodes this shard does not own;
+///   * ExpandFrontier — run a frame of product-space walks against one
+///     pinned read view, each seeded either at a resource owner (phase
+///     one) or at an imported frontier (frontier rounds), returning per
+///     walk acceptance plus every configuration that escaped into nodes
+///     this shard does not own;
 ///   * Mutate / SubmitMutate — the mutation entry points, delegating to
 ///     the wrapped engine's MPSC MutationQueue (engine/write_queue.h):
 ///     SubmitMutate enqueues and returns the WriteTicket, Mutate is the
 ///     Submit+Wait composition. Safe from any number of threads; the
-///     per-shard writer thread group-commits concurrent mutations;
-///   * RefreshSummary — (re)build the shard's boundary summary against
-///     its current read view.
+///     per-shard writer thread group-commits concurrent mutations.
 ///
 /// A ShardEngine owns its extracted graph copy and a clone of the master
 /// policy store (identical resource/rule ids — see ClonePolicyStore), at
@@ -35,7 +34,6 @@
 
 #include "common/result.h"
 #include "engine/access_engine.h"
-#include "shard/boundary_summary.h"
 #include "shard/topology.h"
 #include "shard/wire.h"
 
@@ -124,16 +122,6 @@ class ShardEngine {
   /// byte-level callers are safe (serialized by submission order).
   std::vector<uint8_t> HandleFrame(std::span<const uint8_t> frame);
 
-  // ---- Boundary summary ---------------------------------------------------
-
-  /// Rebuilds this shard's boundary summary from its current read view
-  /// and `topology`'s boundary list, stamped with the view's stamps.
-  Status RefreshSummary(const ShardTopology& topology);
-
-  /// The last built summary (null before the first RefreshSummary). The
-  /// router checks its stamp against ViewStamp() before trusting it.
-  std::shared_ptr<const BoundarySummary> summary() const;
-
  private:
   uint32_t id_;
   std::unique_ptr<SocialGraph> graph_;
@@ -142,9 +130,6 @@ class ShardEngine {
 
   mutable std::mutex topo_mu_;
   std::shared_ptr<const ShardTopology> topology_;
-
-  mutable std::mutex summary_mu_;
-  std::shared_ptr<const BoundarySummary> summary_;
 };
 
 /// The handler for each request message as one overload set, so the

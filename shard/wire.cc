@@ -368,12 +368,15 @@ Result<BatchCheckReply> DecodeBatchCheckReply(std::span<const uint8_t> bytes) {
 std::vector<uint8_t> Encode(const WalkRequest& m) {
   ByteWriter w;
   PutHeader(w, MsgType::kWalkRequest);
-  w.U32(m.rule);
-  w.U32(m.path);
-  w.U32(m.requester);
-  w.U8(static_cast<uint8_t>(m.seed));
-  w.U32(m.owner);
-  PutFrontier(w, m.frontier);
+  w.U32(static_cast<uint32_t>(m.walks.size()));
+  for (const Walk& walk : m.walks) {
+    w.U32(walk.rule);
+    w.U32(walk.path);
+    w.U32(walk.requester);
+    w.U8(static_cast<uint8_t>(walk.seed));
+    w.U32(walk.owner);
+    PutFrontier(w, walk.frontier);
+  }
   return Seal(w);
 }
 
@@ -383,17 +386,23 @@ Result<WalkRequest> DecodeWalkRequest(std::span<const uint8_t> bytes) {
   ByteReader r(body);
   SARGUS_RETURN_IF_ERROR(TakeHeader(r, MsgType::kWalkRequest));
   WalkRequest m;
-  m.rule = r.U32();
-  m.path = r.U32();
-  m.requester = r.U32();
-  const uint8_t seed = r.U8();
-  if (seed > static_cast<uint8_t>(WalkSeed::kFrontier)) {
-    return Status::InvalidArgument("wire: unknown walk seed mode " +
-                                   std::to_string(seed));
+  const uint32_t n = r.Count(21);
+  m.walks.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    Walk walk;
+    walk.rule = r.U32();
+    walk.path = r.U32();
+    walk.requester = r.U32();
+    const uint8_t seed = r.U8();
+    if (seed > static_cast<uint8_t>(WalkSeed::kFrontier)) {
+      return Status::InvalidArgument("wire: unknown walk seed mode " +
+                                     std::to_string(seed));
+    }
+    walk.seed = static_cast<WalkSeed>(seed);
+    walk.owner = r.U32();
+    walk.frontier = TakeFrontier(r);
+    m.walks.push_back(std::move(walk));
   }
-  m.seed = static_cast<WalkSeed>(seed);
-  m.owner = r.U32();
-  m.frontier = TakeFrontier(r);
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
   return m;
 }
@@ -401,11 +410,14 @@ Result<WalkRequest> DecodeWalkRequest(std::span<const uint8_t> bytes) {
 std::vector<uint8_t> Encode(const WalkReply& m) {
   ByteWriter w;
   PutHeader(w, MsgType::kWalkReply);
-  w.U8(m.status_code);
-  w.Str(m.error);
-  w.U8(m.accepted);
-  PutFrontier(w, m.exports);
-  w.U64(m.pairs_visited);
+  w.U32(static_cast<uint32_t>(m.results.size()));
+  for (const WalkResult& res : m.results) {
+    w.U8(res.status_code);
+    w.Str(res.error);
+    w.U8(res.accepted);
+    PutFrontier(w, res.exports);
+    w.U64(res.pairs_visited);
+  }
   PutStamp(w, m.stamp);
   return Seal(w);
 }
@@ -416,11 +428,17 @@ Result<WalkReply> DecodeWalkReply(std::span<const uint8_t> bytes) {
   ByteReader r(body);
   SARGUS_RETURN_IF_ERROR(TakeHeader(r, MsgType::kWalkReply));
   WalkReply m;
-  m.status_code = r.U8();
-  m.error = r.Str();
-  m.accepted = r.U8();
-  m.exports = TakeFrontier(r);
-  m.pairs_visited = r.U64();
+  const uint32_t n = r.Count(18);
+  m.results.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    WalkResult res;
+    res.status_code = r.U8();
+    res.error = r.Str();
+    res.accepted = r.U8();
+    res.exports = TakeFrontier(r);
+    res.pairs_visited = r.U64();
+    m.results.push_back(std::move(res));
+  }
   m.stamp = TakeStamp(r);
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
   return m;

@@ -31,7 +31,8 @@
 /// byte to the three serving choices (v2 also had DFS and bidirectional
 /// values, so a v2 byte means something else under v3); v4 dropped the
 /// two override bytes from CheckRequest, since a shard serves one
-/// evaluator.
+/// evaluator; v5: walk frames carry a positional list of walks, so one
+/// frame per shard carries every walk a batch's round sends there.
 ///
 /// Identifier convention: node, label, resource, rule and automaton
 /// state ids in wire messages are GLOBAL — every shard graph keeps the
@@ -54,7 +55,7 @@
 namespace sargus::wire {
 
 inline constexpr uint32_t kMagic = 0x57524753;  // "SGRW", little-endian
-inline constexpr uint32_t kProtocolVersion = 4;
+inline constexpr uint32_t kProtocolVersion = 5;
 
 enum class MsgType : uint8_t {
   kCheckRequest = 1,
@@ -137,12 +138,13 @@ enum class WalkSeed : uint8_t {
   /// Seed the automaton start closure at `owner` (phase one: the walk
   /// that begins at the resource owner on its home shard).
   kOwnerStarts = 0,
-  /// Seed the explicit `frontier` (phase two / fallback rounds: resume
+  /// Seed the explicit `frontier` (frontier rounds: resume
   /// configurations another shard exported).
   kFrontier = 1,
 };
 
-struct WalkRequest {
+/// One product-space walk for one (rule, path) of one check.
+struct Walk {
   RuleId rule = 0;
   /// Path index within the rule (a rule is a disjunction of paths).
   uint32_t path = 0;
@@ -150,10 +152,11 @@ struct WalkRequest {
   WalkSeed seed = WalkSeed::kOwnerStarts;
   NodeId owner = 0;
   std::vector<FrontierEntry> frontier;
-  bool operator==(const WalkRequest&) const = default;
+  bool operator==(const Walk&) const = default;
 };
 
-struct WalkReply {
+/// What one walk found.
+struct WalkResult {
   uint8_t status_code = 0;
   std::string error;
   /// An accepting edge landed on `requester` inside this shard's local
@@ -161,9 +164,21 @@ struct WalkReply {
   uint8_t accepted = 0;
   /// Every fresh configuration the walk pushed at a node this shard
   /// does not own — the entry points into other shards. Deduplicated
-  /// within one reply by the walk's visited set.
+  /// within one result by the walk's visited set.
   std::vector<FrontierEntry> exports;
   uint64_t pairs_visited = 0;
+  bool operator==(const WalkResult&) const = default;
+};
+
+struct WalkRequest {
+  std::vector<Walk> walks;
+  bool operator==(const WalkRequest&) const = default;
+};
+
+struct WalkReply {
+  /// Positional: results[i] answers walks[i].
+  std::vector<WalkResult> results;
+  /// The one read view every walk of the frame ran against.
   Stamp stamp;
   bool operator==(const WalkReply&) const = default;
 };

@@ -86,9 +86,7 @@ void InstallFaultSeam(RouterOptions& opts, uint64_t seed,
 
 // The 8-node / 2-shard chain fixture: nodes 0-3 on shard 0, 4-7 on
 // shard 1, chain 0 -f-> 4 -f-> 5 -f-> 1, resource at node 0 guarded by
-// friend[1,3]. Node 0 is a boundary vertex of shard 0 (cut edge 0->4),
-// so its shard's boundary summary can carry a walk across it even when
-// the shard itself is dark.
+// friend[1,3]. Requester 1 is granted through two cut crossings.
 struct ChainFixture {
   SocialGraph graph;
   PolicyStore store;
@@ -156,8 +154,7 @@ void RunChaosOracle(uint32_t num_shards) {
       ++completed;
       EXPECT_EQ(got->granted, want->granted)
           << tag << "/" << where << " requester=" << req.requester
-          << " resource=" << req.resource
-          << " degraded=" << got->degraded_reason;
+          << " resource=" << req.resource;
       EXPECT_EQ(got->owner_access, want->owner_access)
           << tag << "/" << where;
     } else {
@@ -204,9 +201,6 @@ void RunChaosOracle(uint32_t num_shards) {
       req.requester = static_cast<NodeId>(rng.NextBounded(n));
       req.resource = w.resources[rng.NextBounded(w.resources.size())];
       check_one(req, "single " + std::to_string(i));
-    }
-    if (i % 97 == 96) {
-      ASSERT_TRUE(router.RefreshSummaries().ok()) << tag;
     }
   }
 
@@ -279,7 +273,6 @@ TEST(ShardParallelChaos, SlowShardDoesNotStallOtherSubBatches) {
   opts.robustness.call_deadline_ms = 40;
   opts.robustness.op_budget_ms = 120;
   opts.robustness.max_attempts = 1;  // a retry would just re-wait
-  opts.robustness.allow_degraded = false;
   std::atomic<uint64_t> slow_dispatches{0};
   opts.executor.pre_dispatch_hook = [&](uint32_t shard) {
     if (shard == 0) {
@@ -332,8 +325,8 @@ TEST(ShardParallelChaos, SlowShardDoesNotStallOtherSubBatches) {
 TEST(ShardParallelStress, ReadersFanOutFaultsAndWriter) {
   // Reader threads drive scatter-gather batches through the threaded
   // executor (caller threads racing per-shard workers) while injected
-  // faults flip outcomes and one writer mutates, blacks out shards, and
-  // refreshes summaries. The assertions are the chaos invariants; the
+  // faults flip outcomes and one writer mutates and blacks out shards.
+  // The assertions are the chaos invariants; the
   // real assertion is TSan reporting zero races across the executor's
   // queues, tickets, and the router's scatter state.
   auto g = SmallBa(29);
@@ -396,9 +389,6 @@ TEST(ShardParallelStress, ReadersFanOutFaultsAndWriter) {
         EXPECT_NE(st.code(), StatusCode::kInternal) << st.ToString();
       }
       if (step % 5 == 0) fault->Blackout(dark, false);
-      if (step % 10 == 9) {
-        ASSERT_TRUE(router.RefreshSummaries().ok());
-      }
     }
   }
   while (reads.load(std::memory_order_relaxed) < 100) {
@@ -409,7 +399,7 @@ TEST(ShardParallelStress, ReadersFanOutFaultsAndWriter) {
   EXPECT_GT(router.counters().checks, 0u);
 }
 
-// ---- Blackout: degraded serving, explicit refusals, recovery ---------------
+// ---- Blackout: explicit refusals, recovery --------------------------------
 
 TEST(ChaosOracle, ShardBlackoutAndRecovery) {
   ChainFixture f = MakeChain();
@@ -425,59 +415,39 @@ TEST(ChaosOracle, ShardBlackoutAndRecovery) {
   ASSERT_TRUE(oracle.RebuildIndexes().ok());
 
   // Healthy baseline: 1 granted through two cut crossings, 3 and 6
-  // denied, nothing degraded.
+  // denied.
   for (const NodeId r : {NodeId{1}, NodeId{3}, NodeId{6}}) {
     const auto d = router.CheckAccess({.requester = r, .resource = f.res});
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(d->granted, r == 1) << "requester " << r;
-    EXPECT_TRUE(d->degraded_reason.empty());
   }
 
-  // Lights out on shard 0 — the shard holding the resource owner.
+  // Lights out on shard 0 — the shard holding the resource owner. Every
+  // non-owner check needs the owner's shard first, so each is an
+  // explicit kUnavailable: the grant, the deny on the healthy shard, and
+  // the deny inside the dark one alike. Nothing is guessed.
   fault->Blackout(0, true);
   EXPECT_TRUE(fault->blacked_out(0));
-
-  // Requester 1: the grant is concluded from shard 0's FRESH boundary
-  // summary (the accepting cut arc 5->1 re-enters the dark shard at the
-  // requester itself) — exact, stamped degraded.
-  const auto d1 = router.CheckAccess({.requester = 1, .resource = f.res});
-  ASSERT_TRUE(d1.ok()) << d1.status().ToString();
-  EXPECT_TRUE(d1->granted);
-  EXPECT_EQ(d1->evaluator_name, "shard-degraded");
-  EXPECT_FALSE(d1->degraded_reason.empty());
-
-  // Requester 6 (healthy shard): the deny concludes exactly — the
-  // composition walks shard 0's summary across the dark shard and the
-  // final local walk runs on healthy shard 1.
-  const auto d6 = router.CheckAccess({.requester = 6, .resource = f.res});
-  ASSERT_TRUE(d6.ok()) << d6.status().ToString();
-  EXPECT_FALSE(d6->granted);
-  EXPECT_FALSE(d6->degraded_reason.empty());
-
-  // Requester 3: concluding the deny would need a live walk INSIDE the
-  // dark shard. Degraded mode never guesses: explicit kUnavailable.
-  const auto d3 = router.CheckAccess({.requester = 3, .resource = f.res});
-  EXPECT_EQ(d3.status().code(), StatusCode::kUnavailable);
+  for (const NodeId r : {NodeId{1}, NodeId{6}, NodeId{3}}) {
+    const auto d = router.CheckAccess({.requester = r, .resource = f.res});
+    EXPECT_EQ(d.status().code(), StatusCode::kUnavailable)
+        << "requester " << r;
+  }
 
   // The owner's own access never needs the data plane.
   const auto d0 = router.CheckAccess({.requester = 0, .resource = f.res});
   ASSERT_TRUE(d0.ok());
   EXPECT_TRUE(d0->owner_access);
-  EXPECT_TRUE(d0->degraded_reason.empty());
 
   // Mutations that must touch the dark shard fail stop before applying
-  // anything, so view stamps cannot move and the summaries the degraded
-  // path leans on stay provably fresh...
+  // anything...
   EXPECT_EQ(router.AddEdge(2, 3, "friend").code(), StatusCode::kUnavailable);
-  // ...and degraded answers keep flowing afterwards.
+  // ...and checks keep failing explicitly afterwards.
   const auto again = router.CheckAccess({.requester = 1, .resource = f.res});
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->granted);
-  EXPECT_FALSE(again->degraded_reason.empty());
+  EXPECT_EQ(again.status().code(), StatusCode::kUnavailable);
 
   RouterCounters c = router.counters();
-  EXPECT_GE(c.degraded_answers, 3u);
-  EXPECT_GE(c.unavailable_errors, 1u);
+  EXPECT_EQ(c.unavailable_errors, 4u);
   EXPECT_GE(c.breaker_opens, 1u);
   EXPECT_EQ(router.health().state(0), BreakerState::kOpen);
 
@@ -492,28 +462,8 @@ TEST(ChaosOracle, ShardBlackoutAndRecovery) {
     ASSERT_TRUE(d.ok()) << d.status().ToString();
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(d->granted, want->granted) << "requester " << r;
-    EXPECT_TRUE(d->degraded_reason.empty());
   }
   EXPECT_EQ(router.health().state(0), BreakerState::kClosed);
-}
-
-TEST(ChaosOracle, DegradedRefusesWhenSummariesDisabled) {
-  ChainFixture f = MakeChain();
-  RouterOptions opts;
-  opts.partition.num_shards = 2;
-  opts.partition.strategy = PartitionStrategy::kContiguous;
-  opts.build_summaries = false;
-  FaultInjectionTransport* fault = nullptr;
-  InstallFaultSeam(opts, 11, &fault);
-  ShardRouter router(f.graph, f.store, opts);
-  ASSERT_TRUE(router.Build().ok());
-
-  fault->Blackout(0, true);
-  // Without summaries there is nothing exact to answer from: every
-  // non-owner check against the dark shard is an explicit refusal.
-  const auto d = router.CheckAccess({.requester = 1, .resource = f.res});
-  EXPECT_EQ(d.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(router.counters().degraded_answers, 0u);
 }
 
 // ---- Mid-mutation blackout: no torn cut edges ------------------------------
@@ -537,16 +487,16 @@ TEST(ChaosOracle, MidMutationBlackout) {
   // shard 1 applies, shard 0 refuses, and the router must roll shard 1
   // back. A torn edge here would grant requester 3 through shard 1's
   // walk: silently wrong, exactly what must never happen.
+  // Edge mutations never republish the topology: it is only the node
+  // -> shard map.
   const uint64_t epoch_before = router.topology()->epoch;
   fault->Blackout(0, true);
   EXPECT_EQ(router.AddEdge(5, 3, "friend").code(), StatusCode::kUnavailable);
   fault->Blackout(0, false);
-  EXPECT_EQ(router.topology()->epoch, epoch_before);  // no cut arc published
+  EXPECT_EQ(router.topology()->epoch, epoch_before);
 
-  // Heal fully: breaker window + summaries (the rollback legitimately
-  // moved shard 1's stamps, so its summary is stale until refreshed).
+  // Heal fully: the breaker window elapses.
   fault->SleepMs(500);
-  ASSERT_TRUE(router.RefreshSummaries().ok());
 
   // The oracle never saw the edge, and the router agrees it is not
   // there: requester 3 is still denied.
@@ -562,7 +512,7 @@ TEST(ChaosOracle, MidMutationBlackout) {
   // both shards and flips the answer everywhere at once.
   ASSERT_TRUE(router.AddEdge(5, 3, "friend").ok());
   ASSERT_TRUE(oracle.AddEdge(5, 3, "friend").ok());
-  EXPECT_EQ(router.topology()->epoch, epoch_before + 1);
+  EXPECT_EQ(router.topology()->epoch, epoch_before);
   d3 = router.CheckAccess(req3);
   want3 = oracle.CheckAccess(req3);
   ASSERT_TRUE(d3.ok());
@@ -636,10 +586,6 @@ TEST(ShardTransportConcurrency, ReadersRaceFaultsAndWriter) {
         EXPECT_NE(st.code(), StatusCode::kInternal) << st.ToString();
       }
       if (step % 5 == 0) fault->Blackout(dark, false);
-      // The control plane stays reliable throughout.
-      if (step % 10 == 9) {
-        ASSERT_TRUE(router.RefreshSummaries().ok());
-      }
     }
   }
   while (reads.load(std::memory_order_relaxed) < 200) {

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -153,26 +154,59 @@ TEST(Wire, BatchRoundTrip) {
   EXPECT_EQ(*decoded_rep, rep);
 }
 
-TEST(Wire, WalkRoundTrip) {
+/// A walk frame of `n` walks, each different, with non-trivial fields.
+wire::WalkRequest MakeWalkFrame(size_t n) {
   wire::WalkRequest req;
-  req.rule = 4;
-  req.path = 1;
-  req.requester = 11;
-  req.seed = wire::WalkSeed::kFrontier;
-  req.owner = 6;
-  req.frontier = {{10, 2, 3}, {20, 0, 5}};
-  auto decoded = wire::DecodeWalkRequest(wire::Encode(req));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, req);
+  for (size_t i = 0; i < n; ++i) {
+    wire::Walk walk;
+    walk.rule = static_cast<RuleId>(4 + i);
+    walk.path = static_cast<uint32_t>(i);
+    walk.requester = static_cast<NodeId>(11 + i);
+    walk.owner = 6;
+    if (i % 2 == 1) {
+      walk.seed = wire::WalkSeed::kFrontier;
+      walk.frontier = {{10, 2, 3}, {static_cast<NodeId>(20 + i), 0, 5}};
+    }
+    req.walks.push_back(std::move(walk));
+  }
+  return req;
+}
 
+/// The positional reply to a MakeWalkFrame(n).
+wire::WalkReply MakeWalkReply(size_t n) {
   wire::WalkReply rep;
-  rep.accepted = 1;
-  rep.exports = {{3, 1, 2}};
-  rep.pairs_visited = 77;
+  for (size_t i = 0; i < n; ++i) {
+    wire::WalkResult result;
+    result.accepted = i == 1 ? 1 : 0;
+    result.exports = {{static_cast<NodeId>(3 + i), 1, 2}};
+    result.pairs_visited = 77 + i;
+    if (i == 2) {
+      result.status_code = wire::PackStatus(Status::InvalidArgument("bad"));
+      result.error = "bad";
+      result.exports.clear();
+    }
+    rep.results.push_back(std::move(result));
+  }
   rep.stamp = {1, 2};
-  auto decoded_rep = wire::DecodeWalkReply(wire::Encode(rep));
-  ASSERT_TRUE(decoded_rep.ok());
-  EXPECT_EQ(*decoded_rep, rep);
+  return rep;
+}
+
+TEST(Wire, WalkRoundTrip) {
+  // v5 walk frames are positional lists: empty, single and multi-walk
+  // frames all round-trip, and so do their replies.
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{3}}) {
+    const wire::WalkRequest req = MakeWalkFrame(n);
+    auto decoded = wire::DecodeWalkRequest(wire::Encode(req));
+    ASSERT_TRUE(decoded.ok()) << n;
+    EXPECT_EQ(*decoded, req);
+    EXPECT_EQ(decoded->walks.size(), n);
+
+    const wire::WalkReply rep = MakeWalkReply(n);
+    auto decoded_rep = wire::DecodeWalkReply(wire::Encode(rep));
+    ASSERT_TRUE(decoded_rep.ok()) << n;
+    EXPECT_EQ(*decoded_rep, rep);
+    EXPECT_EQ(decoded_rep->results.size(), n);
+  }
 }
 
 TEST(Wire, MutateRoundTrip) {
@@ -211,11 +245,12 @@ TEST(Wire, RejectsCorruptFrames) {
   protocol2[4] = 2;
   EXPECT_EQ(wire::DecodeCheckRequest(protocol2).status().code(),
             StatusCode::kInvalidArgument);
-  // A protocol-3 frame, checksum intact: a v3 CheckRequest carried two
-  // evaluator-override bytes after want_witness. Decoders refuse it
-  // rather than misread it, alone and inside a batch.
-  auto protocol3 = [](wire::MsgType type, std::span<const uint8_t> body) {
-    std::vector<uint8_t> frame = {0x53, 0x47, 0x52, 0x57, 3, 0, 0, 0,
+  // Frames of older protocols, checksum intact. A v3 CheckRequest
+  // carried two evaluator-override bytes after want_witness. Decoders
+  // refuse it rather than misread it, alone and inside a batch.
+  auto old_frame = [](uint8_t version, wire::MsgType type,
+                      std::span<const uint8_t> body) {
+    std::vector<uint8_t> frame = {0x53, 0x47, 0x52, 0x57, version, 0, 0, 0,
                                   static_cast<uint8_t>(type)};
     for (const uint8_t b : body) frame.push_back(b);
     const uint64_t sum = Fnv1a64(frame);
@@ -225,7 +260,7 @@ TEST(Wire, RejectsCorruptFrames) {
   // requester 7, resource 3, want_witness 0, override {1, kOnlineBfs}.
   const std::vector<uint8_t> v3_check = {7, 0, 0, 0, 3, 0, 0, 0, 0, 1, 1};
   const Status v3_status =
-      wire::DecodeCheckRequest(protocol3(wire::MsgType::kCheckRequest,
+      wire::DecodeCheckRequest(old_frame(3, wire::MsgType::kCheckRequest,
                                          v3_check))
           .status();
   EXPECT_EQ(v3_status.code(), StatusCode::kInvalidArgument);
@@ -235,14 +270,27 @@ TEST(Wire, RejectsCorruptFrames) {
   std::vector<uint8_t> v3_batch = {1, 0, 0, 0};
   v3_batch.insert(v3_batch.end(), v3_check.begin(), v3_check.end());
   EXPECT_EQ(wire::DecodeBatchCheckRequest(
-                protocol3(wire::MsgType::kBatchCheckRequest, v3_batch))
+                old_frame(3, wire::MsgType::kBatchCheckRequest, v3_batch))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(wire::ParseMessage(
-                protocol3(wire::MsgType::kCheckRequest, v3_check))
+                old_frame(3, wire::MsgType::kCheckRequest, v3_check))
                 .status()
                 .code(),
+            StatusCode::kInvalidArgument);
+  // A v4 walk frame carried exactly one walk and no item count: rule 4,
+  // path 1, requester 11, seed kOwnerStarts, owner 6, empty frontier.
+  EXPECT_EQ(wire::kProtocolVersion, 5u);
+  const std::vector<uint8_t> v4_walk = {4, 0, 0, 0, 1, 0, 0, 0, 11, 0, 0, 0,
+                                        0, 6, 0, 0, 0, 0, 0, 0, 0};
+  const auto v4_frame = old_frame(4, wire::MsgType::kWalkRequest, v4_walk);
+  const Status v4_status = wire::DecodeWalkRequest(v4_frame).status();
+  EXPECT_EQ(v4_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v4_status.message().find("protocol version 4"),
+            std::string::npos)
+      << v4_status.ToString();
+  EXPECT_EQ(wire::ParseMessage(v4_frame).status().code(),
             StatusCode::kInvalidArgument);
   // Wrong message type for the decoder.
   EXPECT_FALSE(wire::DecodeWalkRequest(bytes).ok());
@@ -280,11 +328,7 @@ TEST(Wire, ChecksumCatchesEverySingleBitFlip) {
   // The v2 trailing checksum covers the entire frame: any single-bit
   // flip — header, type byte, payload, or the checksum itself — must be
   // a clean decode error, never a silently misread message.
-  wire::WalkReply rep;
-  rep.exports = {{3, 1, 2}, {9, 0, 4}};
-  rep.pairs_visited = 501;
-  rep.stamp = {7, 13};
-  const std::vector<uint8_t> bytes = wire::Encode(rep);
+  const std::vector<uint8_t> bytes = wire::Encode(MakeWalkReply(2));
   for (size_t byte = 0; byte < bytes.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       auto flipped = bytes;
@@ -340,15 +384,10 @@ TEST(Wire, ParseMessageFuzz10k) {
   wire::BatchCheckReply brep;
   brep.replies = {crep, wire::CheckReply{}};
   pool.push_back(wire::Encode(brep));
-  wire::WalkRequest wreq;
-  wreq.rule = 4;
-  wreq.seed = wire::WalkSeed::kFrontier;
-  wreq.frontier = {{10, 2, 3}, {20, 0, 5}};
-  pool.push_back(wire::Encode(wreq));
-  wire::WalkReply wrep;
-  wrep.exports = {{3, 1, 2}};
-  wrep.pairs_visited = 77;
-  pool.push_back(wire::Encode(wrep));
+  for (const size_t walks : {size_t{1}, size_t{3}}) {
+    pool.push_back(wire::Encode(MakeWalkFrame(walks)));
+    pool.push_back(wire::Encode(MakeWalkReply(walks)));
+  }
   wire::MutateRequest mreq;
   mreq.op = wire::MutateOp::kAddEdge;
   mreq.src = 5;
@@ -667,10 +706,6 @@ void RunOracleComparison(Result<SocialGraph> generated,
         oracle.RemoveEdge(added[i].first, added[i].second, "friend").ok());
   }
   compare_random(80, "after-remove");
-
-  // Fresh summaries must not change any answer.
-  ASSERT_TRUE(router.RefreshSummaries().ok()) << tag;
-  compare_random(80, "after-refresh");
 }
 
 Result<SocialGraph> SmallEr(uint64_t seed) {
@@ -717,16 +752,15 @@ TEST(ShardRouterOracle, WattsStrogatzCommunity) {
   }
 }
 
-TEST(ShardRouterOracle, BarabasiAlbertCommunityNoSummaries) {
-  // Same agreement with summaries disabled: every cross-shard path goes
-  // through the frontier-exchange fallback.
+TEST(ShardRouterOracle, BarabasiAlbertCommunityFrontierExchange) {
+  // Community shards over a BA graph: the paths that leave the owner's
+  // shard go through frontier rounds, and every answer still agrees.
   auto g = SmallBa(99);
   ASSERT_TRUE(g.ok());
   Workload w = MakeWorkload(std::move(*g));
   SocialGraph oracle_graph = w.graph;
   RouterOptions opts = ExactRouterOptions(4);
   opts.partition.strategy = PartitionStrategy::kCommunity;
-  opts.build_summaries = false;
   ShardRouter router(w.graph, w.store, opts);
   ASSERT_TRUE(router.Build().ok());
   AccessControlEngine oracle(oracle_graph, w.store);
@@ -738,73 +772,11 @@ TEST(ShardRouterOracle, BarabasiAlbertCommunityNoSummaries) {
         static_cast<NodeId>(rng.NextBounded(oracle_graph.NumNodes()));
     req.resource = w.resources[rng.NextBounded(w.resources.size())];
     ExpectAgrees(router.CheckAccess(req), oracle.CheckAccess(req),
-                 "nosummary slot " + std::to_string(i));
+                 "community slot " + std::to_string(i));
   }
   const RouterCounters c = router.counters();
-  // With summaries disabled, any path evaluation that outlives phase
-  // one must have gone through frontier exchange (never a stale-summary
-  // detour, because there are no summaries to find stale).
   EXPECT_GT(c.fallback_walks, 0u);
-  EXPECT_EQ(c.stale_summary_fallbacks, 0u);
-}
-
-// ---- Router: forced fallback + counters -----------------------------------
-
-TEST(ShardRouter, StaleSummaryFallsBackThenRecovers) {
-  // Two contiguous shards over 8 nodes: 0-3 on shard 0, 4-7 on shard 1.
-  // Chain 0 -f-> 4 -f-> 5 -f-> 1 needs three hops crossing the cut twice.
-  SocialGraph g;
-  g.AddNodes(8);
-  ASSERT_TRUE(g.AddEdge(0, 4, "friend").ok());
-  ASSERT_TRUE(g.AddEdge(4, 5, "friend").ok());
-  ASSERT_TRUE(g.AddEdge(5, 1, "friend").ok());
-  PolicyStore store;
-  const ResourceId res = store.RegisterResource(0, "res");
-  ASSERT_TRUE(store.AddRuleFromPaths(res, {"friend[1,3]"}).ok());
-
-  RouterOptions opts = ExactRouterOptions(2);
-  opts.partition.strategy = PartitionStrategy::kContiguous;
-  ShardRouter router(g, store, opts);
-  ASSERT_TRUE(router.Build().ok());
-  ASSERT_EQ(router.topology()->shard_of[0], 0u);
-  ASSERT_EQ(router.topology()->shard_of[5], 1u);
-
-  // Fresh summaries: the cross-shard grant resolves without fallback.
-  auto granted = router.CheckAccess({.requester = 1, .resource = res});
-  ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted->granted);
-  RouterCounters c = router.counters();
-  EXPECT_EQ(c.fallback_walks, 0u);
-  EXPECT_GT(c.cross_shard_checks, 0u);
-
-  // An interior mutation on shard 1 (5 -> 6 stays inside the shard)
-  // dirties its summary stamp; the next cross-shard check must fall back
-  // to frontier exchange — and still answer correctly.
-  ASSERT_TRUE(router.AddEdge(5, 6, "friend").ok());
-  granted = router.CheckAccess({.requester = 1, .resource = res});
-  ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted->granted);
-  c = router.counters();
-  EXPECT_GT(c.fallback_walks, 0u);
-  EXPECT_GT(c.stale_summary_fallbacks, 0u);
-  const uint64_t fallbacks_before = c.fallback_walks;
-
-  // Rebuilt summaries: fallback count stops moving.
-  ASSERT_TRUE(router.RefreshSummaries().ok());
-  granted = router.CheckAccess({.requester = 1, .resource = res});
-  ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted->granted);
-  // Requester 6 is now reachable in two hops as well.
-  auto six = router.CheckAccess({.requester = 6, .resource = res});
-  ASSERT_TRUE(six.ok());
-  EXPECT_TRUE(six->granted);
-  // And node 3 never was.
-  auto three = router.CheckAccess({.requester = 3, .resource = res});
-  ASSERT_TRUE(three.ok());
-  EXPECT_FALSE(three->granted);
-  c = router.counters();
-  EXPECT_EQ(c.fallback_walks, fallbacks_before);
-  EXPECT_GT(c.summary_resolved, 0u);
+  EXPECT_GE(c.fallback_rounds, c.fallback_walks);
 }
 
 TEST(ShardRouter, AddNodeKeepsShardsAligned) {
@@ -877,9 +849,6 @@ TEST(ShardRouterConcurrency, ReadersRaceOneWriter) {
         (void)router.RemoveEdge(a, b, "friend");
       } else {
         (void)router.AddEdge(a, b, "friend");
-      }
-      if (step % 10 == 9) {
-        ASSERT_TRUE(router.RefreshSummaries().ok());
       }
     }
   }
@@ -961,6 +930,37 @@ TEST(ShardTransport, HandleFrameDispatch) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, shard.Check(req));
   EXPECT_EQ(reply->granted, 1);
+
+  // A multi-walk frame comes back positionally: one result per walk,
+  // all against one view. Requester 3 is reached, 4 is not, and a walk
+  // naming a rule the shard does not know fails alone.
+  wire::WalkRequest walks;
+  for (const NodeId requester : {NodeId{3}, NodeId{4}}) {
+    walks.walks.push_back({.rule = 0,
+                           .path = 0,
+                           .requester = requester,
+                           .seed = wire::WalkSeed::kOwnerStarts,
+                           .owner = 0,
+                           .frontier = {}});
+  }
+  walks.walks.push_back({.rule = 99,
+                         .path = 0,
+                         .requester = 3,
+                         .seed = wire::WalkSeed::kOwnerStarts,
+                         .owner = 0,
+                         .frontier = {}});
+  auto walked =
+      wire::DecodeWalkReply(shard.HandleFrame(wire::Encode(walks)));
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(*walked, shard.ExpandFrontier(walks));
+  ASSERT_EQ(walked->results.size(), 3u);
+  EXPECT_EQ(walked->results[0].status_code, 0);
+  EXPECT_EQ(walked->results[0].accepted, 1);
+  EXPECT_EQ(walked->results[1].status_code, 0);
+  EXPECT_EQ(walked->results[1].accepted, 0);
+  EXPECT_EQ(walked->results[2].status_code,
+            wire::PackStatus(Status::InvalidArgument("")));
+  EXPECT_EQ(walked->stamp, shard.ViewStamp());
 
   // Mutations through the byte path take the writer path too.
   wire::MutateRequest mreq;
@@ -1107,7 +1107,6 @@ TEST(ShardTransport, RouterRetriesTransientFaults) {
   RouterOptions opts;
   opts.partition.num_shards = 2;
   opts.partition.strategy = PartitionStrategy::kContiguous;
-  opts.robustness.allow_degraded = false;  // crisp error assertions
   FaultInjectionTransport* fault = nullptr;
   opts.transport_decorator =
       [&fault](std::unique_ptr<ShardTransport> inner)
@@ -1121,20 +1120,19 @@ TEST(ShardTransport, RouterRetriesTransientFaults) {
   ASSERT_NE(fault, nullptr);
 
   // Shard 0's first two data-plane calls drop; the retry loop absorbs
-  // the storm and the decision is exact (and not marked degraded).
+  // the storm and the decision is exact.
   fault->AddSchedule({.shard = 0, .first_call = 0, .last_call = 1,
                       .kind = FaultKind::kDrop});
   const AccessRequest req{.requester = 1, .resource = f.res};
   auto d = router.CheckAccess(req);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_TRUE(d->granted);
-  EXPECT_TRUE(d->degraded_reason.empty());
   RouterCounters c = router.counters();
   EXPECT_EQ(c.retries, 2u);
   EXPECT_EQ(c.unavailable_errors, 0u);
   EXPECT_EQ(fault->counters(0).drops, 2u);
   // That check used exactly two shard-0 calls after the drops: the
-  // local-phase Check (attempt 3) and the phase-one walk.
+  // owner sub-batch (attempt 3) and the phase-one walk frame.
   EXPECT_EQ(fault->counters(0).calls, 4u);
 
   // A storm longer than max_attempts exhausts the retries: an explicit
@@ -1427,7 +1425,6 @@ TEST(ShardTransport, BackoffJitterIgnoresUnrelatedTraffic) {
     RouterOptions opts;
     opts.partition.num_shards = 2;
     opts.partition.strategy = PartitionStrategy::kContiguous;
-    opts.robustness.allow_degraded = false;
     opts.robustness.backoff_base_ms = 8;
     opts.robustness.backoff_max_ms = 64;
     opts.robustness.backoff_jitter = 0.9;  // big enough to see a reshuffle
@@ -1496,7 +1493,6 @@ void ExpectIdenticalDecision(const Result<AccessDecision>& a,
   EXPECT_EQ(a->evaluator_name, b->evaluator_name) << context;
   EXPECT_EQ(a->snapshot_generation, b->snapshot_generation) << context;
   EXPECT_EQ(a->overlay_version, b->overlay_version) << context;
-  EXPECT_EQ(a->degraded_reason, b->degraded_reason) << context;
   EXPECT_EQ(a->stats.pairs_visited, b->stats.pairs_visited) << context;
 }
 
@@ -1507,7 +1503,6 @@ void ExpectSameWork(const RouterCounters& a, const RouterCounters& b,
   EXPECT_EQ(a.checks, b.checks) << context;
   EXPECT_EQ(a.cross_shard_checks, b.cross_shard_checks) << context;
   EXPECT_EQ(a.local_conclusive, b.local_conclusive) << context;
-  EXPECT_EQ(a.summary_resolved, b.summary_resolved) << context;
   EXPECT_EQ(a.fallback_walks, b.fallback_walks) << context;
   EXPECT_EQ(a.cross_fallback_walks, b.cross_fallback_walks) << context;
   EXPECT_EQ(a.fallback_rounds, b.fallback_rounds) << context;
@@ -1597,11 +1592,7 @@ void RunParallelAgreement(Result<SocialGraph> generated,
     ASSERT_TRUE(oracle.RemoveEdge(src, dst, "friend").ok());
   }
   compare_singles(60, "after-remove");
-
-  ASSERT_TRUE(router_a.RefreshSummaries().ok()) << tag;
-  ASSERT_TRUE(router_b.RefreshSummaries().ok()) << tag;
-  compare_singles(40, "after-refresh");
-  compare_batch("after-refresh");
+  compare_batch("after-remove");
 
   ExpectSameWork(router_a.counters(), router_b.counters(), tag);
 }
@@ -1627,17 +1618,16 @@ TEST(ShardParallelAgreement, WattsStrogatzCommunity) {
   }
 }
 
-TEST(ShardParallelAgreement, NoSummariesForcesParallelFallbackRounds) {
-  // With summaries disabled every cross-shard path takes the frontier-
-  // exchange fallback, whose rounds scatter all shards in parallel —
-  // the hardest surface to keep byte-identical across runs.
+TEST(ShardParallelAgreement, BarabasiAlbertCommunityFrontierRounds) {
+  // Every path that leaves the owner's shard takes frontier rounds,
+  // which scatter all shards in parallel — the hardest surface to keep
+  // byte-identical across runs, for single checks and for batches.
   auto build = [] {
     auto g = SmallBa(99);
     EXPECT_TRUE(g.ok());
     auto w = std::make_unique<Workload>(MakeWorkload(std::move(*g)));
     RouterOptions opts = ExactRouterOptions(4);
     opts.partition.strategy = PartitionStrategy::kCommunity;
-    opts.build_summaries = false;
     auto router = std::make_unique<ShardRouter>(w->graph, w->store, opts);
     EXPECT_TRUE(router->Build().ok());
     return std::make_pair(std::move(w), std::move(router));
@@ -1653,10 +1643,263 @@ TEST(ShardParallelAgreement, NoSummariesForcesParallelFallbackRounds) {
     req.resource = wa->resources[rng.NextBounded(wa->resources.size())];
     ExpectIdenticalDecision(router_a->CheckAccess(req),
                             router_b->CheckAccess(req),
-                            "nosummary slot " + std::to_string(i));
+                            "community slot " + std::to_string(i));
+  }
+  std::vector<AccessRequest> batch;
+  for (int i = 0; i < 48; ++i) {
+    batch.push_back(
+        {.requester = static_cast<NodeId>(rng.NextBounded(n)),
+         .resource = wa->resources[rng.NextBounded(wa->resources.size())]});
+  }
+  const auto a = router_a->CheckAccessBatch(batch);
+  const auto b = router_b->CheckAccessBatch(batch);
+  ASSERT_EQ(a.size(), batch.size());
+  ASSERT_EQ(b.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ExpectIdenticalDecision(a[i], b[i],
+                            "community batch slot " + std::to_string(i));
   }
   EXPECT_GT(router_a->counters().fallback_walks, 0u);
-  ExpectSameWork(router_a->counters(), router_b->counters(), "nosummary");
+  ExpectSameWork(router_a->counters(), router_b->counters(), "community");
+}
+
+// ---- One batch procedure: rule order, blackouts, frames per round ---------
+
+TEST(ShardRouter, MatchedRuleIsFirstReachingRule) {
+  // Two contiguous shards over 8 nodes: 0-3 on shard 0, 4-7 on shard 1.
+  // Rule A (friend[1,3]) reaches requester 1 only through 4 -> 5, an
+  // edge inside shard 1, so it grants after a frontier round. Rule B
+  // (colleague[1]) reaches 1 over the owner shard's own edge 0 -> 1, so
+  // the owner phase grants it. matched_rule is still A: the first rule,
+  // in the resource's order, with a reaching path.
+  SocialGraph g;
+  g.AddNodes(8);
+  ASSERT_TRUE(g.AddEdge(0, 4, "friend").ok());
+  ASSERT_TRUE(g.AddEdge(4, 5, "friend").ok());
+  ASSERT_TRUE(g.AddEdge(5, 1, "friend").ok());
+  ASSERT_TRUE(g.AddEdge(0, 1, "colleague").ok());
+  ASSERT_TRUE(g.AddEdge(0, 2, "colleague").ok());
+  PolicyStore store;
+  const ResourceId res = store.RegisterResource(0, "res");
+  const std::vector<std::string> rule_text = {"friend[1,3]", "colleague[1]"};
+  std::vector<RuleId> rules;
+  for (const std::string& text : rule_text) {
+    auto rule = store.AddRuleFromPaths(res, {text});
+    ASSERT_TRUE(rule.ok());
+    rules.push_back(*rule);
+  }
+
+  RouterOptions opts = ExactRouterOptions(2);
+  opts.partition.strategy = PartitionStrategy::kContiguous;
+  ShardRouter router(g, store, opts);
+  ASSERT_TRUE(router.Build().ok());
+  ASSERT_EQ(router.topology()->shard_of[5], 1u);
+
+  // Brute force: the first rule whose path matches.
+  const CsrSnapshot csr = CsrSnapshot::Build(g);
+  const auto brute = [&](NodeId requester) -> std::optional<RuleId> {
+    for (size_t k = 0; k < rules.size(); ++k) {
+      if (testing_util::BruteForceMatch(
+              g, csr, testing_util::MustBind(g, rule_text[k]), 0, requester)) {
+        return rules[k];
+      }
+    }
+    return std::nullopt;
+  };
+  ASSERT_EQ(brute(1), rules[0]);
+  ASSERT_EQ(brute(2), rules[1]);
+  ASSERT_EQ(brute(3), std::nullopt);
+
+  std::vector<AccessRequest> batch;
+  for (const NodeId r : {NodeId{1}, NodeId{2}, NodeId{3}, NodeId{1}}) {
+    batch.push_back({.requester = r, .resource = res});
+  }
+  const auto batched = router.CheckAccessBatch(batch);
+  ASSERT_EQ(batched.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const NodeId r = batch[i].requester;
+    const auto single = router.CheckAccess(batch[i]);
+    for (const auto* d : {&single, &batched[i]}) {
+      ASSERT_TRUE(d->ok()) << "requester " << r << " "
+                           << d->status().ToString();
+      EXPECT_EQ((*d)->granted, brute(r).has_value()) << "requester " << r;
+      EXPECT_EQ((*d)->matched_rule, brute(r)) << "requester " << r;
+    }
+  }
+  EXPECT_GT(router.counters().fallback_walks, 0u);
+}
+
+TEST(ShardRouter, UnboundRuleErrsOnlyWhenNothingGrants) {
+  // "enemy" is never interned, so the first rule fails to bind on every
+  // shard. Its error is masked when the second rule grants across
+  // shards (requester 1) and surfaces when nothing grants (requester 3),
+  // as on a plain engine.
+  SocialGraph g;
+  g.AddNodes(8);
+  ASSERT_TRUE(g.AddEdge(0, 4, "friend").ok());
+  ASSERT_TRUE(g.AddEdge(4, 5, "friend").ok());
+  ASSERT_TRUE(g.AddEdge(5, 1, "friend").ok());
+  PolicyStore store;
+  const ResourceId res = store.RegisterResource(0, "res");
+  ASSERT_TRUE(store.AddRuleFromPaths(res, {"enemy[1]"}).ok());
+  auto second = store.AddRuleFromPaths(res, {"friend[1,3]"});
+  ASSERT_TRUE(second.ok());
+  SocialGraph oracle_graph = g;
+  AccessControlEngine oracle(oracle_graph, store);
+  ASSERT_TRUE(oracle.RebuildIndexes().ok());
+  RouterOptions opts = ExactRouterOptions(2);
+  opts.partition.strategy = PartitionStrategy::kContiguous;
+  ShardRouter router(g, store, opts);
+  ASSERT_TRUE(router.Build().ok());
+
+  const std::vector<AccessRequest> batch = {{.requester = 1, .resource = res},
+                                            {.requester = 3, .resource = res}};
+  const auto batched = router.CheckAccessBatch(batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto want = oracle.CheckAccess(batch[i]);
+    const auto single = router.CheckAccess(batch[i]);
+    for (const auto* got : {&single, &batched[i]}) {
+      ExpectAgrees(*got, want, "slot " + std::to_string(i));
+      if (got->ok()) {
+        EXPECT_EQ((*got)->matched_rule, want->matched_rule);
+      }
+    }
+  }
+  ASSERT_TRUE(batched[0].ok());
+  EXPECT_EQ(batched[0]->matched_rule, *second);
+  EXPECT_EQ(batched[1].status().code(), StatusCode::kNotFound);
+}
+
+TEST(ShardRouter, OwnerBlackoutInsideBatch) {
+  // Four contiguous shards of 10 nodes. Shard 0 shares no edge with any
+  // other shard; shards 1-3 are chained by cut edges, so their checks
+  // cross shards without ever needing shard 0. With shard 0 dark, the
+  // slots it owns fail explicitly and every other slot is exact.
+  constexpr uint32_t kShards = 4;
+  SocialGraph g;
+  g.AddNodes(40);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    const NodeId base = 10 * s;
+    ASSERT_TRUE(g.AddEdge(base, base + 1, "friend").ok());
+    ASSERT_TRUE(g.AddEdge(base + 1, base + 2, "friend").ok());
+  }
+  ASSERT_TRUE(g.AddEdge(11, 21, "friend").ok());
+  ASSERT_TRUE(g.AddEdge(21, 31, "friend").ok());
+  PolicyStore store;
+  std::vector<ResourceId> res;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    res.push_back(store.RegisterResource(10 * s, "res" + std::to_string(s)));
+    ASSERT_TRUE(store.AddRuleFromPaths(res.back(), {"friend[1,3]"}).ok());
+  }
+  SocialGraph oracle_graph = g;
+  AccessControlEngine oracle(oracle_graph, store);
+  ASSERT_TRUE(oracle.RebuildIndexes().ok());
+
+  RouterOptions opts = ExactRouterOptions(kShards);
+  opts.partition.strategy = PartitionStrategy::kContiguous;
+  FaultInjectionTransport* fault = nullptr;
+  opts.transport_decorator =
+      [&fault](std::unique_ptr<ShardTransport> inner)
+      -> std::unique_ptr<ShardTransport> {
+    auto t = std::make_unique<FaultInjectionTransport>(std::move(inner), 3);
+    fault = t.get();
+    return t;
+  };
+  ShardRouter router(g, store, opts);
+  ASSERT_TRUE(router.Build().ok());
+  ASSERT_NE(fault, nullptr);
+  fault->Blackout(0, true);
+
+  // Per shard: two local grants and a deny; plus 31, which resource 1
+  // reaches only through a frontier round (10 -> 11 -> 21 -> 31).
+  std::vector<AccessRequest> batch;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    for (const NodeId offset : {NodeId{1}, NodeId{2}, NodeId{5}}) {
+      batch.push_back({.requester = 10 * s + offset, .resource = res[s]});
+    }
+  }
+  batch.push_back({.requester = 31, .resource = res[1]});
+  const RouterCounters before = router.counters();
+  const auto decisions = router.CheckAccessBatch(batch);
+  ASSERT_EQ(decisions.size(), batch.size());
+  uint64_t refused = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::string ctx = "slot " + std::to_string(i);
+    if (batch[i].resource == res[0]) {
+      ++refused;
+      EXPECT_EQ(decisions[i].status().code(), StatusCode::kUnavailable) << ctx;
+      continue;
+    }
+    const auto want = oracle.CheckAccess(batch[i]);
+    ASSERT_TRUE(want.ok()) << ctx;
+    ASSERT_TRUE(decisions[i].ok()) << ctx << " "
+                                   << decisions[i].status().ToString();
+    EXPECT_EQ(decisions[i]->granted, want->granted) << ctx;
+    EXPECT_EQ(decisions[i]->matched_rule, want->matched_rule) << ctx;
+  }
+  ASSERT_TRUE(decisions.back().ok());
+  EXPECT_TRUE(decisions.back()->granted);
+  EXPECT_EQ(decisions.back()->evaluator_name, "shard-frontier");
+  const RouterCounters after = router.counters();
+  EXPECT_EQ(refused, 3u);
+  EXPECT_EQ(after.unavailable_errors - before.unavailable_errors, refused);
+}
+
+TEST(ShardRouter, BatchRunsAtMostOneFramePerShardPerRound) {
+  // One 16-request batch on 4 shards runs at most shards x (2 + rounds)
+  // executor jobs: one owner sub-batch and one phase-one walk frame per
+  // shard, then at most one frame per shard per frontier round. A
+  // slot's walks take the same rounds in a batch as alone, so the
+  // batch's round count is at most the largest per-check fallback_rounds
+  // of its requests checked one by one.
+  constexpr uint32_t kShards = 4;
+  constexpr size_t kBatch = 16;
+  auto g = SmallBa(61);
+  ASSERT_TRUE(g.ok());
+  Workload w = MakeWorkload(std::move(*g));
+  RouterOptions opts = ExactRouterOptions(kShards);
+  opts.partition.strategy = PartitionStrategy::kContiguous;
+  ShardRouter router(w.graph, w.store, opts);
+  ASSERT_TRUE(router.Build().ok());
+  const auto* transport =
+      dynamic_cast<const ThreadedTransport*>(&router.transport());
+  ASSERT_NE(transport, nullptr);
+  const auto jobs = [&] {
+    uint64_t total = 0;
+    for (uint32_t s = 0; s < kShards; ++s) {
+      total += transport->queue_stats(s).executed;
+    }
+    return total;
+  };
+
+  Rng rng(0xF4A3E);
+  const size_t n = w.graph.NumNodes();
+  std::vector<AccessRequest> batch;
+  for (size_t i = 0; i < kBatch; ++i) {
+    batch.push_back({.requester = static_cast<NodeId>(rng.NextBounded(n)),
+                     .resource = w.resources[rng.NextBounded(
+                         w.resources.size())]});
+  }
+  uint64_t rounds = 0;
+  const uint64_t singles_before = jobs();
+  for (const AccessRequest& req : batch) {
+    const uint64_t r0 = router.counters().fallback_rounds;
+    ASSERT_TRUE(router.CheckAccess(req).ok());
+    rounds = std::max(rounds, router.counters().fallback_rounds - r0);
+  }
+  const uint64_t single_jobs = jobs() - singles_before;
+  ASSERT_GT(rounds, 0u) << "the batch should need a frontier round";
+
+  const uint64_t batch_before = jobs();
+  const auto decisions = router.CheckAccessBatch(batch);
+  const uint64_t batch_jobs = jobs() - batch_before;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ExpectAgrees(decisions[i], router.CheckAccess(batch[i]),
+                 "slot " + std::to_string(i));
+  }
+  EXPECT_LE(batch_jobs, kShards * (2 + rounds))
+      << "rounds " << rounds << ", singles ran " << single_jobs << " jobs";
+  EXPECT_LT(batch_jobs, single_jobs);
 }
 
 }  // namespace
