@@ -205,11 +205,14 @@ void BM_ShardDirtyChurn(benchmark::State& state) {
 BENCHMARK(BM_ShardDirtyChurn)->Arg(16)->Arg(256);
 
 /// Fault-free transport overhead pair. Both series drive the same
-/// single-shard engine with the same Zipf request stream; the only
-/// difference is whether the call goes straight into ShardEngine::Check
-/// or through the router's ThreadedTransport (request copy, queue
-/// handoff to the shard's worker, future wake-up; no framing). The gap
-/// is the price of the executor hop every router call pays.
+/// single-shard engine with the same Zipf request stream, each request
+/// sent as a one-request BatchCheckRequest (the seam has no single-check
+/// message; the series keep their names so the executor-hop trajectory
+/// stays comparable). The only difference is whether the call goes
+/// straight into ShardEngine::CheckBatch or through the router's
+/// ThreadedTransport (request copy, queue handoff to the shard's worker,
+/// future wake-up; no framing). The gap is the price of the executor
+/// hop every router call pays.
 void BM_ShardDirectCall(benchmark::State& state) {
   auto f = MakeFixture(1);
   if (f == nullptr) {
@@ -219,10 +222,11 @@ void BM_ShardDirectCall(benchmark::State& state) {
   ZipfSampler requesters(kNodes, kTheta, 7);
   ZipfSampler targets(kResources, kTheta, 8);
   for (auto _ : state) {
-    wire::CheckRequest req;
-    req.requester = static_cast<NodeId>(requesters.Next());
-    req.resource = f->resources[targets.Next()];
-    auto reply = f->router->shard(0).Check(req);
+    wire::BatchCheckRequest req;
+    req.requests.push_back(
+        {.requester = static_cast<NodeId>(requesters.Next()),
+         .resource = f->resources[targets.Next()]});
+    auto reply = f->router->shard(0).CheckBatch(req);
     benchmark::DoNotOptimize(reply);
   }
   state.SetItemsProcessed(state.iterations());
@@ -240,9 +244,10 @@ void BM_ShardTransportCall(benchmark::State& state) {
   ZipfSampler requesters(kNodes, kTheta, 7);
   ZipfSampler targets(kResources, kTheta, 8);
   for (auto _ : state) {
-    wire::CheckRequest req;
-    req.requester = static_cast<NodeId>(requesters.Next());
-    req.resource = f->resources[targets.Next()];
+    wire::BatchCheckRequest req;
+    req.requests.push_back(
+        {.requester = static_cast<NodeId>(requesters.Next()),
+         .resource = f->resources[targets.Next()]});
     auto reply = transport.Call(0, req, no_deadline);
     benchmark::DoNotOptimize(reply);
   }

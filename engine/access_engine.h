@@ -4,14 +4,15 @@
 /// \file access_engine.h
 /// \brief AccessControlEngine: the write path + view publisher.
 ///
-/// The engine wires a SocialGraph and a PolicyStore to the full index +
-/// evaluator stack and splits the API into two halves:
+/// The engine wires a SocialGraph and a PolicyStore to one CSR snapshot
+/// and one serving evaluator (online BFS) and splits the API into two
+/// halves:
 ///
 ///  * a **read path** served by immutable AccessReadViews (see
 ///    read_view.h): `CheckAccess(AccessRequest)` / `CheckAccessBatch`
 ///    acquire the current view (lock-free in steady state via a
-///    per-thread cache), decide lock-free against its frozen (snapshot
-///    + indexes + overlay + compiled rules) bundle, and record the
+///    per-thread cache), decide lock-free against its frozen (CSR
+///    snapshot + overlay + compiled rules) bundle, and record the
 ///    decision in the audit ring;
 ///    `AcquireReadView()` hands the view out directly for callers that
 ///    want to pin one state across many calls (or skip the audit ring's
@@ -156,9 +157,9 @@ struct SnapshotStamp;  // snapshot_format.h
 /// Durability configuration (storage/ subsystem; see the "Durability &
 /// recovery" section of docs/ARCHITECTURE.md). An engine with
 /// EnableDurability attached logs every mutation batch to an append-only
-/// WAL and serializes its whole serving state (graph + overlay + prebuilt
-/// index stack) into an atomic snapshot bundle, so OpenFromDir restores
-/// a serving engine without recomputing a single index.
+/// WAL and serializes its whole serving state (graph + overlay + CSR)
+/// into an atomic snapshot bundle, so OpenFromDir restores a serving
+/// engine without rebuilding the CSR.
 struct DurabilityOptions {
   /// fdatasync once per group-commit batch (default): tickets complete
   /// after the batch sync, so an acknowledged mutation survives a
@@ -204,7 +205,7 @@ class AccessControlEngine {
   // ---- Write path (thread-safe mutations; control plane externally
   // serialized — see file comment) ------------------------------------------
 
-  /// (Re)builds every snapshot index the configuration needs and
+  /// (Re)builds the CSR snapshot and the compiled policies and
   /// publishes a fresh view. Call after construction (and after mutating
   /// the graph *outside* the engine). Waits out any in-flight
   /// compaction, then discards any staged overlay mutations — the

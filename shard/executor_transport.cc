@@ -172,12 +172,6 @@ TransportTicket<ReplyFor<Request>> ThreadedTransport::SubmitJob(
       });
 }
 
-TransportTicket<wire::CheckReply> ThreadedTransport::Submit(
-    uint32_t shard, const wire::CheckRequest& request,
-    const TransportCallOptions& opts) {
-  return SubmitJob(shard, request, opts);
-}
-
 TransportTicket<wire::BatchCheckReply> ThreadedTransport::Submit(
     uint32_t shard, const wire::BatchCheckRequest& request,
     const TransportCallOptions& opts) {

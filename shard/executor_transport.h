@@ -7,8 +7,9 @@
 ///
 /// Each shard gets one dedicated worker thread draining a bounded MPSC
 /// job queue (kQueueCapacity jobs), so one shard's calls execute in
-/// FIFO order. A call is a job: Submit copies the request, enqueues a
-/// closure, and returns a TransportTicket backed by a future. With that
+/// FIFO order. A call — a batch check, a walk frame or a mutation — is
+/// a job: Submit copies the request, enqueues a closure, and returns a
+/// TransportTicket backed by a future. With that
 /// the router can scatter one sub-batch (or one walk frame) per shard
 /// and gather them in a fixed order — shard count becomes a throughput
 /// multiplier instead of pure overhead. Every ShardRouter builds one at
@@ -99,9 +100,6 @@ class ThreadedTransport final : public ShardTransport {
     return static_cast<uint32_t>(engines_.size());
   }
 
-  TransportTicket<wire::CheckReply> Submit(
-      uint32_t shard, const wire::CheckRequest& request,
-      const TransportCallOptions& opts) override;
   TransportTicket<wire::BatchCheckReply> Submit(
       uint32_t shard, const wire::BatchCheckRequest& request,
       const TransportCallOptions& opts) override;
@@ -140,7 +138,7 @@ class ThreadedTransport final : public ShardTransport {
   /// kUnavailable (shutdown).
   bool Enqueue(uint32_t shard, Job job, uint64_t deadline_ms, Status* why);
 
-  /// Shared body of the four Submit overloads: package a copy of
+  /// Shared body of the three Submit overloads: package a copy of
   /// `request` as a job, enqueue it, hand back a future-backed ticket.
   /// Read tickets give up at the deadline; mutation tickets do not (see
   /// file comment).

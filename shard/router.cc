@@ -299,19 +299,13 @@ Result<ReplyFor<Request>> ShardRouter::FinishCall(
   return last;
 }
 
-template <typename Request>
-Result<ReplyFor<Request>> ShardRouter::CallShard(uint32_t shard, uint64_t salt,
-                                                 const Request& request) const {
-  PendingCall<Request> pc = BeginCall(shard, salt, request);
-  return FinishCall(pc);
-}
-
 Result<wire::MutateReply> ShardRouter::CallMutate(
-    uint32_t shard, const wire::MutateRequest& req) {
+    uint32_t shard, const wire::MutateRequest& req) const {
   const uint64_t salt = (uint64_t{static_cast<uint8_t>(req.op)} << 56) ^
                         (uint64_t{req.src} << 28) ^ (uint64_t{req.dst} << 8) ^
                         req.label;
-  return CallShard(shard, salt, req);
+  PendingCall<wire::MutateRequest> pc = BeginCall(shard, salt, req);
+  return FinishCall(pc);
 }
 
 template <typename Request>
@@ -596,64 +590,20 @@ Status ShardRouter::AddEdge(NodeId src, NodeId dst, const std::string& label) {
   // The caller's graph is never written, so its dictionary stays as
   // Build() found it.
   const LabelId id = shards_[0]->InternLabel(label);
+  if (id == kInvalidLabel) {
+    return Status::ResourceExhausted("AddEdge: label dictionary full");
+  }
   for (auto& shard : shards_) {
     if (shard->InternLabel(label) != id) {
       return Status::Internal("AddEdge: label dictionaries diverged");
     }
   }
-  return AddEdgeImpl(src, dst, id);
+  return MutateEdge(wire::MutateOp::kAddEdge, src, dst, id);
 }
 
 Status ShardRouter::AddEdge(NodeId src, NodeId dst, LabelId label) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  return AddEdgeImpl(src, dst, label);
-}
-
-Status ShardRouter::AddEdgeImpl(NodeId src, NodeId dst, LabelId label) {
-  if (!built_) {
-    return Status::FailedPrecondition("ShardRouter: Build() not called");
-  }
-  const auto topo = topology();
-  if (src >= topo->shard_of.size() || dst >= topo->shard_of.size()) {
-    return Status::InvalidArgument("AddEdge: endpoint out of range");
-  }
-  const uint32_t s1 = topo->shard_of[src];
-  const uint32_t s2 = topo->shard_of[dst];
-
-  wire::MutateRequest req;
-  req.op = wire::MutateOp::kAddEdge;
-  req.src = src;
-  req.dst = dst;
-  req.label = label;
-  // Transport mutations are fail-stop-before-apply (shard/transport.h):
-  // a transport error here means shard s1 never saw the edge.
-  const Result<wire::MutateReply> r1 = CallMutate(s1, req);
-  if (!r1.ok()) return r1.status();
-  Status st = wire::UnpackStatus(r1->status_code, r1->error);
-  if (s2 != s1) {
-    const Result<wire::MutateReply> r2 = CallMutate(s2, req);
-    if (!r2.ok()) {
-      // s1 already applied its half of the cut edge. Compensate with a
-      // direct engine rollback — the in-process control plane stays
-      // reliable even when the data-plane transport is faulting — so a
-      // torn cut edge is never observable.
-      if (st.ok()) {
-        const Status undo = shards_[s1]->engine().RemoveEdge(src, dst, label);
-        if (!undo.ok()) {
-          return Status::Internal(
-              "AddEdge: rollback after partial apply failed: " +
-              undo.ToString() + " (original: " + r2.status().ToString() + ")");
-        }
-      }
-      return r2.status();
-    }
-    const Status st2 = wire::UnpackStatus(r2->status_code, r2->error);
-    if (st.ok() != st2.ok()) {
-      return Status::Internal("AddEdge: shards disagree (" + st.ToString() +
-                              " vs " + st2.ToString() + ")");
-    }
-  }
-  return st;
+  return MutateEdge(wire::MutateOp::kAddEdge, src, dst, label);
 }
 
 Status ShardRouter::RemoveEdge(NodeId src, NodeId dst,
@@ -668,53 +618,60 @@ Status ShardRouter::RemoveEdge(NodeId src, NodeId dst,
   if (id == kInvalidLabel) {
     return Status::NotFound("RemoveEdge: unknown label '" + label + "'");
   }
-  return RemoveEdgeImpl(src, dst, id);
+  return MutateEdge(wire::MutateOp::kRemoveEdge, src, dst, id);
 }
 
 Status ShardRouter::RemoveEdge(NodeId src, NodeId dst, LabelId label) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  return RemoveEdgeImpl(src, dst, label);
+  return MutateEdge(wire::MutateOp::kRemoveEdge, src, dst, label);
 }
 
-Status ShardRouter::RemoveEdgeImpl(NodeId src, NodeId dst, LabelId label) {
+Status ShardRouter::MutateEdge(wire::MutateOp op, NodeId src, NodeId dst,
+                               LabelId label) {
+  const std::string what =
+      op == wire::MutateOp::kAddEdge ? "AddEdge" : "RemoveEdge";
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
   }
   const auto topo = topology();
   if (src >= topo->shard_of.size() || dst >= topo->shard_of.size()) {
-    return Status::InvalidArgument("RemoveEdge: endpoint out of range");
+    return Status::InvalidArgument(what + ": endpoint out of range");
   }
   const uint32_t s1 = topo->shard_of[src];
   const uint32_t s2 = topo->shard_of[dst];
 
-  wire::MutateRequest req;
-  req.op = wire::MutateOp::kRemoveEdge;
-  req.src = src;
-  req.dst = dst;
-  req.label = label;
+  const wire::MutateRequest req{
+      .op = op, .src = src, .dst = dst, .label = label};
+  // Transport mutations are fail-stop-before-apply (shard/transport.h):
+  // a transport error here means shard s1 never saw the mutation.
   const Result<wire::MutateReply> r1 = CallMutate(s1, req);
   if (!r1.ok()) return r1.status();
-  Status st = wire::UnpackStatus(r1->status_code, r1->error);
-  if (s2 != s1) {
-    const Result<wire::MutateReply> r2 = CallMutate(s2, req);
-    if (!r2.ok()) {
-      // Mirror of the AddEdge compensation: restore s1's half so the
-      // cut edge is not half-removed.
-      if (st.ok()) {
-        const Status undo = shards_[s1]->engine().AddEdge(src, dst, label);
-        if (!undo.ok()) {
-          return Status::Internal(
-              "RemoveEdge: rollback after partial apply failed: " +
-              undo.ToString() + " (original: " + r2.status().ToString() + ")");
-        }
+  const Status st = wire::UnpackStatus(r1->status_code, r1->error);
+  if (s2 == s1) return st;
+  const Result<wire::MutateReply> r2 = CallMutate(s2, req);
+  if (!r2.ok()) {
+    // s1 already applied its half of the cut edge. Compensate with the
+    // inverse op over the direct control plane — it stays reliable even
+    // when the data-plane transport is faulting — so a torn cut edge is
+    // never observable.
+    if (st.ok()) {
+      wire::MutateRequest inverse = req;
+      inverse.op = op == wire::MutateOp::kAddEdge ? wire::MutateOp::kRemoveEdge
+                                                  : wire::MutateOp::kAddEdge;
+      const wire::MutateReply undo = shards_[s1]->Mutate(inverse);
+      if (undo.status_code != 0) {
+        return Status::Internal(
+            what + ": rollback after partial apply failed: " +
+            wire::UnpackStatus(undo.status_code, undo.error).ToString() +
+            " (original: " + r2.status().ToString() + ")");
       }
-      return r2.status();
     }
-    const Status st2 = wire::UnpackStatus(r2->status_code, r2->error);
-    if (st.ok() != st2.ok()) {
-      return Status::Internal("RemoveEdge: shards disagree (" + st.ToString() +
-                              " vs " + st2.ToString() + ")");
-    }
+    return r2.status();
+  }
+  const Status st2 = wire::UnpackStatus(r2->status_code, r2->error);
+  if (st.ok() != st2.ok()) {
+    return Status::Internal(what + ": shards disagree (" + st.ToString() +
+                            " vs " + st2.ToString() + ")");
   }
   return st;
 }

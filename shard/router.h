@@ -200,12 +200,14 @@ class ShardRouter {
   //
   // AddEdge/RemoveEdge/AddNode may be called from any number of threads
   // concurrently. An internal write lock makes each call's multi-shard
-  // protocol atomic with respect to other router mutations — the
-  // cut-edge both-shards sequence (apply s1, apply s2, roll back s1 on
-  // transport failure) and the AddNode all-shards id-alignment round
-  // never interleave — while inside each shard the mutation rides the
-  // engine's queue like any other producer's. Fail-stop-before-apply
-  // on transport mutations (PR 7/8) is unchanged.
+  // protocol atomic with respect to other router mutations — the one
+  // cut-edge sequence AddEdge and RemoveEdge share (apply s1, apply s2,
+  // undo s1 with the inverse op on transport failure) and the AddNode
+  // all-shards id-alignment round never interleave — while inside each
+  // shard the mutation rides the engine's queue like any other
+  // producer's. The by-name overloads resolve the label to an id first
+  // (AddEdge interns it into every shard; a full dictionary is
+  // kResourceExhausted), so a shard frame never carries a name.
 
   Status AddEdge(NodeId src, NodeId dst, const std::string& label);
   Status AddEdge(NodeId src, NodeId dst, LabelId label);
@@ -256,13 +258,6 @@ class ShardRouter {
   template <typename Request>
   Result<ReplyFor<Request>> FinishCall(PendingCall<Request>& pending) const;
 
-  /// The serial composition of the two halves: one robust logical
-  /// transport call with per-attempt deadlines, bounded retries, and
-  /// circuit-breaker consultation.
-  template <typename Request>
-  Result<ReplyFor<Request>> CallShard(uint32_t shard, uint64_t salt,
-                                     const Request& request) const;
-
   /// One round: submits frames[s] for every shard with a non-empty
   /// frame before gathering any, then gathers in ascending shard order.
   /// Each frame's retry salt is `salt_base` mixed with its content.
@@ -274,13 +269,18 @@ class ShardRouter {
   /// op budget's absolute deadline (either may be 0 = none).
   uint64_t AttemptDeadline(uint64_t now, uint64_t budget_deadline) const;
 
+  /// One mutation as one robust logical transport call: BeginCall then
+  /// FinishCall, salted by the request's content.
   Result<wire::MutateReply> CallMutate(uint32_t shard,
-                                       const wire::MutateRequest& req);
+                                       const wire::MutateRequest& req) const;
 
-  /// Resolved-label mutation bodies; caller holds write_mu_ (the public
-  /// by-name overloads resolve/pre-intern the label, then delegate).
-  Status AddEdgeImpl(NodeId src, NodeId dst, LabelId label);
-  Status RemoveEdgeImpl(NodeId src, NodeId dst, LabelId label);
+  /// The one cut-edge protocol behind AddEdge and RemoveEdge (`op` is
+  /// kAddEdge or kRemoveEdge; the label is an id every shard knows).
+  /// Applies on src's shard, then on dst's; if dst's transport call
+  /// fails after src's shard applied, src's shard is rolled back with
+  /// the inverse op. Caller holds write_mu_.
+  Status MutateEdge(wire::MutateOp op, NodeId src, NodeId dst,
+                    LabelId label);
 
   const SocialGraph* master_graph_;
   const PolicyStore* master_store_;

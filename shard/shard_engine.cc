@@ -111,10 +111,6 @@ wire::Stamp ShardEngine::ViewStamp() const {
   return {view->snapshot_generation(), view->overlay_version()};
 }
 
-wire::CheckReply ShardEngine::Check(const wire::CheckRequest& request) const {
-  return ToWire(engine_.CheckAccess(FromWire(request)));
-}
-
 wire::BatchCheckReply ShardEngine::CheckBatch(
     const wire::BatchCheckRequest& request) const {
   std::vector<AccessRequest> requests;
@@ -249,17 +245,9 @@ wire::WalkReply ShardEngine::ExpandFrontier(
 WriteTicket ShardEngine::SubmitMutate(const wire::MutateRequest& request) {
   switch (request.op) {
     case wire::MutateOp::kAddEdge:
-      return request.label != kInvalidLabel
-                 ? engine_.SubmitAddEdge(request.src, request.dst,
-                                         request.label)
-                 : engine_.SubmitAddEdge(request.src, request.dst,
-                                         request.label_name);
+      return engine_.SubmitAddEdge(request.src, request.dst, request.label);
     case wire::MutateOp::kRemoveEdge:
-      return request.label != kInvalidLabel
-                 ? engine_.SubmitRemoveEdge(request.src, request.dst,
-                                            request.label)
-                 : engine_.SubmitRemoveEdge(request.src, request.dst,
-                                            request.label_name);
+      return engine_.SubmitRemoveEdge(request.src, request.dst, request.label);
     case wire::MutateOp::kAddNode:
       return engine_.SubmitAddNode();
   }
@@ -295,9 +283,6 @@ std::vector<uint8_t> ShardEngine::HandleFrame(std::span<const uint8_t> frame) {
     return wire::Encode(err);
   }
   wire::Message& msg = *parsed;
-  if (auto* check = std::get_if<wire::CheckRequest>(&msg)) {
-    return wire::Encode(Check(*check));
-  }
   if (auto* batch = std::get_if<wire::BatchCheckRequest>(&msg)) {
     return wire::Encode(CheckBatch(*batch));
   }

@@ -9,9 +9,10 @@
 /// A ShardEngine is the unit that would become a server process in a
 /// distributed deployment. It answers:
 ///
-///   * Check / CheckBatch — plain access decisions over the shard-local
-///     graph (authoritative when the resource's whole rule evaluation
-///     stays inside the shard; a building block otherwise);
+///   * CheckBatch — plain access decisions over the shard-local graph,
+///     one positional reply per request (authoritative for a grant, since
+///     shard-local edges are a subset of global edges; the router's
+///     owner phase);
 ///   * ExpandFrontier — run a frame of product-space walks against one
 ///     pinned read view, each seeded either at a resource owner (phase
 ///     one) or at an imported frontier (frontier rounds), returning per
@@ -21,7 +22,9 @@
 ///     the wrapped engine's MPSC MutationQueue (engine/write_queue.h):
 ///     SubmitMutate enqueues and returns the WriteTicket, Mutate is the
 ///     Submit+Wait composition. Safe from any number of threads; the
-///     per-shard writer thread group-commits concurrent mutations.
+///     per-shard writer thread group-commits concurrent mutations. A
+///     mutation names its label by id only; the router interns names
+///     into every shard first (InternLabel), so ids stay aligned.
 ///
 /// A ShardEngine owns its extracted graph copy and a clone of the master
 /// policy store (identical resource/rule ids — see ClonePolicyStore), at
@@ -93,7 +96,6 @@ class ShardEngine {
   // ---- Wire request handlers (all thread-safe; mutations are
   // serialized by the engine's per-shard MutationQueue) ---------------------
 
-  wire::CheckReply Check(const wire::CheckRequest& request) const;
   wire::BatchCheckReply CheckBatch(const wire::BatchCheckRequest& request) const;
   wire::WalkReply ExpandFrontier(const wire::WalkRequest& request) const;
   wire::MutateReply Mutate(const wire::MutateRequest& request);
@@ -134,10 +136,6 @@ class ShardEngine {
 
 /// The handler for each request message as one overload set, so the
 /// transports dispatch every request kind through one code path.
-inline wire::CheckReply Serve(ShardEngine& shard,
-                              const wire::CheckRequest& request) {
-  return shard.Check(request);
-}
 inline wire::BatchCheckReply Serve(ShardEngine& shard,
                                    const wire::BatchCheckRequest& request) {
   return shard.CheckBatch(request);

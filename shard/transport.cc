@@ -240,12 +240,6 @@ TransportTicket<ReplyFor<Request>> FaultInjectionTransport::Inject(
   });
 }
 
-TransportTicket<wire::CheckReply> FaultInjectionTransport::Submit(
-    uint32_t shard, const wire::CheckRequest& request,
-    const TransportCallOptions& opts) {
-  return Inject(shard, request, opts);
-}
-
 TransportTicket<wire::BatchCheckReply> FaultInjectionTransport::Submit(
     uint32_t shard, const wire::BatchCheckRequest& request,
     const TransportCallOptions& opts) {

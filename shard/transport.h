@@ -7,9 +7,10 @@
 ///
 /// ShardTransport is the one interface the ShardRouter uses to reach a
 /// ShardEngine's data plane, and it has one call surface: Submit(shard,
-/// request, opts), overloaded on the four request messages (check, batch
-/// check, frontier walk, mutation), returns a TransportTicket whose
-/// Wait() yields the typed reply. Call() is Submit + Wait. The router
+/// request, opts), overloaded on the three request messages the router
+/// sends (batch check, frontier walk, mutation), returns a
+/// TransportTicket whose Wait() yields the typed reply. Call() is
+/// Submit + Wait. The router
 /// builds one base transport and may wrap it:
 ///
 ///   * ThreadedTransport (shard/executor_transport.h) — the base: one
@@ -73,10 +74,6 @@ namespace sargus {
 /// The reply message each request message is answered with.
 template <typename Request>
 struct ReplyOf;
-template <>
-struct ReplyOf<wire::CheckRequest> {
-  using type = wire::CheckReply;
-};
 template <>
 struct ReplyOf<wire::BatchCheckRequest> {
   using type = wire::BatchCheckReply;
@@ -167,9 +164,6 @@ class ShardTransport {
   /// reply's status_code. Read tickets may give up at the deadline;
   /// mutation tickets never do once the mutation may have reached the
   /// shard, so a failed mutation was never applied.
-  virtual TransportTicket<wire::CheckReply> Submit(
-      uint32_t shard, const wire::CheckRequest& request,
-      const TransportCallOptions& opts) = 0;
   virtual TransportTicket<wire::BatchCheckReply> Submit(
       uint32_t shard, const wire::BatchCheckRequest& request,
       const TransportCallOptions& opts) = 0;
@@ -274,9 +268,6 @@ class FaultInjectionTransport final : public ShardTransport {
 
   uint32_t num_shards() const override { return inner_->num_shards(); }
 
-  TransportTicket<wire::CheckReply> Submit(
-      uint32_t shard, const wire::CheckRequest& request,
-      const TransportCallOptions& opts) override;
   TransportTicket<wire::BatchCheckReply> Submit(
       uint32_t shard, const wire::BatchCheckRequest& request,
       const TransportCallOptions& opts) override;
@@ -306,7 +297,7 @@ class FaultInjectionTransport final : public ShardTransport {
     std::atomic<bool> blackout{false};
   };
 
-  /// Shared body of the four Submit overloads: draw the fault, apply
+  /// Shared body of the three Submit overloads: draw the fault, apply
   /// it, and forward to the inner transport when the call survives.
   template <typename Request>
   TransportTicket<ReplyFor<Request>> Inject(uint32_t shard,
@@ -318,7 +309,7 @@ class FaultInjectionTransport final : public ShardTransport {
   /// apply; a non-OK deadline turns into kDeadlineExceeded upstream.
   FaultKind DrawFault(uint32_t shard);
 
-  /// Per-fault-kind outcomes shared by the four call shapes.
+  /// Per-fault-kind outcomes shared by the three call shapes.
   Status DropStatus(uint32_t shard);
   Status ErrorReplyStatus(uint32_t shard);
   Status DeadlineStatus(uint32_t shard, const TransportCallOptions& opts);

@@ -216,49 +216,6 @@ std::vector<FrontierEntry> TakeFrontier(ByteReader& r) {
   return f;
 }
 
-void PutCheckRequestBody(ByteWriter& w, const CheckRequest& m) {
-  w.U32(m.requester);
-  w.U32(m.resource);
-  w.U8(m.want_witness);
-}
-
-CheckRequest TakeCheckRequestBody(ByteReader& r) {
-  CheckRequest m;
-  m.requester = r.U32();
-  m.resource = r.U32();
-  m.want_witness = r.U8();
-  return m;
-}
-
-void PutCheckReplyBody(ByteWriter& w, const CheckReply& m) {
-  w.U8(m.status_code);
-  w.Str(m.error);
-  w.U8(m.granted);
-  w.U8(m.owner_access);
-  w.U8(m.has_matched_rule);
-  w.U32(m.matched_rule);
-  w.U64(m.pairs_visited);
-  PutStamp(w, m.stamp);
-  w.U32(static_cast<uint32_t>(m.witness.size()));
-  for (NodeId n : m.witness) w.U32(n);
-}
-
-CheckReply TakeCheckReplyBody(ByteReader& r) {
-  CheckReply m;
-  m.status_code = r.U8();
-  m.error = r.Str();
-  m.granted = r.U8();
-  m.owner_access = r.U8();
-  m.has_matched_rule = r.U8();
-  m.matched_rule = r.U32();
-  m.pairs_visited = r.U64();
-  m.stamp = TakeStamp(r);
-  const uint32_t n = r.Count(4);
-  m.witness.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.witness.push_back(r.U32());
-  return m;
-}
-
 }  // namespace
 
 std::vector<uint32_t> ResidualHopBudgets(const HopAutomaton& nfa) {
@@ -288,45 +245,15 @@ Status UnpackStatus(uint8_t code, std::string error) {
   return Status(static_cast<StatusCode>(code), std::move(error));
 }
 
-std::vector<uint8_t> Encode(const CheckRequest& m) {
-  ByteWriter w;
-  PutHeader(w, MsgType::kCheckRequest);
-  PutCheckRequestBody(w, m);
-  return Seal(w);
-}
-
-Result<CheckRequest> DecodeCheckRequest(std::span<const uint8_t> bytes) {
-  SARGUS_ASSIGN_OR_RETURN(const std::span<const uint8_t> body,
-                          CheckFrame(bytes));
-  ByteReader r(body);
-  SARGUS_RETURN_IF_ERROR(TakeHeader(r, MsgType::kCheckRequest));
-  CheckRequest m = TakeCheckRequestBody(r);
-  SARGUS_RETURN_IF_ERROR(CheckTail(r));
-  return m;
-}
-
-std::vector<uint8_t> Encode(const CheckReply& m) {
-  ByteWriter w;
-  PutHeader(w, MsgType::kCheckReply);
-  PutCheckReplyBody(w, m);
-  return Seal(w);
-}
-
-Result<CheckReply> DecodeCheckReply(std::span<const uint8_t> bytes) {
-  SARGUS_ASSIGN_OR_RETURN(const std::span<const uint8_t> body,
-                          CheckFrame(bytes));
-  ByteReader r(body);
-  SARGUS_RETURN_IF_ERROR(TakeHeader(r, MsgType::kCheckReply));
-  CheckReply m = TakeCheckReplyBody(r);
-  SARGUS_RETURN_IF_ERROR(CheckTail(r));
-  return m;
-}
-
 std::vector<uint8_t> Encode(const BatchCheckRequest& m) {
   ByteWriter w;
   PutHeader(w, MsgType::kBatchCheckRequest);
   w.U32(static_cast<uint32_t>(m.requests.size()));
-  for (const CheckRequest& c : m.requests) PutCheckRequestBody(w, c);
+  for (const CheckRequest& c : m.requests) {
+    w.U32(c.requester);
+    w.U32(c.resource);
+    w.U8(c.want_witness);
+  }
   return Seal(w);
 }
 
@@ -339,7 +266,13 @@ Result<BatchCheckRequest> DecodeBatchCheckRequest(
   BatchCheckRequest m;
   const uint32_t n = r.Count(9);
   m.requests.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.requests.push_back(TakeCheckRequestBody(r));
+  for (uint32_t i = 0; i < n; ++i) {
+    CheckRequest c;
+    c.requester = r.U32();
+    c.resource = r.U32();
+    c.want_witness = r.U8();
+    m.requests.push_back(c);
+  }
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
   return m;
 }
@@ -348,7 +281,18 @@ std::vector<uint8_t> Encode(const BatchCheckReply& m) {
   ByteWriter w;
   PutHeader(w, MsgType::kBatchCheckReply);
   w.U32(static_cast<uint32_t>(m.replies.size()));
-  for (const CheckReply& c : m.replies) PutCheckReplyBody(w, c);
+  for (const CheckReply& c : m.replies) {
+    w.U8(c.status_code);
+    w.Str(c.error);
+    w.U8(c.granted);
+    w.U8(c.owner_access);
+    w.U8(c.has_matched_rule);
+    w.U32(c.matched_rule);
+    w.U64(c.pairs_visited);
+    PutStamp(w, c.stamp);
+    w.U32(static_cast<uint32_t>(c.witness.size()));
+    for (NodeId n : c.witness) w.U32(n);
+  }
   return Seal(w);
 }
 
@@ -360,7 +304,21 @@ Result<BatchCheckReply> DecodeBatchCheckReply(std::span<const uint8_t> bytes) {
   BatchCheckReply m;
   const uint32_t n = r.Count(1);
   m.replies.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.replies.push_back(TakeCheckReplyBody(r));
+  for (uint32_t i = 0; i < n; ++i) {
+    CheckReply c;
+    c.status_code = r.U8();
+    c.error = r.Str();
+    c.granted = r.U8();
+    c.owner_access = r.U8();
+    c.has_matched_rule = r.U8();
+    c.matched_rule = r.U32();
+    c.pairs_visited = r.U64();
+    c.stamp = TakeStamp(r);
+    const uint32_t witness = r.Count(4);
+    c.witness.reserve(witness);
+    for (uint32_t k = 0; k < witness; ++k) c.witness.push_back(r.U32());
+    m.replies.push_back(std::move(c));
+  }
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
   return m;
 }
@@ -451,7 +409,6 @@ std::vector<uint8_t> Encode(const MutateRequest& m) {
   w.U32(m.src);
   w.U32(m.dst);
   w.U16(m.label);
-  w.Str(m.label_name);
   return Seal(w);
 }
 
@@ -470,7 +427,6 @@ Result<MutateRequest> DecodeMutateRequest(std::span<const uint8_t> bytes) {
   m.src = r.U32();
   m.dst = r.U32();
   m.label = r.U16();
-  m.label_name = r.Str();
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
   return m;
 }
@@ -535,7 +491,7 @@ Result<MsgType> PeekType(std::span<const uint8_t> bytes) {
   SARGUS_ASSIGN_OR_RETURN(const std::span<const uint8_t> body,
                           CheckFrame(bytes));
   const uint8_t type = body[kHeaderBytes - 1];
-  if (type < static_cast<uint8_t>(MsgType::kCheckRequest) ||
+  if (type < static_cast<uint8_t>(MsgType::kBatchCheckRequest) ||
       type > static_cast<uint8_t>(MsgType::kErrorFrame)) {
     return Status::InvalidArgument("wire: unknown message type " +
                                    std::to_string(type));
@@ -546,14 +502,6 @@ Result<MsgType> PeekType(std::span<const uint8_t> bytes) {
 Result<Message> ParseMessage(std::span<const uint8_t> bytes) {
   SARGUS_ASSIGN_OR_RETURN(const MsgType type, PeekType(bytes));
   switch (type) {
-    case MsgType::kCheckRequest: {
-      SARGUS_ASSIGN_OR_RETURN(auto m, DecodeCheckRequest(bytes));
-      return Message(std::move(m));
-    }
-    case MsgType::kCheckReply: {
-      SARGUS_ASSIGN_OR_RETURN(auto m, DecodeCheckReply(bytes));
-      return Message(std::move(m));
-    }
     case MsgType::kBatchCheckRequest: {
       SARGUS_ASSIGN_OR_RETURN(auto m, DecodeBatchCheckRequest(bytes));
       return Message(std::move(m));

@@ -32,7 +32,10 @@
 /// values, so a v2 byte means something else under v3); v4 dropped the
 /// two override bytes from CheckRequest, since a shard serves one
 /// evaluator; v5: walk frames carry a positional list of walks, so one
-/// frame per shard carries every walk a batch's round sends there.
+/// frame per shard carries every walk a batch's round sends there; v6
+/// dropped the single-check frame (types 1 and 2: a check travels as a
+/// batch of one) and MutateRequest's label-name string, so a mutation
+/// names its label only by an id every shard already knows.
 ///
 /// Identifier convention: node, label, resource, rule and automaton
 /// state ids in wire messages are GLOBAL — every shard graph keeps the
@@ -55,11 +58,11 @@
 namespace sargus::wire {
 
 inline constexpr uint32_t kMagic = 0x57524753;  // "SGRW", little-endian
-inline constexpr uint32_t kProtocolVersion = 5;
+inline constexpr uint32_t kProtocolVersion = 6;
 
+/// Types 1 and 2 are retired (the v5 single-check frame) and decode as
+/// unknown; do not reuse them.
 enum class MsgType : uint8_t {
-  kCheckRequest = 1,
-  kCheckReply = 2,
   kBatchCheckRequest = 3,
   kBatchCheckReply = 4,
   kWalkRequest = 5,
@@ -99,6 +102,7 @@ std::vector<uint32_t> ResidualHopBudgets(const HopAutomaton& nfa);
 
 // ---- CheckAccess ----------------------------------------------------------
 
+/// One entry of a batch check frame (there is no single-check frame).
 struct CheckRequest {
   NodeId requester = 0;
   ResourceId resource = 0;
@@ -195,11 +199,10 @@ struct MutateRequest {
   MutateOp op = MutateOp::kAddEdge;
   NodeId src = 0;
   NodeId dst = 0;
-  /// kInvalidLabel means `label_name` carries the label instead (the
-  /// router always pre-resolves names so ids stay aligned across
-  /// shards; the name path serves byte-level callers of HandleFrame).
+  /// An id the router pre-interned into every shard, so ids stay aligned
+  /// across shards; a shard refuses an id its dictionary lacks
+  /// (kInvalidArgument on add, kNotFound on remove). Unused by kAddNode.
   LabelId label = kInvalidLabel;
-  std::string label_name;
   bool operator==(const MutateRequest&) const = default;
 };
 
@@ -240,8 +243,6 @@ Status UnpackStatus(uint8_t code, std::string error);
 
 // ---- Serialization --------------------------------------------------------
 
-std::vector<uint8_t> Encode(const CheckRequest& m);
-std::vector<uint8_t> Encode(const CheckReply& m);
 std::vector<uint8_t> Encode(const BatchCheckRequest& m);
 std::vector<uint8_t> Encode(const BatchCheckReply& m);
 std::vector<uint8_t> Encode(const WalkRequest& m);
@@ -253,8 +254,6 @@ std::vector<uint8_t> Encode(const ErrorFrame& m);
 /// Decoders validate the frame (magic, known version, matching type)
 /// and exact payload length; kInvalidArgument on any mismatch or
 /// truncation.
-Result<CheckRequest> DecodeCheckRequest(std::span<const uint8_t> bytes);
-Result<CheckReply> DecodeCheckReply(std::span<const uint8_t> bytes);
 Result<BatchCheckRequest> DecodeBatchCheckRequest(
     std::span<const uint8_t> bytes);
 Result<BatchCheckReply> DecodeBatchCheckReply(std::span<const uint8_t> bytes);
@@ -275,9 +274,8 @@ Result<MsgType> PeekType(std::span<const uint8_t> bytes);
 /// crashes, never over-allocates, and (checksum) never accepts a
 /// mutated frame.
 using Message =
-    std::variant<CheckRequest, CheckReply, BatchCheckRequest, BatchCheckReply,
-                 WalkRequest, WalkReply, MutateRequest, MutateReply,
-                 ErrorFrame>;
+    std::variant<BatchCheckRequest, BatchCheckReply, WalkRequest, WalkReply,
+                 MutateRequest, MutateReply, ErrorFrame>;
 Result<Message> ParseMessage(std::span<const uint8_t> bytes);
 
 }  // namespace sargus::wire

@@ -519,6 +519,28 @@ TEST(ChaosOracle, MidMutationBlackout) {
   ASSERT_TRUE(want3.ok());
   EXPECT_TRUE(d3->granted);
   EXPECT_TRUE(want3->granted);
+
+  // The same cut-edge body removes: with shard 0 dark, shard 1 drops its
+  // half, shard 0 refuses, and the router restores shard 1's half with
+  // the inverse op — requester 3 stays granted, as on the oracle.
+  fault->Blackout(0, true);
+  EXPECT_EQ(router.RemoveEdge(5, 3, "friend").code(),
+            StatusCode::kUnavailable);
+  fault->Blackout(0, false);
+  fault->SleepMs(500);
+  d3 = router.CheckAccess(req3);
+  ASSERT_TRUE(d3.ok()) << d3.status().ToString();
+  EXPECT_TRUE(d3->granted);
+
+  // With the lights on the removal applies on both shards.
+  ASSERT_TRUE(router.RemoveEdge(5, 3, "friend").ok());
+  ASSERT_TRUE(oracle.RemoveEdge(5, 3, "friend").ok());
+  d3 = router.CheckAccess(req3);
+  want3 = oracle.CheckAccess(req3);
+  ASSERT_TRUE(d3.ok());
+  ASSERT_TRUE(want3.ok());
+  EXPECT_FALSE(d3->granted);
+  EXPECT_FALSE(want3->granted);
 }
 
 // ---- Concurrency under faults (TSan target) --------------------------------

@@ -112,46 +112,45 @@ TEST(Partitioner, ZeroShardsRejected) {
 
 // ---- Wire round trips -----------------------------------------------------
 
-TEST(Wire, CheckRoundTrip) {
-  wire::CheckRequest req;
-  req.requester = 7;
-  req.resource = 3;
-  req.want_witness = 1;
-  auto decoded = wire::DecodeCheckRequest(wire::Encode(req));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, req);
-
-  wire::CheckReply rep;
-  rep.granted = 1;
-  rep.has_matched_rule = 1;
-  rep.matched_rule = 5;
-  rep.pairs_visited = 123456;
-  rep.stamp = {9, 42};
-  rep.witness = {1, 2, 3};
-  auto decoded_rep = wire::DecodeCheckReply(wire::Encode(rep));
-  ASSERT_TRUE(decoded_rep.ok());
-  EXPECT_EQ(*decoded_rep, rep);
-
+/// A batch check reply whose entries cover every reply shape: an
+/// in-band error, a grant with matched rule, work, stamp and witness,
+/// and an all-default deny.
+wire::BatchCheckReply MakeBatchReply() {
   wire::CheckReply err;
   err.status_code = wire::PackStatus(Status::NotFound("nope"));
   err.error = "nope";
-  auto decoded_err = wire::DecodeCheckReply(wire::Encode(err));
-  ASSERT_TRUE(decoded_err.ok());
-  EXPECT_EQ(*decoded_err, err);
+  wire::CheckReply granted;
+  granted.granted = 1;
+  granted.has_matched_rule = 1;
+  granted.matched_rule = 5;
+  granted.pairs_visited = 123456;
+  granted.stamp = {9, 42};
+  granted.witness = {1, 2, 3};
+  return {.replies = {err, granted, wire::CheckReply{}}};
 }
 
 TEST(Wire, BatchRoundTrip) {
+  // A check crosses the seam only as a batch entry, so every request and
+  // reply shape round-trips inside a batch frame.
   wire::BatchCheckRequest req;
   req.requests.push_back({.requester = 1, .resource = 0});
   req.requests.push_back({.requester = 2, .resource = 9, .want_witness = 1});
+  req.requests.push_back({.requester = 7, .resource = 3, .want_witness = 1});
   auto decoded = wire::DecodeBatchCheckRequest(wire::Encode(req));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, req);
 
-  wire::BatchCheckReply rep;  // empty vector round-trips too
-  auto decoded_rep = wire::DecodeBatchCheckReply(wire::Encode(rep));
-  ASSERT_TRUE(decoded_rep.ok());
-  EXPECT_EQ(*decoded_rep, rep);
+  const wire::BatchCheckReply full = MakeBatchReply();
+  // The empty vector round-trips too, and so does each entry alone.
+  std::vector<wire::BatchCheckReply> replies = {wire::BatchCheckReply{}, full};
+  for (const wire::CheckReply& entry : full.replies) {
+    replies.push_back({.replies = {entry}});
+  }
+  for (const wire::BatchCheckReply& rep : replies) {
+    auto decoded_rep = wire::DecodeBatchCheckReply(wire::Encode(rep));
+    ASSERT_TRUE(decoded_rep.ok());
+    EXPECT_EQ(*decoded_rep, rep);
+  }
 }
 
 /// A walk frame of `n` walks, each different, with non-trivial fields.
@@ -214,11 +213,15 @@ TEST(Wire, MutateRoundTrip) {
   req.op = wire::MutateOp::kRemoveEdge;
   req.src = 5;
   req.dst = 6;
-  req.label = kInvalidLabel;
-  req.label_name = "friend";
+  req.label = 4;
   auto decoded = wire::DecodeMutateRequest(wire::Encode(req));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, req);
+  // kAddNode carries no label; the field round-trips as the sentinel.
+  const wire::MutateRequest add_node{.op = wire::MutateOp::kAddNode};
+  auto decoded_node = wire::DecodeMutateRequest(wire::Encode(add_node));
+  ASSERT_TRUE(decoded_node.ok());
+  EXPECT_EQ(*decoded_node, add_node);
 
   wire::MutateReply rep;
   rep.new_node = 99;
@@ -229,62 +232,58 @@ TEST(Wire, MutateRoundTrip) {
 }
 
 TEST(Wire, RejectsCorruptFrames) {
-  std::vector<uint8_t> bytes = wire::Encode(wire::CheckRequest{});
+  std::vector<uint8_t> bytes = wire::Encode(
+      wire::BatchCheckRequest{.requests = {{.requester = 7, .resource = 3}}});
   // Bad magic.
   auto bad_magic = bytes;
   bad_magic[0] ^= 0xFF;
-  EXPECT_EQ(wire::DecodeCheckRequest(bad_magic).status().code(),
+  EXPECT_EQ(wire::DecodeBatchCheckRequest(bad_magic).status().code(),
             StatusCode::kInvalidArgument);
   // Unknown version.
   auto bad_version = bytes;
   bad_version[4] = 0xEE;
-  EXPECT_EQ(wire::DecodeCheckRequest(bad_version).status().code(),
+  EXPECT_EQ(wire::DecodeBatchCheckRequest(bad_version).status().code(),
             StatusCode::kInvalidArgument);
   // A protocol-2 header: its evaluator byte numbered five choices.
   auto protocol2 = bytes;
   protocol2[4] = 2;
-  EXPECT_EQ(wire::DecodeCheckRequest(protocol2).status().code(),
+  EXPECT_EQ(wire::DecodeBatchCheckRequest(protocol2).status().code(),
             StatusCode::kInvalidArgument);
-  // Frames of older protocols, checksum intact. A v3 CheckRequest
-  // carried two evaluator-override bytes after want_witness. Decoders
-  // refuse it rather than misread it, alone and inside a batch.
-  auto old_frame = [](uint8_t version, wire::MsgType type,
+  // Frames of older protocols, or of retired message types, with the
+  // checksum intact: decoders refuse them rather than misread them.
+  auto old_frame = [](uint8_t version, uint8_t type,
                       std::span<const uint8_t> body) {
     std::vector<uint8_t> frame = {0x53, 0x47, 0x52, 0x57, version, 0, 0, 0,
-                                  static_cast<uint8_t>(type)};
+                                  type};
     for (const uint8_t b : body) frame.push_back(b);
     const uint64_t sum = Fnv1a64(frame);
     for (int i = 0; i < 8; ++i) frame.push_back(uint8_t(sum >> (8 * i)));
     return frame;
   };
-  // requester 7, resource 3, want_witness 0, override {1, kOnlineBfs}.
+  const auto type_byte = [](wire::MsgType t) { return uint8_t(t); };
+  // A v3 check entry carried two evaluator-override bytes after
+  // want_witness: requester 7, resource 3, want_witness 0, override
+  // {1, kOnlineBfs}. Refused inside a batch.
   const std::vector<uint8_t> v3_check = {7, 0, 0, 0, 3, 0, 0, 0, 0, 1, 1};
+  std::vector<uint8_t> v3_batch = {1, 0, 0, 0};
+  v3_batch.insert(v3_batch.end(), v3_check.begin(), v3_check.end());
   const Status v3_status =
-      wire::DecodeCheckRequest(old_frame(3, wire::MsgType::kCheckRequest,
-                                         v3_check))
+      wire::DecodeBatchCheckRequest(
+          old_frame(3, type_byte(wire::MsgType::kBatchCheckRequest), v3_batch))
           .status();
   EXPECT_EQ(v3_status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(v3_status.message().find("protocol version 3"),
             std::string::npos)
       << v3_status.ToString();
-  std::vector<uint8_t> v3_batch = {1, 0, 0, 0};
-  v3_batch.insert(v3_batch.end(), v3_check.begin(), v3_check.end());
-  EXPECT_EQ(wire::DecodeBatchCheckRequest(
-                old_frame(3, wire::MsgType::kBatchCheckRequest, v3_batch))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(wire::ParseMessage(
-                old_frame(3, wire::MsgType::kCheckRequest, v3_check))
-                .status()
-                .code(),
+  EXPECT_EQ(wire::ParseMessage(old_frame(3, 1, v3_check)).status().code(),
             StatusCode::kInvalidArgument);
   // A v4 walk frame carried exactly one walk and no item count: rule 4,
   // path 1, requester 11, seed kOwnerStarts, owner 6, empty frontier.
-  EXPECT_EQ(wire::kProtocolVersion, 5u);
+  EXPECT_EQ(wire::kProtocolVersion, 6u);
   const std::vector<uint8_t> v4_walk = {4, 0, 0, 0, 1, 0, 0, 0, 11, 0, 0, 0,
                                         0, 6, 0, 0, 0, 0, 0, 0, 0};
-  const auto v4_frame = old_frame(4, wire::MsgType::kWalkRequest, v4_walk);
+  const auto v4_frame =
+      old_frame(4, type_byte(wire::MsgType::kWalkRequest), v4_walk);
   const Status v4_status = wire::DecodeWalkRequest(v4_frame).status();
   EXPECT_EQ(v4_status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(v4_status.message().find("protocol version 4"),
@@ -292,17 +291,41 @@ TEST(Wire, RejectsCorruptFrames) {
       << v4_status.ToString();
   EXPECT_EQ(wire::ParseMessage(v4_frame).status().code(),
             StatusCode::kInvalidArgument);
+  // A v5 mutate frame ended in a label-name string: kAddEdge 5 -> 6,
+  // label kInvalidLabel, name "friend".
+  const std::vector<uint8_t> v5_mutate = {
+      0, 5, 0, 0, 0, 6, 0, 0, 0, 0xFF, 0xFF,      // op, src, dst, label
+      6, 0, 0, 0, 'f', 'r', 'i', 'e', 'n', 'd'};  // name length, name
+  const auto v5_frame =
+      old_frame(5, type_byte(wire::MsgType::kMutateRequest), v5_mutate);
+  const Status v5_status = wire::DecodeMutateRequest(v5_frame).status();
+  EXPECT_EQ(v5_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v5_status.message().find("protocol version 5"),
+            std::string::npos)
+      << v5_status.ToString();
+  EXPECT_EQ(wire::ParseMessage(v5_frame).status().code(),
+            StatusCode::kInvalidArgument);
+  // Types 1 and 2 were the single-check request and reply; under v6 they
+  // are unknown types, whatever the payload.
+  const std::vector<uint8_t> check_body = {7, 0, 0, 0, 3, 0, 0, 0, 1};
+  for (const uint8_t retired : {uint8_t{1}, uint8_t{2}}) {
+    const Status st =
+        wire::ParseMessage(old_frame(6, retired, check_body)).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << int(retired);
+    EXPECT_NE(st.message().find("unknown message type"), std::string::npos)
+        << st.ToString();
+  }
   // Wrong message type for the decoder.
   EXPECT_FALSE(wire::DecodeWalkRequest(bytes).ok());
   // Truncation at every prefix length must error, never crash.
   for (size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(
-        wire::DecodeCheckRequest(std::span(bytes.data(), len)).ok());
+        wire::DecodeBatchCheckRequest(std::span(bytes.data(), len)).ok());
   }
   // Trailing garbage.
   auto padded = bytes;
   padded.push_back(0);
-  EXPECT_FALSE(wire::DecodeCheckRequest(padded).ok());
+  EXPECT_FALSE(wire::DecodeBatchCheckRequest(padded).ok());
 }
 
 TEST(Wire, ErrorFrameRoundTrip) {
@@ -327,14 +350,17 @@ TEST(Wire, ErrorFrameRoundTrip) {
 TEST(Wire, ChecksumCatchesEverySingleBitFlip) {
   // The v2 trailing checksum covers the entire frame: any single-bit
   // flip — header, type byte, payload, or the checksum itself — must be
-  // a clean decode error, never a silently misread message.
-  const std::vector<uint8_t> bytes = wire::Encode(MakeWalkReply(2));
-  for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      auto flipped = bytes;
-      flipped[byte] ^= static_cast<uint8_t>(1u << bit);
-      EXPECT_FALSE(wire::DecodeWalkReply(flipped).ok())
-          << "byte " << byte << " bit " << bit;
+  // a clean parse error, never a silently misread message.
+  const std::vector<std::vector<uint8_t>> frames = {
+      wire::Encode(MakeWalkReply(2)), wire::Encode(MakeBatchReply())};
+  for (const std::vector<uint8_t>& bytes : frames) {
+    for (size_t byte = 0; byte < bytes.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = bytes;
+        flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+        EXPECT_FALSE(wire::ParseMessage(flipped).ok())
+            << "byte " << byte << " bit " << bit;
+      }
     }
   }
 }
@@ -345,14 +371,14 @@ TEST(Wire, ParseMessageDispatchesEveryType) {
     EXPECT_TRUE(m.ok()) << m.status().ToString();
     return std::move(*m);
   };
-  EXPECT_TRUE(std::holds_alternative<wire::CheckRequest>(
-      parse(wire::Encode(wire::CheckRequest{.requester = 1}))));
-  EXPECT_TRUE(std::holds_alternative<wire::CheckReply>(
-      parse(wire::Encode(wire::CheckReply{}))));
   EXPECT_TRUE(std::holds_alternative<wire::BatchCheckRequest>(
       parse(wire::Encode(wire::BatchCheckRequest{}))));
+  EXPECT_TRUE(std::holds_alternative<wire::BatchCheckRequest>(parse(
+      wire::Encode(wire::BatchCheckRequest{.requests = {{.requester = 1}}}))));
   EXPECT_TRUE(std::holds_alternative<wire::BatchCheckReply>(
       parse(wire::Encode(wire::BatchCheckReply{}))));
+  EXPECT_TRUE(std::holds_alternative<wire::BatchCheckReply>(
+      parse(wire::Encode(MakeBatchReply()))));
   EXPECT_TRUE(std::holds_alternative<wire::WalkRequest>(
       parse(wire::Encode(wire::WalkRequest{}))));
   EXPECT_TRUE(std::holds_alternative<wire::WalkReply>(
@@ -371,19 +397,15 @@ TEST(Wire, ParseMessageDispatchesEveryType) {
 TEST(Wire, ParseMessageFuzz10k) {
   // One valid frame of every message type, with non-trivial payloads.
   std::vector<std::vector<uint8_t>> pool;
-  pool.push_back(wire::Encode(wire::CheckRequest{
-      .requester = 5, .resource = 2, .want_witness = 1}));
-  wire::CheckReply crep;
-  crep.granted = 1;
-  crep.witness = {1, 2, 3};
-  crep.stamp = {3, 4};
-  pool.push_back(wire::Encode(crep));
+  pool.push_back(wire::Encode(wire::BatchCheckRequest{
+      .requests = {{.requester = 5, .resource = 2, .want_witness = 1}}}));
   wire::BatchCheckRequest breq;
   breq.requests = {{.requester = 1}, {.requester = 2, .resource = 1}};
   pool.push_back(wire::Encode(breq));
-  wire::BatchCheckReply brep;
-  brep.replies = {crep, wire::CheckReply{}};
+  const wire::BatchCheckReply brep = MakeBatchReply();
   pool.push_back(wire::Encode(brep));
+  pool.push_back(
+      wire::Encode(wire::BatchCheckReply{.replies = {brep.replies[1]}}));
   for (const size_t walks : {size_t{1}, size_t{3}}) {
     pool.push_back(wire::Encode(MakeWalkFrame(walks)));
     pool.push_back(wire::Encode(MakeWalkReply(walks)));
@@ -392,7 +414,7 @@ TEST(Wire, ParseMessageFuzz10k) {
   mreq.op = wire::MutateOp::kAddEdge;
   mreq.src = 5;
   mreq.dst = 6;
-  mreq.label_name = "friend";
+  mreq.label = 3;
   pool.push_back(wire::Encode(mreq));
   wire::MutateReply mrep;
   mrep.new_node = 99;
@@ -884,6 +906,17 @@ ChainFixture MakeChain() {
   return f;
 }
 
+/// A one-request batch frame: how a single check crosses the seam.
+wire::BatchCheckRequest OneCheck(NodeId requester, ResourceId resource) {
+  return {.requests = {ToWire(
+              AccessRequest{.requester = requester, .resource = resource})}};
+}
+
+/// Size of a shard's label dictionary.
+size_t NumLabels(const ShardEngine& shard) {
+  return shard.engine().AcquireReadView()->graph().labels().size();
+}
+
 TEST(ShardTransport, RouterTransportMatchesDirect) {
   // Every router's data plane is the thread-per-shard executor, N = 1
   // included; a call through it returns exactly what the engine returns
@@ -898,10 +931,9 @@ TEST(ShardTransport, RouterTransportMatchesDirect) {
     auto* transport = dynamic_cast<ThreadedTransport*>(&router.transport());
     ASSERT_NE(transport, nullptr) << "shards=" << shards;
     ASSERT_EQ(transport->num_shards(), shards);
-    const wire::CheckRequest req =
-        ToWire(AccessRequest{.requester = 9, .resource = w.resources[0]});
+    const wire::BatchCheckRequest req = OneCheck(9, w.resources[0]);
     for (uint32_t s = 0; s < shards; ++s) {
-      const wire::CheckReply direct = router.shard(s).Check(req);
+      const wire::BatchCheckReply direct = router.shard(s).CheckBatch(req);
       auto through = transport->Call(s, req, {});
       ASSERT_TRUE(through.ok()) << through.status().ToString();
       EXPECT_EQ(*through, direct);
@@ -924,12 +956,13 @@ TEST(ShardTransport, HandleFrameDispatch) {
 
   // A valid request frame comes back as the encoded reply the typed
   // handler produces.
-  const wire::CheckRequest req =
-      ToWire(AccessRequest{.requester = 3, .resource = photo});
-  auto reply = wire::DecodeCheckReply(shard.HandleFrame(wire::Encode(req)));
+  const wire::BatchCheckRequest req = OneCheck(3, photo);
+  auto reply =
+      wire::DecodeBatchCheckReply(shard.HandleFrame(wire::Encode(req)));
   ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(*reply, shard.Check(req));
-  EXPECT_EQ(reply->granted, 1);
+  EXPECT_EQ(*reply, shard.CheckBatch(req));
+  ASSERT_EQ(reply->replies.size(), 1u);
+  EXPECT_EQ(reply->replies[0].granted, 1);
 
   // A multi-walk frame comes back positionally: one result per walk,
   // all against one view. Requester 3 is reached, 4 is not, and a walk
@@ -967,7 +1000,8 @@ TEST(ShardTransport, HandleFrameDispatch) {
   mreq.op = wire::MutateOp::kAddEdge;
   mreq.src = 3;
   mreq.dst = 0;
-  mreq.label_name = "friend";
+  mreq.label = shard.LookupLabel("friend");
+  ASSERT_NE(mreq.label, kInvalidLabel);
   auto mrep = wire::DecodeMutateReply(shard.HandleFrame(wire::Encode(mreq)));
   ASSERT_TRUE(mrep.ok());
   EXPECT_EQ(mrep->status_code, 0);
@@ -980,11 +1014,38 @@ TEST(ShardTransport, HandleFrameDispatch) {
             StatusCode::kInvalidArgument);
 
   // A reply frame is not a valid thing to SEND a shard.
-  auto not_request =
-      wire::DecodeErrorFrame(shard.HandleFrame(wire::Encode(wire::CheckReply{})));
+  auto not_request = wire::DecodeErrorFrame(
+      shard.HandleFrame(wire::Encode(wire::BatchCheckReply{})));
   ASSERT_TRUE(not_request.ok());
   EXPECT_EQ(wire::StatusFromErrorFrame(*not_request).code(),
             StatusCode::kInvalidArgument);
+
+  // A frame names a label only by an id every shard knows. On two
+  // shards, a byte-level mutate naming an id none knows — the sentinel,
+  // or the next id to be minted — is refused in-band and interns
+  // nothing, so the dictionaries stay aligned and the router's next
+  // fresh label resolves to one id on every shard.
+  ShardRouter two(g, store, ExactRouterOptions(2));
+  ASSERT_TRUE(two.Build().ok());
+  const size_t labels = NumLabels(two.shard(0));
+  ASSERT_EQ(NumLabels(two.shard(1)), labels);
+  for (const LabelId unknown : {kInvalidLabel, static_cast<LabelId>(labels)}) {
+    const wire::MutateRequest bad{
+        .op = wire::MutateOp::kAddEdge, .src = 3, .dst = 0, .label = unknown};
+    auto refused =
+        wire::DecodeMutateReply(two.shard(0).HandleFrame(wire::Encode(bad)));
+    ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+    EXPECT_EQ(refused->status_code,
+              wire::PackStatus(Status::InvalidArgument("")))
+        << "label " << unknown << ": " << refused->error;
+    EXPECT_EQ(NumLabels(two.shard(0)), labels) << "label " << unknown;
+    EXPECT_EQ(NumLabels(two.shard(1)), labels) << "label " << unknown;
+  }
+  const Status fresh = two.AddEdge(3, 0, "fresh");
+  ASSERT_TRUE(fresh.ok()) << fresh.ToString();
+  const LabelId fresh_id = two.shard(0).LookupLabel("fresh");
+  EXPECT_NE(fresh_id, kInvalidLabel);
+  EXPECT_EQ(two.shard(1).LookupLabel("fresh"), fresh_id);
 }
 
 TEST(ShardTransport, FaultInjectionDeterministic) {
@@ -1018,10 +1079,9 @@ TEST(ShardTransport, FaultInjectionDeterministic) {
     for (int i = 0; i < 200; ++i) {
       TransportCallOptions call;
       call.deadline_ms = t.NowMs() + 10;  // delays over 10ms blow this
-      const wire::CheckRequest req = ToWire(AccessRequest{
-          .requester = static_cast<NodeId>(i % 60),
-          .resource = w.resources[static_cast<size_t>(i) %
-                                  w.resources.size()]});
+      const wire::BatchCheckRequest req =
+          OneCheck(static_cast<NodeId>(i % 60),
+                   w.resources[static_cast<size_t>(i) % w.resources.size()]);
       auto r = t.Call(static_cast<uint32_t>(i % 2), req, call);
       if (!r.ok()) {
         // The transport error contract: nothing but these two codes.
@@ -1190,10 +1250,9 @@ TEST(ShardTransport, ThreadedExecutorMatchesSyncAndCountsQueue) {
 
   // Sync calls through the executor return exactly what the engine
   // returns directly.
-  const wire::CheckRequest req =
-      ToWire(AccessRequest{.requester = 9, .resource = w.resources[0]});
+  const wire::BatchCheckRequest req = OneCheck(9, w.resources[0]);
   for (uint32_t s = 0; s < 2; ++s) {
-    const wire::CheckReply direct = router.shard(s).Check(req);
+    const wire::BatchCheckReply direct = router.shard(s).CheckBatch(req);
     auto through = transport.Call(s, req, {});
     ASSERT_TRUE(through.ok()) << through.status().ToString();
     EXPECT_EQ(*through, direct);
@@ -1260,7 +1319,8 @@ TEST(ShardTransport, ThreadedExecutorMutateIsFailStop) {
   mreq.op = wire::MutateOp::kAddEdge;
   mreq.src = 1;
   mreq.dst = 2;
-  mreq.label_name = "friend";
+  mreq.label = router.shard(0).LookupLabel("friend");
+  ASSERT_NE(mreq.label, kInvalidLabel);
   TransportCallOptions past;
   past.deadline_ms = 1;
   EXPECT_EQ(transport.Call(0, mreq, past).status().code(),
@@ -1329,13 +1389,12 @@ TEST(ShardTransport, ThreadedExecutorQueueFullPastDeadlineIsCancelled) {
   ThreadedTransport transport(
       {&router.shard(0)},
       {.pre_dispatch_hook = [&park](uint32_t) { park.Hook(); }});
-  const wire::CheckRequest req =
-      ToWire(AccessRequest{.requester = 1, .resource = f.res});
+  const wire::BatchCheckRequest req = OneCheck(1, f.res);
 
   // Park the worker inside its first job, then fill the queue behind it.
   auto first = transport.Submit(0, req, {});
   park.AwaitParked();
-  std::vector<TransportTicket<wire::CheckReply>> queued;
+  std::vector<TransportTicket<wire::BatchCheckReply>> queued;
   for (size_t i = 0; i < ThreadedTransport::kQueueCapacity; ++i) {
     queued.push_back(transport.Submit(0, req, {}));
   }
@@ -1353,7 +1412,7 @@ TEST(ShardTransport, ThreadedExecutorQueueFullPastDeadlineIsCancelled) {
 
   // Released, the worker runs every queued job normally.
   park.Release();
-  const wire::CheckReply direct = router.shard(0).Check(req);
+  const wire::BatchCheckReply direct = router.shard(0).CheckBatch(req);
   auto r = first.Wait();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(*r, direct);
@@ -1377,12 +1436,11 @@ TEST(ShardTransport, ThreadedExecutorShutdownFailsQueuedTickets) {
       std::vector<ShardEngine*>{&router.shard(0)},
       ThreadedTransportOptions{
           .pre_dispatch_hook = [&park](uint32_t) { park.Hook(); }});
-  const wire::CheckRequest req =
-      ToWire(AccessRequest{.requester = 1, .resource = f.res});
+  const wire::BatchCheckRequest req = OneCheck(1, f.res);
 
   auto first = transport->Submit(0, req, {});
   park.AwaitParked();
-  std::vector<TransportTicket<wire::CheckReply>> queued;
+  std::vector<TransportTicket<wire::BatchCheckReply>> queued;
   for (size_t i = 0; i < ThreadedTransport::kQueueCapacity; ++i) {
     queued.push_back(transport->Submit(0, req, {}));
   }
@@ -1392,7 +1450,7 @@ TEST(ShardTransport, ThreadedExecutorShutdownFailsQueuedTickets) {
   // the worker released, so every queued job is still queued when the
   // worker sees shutdown: the drain is deterministic.
   ThreadedTransport* raw = transport.get();
-  TransportTicket<wire::CheckReply> blocked;
+  TransportTicket<wire::BatchCheckReply> blocked;
   std::thread producer([&] { blocked = raw->Submit(0, req, {}); });
   std::thread destroyer([&] { transport.reset(); });
   producer.join();
@@ -1403,7 +1461,7 @@ TEST(ShardTransport, ThreadedExecutorShutdownFailsQueuedTickets) {
   // hangs or throws.
   auto r = first.Wait();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(*r, router.shard(0).Check(req));
+  EXPECT_EQ(*r, router.shard(0).CheckBatch(req));
   EXPECT_EQ(blocked.Wait().status().code(), StatusCode::kUnavailable);
   for (auto& ticket : queued) {
     EXPECT_EQ(ticket.Wait().status().code(), StatusCode::kUnavailable);
@@ -1900,6 +1958,36 @@ TEST(ShardRouter, BatchRunsAtMostOneFramePerShardPerRound) {
   EXPECT_LE(batch_jobs, kShards * (2 + rounds))
       << "rounds " << rounds << ", singles ran " << single_jobs << " jobs";
   EXPECT_LT(batch_jobs, single_jobs);
+}
+
+TEST(ShardRouter, FullLabelDictionaryIsResourceExhausted) {
+  // With every shard's label dictionary full, a by-name AddEdge of a new
+  // label is refused by the router itself, as a plain engine refuses it:
+  // kResourceExhausted, no shard frame, and the dictionaries stay equal.
+  SocialGraph g = MakeDiamond();
+  PolicyStore store;
+  const ResourceId photo = store.RegisterResource(0, "photo");
+  ASSERT_TRUE(store.AddRuleFromPaths(photo, {"friend[1,2]"}).ok());
+  ShardRouter router(g, store, ExactRouterOptions(2));
+  ASSERT_TRUE(router.Build().ok());
+  for (uint32_t s = 0; s < router.num_shards(); ++s) {
+    uint32_t i = 0;
+    while (router.shard(s).InternLabel("filler" + std::to_string(i)) !=
+           kInvalidLabel) {
+      ++i;
+    }
+  }
+  const size_t full = NumLabels(router.shard(0));
+  EXPECT_EQ(full, size_t{kInvalidLabel});
+
+  const Status st = router.AddEdge(3, 0, "overflow");
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  for (uint32_t s = 0; s < router.num_shards(); ++s) {
+    EXPECT_EQ(NumLabels(router.shard(s)), full) << "shard " << s;
+    EXPECT_EQ(router.shard(s).LookupLabel("overflow"), kInvalidLabel);
+  }
+  // A label the dictionaries already hold still goes through.
+  EXPECT_TRUE(router.AddEdge(3, 0, "friend").ok());
 }
 
 }  // namespace

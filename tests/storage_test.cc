@@ -96,10 +96,8 @@ TEST(Checksum, StripedGoldenValues) {
 // The wire framing layer must keep using the same hash: its trailing
 // checksum over the frame body equals common/checksum.h's answer.
 TEST(Checksum, WireFramesUseTheSharedFnv) {
-  wire::CheckRequest req;
-  req.requester = 7;
-  req.resource = 3;
-  req.want_witness = 1;
+  wire::BatchCheckRequest req;
+  req.requests.push_back({.requester = 7, .resource = 3, .want_witness = 1});
   const std::vector<uint8_t> frame = wire::Encode(req);
   ASSERT_GT(frame.size(), 8u);
   const std::span<const uint8_t> body(frame.data(), frame.size() - 8);
