@@ -129,9 +129,24 @@ wire::BatchCheckReply MakeBatchReply() {
   return {.replies = {err, granted, wire::CheckReply{}}};
 }
 
+TEST(Wire, CheckRoundTrip) {
+  // A check crosses the seam only as a batch entry, so each request and
+  // reply shape round-trips alone inside a one-entry batch frame.
+  const wire::BatchCheckRequest req = {
+      .requests = {{.requester = 7, .resource = 3, .want_witness = 1}}};
+  auto decoded = wire::DecodeBatchCheckRequest(wire::Encode(req));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, req);
+
+  for (const wire::CheckReply& entry : MakeBatchReply().replies) {
+    const wire::BatchCheckReply rep = {.replies = {entry}};
+    auto decoded_rep = wire::DecodeBatchCheckReply(wire::Encode(rep));
+    ASSERT_TRUE(decoded_rep.ok());
+    EXPECT_EQ(*decoded_rep, rep);
+  }
+}
+
 TEST(Wire, BatchRoundTrip) {
-  // A check crosses the seam only as a batch entry, so every request and
-  // reply shape round-trips inside a batch frame.
   wire::BatchCheckRequest req;
   req.requests.push_back({.requester = 1, .resource = 0});
   req.requests.push_back({.requester = 2, .resource = 9, .want_witness = 1});
@@ -140,13 +155,10 @@ TEST(Wire, BatchRoundTrip) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, req);
 
-  const wire::BatchCheckReply full = MakeBatchReply();
-  // The empty vector round-trips too, and so does each entry alone.
-  std::vector<wire::BatchCheckReply> replies = {wire::BatchCheckReply{}, full};
-  for (const wire::CheckReply& entry : full.replies) {
-    replies.push_back({.replies = {entry}});
-  }
-  for (const wire::BatchCheckReply& rep : replies) {
+  // The empty vector round-trips too, and so does every reply shape in
+  // one frame.
+  for (const wire::BatchCheckReply& rep :
+       {wire::BatchCheckReply{}, MakeBatchReply()}) {
     auto decoded_rep = wire::DecodeBatchCheckReply(wire::Encode(rep));
     ASSERT_TRUE(decoded_rep.ok());
     EXPECT_EQ(*decoded_rep, rep);
