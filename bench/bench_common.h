@@ -19,8 +19,8 @@
 #include "index/cluster_index.h"
 #include "index/line_oracle.h"
 #include "index/transitive_closure.h"
+#include "query/audience.h"
 #include "synth/generators.h"
-#include "synth/workload.h"
 
 namespace sargus {
 namespace bench {

@@ -129,8 +129,7 @@ class BoundPathExpression {
   /// Bind() (so const access is trivially thread-safe) and shared across
   /// copies — the query hot path never recompiles it. Only valid on
   /// expressions produced by Bind(); a default-constructed expression has
-  /// none (and is rejected by ValidateQuery before any evaluator gets
-  /// here).
+  /// none, so callers walk only expressions whose Bind succeeded.
   const HopAutomaton& automaton() const { return *automaton_; }
 
  private:

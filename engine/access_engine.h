@@ -4,9 +4,8 @@
 /// \file access_engine.h
 /// \brief AccessControlEngine: the write path + view publisher.
 ///
-/// The engine wires a SocialGraph and a PolicyStore to one CSR snapshot
-/// and one serving evaluator (online BFS) and splits the API into two
-/// halves:
+/// The engine wires a SocialGraph and a PolicyStore to one CSR snapshot,
+/// served by online BFS, and splits the API into two halves:
 ///
 ///  * a **read path** served by immutable AccessReadViews (see
 ///    read_view.h): `CheckAccess(AccessRequest)` / `CheckAccessBatch`
@@ -33,9 +32,8 @@
 /// compaction threshold (EngineOptions::compact_threshold; the default
 /// scales as max(1024, |E|/16)), the engine automatically Compact()s.
 /// Every request is decided by online product-space BFS over the CSR
-/// merged with the view's overlay; the paper's precomputed join and the
-/// closure prefilter are library evaluators (query/join_evaluator.h,
-/// query/closure_prefilter.h) the engine never serves.
+/// merged with the view's overlay. The paper's precomputed evaluators
+/// live in the separate sargus_paper library, which serving never links.
 ///
 /// Compaction model (double-buffered, see docs/ARCHITECTURE.md):
 /// `Compact()` — explicit or threshold-triggered — freezes a copy of the

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "query/audience.h"
 #include "query/eval_context.h"
-#include "synth/workload.h"
 
 namespace sargus {
 
@@ -57,8 +57,7 @@ AccessReadView::AccessReadView(const SocialGraph& graph,
       policy_(std::move(policy)),
       overlay_(overlay),
       logical_num_nodes_(LogicalNumNodes(*csr_, &overlay_)),
-      snapshot_generation_(snapshot_generation),
-      online_(*graph_, *csr_, &overlay_) {}
+      snapshot_generation_(snapshot_generation) {}
 
 std::shared_ptr<const AccessReadView> AccessReadView::Create(
     const SocialGraph& graph, std::shared_ptr<const CsrSnapshot> csr,
@@ -110,9 +109,12 @@ Result<AccessDecision> AccessReadView::CheckResolved(
     return decision;
   }
 
-  // A rule set is a disjunction: one expression failing to bind or
-  // evaluate must not mask a grant another expression would produce.
-  // Errors are remembered and only surface when nothing grants.
+  // A rule set is a disjunction: one expression failing to bind must
+  // not mask a grant another expression would produce. Bind errors are
+  // remembered and only surface when nothing grants. A bound path walks
+  // without further checks: both endpoints are range-checked above,
+  // Bind rejects empty expressions, and the policy was bound against
+  // this view's graph.
   std::optional<Status> first_error;
   for (const RuleId rule_id : res.rules) {
     for (const PolicySnapshot::CompiledPath& path :
@@ -121,28 +123,21 @@ Result<AccessDecision> AccessReadView::CheckResolved(
         if (!first_error) first_error = path.bind_status;
         continue;
       }
-      ReachQuery q{res.owner, request.requester, path.bound.get(),
-                   request.want_witness};
-      auto r = online_.Evaluate(q, ctx);
-      if (!r.ok()) {
-        if (!first_error) first_error = r.status();
-        continue;
-      }
-      decision.stats.pairs_visited += r->stats.pairs_visited;
-      decision.stats.tuples_generated += r->stats.tuples_generated;
-      decision.stats.tuples_post_filtered += r->stats.tuples_post_filtered;
-      decision.stats.line_queries += r->stats.line_queries;
-      decision.evaluator_name = online_.name();
-      if (r->granted) {
+      Evaluation r = ForwardProductSearch(
+          *graph_, *csr_, path.bound->automaton(), res.owner,
+          request.requester, request.want_witness, ctx.scratch, &overlay_);
+      decision.stats.pairs_visited += r.stats.pairs_visited;
+      decision.evaluator_name = "online-bfs";
+      if (r.granted) {
         decision.granted = true;
         decision.matched_rule = rule_id;
-        decision.witness = std::move(r->witness);
+        decision.witness = std::move(r.witness);
         break;
       }
     }
     if (decision.granted) break;
   }
-  // Nothing granted and at least one expression could not be evaluated:
+  // Nothing granted and at least one expression could not be bound:
   // stay loud about the misconfiguration rather than reporting a
   // confident deny.
   if (!decision.granted && first_error.has_value()) {

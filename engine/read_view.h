@@ -12,10 +12,11 @@
 ///   * a `PolicySnapshot` (resource table + eagerly bound, compiled
 ///     rules), shared across views until the policy store changes;
 ///   * a frozen copy of the DeltaOverlay as of publication, so staged
-///     mutations are visible without any synchronization;
-///   * the per-view serving evaluator wired to the three pieces above:
-///     overlay-aware online BFS (cheap: an evaluator is a pointer
-///     bundle).
+///     mutations are visible without any synchronization.
+///
+/// Every rule path is decided by one overlay-aware breadth-first
+/// product walk over those pieces (ForwardProductSearch, in
+/// query/product_walker.h).
 ///
 /// `CheckAccess` on a view is fully const and lock-free: any number of
 /// threads may hammer one shared view concurrently, each drawing scratch
@@ -41,14 +42,14 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "engine/policy.h"
 #include "graph/csr.h"
 #include "graph/delta_overlay.h"
-#include "query/evaluator.h"
-#include "query/online_evaluator.h"
+#include "query/product_walker.h"
 
 namespace sargus {
 
@@ -104,7 +105,9 @@ struct AccessDecision {
   EvalStats stats;
   /// Witness path for the matched expression (when requested).
   std::vector<NodeId> witness;
-  /// name() of the evaluator that produced the final verdict.
+  /// What produced the verdict: "online-bfs" (the product walk),
+  /// "batch-audience" (a shared batch walk), "owner", or a sharded
+  /// router's "shard-*" names.
   std::string_view evaluator_name;
   /// Snapshot/overlay state the decision was evaluated against: the
   /// stamps of the AccessReadView that served it.
@@ -153,10 +156,10 @@ struct PolicySnapshot {
 /// additionally records the decision in the audit ring).
 class AccessReadView {
  public:
-  /// Freezes `overlay` (by copy) against the given snapshots and wires
-  /// the per-view serving evaluator, online BFS. `graph` must outlive
-  /// the view; the view reads only its node count and attribute columns
-  /// (see the thread-safety contract in access_engine.h).
+  /// Freezes `overlay` (by copy) against the given snapshots. `graph`
+  /// must outlive the view, and `policy` must be bound against it; the
+  /// view reads only its node count and attribute columns (see the
+  /// thread-safety contract in access_engine.h).
   static std::shared_ptr<const AccessReadView> Create(
       const SocialGraph& graph, std::shared_ptr<const CsrSnapshot> csr,
       std::shared_ptr<const PolicySnapshot> policy, const DeltaOverlay& overlay,
@@ -241,12 +244,10 @@ class AccessReadView {
   const SocialGraph* graph_;
   std::shared_ptr<const CsrSnapshot> csr_;
   std::shared_ptr<const PolicySnapshot> policy_;
-  /// Frozen at Create(); online_ holds its address.
+  /// Frozen at Create().
   DeltaOverlay overlay_;
   size_t logical_num_nodes_ = 0;
   uint64_t snapshot_generation_ = 0;
-  /// Decides every request.
-  OnlineEvaluator online_;
 };
 
 }  // namespace sargus

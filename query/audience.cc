@@ -1,4 +1,4 @@
-#include "synth/workload.h"
+#include "query/audience.h"
 
 #include <algorithm>
 

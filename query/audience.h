@@ -1,15 +1,14 @@
-#ifndef SARGUS_SYNTH_WORKLOAD_H_
-#define SARGUS_SYNTH_WORKLOAD_H_
+#ifndef SARGUS_QUERY_AUDIENCE_H_
+#define SARGUS_QUERY_AUDIENCE_H_
 
-/// \file workload.h
-/// \brief Query-workload helpers for benches and tests.
+/// \file audience.h
+/// \brief CollectMatchingAudience: every requester one rule path grants.
 ///
-/// Uniformly sampled (src, dst) pairs are almost always denies on sparse
-/// graphs, which makes latency numbers lie (denies and grants have very
-/// different cost profiles — see bench_query_latency.cc's grant/deny
-/// split). CollectMatchingAudience enumerates the *actual* audience of an
-/// expression from a source, so workloads can mix guided positives with
-/// uniform pairs at a controlled rate.
+/// One product walk from the owner enumerates the whole audience of an
+/// expression. The read view answers large same-resource batches with
+/// it, and benches and tests use it to pick requesters that should be
+/// granted: uniformly sampled (src, dst) pairs are almost always denies
+/// on sparse graphs, and denies and grants cost very differently.
 
 #include <vector>
 
@@ -40,4 +39,4 @@ std::vector<NodeId> CollectMatchingAudience(const SocialGraph& g,
 
 }  // namespace sargus
 
-#endif  // SARGUS_SYNTH_WORKLOAD_H_
+#endif  // SARGUS_QUERY_AUDIENCE_H_

@@ -14,15 +14,11 @@
 /// O(work touched), the whole point of this subsystem.
 ///
 /// Thread-safety contract: an EvalContext must not be used by two threads
-/// at once. `Evaluator::Evaluate(q)` uses a thread-local context, which
-/// makes concurrent `Evaluate` calls on one shared const evaluator safe;
-/// callers that want explicit control (tests, benchmarks, reuse across
-/// evaluators) pass their own context via `Evaluate(q, ctx)`. The
-/// serving layer above follows the same split: a reader thread hammering
-/// an AccessReadView passes one context per thread (or relies on the
-/// thread-local default), and CheckAccessBatch reuses a single context
-/// across the whole batch — scratch is the only mutable state on the
-/// otherwise lock-free read path.
+/// at once. A reader thread hammering an AccessReadView passes one
+/// context per thread (or relies on the thread-local default), and
+/// CheckAccessBatch reuses a single context across the whole batch —
+/// scratch is the only mutable state on the otherwise lock-free read
+/// path. The paper evaluators (sargus_paper) follow the same split.
 
 #include <cstdint>
 #include <vector>
@@ -76,8 +72,8 @@ struct EvalContext {
   QueryScratch scratch;
 };
 
-/// This thread's lazily-created context — the default scratch for
-/// `Evaluator::Evaluate(q)`. Lives until thread exit; repeated queries on
+/// This thread's lazily-created context — the default scratch when a
+/// caller passes none. Lives until thread exit; repeated queries on
 /// one thread reuse its arrays, which is what removes the per-query
 /// allocation floor on the serving path.
 EvalContext& ThreadLocalEvalContext();

@@ -10,14 +10,17 @@
 /// differ only in cost profile. The cross-evaluator agreement test suite
 /// (tests/evaluator_agreement_test.cc) enforces this invariant; it is the
 /// correctness backbone every optimization PR must keep green.
+///
+/// This interface is sargus_paper's: the serving read view calls
+/// ForwardProductSearch (product_walker.h, which also holds Evaluation
+/// and EvalStats) directly.
 
-#include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 #include "common/types.h"
 #include "core/path_expression.h"
+#include "query/product_walker.h"
 
 namespace sargus {
 
@@ -31,27 +34,6 @@ struct ReachQuery {
   const BoundPathExpression* expr = nullptr;
   /// Ask for a witness path (src ... dst) when granted. May cost extra.
   bool want_witness = false;
-};
-
-/// Work counters; each evaluator fills the ones meaningful for it.
-struct EvalStats {
-  /// (node, automaton state) configurations expanded (traversal engines).
-  uint64_t pairs_visited = 0;
-  /// Join tuples materialized (join engines).
-  uint64_t tuples_generated = 0;
-  /// Tuples discarded by post-processing (FaithfulJoinEvaluator).
-  uint64_t tuples_post_filtered = 0;
-  /// Concrete label sequences (line queries) evaluated (join engines).
-  uint64_t line_queries = 0;
-  /// Queries answered "deny" by a closure prefilter without evaluation.
-  uint64_t prefilter_rejections = 0;
-};
-
-struct Evaluation {
-  bool granted = false;
-  /// Node path src ... dst when granted and witness was requested.
-  std::vector<NodeId> witness;
-  EvalStats stats;
 };
 
 class Evaluator {

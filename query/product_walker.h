@@ -35,13 +35,13 @@
 /// share one (csr, overlay, nfa) as long as each has its own scratch and
 /// nothing mutates the shared structures meanwhile.
 
+#include <cstdint>
 #include <vector>
 
 #include "core/automaton.h"
 #include "graph/csr.h"
 #include "graph/delta_overlay.h"
 #include "query/eval_context.h"
-#include "query/evaluator.h"
 
 namespace sargus {
 
@@ -159,12 +159,36 @@ class ProductWalker {
   uint64_t pairs_visited_ = 0;
 };
 
-/// The complete forward product-space search both OnlineEvaluator and
-/// BidirectionalEvaluator's witness reconstruction run: seed at `src`,
-/// walk breadth-first, grant on reaching `dst` in an accepting
-/// configuration, optionally reconstructing the witness path. Validation
-/// is the caller's job (ValidateQuery). `overlay` layers pending
-/// mutations over `csr` (nullptr = the snapshot alone).
+/// Work counters for one decision. The walk fills `pairs_visited`; the
+/// other fields belong to the paper's join and prefilter evaluators
+/// (sargus_paper) and stay 0 on the serving path.
+struct EvalStats {
+  /// (node, automaton state) configurations expanded (traversal engines).
+  uint64_t pairs_visited = 0;
+  /// Join tuples materialized (join engines).
+  uint64_t tuples_generated = 0;
+  /// Tuples discarded by post-processing (FaithfulJoinEvaluator).
+  uint64_t tuples_post_filtered = 0;
+  /// Concrete label sequences (line queries) evaluated (join engines).
+  uint64_t line_queries = 0;
+  /// Queries answered "deny" by a closure prefilter without evaluation.
+  uint64_t prefilter_rejections = 0;
+};
+
+struct Evaluation {
+  bool granted = false;
+  /// Node path src ... dst when granted and witness was requested.
+  std::vector<NodeId> witness;
+  EvalStats stats;
+};
+
+/// The complete forward product-space search: seed at `src`, walk
+/// breadth-first, grant on reaching `dst` in an accepting configuration,
+/// optionally reconstructing the witness path. The read view decides
+/// every rule path with it. Validation is the caller's job: `src` and
+/// `dst` must be < LogicalNumNodes(csr, overlay), and `nfa` must come
+/// from a non-empty expression bound to `graph`. `overlay` layers
+/// pending mutations over `csr` (nullptr = the snapshot alone).
 Evaluation ForwardProductSearch(const SocialGraph& graph,
                                 const CsrSnapshot& csr,
                                 const HopAutomaton& nfa, NodeId src,

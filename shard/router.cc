@@ -65,6 +65,9 @@ struct BatchSlot {
   size_t grant_pos = kNoRule;
   uint64_t pairs_visited = 0;
   bool frontier = false;
+  /// This slot's walks, [first_walk, end_walk) of the batch's walks.
+  size_t first_walk = 0;
+  size_t end_walk = 0;
   /// The first failing walk in (rule, path) order, and its status.
   size_t error_walk = ~size_t{0};
   std::optional<Status> error;
@@ -78,8 +81,9 @@ struct BatchSlot {
 };
 
 /// One (slot, rule path) walk and its frontier-exchange state. A
-/// batch's walks are created in (slot, rule, path) order, so their
-/// index orders a slot's errors.
+/// batch's walks are created in (slot, rule, path) order, so each
+/// slot's walks are one contiguous block and their index orders the
+/// slot's errors.
 struct BatchWalk {
   uint32_t slot = 0;
   size_t rule_pos = 0;
@@ -431,6 +435,7 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
     BatchSlot& slot = slots[i];
     if (slot.settled.has_value() || slot.grant_pos == 0) continue;
     ++cross;
+    slot.first_walk = walks.size();
     const RouterResource& res = resources_[requests[i].resource];
     for (size_t pos = 0; pos < res.rules.size() && pos < slot.grant_pos;
          ++pos) {
@@ -451,6 +456,7 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
         carried[owner_shard(i)].push_back(walks.size() - 1);
       }
     }
+    slot.end_walk = walks.size();
   }
   counters_.cross_shard_checks.fetch_add(cross, kRelaxed);
 
@@ -504,10 +510,8 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
       if (walk.accepted) {
         slot.grant_pos = walk.rule_pos;
         slot.owner_grant.reset();  // an earlier rule than the owner's
-        for (BatchWalk& sibling : walks) {
-          if (sibling.slot == walk.slot && sibling.rule_pos >= walk.rule_pos) {
-            sibling.live = false;
-          }
+        for (size_t k = slot.first_walk; k < slot.end_walk; ++k) {
+          if (walks[k].rule_pos >= walk.rule_pos) walks[k].live = false;
         }
       } else if (walk.failure.has_value()) {
         slot.RecordError(w, *walk.failure);

@@ -7,7 +7,7 @@
 #include "index/base_tables.h"
 #include "index/cluster_index.h"
 #include "synth/generators.h"
-#include "tests/test_util.h"
+#include "tests/paper_test_util.h"
 
 namespace sargus {
 namespace {

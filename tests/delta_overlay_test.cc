@@ -7,10 +7,10 @@
 #include "common/rng.h"
 #include "engine/access_engine.h"
 #include "graph/delta_overlay.h"
+#include "query/audience.h"
 #include "query/closure_prefilter.h"
 #include "query/online_evaluator.h"
 #include "synth/generators.h"
-#include "synth/workload.h"
 #include "tests/test_util.h"
 
 namespace sargus {

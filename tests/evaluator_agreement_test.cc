@@ -1,18 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/access_engine.h"
 #include "graph/delta_overlay.h"
 #include "query/bidirectional.h"
 #include "query/closure_prefilter.h"
+#include "query/eval_context.h"
 #include "query/faithful_join_evaluator.h"
 #include "query/join_evaluator.h"
 #include "query/online_evaluator.h"
 #include "synth/generators.h"
-#include "tests/test_util.h"
+#include "tests/paper_test_util.h"
 
 namespace sargus {
 namespace {
@@ -320,6 +324,103 @@ TEST(EvaluatorAgreement, WitnessesAgreeOnValidity) {
           << eval->name() << ": no edge " << w[i] << "->" << w[i + 1];
     }
   }
+}
+
+/// The read view decides each rule path with ForwardProductSearch
+/// directly. It must answer exactly what OnlineEvaluator over the same
+/// frozen (graph, csr, overlay) answers when asked the resource's rule
+/// paths in order: the same verdict, matched rule and witness, and the
+/// same pairs_visited summed over the paths tried.
+TEST(EvaluatorAgreement, ReadViewMatchesOnlineEvaluator) {
+  auto gen = GenerateBarabasiAlbert(
+      {.base = {.num_nodes = 40, .seed = 31}, .edges_per_node = 2});
+  ASSERT_TRUE(gen.ok());
+  SocialGraph g = std::move(*gen);
+
+  PolicyStore store;
+  const std::vector<std::pair<NodeId, std::vector<std::vector<std::string>>>>
+      policies = {
+          {0, {{"friend[1]"}, {"colleague[1]/friend[1,2]"}}},
+          {3, {{"friend[1,2]", "colleague[1,2]"}}},
+          {7, {{"friend[1]{age>=40}/colleague[1,2]"}, {"family-[1,2]"}}},
+          {12, {{"family[1]/friend[1]", "friend-[1]/colleague[1]"}}},
+      };
+  std::vector<ResourceId> resources;
+  for (const auto& [owner, rules] : policies) {
+    const ResourceId id =
+        store.RegisterResource(owner, "doc" + std::to_string(owner));
+    for (const auto& paths : rules) {
+      ASSERT_TRUE(store.AddRuleFromPaths(id, paths).ok());
+    }
+    resources.push_back(id);
+  }
+
+  AccessControlEngine engine(g, store, {.compact_threshold = 0});
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  Rng rng(77);
+  // Staged adds and removes; auto-compaction is off, so they all stay
+  // in the view's overlay.
+  for (int op = 0; op < 30; ++op) {
+    const NodeId a = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+    const NodeId b = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+    (void)engine.AddEdge(a, b, rng.NextBool(0.5) ? "friend" : "colleague");
+    const EdgeId e = static_cast<EdgeId>(rng.NextBounded(g.EdgeSlotCount()));
+    if (g.IsLiveEdge(e)) {
+      (void)engine.RemoveEdge(g.edge(e).src, g.edge(e).dst, g.edge(e).label);
+    }
+  }
+  auto added = engine.AddNode();
+  ASSERT_TRUE(added.ok());
+  ASSERT_TRUE(engine.AddEdge(0, *added, "friend").ok());
+
+  const auto view = engine.AcquireReadView();
+  ASSERT_FALSE(view->overlay().empty());
+  const OnlineEvaluator bfs(view->graph(), view->csr(), &view->overlay());
+  EvalContext ctx;
+  size_t grants = 0;
+  for (const ResourceId resource : resources) {
+    const PolicySnapshot::ResourceEntry& res =
+        view->policy().resources[resource];
+    for (NodeId requester = 0; requester < view->logical_num_nodes();
+         ++requester) {
+      auto d = view->CheckAccess({.requester = requester,
+                                  .resource = resource,
+                                  .want_witness = true},
+                                 ctx);
+      ASSERT_TRUE(d.ok()) << d.status().ToString();
+      if (requester == res.owner) {
+        EXPECT_TRUE(d->owner_access);
+        continue;
+      }
+
+      Evaluation expected;
+      std::optional<RuleId> expected_rule;
+      uint64_t pairs = 0;
+      for (const RuleId rule : res.rules) {
+        for (const auto& path : view->policy().rules[rule].paths) {
+          ASSERT_TRUE(path.bind_status.ok());
+          auto r = bfs.Evaluate(
+              ReachQuery{res.owner, requester, path.bound.get(), true}, ctx);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          pairs += r->stats.pairs_visited;
+          if (r->granted) {
+            expected = std::move(*r);
+            expected_rule = rule;
+            break;
+          }
+        }
+        if (expected_rule.has_value()) break;
+      }
+      EXPECT_EQ(d->granted, expected.granted)
+          << "resource " << resource << " requester " << requester;
+      EXPECT_EQ(d->matched_rule, expected_rule);
+      EXPECT_EQ(d->witness, expected.witness);
+      EXPECT_EQ(d->stats.pairs_visited, pairs);
+      EXPECT_EQ(d->evaluator_name, bfs.name());
+      grants += d->granted ? 1 : 0;
+    }
+  }
+  EXPECT_GT(grants, 0u);
 }
 
 }  // namespace

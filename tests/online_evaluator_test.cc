@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "query/online_evaluator.h"
-#include "tests/test_util.h"
+#include "tests/paper_test_util.h"
 
 namespace sargus {
 namespace {

@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "common/epoch_set.h"
+#include "query/audience.h"
 #include "query/bidirectional.h"
 #include "query/eval_context.h"
 #include "query/join_evaluator.h"
 #include "query/online_evaluator.h"
-#include "synth/workload.h"
-#include "tests/test_util.h"
+#include "tests/paper_test_util.h"
 
 namespace sargus {
 namespace {

@@ -2,12 +2,12 @@
 #define SARGUS_TESTS_TEST_UTIL_H_
 
 /// \file test_util.h
-/// \brief Shared fixtures: hand-built graphs, a full index stack bundle,
+/// \brief Shared fixtures over the serving library: hand-built graphs,
 /// an independent brute-force reference evaluator used to anchor the
 /// cross-evaluator agreement suite, and the materialized mirror graph
-/// the mutation suites check the engine against.
+/// the mutation suites check the engine against. The paper's index
+/// stack fixture is in paper_test_util.h.
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,44 +16,10 @@
 #include "core/path_expression.h"
 #include "core/path_parser.h"
 #include "graph/csr.h"
-#include "graph/line_graph.h"
-#include "index/cluster_index.h"
-#include "index/line_oracle.h"
-#include "index/transitive_closure.h"
 #include "graph/social_graph.h"
 
 namespace sargus {
 namespace testing_util {
-
-/// Everything the evaluators need, built over one graph.
-struct Stack {
-  SocialGraph g;
-  CsrSnapshot csr;
-  LineGraph lg;
-  std::unique_ptr<LineReachabilityOracle> oracle;
-  std::unique_ptr<ClusterJoinIndex> cluster;
-  std::unique_ptr<TransitiveClosure> closure_directed;
-  std::unique_ptr<TransitiveClosure> closure_undirected;
-};
-
-inline std::unique_ptr<Stack> BuildStack(SocialGraph g,
-                                         bool include_backward) {
-  auto s = std::make_unique<Stack>();
-  s->g = std::move(g);
-  s->csr = CsrSnapshot::Build(s->g);
-  s->lg = LineGraph::Build(s->csr, {.include_backward = include_backward});
-  auto oracle = LineReachabilityOracle::Build(s->lg);
-  if (!oracle.ok()) return nullptr;
-  s->oracle = std::make_unique<LineReachabilityOracle>(std::move(*oracle));
-  auto cluster = ClusterJoinIndex::Build(s->lg, s->csr);
-  if (!cluster.ok()) return nullptr;
-  s->cluster = std::make_unique<ClusterJoinIndex>(std::move(*cluster));
-  s->closure_directed = std::make_unique<TransitiveClosure>(
-      TransitiveClosure::Build(s->csr, /*as_undirected=*/false));
-  s->closure_undirected = std::make_unique<TransitiveClosure>(
-      TransitiveClosure::Build(s->csr, /*as_undirected=*/true));
-  return s;
-}
 
 /// The paper's running example shape: a small labeled graph with
 /// attributes, cycles, parallel labels and both orientations exercised.

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "query/audience.h"
 #include "query/online_evaluator.h"
 #include "synth/generators.h"
-#include "synth/workload.h"
 #include "tests/test_util.h"
 
 namespace sargus {
