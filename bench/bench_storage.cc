@@ -1,7 +1,9 @@
 /// B12 -- Durability: cold start, save latency, bundle size.
 ///
-/// The storage/ subsystem's pitch is that a restart is an mmap + verify
-/// + adopt, never an index computation. This bench pins that:
+/// The storage/ subsystem's pitch is that a restart is a read + verify
+/// + adopt, never an index computation. Both directions stream each
+/// section through one bounded buffer (pread on load, pwrite on save),
+/// so neither holds the file in memory. This bench pins that:
 ///
 ///  * BM_ColdStartRebuild: the baseline — construct an engine over the
 ///    already-loaded graph and RebuildIndexes() (the CSR);
@@ -9,11 +11,11 @@
 ///    saved bundle plus a WAL tail of kTailMutations records (load,
 ///    checksum-verify every section, adopt, replay). The
 ///    `speedup_vs_rebuild` counter at 256k nodes is the subsystem's
-///    headline series (~2.4x on 4 vCPUs against a CSR-only rebuild);
+///    headline series (~3x on 4 vCPUs against a CSR-only rebuild);
 ///    `bundle_bytes` tracks on-disk size;
 ///  * BM_SaveSnapshot: writer-observed SaveSnapshot() latency (the
-///    serialize + atomic-publish cost compaction pays off the serving
-///    path).
+///    streamed serialize + atomic-publish cost compaction pays off the
+///    serving path).
 ///
 /// Sizes: 64k and 256k nodes always; the 1M-node series only when
 /// SARGUS_BENCH_LARGE is set (CI smoke stays fast).

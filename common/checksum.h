@@ -19,6 +19,7 @@
 /// storage corruption matrix both pin this empirically over 10k seeded
 /// mutations).
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -58,34 +59,64 @@ inline uint64_t Fnv1a64(const void* data, size_t size) {
 /// 64-bit multiply per byte). Small payloads (wire frames, WAL records)
 /// keep the serial form; bundle sections are tens of MB and their
 /// verification sits on the cold-start path.
-inline uint64_t StripedFnv1a64(std::span<const uint8_t> bytes) {
-  uint64_t lane[8] = {kFnv1a64OffsetBasis, kFnv1a64OffsetBasis,
-                      kFnv1a64OffsetBasis, kFnv1a64OffsetBasis,
-                      kFnv1a64OffsetBasis, kFnv1a64OffsetBasis,
-                      kFnv1a64OffsetBasis, kFnv1a64OffsetBasis};
-  const uint8_t* p = bytes.data();
-  const size_t n = bytes.size();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    lane[0] = (lane[0] ^ p[i + 0]) * kFnv1a64Prime;
-    lane[1] = (lane[1] ^ p[i + 1]) * kFnv1a64Prime;
-    lane[2] = (lane[2] ^ p[i + 2]) * kFnv1a64Prime;
-    lane[3] = (lane[3] ^ p[i + 3]) * kFnv1a64Prime;
-    lane[4] = (lane[4] ^ p[i + 4]) * kFnv1a64Prime;
-    lane[5] = (lane[5] ^ p[i + 5]) * kFnv1a64Prime;
-    lane[6] = (lane[6] ^ p[i + 6]) * kFnv1a64Prime;
-    lane[7] = (lane[7] ^ p[i + 7]) * kFnv1a64Prime;
-  }
-  for (size_t j = 0; i < n; ++i, ++j) {
-    lane[j] = (lane[j] ^ p[i]) * kFnv1a64Prime;
-  }
-  uint8_t digest[64];
-  for (size_t j = 0; j < 8; ++j) {
-    for (size_t b = 0; b < 8; ++b) {
-      digest[j * 8 + b] = static_cast<uint8_t>(lane[j] >> (8 * b));
+///
+/// The hasher is resumable: Update may be called with pieces of any
+/// size, and Digest() equals the one-shot StripedFnv1a64 of their
+/// concatenation. The bundle writer and loader stream sections through
+/// a bounded buffer and hash each piece as it passes.
+class StripedFnv1a64Hasher {
+ public:
+  void Update(std::span<const uint8_t> bytes) {
+    // Work on locals: the input is a uint8_t pointer, which may alias
+    // the member lanes and would force a reload per byte.
+    uint64_t l[8];
+    for (size_t j = 0; j < 8; ++j) l[j] = lane_[j];
+    const uint8_t* p = bytes.data();
+    size_t n = bytes.size();
+    // Finish the lane round an earlier piece left open.
+    for (; n > 0 && pos_ % 8 != 0; ++p, --n, ++pos_) {
+      l[pos_ % 8] = (l[pos_ % 8] ^ *p) * kFnv1a64Prime;
     }
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      l[0] = (l[0] ^ p[i + 0]) * kFnv1a64Prime;
+      l[1] = (l[1] ^ p[i + 1]) * kFnv1a64Prime;
+      l[2] = (l[2] ^ p[i + 2]) * kFnv1a64Prime;
+      l[3] = (l[3] ^ p[i + 3]) * kFnv1a64Prime;
+      l[4] = (l[4] ^ p[i + 4]) * kFnv1a64Prime;
+      l[5] = (l[5] ^ p[i + 5]) * kFnv1a64Prime;
+      l[6] = (l[6] ^ p[i + 6]) * kFnv1a64Prime;
+      l[7] = (l[7] ^ p[i + 7]) * kFnv1a64Prime;
+    }
+    for (; i < n; ++i) {
+      l[i % 8] = (l[i % 8] ^ p[i]) * kFnv1a64Prime;
+    }
+    pos_ += n;
+    for (size_t j = 0; j < 8; ++j) lane_[j] = l[j];
   }
-  return Fnv1a64(digest, sizeof(digest));
+
+  uint64_t Digest() const {
+    uint8_t digest[64];
+    for (size_t j = 0; j < 8; ++j) {
+      for (size_t b = 0; b < 8; ++b) {
+        digest[j * 8 + b] = static_cast<uint8_t>(lane_[j] >> (8 * b));
+      }
+    }
+    return Fnv1a64(digest, sizeof(digest));
+  }
+
+ private:
+  uint64_t lane_[8] = {kFnv1a64OffsetBasis, kFnv1a64OffsetBasis,
+                       kFnv1a64OffsetBasis, kFnv1a64OffsetBasis,
+                       kFnv1a64OffsetBasis, kFnv1a64OffsetBasis,
+                       kFnv1a64OffsetBasis, kFnv1a64OffsetBasis};
+  uint64_t pos_ = 0;  // bytes hashed so far; the next byte feeds pos_ % 8
+};
+
+inline uint64_t StripedFnv1a64(std::span<const uint8_t> bytes) {
+  StripedFnv1a64Hasher h;
+  h.Update(bytes);
+  return h.Digest();
 }
 
 inline uint64_t StripedFnv1a64(const void* data, size_t size) {

@@ -1,7 +1,6 @@
 #include "common/file_util.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -37,9 +36,9 @@ Status FsyncPath(const std::string& path, int flags) {
 
 }  // namespace
 
-// ---- MappedFile -------------------------------------------------------------
+// ---- ReadOnlyFile -----------------------------------------------------------
 
-Result<MappedFile> MappedFile::Open(const std::string& path) {
+Result<ReadOnlyFile> ReadOnlyFile::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) {
@@ -47,38 +46,41 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
     }
     return ErrnoStatus("open", path);
   }
+  ReadOnlyFile out;
+  out.fd_ = fd;
   struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const Status s = ErrnoStatus("fstat", path);
-    ::close(fd);
-    return s;
-  }
-  MappedFile out;
-  out.size_ = static_cast<size_t>(st.st_size);
-  if (out.size_ > 0) {
-    void* p = ::mmap(nullptr, out.size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (p == MAP_FAILED) {
-      const Status s = ErrnoStatus("mmap", path);
-      ::close(fd);
-      return s;
-    }
-    out.data_ = p;
-  }
-  ::close(fd);  // the mapping keeps the pages; the fd is not needed
+  if (::fstat(fd, &st) != 0) return ErrnoStatus("fstat", path);
+  out.size_ = static_cast<uint64_t>(st.st_size);
   return out;
 }
 
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+ReadOnlyFile& ReadOnlyFile::operator=(ReadOnlyFile&& other) noexcept {
   if (this != &other) {
-    if (data_ != nullptr) ::munmap(data_, size_);
-    data_ = std::exchange(other.data_, nullptr);
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
     size_ = std::exchange(other.size_, 0);
   }
   return *this;
 }
 
-MappedFile::~MappedFile() {
-  if (data_ != nullptr) ::munmap(data_, size_);
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status ReadOnlyFile::ReadAt(uint64_t offset, void* dst, size_t n) const {
+  uint8_t* p = static_cast<uint8_t*>(dst);
+  while (n > 0) {
+    const ssize_t got = ::pread(fd_, p, n, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("pread", "<fd " + std::to_string(fd_) + ">");
+    }
+    if (got == 0) return Status::DataLoss("file ended before the read did");
+    p += got;
+    offset += static_cast<uint64_t>(got);
+    n -= static_cast<size_t>(got);
+  }
+  return OkStatus();
 }
 
 // ---- Directory / atomic write ----------------------------------------------
@@ -93,40 +95,36 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+Status WriteAllAt(int fd, std::span<const uint8_t> bytes, uint64_t offset) {
+  const uint8_t* p = bytes.data();
+  size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t n = ::pwrite(fd, p, left, static_cast<off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("pwrite", "<fd " + std::to_string(fd) + ">");
+    }
+    p += n;
+    offset += static_cast<uint64_t>(n);
+    left -= static_cast<size_t>(n);
+  }
+  return OkStatus();
+}
+
 Status WriteFileAtomic(const std::string& path,
-                       std::span<const uint8_t> bytes) {
+                       const std::function<Status(int fd)>& fill) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return ErrnoStatus("open", tmp);
 
-  const uint8_t* p = bytes.data();
-  size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status s = ErrnoStatus("write", tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return s;
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
+  Status s = fill(fd);
+  if (s.ok() && ::fsync(fd) != 0) s = ErrnoStatus("fsync", tmp);
+  if (::close(fd) != 0 && s.ok()) s = ErrnoStatus("close", tmp);
+  if (s.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    s = ErrnoStatus("rename", tmp);
   }
-  if (::fsync(fd) != 0) {
-    const Status s = ErrnoStatus("fsync", tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  if (::close(fd) != 0) {
-    const Status s = ErrnoStatus("close", tmp);
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status s = ErrnoStatus("rename", tmp);
+  if (!s.ok()) {
     ::unlink(tmp.c_str());
     return s;
   }

@@ -2,20 +2,22 @@
 #define SARGUS_COMMON_FILE_UTIL_H_
 
 /// \file file_util.h
-/// \brief POSIX file helpers for the durability layer: RAII mmap,
-/// atomic publication, and a synced append stream.
+/// \brief POSIX file helpers for the durability layer: positional
+/// reads, atomic publication, and a synced append stream.
 ///
 /// Everything here reports failures as Status (never throws, never
 /// crashes on I/O errors) and owns its descriptors RAII-style, so a
-/// failed load or a destroyed writer can never leak an fd or a mapping.
+/// failed load or a destroyed writer can never leak an fd.
 ///
 /// Atomicity model (the snapshot bundle's publication protocol):
-/// `WriteFileAtomic` writes to `<path>.tmp.<pid>` in the same directory,
-/// fsyncs the file, rename(2)s it over `path`, then fsyncs the directory
-/// — so a reader either sees the complete old file or the complete new
-/// one, never a torn write, even across power loss.
+/// `WriteFileAtomic` lets its caller fill `<path>.tmp.<pid>` in the same
+/// directory, fsyncs the file, rename(2)s it over `path`, then fsyncs
+/// the directory — so a reader either sees the complete old file or the
+/// complete new one, never a torn write, even across power loss. A
+/// failure at any step unlinks the temp file and leaves `path` as it was.
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 
@@ -24,27 +26,29 @@
 
 namespace sargus {
 
-/// A read-only memory-mapped file. Move-only; unmaps and closes on
-/// destruction. An empty file maps to an empty span (no mapping held).
-class MappedFile {
+/// A read-only file read by offset (pread(2)), so several threads may
+/// read one descriptor at once. Move-only; closes on destruction.
+class ReadOnlyFile {
  public:
-  static Result<MappedFile> Open(const std::string& path);
+  static Result<ReadOnlyFile> Open(const std::string& path);
 
-  MappedFile() = default;
-  MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile();
+  ReadOnlyFile() = default;
+  ReadOnlyFile(ReadOnlyFile&& other) noexcept { *this = std::move(other); }
+  ReadOnlyFile& operator=(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+  ~ReadOnlyFile();
 
-  std::span<const uint8_t> bytes() const {
-    return {static_cast<const uint8_t*>(data_), size_};
-  }
-  size_t size() const { return size_; }
+  /// File size at Open.
+  uint64_t size() const { return size_; }
+
+  /// Reads exactly `n` bytes at `offset` into `dst`. kDataLoss when the
+  /// file ends first (it shrank after Open).
+  Status ReadAt(uint64_t offset, void* dst, size_t n) const;
 
  private:
-  void* data_ = nullptr;
-  size_t size_ = 0;
+  int fd_ = -1;
+  uint64_t size_ = 0;
 };
 
 /// Creates `dir` (one level) if it does not exist yet.
@@ -53,10 +57,16 @@ Status CreateDirIfMissing(const std::string& dir);
 /// True when `path` names an existing file.
 bool FileExists(const std::string& path);
 
-/// Atomically replaces `path` with `bytes`: temp file + fsync + rename +
-/// directory fsync. See the file comment for the crash guarantee.
+/// Writes all of `bytes` at `offset` of `fd` (pwrite(2), retrying short
+/// writes and EINTR).
+Status WriteAllAt(int fd, std::span<const uint8_t> bytes, uint64_t offset);
+
+/// Atomically replaces `path` with whatever `fill` writes into the temp
+/// file descriptor it is handed: temp file + fill + fsync + rename +
+/// directory fsync. A failed `fill` (or any later step) unlinks the
+/// temp file. See the file comment for the crash guarantee.
 Status WriteFileAtomic(const std::string& path,
-                       std::span<const uint8_t> bytes);
+                       const std::function<Status(int fd)>& fill);
 
 /// An append-only file stream (the WAL's backing). Open creates the file
 /// when absent and positions at `resume_size` when given (truncating a

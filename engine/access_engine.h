@@ -307,9 +307,10 @@ class AccessControlEngine {
   /// and RebuildIndexes when snapshot_on_compaction is set.
   Status SaveSnapshot();
 
-  /// Restores an engine from a durability directory: mmap + verify the
-  /// bundle, adopt its graph into `*graph` and its CSR/overlay into
-  /// the engine (no index computation), replay the WAL tail whose
+  /// Restores an engine from a durability directory: read + verify the
+  /// bundle (pread in bounded chunks, never a whole-file mapping),
+  /// adopt its graph into `*graph` and its CSR/overlay into the engine
+  /// (no index computation), replay the WAL tail whose
   /// (generation, version) stamps the bundle does not cover, truncate
   /// any torn WAL tail, and reopen the WAL for appending. The first
   /// CheckAccess works immediately — no RebuildIndexes. Policies are
@@ -473,9 +474,9 @@ class AccessControlEngine {
   Status WalCommitBatchLocked(std::span<const storage::WalRecord> recs);
 
   /// Is (src, dst, label) a live edge of the base snapshot? Uses the
-  /// graph's triple map when materialized, else the CSR adjacency (so a
-  /// freshly opened bundle never pays the map rebuild on the WAL-replay
-  /// path).
+  /// graph's triple index when materialized, else the CSR adjacency (so
+  /// a freshly opened bundle never pays the index rebuild on the
+  /// WAL-replay path).
   bool EdgeInBaseLocked(NodeId src, NodeId dst, LabelId label) const;
   /// Post-staging tail: kick compaction at threshold, publish.
   void FinishMutation();

@@ -5,7 +5,20 @@
 namespace sargus {
 
 namespace {
+
 constexpr int64_t kUnsetAttr = std::numeric_limits<int64_t>::min();
+
+/// Marks an empty slot of the edge lookup table.
+constexpr EdgeId kEmptySlot = std::numeric_limits<EdgeId>::max();
+
+/// Smallest table capacity that holds `live` ids at most 3/4 full.
+size_t LookupCapacityFor(size_t live) {
+  if (live == 0) return 0;
+  size_t capacity = 16;
+  while (live * 4 > capacity * 3) capacity *= 2;
+  return capacity;
+}
+
 }  // namespace
 
 uint16_t NameDictionary::Intern(const std::string& name) {
@@ -26,6 +39,18 @@ uint16_t NameDictionary::Lookup(const std::string& name) const {
 
 const std::string& NameDictionary::ToString(uint16_t id) const {
   return names_[id];
+}
+
+uint64_t SocialGraph::EdgeTripleHash(NodeId src, NodeId dst, LabelId label) {
+  // The murmur3 64-bit finalizer, so the low bits a power-of-two mask
+  // keeps are well mixed.
+  uint64_t h = (uint64_t{src} << 32 | dst) ^
+               (uint64_t{label} * 0x9e3779b97f4a7c15ULL);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  return h ^ (h >> 33);
 }
 
 NodeId SocialGraph::AddNode() { return AddNodes(1); }
@@ -97,47 +122,91 @@ Result<EdgeId> SocialGraph::AddEdge(NodeId src, NodeId dst, LabelId label) {
     return Status::InvalidArgument("AddEdge: unknown label id");
   }
   EnsureEdgeLookup();
-  const EdgeKey key{src, dst, label};
-  auto it = edge_lookup_.find(key);
-  if (it != edge_lookup_.end()) return it->second;
+  // Grow first so the probe below lands in the table the id stays in.
+  if ((num_live_edges_ + 1) * 4 > edge_lookup_.size() * 3) {
+    RehashEdgeLookup(LookupCapacityFor(num_live_edges_ + 1));
+  }
+  const size_t slot = ProbeSlot(src, dst, label);
+  if (edge_lookup_[slot] != kEmptySlot) return edge_lookup_[slot];
+  if (edges_.size() >= kEmptySlot) {
+    return Status::ResourceExhausted("AddEdge: edge slots exhausted");
+  }
   const EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{src, dst, label});
   live_.push_back(1);
   ++num_live_edges_;
-  edge_lookup_.emplace(key, id);
+  edge_lookup_[slot] = id;
   return id;
 }
 
 std::optional<EdgeId> SocialGraph::FindEdge(NodeId src, NodeId dst,
                                             LabelId label) const {
   EnsureEdgeLookup();
-  auto it = edge_lookup_.find(EdgeKey{src, dst, label});
-  if (it == edge_lookup_.end()) return std::nullopt;
-  return it->second;
+  if (edge_lookup_.empty()) return std::nullopt;
+  const EdgeId id = edge_lookup_[ProbeSlot(src, dst, label)];
+  if (id == kEmptySlot) return std::nullopt;
+  return id;
 }
 
 Status SocialGraph::RemoveEdge(EdgeId edge) {
   if (!IsLiveEdge(edge)) {
     return Status::NotFound("RemoveEdge: no live edge in slot");
   }
-  const Edge& rec = edges_[edge];
   EnsureEdgeLookup();
-  edge_lookup_.erase(EdgeKey{rec.src, rec.dst, rec.label});
+  const Edge& rec = edges_[edge];
+  const size_t mask = edge_lookup_.size() - 1;
+  size_t hole = ProbeSlot(rec.src, rec.dst, rec.label);
+  // Backward shift: pull each later member of the probe run into the
+  // hole unless its home slot lies cyclically in (hole, j], which keeps
+  // every remaining id reachable from its home without tombstones.
+  for (size_t j = (hole + 1) & mask; edge_lookup_[j] != kEmptySlot;
+       j = (j + 1) & mask) {
+    const Edge& moved = edges_[edge_lookup_[j]];
+    const size_t home =
+        EdgeTripleHash(moved.src, moved.dst, moved.label) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      edge_lookup_[hole] = edge_lookup_[j];
+      hole = j;
+    }
+  }
+  edge_lookup_[hole] = kEmptySlot;
   live_[edge] = 0;
   --num_live_edges_;
   return OkStatus();
 }
 
-void SocialGraph::EnsureEdgeLookup() const {
-  if (!edge_lookup_stale_) return;
-  edge_lookup_.clear();
-  edge_lookup_.reserve(num_live_edges_);
+size_t SocialGraph::ProbeSlot(NodeId src, NodeId dst, LabelId label) const {
+  const size_t mask = edge_lookup_.size() - 1;
+  for (size_t i = EdgeTripleHash(src, dst, label) & mask;; i = (i + 1) & mask) {
+    const EdgeId id = edge_lookup_[i];
+    if (id == kEmptySlot) return i;
+    const Edge& e = edges_[id];
+    if (e.src == src && e.dst == dst && e.label == label) return i;
+  }
+}
+
+void SocialGraph::RehashEdgeLookup(size_t capacity) const {
+  edge_lookup_.assign(capacity, kEmptySlot);
+  const size_t mask = capacity - 1;
   for (EdgeId e = 0; e < edges_.size(); ++e) {
     if (!live_[e]) continue;
     const Edge& rec = edges_[e];
-    edge_lookup_.emplace(EdgeKey{rec.src, rec.dst, rec.label}, e);
+    // Live triples are distinct, so the first empty slot is the place.
+    size_t i = EdgeTripleHash(rec.src, rec.dst, rec.label) & mask;
+    while (edge_lookup_[i] != kEmptySlot) i = (i + 1) & mask;
+    edge_lookup_[i] = e;
   }
+}
+
+void SocialGraph::EnsureEdgeLookup() const {
+  if (!edge_lookup_stale_) return;
+  RehashEdgeLookup(LookupCapacityFor(num_live_edges_));
   edge_lookup_stale_ = false;
+}
+
+void SocialGraph::ShrinkToFit() {
+  edges_.shrink_to_fit();
+  live_.shrink_to_fit();
 }
 
 size_t SocialGraph::MemoryBytes() const {
@@ -145,7 +214,7 @@ size_t SocialGraph::MemoryBytes() const {
   for (const auto& col : attr_columns_) {
     bytes += col.capacity() * sizeof(int64_t);
   }
-  bytes += edge_lookup_.size() * (sizeof(EdgeKey) + sizeof(EdgeId) + 16);
+  bytes += edge_lookup_.capacity() * sizeof(EdgeId);
   return bytes;
 }
 

@@ -109,10 +109,11 @@ class SocialGraph {
   /// (Duplicate triples are coalesced by AddEdge, so the triple is a key.)
   std::optional<EdgeId> FindEdge(NodeId src, NodeId dst, LabelId label) const;
 
-  /// Whether the triple→slot map is materialized. The snapshot loader
-  /// leaves it stale (rebuilding it would cost as much as the index
-  /// rebuild the bundle avoids); AddEdge/RemoveEdge/FindEdge
-  /// rematerialize it on demand. Callers with an alternative membership
+  /// Whether the triple→slot index is materialized. The snapshot loader
+  /// leaves it stale (rebuilding it is a pass over every edge slot,
+  /// ~0.06 s at 1.5M edges, that a reopen which only reads never
+  /// needs); AddEdge/RemoveEdge/FindEdge rematerialize it on demand.
+  /// Callers with an alternative membership
   /// source (e.g. the engine's CSR snapshot) can consult this to avoid
   /// triggering that one-time rebuild. Note the rebuild mutates state
   /// under a const method: concurrent FindEdge calls on a stale graph
@@ -143,26 +144,25 @@ class SocialGraph {
   /// across all shard copies (see graph/subgraph.h).
   NameDictionary& attrs() { return attrs_; }
 
-  /// Approximate heap footprint in bytes.
+  /// Releases the edge columns' spare capacity. The generators call it
+  /// on a finished graph, so a graph that will only be read does not
+  /// carry up to 2x its edge storage.
+  void ShrinkToFit();
+
+  /// Slots in the triple -> edge index (a power of two, or 0 while no
+  /// edge is live or the index is stale). It is kept at most 3/4 full.
+  size_t edge_index_capacity() const { return edge_lookup_.size(); }
+
+  /// Home-slot hash of a triple in that index: the slot is the hash
+  /// masked to the capacity. Tests use it to build probe chains that
+  /// wrap past the end of the table.
+  static uint64_t EdgeTripleHash(NodeId src, NodeId dst, LabelId label);
+
+  /// Approximate heap footprint in bytes, the edge index included.
   size_t MemoryBytes() const;
 
  private:
   friend struct storage::StorageAccess;
-
-  struct EdgeKey {
-    NodeId src;
-    NodeId dst;
-    LabelId label;
-    bool operator==(const EdgeKey&) const = default;
-  };
-  struct EdgeKeyHash {
-    size_t operator()(const EdgeKey& k) const {
-      uint64_t h = (static_cast<uint64_t>(k.src) << 32) ^
-                   (static_cast<uint64_t>(k.dst) << 16) ^ k.label;
-      h *= 0x9e3779b97f4a7c15ULL;
-      return static_cast<size_t>(h ^ (h >> 29));
-    }
-  };
 
   size_t num_nodes_ = 0;
   std::vector<Edge> edges_;
@@ -177,10 +177,20 @@ class SocialGraph {
 
   /// Rematerializes edge_lookup_ from the live slots when stale.
   void EnsureEdgeLookup() const;
+  /// Index in edge_lookup_ of the live edge (src, dst, label), or of the
+  /// empty slot where it would go. The table must be non-empty.
+  size_t ProbeSlot(NodeId src, NodeId dst, LabelId label) const;
+  /// Rebuilds edge_lookup_ at `capacity` slots from the live edges.
+  void RehashEdgeLookup(size_t capacity) const;
 
-  // Lazily materialized (hence mutable): the loader marks it stale and
-  // the first lookup/mutation rebuilds it from edges_/live_.
-  mutable std::unordered_map<EdgeKey, EdgeId, EdgeKeyHash> edge_lookup_;
+  // The triple -> slot index: an open-addressed, linearly probed table
+  // of live edge ids. A slot holds only the id; its key is read back
+  // from edges_. The capacity is a power of two (or 0) at most 3/4
+  // full, and RemoveEdge deletes by backward shift, so no tombstones
+  // accumulate. Lazily materialized (hence mutable): the loader marks
+  // it stale and the first lookup/mutation rebuilds it from
+  // edges_/live_.
+  mutable std::vector<EdgeId> edge_lookup_;
   mutable bool edge_lookup_stale_ = false;
 };
 

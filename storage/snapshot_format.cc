@@ -1,9 +1,12 @@
 #include "storage/snapshot_format.h"
 
-#include <cstring>
+#include <unistd.h>
 
-#include "common/checksum.h"
-#include "common/file_util.h"
+#include <cerrno>
+#include <cstring>
+#include <functional>
+#include <iterator>
+#include <utility>
 
 namespace sargus::storage {
 
@@ -40,9 +43,9 @@ void StorageAccess::SaveGraph(const SocialGraph& g, BlobWriter& w) {
   w.PutU64(g.num_nodes_);
   // Edge slots as columns (Edge has 2 interior padding bytes).
   w.PutU64(g.edges_.size());
-  for (const Edge& e : g.edges_) w.PutU32(e.src);
-  for (const Edge& e : g.edges_) w.PutU32(e.dst);
-  for (const Edge& e : g.edges_) w.PutU16(e.label);
+  w.PutColumn(g.edges_, &Edge::src);
+  w.PutColumn(g.edges_, &Edge::dst);
+  w.PutColumn(g.edges_, &Edge::label);
   w.PutVec(g.live_);
   w.PutU64(g.num_live_edges_);
   // Dictionaries: names only; ids_ is the inverse map, rebuilt on load.
@@ -52,22 +55,23 @@ void StorageAccess::SaveGraph(const SocialGraph& g, BlobWriter& w) {
   for (const std::string& s : g.attrs_.names_) w.PutString(s);
   w.PutU64(g.attr_columns_.size());
   for (const auto& col : g.attr_columns_) w.PutVec(col);
-  // edge_lookup_ is rebuilt on load from the live slots.
+  // edge_lookup_ is rebuilt from the live slots on first use after load.
 }
 
 void StorageAccess::SaveCsr(const CsrSnapshot& csr, BlobWriter& w) {
   w.PutU64(csr.num_nodes_);
   w.PutVec(csr.out_offsets_);
   // Entry has 2 padding bytes -> columns.
+  using Entry = CsrSnapshot::Entry;
   w.PutU64(csr.out_entries_.size());
-  for (const auto& e : csr.out_entries_) w.PutU32(e.other);
-  for (const auto& e : csr.out_entries_) w.PutU16(e.label);
-  for (const auto& e : csr.out_entries_) w.PutU32(e.edge);
+  w.PutColumn(csr.out_entries_, &Entry::other);
+  w.PutColumn(csr.out_entries_, &Entry::label);
+  w.PutColumn(csr.out_entries_, &Entry::edge);
   w.PutVec(csr.in_offsets_);
   w.PutU64(csr.in_entries_.size());
-  for (const auto& e : csr.in_entries_) w.PutU32(e.other);
-  for (const auto& e : csr.in_entries_) w.PutU16(e.label);
-  for (const auto& e : csr.in_entries_) w.PutU32(e.edge);
+  w.PutColumn(csr.in_entries_, &Entry::other);
+  w.PutColumn(csr.in_entries_, &Entry::label);
+  w.PutColumn(csr.in_entries_, &Entry::edge);
 }
 
 void StorageAccess::SaveOverlay(const DeltaOverlay& o, BlobWriter& w) {
@@ -78,16 +82,83 @@ void StorageAccess::SaveOverlay(const DeltaOverlay& o, BlobWriter& w) {
                                               o.added_.end());
   std::vector<DeltaOverlay::EdgeTriple> removed(o.removed_.begin(),
                                                 o.removed_.end());
-  w.PutU64(added.size());
-  for (const auto& t : added) w.PutU32(t.src);
-  for (const auto& t : added) w.PutU32(t.dst);
-  for (const auto& t : added) w.PutU16(t.label);
-  w.PutU64(removed.size());
-  for (const auto& t : removed) w.PutU32(t.src);
-  for (const auto& t : removed) w.PutU32(t.dst);
-  for (const auto& t : removed) w.PutU16(t.label);
+  using Triple = DeltaOverlay::EdgeTriple;
+  for (const auto* triples : {&added, &removed}) {
+    w.PutU64(triples->size());
+    w.PutColumn(*triples, &Triple::src);
+    w.PutColumn(*triples, &Triple::dst);
+    w.PutColumn(*triples, &Triple::label);
+  }
   w.PutU32(o.staged_nodes_);
   w.PutU64(o.version_);
+}
+
+// ---- Streaming codec --------------------------------------------------------
+
+void BlobWriter::WriteThrough(std::span<const uint8_t> bytes) {
+  if (bytes.empty() || !status_.ok()) return;
+  hasher_.Update(bytes);
+  status_ = WriteAllAt(fd_, bytes, offset_ + written_);
+  written_ += bytes.size();
+}
+
+size_t BlobReader::NextChunk() const {
+  return static_cast<size_t>(
+      std::min<uint64_t>(size_ - fetched_, kBlobChunkBytes));
+}
+
+bool BlobReader::Fetch(uint8_t* dst, size_t n) {
+  if (!io_status_.ok()) return false;
+  io_status_ = file_.ReadAt(offset_ + fetched_, dst, n);
+  if (!io_status_.ok()) return false;
+  hasher_.Update({dst, n});
+  fetched_ += n;
+  return true;
+}
+
+bool BlobReader::Refill() {
+  const size_t chunk = NextChunk();
+  if (buf_ == nullptr) buf_.reset(new uint8_t[kBlobChunkBytes]);
+  head_ = tail_ = 0;
+  if (!Fetch(buf_.get(), chunk)) return false;
+  tail_ = chunk;
+  return true;
+}
+
+void BlobReader::GetRaw(void* p, size_t n) {
+  if (!ok_ || n > Remaining()) {
+    ok_ = false;
+    return;
+  }
+  uint8_t* out = static_cast<uint8_t*>(p);
+  pos_ += n;
+  while (n > 0) {
+    if (head_ == tail_) {
+      // A whole chunk or more goes straight into its destination.
+      const size_t chunk = NextChunk();
+      if (n >= chunk) {
+        if (!Fetch(out, chunk)) break;
+        out += chunk;
+        n -= chunk;
+        continue;
+      }
+      if (!Refill()) break;
+    }
+    const size_t k = std::min(n, tail_ - head_);
+    std::memcpy(out, buf_.get() + head_, k);
+    head_ += k;
+    out += k;
+    n -= k;
+  }
+  if (n > 0) ok_ = false;  // the read failed; Drain() reports why
+}
+
+Status BlobReader::Drain() {
+  while (fetched_ < size_ && Refill()) {
+  }
+  head_ = tail_ = 0;
+  pos_ = size_;
+  return io_status_;
 }
 
 // ---- Bundle assembly --------------------------------------------------------
@@ -97,84 +168,85 @@ Status WriteBundle(const std::string& path, const BundlePayload& payload) {
       payload.overlay == nullptr) {
     return Status::InvalidArgument("WriteBundle: null payload component");
   }
-
-  struct PendingSection {
-    SectionKind kind;
-    std::vector<uint8_t> bytes;
+  using Save = std::function<void(BlobWriter&)>;
+  const std::pair<SectionKind, Save> sections[] = {
+      {SectionKind::kGraph,
+       [&](BlobWriter& w) { StorageAccess::SaveGraph(*payload.graph, w); }},
+      {SectionKind::kCsr,
+       [&](BlobWriter& w) { StorageAccess::SaveCsr(*payload.csr, w); }},
+      {SectionKind::kOverlay,
+       [&](BlobWriter& w) {
+         StorageAccess::SaveOverlay(*payload.overlay, w);
+       }},
   };
-  std::vector<PendingSection> sections;
-  auto add = [&sections](SectionKind kind, auto&& save) {
-    BlobWriter w;
-    save(w);
-    sections.push_back({kind, w.Take()});
-  };
+  static_assert(std::size(sections) <= kBundleMaxSections);
 
-  add(SectionKind::kGraph,
-      [&](BlobWriter& w) { StorageAccess::SaveGraph(*payload.graph, w); });
-  add(SectionKind::kCsr,
-      [&](BlobWriter& w) { StorageAccess::SaveCsr(*payload.csr, w); });
-  add(SectionKind::kOverlay,
-      [&](BlobWriter& w) { StorageAccess::SaveOverlay(*payload.overlay, w); });
+  return WriteFileAtomic(path, [&](int fd) -> Status {
+    // Stream each section to its page-aligned offset; the gaps between
+    // sections are holes, which read back as the zero padding. Sections
+    // use the striped FNV variant: they are tens of MB and their
+    // verification sits on the cold-start path. The header page stays
+    // on plain Fnv1a64 — it is 4 KiB.
+    uint64_t offset = kBundlePageSize;
+    std::vector<BundleInfo::Section> table;
+    for (const auto& [kind, save] : sections) {
+      BlobWriter w(fd, offset);
+      save(w);
+      SARGUS_RETURN_IF_ERROR(w.Finish());
+      table.push_back({kind, offset, w.size(), w.checksum()});
+      offset = PageAlign(offset + w.size());
+    }
+    const uint64_t file_size = offset;
+    if (::ftruncate(fd, static_cast<off_t>(file_size)) != 0) {
+      return Status::Internal(std::string("WriteBundle: ftruncate: ") +
+                              std::strerror(errno));
+    }
 
-  if (sections.size() > kBundleMaxSections) {
-    return Status::Internal("WriteBundle: section table overflow");
-  }
-
-  // Lay out: header page, then each section page-aligned.
-  uint64_t offset = kBundlePageSize;
-  std::vector<BundleInfo::Section> table;
-  table.reserve(sections.size());
-  for (const PendingSection& s : sections) {
-    // Sections use the striped FNV variant: they are tens of MB and
-    // their verification sits on the cold-start path (the serial form
-    // retires one dependent multiply per byte, ~0.5 GB/s). The header
-    // page stays on plain Fnv1a64 — it is 4 KiB.
-    table.push_back({s.kind, offset, s.bytes.size(),
-                     StripedFnv1a64(s.bytes.data(), s.bytes.size())});
-    offset = PageAlign(offset + s.bytes.size());
-  }
-  const uint64_t file_size = offset;
-
-  std::vector<uint8_t> file(file_size, 0);
-  uint8_t* h = file.data();
-  PokeU64(h, 0, kBundleMagic);
-  PokeU32(h, 8, kBundleVersion);
-  PokeU32(h, 12, kBundlePageSize);
-  PokeU64(h, 16, file_size);
-  PokeU64(h, 24, payload.stamp.generation);
-  PokeU64(h, 32, payload.stamp.overlay_version);
-  PokeU64(h, 40, 0);  // flags: no bit is live
-  PokeU64(h, 48, payload.compact_threshold);
-  PokeU32(h, 56, static_cast<uint32_t>(sections.size()));
-  PokeU32(h, 60, 0);  // reserved
-  for (size_t i = 0; i < table.size(); ++i) {
-    const size_t at = kBundleSectionTableOffset + i * kBundleSectionEntryBytes;
-    PokeU32(h, at, static_cast<uint32_t>(table[i].kind));
-    PokeU32(h, at + 4, 0);  // reserved
-    PokeU64(h, at + 8, table[i].offset);
-    PokeU64(h, at + 16, table[i].size);
-    PokeU64(h, at + 24, table[i].checksum);
-  }
-  PokeU64(h, kBundlePageSize - 8, Fnv1a64(h, kBundlePageSize - 8));
-
-  for (size_t i = 0; i < sections.size(); ++i) {
-    std::memcpy(file.data() + table[i].offset, sections[i].bytes.data(),
-                sections[i].bytes.size());
-  }
-
-  return WriteFileAtomic(path, file);
+    // The header page goes last: it names every section's checksum.
+    std::vector<uint8_t> page(kBundlePageSize, 0);
+    uint8_t* h = page.data();
+    PokeU64(h, 0, kBundleMagic);
+    PokeU32(h, 8, kBundleVersion);
+    PokeU32(h, 12, kBundlePageSize);
+    PokeU64(h, 16, file_size);
+    PokeU64(h, 24, payload.stamp.generation);
+    PokeU64(h, 32, payload.stamp.overlay_version);
+    PokeU64(h, 40, 0);  // flags: no bit is live
+    PokeU64(h, 48, payload.compact_threshold);
+    PokeU32(h, 56, static_cast<uint32_t>(table.size()));
+    PokeU32(h, 60, 0);  // reserved
+    for (size_t i = 0; i < table.size(); ++i) {
+      const size_t at =
+          kBundleSectionTableOffset + i * kBundleSectionEntryBytes;
+      PokeU32(h, at, static_cast<uint32_t>(table[i].kind));
+      PokeU32(h, at + 4, 0);  // reserved
+      PokeU64(h, at + 8, table[i].offset);
+      PokeU64(h, at + 16, table[i].size);
+      PokeU64(h, at + 24, table[i].checksum);
+    }
+    PokeU64(h, kBundlePageSize - 8, Fnv1a64(h, kBundlePageSize - 8));
+    return WriteAllAt(fd, page, 0);
+  });
 }
 
 Result<BundleInfo> ReadBundleInfo(const std::string& path) {
-  SARGUS_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  return ParseBundleHeader(file.bytes());
+  SARGUS_ASSIGN_OR_RETURN(ReadOnlyFile file, ReadOnlyFile::Open(path));
+  return ReadBundleHeader(file);
 }
 
-Result<BundleInfo> ParseBundleHeader(std::span<const uint8_t> bytes) {
-  if (bytes.size() < kBundlePageSize) {
+Result<BundleInfo> ReadBundleHeader(const ReadOnlyFile& file) {
+  std::vector<uint8_t> page(
+      static_cast<size_t>(std::min<uint64_t>(file.size(), kBundlePageSize)));
+  SARGUS_RETURN_IF_ERROR(file.ReadAt(0, page.data(), page.size()));
+  return ParseBundleHeader(page, file.size());
+}
+
+Result<BundleInfo> ParseBundleHeader(std::span<const uint8_t> page,
+                                     uint64_t file_size) {
+  if (page.size() < kBundlePageSize || file_size < kBundlePageSize) {
     return Status::DataLoss("bundle: shorter than one header page");
   }
-  const uint8_t* h = bytes.data();
+  const uint8_t* h = page.data();
   if (PeekU64(h, 0) != kBundleMagic) {
     return Status::DataLoss("bundle: bad magic");
   }
@@ -192,7 +264,7 @@ Result<BundleInfo> ParseBundleHeader(std::span<const uint8_t> bytes) {
     return Status::DataLoss("bundle: unsupported page size");
   }
   info.file_size = PeekU64(h, 16);
-  if (info.file_size != bytes.size()) {
+  if (info.file_size != file_size) {
     return Status::DataLoss("bundle: file size mismatch");
   }
   info.stamp.generation = PeekU64(h, 24);

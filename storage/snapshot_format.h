@@ -4,7 +4,7 @@
 /// \file snapshot_format.h
 /// \brief The on-disk snapshot bundle: one versioned, page-aligned,
 /// checksummed file holding everything a serving engine needs — graph,
-/// overlay, and the prebuilt CSR — so a restart is an mmap + verify +
+/// overlay, and the prebuilt CSR — so a restart is a read + verify +
 /// adopt, never an index *computation*.
 ///
 /// File layout (little-endian throughout; the build static_asserts it):
@@ -25,25 +25,36 @@
 /// interior padding (Edge, CsrSnapshot::Entry) are
 /// serialized as parallel scalar columns — raw struct memcpy would
 /// checksum uninitialized padding bytes. Padding-free structs and plain
-/// scalar vectors are bulk-memcpy'd.
+/// scalar vectors are bulk-copied.
 ///
-/// Publication is atomic: SnapshotWriter assembles the file in memory
-/// and hands it to WriteFileAtomic (temp + fsync + rename + dir fsync),
-/// so `snapshot.sargus` is always either the previous complete bundle
-/// or the new complete bundle.
+/// Both directions stream. WriteBundle puts each section through one
+/// kBlobChunkBytes buffer into the temp file at its page-aligned offset,
+/// hashing as it goes, and writes the header page (which names every
+/// section's digest) last; the loader reads each section with pread in
+/// chunks of the same size and decodes while it hashes. Neither holds
+/// the file, or a section, in memory whole.
+///
+/// Publication is atomic: WriteBundle fills the temp file that
+/// WriteFileAtomic (temp + fsync + rename + dir fsync) publishes, so
+/// `snapshot.sargus` is always either the previous complete bundle or
+/// the new complete bundle, and a failed save leaves no temp file.
 ///
 /// The header carries the (generation, overlay_version) stamp of the
 /// engine state the bundle captured — the coordinate the WAL replay
 /// rule compares against (storage/wal.h).
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/checksum.h"
+#include "common/file_util.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "graph/csr.h"
@@ -139,82 +150,127 @@ struct BundleInfo {
 /// Reads and verifies only the header page of `path`.
 Result<BundleInfo> ReadBundleInfo(const std::string& path);
 
-/// Verifies the header page of an already-mapped bundle (magic, version,
-/// header checksum, zero flags, section-table bounds). The loader and
-/// ReadBundleInfo share this so "valid header" means one thing.
-Result<BundleInfo> ParseBundleHeader(std::span<const uint8_t> bytes);
+/// Reads the header page of an open bundle and verifies it with
+/// ParseBundleHeader. The loader and ReadBundleInfo share this.
+Result<BundleInfo> ReadBundleHeader(const ReadOnlyFile& file);
+
+/// Verifies a bundle's header page (magic, version, header checksum,
+/// zero flags, section-table bounds) against the size of the file it
+/// came from, so "valid header" means one thing everywhere. `page`
+/// holds the file's first bytes, at most kBundlePageSize of them.
+Result<BundleInfo> ParseBundleHeader(std::span<const uint8_t> page,
+                                     uint64_t file_size);
 
 // ---- Byte codec -------------------------------------------------------------
 
-/// Growing little-endian sink the serialize halves write sections into.
+/// The one buffer a BlobWriter or BlobReader streams a section through.
+/// It bounds what a save or a load holds on top of the structures
+/// themselves, whatever the bundle's size.
+inline constexpr size_t kBlobChunkBytes = size_t{1} << 20;
+
+/// Little-endian sink that streams one section into the bundle file at
+/// `offset` through a kBlobChunkBytes buffer, hashing every byte as it
+/// passes. The first write error latches; later puts are dropped and
+/// Finish() reports it.
 class BlobWriter {
  public:
-  void PutU8(uint8_t v) { bytes_.push_back(v); }
-  void PutU16(uint16_t v) { PutRaw(&v, sizeof v); }
+  BlobWriter(int fd, uint64_t offset)
+      : fd_(fd), offset_(offset), buf_(new uint8_t[kBlobChunkBytes]) {}
+
   void PutU32(uint32_t v) { PutRaw(&v, sizeof v); }
   void PutU64(uint64_t v) { PutRaw(&v, sizeof v); }
-  void PutI64(int64_t v) { PutRaw(&v, sizeof v); }
 
   /// Length-prefixed bulk copy. T must be trivially copyable with no
   /// interior padding (padding bytes would make checksums depend on
-  /// stale stack memory); padded structs go through per-field columns.
+  /// stale stack memory); padded structs go through PutColumn.
   template <typename T>
   void PutVec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     PutU64(v.size());
-    if (!v.empty()) PutRaw(v.data(), v.size() * sizeof(T));
+    PutRaw(v.data(), v.size() * sizeof(T));
+  }
+
+  /// Writes `field` of every row, in row order: one column of a padded
+  /// struct (no length prefix; the caller writes the row count once).
+  template <typename T, typename M>
+  void PutColumn(const std::vector<T>& rows, M T::*field) {
+    static_assert(std::is_trivially_copyable_v<M>);
+    for (size_t i = 0; i < rows.size();) {
+      if (kBlobChunkBytes - used_ < sizeof(M)) Flush();
+      const size_t k =
+          std::min(rows.size() - i, (kBlobChunkBytes - used_) / sizeof(M));
+      uint8_t* out = buf_.get() + used_;
+      for (size_t j = 0; j < k; ++j) {
+        std::memcpy(out + j * sizeof(M), &(rows[i + j].*field), sizeof(M));
+      }
+      used_ += k * sizeof(M);
+      i += k;
+    }
   }
 
   void PutString(const std::string& s) {
     PutU32(static_cast<uint32_t>(s.size()));
-    if (!s.empty()) PutRaw(s.data(), s.size());
+    PutRaw(s.data(), s.size());
   }
 
-  std::span<const uint8_t> bytes() const { return bytes_; }
-  std::vector<uint8_t> Take() { return std::move(bytes_); }
+  /// Writes out what is buffered; returns the first write error.
+  Status Finish() {
+    Flush();
+    return status_;
+  }
+  /// Section bytes put so far.
+  uint64_t size() const { return written_ + used_; }
+  /// StripedFnv1a64 of the section; valid after Finish().
+  uint64_t checksum() const { return hasher_.Digest(); }
 
  private:
   void PutRaw(const void* p, size_t n) {
-    const size_t at = bytes_.size();
-    bytes_.resize(at + n);
-    std::memcpy(bytes_.data() + at, p, n);
+    if (n <= kBlobChunkBytes - used_) {
+      std::memcpy(buf_.get() + used_, p, n);
+      used_ += n;
+      return;
+    }
+    Flush();
+    if (n < kBlobChunkBytes) {
+      std::memcpy(buf_.get(), p, n);
+      used_ = n;
+      return;
+    }
+    WriteThrough({static_cast<const uint8_t*>(p), n});  // no second copy
   }
-  std::vector<uint8_t> bytes_;
+  void Flush() {
+    WriteThrough({buf_.get(), used_});
+    used_ = 0;
+  }
+  void WriteThrough(std::span<const uint8_t> bytes);
+
+  int fd_;
+  uint64_t offset_;
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t used_ = 0;
+  uint64_t written_ = 0;
+  StripedFnv1a64Hasher hasher_;
+  Status status_;
 };
 
-/// Bounds-checked cursor over one verified section. Overruns latch
-/// `ok() == false` and return zeros instead of reading past the span, so
-/// a malformed section (writer bug; checksummed corruption cannot reach
-/// here) degrades to a Status at the call site, never UB.
+/// Bounds-checked cursor over the `size` bytes at `offset` of a bundle
+/// file. It reads them with pread in kBlobChunkBytes pieces (large
+/// arrays go straight into their destination) and hashes each piece as
+/// it arrives, so a section is decoded while it is verified. Decoding
+/// therefore sees bytes before their checksum is known: overruns latch
+/// `ok() == false` and return zeros instead of reading past the
+/// section, and every count is checked against the bytes left before
+/// anything is sized by it, so corrupt bytes degrade to a Status at
+/// the call site, never UB or an allocation the section could not fill.
+/// Drain() hashes whatever decoding left unread; only then is Digest()
+/// the section's checksum.
 class BlobReader {
  public:
-  explicit BlobReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
+  BlobReader(const ReadOnlyFile& file, uint64_t offset, uint64_t size)
+      : file_(file), offset_(offset), size_(size) {}
 
-  uint8_t GetU8() {
-    uint8_t v = 0;
-    GetRaw(&v, sizeof v);
-    return v;
-  }
-  uint16_t GetU16() {
-    uint16_t v = 0;
-    GetRaw(&v, sizeof v);
-    return v;
-  }
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    GetRaw(&v, sizeof v);
-    return v;
-  }
-  uint64_t GetU64() {
-    uint64_t v = 0;
-    GetRaw(&v, sizeof v);
-    return v;
-  }
-  int64_t GetI64() {
-    int64_t v = 0;
-    GetRaw(&v, sizeof v);
-    return v;
-  }
+  uint32_t GetU32() { return Get<uint32_t>(); }
+  uint64_t GetU64() { return Get<uint64_t>(); }
 
   template <typename T>
   void GetVec(std::vector<T>* out) {
@@ -226,7 +282,35 @@ class BlobReader {
       return;
     }
     out->resize(count);
-    if (count > 0) GetRaw(out->data(), count * sizeof(T));
+    GetRaw(out->data(), count * sizeof(T));
+  }
+
+  /// Fills `field` of every row of the already sized `rows`: the
+  /// inverse of BlobWriter::PutColumn, copied out of the buffer a chunk
+  /// at a time.
+  template <typename T, typename M>
+  void GetColumn(std::vector<T>* rows, M T::*field) {
+    static_assert(std::is_trivially_copyable_v<M>);
+    const size_t n = rows->size();
+    if (!ok_ || n > Remaining() / sizeof(M)) {
+      ok_ = false;
+      return;
+    }
+    for (size_t i = 0; i < n && ok_;) {
+      if (tail_ - head_ < sizeof(M)) {
+        // The buffer is spent, or a value straddles the chunk edge.
+        GetRaw(&((*rows)[i++].*field), sizeof(M));
+        continue;
+      }
+      const size_t k = std::min(n - i, (tail_ - head_) / sizeof(M));
+      const uint8_t* in = buf_.get() + head_;
+      for (size_t j = 0; j < k; ++j) {
+        std::memcpy(&((*rows)[i + j].*field), in + j * sizeof(M), sizeof(M));
+      }
+      head_ += k * sizeof(M);
+      pos_ += k * sizeof(M);
+      i += k;
+    }
   }
 
   void GetString(std::string* out) {
@@ -236,25 +320,46 @@ class BlobReader {
       out->clear();
       return;
     }
-    out->assign(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
+    out->resize(len);
+    GetRaw(out->data(), len);
   }
 
-  size_t Remaining() const { return bytes_.size() - pos_; }
+  size_t Remaining() const { return size_ - pos_; }
   bool ok() const { return ok_; }
 
+  /// Reads and hashes every section byte decoding did not consume.
+  /// Returns the read error, if any read failed.
+  Status Drain();
+  /// StripedFnv1a64 of the whole section once Drain() returned OK.
+  uint64_t Digest() const { return hasher_.Digest(); }
+
  private:
-  void GetRaw(void* p, size_t n) {
-    if (!ok_ || n > Remaining()) {
-      ok_ = false;
-      return;
-    }
-    std::memcpy(p, bytes_.data() + pos_, n);
-    pos_ += n;
+  template <typename T>
+  T Get() {
+    T v{};
+    GetRaw(&v, sizeof v);
+    return v;
   }
-  std::span<const uint8_t> bytes_;
-  size_t pos_ = 0;
+  void GetRaw(void* p, size_t n);
+  /// Bytes the next read takes: the rest of the section, at most a chunk.
+  size_t NextChunk() const;
+  /// Reads the next `n` section bytes into `dst` and hashes them; false
+  /// (with io_status_ set) on a read error.
+  bool Fetch(uint8_t* dst, size_t n);
+  /// Fetches the next chunk into the buffer.
+  bool Refill();
+
+  const ReadOnlyFile& file_;
+  uint64_t offset_;
+  uint64_t size_;
+  uint64_t pos_ = 0;      // section bytes consumed by decoding
+  uint64_t fetched_ = 0;  // section bytes read from the file and hashed
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t head_ = 0;  // buf_[head_, tail_) is fetched but not consumed
+  size_t tail_ = 0;
   bool ok_ = true;
+  StripedFnv1a64Hasher hasher_;
+  Status io_status_;
 };
 
 // ---- Private-member bridge --------------------------------------------------
@@ -265,6 +370,10 @@ class BlobReader {
 /// to know who can see its internals.
 struct StorageAccess {
   static void SaveGraph(const SocialGraph& g, BlobWriter& w);
+  /// Refuses (kDataLoss) a graph section that decodes but could index
+  /// out of bounds later: a live byte other than 0 or 1, a live count
+  /// that is not the bitmap's popcount, or a live edge whose endpoint or
+  /// label is outside the node range or the label dictionary.
   static Status LoadGraph(BlobReader& r, SocialGraph* g);
 
   static void SaveCsr(const CsrSnapshot& csr, BlobWriter& w);

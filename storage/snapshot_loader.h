@@ -2,22 +2,25 @@
 #define SARGUS_STORAGE_SNAPSHOT_LOADER_H_
 
 /// \file snapshot_loader.h
-/// \brief Reconstructs a serving state from a snapshot bundle: mmap,
+/// \brief Reconstructs a serving state from a snapshot bundle: read,
 /// verify every checksum, adopt every section.
 ///
 /// The load path never *computes* an index — no Tarjan, no label sweep,
-/// no CSR counting sort. Each section is re-verified against its header
-/// checksum and then bulk-copied into the live structures (the accepted
-/// first cut; a zero-copy mmap-backed variant would swap the copies for
-/// span views over the mapping). The only reconstruction work is the
-/// cheap inverse maps serialization deliberately drops: dictionary
-/// name->id maps, the graph's edge-triple lookup, and the overlay's
-/// adjacency (rebuilt by re-staging its triples).
+/// no CSR counting sort. Each section is read with pread in bounded
+/// chunks, hashed as it arrives and decoded column by column into the
+/// live structures; its checksum verdict is checked before any decode
+/// verdict is reported. The file is never mapped, so its pages do not
+/// count toward the process's resident set while the copies are made.
+/// The only reconstruction work is the cheap inverse maps serialization
+/// deliberately drops: dictionary name->id maps and the overlay's
+/// adjacency (rebuilt by re-staging its triples); the graph's
+/// edge-triple lookup is left stale and rebuilt on first use.
 ///
 /// Every failure — missing file, bad magic, checksum mismatch, section
-/// bounds out of range, truncated section payload — surfaces as an
-/// explicit Status (kDataLoss for corruption). The corruption-matrix
-/// test drives >=10k seeded bit flips through this path.
+/// bounds out of range, truncated section payload, a section that
+/// decodes into out-of-range ids — surfaces as an explicit Status
+/// (kDataLoss for corruption). The corruption-matrix test drives >=10k
+/// seeded bit flips through this path.
 
 #include <memory>
 #include <string>
@@ -38,7 +41,7 @@ struct LoadedBundle {
   uint64_t compact_threshold = 0;
 };
 
-/// Maps `path`, verifies header + every section checksum, adopts all
+/// Reads `path`, verifies header + every section checksum, adopts all
 /// sections. kNotFound when the file is absent; kDataLoss on any
 /// corruption.
 Result<LoadedBundle> LoadBundle(const std::string& path);

@@ -69,8 +69,9 @@ std::vector<uint8_t> EncodeWalRecord(const WalRecord& rec) {
 }
 
 Result<WalContents> ReadWal(const std::string& path) {
-  SARGUS_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  const std::span<const uint8_t> bytes = file.bytes();
+  SARGUS_ASSIGN_OR_RETURN(ReadOnlyFile file, ReadOnlyFile::Open(path));
+  std::vector<uint8_t> bytes(file.size());
+  SARGUS_RETURN_IF_ERROR(file.ReadAt(0, bytes.data(), bytes.size()));
 
   if (bytes.size() < kWalFileHeaderBytes) {
     return Status::InvalidArgument("wal: file shorter than its header");

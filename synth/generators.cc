@@ -81,6 +81,7 @@ Result<SocialGraph> GenerateErdosRenyi(const ErdosRenyiSpec& spec) {
     }
     AddRandomEdge(g, rng, spec.base, alphabet, u, v);
   }
+  g.ShrinkToFit();
   return g;
 }
 
@@ -124,6 +125,7 @@ Result<SocialGraph> GenerateBarabasiAlbert(const BarabasiAlbertSpec& spec) {
       pool.push_back(t);
     }
   }
+  g.ShrinkToFit();
   return g;
 }
 
@@ -150,6 +152,7 @@ Result<SocialGraph> GenerateWattsStrogatz(const WattsStrogatzSpec& spec) {
       AddRandomEdge(g, rng, spec.base, alphabet, static_cast<NodeId>(u), v);
     }
   }
+  g.ShrinkToFit();
   return g;
 }
 

@@ -1,6 +1,19 @@
 #include <gtest/gtest.h>
+#include <stdlib.h>
+#include <unistd.h>
 
+#include <map>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
+#include "graph/csr.h"
 #include "graph/social_graph.h"
+#include "storage/snapshot_format.h"
+#include "storage/snapshot_loader.h"
+#include "synth/generators.h"
 
 namespace sargus {
 namespace {
@@ -86,6 +99,205 @@ TEST(SocialGraph, Attributes) {
   EXPECT_EQ(g.GetAttribute(c, "age"), std::nullopt);
   ASSERT_TRUE(g.SetAttribute(c, "age", 99).ok());
   EXPECT_EQ(g.GetAttribute(c, "age"), std::optional<int64_t>(99));
+}
+
+// ---- Edge index -------------------------------------------------------------
+
+using Triple = std::tuple<NodeId, NodeId, LabelId>;
+using TripleOracle = std::map<Triple, EdgeId>;
+
+std::optional<EdgeId> Find(const SocialGraph& g, const Triple& t) {
+  return g.FindEdge(std::get<0>(t), std::get<1>(t), std::get<2>(t));
+}
+
+void ExpectIndexMatches(const SocialGraph& g, const TripleOracle& oracle) {
+  ASSERT_EQ(g.NumEdges(), oracle.size());
+  for (const auto& [t, id] : oracle) {
+    ASSERT_EQ(Find(g, t), std::optional<EdgeId>(id))
+        << std::get<0>(t) << " " << std::get<1>(t) << " " << std::get<2>(t);
+  }
+}
+
+// The triple -> slot index against a std::map oracle. Phase one: seeded
+// adds (duplicates coalesce onto the live slot), removes, re-adds (a
+// fresh slot) and finds over a key space small enough to revisit and
+// large enough to grow the table from empty through many doublings.
+// Phase two: a copy mutated apart from the original answers on its own.
+// Phase three: probe runs that wrap past the end of a 16-slot table,
+// deleted from in every order, so backward shift moves ids across the
+// wrap.
+TEST(SocialGraph, EdgeIndexMatchesOracle) {
+  constexpr NodeId kNodes = 96;
+  SocialGraph g;
+  g.AddNodes(kNodes);
+  for (const char* label : {"friend", "colleague", "family"}) {
+    g.labels().Intern(label);
+  }
+  TripleOracle oracle;
+  Rng rng(2012);
+  size_t last_capacity = 0;
+  int capacity_changes = 0;
+  constexpr int kOps = 120000;
+  for (int op = 0; op < kOps; ++op) {
+    const Triple t{static_cast<NodeId>(rng.NextBounded(kNodes)),
+                   static_cast<NodeId>(rng.NextBounded(kNodes)),
+                   static_cast<LabelId>(rng.NextBounded(3))};
+    const auto it = oracle.find(t);
+    // Adds outweigh removes in the first half, so the table grows;
+    // removes outweigh adds in the second, so runs thin out.
+    const uint64_t pick = rng.NextBounded(10);
+    if (pick < (op < kOps / 2 ? 6u : 3u)) {
+      const size_t slots = g.EdgeSlotCount();
+      auto id = g.AddEdge(std::get<0>(t), std::get<1>(t), std::get<2>(t));
+      ASSERT_TRUE(id.ok());
+      if (it != oracle.end()) {
+        ASSERT_EQ(*id, it->second);  // coalesced
+      } else {
+        ASSERT_EQ(*id, slots);  // a fresh slot, re-adds included
+        oracle.emplace(t, *id);
+      }
+    } else if (pick < 8) {
+      const std::optional<EdgeId> found = Find(g, t);
+      ASSERT_EQ(found.has_value(), it != oracle.end());
+      if (found.has_value()) {
+        ASSERT_EQ(*found, it->second);
+        ASSERT_TRUE(g.RemoveEdge(*found).ok());
+        oracle.erase(it);
+        ASSERT_FALSE(Find(g, t).has_value());
+      }
+    } else {
+      ASSERT_EQ(Find(g, t), it == oracle.end()
+                                ? std::nullopt
+                                : std::optional<EdgeId>(it->second));
+    }
+    if (g.edge_index_capacity() != last_capacity) {
+      last_capacity = g.edge_index_capacity();
+      ++capacity_changes;
+      ASSERT_LE(g.NumEdges() * 4, last_capacity * 3);
+    }
+    if (op % 8192 == 0) ExpectIndexMatches(g, oracle);
+  }
+  ExpectIndexMatches(g, oracle);
+  EXPECT_GE(capacity_changes, 10);  // 16 -> 16384 at least
+
+  // A copy owns its index: removing half its edges and adding new ones
+  // leaves the original's answers unchanged.
+  SocialGraph copy = g;
+  TripleOracle copy_oracle = oracle;
+  bool drop = false;
+  for (auto it = copy_oracle.begin(); it != copy_oracle.end();) {
+    if ((drop = !drop)) {
+      ASSERT_TRUE(copy.RemoveEdge(it->second).ok());
+      it = copy_oracle.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (NodeId v = 0; v < kNodes; ++v) {
+    const Triple t{v, kNodes - 1 - v, LabelId{2}};
+    auto id = copy.AddEdge(v, kNodes - 1 - v, LabelId{2});
+    ASSERT_TRUE(id.ok());
+    copy_oracle.emplace(t, *id);
+  }
+  ExpectIndexMatches(copy, copy_oracle);
+  ExpectIndexMatches(g, oracle);
+
+  // Wrapping runs: six triples whose home is slot 14 or 15 and four
+  // whose home is slot 0 or 1 fill slots 14, 15, 0, 1, ... of a 16-slot
+  // table (ten live ids stay under its 3/4 bound).
+  SocialGraph w;
+  w.AddNodes(4096);
+  const LabelId friend_label = w.labels().Intern("friend");
+  std::vector<Triple> wrap;
+  size_t near_end = 0, near_start = 0;
+  for (NodeId src = 0; near_end < 6 || near_start < 4; ++src) {
+    const uint64_t home =
+        SocialGraph::EdgeTripleHash(src, src + 1, friend_label) & 15;
+    if (home >= 14 && near_end < 6) {
+      ++near_end;
+    } else if (home <= 1 && near_start < 4) {
+      ++near_start;
+    } else {
+      continue;
+    }
+    wrap.push_back({src, src + 1, friend_label});
+  }
+  for (int round = 0; round < 500; ++round) {
+    TripleOracle live;
+    for (const Triple& t : wrap) {
+      auto id = w.AddEdge(std::get<0>(t), std::get<1>(t), std::get<2>(t));
+      ASSERT_TRUE(id.ok());
+      live.emplace(t, *id);
+    }
+    ASSERT_EQ(w.edge_index_capacity(), 16u);
+    ExpectIndexMatches(w, live);
+    std::vector<Triple> order = wrap;
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.NextBounded(i)]);
+    }
+    for (const Triple& t : order) {
+      ASSERT_TRUE(w.RemoveEdge(live.at(t)).ok());
+      live.erase(t);
+      ASSERT_FALSE(Find(w, t).has_value());
+      ExpectIndexMatches(w, live);
+    }
+  }
+}
+
+// The loader leaves the index stale; the first FindEdge rebuilds it and
+// finds every live triple at its slot, and no removed one. The bundle's
+// sections are several MiB, so this also streams them across chunk
+// edges both ways.
+TEST(SocialGraph, EdgeIndexRebuiltOnFirstFindAfterLoad) {
+  auto generated =
+      GenerateBarabasiAlbert({.base = {.num_nodes = 65536, .seed = 5}});
+  ASSERT_TRUE(generated.ok());
+  SocialGraph g = std::move(*generated);
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); e += 7) {
+    ASSERT_TRUE(g.RemoveEdge(e).ok());
+  }
+  const CsrSnapshot csr = CsrSnapshot::Build(g);
+  const DeltaOverlay overlay;
+  char tmpl[] = "/tmp/sargus_graph_test_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string path = std::string(tmpl) + "/bundle";
+  storage::BundlePayload payload;
+  payload.graph = &g;
+  payload.csr = &csr;
+  payload.overlay = &overlay;
+  ASSERT_TRUE(storage::WriteBundle(path, payload).ok());
+  auto loaded = storage::LoadBundle(path);
+  ::unlink(path.c_str());
+  ::rmdir(tmpl);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const SocialGraph& h = loaded->graph;
+  EXPECT_FALSE(h.edge_lookup_ready());
+  EXPECT_EQ(h.edge_index_capacity(), 0u);
+  ASSERT_EQ(h.EdgeSlotCount(), g.EdgeSlotCount());
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+    const Edge& rec = g.edge(e);
+    const std::optional<EdgeId> found = h.FindEdge(rec.src, rec.dst, rec.label);
+    if (g.IsLiveEdge(e)) {
+      ASSERT_EQ(found, std::optional<EdgeId>(e));
+    } else {
+      ASSERT_FALSE(found.has_value()) << e;
+    }
+  }
+  EXPECT_TRUE(h.edge_lookup_ready());
+  EXPECT_LE(h.NumEdges() * 4, h.edge_index_capacity() * 3);
+}
+
+// MemoryBytes counts the index, and the whole graph stays within 24 B
+// per live edge (the node-based map it replaced cost ~60 B on its own).
+TEST(SocialGraph, MemoryBytesCountsTheEdgeIndex) {
+  auto g = GenerateBarabasiAlbert({.base = {.num_nodes = 65536, .seed = 5}});
+  ASSERT_TRUE(g.ok());
+  const size_t index_bytes = g->edge_index_capacity() * sizeof(EdgeId);
+  EXPECT_GT(index_bytes, 0u);
+  EXPECT_GE(g->MemoryBytes(), g->EdgeSlotCount() * sizeof(Edge) + index_bytes);
+  EXPECT_LE(static_cast<double>(g->MemoryBytes()) /
+                static_cast<double>(g->NumEdges()),
+            24.0);
 }
 
 TEST(NameDictionary, CapsAtSentinelBoundary) {

@@ -1,12 +1,16 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -91,6 +95,33 @@ TEST(Checksum, StripedGoldenValues) {
   std::vector<uint8_t> all(256);
   for (size_t i = 0; i < 256; ++i) all[i] = static_cast<uint8_t>(i);
   EXPECT_EQ(StripedFnv1a64(all.data(), all.size()), 0x86c25f65d9721d98ULL);
+}
+
+// The resumable striped hasher the bundle writer and loader stream
+// through agrees with the one-shot digest however the input is split:
+// every split point of short inputs (each lane phase at the seam) and
+// random pieces of a multi-MiB buffer.
+TEST(Checksum, StripedHasherResumes) {
+  Rng rng(99);
+  std::vector<uint8_t> bytes(3 * 1024 * 1024 + 5);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextBounded(256));
+  for (size_t len : {0, 1, 7, 8, 9, 17, 64, 65}) {
+    const std::span<const uint8_t> in(bytes.data(), len);
+    for (size_t cut = 0; cut <= len; ++cut) {
+      StripedFnv1a64Hasher h;
+      h.Update(in.first(cut));
+      h.Update(in.subspan(cut));
+      EXPECT_EQ(h.Digest(), StripedFnv1a64(in)) << len << " at " << cut;
+    }
+  }
+  StripedFnv1a64Hasher h;
+  for (size_t at = 0; at < bytes.size();) {
+    const size_t piece =
+        std::min<size_t>(bytes.size() - at, 1 + rng.NextBounded(70000));
+    h.Update({bytes.data() + at, piece});
+    at += piece;
+  }
+  EXPECT_EQ(h.Digest(), StripedFnv1a64(bytes));
 }
 
 // The wire framing layer must keep using the same hash: its trailing
@@ -539,10 +570,59 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   }
 }
 
-// Randomized equivalence across all three graph families: generate,
-// attach policies, mutate (adds, removes, node growth), save at an
-// arbitrary point, keep mutating so a WAL tail exists, reopen, compare
-// every decision.
+// ---- Malformed sections -----------------------------------------------------
+
+/// Table index of the section of `kind` in `info`.
+size_t SectionIndex(const storage::BundleInfo& info,
+                    storage::SectionKind kind) {
+  for (size_t i = 0; i < info.sections.size(); ++i) {
+    if (info.sections[i].kind == kind) return i;
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<uint32_t>(kind);
+  return 0;
+}
+
+/// `bundle` with `value` written at byte `at` of section `index`, and
+/// that section's checksum and the header's recomputed: a section that
+/// passes every checksum but says what the caller chose.
+template <typename T>
+std::vector<uint8_t> Resealed(std::vector<uint8_t> bundle,
+                              const storage::BundleInfo& info, size_t index,
+                              size_t at, T value) {
+  const storage::BundleInfo::Section& s = info.sections[index];
+  EXPECT_LE(at + sizeof value, s.size);
+  std::memcpy(bundle.data() + s.offset + at, &value, sizeof value);
+  const uint64_t section_sum = StripedFnv1a64(bundle.data() + s.offset, s.size);
+  std::memcpy(bundle.data() + storage::kBundleSectionTableOffset +
+                  index * storage::kBundleSectionEntryBytes + 24,
+              &section_sum, sizeof section_sum);
+  const uint64_t header_sum =
+      Fnv1a64(bundle.data(), storage::kBundlePageSize - 8);
+  std::memcpy(bundle.data() + storage::kBundlePageSize - 8, &header_sum,
+              sizeof header_sum);
+  return bundle;
+}
+
+/// Writes each case over the bundle at `bundle_path` and expects both
+/// LoadBundle and OpenFromDir to refuse it with kDataLoss.
+void ExpectEachRefused(
+    const TempDir& dir, const PolicyStore& store,
+    const std::vector<std::pair<std::string, std::vector<uint8_t>>>& cases) {
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    WriteAll(bundle_path, bytes);
+    auto loaded = storage::LoadBundle(bundle_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << loaded.status().ToString();
+    SocialGraph g2;
+    auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  }
+}
+
 // A CSR section whose checksum is valid but whose structure is not:
 // offsets that do not start at 0, decrease, or do not end at the entry
 // count, and entries naming a node past the last. Each would let Out(v)
@@ -558,11 +638,7 @@ TEST(Bundle, RefusesMalformedCsrSection) {
   const std::vector<uint8_t> pristine = ReadAll(bundle_path);
   auto info = storage::ReadBundleInfo(bundle_path);
   ASSERT_TRUE(info.ok());
-  size_t table_index = info->sections.size();
-  for (size_t i = 0; i < info->sections.size(); ++i) {
-    if (info->sections[i].kind == storage::SectionKind::kCsr) table_index = i;
-  }
-  ASSERT_LT(table_index, info->sections.size());
+  const size_t table_index = SectionIndex(*info, storage::SectionKind::kCsr);
   const storage::BundleInfo::Section csr = info->sections[table_index];
 
   // Section layout (storage/snapshot_format.cc SaveCsr): num_nodes, then
@@ -585,45 +661,292 @@ TEST(Bundle, RefusesMalformedCsrSection) {
   ASSERT_EQ(peek_u32(out_offsets + 4 * n), m);
   ASSERT_LT(peek_u32(out_offsets + 8), m);
   auto poked = [&](size_t at, uint32_t v) {
-    std::vector<uint8_t> bytes = pristine;
-    std::memcpy(bytes.data() + csr.offset + at, &v, sizeof v);
-    const uint64_t section_sum =
-        StripedFnv1a64(bytes.data() + csr.offset, csr.size);
-    std::memcpy(bytes.data() + storage::kBundleSectionTableOffset +
-                    table_index * storage::kBundleSectionEntryBytes + 24,
-                &section_sum, sizeof section_sum);
-    const uint64_t header_sum =
-        Fnv1a64(bytes.data(), storage::kBundlePageSize - 8);
-    std::memcpy(bytes.data() + storage::kBundlePageSize - 8, &header_sum,
-                sizeof header_sum);
-    return bytes;
+    return Resealed(pristine, *info, table_index, at, v);
   };
   const uint32_t num_nodes = static_cast<uint32_t>(n);
   const uint32_t num_edges = static_cast<uint32_t>(m);
-  const std::pair<const char*, std::vector<uint8_t>> cases[] = {
-      {"out offsets start past 0", poked(out_offsets, 1)},
-      {"out offsets decrease", poked(out_offsets + 4, num_edges)},
-      {"out offsets end short", poked(out_offsets + 4 * n, num_edges - 1)},
-      {"in offsets start past 0", poked(in_offsets, 1)},
-      {"in offsets end long", poked(in_offsets + 4 * n, num_edges + 1)},
-      {"out entry past the last node", poked(out_other, num_nodes)},
-      {"in entry past the last node",
-       poked(in_other + 4 * (m - 1), 0xFFFFFFFFu)}};
   // The pristine bytes load, so each refusal below is the poke's doing.
   ASSERT_TRUE(storage::LoadBundle(bundle_path).ok());
-  for (const auto& [name, bytes] : cases) {
-    SCOPED_TRACE(name);
+  ExpectEachRefused(
+      dir, store,
+      {{"out offsets start past 0", poked(out_offsets, 1)},
+       {"out offsets decrease", poked(out_offsets + 4, num_edges)},
+       {"out offsets end short", poked(out_offsets + 4 * n, num_edges - 1)},
+       {"in offsets start past 0", poked(in_offsets, 1)},
+       {"in offsets end long", poked(in_offsets + 4 * n, num_edges + 1)},
+       {"out entry past the last node", poked(out_other, num_nodes)},
+       {"in entry past the last node",
+        poked(in_other + 4 * (m - 1), 0xFFFFFFFFu)}});
+}
+
+// A graph section whose checksum is valid but whose contents would
+// index out of bounds later: the next compaction's CSR build counts
+// `++offsets[src + 1]`, the shard partitioner indexes by endpoint, and a
+// lying live count would size the next structures wrong. Each must be
+// refused as kDataLoss at load.
+TEST(Bundle, RefusesMalformedGraphSection) {
+  TempDir dir;
+  SocialGraph g = MakeDiamond();
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+  auto info = storage::ReadBundleInfo(bundle_path);
+  ASSERT_TRUE(info.ok());
+  const size_t table_index = SectionIndex(*info, storage::SectionKind::kGraph);
+
+  // Section layout (storage/snapshot_format.cc SaveGraph): num_nodes,
+  // the slot count, the slot columns src (u32), dst (u32), label (u16),
+  // the length-prefixed live bytes, then the live count.
+  const size_t slots = g.EdgeSlotCount();
+  const size_t src = 16;
+  const size_t dst = src + 4 * slots;
+  const size_t label = dst + 4 * slots;
+  const size_t live = label + 2 * slots + 8;
+  const size_t live_count = live + slots;
+  ASSERT_EQ(slots, g.NumEdges());  // every slot is live
+  auto peek_u64 = [&](size_t at) {
+    uint64_t v;
+    std::memcpy(&v, pristine.data() + info->sections[table_index].offset + at,
+                sizeof v);
+    return v;
+  };
+  ASSERT_EQ(peek_u64(8), slots);
+  ASSERT_EQ(peek_u64(live_count), g.NumEdges());
+  auto poked = [&](size_t at, auto v) {
+    return Resealed(pristine, *info, table_index, at, v);
+  };
+  const uint32_t num_nodes = static_cast<uint32_t>(g.NumNodes());
+  ASSERT_TRUE(storage::LoadBundle(bundle_path).ok());
+  ExpectEachRefused(
+      dir, store,
+      {{"live byte 2", poked(live + 3, uint8_t{2})},
+       {"live count above the popcount",
+        poked(live_count, uint64_t{slots + 1})},
+       {"live count below the popcount",
+        poked(live_count, uint64_t{slots - 1})},
+       {"src past the last node", poked(src, num_nodes)},
+       {"dst past the last node", poked(dst + 4 * (slots - 1), 0xFFFFFFFFu)},
+       {"label past the dictionary",
+        poked(label + 2, static_cast<uint16_t>(g.labels().size()))}});
+}
+
+// The loader bounds a dictionary by the 16-bit id space, and a full one
+// (0xFFFF names, the most NameDictionary mints) is inside the bound.
+TEST(Bundle, FullLabelDictionaryRoundTrips) {
+  TempDir dir;
+  SocialGraph g;
+  g.AddNodes(2);
+  for (int i = 0; i < 0xFFFF; ++i) {
+    g.labels().Intern(std::string("l").append(std::to_string(i)));
+  }
+  ASSERT_EQ(g.labels().size(), 0xFFFFu);
+  ASSERT_TRUE(g.AddEdge(0, 1, LabelId{0xFFFE}).ok());
+  const CsrSnapshot csr = CsrSnapshot::Build(g);
+  const DeltaOverlay overlay;
+  storage::BundlePayload payload;
+  payload.graph = &g;
+  payload.csr = &csr;
+  payload.overlay = &overlay;
+  const std::string path = dir.File(storage::kSnapshotFileName);
+  ASSERT_TRUE(storage::WriteBundle(path, payload).ok());
+  auto loaded = storage::LoadBundle(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->graph.labels().size(), 0xFFFFu);
+  EXPECT_EQ(loaded->graph.labels().Lookup("l65534"), 0xFFFEu);
+  EXPECT_EQ(loaded->graph.FindEdge(0, 1, LabelId{0xFFFE}),
+            std::optional<EdgeId>(0));
+}
+
+// Decoding reads a section while it is being hashed, so a decode error
+// can come before the digest is known. The checksum verdict still comes
+// first: an unresealed flip in the CSR out-entry count (which also makes
+// the count absurd) reports the checksum, while the same absurd count
+// resealed is refused by the count's bound, before anything is sized by
+// it — 2^40 entries would be a 12 TiB allocation. A count that passes a
+// 4-bytes-per-entry bound but not the real 10 is refused the same way,
+// so no entry vector is sized past the bytes that could fill it.
+TEST(Bundle, ChecksumVerdictComesFirst) {
+  TempDir dir;
+  SocialGraph g = MakeDiamond();
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+  auto info = storage::ReadBundleInfo(bundle_path);
+  ASSERT_TRUE(info.ok());
+  const size_t table_index = SectionIndex(*info, storage::SectionKind::kCsr);
+  const storage::BundleInfo::Section& csr = info->sections[table_index];
+  const size_t out_count = 8 + 8 + 4 * (g.NumNodes() + 1);
+
+  auto load_message = [&](const std::vector<uint8_t>& bytes) {
     WriteAll(bundle_path, bytes);
     auto loaded = storage::LoadBundle(bundle_path);
-    ASSERT_FALSE(loaded.ok());
+    EXPECT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
     SocialGraph g2;
     auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
-    ASSERT_FALSE(reopened.ok());
-    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
-  }
+    EXPECT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().ToString(), loaded.status().ToString());
+    return loaded.status().ToString();
+  };
+
+  std::vector<uint8_t> flipped = pristine;
+  flipped[csr.offset + out_count + 5] ^= 0x01;  // count += 2^40
+  EXPECT_NE(load_message(flipped).find("section checksum mismatch"),
+            std::string::npos);
+
+  const std::string count_refused = "csr out-entry count out of range";
+  EXPECT_NE(load_message(Resealed(pristine, *info, table_index, out_count,
+                                  uint64_t{1} << 40))
+                .find(count_refused),
+            std::string::npos);
+  const uint64_t after_count = csr.size - out_count - 8;
+  EXPECT_NE(load_message(Resealed(pristine, *info, table_index, out_count,
+                                  after_count / 5))
+                .find(count_refused),
+            std::string::npos);
 }
 
+// A save that fails leaves no temp file behind and the previous bundle
+// byte-identical and loadable: once when the temp file cannot be
+// created (a directory squats on its name), once when the streamed
+// write fails partway through a section (the file-size limit stops
+// it). When the obstacle is gone, the same save goes through.
+TEST(Bundle, FailedWriteLeavesNoTempAndKeepsOldBundle) {
+  TempDir dir;
+  SocialGraph g = MakeDiamond();
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+  ASSERT_TRUE(engine.AddEdge(0, 3, "friend").ok());  // the next save differs
+
+  auto temp_files = [&] {
+    size_t n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+      if (entry.path().filename().string().find(".tmp.") != std::string::npos) {
+        ++n;
+      }
+    }
+    return n;
+  };
+  auto expect_old_bundle = [&] {
+    EXPECT_EQ(temp_files(), 0u);
+    EXPECT_EQ(ReadAll(bundle_path), pristine);
+    EXPECT_TRUE(storage::LoadBundle(bundle_path).ok());
+  };
+
+  const std::string squatter =
+      bundle_path + ".tmp." + std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(squatter.c_str(), 0755), 0);
+  EXPECT_FALSE(engine.SaveSnapshot().ok());
+  ASSERT_EQ(::rmdir(squatter.c_str()), 0);
+  expect_old_bundle();
+
+  // Writes past the header page and 64 bytes of the first section fail
+  // with EFBIG (SIGXFSZ ignored). The limit is process-wide, so it is
+  // lifted again before anything else runs.
+  const auto old_handler = signal(SIGXFSZ, SIG_IGN);
+  rlimit unlimited;
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &unlimited), 0);
+  rlimit capped = unlimited;
+  capped.rlim_cur = storage::kBundlePageSize + 64;
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status capped_save = engine.SaveSnapshot();
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &unlimited), 0);
+  signal(SIGXFSZ, old_handler);
+  EXPECT_FALSE(capped_save.ok());
+  expect_old_bundle();
+
+  ASSERT_TRUE(engine.SaveSnapshot().ok());
+  EXPECT_EQ(temp_files(), 0u);
+  EXPECT_NE(ReadAll(bundle_path), pristine);
+  EXPECT_TRUE(storage::LoadBundle(bundle_path).ok());
+}
+
+// The codec streams through a kBlobChunkBytes buffer both ways. A
+// five-byte prefix knocks every later value off the chunk grid, so
+// multi-MiB columns straddle chunk edges mid-value, and a wide vector
+// goes through the write-through and read-into-place paths. The writer's
+// digest equals the one-shot hash of the bytes on disk, and the reader
+// reaches it too, whether decoding consumed everything or Drain() hashed
+// the rest.
+TEST(Bundle, CodecStreamsAcrossChunkEdges) {
+  TempDir dir;
+  const std::string path = dir.File("blob");
+  struct Row {
+    uint32_t a = 0;
+    uint16_t b = 0;  // followed by 2 padding bytes
+  };
+  Rng rng(4242);
+  std::vector<Row> rows(700001);
+  for (Row& row : rows) {
+    row.a = static_cast<uint32_t>(rng.NextU64());
+    row.b = static_cast<uint16_t>(rng.NextU64());
+  }
+  std::vector<uint64_t> wide(300001);
+  for (uint64_t& v : wide) v = rng.NextU64();
+
+  const uint64_t offset = storage::kBundlePageSize;
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  storage::BlobWriter w(fd, offset);
+  w.PutString("x");
+  w.PutU64(rows.size());
+  w.PutColumn(rows, &Row::a);
+  w.PutColumn(rows, &Row::b);
+  w.PutVec(wide);
+  w.PutString("tail");
+  ASSERT_TRUE(w.Finish().ok());
+  ::close(fd);
+  const std::vector<uint8_t> file = ReadAll(path);
+  ASSERT_EQ(file.size(), offset + w.size());
+  EXPECT_GT(w.size(), 3 * storage::kBlobChunkBytes);
+  EXPECT_EQ(w.checksum(), StripedFnv1a64(file.data() + offset, w.size()));
+
+  auto opened = ReadOnlyFile::Open(path);
+  ASSERT_TRUE(opened.ok());
+  storage::BlobReader r(*opened, offset, w.size());
+  std::string prefix;
+  r.GetString(&prefix);
+  EXPECT_EQ(prefix, "x");
+  std::vector<Row> got(r.GetU64());
+  r.GetColumn(&got, &Row::a);
+  r.GetColumn(&got, &Row::b);
+  std::vector<uint64_t> got_wide;
+  r.GetVec(&got_wide);
+  std::string tail;
+  r.GetString(&tail);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.Remaining(), 0u);
+  ASSERT_EQ(got.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(got[i].a, rows[i].a) << i;
+    ASSERT_EQ(got[i].b, rows[i].b) << i;
+  }
+  EXPECT_EQ(got_wide, wide);
+  EXPECT_EQ(tail, "tail");
+  ASSERT_TRUE(r.Drain().ok());
+  EXPECT_EQ(r.Digest(), w.checksum());
+
+  storage::BlobReader partial(*opened, offset, w.size());
+  partial.GetString(&prefix);
+  EXPECT_EQ(prefix, "x");
+  ASSERT_TRUE(partial.Drain().ok());
+  EXPECT_EQ(partial.Digest(), w.checksum());
+}
+
+// Randomized equivalence across all three graph families: generate,
+// attach policies, mutate (adds, removes, node growth), save at an
+// arbitrary point, keep mutating so a WAL tail exists, reopen, compare
+// every decision.
 TEST(Bundle, RandomizedRoundTripEquivalence) {
   struct Case {
     const char* name;
