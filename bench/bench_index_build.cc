@@ -95,11 +95,10 @@ void BM_CsrBuild(benchmark::State& state) {
       if (!g.FindEdge(s, d, l).has_value()) (void)overlay.StageAdd(s, d, l);
     }
   }
-  const EdgeId first_new_edge = static_cast<EdgeId>(g.EdgeSlotCount());
   size_t edges = 0;
   for (auto _ : state) {
-    CsrSnapshot csr = merged ? CsrSnapshot::Build(g, overlay, first_new_edge)
-                             : CsrSnapshot::Build(g);
+    CsrSnapshot csr =
+        merged ? CsrSnapshot::Build(g, overlay) : CsrSnapshot::Build(g);
     edges = csr.NumEdges();
     benchmark::DoNotOptimize(csr.Out(0).data());
     benchmark::ClobberMemory();

@@ -452,22 +452,15 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
 
 bool AccessControlEngine::EdgeInBaseLocked(NodeId src, NodeId dst,
                                            LabelId label) const {
-  if (graph_->edge_lookup_ready() || csr_ == nullptr) {
-    return graph_->FindEdge(src, dst, label).has_value();
-  }
-  // After OpenFromDir the graph's triple→slot index is deliberately
-  // left unmaterialized: building it is a pass over every edge slot
-  // (~0.06 s at 1.5M edges) that WAL replay and the first writes need
-  // not pay, since the next fold rebuilds it off the serving path
-  // anyway. On the mutation path the CSR snapshot is in lockstep with
-  // the base graph's live edges, so membership can come from the
-  // label-sorted adjacency instead. Nodes past the snapshot's count
-  // (staged adds) cannot have base edges.
+  // The CSR is the base snapshot, so membership never needs the graph's
+  // triple index (which a reopen leaves stale). Nodes past the
+  // snapshot's count (staged adds) cannot have base edges.
   if (src >= csr_->NumNodes()) return false;
-  for (const CsrSnapshot::Entry& e : csr_->OutWithLabel(src, label)) {
-    if (e.other == dst) return true;
-  }
-  return false;
+  const auto range = csr_->OutWithLabel(src, label);
+  const auto it = std::lower_bound(
+      range.begin(), range.end(), dst,
+      [](const CsrSnapshot::Entry& e, NodeId d) { return e.other < d; });
+  return it != range.end() && it->other == dst;
 }
 
 Status AccessControlEngine::StageAddEdge(NodeId src, NodeId dst,
@@ -518,10 +511,9 @@ void AccessControlEngine::FinishMutation() {
 
 void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
   // Nodes first (staged edges may name them), then removals, then
-  // additions — additions in the frozen copy's iteration order, which
-  // is the order the merged CSR build predicted their edge ids in, so
-  // the ids the graph assigns here match the CSR already built against
-  // it.
+  // additions: a triple removed and added back must lose its old slot
+  // before the add, or the graph would coalesce the add onto it. The
+  // CSR names no slot, so the order additions get slots in is free.
   if (frozen.num_staged_nodes() > 0) {
     (void)mutable_graph_->AddNodes(frozen.num_staged_nodes());
   }
@@ -537,7 +529,6 @@ void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
 void AccessControlEngine::StartBackgroundCompactionLocked() {
   CompactionJob job;
   job.frozen = overlay_;  // the freeze: an O(overlay) copy, flat in |V|
-  job.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
   building_ = true;
   journal_.clear();
   {
@@ -613,7 +604,6 @@ AccessControlEngine::FinishCompactionLocked(
   if (!chain) return std::nullopt;
   CompactionJob next;
   next.frozen = overlay_;
-  next.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
   building_ = true;
   journal_.clear();
   return next;
@@ -637,7 +627,7 @@ void AccessControlEngine::CompactionWorker() {
     // graph object is stable during the build — staging never writes
     // it, and only this thread folds.
     auto csr = std::make_shared<const CsrSnapshot>(
-        CsrSnapshot::Build(*graph_, job.frozen, job.first_new_edge));
+        CsrSnapshot::Build(*graph_, job.frozen));
     std::optional<CompactionJob> next;
     {
       std::lock_guard<std::mutex> lock(mutation_mu_);

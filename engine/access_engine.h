@@ -310,7 +310,11 @@ class AccessControlEngine {
   /// Restores an engine from a durability directory: read + verify the
   /// bundle (pread in bounded chunks, never a whole-file mapping),
   /// adopt its graph into `*graph` and its CSR/overlay into the engine
-  /// (no index computation), replay the WAL tail whose
+  /// (no index computation). The bundle stores each edge once, in the
+  /// CSR, so `*graph`'s edge slots are refilled from it: dense
+  /// (EdgeSlotCount() == NumEdges()) and in CSR order, which means slot
+  /// ids from before the save do not survive a reopen. Then replay the
+  /// WAL tail whose
   /// (generation, version) stamps the bundle does not cover, truncate
   /// any torn WAL tail, and reopen the WAL for appending. The first
   /// CheckAccess works immediately — no RebuildIndexes. Policies are
@@ -428,7 +432,6 @@ class AccessControlEngine {
   /// Frozen inputs one background compaction builds against.
   struct CompactionJob {
     DeltaOverlay frozen;
-    EdgeId first_new_edge = 0;
   };
 
   /// Builds a view from the current snapshots + overlay and publishes it
@@ -473,10 +476,10 @@ class AccessControlEngine {
   /// Caller holds mutation_mu_.
   Status WalCommitBatchLocked(std::span<const storage::WalRecord> recs);
 
-  /// Is (src, dst, label) a live edge of the base snapshot? Uses the
-  /// graph's triple index when materialized, else the CSR adjacency (so
-  /// a freshly opened bundle never pays the index rebuild on the
-  /// WAL-replay path).
+  /// Is (src, dst, label) a live edge of the base snapshot? A binary
+  /// search in the CSR's (label, other)-sorted out-range; the graph's
+  /// triple index is never consulted, so a freshly opened bundle never
+  /// pays its rebuild on the WAL-replay path.
   bool EdgeInBaseLocked(NodeId src, NodeId dst, LabelId label) const;
   /// Post-staging tail: kick compaction at threshold, publish.
   void FinishMutation();
@@ -488,8 +491,8 @@ class AccessControlEngine {
   size_t LogicalNumNodesLocked() const;
 
   /// Applies `frozen` to the mutable graph: staged nodes first, then
-  /// removals, then additions in the frozen copy's iteration order (the
-  /// order the merged CSR build predicted edge ids in).
+  /// removals, then additions, so a triple removed and re-added is not
+  /// coalesced onto its old slot.
   void FoldOverlayIntoGraph(const DeltaOverlay& frozen);
   /// Captures the frozen inputs, starts/wakes the compaction thread.
   /// Caller holds mutation_mu_.

@@ -74,66 +74,74 @@ CsrSnapshot CsrSnapshot::Scatter(size_t num_nodes,
   CsrSnapshot snap;
   snap.num_nodes_ = num_nodes;
   snap.out_offsets_.assign(num_nodes + 1, 0);
-  snap.in_offsets_.assign(num_nodes + 1, 0);
 
   // Counting pass.
-  for_each_edge([&](const Edge& rec, EdgeId) {
-    ++snap.out_offsets_[rec.src + 1];
-    ++snap.in_offsets_[rec.dst + 1];
-  });
+  for_each_edge([&](const Edge& rec) { ++snap.out_offsets_[rec.src + 1]; });
   for (size_t v = 0; v < num_nodes; ++v) {
     snap.out_offsets_[v + 1] += snap.out_offsets_[v];
-    snap.in_offsets_[v + 1] += snap.in_offsets_[v];
   }
-  const size_t num_edges = snap.out_offsets_[num_nodes];
-  snap.out_entries_.resize(num_edges);
-  snap.in_entries_.resize(num_edges);
+  snap.out_entries_.resize(snap.out_offsets_[num_nodes]);
 
   // Out-side: scatter by source, then sort each range by (label, dst).
   std::vector<uint32_t> cursor(snap.out_offsets_.begin(),
                                snap.out_offsets_.end() - 1);
-  for_each_edge([&](const Edge& rec, EdgeId id) {
-    snap.out_entries_[cursor[rec.src]++] = {rec.dst, rec.label, id};
+  for_each_edge([&](const Edge& rec) {
+    snap.out_entries_[cursor[rec.src]++] = {rec.dst, rec.label};
   });
   Entry* out = snap.out_entries_.data();
   for (size_t v = 0; v < num_nodes; ++v) {
     std::sort(out + snap.out_offsets_[v], out + snap.out_offsets_[v + 1],
               LabelOtherLess);
   }
+  snap.DeriveInSide();
+  return snap;
+}
 
-  // In-side: transpose the finished out-side in source order, so every
-  // in-range comes out sorted by source; a stable pass by label then
-  // leaves it in (label, src) order.
-  cursor.assign(snap.in_offsets_.begin(), snap.in_offsets_.end() - 1);
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    for (const Entry& e : snap.Out(v)) {
-      snap.in_entries_[cursor[e.other]++] = {v, e.label, e.edge};
+void CsrSnapshot::DeriveInSide() {
+  in_offsets_.assign(num_nodes_ + 1, 0);
+  for (const Entry& e : out_entries_) ++in_offsets_[e.other + 1];
+  for (size_t v = 0; v < num_nodes_; ++v) {
+    in_offsets_[v + 1] += in_offsets_[v];
+  }
+  in_entries_.resize(out_entries_.size());
+
+  // Transpose in source order, so every in-range comes out sorted by
+  // source; a stable pass by label then leaves it in (label, src) order.
+  std::vector<uint32_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    for (const Entry& e : Out(v)) {
+      in_entries_[cursor[e.other]++] = {v, e.label};
     }
   }
-  Entry* in = snap.in_entries_.data();
+  Entry* in = in_entries_.data();
   StableLabelSorter sorter;
-  for (size_t v = 0; v < num_nodes; ++v) {
-    sorter.Sort(in + snap.in_offsets_[v], in + snap.in_offsets_[v + 1]);
+  for (size_t v = 0; v < num_nodes_; ++v) {
+    sorter.Sort(in + in_offsets_[v], in + in_offsets_[v + 1]);
   }
-  return snap;
 }
 
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g) {
   return Scatter(g.NumNodes(), [&g](auto&& fn) {
     for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-      if (g.IsLiveEdge(e)) fn(g.edge(e), e);
+      if (g.IsLiveEdge(e)) fn(g.edge(e));
     }
   });
 }
 
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
-                               const DeltaOverlay& overlay,
-                               EdgeId first_new_edge) {
-  // Surviving base edges keep their slot ids; staged additions get the
-  // ids the fold will assign, in the overlay's (stable for one frozen
-  // copy) iteration order. Staged removals are resolved to slots once,
-  // before the two passes of Scatter, and only edges whose source has a
-  // staged removal pay a hash probe.
+                               const DeltaOverlay& overlay) {
+  // Staged removals are resolved to slots once, before the two passes of
+  // Scatter, and only edges whose source has a staged removal pay a hash
+  // probe. A staged addition the graph already holds live (added outside
+  // the engine since the last rebuild) stays one edge, as the fold keeps
+  // it: a repeated (label, other) key is a bundle the loader refuses.
+  std::vector<Edge> added;
+  overlay.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) {
+    if (overlay.IsRemoved(t.src, t.dst, t.label) ||
+        !g.FindEdge(t.src, t.dst, t.label).has_value()) {
+      added.push_back(Edge{t.src, t.dst, t.label});
+    }
+  });
   std::vector<uint8_t> removed;
   if (overlay.has_deletions()) {
     std::vector<uint8_t> source_has_removal(g.NumNodes(), 0);
@@ -152,13 +160,10 @@ CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
       g.NumNodes() + overlay.num_staged_nodes(), [&](auto&& fn) {
         for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
           if (g.IsLiveEdge(e) && (removed.empty() || !removed[e])) {
-            fn(g.edge(e), e);
+            fn(g.edge(e));
           }
         }
-        EdgeId next = first_new_edge;
-        overlay.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) {
-          fn(Edge{t.src, t.dst, t.label}, next++);
-        });
+        for (const Edge& rec : added) fn(rec);
       });
 }
 

@@ -11,9 +11,11 @@
 /// per-label neighbor range is contiguous and LabelRange finds it by
 /// binary search.
 ///
-/// Build scatters the out-side straight from the edge slots and sorts
-/// each range; the in-side is the out-side transposed in source order,
-/// which leaves only a stable by-label pass per range.
+/// The out-side is the one copy of the snapshot's edges; the bundle
+/// stores only it. Build scatters it straight from the edge slots and
+/// sorts each range. The in-side is always derived: the finished
+/// out-side transposed in source order, which leaves only a stable
+/// by-label pass per range. Build and the bundle loader share that step.
 
 #include <cstdint>
 #include <span>
@@ -32,11 +34,12 @@ struct StorageAccess;
 
 class CsrSnapshot {
  public:
-  /// One adjacency entry: the far endpoint plus the edge's label and slot.
+  /// One adjacency entry: the far endpoint plus the edge's label. An
+  /// entry names no edge slot; the (label, other) key is unique within
+  /// one node's range.
   struct Entry {
     NodeId other = 0;
     LabelId label = kInvalidLabel;
-    EdgeId edge = 0;
   };
 
   CsrSnapshot() = default;
@@ -46,15 +49,12 @@ class CsrSnapshot {
 
   /// Snapshots the *logical* graph g ⊕ overlay without mutating g: base
   /// live edges minus staged removals, plus staged additions and staged
-  /// nodes. Staged additions get the edge ids the fold will assign —
-  /// `first_new_edge + i` for the i-th triple of the overlay's added-set
-  /// iteration order — so the result is bit-identical to Build(g) after
-  /// the same overlay is folded into g (removals first, additions in
-  /// that same iteration order). This is what lets a background
-  /// compaction build indexes against a frozen overlay while the graph
-  /// object stays untouched.
-  static CsrSnapshot Build(const SocialGraph& g, const DeltaOverlay& overlay,
-                           EdgeId first_new_edge);
+  /// nodes. Every range is sorted by its unique key, so the result equals
+  /// Build(g) after the same overlay is folded into g, in whatever order
+  /// the fold adds its edges. This is what lets a background compaction
+  /// build against a frozen overlay while the graph object stays
+  /// untouched.
+  static CsrSnapshot Build(const SocialGraph& g, const DeltaOverlay& overlay);
 
   size_t NumNodes() const { return num_nodes_; }
   size_t NumEdges() const { return out_entries_.size(); }
@@ -94,13 +94,16 @@ class CsrSnapshot {
                                            LabelId label);
 
   /// Shared core of both Build overloads. `for_each_edge(fn)` calls
-  /// fn(const Edge&, EdgeId) once per logical edge, in the same order on
-  /// each of its two calls (count, then fill). Keeping one core is what
-  /// guarantees the merged build stays bit-identical to a post-fold
-  /// rebuild.
+  /// fn(const Edge&) once per logical edge, in the same order on each of
+  /// its two calls (count, then fill).
   template <typename ForEachEdge>
   static CsrSnapshot Scatter(size_t num_nodes,
                              const ForEachEdge& for_each_edge);
+
+  /// Fills the in-side from the finished, (label, other)-sorted
+  /// out-side: a transpose in source order, then a stable pass by label.
+  /// Scatter and the bundle loader both end here.
+  void DeriveInSide();
 
   size_t num_nodes_ = 0;
   std::vector<uint32_t> out_offsets_{0};

@@ -13,16 +13,14 @@ LineGraph LineGraph::Build(const CsrSnapshot& csr, Options options) {
   lg.vertices_.reserve(csr.NumEdges() * (options.include_backward ? 2 : 1));
   for (NodeId u = 0; u < n; ++u) {
     for (const CsrSnapshot::Entry& e : csr.Out(u)) {
-      lg.vertices_.push_back(
-          Vertex{e.edge, u, e.other, e.label, /*backward=*/false});
+      lg.vertices_.push_back(Vertex{u, e.other, e.label, /*backward=*/false});
     }
   }
   if (options.include_backward) {
     for (NodeId u = 0; u < n; ++u) {
       for (const CsrSnapshot::Entry& e : csr.Out(u)) {
         // Backward orientation: traversed dst -> src.
-        lg.vertices_.push_back(
-            Vertex{e.edge, e.other, u, e.label, /*backward=*/true});
+        lg.vertices_.push_back(Vertex{e.other, u, e.label, /*backward=*/true});
       }
     }
   }

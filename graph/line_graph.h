@@ -5,7 +5,8 @@
 /// \brief LineGraph: the oriented edge graph the paper's index stack is
 /// built over.
 ///
-/// Each line vertex is one (edge, orientation) pair of the snapshot:
+/// Each line vertex is one (edge, orientation) pair of the snapshot, in
+/// CSR order: the edge is its (tail, head, label), not a graph slot.
 ///   * forward  — tail = edge.src, head = edge.dst;
 ///   * backward — tail = edge.dst, head = edge.src (only when
 ///     Options::include_backward, needed for `label-[a,b]` policy steps).
@@ -33,7 +34,6 @@ class LineGraph {
   };
 
   struct Vertex {
-    EdgeId edge = 0;
     NodeId tail = 0;
     NodeId head = 0;
     LabelId label = kInvalidLabel;

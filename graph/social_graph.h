@@ -12,7 +12,8 @@
 ///
 /// Edge slots are stable: RemoveEdge tombstones the slot instead of
 /// compacting, so EdgeIds held by callers never dangle. Iteration goes
-/// through EdgeSlotCount()/IsLiveEdge().
+/// through EdgeSlotCount()/IsLiveEdge(). A snapshot bundle stores no
+/// slots: the loader refills them densely, in CSR order.
 
 #include <cstdint>
 #include <optional>
@@ -107,19 +108,11 @@ class SocialGraph {
 
   /// Slot of the live edge (src, dst, label), or nullopt when absent.
   /// (Duplicate triples are coalesced by AddEdge, so the triple is a key.)
+  /// The snapshot loader leaves the triple index stale; the first
+  /// AddEdge/RemoveEdge/FindEdge rebuilds it, mutating state under this
+  /// const method, so concurrent FindEdge calls on a stale graph need
+  /// external synchronization.
   std::optional<EdgeId> FindEdge(NodeId src, NodeId dst, LabelId label) const;
-
-  /// Whether the triple→slot index is materialized. The snapshot loader
-  /// leaves it stale (rebuilding it is a pass over every edge slot,
-  /// ~0.06 s at 1.5M edges, that a reopen which only reads never
-  /// needs); AddEdge/RemoveEdge/FindEdge rematerialize it on demand.
-  /// Callers with an alternative membership
-  /// source (e.g. the engine's CSR snapshot) can consult this to avoid
-  /// triggering that one-time rebuild. Note the rebuild mutates state
-  /// under a const method: concurrent FindEdge calls on a stale graph
-  /// need external synchronization (the engine's mutation lock covers
-  /// every such caller).
-  bool edge_lookup_ready() const { return !edge_lookup_stale_; }
 
   /// Number of live edges.
   size_t NumEdges() const { return num_live_edges_; }

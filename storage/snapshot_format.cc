@@ -40,14 +40,6 @@ uint64_t PeekU64(const uint8_t* page, size_t at) {
 // snapshot_loader.cc so the read path can be audited standalone) ------------
 
 void StorageAccess::SaveGraph(const SocialGraph& g, BlobWriter& w) {
-  w.PutU64(g.num_nodes_);
-  // Edge slots as columns (Edge has 2 interior padding bytes).
-  w.PutU64(g.edges_.size());
-  w.PutColumn(g.edges_, &Edge::src);
-  w.PutColumn(g.edges_, &Edge::dst);
-  w.PutColumn(g.edges_, &Edge::label);
-  w.PutVec(g.live_);
-  w.PutU64(g.num_live_edges_);
   // Dictionaries: names only; ids_ is the inverse map, rebuilt on load.
   w.PutU64(g.labels_.names_.size());
   for (const std::string& s : g.labels_.names_) w.PutString(s);
@@ -55,23 +47,17 @@ void StorageAccess::SaveGraph(const SocialGraph& g, BlobWriter& w) {
   for (const std::string& s : g.attrs_.names_) w.PutString(s);
   w.PutU64(g.attr_columns_.size());
   for (const auto& col : g.attr_columns_) w.PutVec(col);
-  // edge_lookup_ is rebuilt from the live slots on first use after load.
+  // The node count and the edge slots are refilled from the CSR.
 }
 
 void StorageAccess::SaveCsr(const CsrSnapshot& csr, BlobWriter& w) {
   w.PutU64(csr.num_nodes_);
   w.PutVec(csr.out_offsets_);
-  // Entry has 2 padding bytes -> columns.
+  // Entry has 2 padding bytes -> columns. The in-side is derived on load.
   using Entry = CsrSnapshot::Entry;
   w.PutU64(csr.out_entries_.size());
   w.PutColumn(csr.out_entries_, &Entry::other);
   w.PutColumn(csr.out_entries_, &Entry::label);
-  w.PutColumn(csr.out_entries_, &Entry::edge);
-  w.PutVec(csr.in_offsets_);
-  w.PutU64(csr.in_entries_.size());
-  w.PutColumn(csr.in_entries_, &Entry::other);
-  w.PutColumn(csr.in_entries_, &Entry::label);
-  w.PutColumn(csr.in_entries_, &Entry::edge);
 }
 
 void StorageAccess::SaveOverlay(const DeltaOverlay& o, BlobWriter& w) {

@@ -7,6 +7,12 @@
 /// overlay, and the prebuilt CSR — so a restart is a read + verify +
 /// adopt, never an index *computation*.
 ///
+/// Each edge is stored once, as a row of the CSR's out-side (6 B: the
+/// far endpoint and the label). The graph section holds only the name
+/// dictionaries and the attribute columns. The loader derives the rest:
+/// the CSR's in-side (the out-side transposed) and the graph's edge
+/// slots (one live slot per out-entry, in CSR order).
+///
 /// File layout (little-endian throughout; the build static_asserts it):
 ///
 ///     page 0 (4096 B)   header: magic, version, stamp, flags,
@@ -22,7 +28,7 @@
 /// adopting it
 /// (the corruption-matrix test flips bits everywhere and expects an
 /// explicit kDataLoss, never a crash or a wrong decision). Structs with
-/// interior padding (Edge, CsrSnapshot::Entry) are
+/// interior padding (CsrSnapshot::Entry, the overlay's triples) are
 /// serialized as parallel scalar columns — raw struct memcpy would
 /// checksum uninitialized padding bytes. Padding-free structs and plain
 /// scalar vectors are bulk-copied.
@@ -75,9 +81,11 @@ inline constexpr uint64_t kBundleMagic = 0x3150414E53475253ULL;  // "SRGSNAP1"
 /// Version 2 dropped the base-table section (kind 6); version 3 dropped
 /// the interval labels from the oracle section; version 4 dropped the
 /// oracle section (kind 4); version 5 dropped the line-graph and cluster
-/// sections (kinds 3 and 5) and their header flags. Older bundles are
-/// refused with kDataLoss, not migrated.
-inline constexpr uint32_t kBundleVersion = 5;
+/// sections (kinds 3 and 5) and their header flags; version 6 dropped
+/// the graph's edge slots, the CSR entries' edge ids and the CSR's
+/// in-side, all derived at load. Older bundles are refused with
+/// kDataLoss, not migrated.
+inline constexpr uint32_t kBundleVersion = 6;
 inline constexpr uint32_t kBundlePageSize = 4096;
 /// Fixed header fields end here; section table entries follow.
 inline constexpr size_t kBundleSectionTableOffset = 64;
@@ -369,15 +377,20 @@ class BlobReader {
 /// behind a single named bridge means a class audits exactly one line
 /// to know who can see its internals.
 struct StorageAccess {
+  /// The graph section holds only the dictionaries and attributes.
   static void SaveGraph(const SocialGraph& g, BlobWriter& w);
-  /// Refuses (kDataLoss) a graph section that decodes but could index
-  /// out of bounds later: a live byte other than 0 or 1, a live count
-  /// that is not the bitmap's popcount, or a live edge whose endpoint or
-  /// label is outside the node range or the label dictionary.
   static Status LoadGraph(BlobReader& r, SocialGraph* g);
 
+  /// LoadCsr refuses (kDataLoss) offsets that do not run from 0 to the
+  /// entry count without decreasing, and an out-range that is not
+  /// strictly (label, other)-sorted or names a node past the last; then
+  /// it derives the in-side.
   static void SaveCsr(const CsrSnapshot& csr, BlobWriter& w);
   static Status LoadCsr(BlobReader& r, CsrSnapshot* csr);
+  /// Refills `g`'s node count and edge slots from `csr`: one live slot
+  /// per out-entry, in CSR order, the triple index stale. Refuses
+  /// (kDataLoss) a label past `g`'s dictionary.
+  static Status FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g);
 
   static void SaveOverlay(const DeltaOverlay& o, BlobWriter& w);
   static Status LoadOverlay(BlobReader& r, DeltaOverlay* o);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,29 +26,29 @@ Status FinishSection(const BlobReader& r, const char* what) {
   return OkStatus();
 }
 
+/// The overlay section is re-staged as read, but walkers size their
+/// visited arrays to CSR nodes + staged nodes and the next compaction
+/// scatters staged triples into arrays of that size, so every staged
+/// triple must lie inside it and name a dictionary label.
+Status CheckOverlayRanges(const DeltaOverlay& overlay, size_t csr_nodes,
+                          size_t num_labels) {
+  const uint64_t logical = uint64_t{csr_nodes} + overlay.num_staged_nodes();
+  bool in_range = logical <= std::numeric_limits<NodeId>::max();
+  auto check = [&](const DeltaOverlay::EdgeTriple& t) {
+    in_range = in_range && t.src < logical && t.dst < logical &&
+               t.label < num_labels;
+  };
+  overlay.ForEachAdded(check);
+  overlay.ForEachRemoved(check);
+  return in_range ? OkStatus()
+                  : Status::DataLoss("bundle: overlay out of range");
+}
+
 }  // namespace
 
 // ---- Adopt halves (serialize halves live in snapshot_format.cc) -----------
 
 Status StorageAccess::LoadGraph(BlobReader& r, SocialGraph* g) {
-  g->num_nodes_ = r.GetU64();
-  const uint64_t num_slots = r.GetU64();
-  // A slot is 11 bytes on disk: src, dst, label and its live byte.
-  constexpr size_t kSlotBytes =
-      sizeof(NodeId) + sizeof(NodeId) + sizeof(LabelId) + 1;
-  if (!r.ok() || num_slots > r.Remaining() / kSlotBytes) {
-    return Status::DataLoss("bundle: graph edge count out of range");
-  }
-  g->edges_.resize(num_slots);
-  r.GetColumn(&g->edges_, &Edge::src);
-  r.GetColumn(&g->edges_, &Edge::dst);
-  r.GetColumn(&g->edges_, &Edge::label);
-  r.GetVec(&g->live_);
-  g->num_live_edges_ = r.GetU64();
-  if (!r.ok() || g->live_.size() != g->edges_.size()) {
-    return Status::DataLoss("bundle: graph live bitmap size mismatch");
-  }
-
   auto load_dict = [&r](NameDictionary* dict) {
     const uint64_t n = r.GetU64();
     // Each name is >= 4 bytes, and ids are 16-bit with 0xFFFF reserved.
@@ -70,88 +71,73 @@ Status StorageAccess::LoadGraph(BlobReader& r, SocialGraph* g) {
   }
   g->attr_columns_.resize(num_columns);
   for (auto& col : g->attr_columns_) r.GetVec(&col);
-  SARGUS_RETURN_IF_ERROR(FinishSection(r, "graph"));
-
-  // The CSR build (Scatter indexes offsets by src), the shard
-  // partitioner and the edge lookup all trust these, so a section that
-  // decodes but breaks them is refused here.
-  size_t live = 0;
-  for (size_t e = 0; e < g->edges_.size(); ++e) {
-    if (g->live_[e] > 1) {
-      return Status::DataLoss("bundle: graph live byte is not 0 or 1");
-    }
-    if (g->live_[e] == 0) continue;
-    ++live;
-    const Edge& rec = g->edges_[e];
-    if (rec.src >= g->num_nodes_ || rec.dst >= g->num_nodes_) {
-      return Status::DataLoss("bundle: graph edge endpoint out of range");
-    }
-    if (rec.label >= g->labels_.size()) {
-      return Status::DataLoss("bundle: graph edge label out of range");
-    }
-  }
-  if (live != g->num_live_edges_) {
-    return Status::DataLoss("bundle: graph live edge count mismatch");
-  }
-
-  // Do NOT rebuild the triple lookup here: the cold-start-to-first-query
-  // path never needs it. Mark it stale instead; the graph rematerializes
-  // it on first use (~0.06 s at 1.5M edges), which is always on the
-  // mutation/fold path.
-  g->edge_lookup_.clear();
-  g->edge_lookup_stale_ = true;
-  return OkStatus();
+  return FinishSection(r, "graph");
 }
 
 Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   using Entry = CsrSnapshot::Entry;
-  // An entry is 10 bytes on disk: other, label, edge.
-  constexpr size_t kEntryBytes =
-      sizeof(NodeId) + sizeof(LabelId) + sizeof(EdgeId);
-  auto load_side = [&r](std::vector<uint32_t>* offsets,
-                        std::vector<Entry>* entries) {
-    r.GetVec(offsets);
-    const uint64_t n = r.GetU64();
-    if (!r.ok() || n > r.Remaining() / kEntryBytes) return false;
-    entries->resize(n);
-    r.GetColumn(entries, &Entry::other);
-    r.GetColumn(entries, &Entry::label);
-    r.GetColumn(entries, &Entry::edge);
-    return true;
-  };
+  // An entry is 6 bytes on disk: other, label.
+  constexpr size_t kEntryBytes = sizeof(NodeId) + sizeof(LabelId);
   csr->num_nodes_ = r.GetU64();
-  if (!load_side(&csr->out_offsets_, &csr->out_entries_)) {
+  r.GetVec(&csr->out_offsets_);
+  const uint64_t num_entries = r.GetU64();
+  if (!r.ok() || num_entries > r.Remaining() / kEntryBytes) {
     return Status::DataLoss("bundle: csr out-entry count out of range");
   }
-  if (!load_side(&csr->in_offsets_, &csr->in_entries_)) {
-    return Status::DataLoss("bundle: csr in-entry count out of range");
-  }
+  csr->out_entries_.resize(num_entries);
+  r.GetColumn(&csr->out_entries_, &Entry::other);
+  r.GetColumn(&csr->out_entries_, &Entry::label);
   SARGUS_RETURN_IF_ERROR(FinishSection(r, "csr"));
-  if (csr->out_offsets_.size() != csr->num_nodes_ + 1 ||
-      csr->in_offsets_.size() != csr->num_nodes_ + 1) {
-    return Status::DataLoss("bundle: csr offset array size mismatch");
+
+  // Out() and every walker index through these unchecked, and the
+  // in-side derivation below scatters by `other`, so a section that
+  // passes its checksum but is not a well-formed CSR is refused here
+  // rather than read out of bounds later.
+  const size_t n = csr->num_nodes_;
+  const std::vector<uint32_t>& offsets = csr->out_offsets_;
+  if (n > std::numeric_limits<NodeId>::max() || offsets.size() != n + 1 ||
+      offsets.front() != 0 || offsets.back() != num_entries) {
+    return Status::DataLoss("bundle: csr offsets out of range");
   }
-  // Out()/In() and every walker index through these unchecked, so a
-  // section that passes its checksum but is not a well-formed CSR is
-  // refused here rather than read out of bounds later.
-  auto well_formed = [&](const std::vector<uint32_t>& offsets,
-                         const std::vector<Entry>& entries) {
-    if (offsets.empty() || offsets.front() != 0 ||
-        offsets.back() != entries.size()) {
-      return false;
+  for (size_t v = 0; v < n; ++v) {
+    if (offsets[v] > offsets[v + 1] || offsets[v + 1] > num_entries) {
+      return Status::DataLoss("bundle: csr offsets out of range");
     }
-    for (size_t v = 0; v + 1 < offsets.size(); ++v) {
-      if (offsets[v] > offsets[v + 1]) return false;
+    // Strictly increasing (label, other) keys: sorted, and no edge twice.
+    uint64_t prev_key = 0;
+    for (uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const Entry& e = csr->out_entries_[i];
+      const uint64_t key = (uint64_t{e.label} << 32 | e.other) + 1;
+      if (e.other >= n || key <= prev_key) {
+        return Status::DataLoss("bundle: csr entry out of range or order");
+      }
+      prev_key = key;
     }
-    for (const Entry& e : entries) {
-      if (e.other >= csr->num_nodes_) return false;
-    }
-    return true;
-  };
-  if (!well_formed(csr->out_offsets_, csr->out_entries_) ||
-      !well_formed(csr->in_offsets_, csr->in_entries_)) {
-    return Status::DataLoss("bundle: csr offsets or entries out of range");
   }
+  csr->DeriveInSide();
+  return OkStatus();
+}
+
+Status StorageAccess::FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g) {
+  const size_t num_labels = g->labels_.size();
+  g->num_nodes_ = csr.num_nodes_;
+  g->edges_.reserve(csr.NumEdges());
+  g->live_.assign(csr.NumEdges(), 1);
+  g->num_live_edges_ = csr.NumEdges();
+  for (NodeId v = 0; v < csr.num_nodes_; ++v) {
+    for (const CsrSnapshot::Entry& e : csr.Out(v)) {
+      if (e.label >= num_labels) {
+        return Status::DataLoss("bundle: csr entry label out of range");
+      }
+      g->edges_.push_back(Edge{v, e.other, e.label});
+    }
+  }
+  // Do NOT rebuild the triple lookup here: the cold-start-to-first-query
+  // path never needs it (the engine's membership test reads the CSR).
+  // Mark it stale instead; the graph rematerializes it on first use
+  // (~0.06 s at 1.5M edges), which is always on the mutation/fold path.
+  g->edge_lookup_.clear();
+  g->edge_lookup_stale_ = true;
   return OkStatus();
 }
 
@@ -177,11 +163,11 @@ Status StorageAccess::LoadOverlay(BlobReader& r, DeltaOverlay* o) {
   const uint64_t version = r.GetU64();
   SARGUS_RETURN_IF_ERROR(FinishSection(r, "overlay"));
 
-  // Re-stage to rebuild the adjacency maps, then restore the exact
-  // version counter (each Stage call bumped it).
+  // Re-stage to rebuild the adjacency maps, then restore the node count
+  // and the exact version counter (each Stage call bumped it).
   for (const auto& t : added) o->StageAdd(t.src, t.dst, t.label);
   for (const auto& t : removed) o->StageRemove(t.src, t.dst, t.label);
-  for (uint32_t i = 0; i < staged_nodes; ++i) o->StageNode();
+  o->staged_nodes_ = staged_nodes;
   o->version_ = version;
   return OkStatus();
 }
@@ -274,6 +260,12 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
       !require(SectionKind::kOverlay)) {
     return Status::DataLoss("bundle: required section missing");
   }
+
+  // Checks that join sections: labels are bounded by the graph section's
+  // dictionary, overlay endpoints by the CSR's node count.
+  SARGUS_RETURN_IF_ERROR(CheckOverlayRanges(
+      out.overlay, out.csr->NumNodes(), out.graph.labels().size()));
+  SARGUS_RETURN_IF_ERROR(StorageAccess::FillGraphEdges(*out.csr, &out.graph));
   return out;
 }
 

@@ -6,21 +6,25 @@
 /// verify every checksum, adopt every section.
 ///
 /// The load path never *computes* an index — no Tarjan, no label sweep,
-/// no CSR counting sort. Each section is read with pread in bounded
+/// no sort of the out-side. Each section is read with pread in bounded
 /// chunks, hashed as it arrives and decoded column by column into the
 /// live structures; its checksum verdict is checked before any decode
 /// verdict is reported. The file is never mapped, so its pages do not
 /// count toward the process's resident set while the copies are made.
-/// The only reconstruction work is the cheap inverse maps serialization
-/// deliberately drops: dictionary name->id maps and the overlay's
+/// The reconstruction work is what the bundle deliberately does not
+/// store: the CSR's in-side (the out-side transposed, then a stable
+/// pass by label over each range), the graph's edge slots (one per
+/// out-entry, in CSR order), dictionary name->id maps and the overlay's
 /// adjacency (rebuilt by re-staging its triples); the graph's
 /// edge-triple lookup is left stale and rebuilt on first use.
 ///
 /// Every failure — missing file, bad magic, checksum mismatch, section
 /// bounds out of range, truncated section payload, a section that
-/// decodes into out-of-range ids — surfaces as an explicit Status
-/// (kDataLoss for corruption). The corruption-matrix test drives >=10k
-/// seeded bit flips through this path.
+/// decodes into out-of-range ids, an out-range that is not strictly
+/// (label, other)-sorted, a CSR label past the dictionary, an overlay
+/// triple past CSR nodes + staged nodes — surfaces as an explicit
+/// Status (kDataLoss for corruption). The corruption-matrix test drives
+/// thousands of seeded bit flips through this path.
 
 #include <memory>
 #include <string>

@@ -46,8 +46,9 @@ TEST(BaseTables, BackwardOrientationRows) {
   for (const auto& row : bwd) {
     const auto& lv = s->lg.vertex(row.line);
     EXPECT_TRUE(lv.backward);
-    EXPECT_EQ(row.tail, s->g.edge(lv.edge).dst);
-    EXPECT_EQ(row.head, s->g.edge(lv.edge).src);
+    EXPECT_EQ(row.tail, lv.tail);
+    EXPECT_EQ(row.head, lv.head);
+    EXPECT_TRUE(s->g.FindEdge(row.head, row.tail, friend_l).has_value());
   }
   EXPECT_EQ(fwd.size(), bwd.size());
 }

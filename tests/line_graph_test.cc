@@ -16,10 +16,7 @@ TEST(LineGraph, ForwardOnlyVertices) {
   for (LineVertexId v = 0; v < lg.NumVertices(); ++v) {
     const auto& lv = lg.vertex(v);
     EXPECT_FALSE(lv.backward);
-    const Edge& e = g.edge(lv.edge);
-    EXPECT_EQ(lv.tail, e.src);
-    EXPECT_EQ(lv.head, e.dst);
-    EXPECT_EQ(lv.label, e.label);
+    EXPECT_TRUE(g.FindEdge(lv.tail, lv.head, lv.label).has_value());
   }
 }
 
@@ -34,9 +31,7 @@ TEST(LineGraph, BackwardDoublesVertices) {
     const auto& lv = lg.vertex(v);
     if (lv.backward) {
       ++backward;
-      const Edge& e = g.edge(lv.edge);
-      EXPECT_EQ(lv.tail, e.dst);
-      EXPECT_EQ(lv.head, e.src);
+      EXPECT_TRUE(g.FindEdge(lv.head, lv.tail, lv.label).has_value());
     }
   }
   EXPECT_EQ(backward, g.NumEdges());

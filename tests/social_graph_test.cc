@@ -244,10 +244,11 @@ TEST(SocialGraph, EdgeIndexMatchesOracle) {
   }
 }
 
-// The loader leaves the index stale; the first FindEdge rebuilds it and
-// finds every live triple at its slot, and no removed one. The bundle's
-// sections are several MiB, so this also streams them across chunk
-// edges both ways.
+// A bundle stores no edge slots: the loader refills them densely, in
+// CSR order, and leaves the index stale (capacity 0); the first FindEdge
+// rebuilds it and finds every live triple at its CSR position, and no
+// removed one. The bundle's sections are several MiB, so this also
+// streams them across chunk edges both ways.
 TEST(SocialGraph, EdgeIndexRebuiltOnFirstFindAfterLoad) {
   auto generated =
       GenerateBarabasiAlbert({.base = {.num_nodes = 65536, .seed = 5}});
@@ -271,19 +272,23 @@ TEST(SocialGraph, EdgeIndexRebuiltOnFirstFindAfterLoad) {
   ::rmdir(tmpl);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const SocialGraph& h = loaded->graph;
-  EXPECT_FALSE(h.edge_lookup_ready());
   EXPECT_EQ(h.edge_index_capacity(), 0u);
-  ASSERT_EQ(h.EdgeSlotCount(), g.EdgeSlotCount());
-  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-    const Edge& rec = g.edge(e);
-    const std::optional<EdgeId> found = h.FindEdge(rec.src, rec.dst, rec.label);
-    if (g.IsLiveEdge(e)) {
-      ASSERT_EQ(found, std::optional<EdgeId>(e));
-    } else {
-      ASSERT_FALSE(found.has_value()) << e;
+  ASSERT_EQ(h.NumEdges(), g.NumEdges());
+  ASSERT_EQ(h.EdgeSlotCount(), h.NumEdges());
+  EdgeId slot = 0;
+  for (NodeId v = 0; v < csr.NumNodes(); ++v) {
+    for (const CsrSnapshot::Entry& e : csr.Out(v)) {
+      ASSERT_EQ(h.FindEdge(v, e.other, e.label), std::optional<EdgeId>(slot));
+      ++slot;
     }
   }
-  EXPECT_TRUE(h.edge_lookup_ready());
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+    const Edge& rec = g.edge(e);
+    EXPECT_EQ(h.FindEdge(rec.src, rec.dst, rec.label).has_value(),
+              g.IsLiveEdge(e))
+        << e;
+  }
+  EXPECT_GT(h.edge_index_capacity(), 0u);
   EXPECT_LE(h.NumEdges() * 4, h.edge_index_capacity() * 3);
 }
 

@@ -12,7 +12,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -464,9 +467,10 @@ TEST(Bundle, MissingBundleIsNotFound) {
 
 // Version 2 dropped the base-table section, version 3 the oracle's
 // interval labels, version 4 the oracle section, version 5 the line-graph
-// and cluster sections; the closure section and every header flag bit
-// retired later without a version bump. A bundle whose resealed header
-// says version 1 to 4 or sets any flag bit, or whose section table names
+// and cluster sections, version 6 the graph's edge slots and the CSR's
+// edge ids and in-side; the closure section and every header flag bit
+// retired without a version bump. A bundle whose resealed header says
+// version 1 to 5 or sets any flag bit, or whose section table names
 // a retired kind 3 to 7 (here: a well-formed extra entry aliasing the
 // graph section's checksummed bytes), is refused outright — never
 // half-adopted.
@@ -481,7 +485,7 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   const std::vector<uint8_t> pristine = ReadAll(bundle_path);
   auto info = storage::ReadBundleInfo(bundle_path);
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 5u);
+  EXPECT_EQ(info->version, 6u);
   for (const auto& section : info->sections) {
     const uint32_t kind = static_cast<uint32_t>(section.kind);
     EXPECT_TRUE(kind < 3 || kind > 7) << kind;
@@ -514,6 +518,10 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
   std::vector<uint8_t> version4 = pristine;
   poke_u32(version4, 8, 4);
   reseal(version4);
+  // Version 5 still carried edge slots, edge ids and the CSR's in-side.
+  std::vector<uint8_t> version5 = pristine;
+  poke_u32(version5, 8, 5);
+  reseal(version5);
   // Bits 0-1 flagged the join stack and backward line graph, bits 2-3
   // the closure and its undirected mode.
   std::vector<std::vector<uint8_t>> flag_bits;
@@ -548,6 +556,7 @@ TEST(Bundle, RefusesVersionOneAndRetiredTablesSection) {
       {"version 2", &version2},
       {"version 3", &version3},
       {"version 4", &version4},
+      {"version 5", &version5},
       {"section kind 3", &line_graph_kind},
       {"section kind 4", &oracle_kind},
       {"section kind 5", &cluster_kind},
@@ -624,9 +633,12 @@ void ExpectEachRefused(
 }
 
 // A CSR section whose checksum is valid but whose structure is not:
-// offsets that do not start at 0, decrease, or do not end at the entry
-// count, and entries naming a node past the last. Each would let Out(v)
-// or a walk read out of bounds, so each must be refused as kDataLoss.
+// offsets that do not start at 0, decrease, pass or do not end at the
+// entry count; an entry naming a node past the last; an out-range out of
+// (label, other) order or holding one edge twice; and a label past the
+// graph section's dictionary. Each would let Out(v), a walk or the
+// in-side derivation read out of bounds, or break the sorted-range
+// binary searches, so each must be refused as kDataLoss.
 TEST(Bundle, RefusesMalformedCsrSection) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
@@ -641,26 +653,30 @@ TEST(Bundle, RefusesMalformedCsrSection) {
   const size_t table_index = SectionIndex(*info, storage::SectionKind::kCsr);
   const storage::BundleInfo::Section csr = info->sections[table_index];
 
-  // Section layout (storage/snapshot_format.cc SaveCsr): num_nodes, then
-  // per side a length-prefixed offset array, the entry count, and the
-  // entry columns other (u32), label (u16), edge (u32).
+  // Section layout (storage/snapshot_format.cc SaveCsr): num_nodes, the
+  // length-prefixed out-offsets, the entry count, and the entry columns
+  // other (u32) and label (u16).
   const size_t n = g.NumNodes();
   const size_t m = g.NumEdges();
   const size_t out_offsets = 8 + 8;
   const size_t out_other = out_offsets + 4 * (n + 1) + 8;
-  const size_t in_offsets = out_other + m * (4 + 2 + 4) + 8;
-  const size_t in_other = in_offsets + 4 * (n + 1) + 8;
-  ASSERT_EQ(in_other + m * (4 + 2 + 4), csr.size);
+  const size_t out_label = out_other + 4 * m;
+  ASSERT_EQ(out_label + 2 * m, csr.size);
 
-  auto peek_u32 = [&](size_t at) {
-    uint32_t v;
+  auto peek = [&](size_t at, auto v) {
     std::memcpy(&v, pristine.data() + csr.offset + at, sizeof v);
     return v;
   };
-  ASSERT_EQ(peek_u32(out_offsets), 0u);
-  ASSERT_EQ(peek_u32(out_offsets + 4 * n), m);
-  ASSERT_LT(peek_u32(out_offsets + 8), m);
-  auto poked = [&](size_t at, uint32_t v) {
+  ASSERT_EQ(peek(out_offsets, uint32_t{0}), 0u);
+  ASSERT_EQ(peek(out_offsets + 4 * n, uint32_t{0}), m);
+  ASSERT_LT(peek(out_offsets + 8, uint32_t{0}), m);
+  // Node 0's range is 0 -f-> 1, 0 -f-> 4; the last entry is 5 -f-> 3.
+  ASSERT_EQ(peek(out_offsets + 4, uint32_t{0}), 2u);
+  ASSERT_EQ(peek(out_other, uint32_t{0}), 1u);
+  ASSERT_EQ(peek(out_other + 4, uint32_t{0}), 4u);
+  ASSERT_EQ(peek(out_label, uint16_t{0}), peek(out_label + 2, uint16_t{0}));
+  ASSERT_EQ(peek(out_offsets + 4 * (n - 1), uint32_t{0}), m - 1);
+  auto poked = [&](size_t at, auto v) {
     return Resealed(pristine, *info, table_index, at, v);
   };
   const uint32_t num_nodes = static_cast<uint32_t>(n);
@@ -669,21 +685,23 @@ TEST(Bundle, RefusesMalformedCsrSection) {
   ASSERT_TRUE(storage::LoadBundle(bundle_path).ok());
   ExpectEachRefused(
       dir, store,
-      {{"out offsets start past 0", poked(out_offsets, 1)},
+      {{"out offsets start past 0", poked(out_offsets, uint32_t{1})},
        {"out offsets decrease", poked(out_offsets + 4, num_edges)},
+       {"out offset past the entries", poked(out_offsets + 4, num_edges + 1)},
        {"out offsets end short", poked(out_offsets + 4 * n, num_edges - 1)},
-       {"in offsets start past 0", poked(in_offsets, 1)},
-       {"in offsets end long", poked(in_offsets + 4 * n, num_edges + 1)},
        {"out entry past the last node", poked(out_other, num_nodes)},
-       {"in entry past the last node",
-        poked(in_other + 4 * (m - 1), 0xFFFFFFFFu)}});
+       {"out range unsorted", poked(out_other, uint32_t{5})},
+       {"out range holds an edge twice", poked(out_other + 4, uint32_t{1})},
+       {"label past the dictionary",
+        poked(out_label + 2 * (m - 1),
+              static_cast<uint16_t>(g.labels().size()))},
+       {"label 0xFFFF", poked(out_label + 2 * (m - 1), uint16_t{0xFFFF})}});
 }
 
-// A graph section whose checksum is valid but whose contents would
-// index out of bounds later: the next compaction's CSR build counts
-// `++offsets[src + 1]`, the shard partitioner indexes by endpoint, and a
-// lying live count would size the next structures wrong. Each must be
-// refused as kDataLoss at load.
+// The graph section holds only the dictionaries and the attribute
+// columns. A dictionary whose name count passes its checksum but not
+// the bytes left (or the 16-bit id space) is refused before anything is
+// sized by it.
 TEST(Bundle, RefusesMalformedGraphSection) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
@@ -697,40 +715,71 @@ TEST(Bundle, RefusesMalformedGraphSection) {
   ASSERT_TRUE(info.ok());
   const size_t table_index = SectionIndex(*info, storage::SectionKind::kGraph);
 
-  // Section layout (storage/snapshot_format.cc SaveGraph): num_nodes,
-  // the slot count, the slot columns src (u32), dst (u32), label (u16),
-  // the length-prefixed live bytes, then the live count.
-  const size_t slots = g.EdgeSlotCount();
-  const size_t src = 16;
-  const size_t dst = src + 4 * slots;
-  const size_t label = dst + 4 * slots;
-  const size_t live = label + 2 * slots + 8;
-  const size_t live_count = live + slots;
-  ASSERT_EQ(slots, g.NumEdges());  // every slot is live
-  auto peek_u64 = [&](size_t at) {
-    uint64_t v;
-    std::memcpy(&v, pristine.data() + info->sections[table_index].offset + at,
-                sizeof v);
-    return v;
-  };
-  ASSERT_EQ(peek_u64(8), slots);
-  ASSERT_EQ(peek_u64(live_count), g.NumEdges());
-  auto poked = [&](size_t at, auto v) {
-    return Resealed(pristine, *info, table_index, at, v);
-  };
-  const uint32_t num_nodes = static_cast<uint32_t>(g.NumNodes());
+  // Section layout (storage/snapshot_format.cc SaveGraph): the label
+  // count, then each label as a length-prefixed string.
+  uint64_t num_labels = 0;
+  std::memcpy(&num_labels,
+              pristine.data() + info->sections[table_index].offset,
+              sizeof num_labels);
+  ASSERT_EQ(num_labels, g.labels().size());
   ASSERT_TRUE(storage::LoadBundle(bundle_path).ok());
   ExpectEachRefused(
       dir, store,
-      {{"live byte 2", poked(live + 3, uint8_t{2})},
-       {"live count above the popcount",
-        poked(live_count, uint64_t{slots + 1})},
-       {"live count below the popcount",
-        poked(live_count, uint64_t{slots - 1})},
-       {"src past the last node", poked(src, num_nodes)},
-       {"dst past the last node", poked(dst + 4 * (slots - 1), 0xFFFFFFFFu)},
-       {"label past the dictionary",
-        poked(label + 2, static_cast<uint16_t>(g.labels().size()))}});
+      {{"label dictionary past the id space",
+        Resealed(pristine, *info, table_index, 0, uint64_t{1} << 40)}});
+}
+
+// The overlay section is re-staged as read. A staged triple whose
+// endpoint lies past CSR nodes + staged nodes would index a walker's
+// visited array and the next compaction's offsets out of bounds, and
+// one whose label is past the dictionary names no label; a staged node
+// count that takes the logical node count past NodeId leaves ids no
+// node can have. Each is refused as kDataLoss once the sections join.
+TEST(Bundle, RefusesMalformedOverlaySection) {
+  TempDir dir;
+  SocialGraph g = MakeDiamond();
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  auto staged = engine.AddNode();
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(engine.AddEdge(0, *staged, "friend").ok());
+  ASSERT_TRUE(engine.RemoveEdge(5, 3, "friend").ok());
+  ASSERT_TRUE(engine.SaveSnapshot().ok());
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+  auto info = storage::ReadBundleInfo(bundle_path);
+  ASSERT_TRUE(info.ok());
+  const size_t table_index =
+      SectionIndex(*info, storage::SectionKind::kOverlay);
+
+  // Section layout (storage/snapshot_format.cc SaveOverlay): for the
+  // added and then the removed triples, a count and the columns src
+  // (u32), dst (u32) and label (u16); then the staged node count (u32)
+  // and the version (u64). One triple each here.
+  const size_t added_src = 8;
+  const size_t added_dst = added_src + 4;
+  const size_t added_label = added_dst + 4;
+  const size_t removed_src = added_label + 2 + 8;
+  const size_t staged_nodes = removed_src + 4 + 4 + 2;
+  ASSERT_EQ(staged_nodes + 4 + 8, info->sections[table_index].size);
+  const uint32_t logical = static_cast<uint32_t>(g.NumNodes() + 1);
+  ASSERT_EQ(*staged, logical - 1);
+  auto poked = [&](size_t at, auto v) {
+    return Resealed(pristine, *info, table_index, at, v);
+  };
+  ASSERT_TRUE(storage::LoadBundle(bundle_path).ok());
+  ExpectEachRefused(
+      dir, store,
+      {{"staged add dst past the logical nodes", poked(added_dst, logical)},
+       {"staged add src past NodeId", poked(added_src, 0xFFFFFFFFu)},
+       {"staged remove src past the logical nodes",
+        poked(removed_src, logical)},
+       {"staged add label past the dictionary",
+        poked(added_label, static_cast<uint16_t>(g.labels().size()))},
+       {"staged nodes past NodeId",
+        poked(staged_nodes, static_cast<uint32_t>(0xFFFFFFFFu - 1))}});
 }
 
 // The loader bounds a dictionary by the 16-bit id space, and a full one
@@ -765,8 +814,8 @@ TEST(Bundle, FullLabelDictionaryRoundTrips) {
 // first: an unresealed flip in the CSR out-entry count (which also makes
 // the count absurd) reports the checksum, while the same absurd count
 // resealed is refused by the count's bound, before anything is sized by
-// it — 2^40 entries would be a 12 TiB allocation. A count that passes a
-// 4-bytes-per-entry bound but not the real 10 is refused the same way,
+// it — 2^40 entries would be an 8 TiB allocation. A count that passes a
+// 4-bytes-per-entry bound but not the real 6 is refused the same way,
 // so no entry vector is sized past the bytes that could fill it.
 TEST(Bundle, ChecksumVerdictComesFirst) {
   TempDir dir;
@@ -1023,6 +1072,69 @@ TEST(Bundle, RandomizedRoundTripEquivalence) {
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     ExpectDecisionEquivalence(engine, **reopened, logical,
                               store.NumResources());
+  }
+}
+
+/// The (src, dst, label) of every live edge of `g`.
+std::set<std::tuple<NodeId, NodeId, LabelId>> LiveTriples(
+    const SocialGraph& g) {
+  std::set<std::tuple<NodeId, NodeId, LabelId>> triples;
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+    if (g.IsLiveEdge(e)) {
+      triples.emplace(g.edge(e).src, g.edge(e).dst, g.edge(e).label);
+    }
+  }
+  return triples;
+}
+
+// The bundle stores each edge once, as a CSR out-entry. A reopen refills
+// the graph's slots from it: the saved live triples, one dense slot each
+// (the saved graph's tombstones are gone), and a CSR equal on both sides
+// to a fresh build over the saved graph.
+TEST(Bundle, ReopenRefillsGraphFromCsr) {
+  TempDir dir;
+  auto generated = GenerateBarabasiAlbert(
+      {.base = {.num_nodes = 500, .seed = 21}, .edges_per_node = 3});
+  ASSERT_TRUE(generated.ok());
+  SocialGraph g = std::move(*generated);
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); e += 5) {
+    ASSERT_TRUE(g.RemoveEdge(e).ok());
+  }
+  ASSERT_LT(g.NumEdges(), g.EdgeSlotCount());
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+
+  SocialGraph h;
+  auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &h, store);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(h.NumNodes(), g.NumNodes());
+  EXPECT_EQ(h.EdgeSlotCount(), h.NumEdges());
+  EXPECT_EQ(LiveTriples(h), LiveTriples(g));
+  ASSERT_EQ(h.attrs().size(), g.attrs().size());
+  for (AttrId a = 0; a < g.attrs().size(); ++a) {
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      ASSERT_EQ(h.GetAttribute(v, a), g.GetAttribute(v, a)) << v;
+    }
+  }
+
+  const CsrSnapshot expected = CsrSnapshot::Build(g);
+  const auto view = (*reopened)->AcquireReadView();
+  const CsrSnapshot& loaded = view->csr();
+  ASSERT_EQ(loaded.NumNodes(), expected.NumNodes());
+  ASSERT_EQ(loaded.NumEdges(), expected.NumEdges());
+  auto same = [](std::span<const CsrSnapshot::Entry> a,
+                 std::span<const CsrSnapshot::Entry> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const CsrSnapshot::Entry& x,
+                         const CsrSnapshot::Entry& y) {
+                        return x.other == y.other && x.label == y.label;
+                      });
+  };
+  for (NodeId v = 0; v < expected.NumNodes(); ++v) {
+    ASSERT_TRUE(same(loaded.Out(v), expected.Out(v))) << "out of " << v;
+    ASSERT_TRUE(same(loaded.In(v), expected.In(v))) << "in of " << v;
   }
 }
 
