@@ -232,8 +232,9 @@ MutationFixture& GetMutationFixture() {
     if (!fx->store.AddRuleFromPaths(res, {"friend[1,2]"}).ok()) std::abort();
 
     EngineOptions options;
-    // Keep fold/snapshot work out of the measured loop; the overlay stays
-    // bounded anyway because every producer toggles its edge.
+    // No compaction runs, so no fold or bundle save lands in the measured
+    // loop; the overlay stays bounded anyway because every producer
+    // toggles its edge.
     options.compact_threshold = 1u << 30;
     options.audit_capacity = 0;
     fx->engine = std::make_unique<AccessControlEngine>(*fx->g, fx->store,
@@ -242,9 +243,7 @@ MutationFixture& GetMutationFixture() {
 
     char tmpl[] = "/tmp/sargus_bench_concurrency_XXXXXX";
     fx->dir = mkdtemp(tmpl);
-    DurabilityOptions durability;
-    durability.snapshot_on_compaction = false;
-    if (!fx->engine->EnableDurability(fx->dir, durability).ok()) std::abort();
+    if (!fx->engine->EnableDurability(fx->dir).ok()) std::abort();
     return fx;
   }();
   return *fx;

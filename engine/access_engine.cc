@@ -65,7 +65,7 @@ AccessControlEngine::~AccessControlEngine() {
   // down. Queued-but-unapplied mutations complete kUnavailable.
   write_queue_->Shutdown();
   {
-    std::lock_guard<std::mutex> lock(comp_mu_);
+    std::lock_guard<std::mutex> lock(mutation_mu_);
     comp_shutdown_ = true;
   }
   comp_cv_.notify_all();
@@ -133,11 +133,9 @@ void AccessControlEngine::RecomputeEffectiveThreshold() {
 
 Status AccessControlEngine::RebuildIndexesLocked() {
   built_ = false;
-  // The overlay (and any replay journal) is relative to the snapshot
-  // being replaced; staged mutations that should survive must go
-  // through Compact() instead.
+  // The overlay is relative to the snapshot being replaced; staged
+  // mutations that should survive must go through Compact() instead.
   overlay_.Clear();
-  journal_.clear();
   csr_ = std::make_shared<const CsrSnapshot>(CsrSnapshot::Build(*graph_));
   // Unconditional policy rebuild: fresh dictionary entries (labels
   // interned since the last build) may fix previously failed binds.
@@ -146,7 +144,7 @@ Status AccessControlEngine::RebuildIndexesLocked() {
   snapshot_generation_.fetch_add(1, std::memory_order_release);
   RecomputeEffectiveThreshold();
   PublishView();
-  if (durable_ && durability_.snapshot_on_compaction) {
+  if (durable_) {
     // The WAL's records (and the old bundle) describe state this rebuild
     // just discarded; publish a bundle covering the fresh snapshot.
     SARGUS_RETURN_IF_ERROR(SaveSnapshotLocked());
@@ -157,9 +155,11 @@ Status AccessControlEngine::RebuildIndexesLocked() {
 Status AccessControlEngine::RebuildIndexes() {
   // Drain the pipeline first: a build in flight references the CSR
   // and overlay this rebuild replaces, and its completion would fold
-  // staged state the contract says a rebuild discards.
-  WaitForCompaction();
-  std::lock_guard<std::mutex> lock(mutation_mu_);
+  // staged state the contract says a rebuild discards. The wait returns
+  // holding the lock, so no threshold-kicked build can start between
+  // the drain and the rebuild.
+  std::unique_lock<std::mutex> lock(mutation_mu_);
+  comp_cv_.wait(lock, [&] { return !building_; });
   return RebuildIndexesLocked();
 }
 
@@ -354,9 +354,6 @@ Status AccessControlEngine::ApplyOneLocked(
     case WriteOp::Kind::kAddNode: {
       const NodeId id = static_cast<NodeId>(LogicalNumNodesLocked());
       (void)overlay_.StageNode();
-      if (building_) {
-        journal_.push_back({JournalOp::Kind::kAddNode, 0, 0, kInvalidLabel});
-      }
       if (wal_batch != nullptr) {
         wal_batch->push_back(MakeWalRecordLocked(
             storage::WalRecord::Kind::kAddNode, 0, 0, kInvalidLabel));
@@ -381,7 +378,6 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
   }
   // What a failed WAL commit rolls back to (the overlay comes from the
   // published view, see below).
-  const size_t journal_before = journal_.size();
   const auto policy_before = policy_;
   bool any_graph_mutation = false;
   bool policy_refreshed = false;
@@ -420,10 +416,10 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
   const Status wal_status = WalCommitBatchLocked(wal_batch);
   if (!wal_status.ok()) {
     // An acknowledged mutation must be WAL-durable. Fail every op that
-    // believed it committed and put the overlay, journal and policy
-    // snapshot back as they were: a failed ticket's op never surfaces
-    // on a later publish. (Labels it interned stay; ids only grow.) The
-    // WAL cut the torn batch off, and no view is published here.
+    // believed it committed and put the overlay and policy snapshot
+    // back as they were: a failed ticket's op never surfaces on a later
+    // publish. (Labels it interned stay; ids only grow.) The WAL cut the
+    // torn batch off, and no view is published here.
     for (size_t i = 0; i < ops.size(); ++i) {
       if (outcomes[i].status.ok()) outcomes[i].status = wal_status;
     }
@@ -436,7 +432,6 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
       std::lock_guard<std::mutex> view_lock(view_mu_);
       overlay_ = view_->overlay();
     }
-    journal_.resize(journal_before);
     policy_ = policy_before;
     return;
   }
@@ -473,9 +468,6 @@ Status AccessControlEngine::StageAddEdge(NodeId src, NodeId dst,
   } else {
     (void)overlay_.StageAdd(src, dst, label);  // idempotent
   }
-  if (building_) {
-    journal_.push_back({JournalOp::Kind::kAddEdge, src, dst, label});
-  }
   return OkStatus();
 }
 
@@ -487,9 +479,6 @@ Status AccessControlEngine::StageRemoveEdge(NodeId src, NodeId dst,
       return Status::NotFound("RemoveEdge: no such logical edge");
     }
     (void)overlay_.StageRemove(src, dst, label);
-  }
-  if (building_) {
-    journal_.push_back({JournalOp::Kind::kRemoveEdge, src, dst, label});
   }
   return OkStatus();
 }
@@ -527,51 +516,23 @@ void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
 }
 
 void AccessControlEngine::StartBackgroundCompactionLocked() {
-  CompactionJob job;
-  job.frozen = overlay_;  // the freeze: an O(overlay) copy, flat in |V|
+  frozen_ = overlay_;  // the freeze: an O(overlay) copy, flat in |V|
   building_ = true;
-  journal_.clear();
-  {
-    std::lock_guard<std::mutex> lock(comp_mu_);
-    if (!comp_thread_.joinable()) {
-      comp_thread_ = std::thread(&AccessControlEngine::CompactionWorker, this);
-    }
-    comp_job_ = std::move(job);
-    comp_state_ = CompState::kQueued;
+  if (!comp_thread_.joinable()) {
+    comp_thread_ = std::thread(&AccessControlEngine::CompactionWorker, this);
   }
   comp_cv_.notify_all();
 }
 
-std::optional<AccessControlEngine::CompactionJob>
-AccessControlEngine::FinishCompactionLocked(
-    CompactionJob& job, std::shared_ptr<const CsrSnapshot> csr) {
-  FoldOverlayIntoGraph(job.frozen);
+void AccessControlEngine::FinishCompactionLocked(
+    std::shared_ptr<const CsrSnapshot> csr) {
+  FoldOverlayIntoGraph(frozen_);
   csr_ = std::move(csr);
   snapshot_generation_.fetch_add(1, std::memory_order_release);
-
-  // Replay the mutations staged during the build against the folded
-  // graph: re-running the staging logic in order re-derives the overlay
-  // relative to the *new* snapshot (an op that duplicated a folded edge
-  // turns into a no-op, a removal of one into a staged remove, and so
-  // on). Version continuity keeps (generation, version) stamps unique.
-  building_ = false;  // replay below must not re-journal
-  const uint64_t version_base = overlay_.version();
-  overlay_ = DeltaOverlay();
-  overlay_.version_ = version_base;
-  for (const JournalOp& op : journal_) {
-    switch (op.kind) {
-      case JournalOp::Kind::kAddNode:
-        (void)overlay_.StageNode();
-        break;
-      case JournalOp::Kind::kAddEdge:
-        (void)StageAddEdge(op.src, op.dst, op.label);
-        break;
-      case JournalOp::Kind::kRemoveEdge:
-        (void)StageRemoveEdge(op.src, op.dst, op.label);
-        break;
-    }
-  }
-  journal_.clear();
+  // Rebase the live overlay onto the new snapshot: what remains is
+  // what was staged since the freeze. Its version carries on, and the
+  // generation just moved, so (generation, version) stamps stay unique.
+  overlay_ = overlay_.Since(frozen_);
   ++full_compactions_;
   last_compaction_status_ = OkStatus();
 
@@ -582,8 +543,8 @@ AccessControlEngine::FinishCompactionLocked(
   RecomputeEffectiveThreshold();
   PublishView();
 
-  if (durable_ && durability_.snapshot_on_compaction) {
-    // The fold rewrote the graph and reset the overlay; the previous
+  if (durable_) {
+    // The fold rewrote the graph and rebased the overlay; the previous
     // bundle no longer covers the on-disk WAL's history, so publish a
     // fresh one (and truncate the WAL it covers) before releasing the
     // writer lock. Readers never take mutation_mu_, so this stays off
@@ -593,61 +554,38 @@ AccessControlEngine::FinishCompactionLocked(
     if (!saved.ok()) last_compaction_status_ = saved;
   }
 
-  // Chain a follow-up build when the journal leftovers still demand one
-  // (an explicit Compact() arrived mid-build, or they already trip the
-  // threshold); the writer never has to re-trigger.
+  // Chain a follow-up build when the leftovers still demand one (an
+  // explicit Compact() arrived mid-build, or they already trip the
+  // threshold); the writer never has to re-trigger. building_ stays true
+  // across the chain, so WaitForCompaction() drains all of it.
   const bool chain =
       !overlay_.empty() &&
-      (recompact_requested_ || (effective_compact_threshold_ != 0 &&
-                                overlay_.size() >= effective_compact_threshold_));
-  recompact_requested_ = false;
-  if (!chain) return std::nullopt;
-  CompactionJob next;
-  next.frozen = overlay_;
-  building_ = true;
-  journal_.clear();
-  return next;
+      (compact_requested_ || (effective_compact_threshold_ != 0 &&
+                              overlay_.size() >= effective_compact_threshold_));
+  compact_requested_ = false;
+  if (chain) {
+    StartBackgroundCompactionLocked();
+  } else {
+    frozen_ = DeltaOverlay();
+    building_ = false;
+  }
 }
 
 void AccessControlEngine::CompactionWorker() {
+  std::unique_lock<std::mutex> lock(mutation_mu_);
   for (;;) {
-    CompactionJob job;
-    {
-      std::unique_lock<std::mutex> lock(comp_mu_);
-      comp_cv_.wait(lock, [&] {
-        return comp_shutdown_ || comp_state_ == CompState::kQueued;
-      });
-      if (comp_state_ != CompState::kQueued) return;  // shutdown, idle
-      comp_state_ = CompState::kBuilding;
-      job = std::move(comp_job_);
-    }
+    comp_cv_.wait(lock, [&] { return comp_shutdown_ || building_; });
+    if (!building_) return;  // shutdown with nothing left to drain
+    lock.unlock();
     if (comp_build_hook_) comp_build_hook_();
-    // The expensive part, off every lock: the writer keeps staging (and
-    // journaling) mutations, readers keep serving published views. The
-    // graph object is stable during the build — staging never writes
-    // it, and only this thread folds.
+    // The expensive part, off every lock: the writer keeps staging
+    // mutations, readers keep serving published views. The graph and
+    // frozen_ are stable during the build — staging writes neither, and
+    // only this thread folds or clears building_.
     auto csr = std::make_shared<const CsrSnapshot>(
-        CsrSnapshot::Build(*graph_, job.frozen));
-    std::optional<CompactionJob> next;
-    {
-      std::lock_guard<std::mutex> lock(mutation_mu_);
-      next = FinishCompactionLocked(job, std::move(csr));
-    }
-    {
-      std::lock_guard<std::mutex> lock(comp_mu_);
-      if (next.has_value()) {
-        // A chained job: the writer cannot have queued one meanwhile
-        // (building_ stayed true, which gates StartBackground...).
-        comp_job_ = std::move(*next);
-        comp_state_ = CompState::kQueued;  // loop picks it right up
-      } else if (comp_state_ == CompState::kBuilding) {
-        comp_state_ = CompState::kIdle;
-      }
-      // else: the writer queued a fresh job in the gap between this
-      // thread releasing mutation_mu_ and taking comp_mu_ — leave it
-      // kQueued (overwriting to kIdle would drop the job and wedge the
-      // pipeline with building_ stuck true).
-    }
+        CsrSnapshot::Build(*graph_, frozen_));
+    lock.lock();
+    FinishCompactionLocked(std::move(csr));
     comp_cv_.notify_all();
   }
 }
@@ -660,7 +598,7 @@ Status AccessControlEngine::Compact() {
     // A build is in flight; have its completion chain a follow-up that
     // folds everything staged meanwhile. WaitForCompaction() drains
     // the whole chain.
-    recompact_requested_ = true;
+    compact_requested_ = true;
     return OkStatus();
   }
   StartBackgroundCompactionLocked();
@@ -668,13 +606,13 @@ Status AccessControlEngine::Compact() {
 }
 
 void AccessControlEngine::WaitForCompaction() {
-  std::unique_lock<std::mutex> lock(comp_mu_);
-  comp_cv_.wait(lock, [&] { return comp_state_ == CompState::kIdle; });
+  std::unique_lock<std::mutex> lock(mutation_mu_);
+  comp_cv_.wait(lock, [&] { return !building_; });
 }
 
 bool AccessControlEngine::compaction_in_flight() const {
-  std::lock_guard<std::mutex> lock(comp_mu_);
-  return comp_state_ != CompState::kIdle;
+  std::lock_guard<std::mutex> lock(mutation_mu_);
+  return building_;
 }
 
 // ---- Durability -------------------------------------------------------------

@@ -39,11 +39,11 @@
 /// `Compact()` — explicit or threshold-triggered — freezes a copy of the
 /// overlay and returns immediately; a dedicated compaction thread builds
 /// the next CsrSnapshot against graph ⊕ frozen-overlay while the writer
-/// keeps staging mutations, which are also recorded in a replay journal.
-/// On completion the compaction thread briefly takes the writer lock,
-/// folds the frozen overlay into the SocialGraph, swaps in the new CSR,
-/// replays the journal into a fresh overlay relative to
-/// the new snapshot, and publishes — so neither readers nor the writer
+/// keeps staging mutations into the live overlay. On completion the
+/// compaction thread briefly takes the writer lock, folds the frozen
+/// overlay into the SocialGraph, swaps in the new CSR, rebases the live
+/// overlay onto the new snapshot (DeltaOverlay::Since: what was staged
+/// since the freeze), and publishes — so neither readers nor the writer
 /// ever stall on an index rebuild. `WaitForCompaction()` blocks until
 /// the pipeline is idle, so synchronous compaction is `Compact()`
 /// followed by `WaitForCompaction()` (tests and benchmarks use it for
@@ -106,13 +106,13 @@
 ///
 /// Generation counters: snapshot_generation() increments whenever a new
 /// CSR is published (RebuildIndexes and every completed
-/// compaction), and overlay_version() on every staged mutation; the
-/// overlay rebuilt from the replay journal continues the version
-/// sequence, so (generation, version) pairs uniquely name every
-/// published logical state. Both are frozen into each published view and
-/// stamped into every AccessDecision, so callers (and the
-/// reader/mutator stress tests) can tell exactly which published state
-/// a decision saw. The engine-level accessors read writer-side state —
+/// compaction), and overlay_version() on every staged mutation. A
+/// compaction keeps the version as it was (the rebased overlay carries
+/// it on) and bumps the generation, so (generation, version) pairs
+/// uniquely name every published logical state. Both are frozen into
+/// each published view and stamped into every AccessDecision, so
+/// callers (and the reader/mutator stress tests) can tell exactly which
+/// published state a decision saw. The engine-level accessors read writer-side state —
 /// call them from the (quiesced — WaitForCompaction) writer, or read
 /// the stamps off a view.
 ///
@@ -133,7 +133,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -170,10 +169,6 @@ struct DurabilityOptions {
   /// renamed into place" and "WAL truncated" — recovery must skip the
   /// covered records either way.
   bool truncate_wal_on_save = true;
-  /// Re-save the bundle whenever a compaction completes or
-  /// RebuildIndexes runs. Folds rewrite the graph and reset the overlay;
-  /// without a fresh bundle the on-disk state would stop covering them.
-  bool snapshot_on_compaction = true;
 };
 
 class AccessControlEngine {
@@ -249,7 +244,7 @@ class AccessControlEngine {
 
   /// Blocks until no compaction is building or completing. After this
   /// returns (with no interleaved writer calls), the last requested
-  /// compaction's effects — folded graph, fresh snapshot, replayed
+  /// compaction's effects — folded graph, fresh snapshot, rebased
   /// overlay — are published.
   void WaitForCompaction();
 
@@ -303,8 +298,9 @@ class AccessControlEngine {
 
   /// Serializes the current serving state into the bundle (atomic
   /// replace) and truncates the WAL it covers (unless the truncate knob
-  /// is off). Also invoked automatically at every compaction completion
-  /// and RebuildIndexes when snapshot_on_compaction is set.
+  /// is off). A durable engine also saves at every compaction completion
+  /// and RebuildIndexes: folds rewrite the graph and rebase the overlay,
+  /// so the old bundle would stop covering the WAL's history.
   Status SaveSnapshot();
 
   /// Restores an engine from a durability directory: read + verify the
@@ -418,22 +414,6 @@ class AccessControlEngine {
  private:
   friend class MutationQueue;  // calls ApplyWriteBatch from the writer thread
 
-  /// One replayable writer operation staged while a compaction build is
-  /// in flight. Replaying the sequence against the folded graph
-  /// re-derives the overlay relative to the *new* snapshot.
-  struct JournalOp {
-    enum class Kind : uint8_t { kAddEdge, kRemoveEdge, kAddNode };
-    Kind kind = Kind::kAddEdge;
-    NodeId src = 0;
-    NodeId dst = 0;
-    LabelId label = kInvalidLabel;
-  };
-
-  /// Frozen inputs one background compaction builds against.
-  struct CompactionJob {
-    DeltaOverlay frozen;
-  };
-
   /// Builds a view from the current snapshots + overlay and publishes it
   /// (release store; readers acquire).
   void PublishView();
@@ -445,8 +425,7 @@ class AccessControlEngine {
   /// Ring push; caller holds audit_mu_ and checked audit_capacity > 0.
   void PushAuditLocked(const AccessDecision& decision) const;
 
-  /// Shared AddEdge/RemoveEdge staging logic after label resolution;
-  /// journals the op when a compaction build is in flight.
+  /// Shared AddEdge/RemoveEdge staging logic after label resolution.
   Status StageAddEdge(NodeId src, NodeId dst, LabelId label);
   Status StageRemoveEdge(NodeId src, NodeId dst, LabelId label);
 
@@ -494,17 +473,16 @@ class AccessControlEngine {
   /// removals, then additions, so a triple removed and re-added is not
   /// coalesced onto its old slot.
   void FoldOverlayIntoGraph(const DeltaOverlay& frozen);
-  /// Captures the frozen inputs, starts/wakes the compaction thread.
-  /// Caller holds mutation_mu_.
+  /// Freezes the overlay into frozen_, sets building_, starts/wakes the
+  /// compaction thread. Caller holds mutation_mu_.
   void StartBackgroundCompactionLocked();
-  /// Completion: fold, swap CSRs, replay the journal, publish.
-  /// Runs on the compaction thread under mutation_mu_. Returns a
-  /// follow-up job when the replayed overlay must compact again (an
-  /// explicit Compact() arrived mid-build, or the leftovers already
-  /// exceed the threshold) — the worker chains straight into it, and
-  /// WaitForCompaction() drains the whole chain.
-  std::optional<CompactionJob> FinishCompactionLocked(
-      CompactionJob& job, std::shared_ptr<const CsrSnapshot> csr);
+  /// Completion: fold, swap CSRs, rebase the overlay, publish, save.
+  /// Runs on the compaction thread under mutation_mu_. Freezes again
+  /// right away when the leftovers must compact too (an explicit
+  /// Compact() arrived mid-build, or they already exceed the
+  /// threshold) — building_ stays set, so WaitForCompaction() drains
+  /// the whole chain.
+  void FinishCompactionLocked(std::shared_ptr<const CsrSnapshot> csr);
   /// Re-derives effective_compact_threshold_ from the current snapshot.
   void RecomputeEffectiveThreshold();
   /// SaveSnapshot body; caller holds mutation_mu_.
@@ -536,34 +514,30 @@ class AccessControlEngine {
   /// Each publish freezes a copy into the view; readers never touch
   /// this object.
   DeltaOverlay overlay_;
-  /// Ops staged while a compaction build is in flight (building_), in
-  /// order; replayed at completion. Guarded by mutation_mu_.
-  std::vector<JournalOp> journal_;
-  bool building_ = false;  // guarded by mutation_mu_
-  /// Explicit Compact() arrived while a build was in flight: fold the
-  /// journal leftovers in a chained compaction at completion.
-  bool recompact_requested_ = false;  // guarded by mutation_mu_
 
   /// Immutable snapshots shared by published views (see read_view.h).
   std::shared_ptr<const CsrSnapshot> csr_;
   std::shared_ptr<const PolicySnapshot> policy_;
 
   /// Serializes writer-side state between the external writer and the
-  /// compaction thread's completion swap. External write-path calls
-  /// hold it for their whole (cheap) body; the compaction thread holds
-  /// it only for freeze-capture and the completion swap — never during
-  /// the build itself. Lock order: mutation_mu_ before comp_mu_.
+  /// compaction thread. External write-path calls hold it for their
+  /// whole (cheap) body; the compaction thread holds it to wait for work
+  /// and for the completion swap — never during the build itself.
   mutable std::mutex mutation_mu_;
 
-  /// Compaction-thread machinery. comp_state_/comp_shutdown_/comp_job_
-  /// are guarded by comp_mu_; the worker is started lazily on the first
-  /// background compaction.
-  enum class CompState { kIdle, kQueued, kBuilding };
-  mutable std::mutex comp_mu_;
-  mutable std::condition_variable comp_cv_;
-  CompState comp_state_ = CompState::kIdle;
+  /// Compaction-thread machinery, all guarded by mutation_mu_ and
+  /// signalled on comp_cv_; the worker is started lazily on the first
+  /// background compaction. building_ is set from the freeze until the
+  /// last completion of a chain; frozen_ (the overlay the build folds)
+  /// is written only while building_ is clear or by the worker, so the
+  /// worker reads it off the lock during the build.
+  DeltaOverlay frozen_;
+  bool building_ = false;
+  /// Explicit Compact() arrived while a build was in flight: fold the
+  /// leftovers in a chained compaction at completion.
+  bool compact_requested_ = false;
   bool comp_shutdown_ = false;
-  CompactionJob comp_job_;
+  std::condition_variable comp_cv_;
   std::thread comp_thread_;
   std::function<void()> comp_build_hook_;
   Status last_compaction_status_ = OkStatus();  // guarded by mutation_mu_

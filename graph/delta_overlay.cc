@@ -41,6 +41,25 @@ void DeltaOverlay::Clear() {
   staged_nodes_ = 0;
 }
 
+DeltaOverlay DeltaOverlay::Since(const DeltaOverlay& frozen) const {
+  DeltaOverlay out;
+  for (const EdgeTriple& t : added_) {
+    if (!frozen.added_.contains(t)) out.StageAdd(t.src, t.dst, t.label);
+  }
+  for (const EdgeTriple& t : frozen.removed_) {
+    if (!removed_.contains(t)) out.StageAdd(t.src, t.dst, t.label);
+  }
+  for (const EdgeTriple& t : removed_) {
+    if (!frozen.removed_.contains(t)) out.StageRemove(t.src, t.dst, t.label);
+  }
+  for (const EdgeTriple& t : frozen.added_) {
+    if (!added_.contains(t)) out.StageRemove(t.src, t.dst, t.label);
+  }
+  out.staged_nodes_ = staged_nodes_ - frozen.staged_nodes_;
+  out.version_ = version_;
+  return out;
+}
+
 void DeltaOverlay::AdjErase(AdjMap& map, NodeId node, LabelId label,
                             NodeId other) {
   auto it = map.find(AdjKey(node, label));

@@ -106,6 +106,17 @@ class DeltaOverlay {
   /// fresh snapshot, or to abandon them).
   void Clear();
 
+  /// Rebases this overlay onto the snapshot `base ⊕ frozen`, where
+  /// `frozen` is an earlier copy of this overlay over the same `base`:
+  /// `base ⊕ frozen ⊕ Since(frozen)` is `base ⊕ *this`. No log is needed,
+  /// because the set a triple sits in says whether `base` holds it
+  /// (added: absent, removed: present). So adds and removes not in
+  /// `frozen` carry over, a frozen add withdrawn since becomes a remove,
+  /// and a frozen remove restored since becomes an add. Staged nodes
+  /// are the ones past `frozen`'s; the version carries on from this
+  /// overlay. Requires num_staged_nodes() >= frozen.num_staged_nodes().
+  DeltaOverlay Since(const DeltaOverlay& frozen) const;
+
   // ---- Query side (the traversal hot path) --------------------------------
 
   /// True when the base edge src -[label]-> dst is pending-removed and
@@ -193,7 +204,6 @@ class DeltaOverlay {
   uint32_t staged_nodes_ = 0;
   uint64_t version_ = 0;
 
-  friend class AccessControlEngine;  // version continuity across compaction
   friend struct storage::StorageAccess;
 };
 

@@ -6,8 +6,7 @@ namespace sargus {
 
 Result<SocialGraph> ExtractShardGraph(const SocialGraph& g,
                                       std::span<const uint32_t> shard_of,
-                                      uint32_t shard,
-                                      ShardExtractStats* stats) {
+                                      uint32_t shard) {
   if (shard_of.size() != g.NumNodes()) {
     return Status::InvalidArgument(
         "ExtractShardGraph: assignment covers " +
@@ -39,40 +38,14 @@ Result<SocialGraph> ExtractShardGraph(const SocialGraph& g,
     }
   }
 
-  ShardExtractStats local;
   for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
     if (!g.IsLiveEdge(e)) continue;
     const Edge& edge = g.edge(e);
-    const bool src_here = shard_of[edge.src] == shard;
-    const bool dst_here = shard_of[edge.dst] == shard;
-    if (!src_here && !dst_here) continue;
+    if (shard_of[edge.src] != shard && shard_of[edge.dst] != shard) continue;
     const auto added = sub.AddEdge(edge.src, edge.dst, edge.label);
     if (!added.ok()) return added.status();
-    if (src_here && dst_here) {
-      ++local.interior_edges;
-    } else {
-      ++local.cut_edges;
-    }
   }
-  if (stats != nullptr) *stats = local;
   return sub;
-}
-
-Result<std::vector<Edge>> ExtractCutEdges(const SocialGraph& g,
-                                          std::span<const uint32_t> shard_of) {
-  if (shard_of.size() != g.NumNodes()) {
-    return Status::InvalidArgument(
-        "ExtractCutEdges: assignment covers " +
-        std::to_string(shard_of.size()) + " nodes, graph has " +
-        std::to_string(g.NumNodes()));
-  }
-  std::vector<Edge> cut;
-  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-    if (!g.IsLiveEdge(e)) continue;
-    const Edge& edge = g.edge(e);
-    if (shard_of[edge.src] != shard_of[edge.dst]) cut.push_back(edge);
-  }
-  return cut;
 }
 
 }  // namespace sargus

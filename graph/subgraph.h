@@ -20,17 +20,11 @@
 /// tier").
 
 #include <span>
-#include <vector>
 
 #include "common/result.h"
 #include "graph/social_graph.h"
 
 namespace sargus {
-
-struct ShardExtractStats {
-  size_t interior_edges = 0;  ///< Both endpoints assigned to the shard.
-  size_t cut_edges = 0;       ///< Exactly one endpoint assigned to it.
-};
 
 /// The shard-local copy of `g` for `shard` under assignment `shard_of`
 /// (node -> shard id; must cover every node). Node count, attribute
@@ -40,13 +34,7 @@ struct ShardExtractStats {
 /// `shard_of` does not match the graph's node count.
 Result<SocialGraph> ExtractShardGraph(const SocialGraph& g,
                                       std::span<const uint32_t> shard_of,
-                                      uint32_t shard,
-                                      ShardExtractStats* stats = nullptr);
-
-/// Every live edge of `g` whose endpoints lie on different shards, in
-/// edge-slot order — the seed of the router's cut table.
-Result<std::vector<Edge>> ExtractCutEdges(const SocialGraph& g,
-                                          std::span<const uint32_t> shard_of);
+                                      uint32_t shard);
 
 }  // namespace sargus
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-
-#include "graph/subgraph.h"
+#include <span>
 
 namespace sargus {
 namespace {
@@ -122,11 +121,6 @@ Result<GraphPartition> GraphPartitioner::Partition(
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     part.members[part.shard_of[v]].push_back(v);
   }
-  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-    if (g.IsLiveEdge(e)) ++part.total_live_edges;
-  }
-  SARGUS_ASSIGN_OR_RETURN(part.cut_edges,
-                          ExtractCutEdges(g, part.shard_of));
   return part;
 }
 

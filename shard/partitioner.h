@@ -44,9 +44,6 @@ struct GraphPartition {
   std::vector<uint32_t> shard_of;
   /// Per shard, its member nodes in ascending id order.
   std::vector<std::vector<NodeId>> members;
-  /// Live edges whose endpoints landed on different shards (slot order).
-  std::vector<Edge> cut_edges;
-  size_t total_live_edges = 0;
 };
 
 class GraphPartitioner {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -209,7 +210,7 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   agree("during build");
   EXPECT_TRUE(f.Granted(*id));
 
-  // ...and replayed onto the new snapshot at completion: same answers,
+  // ...and rebased onto the new snapshot at completion: same answers,
   // new generation, overlay reduced to exactly the straddling delta.
   release.store(true, std::memory_order_release);
   f.engine->WaitForCompaction();
@@ -219,7 +220,7 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   EXPECT_TRUE(f.Granted(*id));
 
   // The folded graph holds the pre-freeze delta only: the 0-c->5 add
-  // (withdrawn later, so masked by the replayed overlay), not the
+  // (withdrawn later, so masked by the rebased overlay), not the
   // straddlers.
   EXPECT_TRUE(f.g.FindEdge(0, 5, co).has_value());
   EXPECT_FALSE(f.g.FindEdge(2, 3, co).has_value());
@@ -264,6 +265,168 @@ TEST(CompactionStraddle, ExplicitCompactDuringBuildChainsAFollowUp) {
   EXPECT_TRUE(f.g.FindEdge(1, 4, co).has_value());
   EXPECT_GE(builds.load(), 2);
   EXPECT_TRUE(f.Granted(5));
+}
+
+TEST(CompactionStraddle, RandomizedStraddlersAgreeWithMirror) {
+  auto gen = GenerateErdosRenyi(
+      {.base = {.num_nodes = 16, .seed = 7}, .avg_out_degree = 2.0});
+  ASSERT_TRUE(gen.ok());
+  EngineFixture f(std::move(*gen), {"friend[1,2]"}, /*owner=*/0,
+                  {.compact_threshold = 0});
+  const BoundPathExpression expr = MustBind(f.g, "friend[1,2]");
+  MirrorGraph mirror(f.g);
+  const LabelId fr = f.g.labels().Lookup("friend");
+  Rng rng(2027);
+
+  auto agree = [&](const char* when) {
+    for (NodeId req = 0; req < mirror.g.NumNodes(); ++req) {
+      const bool expected = req == 0 || mirror.Match(expr, 0, req);
+      EXPECT_EQ(f.Granted(req), expected) << when << " requester " << req;
+    }
+  };
+  auto add = [&](NodeId s, NodeId d) {
+    EXPECT_TRUE(f.engine->AddEdge(s, d, fr).ok());
+    mirror.Add(s, d, fr);
+  };
+  auto remove = [&](NodeId s, NodeId d) {
+    const bool present = mirror.g.FindEdge(s, d, fr).has_value();
+    EXPECT_EQ(f.engine->RemoveEdge(s, d, fr).ok(), present);
+    mirror.Remove(s, d, fr);
+  };
+  // One random op; a staged node always gets an edge on it.
+  auto mutate = [&] {
+    const NodeId n = static_cast<NodeId>(mirror.g.NumNodes());
+    const uint64_t kind = rng.NextBounded(8);
+    if (kind == 0) {
+      auto id = f.engine->AddNode();
+      ASSERT_TRUE(id.ok());
+      EXPECT_EQ(*id, mirror.g.AddNode());
+      add(static_cast<NodeId>(rng.NextBounded(n)), *id);
+    } else if (kind < 5) {
+      add(static_cast<NodeId>(rng.NextBounded(n)),
+          static_cast<NodeId>(rng.NextBounded(n)));
+    } else if (auto e = mirror.RandomLiveEdge(rng);
+               e.has_value() && e->label == fr) {
+      remove(e->src, e->dst);
+    }
+  };
+
+  for (int i = 0; i < 25; ++i) mutate();
+  agree("before the freeze");
+  std::vector<DeltaOverlay::EdgeTriple> frozen_adds;
+  std::vector<DeltaOverlay::EdgeTriple> frozen_removes;
+  f.engine->overlay().ForEachAdded(
+      [&](const DeltaOverlay::EdgeTriple& t) { frozen_adds.push_back(t); });
+  f.engine->overlay().ForEachRemoved(
+      [&](const DeltaOverlay::EdgeTriple& t) { frozen_removes.push_back(t); });
+  ASSERT_FALSE(frozen_adds.empty());
+  ASSERT_FALSE(frozen_removes.empty());
+
+  // Build b is held until `released` passes b.
+  std::atomic<int> builds{0};
+  std::atomic<int> released{0};
+  f.engine->SetCompactionBuildHookForTesting([&] {
+    const int b = builds.fetch_add(1);
+    while (released.load(std::memory_order_acquire) <= b) {
+      std::this_thread::yield();
+    }
+  });
+  const uint64_t gen0 = f.engine->snapshot_generation();
+  ASSERT_TRUE(f.engine->Compact().ok());
+
+  // Straddlers: random ops, frozen adds withdrawn, frozen removes
+  // restored, edges on staged nodes.
+  for (int i = 0; i < 30; ++i) {
+    const uint64_t kind = rng.NextBounded(4);
+    if (kind == 0) {
+      const auto& t = frozen_adds[rng.NextBounded(frozen_adds.size())];
+      remove(t.src, t.dst);
+    } else if (kind == 1) {
+      const auto& t = frozen_removes[rng.NextBounded(frozen_removes.size())];
+      add(t.src, t.dst);
+    } else {
+      mutate();
+    }
+  }
+  EXPECT_EQ(f.engine->snapshot_generation(), gen0);
+  agree("during the build");
+
+  // An explicit Compact() mid-build: the completion chains a follow-up,
+  // which the hook holds in turn.
+  ASSERT_TRUE(f.engine->Compact().ok());
+  released.store(1, std::memory_order_release);
+  while (f.engine->snapshot_generation() == gen0) std::this_thread::yield();
+  EXPECT_EQ(f.engine->snapshot_generation(), gen0 + 1);
+  EXPECT_TRUE(f.engine->compaction_in_flight());
+  agree("after the build");
+  for (int i = 0; i < 10; ++i) mutate();
+  agree("during the chained build");
+
+  released.store(2, std::memory_order_release);
+  f.engine->WaitForCompaction();
+  EXPECT_EQ(f.engine->snapshot_generation(), gen0 + 2);
+  EXPECT_EQ(builds.load(), 2);
+  agree("after the chain");
+
+  // Folding what the chain left leaves the graph equal to the mirror.
+  released.store(1 << 20, std::memory_order_release);
+  ASSERT_TRUE(f.engine->Compact().ok());
+  f.engine->WaitForCompaction();
+  EXPECT_TRUE(f.engine->overlay().empty());
+  EXPECT_EQ(f.g.NumNodes(), mirror.g.NumNodes());
+  EXPECT_EQ(f.g.NumEdges(), mirror.g.NumEdges());
+  for (EdgeId e = 0; e < mirror.g.EdgeSlotCount(); ++e) {
+    if (!mirror.g.IsLiveEdge(e)) continue;
+    const Edge& edge = mirror.g.edge(e);
+    EXPECT_TRUE(f.g.FindEdge(edge.src, edge.dst, edge.label).has_value());
+  }
+  agree("after the final fold");
+}
+
+TEST(CompactionStraddle, RebuildWaitsOutHeldBuild) {
+  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
+                  {.compact_threshold = 0});
+  const LabelId co = f.g.labels().Lookup("colleague");
+  const size_t base_nodes = f.g.NumNodes();
+
+  std::atomic<bool> release{false};
+  f.engine->SetCompactionBuildHookForTesting([&] {
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_TRUE(f.engine->AddEdge(0, 5, co).ok());     // frozen add
+  ASSERT_TRUE(f.engine->RemoveEdge(1, 5, co).ok());  // frozen remove
+  const uint64_t gen = f.engine->snapshot_generation();
+  ASSERT_TRUE(f.engine->Compact().ok());
+  ASSERT_TRUE(f.engine->AddEdge(0, 1, co).ok());  // straddlers
+  ASSERT_TRUE(f.engine->AddNode().ok());
+  EXPECT_TRUE(f.Granted(1));
+
+  std::atomic<bool> rebuilt{false};
+  Status rebuild_status = OkStatus();
+  std::thread rebuild([&] {
+    rebuild_status = f.engine->RebuildIndexes();
+    rebuilt.store(true, std::memory_order_release);
+  });
+  // The rebuild cannot finish while the build is held.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(rebuilt.load(std::memory_order_acquire));
+  EXPECT_EQ(f.engine->snapshot_generation(), gen);
+  release.store(true, std::memory_order_release);
+  rebuild.join();
+  ASSERT_TRUE(rebuild_status.ok()) << rebuild_status.ToString();
+
+  // The completion folded the frozen edges and the rebuild then dropped
+  // the straddlers: one generation each.
+  EXPECT_EQ(f.engine->snapshot_generation(), gen + 2);
+  EXPECT_TRUE(f.engine->overlay().empty());
+  EXPECT_TRUE(f.g.FindEdge(0, 5, co).has_value());
+  EXPECT_FALSE(f.g.FindEdge(1, 5, co).has_value());
+  EXPECT_FALSE(f.g.FindEdge(0, 1, co).has_value());
+  EXPECT_EQ(f.g.NumNodes(), base_nodes);
+  EXPECT_TRUE(f.Granted(5));
+  EXPECT_FALSE(f.Granted(1));
 }
 
 // ---- Background compaction: concurrent chaos (TSan target) ------------------

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -101,6 +103,125 @@ TEST(DeltaOverlay, ForEachNeighborEdgeMergesBaseAndDelta) {
     return true;
   }));
   EXPECT_EQ(seen, 1);
+}
+
+TEST(DeltaOverlay, SinceMatchesLogicalDifference) {
+  using Triple = std::tuple<NodeId, NodeId, LabelId>;
+  using TripleSet = std::set<Triple>;
+  // base ⊕ overlay: base minus the removes, plus the adds.
+  auto apply = [](TripleSet base, const DeltaOverlay& ov) {
+    ov.ForEachRemoved([&](const DeltaOverlay::EdgeTriple& t) {
+      base.erase({t.src, t.dst, t.label});
+    });
+    ov.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) {
+      base.insert({t.src, t.dst, t.label});
+    });
+    return base;
+  };
+  auto triples = [](const DeltaOverlay& ov, bool added) {
+    std::vector<Triple> out;
+    auto push = [&](const DeltaOverlay::EdgeTriple& t) {
+      out.emplace_back(t.src, t.dst, t.label);
+    };
+    if (added) {
+      ov.ForEachAdded(push);
+    } else {
+      ov.ForEachRemoved(push);
+    }
+    std::sort(out.begin(), out.end());  // deterministic picks
+    return out;
+  };
+
+  size_t withdrawn = 0;
+  size_t restored = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    constexpr NodeId kBaseNodes = 12;
+    TripleSet base;
+    for (int i = 0; i < 40; ++i) {
+      base.insert({static_cast<NodeId>(rng.NextBounded(kBaseNodes)),
+                   static_cast<NodeId>(rng.NextBounded(kBaseNodes)),
+                   static_cast<LabelId>(rng.NextBounded(2))});
+    }
+
+    // Staging by the engine's rules: an add of a base triple withdraws
+    // its remove, a remove of a staged add withdraws the add, and only
+    // base triples are ever staged as removed.
+    DeltaOverlay live;
+    auto stage_add = [&](const Triple& t) {
+      const auto [s, d, l] = t;
+      if (base.contains(t)) {
+        return live.UnstageRemove(s, d, l);
+      }
+      return live.StageAdd(s, d, l);
+    };
+    auto stage_remove = [&](const Triple& t) {
+      const auto [s, d, l] = t;
+      if (live.UnstageAdd(s, d, l)) return true;
+      return base.contains(t) && live.StageRemove(s, d, l);
+    };
+    auto random_op = [&] {
+      const NodeId n = kBaseNodes + live.num_staged_nodes();
+      const Triple t{static_cast<NodeId>(rng.NextBounded(n)),
+                     static_cast<NodeId>(rng.NextBounded(n)),
+                     static_cast<LabelId>(rng.NextBounded(2))};
+      const uint64_t kind = rng.NextBounded(8);
+      if (kind == 0) {
+        (void)live.StageNode();
+      } else if (kind < 5) {
+        (void)stage_add(t);
+      } else {
+        (void)stage_remove(t);
+      }
+    };
+
+    for (int i = 0; i < 30; ++i) random_op();
+    const DeltaOverlay frozen = live;
+
+    // Later staging: random ops, plus withdrawing frozen adds, restoring
+    // frozen removes and edges on nodes staged after the freeze.
+    const std::vector<Triple> frozen_adds = triples(frozen, true);
+    const std::vector<Triple> frozen_removes = triples(frozen, false);
+    for (int i = 0; i < 30; ++i) {
+      const uint64_t kind = rng.NextBounded(4);
+      if (kind == 0 && !frozen_adds.empty()) {
+        if (stage_remove(frozen_adds[rng.NextBounded(frozen_adds.size())])) {
+          ++withdrawn;
+        }
+      } else if (kind == 1 && !frozen_removes.empty()) {
+        if (stage_add(frozen_removes[rng.NextBounded(frozen_removes.size())])) {
+          ++restored;
+        }
+      } else if (kind == 2) {
+        const NodeId fresh = kBaseNodes + live.StageNode();
+        (void)stage_add({static_cast<NodeId>(rng.NextBounded(kBaseNodes)),
+                         fresh, 0});
+      } else {
+        random_op();
+      }
+    }
+
+    const DeltaOverlay since = live.Since(frozen);
+    const TripleSet folded = apply(base, frozen);
+    EXPECT_EQ(apply(folded, since), apply(base, live)) << "seed " << seed;
+    for (const Triple& t : triples(since, true)) {
+      const auto [s, d, l] = t;
+      EXPECT_FALSE(folded.contains(t)) << "seed " << seed;
+      const auto out = since.AddedOut(s, l);
+      EXPECT_NE(std::find(out.begin(), out.end(), d), out.end());
+      const auto in = since.AddedIn(d, l);
+      EXPECT_NE(std::find(in.begin(), in.end(), s), in.end());
+    }
+    for (const Triple& t : triples(since, false)) {
+      EXPECT_TRUE(folded.contains(t)) << "seed " << seed;
+    }
+    EXPECT_EQ(since.num_staged_nodes(),
+              live.num_staged_nodes() - frozen.num_staged_nodes());
+    EXPECT_EQ(since.version(), live.version());
+  }
+  // The seeds reach both rebasing cases, not just carried-over triples.
+  EXPECT_GT(withdrawn, 0u);
+  EXPECT_GT(restored, 0u);
 }
 
 // ---- Engine mutations -------------------------------------------------------
