@@ -110,7 +110,7 @@ void BM_CsrBuild(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CsrBuild)
-    ->ArgsProduct({{16384, 262144}, {3, 64}, {0}})
+    ->ArgsProduct({{16384, 65536, 262144}, {3, 64}, {0}})
     ->Args({262144, 3, 1})
     ->Unit(benchmark::kMillisecond);
 

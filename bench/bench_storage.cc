@@ -11,10 +11,11 @@
 ///    saved bundle plus a WAL tail of kTailMutations records (load,
 ///    checksum-verify every section, adopt, derive the CSR's in-side and
 ///    the graph's edge slots, replay). The `speedup_vs_rebuild` counter
-///    at 256k nodes is the subsystem's headline series: 1.6–1.8x on 4
+///    at 256k nodes is the subsystem's headline series: ~1.3x on 4
 ///    vCPUs against a CSR-only rebuild with the v6 bundle, which stores
-///    each edge once and derives the rest (2.2–2.6x with v5, which read
-///    those copies from disk). `bundle_bytes` tracks on-disk size: 14.7
+///    each edge once and derives the rest, and a CSR build chunked over
+///    every core on both sides (1.6–1.8x while the build ran on one
+///    thread; 2.2–2.6x with v5, which read those copies from disk). `bundle_bytes` tracks on-disk size: 14.7
 ///    MB at 256k nodes (55.1 MB with v5);
 ///  * BM_SaveSnapshot: writer-observed SaveSnapshot() latency (the
 ///    streamed serialize + atomic-publish cost compaction pays off the

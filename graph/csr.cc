@@ -1,7 +1,12 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/parallel.h"
 #include "graph/delta_overlay.h"
 
 namespace sargus {
@@ -10,6 +15,81 @@ namespace {
 
 using Entry = CsrSnapshot::Entry;
 
+/// A build runs on one thread until it has this many entries per core.
+/// A spawned or woken thread starts about one 4 ms scheduler tick after
+/// the one before it, so four chunks of 2 ms each take 8 ms; at 2^18
+/// entries a chunk's share of the build outlasts that stagger. A
+/// 262,144-node Barabási–Albert graph (1.57M edges) gets four chunks, a
+/// 65,536-node one (393k edges) stays on one.
+constexpr size_t kMinEntriesPerChunk = size_t{1} << 18;
+
+/// Ranges up to this length sort by insertion, longer ones by std::sort
+/// (out-side) or a counting pass over their labels (in-side).
+constexpr size_t kShortRange = 32;
+
+size_t NumChunks(size_t entries) {
+  const size_t wanted = entries / kMinEntriesPerChunk;
+  if (wanted <= 1) return 1;  // skips the core count's file read
+  return std::min<size_t>(wanted,
+                          std::max(1u, std::thread::hardware_concurrency()));
+}
+
+/// Splits nodes [0, offsets.size() - 1) into `chunks` ranges of about
+/// equal entry count: range c is [bounds[c], bounds[c + 1]).
+std::vector<size_t> NodeBounds(const std::vector<uint32_t>& offsets,
+                               size_t chunks) {
+  const size_t n = offsets.size() - 1;
+  std::vector<size_t> bounds(chunks + 1, n);
+  bounds[0] = 0;
+  for (size_t c = 1; c < chunks; ++c) {
+    const uint64_t target = uint64_t{offsets[n]} * c / chunks;
+    bounds[c] = static_cast<size_t>(
+        std::lower_bound(offsets.begin(), offsets.begin() + n, target) -
+        offsets.begin());
+  }
+  return bounds;
+}
+
+/// Lays the inputs [bounds[0], bounds[chunks]) out by key, one chunk per
+/// thread. `for_each(begin, end, fn)` calls fn(key, entry) for every item
+/// at inputs [begin, end), in input order and the same way on each of its
+/// two calls. Chunk c counts its inputs into its own per-key array; the
+/// prefix pass turns those counts into cursors that start chunk c after
+/// every earlier chunk in each range, so every range holds its entries
+/// in input order, as a serial scatter would, without an atomic.
+template <typename ForEach>
+void ChunkedScatter(size_t num_keys, const std::vector<size_t>& bounds,
+                    const ForEach& for_each, std::vector<uint32_t>* offsets,
+                    std::vector<Entry>* entries) {
+  const size_t chunks = bounds.size() - 1;
+  auto cursors = std::make_unique_for_overwrite<uint32_t[]>(chunks * num_keys);
+  ParallelFor(chunks, [&](size_t c) {
+    uint32_t* count = cursors.get() + c * num_keys;
+    std::fill(count, count + num_keys, 0);
+    for_each(bounds[c], bounds[c + 1],
+             [count](NodeId key, const Entry&) { ++count[key]; });
+  });
+  offsets->assign(num_keys + 1, 0);
+  uint32_t total = 0;
+  for (size_t v = 0; v < num_keys; ++v) {
+    (*offsets)[v] = total;
+    for (size_t c = 0; c < chunks; ++c) {
+      uint32_t& at = cursors[c * num_keys + v];
+      total += std::exchange(at, total);
+    }
+  }
+  (*offsets)[num_keys] = total;
+  entries->resize(total);
+  ParallelFor(chunks, [&](size_t c) {
+    uint32_t* cursor = cursors.get() + c * num_keys;
+    Entry* out = entries->data();
+    for_each(bounds[c], bounds[c + 1], [cursor, out](NodeId key,
+                                                     const Entry& e) {
+      out[cursor[key]++] = e;
+    });
+  });
+}
+
 /// (label, other) order. The graph coalesces duplicate (src, dst, label)
 /// triples, so within one node's range the key is unique and any sort by
 /// it gives the same result.
@@ -17,24 +97,38 @@ bool LabelOtherLess(const Entry& a, const Entry& b) {
   return a.label != b.label ? a.label < b.label : a.other < b.other;
 }
 
+/// Stable insertion sort, the fastest way to order a short range.
+template <typename Less>
+void InsertionSort(Entry* first, Entry* last, const Less& less) {
+  if (last - first < 2) return;
+  for (Entry* i = first + 1; i < last; ++i) {
+    const Entry x = *i;
+    Entry* j = i;
+    for (; j > first && less(x, j[-1]); --j) *j = j[-1];
+    *j = x;
+  }
+}
+
+/// Sorts an out-range by (label, other).
+void SortOutRange(Entry* first, Entry* last) {
+  if (static_cast<size_t>(last - first) <= kShortRange) {
+    InsertionSort(first, last, LabelOtherLess);
+  } else {
+    std::sort(first, last, LabelOtherLess);
+  }
+}
+
 /// Stable sort of in-ranges by label. Each range arrives sorted by
-/// `other`, so the result is (label, other) order. One instance is
-/// shared across all ranges so the long-range scratch is allocated once.
+/// `other`, so the result is (label, other) order. One instance serves
+/// all of a chunk's ranges so the long-range scratch is allocated once.
 class StableLabelSorter {
  public:
-  /// Ranges up to this length sort by insertion, longer ones by a
-  /// counting pass over their labels.
-  static constexpr size_t kShortRange = 32;
-
   void Sort(Entry* first, Entry* last) {
     const size_t n = static_cast<size_t>(last - first);
     if (n <= kShortRange) {
-      for (Entry* i = first + 1; i < last; ++i) {
-        const Entry x = *i;
-        Entry* j = i;
-        for (; j > first && x.label < j[-1].label; --j) *j = j[-1];
-        *j = x;
-      }
+      InsertionSort(first, last, [](const Entry& a, const Entry& b) {
+        return a.label < b.label;
+      });
       return;
     }
     LabelId lo = first->label;
@@ -69,68 +163,73 @@ class StableLabelSorter {
 }  // namespace
 
 template <typename ForEachEdge>
-CsrSnapshot CsrSnapshot::Scatter(size_t num_nodes,
+CsrSnapshot CsrSnapshot::Scatter(size_t num_nodes, size_t num_inputs,
                                  const ForEachEdge& for_each_edge) {
   CsrSnapshot snap;
   snap.num_nodes_ = num_nodes;
-  snap.out_offsets_.assign(num_nodes + 1, 0);
 
-  // Counting pass.
-  for_each_edge([&](const Edge& rec) { ++snap.out_offsets_[rec.src + 1]; });
-  for (size_t v = 0; v < num_nodes; ++v) {
-    snap.out_offsets_[v + 1] += snap.out_offsets_[v];
-  }
-  snap.out_entries_.resize(snap.out_offsets_[num_nodes]);
-
-  // Out-side: scatter by source, then sort each range by (label, dst).
-  std::vector<uint32_t> cursor(snap.out_offsets_.begin(),
-                               snap.out_offsets_.end() - 1);
-  for_each_edge([&](const Edge& rec) {
-    snap.out_entries_[cursor[rec.src]++] = {rec.dst, rec.label};
+  // Out-side: scatter by source, chunked over the inputs, then sort each
+  // range by (label, dst) over node ranges of equal entry count.
+  const size_t chunks = NumChunks(num_inputs);
+  std::vector<size_t> inputs(chunks + 1);
+  for (size_t c = 0; c <= chunks; ++c) inputs[c] = num_inputs * c / chunks;
+  ChunkedScatter(
+      num_nodes, inputs,
+      [&for_each_edge](size_t begin, size_t end, const auto& fn) {
+        for_each_edge(begin, end, [&fn](const Edge& rec) {
+          fn(rec.src, Entry{rec.dst, rec.label});
+        });
+      },
+      &snap.out_offsets_, &snap.out_entries_);
+  const std::vector<size_t> nodes = NodeBounds(snap.out_offsets_, chunks);
+  ParallelFor(chunks, [&snap, &nodes](size_t c) {
+    Entry* out = snap.out_entries_.data();
+    for (size_t v = nodes[c]; v < nodes[c + 1]; ++v) {
+      SortOutRange(out + snap.out_offsets_[v], out + snap.out_offsets_[v + 1]);
+    }
   });
-  Entry* out = snap.out_entries_.data();
-  for (size_t v = 0; v < num_nodes; ++v) {
-    std::sort(out + snap.out_offsets_[v], out + snap.out_offsets_[v + 1],
-              LabelOtherLess);
-  }
   snap.DeriveInSide();
   return snap;
 }
 
 void CsrSnapshot::DeriveInSide() {
-  in_offsets_.assign(num_nodes_ + 1, 0);
-  for (const Entry& e : out_entries_) ++in_offsets_[e.other + 1];
-  for (size_t v = 0; v < num_nodes_; ++v) {
-    in_offsets_[v + 1] += in_offsets_[v];
-  }
-  in_entries_.resize(out_entries_.size());
-
-  // Transpose in source order, so every in-range comes out sorted by
-  // source; a stable pass by label then leaves it in (label, src) order.
-  std::vector<uint32_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    for (const Entry& e : Out(v)) {
-      in_entries_[cursor[e.other]++] = {v, e.label};
-    }
-  }
-  Entry* in = in_entries_.data();
-  StableLabelSorter sorter;
-  for (size_t v = 0; v < num_nodes_; ++v) {
-    sorter.Sort(in + in_offsets_[v], in + in_offsets_[v + 1]);
-  }
-}
-
-CsrSnapshot CsrSnapshot::Build(const SocialGraph& g) {
-  return Scatter(g.NumNodes(), [&g](auto&& fn) {
-    for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-      if (g.IsLiveEdge(e)) fn(g.edge(e));
+  // Transpose in source order, chunked over source ranges, so every
+  // in-range comes out sorted by source; a stable pass by label then
+  // leaves it in (label, src) order.
+  const size_t chunks = NumChunks(out_entries_.size());
+  ChunkedScatter(
+      num_nodes_, NodeBounds(out_offsets_, chunks),
+      [this](size_t begin, size_t end, const auto& fn) {
+        for (size_t v = begin; v < end; ++v) {
+          for (const Entry& e : Out(static_cast<NodeId>(v))) {
+            fn(e.other, Entry{static_cast<NodeId>(v), e.label});
+          }
+        }
+      },
+      &in_offsets_, &in_entries_);
+  const std::vector<size_t> nodes = NodeBounds(in_offsets_, chunks);
+  ParallelFor(chunks, [this, &nodes](size_t c) {
+    Entry* in = in_entries_.data();
+    StableLabelSorter sorter;
+    for (size_t v = nodes[c]; v < nodes[c + 1]; ++v) {
+      sorter.Sort(in + in_offsets_[v], in + in_offsets_[v + 1]);
     }
   });
 }
 
+CsrSnapshot CsrSnapshot::Build(const SocialGraph& g) {
+  return Scatter(g.NumNodes(), g.EdgeSlotCount(),
+                 [&g](size_t begin, size_t end, const auto& fn) {
+                   for (EdgeId e = begin; e < end; ++e) {
+                     if (g.IsLiveEdge(e)) fn(g.edge(e));
+                   }
+                 });
+}
+
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
                                const DeltaOverlay& overlay) {
-  // Staged removals are resolved to slots once, before the two passes of
+  // The inputs are the edge slots, then the staged additions. Staged
+  // removals are resolved to slots once, before the two passes of
   // Scatter, and only edges whose source has a staged removal pay a hash
   // probe. A staged addition the graph already holds live (added outside
   // the engine since the last rebuild) stays one edge, as the fold keeps
@@ -156,14 +255,18 @@ CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
                    overlay.IsRemoved(rec.src, rec.dst, rec.label);
     }
   }
+  const size_t slots = g.EdgeSlotCount();
   return Scatter(
-      g.NumNodes() + overlay.num_staged_nodes(), [&](auto&& fn) {
-        for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+      g.NumNodes() + overlay.num_staged_nodes(), slots + added.size(),
+      [&](size_t begin, size_t end, const auto& fn) {
+        for (EdgeId e = begin; e < std::min(end, slots); ++e) {
           if (g.IsLiveEdge(e) && (removed.empty() || !removed[e])) {
             fn(g.edge(e));
           }
         }
-        for (const Edge& rec : added) fn(rec);
+        for (size_t i = std::max(begin, slots); i < end; ++i) {
+          fn(added[i - slots]);
+        }
       });
 }
 

@@ -12,10 +12,24 @@
 /// binary search.
 ///
 /// The out-side is the one copy of the snapshot's edges; the bundle
-/// stores only it. Build scatters it straight from the edge slots and
-/// sorts each range. The in-side is always derived: the finished
-/// out-side transposed in source order, which leaves only a stable
-/// by-label pass per range. Build and the bundle loader share that step.
+/// stores only it. The in-side is always derived from it. Both sides are
+/// laid out by the same chunked counting scatter:
+///  - the input (edge slots for the out-side, source nodes for the
+///    in-side) is cut into contiguous chunks, one per thread, and each
+///    chunk counts its share into its own per-node array;
+///  - a prefix pass turns the counts into cursors that start chunk c
+///    after every earlier chunk in each node's range, so each range holds
+///    its entries in input order, exactly as a serial pass would, and no
+///    two threads write the same slot;
+///  - each out-range is then sorted by (label, other), and each in-range,
+///    which the transpose leaves in source order, gets a stable pass by
+///    label, over node ranges of equal entry count.
+/// The result is byte-identical whatever the chunk count. A build uses
+/// min(cores, entries / 2^18) chunks, at least one: on a 4-vCPU host a
+/// new thread started about one 4 ms scheduler tick after the one before
+/// it, so a smaller build runs on the calling thread alone, and a
+/// compaction of a graph above that floor briefly uses every core. Build
+/// and the bundle loader share the in-side step.
 
 #include <cstdint>
 #include <span>
@@ -93,16 +107,19 @@ class CsrSnapshot {
   static std::span<const Entry> LabelRange(std::span<const Entry> all,
                                            LabelId label);
 
-  /// Shared core of both Build overloads. `for_each_edge(fn)` calls
-  /// fn(const Edge&) once per logical edge, in the same order on each of
-  /// its two calls (count, then fill).
+  /// Shared core of both Build overloads, over `num_inputs` input
+  /// positions. `for_each_edge(begin, end, fn)` calls fn(const Edge&)
+  /// once per logical edge at positions [begin, end), in position order
+  /// and the same way on every call; calls for disjoint ranges run
+  /// concurrently.
   template <typename ForEachEdge>
-  static CsrSnapshot Scatter(size_t num_nodes,
+  static CsrSnapshot Scatter(size_t num_nodes, size_t num_inputs,
                              const ForEachEdge& for_each_edge);
 
   /// Fills the in-side from the finished, (label, other)-sorted
-  /// out-side: a transpose in source order, then a stable pass by label.
-  /// Scatter and the bundle loader both end here.
+  /// out-side: a transpose in source order, then a stable pass by label,
+  /// both chunked like the out-side. Scatter and the bundle loader both
+  /// end here.
   void DeriveInSide();
 
   size_t num_nodes_ = 0;

@@ -1,11 +1,10 @@
 #include "storage/snapshot_loader.h"
 
-#include <algorithm>
-#include <atomic>
 #include <limits>
-#include <thread>
 #include <utility>
 #include <vector>
+
+#include "common/parallel.h"
 
 namespace sargus::storage {
 
@@ -199,13 +198,12 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
     seen |= kind_bit;
   }
 
-  // Read, verify and adopt sections concurrently when the machine has
-  // the cores for it: each section is one pass of pread + hash + column
-  // copies, so on a multi-core box the bundle-wide wall time collapses
-  // to the cost of the largest section. Workers share the descriptor
-  // through pread (no file position) and write disjoint destinations,
-  // so the fan-out is race-free; on a single-CPU box the loop runs
-  // inline and pays no thread overhead.
+  // Read, verify and adopt the (at most three) sections concurrently:
+  // each section is one pass of pread + hash + column copies, so on a
+  // multi-core box the bundle-wide wall time collapses to the cost of
+  // the largest section. Workers share the descriptor through pread (no
+  // file position) and write disjoint destinations, so the fan-out is
+  // race-free; on a single-CPU box ParallelFor runs them inline.
   std::vector<Status> statuses(info.sections.size());
   auto run_section = [&file, &info, &out, &statuses](size_t i) {
     const BundleInfo::Section& s = info.sections[i];
@@ -231,24 +229,7 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
     }
     if (statuses[i].ok()) statuses[i] = decoded;
   };
-  const size_t num_workers =
-      std::min<size_t>(info.sections.size(),
-                       std::max(1u, std::thread::hardware_concurrency()));
-  if (num_workers <= 1) {
-    for (size_t i = 0; i < info.sections.size(); ++i) run_section(i);
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(num_workers);
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&next, &run_section, &info] {
-        for (size_t i; (i = next.fetch_add(1)) < info.sections.size();) {
-          run_section(i);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-  }
+  ParallelFor(info.sections.size(), run_section);
   for (const Status& st : statuses) {
     SARGUS_RETURN_IF_ERROR(st);
   }

@@ -101,15 +101,28 @@ void FoldWithShuffledAdditions(SocialGraph& g, const DeltaOverlay& overlay,
   }
 }
 
+/// Expects `side` range `v` to hold the same entries in `a` and `b`.
+/// The message is built only on a mismatch, so a million-edge graph
+/// compares in one pass.
 void ExpectSameEntries(std::span<const CsrSnapshot::Entry> a,
                        std::span<const CsrSnapshot::Entry> b,
-                       const std::string& where) {
-  ASSERT_EQ(a.size(), b.size()) << where;
+                       const std::string& where, const char* side, NodeId v) {
+  auto same = [](const CsrSnapshot::Entry& x, const CsrSnapshot::Entry& y) {
+    return x.other == y.other && x.label == y.label;
+  };
+  if (std::equal(a.begin(), a.end(), b.begin(), b.end(), same)) return;
+  const std::string at = where + " " + side + " of " + std::to_string(v);
+  ASSERT_EQ(a.size(), b.size()) << at;
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].other, b[i].other) << where << " entry " << i;
-    EXPECT_EQ(a[i].label, b[i].label) << where << " entry " << i;
+    EXPECT_EQ(a[i].other, b[i].other) << at << " entry " << i;
+    EXPECT_EQ(a[i].label, b[i].label) << at << " entry " << i;
   }
 }
+
+/// An input with at least this many edges, four times the build's
+/// 2^18-entry floor per chunk, builds in four chunks on a machine with
+/// four or more cores.
+constexpr size_t kFourChunkEdges = size_t{4} << 18;
 
 // ---- The build against a reference ----------------------------------------
 
@@ -164,10 +177,8 @@ void ExpectMatchesReference(const SocialGraph& g, const std::string& where) {
         side.offsets[v + 1] - side.offsets[v]);
   };
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    ExpectSameEntries(csr.Out(v), range(out, v),
-                      where + " out of " + std::to_string(v));
-    ExpectSameEntries(csr.In(v), range(in, v),
-                      where + " in of " + std::to_string(v));
+    ExpectSameEntries(csr.Out(v), range(out, v), where, "out", v);
+    ExpectSameEntries(csr.In(v), range(in, v), where, "in", v);
   }
 }
 
@@ -213,6 +224,17 @@ void AddEdgeCases(SocialGraph& g, Rng& rng) {
   }
 }
 
+/// Checks the build of `g` against the reference, then again after
+/// AddEdgeCases.
+void ExpectMatchesReferenceWithEdgeCases(SocialGraph g, uint64_t seed,
+                                         const std::string& where) {
+  ExpectMatchesReference(g, where);
+  Rng rng(seed);
+  AddEdgeCases(g, rng);
+  ASSERT_GT(CsrSnapshot::Build(g).In(0).size(), 32u) << where;
+  ExpectMatchesReference(g, where + " with edge cases");
+}
+
 TEST(CsrSnapshot, BuildMatchesReference) {
   for (const size_t num_labels : {1u, 3u, 64u}) {
     for (int kind = 0; kind < 3; ++kind) {
@@ -224,15 +246,24 @@ TEST(CsrSnapshot, BuildMatchesReference) {
                  : kind == 1 ? GenerateBarabasiAlbert({.base = base})
                              : GenerateWattsStrogatz({.base = base});
       ASSERT_TRUE(gen.ok());
-      SocialGraph g = std::move(*gen);
-      const std::string where = "kind " + std::to_string(kind) + " labels " +
-                                std::to_string(num_labels);
-      ExpectMatchesReference(g, where);
-      Rng rng(seed);
-      AddEdgeCases(g, rng);
-      ASSERT_GT(CsrSnapshot::Build(g).In(0).size(), 32u) << where;
-      ExpectMatchesReference(g, where + " with edge cases");
+      ExpectMatchesReferenceWithEdgeCases(
+          std::move(*gen), seed,
+          "kind " + std::to_string(kind) + " labels " +
+              std::to_string(num_labels));
     }
+  }
+  // A graph large enough that every stage of the build runs in several
+  // chunks, each writing its own share of every range.
+  for (const size_t num_labels : {3u, 64u}) {
+    auto gen = GenerateBarabasiAlbert({.base = {.num_nodes = 200000,
+                                                .seed = 23,
+                                                .labels = LabelNames(
+                                                    num_labels)}});
+    ASSERT_TRUE(gen.ok());
+    ASSERT_GE(gen->NumEdges(), kFourChunkEdges);
+    ExpectMatchesReferenceWithEdgeCases(
+        std::move(*gen), 23,
+        "large labels " + std::to_string(num_labels));
   }
 }
 
@@ -242,20 +273,24 @@ TEST(CsrSnapshot, BuildMatchesReference) {
 // build equals a plain rebuild after the fold, entry for entry, whatever
 // order the fold adds edges in.
 TEST(CsrSnapshot, MergedBuildMatchesPostFoldRebuild) {
-  // Seeds 7 and 8 draw from a 64-label alphabet.
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
+  // Seeds 7 and 8 draw from a 64-label alphabet; seed 10 builds in
+  // several chunks.
+  for (const uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8, 10}) {
+    const bool large = seed == 10;
     const SocialGraphSpec spec{
-        .num_nodes = 40,
+        .num_nodes = large ? 200000u : 40u,
         .seed = seed,
-        .labels = seed <= 6 ? SocialGraphSpec{}.labels : LabelNames(64)};
+        .labels = seed <= 6 || large ? SocialGraphSpec{}.labels
+                                     : LabelNames(64)};
     auto gen = seed % 2 == 0
-                   ? GenerateBarabasiAlbert({.base = spec, .edges_per_node = 3})
+                   ? GenerateBarabasiAlbert(
+                         {.base = spec, .edges_per_node = large ? 4u : 3u})
                    : GenerateErdosRenyi({.base = spec, .avg_out_degree = 2.5});
     ASSERT_TRUE(gen.ok());
     SocialGraph g = std::move(*gen);
     const size_t n = g.NumNodes();
     const size_t num_labels = g.labels().size();
-    ASSERT_GT(g.NumEdges(), 0u);
+    ASSERT_GE(g.NumEdges(), large ? kFourChunkEdges : 1u);
     Rng rng(4200 + seed);
 
     // Live base triples, to remove from.
@@ -322,10 +357,8 @@ TEST(CsrSnapshot, MergedBuildMatchesPostFoldRebuild) {
     ASSERT_EQ(merged.NumEdges(), rebuilt.NumEdges()) << label;
     EXPECT_EQ(merged.NumNodes(), logical) << label;
     for (NodeId v = 0; v < merged.NumNodes(); ++v) {
-      ExpectSameEntries(merged.Out(v), rebuilt.Out(v),
-                        label + " out of " + std::to_string(v));
-      ExpectSameEntries(merged.In(v), rebuilt.In(v),
-                        label + " in of " + std::to_string(v));
+      ExpectSameEntries(merged.Out(v), rebuilt.Out(v), label, "out", v);
+      ExpectSameEntries(merged.In(v), rebuilt.In(v), label, "in", v);
     }
   }
 }

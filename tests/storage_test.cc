@@ -1091,6 +1091,23 @@ std::set<std::tuple<NodeId, NodeId, LabelId>> LiveTriples(
 // the graph's slots from it: the saved live triples, one dense slot each
 // (the saved graph's tombstones are gone), and a CSR equal on both sides
 // to a fresh build over the saved graph.
+void ExpectSameCsr(const CsrSnapshot& loaded, const CsrSnapshot& expected) {
+  ASSERT_EQ(loaded.NumNodes(), expected.NumNodes());
+  ASSERT_EQ(loaded.NumEdges(), expected.NumEdges());
+  auto same = [](std::span<const CsrSnapshot::Entry> a,
+                 std::span<const CsrSnapshot::Entry> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const CsrSnapshot::Entry& x,
+                         const CsrSnapshot::Entry& y) {
+                        return x.other == y.other && x.label == y.label;
+                      });
+  };
+  for (NodeId v = 0; v < expected.NumNodes(); ++v) {
+    ASSERT_TRUE(same(loaded.Out(v), expected.Out(v))) << "out of " << v;
+    ASSERT_TRUE(same(loaded.In(v), expected.In(v))) << "in of " << v;
+  }
+}
+
 TEST(Bundle, ReopenRefillsGraphFromCsr) {
   TempDir dir;
   auto generated = GenerateBarabasiAlbert(
@@ -1119,23 +1136,30 @@ TEST(Bundle, ReopenRefillsGraphFromCsr) {
     }
   }
 
-  const CsrSnapshot expected = CsrSnapshot::Build(g);
-  const auto view = (*reopened)->AcquireReadView();
-  const CsrSnapshot& loaded = view->csr();
-  ASSERT_EQ(loaded.NumNodes(), expected.NumNodes());
-  ASSERT_EQ(loaded.NumEdges(), expected.NumEdges());
-  auto same = [](std::span<const CsrSnapshot::Entry> a,
-                 std::span<const CsrSnapshot::Entry> b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                      [](const CsrSnapshot::Entry& x,
-                         const CsrSnapshot::Entry& y) {
-                        return x.other == y.other && x.label == y.label;
-                      });
-  };
-  for (NodeId v = 0; v < expected.NumNodes(); ++v) {
-    ASSERT_TRUE(same(loaded.Out(v), expected.Out(v))) << "out of " << v;
-    ASSERT_TRUE(same(loaded.In(v), expected.In(v))) << "in of " << v;
+  ExpectSameCsr((*reopened)->AcquireReadView()->csr(), CsrSnapshot::Build(g));
+}
+
+// A bundle large enough that the loader derives the in-side in several
+// chunks reopens to the CSR a build of the graph gives, range for range.
+TEST(Bundle, MultiChunkBundleReopensToSameCsr) {
+  TempDir dir;
+  auto generated =
+      GenerateBarabasiAlbert({.base = {.num_nodes = 200000, .seed = 29}});
+  ASSERT_TRUE(generated.ok());
+  SocialGraph g = std::move(*generated);
+  ASSERT_GE(g.NumEdges(), size_t{4} << 18);  // four of the build's chunks
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); e += 97) {
+    ASSERT_TRUE(g.RemoveEdge(e).ok());
   }
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+
+  SocialGraph h;
+  auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &h, store);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectSameCsr((*reopened)->AcquireReadView()->csr(), CsrSnapshot::Build(g));
 }
 
 // ---- Recovery ordering ------------------------------------------------------
