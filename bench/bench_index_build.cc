@@ -15,7 +15,9 @@
 /// BM_CsrBuild times the one build the engine does serve: the CSR
 /// snapshot, over BA graphs at 3 and 64 labels (its cost must not grow
 /// with the label count), plus the merged build a background compaction
-/// runs over graph ⊕ overlay.
+/// runs over graph ⊕ overlay, and the build followed by the first In(),
+/// which derives the in-side: the full cost for a rule set with a
+/// backward step.
 
 #include <benchmark/benchmark.h>
 
@@ -71,13 +73,15 @@ BENCHMARK(BM_FullPipeline)
 
 // ---- The serving build: the CSR snapshot -----------------------------------
 
-// Args: nodes, labels, merged. With merged = 1 the build runs over an
-// overlay whose size is 1/16 of the edge count: every 32nd live edge
-// staged for removal and as many new edges staged for addition.
+// Args: nodes, labels, mode. Mode 0 is the plain build. Mode 1 runs the
+// build over an overlay whose size is 1/16 of the edge count: every 32nd
+// live edge staged for removal and as many new edges staged for
+// addition. Mode 2 is the plain build plus the in-side derivation.
 void BM_CsrBuild(benchmark::State& state) {
   const size_t nodes = static_cast<size_t>(state.range(0));
   const size_t num_labels = static_cast<size_t>(state.range(1));
-  const bool merged = state.range(2) != 0;
+  const bool merged = state.range(2) == 1;
+  const bool in_side = state.range(2) == 2;
   SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, nodes, num_labels, 42);
   DeltaOverlay overlay;
   if (merged) {
@@ -101,6 +105,7 @@ void BM_CsrBuild(benchmark::State& state) {
         merged ? CsrSnapshot::Build(g, overlay) : CsrSnapshot::Build(g);
     edges = csr.NumEdges();
     benchmark::DoNotOptimize(csr.Out(0).data());
+    if (in_side) benchmark::DoNotOptimize(csr.In(0).data());
     benchmark::ClobberMemory();
   }
   state.counters["edges"] = static_cast<double>(edges);
@@ -112,6 +117,8 @@ void BM_CsrBuild(benchmark::State& state) {
 BENCHMARK(BM_CsrBuild)
     ->ArgsProduct({{16384, 65536, 262144}, {3, 64}, {0}})
     ->Args({262144, 3, 1})
+    ->Args({65536, 3, 2})
+    ->Args({262144, 3, 2})
     ->Unit(benchmark::kMillisecond);
 
 // ---- Per-stage breakdown on a fixed mid-size graph -------------------------

@@ -9,14 +9,14 @@
 ///    already-loaded graph and RebuildIndexes() (the CSR);
 ///  * BM_ColdStartOpenFromDir: the durable path — OpenFromDir() over a
 ///    saved bundle plus a WAL tail of kTailMutations records (load,
-///    checksum-verify every section, adopt, derive the CSR's in-side and
-///    the graph's edge slots, replay). The `speedup_vs_rebuild` counter
-///    at 256k nodes is the subsystem's headline series: ~1.3x on 4
-///    vCPUs against a CSR-only rebuild with the v6 bundle, which stores
-///    each edge once and derives the rest, and a CSR build chunked over
-///    every core on both sides (1.6–1.8x while the build ran on one
-///    thread; 2.2–2.6x with v5, which read those copies from disk). `bundle_bytes` tracks on-disk size: 14.7
-///    MB at 256k nodes (55.1 MB with v5);
+///    checksum-verify every section, adopt, derive the graph's edge
+///    slots, replay; the rule walks forward, so neither side derives the
+///    CSR's in-side). The `speedup_vs_rebuild` counter at 256k nodes is
+///    the subsystem's headline series: ~0.9–1.0 on 4 vCPUs against a
+///    CSR-only rebuild chunked over every core (1.3x while both sides
+///    derived the in-side; 2.2–2.6x with the v5 bundle, which read the
+///    in-side and the edge slots from disk). `bundle_bytes` tracks
+///    on-disk size: 14.7 MB at 256k nodes (55.1 MB with v5);
 ///  * BM_SaveSnapshot: writer-observed SaveSnapshot() latency (the
 ///    streamed serialize + atomic-publish cost compaction pays off the
 ///    serving path).

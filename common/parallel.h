@@ -4,8 +4,8 @@
 /// \file parallel.h
 /// \brief ParallelFor: fork-join over a handful of tasks, one thread each.
 ///
-/// The library's few data-parallel steps (the CSR build's chunks, the
-/// bundle loader's sections) split their work into at most one task per
+/// The library's data-parallel steps (the chunks of a CSR build and of
+/// its in-side derivation) split their work into at most one task per
 /// core up front, so they need no pool and no queue: each task gets a
 /// thread of its own for the length of the call.
 

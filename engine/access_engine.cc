@@ -36,6 +36,13 @@ struct TlsViewCache {
 };
 thread_local TlsViewCache tls_view_cache;
 
+/// Derives the CSR's in-side now when `policy` has a backward step, so
+/// no reader of a view over the pair pays for it: the first In() does
+/// the derivation, and later calls only load a pointer.
+void PrepareInSide(const CsrSnapshot& csr, const PolicySnapshot& policy) {
+  if (policy.HasBackwardStep() && csr.NumNodes() > 0) (void)csr.In(0);
+}
+
 }  // namespace
 
 AccessControlEngine::AccessControlEngine(const SocialGraph& graph,
@@ -73,6 +80,11 @@ AccessControlEngine::~AccessControlEngine() {
 }
 
 void AccessControlEngine::PublishView() {
+  // A no-op unless this publication is the first to pair the CSR with a
+  // backward rule: a rebuild, a reopen, a refresh that brings in the
+  // first backward rule, or a compaction whose rules gained one after its
+  // worker started (the worker derives the in-side off-lock otherwise).
+  PrepareInSide(*csr_, *policy_);
   auto view = AccessReadView::Create(
       *graph_, csr_, policy_, overlay_,
       snapshot_generation_.load(std::memory_order_relaxed));
@@ -576,14 +588,16 @@ void AccessControlEngine::CompactionWorker() {
   for (;;) {
     comp_cv_.wait(lock, [&] { return comp_shutdown_ || building_; });
     if (!building_) return;  // shutdown with nothing left to drain
+    const std::shared_ptr<const PolicySnapshot> policy = policy_;
     lock.unlock();
-    if (comp_build_hook_) comp_build_hook_();
     // The expensive part, off every lock: the writer keeps staging
     // mutations, readers keep serving published views. The graph and
     // frozen_ are stable during the build — staging writes neither, and
     // only this thread folds or clears building_.
     auto csr = std::make_shared<const CsrSnapshot>(
         CsrSnapshot::Build(*graph_, frozen_));
+    PrepareInSide(*csr, *policy);
+    if (comp_build_hook_) comp_build_hook_(*csr);
     lock.lock();
     FinishCompactionLocked(std::move(csr));
     comp_cv_.notify_all();

@@ -117,10 +117,14 @@
 /// the stamps off a view.
 ///
 /// Policy binding happens at publication, keyed by stable RuleId: every
-/// rule path is bound and its hop automaton compiled once per
+/// distinct rule path is bound and its hop automaton compiled once per
 /// PolicySnapshot (see read_view.h), so the request path performs no
 /// PathExpression::ToString(), Bind, or evaluator construction — only
-/// array lookups. Rules added to the
+/// array lookups. The CSR's in-side (csr.h) is built only for a policy
+/// with a backward step, before the first view that pairs the two is
+/// published: by the compaction thread off-lock for its own build, and
+/// under the writer lock at a rebuild, a reopen, or the refresh that
+/// brings in the first backward rule. Rules added to the
 /// store after the last publish are invisible to served decisions until
 /// the next *external* write-path call republishes (any mutation does,
 /// or call RefreshPolicies() explicitly; a background-compaction
@@ -402,12 +406,14 @@ class AccessControlEngine {
     return last_compaction_status_;
   }
 
-  /// Test hook: runs on the compaction thread after the frozen inputs
-  /// are captured and before the build starts. Lets tests hold a
+  /// Test hook: runs on the compaction thread with the new CSR once the
+  /// off-lock part of the build (and of its in-side derivation) is done,
+  /// before the completion takes the writer lock. Lets tests hold a
   /// compaction open deterministically while the writer stages
   /// straddling mutations. Set before triggering the compaction; not
   /// synchronized against an in-flight one.
-  void SetCompactionBuildHookForTesting(std::function<void()> hook) {
+  void SetCompactionBuildHookForTesting(
+      std::function<void(const CsrSnapshot&)> hook) {
     comp_build_hook_ = std::move(hook);
   }
 
@@ -539,7 +545,7 @@ class AccessControlEngine {
   bool comp_shutdown_ = false;
   std::condition_variable comp_cv_;
   std::thread comp_thread_;
-  std::function<void()> comp_build_hook_;
+  std::function<void(const CsrSnapshot&)> comp_build_hook_;
   Status last_compaction_status_ = OkStatus();  // guarded by mutation_mu_
 
   /// View publication. std::atomic<std::shared_ptr> would be the

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "query/audience.h"
 #include "query/eval_context.h"
@@ -29,19 +32,28 @@ std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
     policy->resources.push_back({res.owner, res.rules});
   }
 
+  // Rule sets repeat a few expressions across many resources, so each
+  // distinct expression is bound and compiled once and shared. The store
+  // holds parsed expressions, and ToString() round-trips through the
+  // parser, so equal text means an equal expression.
+  std::unordered_map<std::string, CompiledPath> compiled;
   policy->rules.resize(store.NumRules());
   for (RuleId id = 0; id < store.NumRules(); ++id) {
     CompiledRule& rule = policy->rules[id];
     for (const PathExpression& path : store.rule(id).paths) {
-      CompiledPath cp;
-      auto bound = BoundPathExpression::Bind(path, graph);
-      if (!bound.ok()) {
-        cp.bind_status = bound.status();
-      } else {
-        cp.bound =
-            std::make_shared<const BoundPathExpression>(std::move(*bound));
+      auto [it, fresh] = compiled.try_emplace(path.ToString());
+      CompiledPath& cp = it->second;
+      if (fresh) {
+        auto bound = BoundPathExpression::Bind(path, graph);
+        if (!bound.ok()) {
+          cp.bind_status = bound.status();
+        } else {
+          cp.bound =
+              std::make_shared<const BoundPathExpression>(std::move(*bound));
+          policy->has_backward_step_ |= cp.bound->HasBackwardStep();
+        }
       }
-      rule.paths.push_back(std::move(cp));
+      rule.paths.push_back(cp);
     }
   }
   return policy;

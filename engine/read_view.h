@@ -116,7 +116,9 @@ struct AccessDecision {
 };
 
 /// The immutable policy bundle: the resource table plus every rule bound
-/// and its automaton compiled. Built at publish time; shared by every
+/// and its automaton compiled, once per distinct expression (paths with
+/// the same canonical text share one CompiledPath, a failed bind
+/// included). Built at publish time; shared by every
 /// view until the PolicyStore grows (rule/resource counts are the
 /// staleness key). Binding is against the SocialGraph's dictionaries,
 /// which only grow, so a policy snapshot stays valid across overlay
@@ -145,8 +147,16 @@ struct PolicySnapshot {
   size_t source_num_resources = 0;
   size_t source_num_rules = 0;
 
+  /// True when some bound path has a backward step, so serving this
+  /// policy reads the CSR's in-side; the engine derives it before it
+  /// publishes a view over such a policy.
+  bool HasBackwardStep() const { return has_backward_step_; }
+
   static std::shared_ptr<const PolicySnapshot> Build(const PolicyStore& store,
                                                      const SocialGraph& graph);
+
+ private:
+  bool has_backward_step_ = false;
 };
 
 /// An immutable, reference-counted serving snapshot. See the file

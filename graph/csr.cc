@@ -188,11 +188,42 @@ CsrSnapshot CsrSnapshot::Scatter(size_t num_nodes, size_t num_inputs,
       SortOutRange(out + snap.out_offsets_[v], out + snap.out_offsets_[v + 1]);
     }
   });
-  snap.DeriveInSide();
   return snap;
 }
 
-void CsrSnapshot::DeriveInSide() {
+CsrSnapshot::CsrSnapshot(CsrSnapshot&& other) noexcept
+    : num_nodes_(std::exchange(other.num_nodes_, 0)),
+      out_offsets_(std::exchange(other.out_offsets_, {0})),
+      out_entries_(std::move(other.out_entries_)),
+      in_(other.in_.exchange(nullptr, std::memory_order_acq_rel)) {}
+
+CsrSnapshot& CsrSnapshot::operator=(CsrSnapshot&& other) noexcept {
+  if (this != &other) {
+    num_nodes_ = std::exchange(other.num_nodes_, 0);
+    out_offsets_ = std::exchange(other.out_offsets_, {0});
+    out_entries_ = std::move(other.out_entries_);
+    delete in_.exchange(other.in_.exchange(nullptr, std::memory_order_acq_rel),
+                        std::memory_order_acq_rel);
+  }
+  return *this;
+}
+
+CsrSnapshot::~CsrSnapshot() { delete in_.load(std::memory_order_acquire); }
+
+size_t CsrSnapshot::MemoryBytes() const {
+  size_t bytes = out_offsets_.capacity() * sizeof(uint32_t) +
+                 out_entries_.capacity() * sizeof(Entry);
+  if (const InSide* in = in_.load(std::memory_order_acquire)) {
+    bytes += in->offsets.capacity() * sizeof(uint32_t) +
+             in->entries.capacity() * sizeof(Entry);
+  }
+  return bytes;
+}
+
+const CsrSnapshot::InSide& CsrSnapshot::DeriveInSide() const {
+  std::lock_guard<std::mutex> lock(in_mu_);
+  if (const InSide* in = in_.load(std::memory_order_relaxed)) return *in;
+  auto in = std::make_unique<InSide>();
   // Transpose in source order, chunked over source ranges, so every
   // in-range comes out sorted by source; a stable pass by label then
   // leaves it in (label, src) order.
@@ -206,15 +237,18 @@ void CsrSnapshot::DeriveInSide() {
           }
         }
       },
-      &in_offsets_, &in_entries_);
-  const std::vector<size_t> nodes = NodeBounds(in_offsets_, chunks);
-  ParallelFor(chunks, [this, &nodes](size_t c) {
-    Entry* in = in_entries_.data();
+      &in->offsets, &in->entries);
+  const std::vector<size_t> nodes = NodeBounds(in->offsets, chunks);
+  ParallelFor(chunks, [&in, &nodes](size_t c) {
+    Entry* first = in->entries.data();
     StableLabelSorter sorter;
     for (size_t v = nodes[c]; v < nodes[c + 1]; ++v) {
-      sorter.Sort(in + in_offsets_[v], in + in_offsets_[v + 1]);
+      sorter.Sort(first + in->offsets[v], first + in->offsets[v + 1]);
     }
   });
+  const InSide* published = in.release();
+  in_.store(published, std::memory_order_release);
+  return *published;
 }
 
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g) {
@@ -228,12 +262,18 @@ CsrSnapshot CsrSnapshot::Build(const SocialGraph& g) {
 
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
                                const DeltaOverlay& overlay) {
-  // The inputs are the edge slots, then the staged additions. Staged
-  // removals are resolved to slots once, before the two passes of
-  // Scatter, and only edges whose source has a staged removal pay a hash
-  // probe. A staged addition the graph already holds live (added outside
-  // the engine since the last rebuild) stays one edge, as the fold keeps
-  // it: a repeated (label, other) key is a bundle the loader refuses.
+  // The inputs are the edge slots, then the staged additions. Before the
+  // two passes of Scatter, each staged triple probes the graph's triple
+  // index once: a staged removal flags its edge's slot in `removed`, and
+  // a staged addition the graph already holds live (added outside the
+  // engine since the last rebuild) is left out, so it stays one edge, as
+  // the fold keeps it: a repeated (label, other) key is a bundle the
+  // loader refuses.
+  const size_t slots = g.EdgeSlotCount();
+  std::vector<uint8_t> removed(slots, 0);
+  overlay.ForEachRemoved([&](const DeltaOverlay::EdgeTriple& t) {
+    if (auto slot = g.FindEdge(t.src, t.dst, t.label)) removed[*slot] = 1;
+  });
   std::vector<Edge> added;
   overlay.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) {
     if (overlay.IsRemoved(t.src, t.dst, t.label) ||
@@ -241,28 +281,11 @@ CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
       added.push_back(Edge{t.src, t.dst, t.label});
     }
   });
-  std::vector<uint8_t> removed;
-  if (overlay.has_deletions()) {
-    std::vector<uint8_t> source_has_removal(g.NumNodes(), 0);
-    overlay.ForEachRemoved([&](const DeltaOverlay::EdgeTriple& t) {
-      if (t.src < g.NumNodes()) source_has_removal[t.src] = 1;
-    });
-    removed.assign(g.EdgeSlotCount(), 0);
-    for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-      if (!g.IsLiveEdge(e)) continue;
-      const Edge& rec = g.edge(e);
-      removed[e] = source_has_removal[rec.src] &&
-                   overlay.IsRemoved(rec.src, rec.dst, rec.label);
-    }
-  }
-  const size_t slots = g.EdgeSlotCount();
   return Scatter(
       g.NumNodes() + overlay.num_staged_nodes(), slots + added.size(),
       [&](size_t begin, size_t end, const auto& fn) {
         for (EdgeId e = begin; e < std::min(end, slots); ++e) {
-          if (g.IsLiveEdge(e) && (removed.empty() || !removed[e])) {
-            fn(g.edge(e));
-          }
+          if (g.IsLiveEdge(e) && !removed[e]) fn(g.edge(e));
         }
         for (size_t i = std::max(begin, slots); i < end; ++i) {
           fn(added[i - slots]);

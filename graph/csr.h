@@ -12,8 +12,17 @@
 /// binary search.
 ///
 /// The out-side is the one copy of the snapshot's edges; the bundle
-/// stores only it. The in-side is always derived from it. Both sides are
-/// laid out by the same chunked counting scatter:
+/// stores only it, and Build and the bundle loader make only it. The
+/// in-side, which only a backward step (`label-[a,b]`) walks, is derived
+/// from the out-side by the first In() or InWithLabel() call, exactly
+/// once however many threads race on it, and published with a release
+/// store, so a later backward expansion pays one acquire load and a
+/// forward-only snapshot never holds it. The engine makes that first call
+/// itself, before it publishes a view whose policy has a backward step
+/// (access_engine.h), so no reader pays the derivation on the serving
+/// path; the paper's indexes and the tests simply call In().
+///
+/// Both sides are laid out by the same chunked counting scatter:
 ///  - the input (edge slots for the out-side, source nodes for the
 ///    in-side) is cut into contiguous chunks, one per thread, and each
 ///    chunk counts its share into its own per-node array;
@@ -28,10 +37,11 @@
 /// min(cores, entries / 2^18) chunks, at least one: on a 4-vCPU host a
 /// new thread started about one 4 ms scheduler tick after the one before
 /// it, so a smaller build runs on the calling thread alone, and a
-/// compaction of a graph above that floor briefly uses every core. Build
-/// and the bundle loader share the in-side step.
+/// compaction of a graph above that floor briefly uses every core.
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -57,6 +67,11 @@ class CsrSnapshot {
   };
 
   CsrSnapshot() = default;
+  /// Movable, so a snapshot can be built into a member; the source must
+  /// not be in use by another thread. Not copyable.
+  CsrSnapshot(CsrSnapshot&& other) noexcept;
+  CsrSnapshot& operator=(CsrSnapshot&& other) noexcept;
+  ~CsrSnapshot();
 
   /// Snapshots the live edges of `g`.
   static CsrSnapshot Build(const SocialGraph& g);
@@ -80,10 +95,13 @@ class CsrSnapshot {
   }
 
   /// Incoming entries of `node` (Entry::other is the source), sorted by
-  /// (label, other).
+  /// (label, other). The first call derives the in-side (see the file
+  /// comment); safe from any number of threads.
   std::span<const Entry> In(NodeId node) const {
-    return {in_entries_.data() + in_offsets_[node],
-            in_offsets_[node + 1] - in_offsets_[node]};
+    const InSide* in = in_.load(std::memory_order_acquire);
+    if (in == nullptr) in = &DeriveInSide();
+    return {in->entries.data() + in->offsets[node],
+            in->offsets[node + 1] - in->offsets[node]};
   }
 
   /// Outgoing entries of `node` restricted to `label` (binary search on
@@ -95,11 +113,13 @@ class CsrSnapshot {
     return LabelRange(In(node), label);
   }
 
-  size_t MemoryBytes() const {
-    return (out_offsets_.capacity() + in_offsets_.capacity()) *
-               sizeof(uint32_t) +
-           (out_entries_.capacity() + in_entries_.capacity()) * sizeof(Entry);
+  /// True once the in-side has been derived.
+  bool HasInSide() const {
+    return in_.load(std::memory_order_acquire) != nullptr;
   }
+
+  /// Bytes held by both sides, the in-side only once derived.
+  size_t MemoryBytes() const;
 
  private:
   friend struct storage::StorageAccess;
@@ -116,17 +136,23 @@ class CsrSnapshot {
   static CsrSnapshot Scatter(size_t num_nodes, size_t num_inputs,
                              const ForEachEdge& for_each_edge);
 
-  /// Fills the in-side from the finished, (label, other)-sorted
-  /// out-side: a transpose in source order, then a stable pass by label,
-  /// both chunked like the out-side. Scatter and the bundle loader both
-  /// end here.
-  void DeriveInSide();
+  struct InSide {
+    std::vector<uint32_t> offsets;
+    std::vector<Entry> entries;
+  };
+
+  /// Derives the in-side from the (label, other)-sorted out-side, once:
+  /// a transpose in source order, then a stable pass by label, both
+  /// chunked like the out-side. Callers that lose the race wait on
+  /// in_mu_ and return the winner's result.
+  const InSide& DeriveInSide() const;
 
   size_t num_nodes_ = 0;
   std::vector<uint32_t> out_offsets_{0};
   std::vector<Entry> out_entries_;
-  std::vector<uint32_t> in_offsets_{0};
-  std::vector<Entry> in_entries_;
+  /// Owned; null until DeriveInSide publishes it, then never changed.
+  mutable std::atomic<const InSide*> in_{nullptr};
+  mutable std::mutex in_mu_;
 };
 
 }  // namespace sargus

@@ -383,8 +383,8 @@ struct StorageAccess {
 
   /// LoadCsr refuses (kDataLoss) offsets that do not run from 0 to the
   /// entry count without decreasing, and an out-range that is not
-  /// strictly (label, other)-sorted or names a node past the last; then
-  /// it derives the in-side.
+  /// strictly (label, other)-sorted or names a node past the last. It
+  /// loads only the out-side; the in-side is derived on first use.
   static void SaveCsr(const CsrSnapshot& csr, BlobWriter& w);
   static Status LoadCsr(BlobReader& r, CsrSnapshot* csr);
   /// Refills `g`'s node count and edge slots from `csr`: one live slot

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 
 namespace sargus::storage {
 
@@ -89,7 +88,8 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   SARGUS_RETURN_IF_ERROR(FinishSection(r, "csr"));
 
   // Out() and every walker index through these unchecked, and the
-  // in-side derivation below scatters by `other`, so a section that
+  // in-side derivation (on the first In()) scatters by `other`, so a
+  // section that
   // passes its checksum but is not a well-formed CSR is refused here
   // rather than read out of bounds later.
   const size_t n = csr->num_nodes_;
@@ -113,7 +113,6 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
       prev_key = key;
     }
   }
-  csr->DeriveInSide();
   return OkStatus();
 }
 
@@ -182,8 +181,8 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   out.stamp = info.stamp;
   out.compact_threshold = info.compact_threshold;
 
-  // Screen the section table serially (duplicates, unknown kinds) before
-  // fanning out.
+  // Screen the section table (duplicates, unknown kinds) before reading
+  // any section.
   uint64_t seen = 0;
   for (const BundleInfo::Section& s : info.sections) {
     const uint32_t raw_kind = static_cast<uint32_t>(s.kind);
@@ -198,15 +197,8 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
     seen |= kind_bit;
   }
 
-  // Read, verify and adopt the (at most three) sections concurrently:
-  // each section is one pass of pread + hash + column copies, so on a
-  // multi-core box the bundle-wide wall time collapses to the cost of
-  // the largest section. Workers share the descriptor through pread (no
-  // file position) and write disjoint destinations, so the fan-out is
-  // race-free; on a single-CPU box ParallelFor runs them inline.
-  std::vector<Status> statuses(info.sections.size());
-  auto run_section = [&file, &info, &out, &statuses](size_t i) {
-    const BundleInfo::Section& s = info.sections[i];
+  // Read, verify and adopt the sections in turn, on this thread.
+  for (const BundleInfo::Section& s : info.sections) {
     BlobReader r(file, s.offset, s.size);
     Status decoded;
     switch (s.kind) {
@@ -223,15 +215,11 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
     // Decoding saw the bytes before their digest was known, so the
     // checksum verdict comes first: hash what decoding left unread, and
     // report a mismatch over whatever the decoder concluded.
-    statuses[i] = r.Drain();
-    if (statuses[i].ok() && r.Digest() != s.checksum) {
-      statuses[i] = Status::DataLoss("bundle: section checksum mismatch");
+    SARGUS_RETURN_IF_ERROR(r.Drain());
+    if (r.Digest() != s.checksum) {
+      return Status::DataLoss("bundle: section checksum mismatch");
     }
-    if (statuses[i].ok()) statuses[i] = decoded;
-  };
-  ParallelFor(info.sections.size(), run_section);
-  for (const Status& st : statuses) {
-    SARGUS_RETURN_IF_ERROR(st);
+    SARGUS_RETURN_IF_ERROR(decoded);
   }
 
   auto require = [seen](SectionKind kind) {

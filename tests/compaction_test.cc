@@ -184,7 +184,7 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   // Hold the build open while the writer keeps mutating.
   std::atomic<bool> release{false};
   std::atomic<int> builds{0};
-  f.engine->SetCompactionBuildHookForTesting([&] {
+  f.engine->SetCompactionBuildHookForTesting([&](const CsrSnapshot&) {
     if (builds.fetch_add(1) == 0) {
       while (!release.load(std::memory_order_acquire)) {
         std::this_thread::yield();
@@ -244,7 +244,7 @@ TEST(CompactionStraddle, ExplicitCompactDuringBuildChainsAFollowUp) {
 
   std::atomic<bool> release{false};
   std::atomic<int> builds{0};
-  f.engine->SetCompactionBuildHookForTesting([&] {
+  f.engine->SetCompactionBuildHookForTesting([&](const CsrSnapshot&) {
     if (builds.fetch_add(1) == 0) {
       while (!release.load(std::memory_order_acquire)) {
         std::this_thread::yield();
@@ -325,7 +325,7 @@ TEST(CompactionStraddle, RandomizedStraddlersAgreeWithMirror) {
   // Build b is held until `released` passes b.
   std::atomic<int> builds{0};
   std::atomic<int> released{0};
-  f.engine->SetCompactionBuildHookForTesting([&] {
+  f.engine->SetCompactionBuildHookForTesting([&](const CsrSnapshot&) {
     const int b = builds.fetch_add(1);
     while (released.load(std::memory_order_acquire) <= b) {
       std::this_thread::yield();
@@ -390,7 +390,7 @@ TEST(CompactionStraddle, RebuildWaitsOutHeldBuild) {
   const size_t base_nodes = f.g.NumNodes();
 
   std::atomic<bool> release{false};
-  f.engine->SetCompactionBuildHookForTesting([&] {
+  f.engine->SetCompactionBuildHookForTesting([&](const CsrSnapshot&) {
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
@@ -567,6 +567,69 @@ TEST(CompactionEpochs, WraparoundUnderGrownNodeSpace) {
     ASSERT_TRUE(no.ok());
     EXPECT_TRUE(yes->granted) << i;
     EXPECT_FALSE(no->granted) << i;
+  }
+}
+
+// ---- The CSR in-side across compactions ------------------------------------
+
+// When the rules walk the in-side, a compaction's CSR has it before the
+// completion publishes: the worker derives it off-lock when a backward
+// rule was there at the freeze (the hook sees it before the completion
+// takes the writer lock), and the completion does when a refresh brought
+// in the first one while the build ran.
+TEST(CompactionInSide, BackwardRulesGetInSideBeforeCompletionPublishes) {
+  const std::string backward = "friend-[1]/friend-[1]";
+  for (const bool added_mid_build : {false, true}) {
+    const std::vector<std::string> first_rule = {
+        added_mid_build ? "colleague[1]" : backward};
+    EngineFixture f(MakeDiamond(), first_rule, /*owner=*/0,
+                    {.compact_threshold = 0});
+    MirrorGraph mirror(f.g);
+    const LabelId fr = f.g.labels().Lookup("friend");
+    ASSERT_TRUE(f.engine->AddEdge(3, 0, fr).ok());  // 0 <-f- 3 <-f- 5
+    mirror.Add(3, 0, fr);
+    ASSERT_TRUE(f.engine->RemoveEdge(1, 2, fr).ok());  // cuts 0 <-f- 2 <-f- 1
+    mirror.Remove(1, 2, fr);
+
+    std::atomic<bool> release{!added_mid_build};
+    std::atomic<int> built_with_in_side{-1};
+    f.engine->SetCompactionBuildHookForTesting([&](const CsrSnapshot& csr) {
+      built_with_in_side.store(csr.HasInSide() ? 1 : 0);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+    const uint64_t gen = f.engine->snapshot_generation();
+    ASSERT_TRUE(f.engine->Compact().ok());
+    if (added_mid_build) {
+      // The worker took its policy before the build the hook now holds.
+      while (built_with_in_side.load() < 0) std::this_thread::yield();
+      ASSERT_TRUE(f.store.AddRuleFromPaths(f.res, {backward}).ok());
+      ASSERT_TRUE(f.engine->RefreshPolicies().ok());
+      // The refresh published over the old CSR, and derived its in-side.
+      auto during = f.engine->AcquireReadView();
+      EXPECT_EQ(during->snapshot_generation(), gen);
+      EXPECT_TRUE(during->csr().HasInSide());
+      release.store(true, std::memory_order_release);
+    }
+    f.engine->WaitForCompaction();
+    auto view = f.engine->AcquireReadView();
+    ASSERT_EQ(view->snapshot_generation(), gen + 1);
+    EXPECT_EQ(built_with_in_side.load(), added_mid_build ? 0 : 1);
+    EXPECT_TRUE(view->csr().HasInSide()) << added_mid_build;
+
+    std::vector<BoundPathExpression> exprs = {MustBind(f.g, backward)};
+    if (added_mid_build) exprs.push_back(MustBind(f.g, "colleague[1]"));
+    for (NodeId req = 0; req < 6; ++req) {
+      bool expected = req == 0;
+      for (const auto& expr : exprs) {
+        expected = expected || mirror.Match(expr, 0, req);
+      }
+      EXPECT_EQ(f.Granted(req), expected)
+          << "requester " << req << " mid-build " << added_mid_build;
+    }
+    EXPECT_TRUE(f.Granted(5));
+    EXPECT_FALSE(f.Granted(1));
   }
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -361,6 +363,72 @@ TEST(CsrSnapshot, MergedBuildMatchesPostFoldRebuild) {
       ExpectSameEntries(merged.In(v), rebuilt.In(v), label, "in", v);
     }
   }
+}
+
+// Build makes only the out-side; the first In() derives the in-side,
+// and threads racing on that first call all read the one derivation.
+TEST(CsrSnapshot, RacingFirstInCallsShareOneDerivation) {
+  auto gen = GenerateBarabasiAlbert({.base = {.num_nodes = 3000, .seed = 31}});
+  ASSERT_TRUE(gen.ok());
+  const SocialGraph& g = *gen;
+  const ReferenceSide in = ReferenceBuild(g, /*out_side=*/false);
+  for (int round = 0; round < 4; ++round) {
+    const CsrSnapshot csr = CsrSnapshot::Build(g);
+    ASSERT_FALSE(csr.HasInSide());
+    const size_t out_bytes = csr.MemoryBytes();
+    constexpr int kThreads = 6;
+    std::atomic<int> ready{0};
+    std::vector<const CsrSnapshot::Entry*> first(kThreads, nullptr);
+    std::vector<size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        // Each thread starts at a different node, so the first call
+        // lands on a different range.
+        const NodeId n = static_cast<NodeId>(g.NumNodes());
+        for (NodeId i = 0; i < n; ++i) {
+          const NodeId v = static_cast<NodeId>((i + t * 499u) % n);
+          const auto got = csr.In(v);
+          const std::span<const CsrSnapshot::Entry> want(
+              in.entries.data() + in.offsets[v],
+              in.offsets[v + 1] - in.offsets[v]);
+          if (!std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.other == b.other && a.label == b.label;
+                          })) {
+            ++mismatches[t];
+          }
+        }
+        first[t] = csr.In(0).data();
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_TRUE(csr.HasInSide());
+    EXPECT_GT(csr.MemoryBytes(), out_bytes);
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0u) << "round " << round << " thread " << t;
+      EXPECT_EQ(first[t], first[0]) << "round " << round << " thread " << t;
+    }
+  }
+}
+
+TEST(CsrSnapshot, MoveCarriesTheDerivedInSide) {
+  const SocialGraph g = testing_util::MakeDiamond();
+  CsrSnapshot a = CsrSnapshot::Build(g);
+  const CsrSnapshot::Entry* in3 = a.In(3).data();
+  CsrSnapshot b = std::move(a);
+  EXPECT_TRUE(b.HasInSide());
+  EXPECT_EQ(b.In(3).data(), in3);
+  EXPECT_EQ(b.In(3).size(), 3u);
+  // A moved-from snapshot is empty, and assigning over a snapshot
+  // releases the in-side it held.
+  EXPECT_EQ(a.NumNodes(), 0u);
+  EXPECT_FALSE(a.HasInSide());
+  b = CsrSnapshot::Build(g);
+  EXPECT_FALSE(b.HasInSide());
+  EXPECT_EQ(b.In(3).size(), 3u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -398,6 +400,113 @@ TEST(ReadView, EightThreadsHammerOneSharedView) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(wrong.load(), 0u);
+}
+
+// ---- Policy compilation and the CSR in-side --------------------------------
+
+// Every distinct expression is bound once per policy snapshot and shared
+// by every rule that names it, a failed bind included.
+TEST(ReadView, PolicySnapshotBindsEachDistinctExpressionOnce) {
+  SocialGraph g = MakeDiamond();
+  (void)g.labels().Intern("family");
+  const std::vector<std::string> exprs = {
+      "friend[1]",          "friend[1,2]",    "friend[1,2]/colleague[1]",
+      "friend[1]{age>=18}", "colleague[1,3]", "friend[1,3]/family[1]"};
+  PolicyStore store;
+  for (size_t i = 0; i < 4096; ++i) {
+    const ResourceId res = store.RegisterResource(0, "r");
+    ASSERT_TRUE(store.AddRuleFromPaths(res, {exprs[i % exprs.size()]}).ok());
+  }
+  // The same expressions spelled differently, and one that cannot bind.
+  const ResourceId extra = store.RegisterResource(0, "extra");
+  ASSERT_TRUE(
+      store.AddRuleFromPaths(extra, {"friend[1,1]", "enemy[1]"}).ok());
+  ASSERT_TRUE(
+      store.AddRuleFromPaths(extra, {"enemy[1]", "friend[1]{age >= 18}"})
+          .ok());
+
+  const auto policy = PolicySnapshot::Build(store, g);
+  std::map<std::string, const BoundPathExpression*> by_text;
+  std::set<const BoundPathExpression*> distinct;
+  for (const auto& rule : policy->rules) {
+    for (const auto& path : rule.paths) {
+      if (!path.bind_status.ok()) {
+        EXPECT_EQ(path.bind_status.code(), StatusCode::kNotFound);
+        EXPECT_EQ(path.bound, nullptr);
+        continue;
+      }
+      ASSERT_NE(path.bound, nullptr);
+      distinct.insert(path.bound.get());
+      const auto it =
+          by_text.try_emplace(path.bound->ToString(), path.bound.get()).first;
+      EXPECT_EQ(it->second, path.bound.get()) << it->first;
+    }
+  }
+  EXPECT_EQ(distinct.size(), exprs.size());
+  EXPECT_FALSE(policy->HasBackwardStep());
+
+  // One backward path anywhere marks the whole snapshot.
+  ASSERT_TRUE(store.AddRuleFromPaths(extra, {"friend-[1]"}).ok());
+  EXPECT_TRUE(PolicySnapshot::Build(store, g)->HasBackwardStep());
+}
+
+// A forward-only policy never makes the engine derive the in-side:
+// not at the rebuild, a mutation, a batch, a policy refresh or a
+// compaction.
+TEST(ReadView, ForwardOnlyEngineNeverBuildsInSide) {
+  ViewFixture f({"friend[1,2]/colleague[1]"});
+  EXPECT_FALSE(f.engine->AcquireReadView()->csr().HasInSide());
+  ASSERT_TRUE(f.engine->AddEdge(0, 5, "colleague").ok());
+  std::vector<AccessRequest> batch;
+  for (NodeId req = 0; req < 6; ++req) {
+    batch.push_back({.requester = req, .resource = f.res});
+  }
+  for (const auto& d : f.engine->CheckAccessBatch(batch)) {
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+  }
+  ASSERT_TRUE(f.store.AddRuleFromPaths(f.res, {"colleague[1,3]"}).ok());
+  ASSERT_TRUE(f.engine->RefreshPolicies().ok());
+  EXPECT_FALSE(f.engine->AcquireReadView()->csr().HasInSide());
+  ASSERT_TRUE(f.engine->Compact().ok());
+  f.engine->WaitForCompaction();
+  auto view = f.engine->AcquireReadView();
+  EXPECT_EQ(view->snapshot_generation(), 2u);
+  EXPECT_FALSE(view->csr().HasInSide());
+  EXPECT_TRUE(f.GrantedOn(*view, 3));  // 0 -f-> 4 -c-> 3
+  EXPECT_TRUE(f.GrantedOn(*view, 5));  // 0 -c-> 5, compacted
+}
+
+// A backward rule has its in-side derived before the first view that
+// serves it is published: at the rebuild, and at the refresh (or the
+// mutation's republish) that brings in the first backward rule.
+TEST(ReadView, BackwardRuleGetsInSideBeforePublish) {
+  {
+    ViewFixture f({"friend-[1]"});
+    auto view = f.engine->AcquireReadView();
+    EXPECT_TRUE(view->csr().HasInSide());
+    EXPECT_TRUE(f.GrantedOn(*view, 2));  // 2 -f-> 0
+    EXPECT_FALSE(f.GrantedOn(*view, 3));
+  }
+  for (const bool by_mutation : {false, true}) {
+    ViewFixture f({"colleague[1]"});
+    auto before = f.engine->AcquireReadView();
+    ASSERT_FALSE(before->csr().HasInSide());
+    EXPECT_FALSE(f.GrantedOn(*before, 1));
+    // 0 <-f- 2 <-f- 1.
+    ASSERT_TRUE(
+        f.store.AddRuleFromPaths(f.res, {"friend-[1]/friend-[1]"}).ok());
+    if (by_mutation) {
+      ASSERT_TRUE(f.engine->AddEdge(3, 5, "colleague").ok());
+    } else {
+      ASSERT_TRUE(f.engine->RefreshPolicies().ok());
+    }
+    auto after = f.engine->AcquireReadView();
+    ASSERT_NE(after, before);
+    EXPECT_EQ(&after->csr(), &before->csr()) << by_mutation;
+    EXPECT_TRUE(after->csr().HasInSide()) << by_mutation;
+    EXPECT_TRUE(f.GrantedOn(*after, 1)) << by_mutation;
+    EXPECT_FALSE(f.GrantedOn(*after, 4)) << by_mutation;
+  }
 }
 
 }  // namespace

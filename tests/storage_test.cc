@@ -1139,7 +1139,7 @@ TEST(Bundle, ReopenRefillsGraphFromCsr) {
   ExpectSameCsr((*reopened)->AcquireReadView()->csr(), CsrSnapshot::Build(g));
 }
 
-// A bundle large enough that the loader derives the in-side in several
+// A bundle large enough that the in-side derivation runs in several
 // chunks reopens to the CSR a build of the graph gives, range for range.
 TEST(Bundle, MultiChunkBundleReopensToSameCsr) {
   TempDir dir;
@@ -1160,6 +1160,64 @@ TEST(Bundle, MultiChunkBundleReopensToSameCsr) {
   auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &h, store);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ExpectSameCsr((*reopened)->AcquireReadView()->csr(), CsrSnapshot::Build(g));
+}
+
+// A reopen loads only the out-side. The engine derives the in-side before
+// it publishes when a rule has a backward step, and never otherwise; the
+// reopened engine answers exactly as the one that saved the bundle.
+TEST(Bundle, ReopenDerivesInSideOnlyForBackwardRules) {
+  auto generated = GenerateBarabasiAlbert(
+      {.base = {.num_nodes = 500, .seed = 37}, .edges_per_node = 3});
+  ASSERT_TRUE(generated.ok());
+  const SocialGraph base = std::move(*generated);
+  for (const bool with_backward : {false, true}) {
+    TempDir dir;
+    SocialGraph g = base;
+    PolicyStore store;
+    std::vector<ResourceId> resources;
+    std::set<RuleId> backward_rules;
+    for (NodeId owner : {0u, 7u, 123u, 499u}) {
+      const ResourceId res = store.RegisterResource(owner, "r");
+      ASSERT_TRUE(store.AddRuleFromPaths(res, {"friend[1,2]"}).ok());
+      ASSERT_TRUE(
+          store.AddRuleFromPaths(res, {"colleague[1]/family[1]"}).ok());
+      if (with_backward) {
+        auto rule = store.AddRuleFromPaths(
+            res, {"friend-[1,2]", "colleague[1]/friend-[1]"});
+        ASSERT_TRUE(rule.ok());
+        backward_rules.insert(*rule);
+      }
+      resources.push_back(res);
+    }
+    AccessControlEngine engine(g, store);
+    ASSERT_TRUE(engine.RebuildIndexes().ok());
+    EXPECT_EQ(engine.AcquireReadView()->csr().HasInSide(), with_backward);
+    ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+
+    SocialGraph h;
+    auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &h, store);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto before = engine.AcquireReadView();
+    auto after = (*reopened)->AcquireReadView();
+    EXPECT_EQ(after->csr().HasInSide(), with_backward);
+    size_t backward_grants = 0;
+    for (const ResourceId res : resources) {
+      for (NodeId req = 0; req < g.NumNodes(); ++req) {
+        auto want = before->CheckAccess({.requester = req, .resource = res});
+        auto got = after->CheckAccess({.requester = req, .resource = res});
+        ASSERT_TRUE(want.ok() && got.ok());
+        ASSERT_EQ(got->granted, want->granted)
+            << "resource " << res << " requester " << req;
+        ASSERT_EQ(got->matched_rule, want->matched_rule);
+        if (got->matched_rule.has_value() &&
+            backward_rules.contains(*got->matched_rule)) {
+          ++backward_grants;
+        }
+      }
+    }
+    EXPECT_EQ(after->csr().HasInSide(), with_backward);
+    EXPECT_EQ(backward_grants > 0, with_backward);
+  }
 }
 
 // ---- Recovery ordering ------------------------------------------------------
