@@ -256,7 +256,7 @@ void BM_ShardTransportCall(benchmark::State& state) {
 BENCHMARK(BM_ShardTransportCall);
 
 /// The robust path under a seeded probabilistic fault storm: every
-/// shard's transport randomly delays, drops, errors, or corrupts.
+/// shard's transport randomly delays or drops calls.
 /// Latency here includes retries and backoff (all sleeps and delays
 /// land on the decorator's virtual clock, so wall time measures real
 /// work, not waiting). The robustness counters
@@ -272,9 +272,7 @@ void BM_ShardFaultInjection(benchmark::State& state) {
   }
   ShardFaultProfile storm;
   storm.delay_probability = 0.05;
-  storm.drop_probability = 0.02;
-  storm.error_probability = 0.01;
-  storm.corrupt_probability = 0.01;
+  storm.drop_probability = 0.04;
   storm.delay_min_ms = 1;
   storm.delay_max_ms = 10;
   for (uint32_t s = 0; s < 4; ++s) fault->SetProfile(s, storm);

@@ -274,30 +274,4 @@ wire::MutateReply ShardEngine::Mutate(const wire::MutateRequest& request) {
   return ReplyFromOutcome(request, SubmitMutate(request).Wait());
 }
 
-std::vector<uint8_t> ShardEngine::HandleFrame(std::span<const uint8_t> frame) {
-  Result<wire::Message> parsed = wire::ParseMessage(frame);
-  if (!parsed.ok()) {
-    wire::ErrorFrame err;
-    err.status_code = wire::PackStatus(parsed.status());
-    err.message = parsed.status().message();
-    return wire::Encode(err);
-  }
-  wire::Message& msg = *parsed;
-  if (auto* batch = std::get_if<wire::BatchCheckRequest>(&msg)) {
-    return wire::Encode(CheckBatch(*batch));
-  }
-  if (auto* walk = std::get_if<wire::WalkRequest>(&msg)) {
-    return wire::Encode(ExpandFrontier(*walk));
-  }
-  if (auto* mutate = std::get_if<wire::MutateRequest>(&msg)) {
-    return wire::Encode(Mutate(*mutate));
-  }
-  // A syntactically valid frame that is not a request (a reply or an
-  // error frame): refuse it explicitly.
-  wire::ErrorFrame err;
-  err.status_code = static_cast<uint8_t>(StatusCode::kInvalidArgument);
-  err.message = "shard: frame is not a request message";
-  return wire::Encode(err);
-}
-
 }  // namespace sargus

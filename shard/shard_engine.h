@@ -4,10 +4,12 @@
 /// \file shard_engine.h
 /// \brief One shard of the sharded serving tier: an AccessControlEngine
 /// over the shard's induced subgraph (plus its side of every cut edge),
-/// spoken to exclusively through the wire messages of shard/wire.h.
+/// spoken to exclusively through the typed messages of shard/wire.h.
 ///
 /// A ShardEngine is the unit that would become a server process in a
-/// distributed deployment. It answers:
+/// distributed deployment; today the router reaches it in-process
+/// through ShardTransport, which hands it the request structs directly.
+/// It answers:
 ///
 ///   * CheckBatch — plain access decisions over the shard-local graph,
 ///     one positional reply per request (authoritative for a grant, since
@@ -112,17 +114,6 @@ class ShardEngine {
   /// for kAddNode.
   static wire::MutateReply ReplyFromOutcome(const wire::MutateRequest& request,
                                             const WriteOutcome& outcome);
-
-  /// Byte-level dispatch: the entry point a socket server loop would
-  /// hand incoming frames to. Parses `frame`, routes request messages
-  /// to the handlers above, and returns the encoded reply. Anything
-  /// unparseable or non-request (a reply or error frame is not a valid
-  /// thing to SEND a shard) comes back as an encoded wire::ErrorFrame —
-  /// garbage in, a clean validated error frame out, never a crash.
-  /// A kMutateRequest routed through HandleFrame goes through the
-  /// engine's MutationQueue like every other mutation, so concurrent
-  /// byte-level callers are safe (serialized by submission order).
-  std::vector<uint8_t> HandleFrame(std::span<const uint8_t> frame);
 
  private:
   uint32_t id_;

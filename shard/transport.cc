@@ -1,11 +1,7 @@
 #include "shard/transport.h"
 
-#include <algorithm>
 #include <string>
-#include <type_traits>
 #include <utility>
-#include <variant>
-
 
 namespace sargus {
 namespace {
@@ -92,12 +88,6 @@ FaultKind FaultInjectionTransport::DrawFault(uint32_t shard) {
     } else if (p.drop_probability > 0 &&
                UnitDraw(st.rng) < p.drop_probability) {
       kind = FaultKind::kDrop;
-    } else if (p.error_probability > 0 &&
-               UnitDraw(st.rng) < p.error_probability) {
-      kind = FaultKind::kErrorReply;
-    } else if (p.corrupt_probability > 0 &&
-               UnitDraw(st.rng) < p.corrupt_probability) {
-      kind = FaultKind::kCorrupt;
     }
   }
   switch (kind) {
@@ -114,12 +104,6 @@ FaultKind FaultInjectionTransport::DrawFault(uint32_t shard) {
     case FaultKind::kDrop:
       ++st.counters.drops;
       break;
-    case FaultKind::kErrorReply:
-      ++st.counters.error_replies;
-      break;
-    case FaultKind::kCorrupt:
-      ++st.counters.corrupts;
-      break;
     case FaultKind::kNone:
       break;
   }
@@ -129,19 +113,6 @@ FaultKind FaultInjectionTransport::DrawFault(uint32_t shard) {
 Status FaultInjectionTransport::DropStatus(uint32_t shard) {
   return Status::Unavailable("injected: shard " + std::to_string(shard) +
                              " unreachable");
-}
-
-Status FaultInjectionTransport::ErrorReplyStatus(uint32_t shard) {
-  // Round-trip a real error frame so the wire path a remote shard would
-  // use is exercised, not just simulated.
-  wire::ErrorFrame frame;
-  frame.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
-  frame.message = "injected: shard " + std::to_string(shard) +
-                  " answered with an error frame";
-  const std::vector<uint8_t> bytes = wire::Encode(frame);
-  Result<wire::ErrorFrame> decoded = wire::DecodeErrorFrame(bytes);
-  if (!decoded.ok()) return decoded.status();  // unreachable in practice
-  return wire::StatusFromErrorFrame(*decoded);
 }
 
 Status FaultInjectionTransport::DeadlineStatus(
@@ -156,75 +127,15 @@ Status FaultInjectionTransport::DeadlineStatus(
   return OkStatus();
 }
 
-void FaultInjectionTransport::MutateBytes(ShardState& st,
-                                          std::vector<uint8_t>& bytes) {
-  const uint32_t n_mutations = 1 + static_cast<uint32_t>(st.rng() % 4);
-  for (uint32_t i = 0; i < n_mutations && !bytes.empty(); ++i) {
-    switch (st.rng() % 4) {
-      case 0:  // flip one bit
-        bytes[st.rng() % bytes.size()] ^= uint8_t{1} << (st.rng() % 8);
-        break;
-      case 1:  // zero one byte
-        bytes[st.rng() % bytes.size()] = 0;
-        break;
-      case 2:  // truncate up to 8 bytes
-        bytes.resize(bytes.size() - 1 -
-                     st.rng() % std::min<size_t>(bytes.size(), 8));
-        break;
-      case 3:  // append garbage
-        bytes.push_back(static_cast<uint8_t>(st.rng()));
-        break;
-    }
-  }
-}
-
-template <typename Reply>
-Result<Reply> FaultInjectionTransport::CorruptReply(uint32_t shard,
-                                                    const Reply& reply) {
-  std::vector<uint8_t> bytes = wire::Encode(reply);
-  ShardState& st = *states_[shard];
-  {
-    std::lock_guard<std::mutex> lock(st.mu);
-    MutateBytes(st, bytes);
-  }
-  Result<wire::Message> decoded = wire::ParseMessage(bytes);
-  if (!decoded.ok()) {
-    return Status::Unavailable(
-        "injected: corrupt reply frame from shard " + std::to_string(shard) +
-        " (" + decoded.status().message() + ")");
-  }
-  Reply* same = std::get_if<Reply>(&*decoded);
-  if (same == nullptr) {
-    return Status::Unavailable("injected: corrupt reply frame from shard " +
-                               std::to_string(shard) +
-                               " (decoded as another message type)");
-  }
-  // The checksum held, so the mutation round-tripped to an identical
-  // frame — accepting it is safe (and astronomically rare).
-  {
-    std::lock_guard<std::mutex> lock(st.mu);
-    ++st.counters.corrupt_survived;
-  }
-  return std::move(*same);
-}
-
 template <typename Request>
 TransportTicket<ReplyFor<Request>> FaultInjectionTransport::Inject(
     uint32_t shard, const Request& request, const TransportCallOptions& opts) {
   using Reply = ReplyFor<Request>;
   using Ticket = TransportTicket<Reply>;
-  FaultKind fault = DrawFault(shard);
-  // Mutations are fail-stop-before-apply (file comment in transport.h):
-  // ANY fault fires before the mutation is delivered. A corrupt fault
-  // on a mutation therefore degrades to a drop — we cannot corrupt a
-  // reply we refuse to produce.
-  if (std::is_same_v<Request, wire::MutateRequest> &&
-      fault == FaultKind::kCorrupt) {
-    fault = FaultKind::kDrop;
-  }
-  if (fault == FaultKind::kDrop) return Ticket::Ready(DropStatus(shard));
-  if (fault == FaultKind::kErrorReply) {
-    return Ticket::Ready(ErrorReplyStatus(shard));
+  // Every fault fires before the request is delivered, so a faulted
+  // mutation was never applied (fail-stop-before-apply; transport.h).
+  if (DrawFault(shard) == FaultKind::kDrop) {
+    return Ticket::Ready(DropStatus(shard));
   }
   if (Status s = DeadlineStatus(shard, opts); !s.ok()) {
     return Ticket::Ready(std::move(s));
@@ -232,12 +143,7 @@ TransportTicket<ReplyFor<Request>> FaultInjectionTransport::Inject(
   // The deadline was already enforced against THIS transport's (virtual)
   // clock; the inner transport runs a different clock, so the deadline
   // must not leak through.
-  Ticket inner = inner_->Submit(shard, request, kNoInnerDeadline);
-  if (fault != FaultKind::kCorrupt) return inner;
-  return std::move(inner).Then([this, shard](Result<Reply> r) -> Result<Reply> {
-    if (!r.ok()) return r;
-    return CorruptReply(shard, *r);
-  });
+  return inner_->Submit(shard, request, kNoInnerDeadline);
 }
 
 TransportTicket<wire::BatchCheckReply> FaultInjectionTransport::Submit(

@@ -18,17 +18,14 @@
 ///     passed through untouched. Every ShardRouter runs it, N = 1
 ///     included.
 ///   * FaultInjectionTransport — a decorator that wraps any transport
-///     and injects faults per shard: dropped calls (kUnavailable),
+///     and injects faults per shard: dropped calls (kUnavailable) and
 ///     injected delays against a virtual clock (driving deadlines to
-///     kDeadlineExceeded), in-band error frames, and corrupted reply
-///     frames (the reply is really encoded, seeded bytes are flipped,
-///     and the decode is attempted — the wire checksum turns almost
-///     every corruption into a clean error; the rare frame that still
-///     decodes is byte-identical, so it is safe to accept).
-///     Deterministic: same seed + same call sequence = same faults.
+///     kDeadlineExceeded), drawn from a seeded profile or a script,
+///     plus hard blackouts. Deterministic: same seed + same call
+///     sequence = same faults.
 ///
 /// The transport error contract: a transport call returns non-OK ONLY
-/// with kUnavailable (the shard could not be reached / gave garbage) or
+/// with kUnavailable (the shard could not be reached) or
 /// kDeadlineExceeded (the per-call deadline passed). Every other
 /// failure — evaluation errors, unknown resources, bad arguments — is a
 /// shard-side result and travels in-band in the typed reply's
@@ -124,17 +121,6 @@ class TransportTicket {
     return t;
   }
 
-  /// Chains a post-processing step onto the gathered result (the fault
-  /// decorator corrupts replies here, after the inner transport
-  /// delivers them).
-  TransportTicket Then(
-      std::function<Result<Reply>(Result<Reply>)> post) && {
-    return Deferred(
-        [prev = std::move(wait_), post = std::move(post)]() {
-          return post(prev());
-        });
-  }
-
   bool valid() const { return static_cast<bool>(wait_); }
 
   /// Blocks until the reply (or transport error) is available.
@@ -194,25 +180,17 @@ enum class FaultKind : uint8_t {
   kNone = 0,
   /// The call never reaches the shard: kUnavailable.
   kDrop = 1,
-  /// The shard answers with a wire ErrorFrame instead of a typed reply.
-  kErrorReply = 2,
-  /// The typed reply is encoded, mutated, and re-decoded; the checksum
-  /// almost always turns this into kUnavailable ("corrupt reply frame").
-  /// On a mutation it degrades to kDrop (fail-stop-before-apply).
-  kCorrupt = 3,
   /// The virtual clock advances by a seeded amount in
   /// [delay_min_ms, delay_max_ms] before delivery; a passed deadline
   /// becomes kDeadlineExceeded.
-  kDelay = 4,
+  kDelay = 2,
 };
 
 /// Independent per-call fault probabilities for one shard. Sampled in
-/// the order delay, drop, error, corrupt; at most one fires per call.
+/// the order delay, drop; at most one fires per call.
 struct ShardFaultProfile {
   double delay_probability = 0.0;
   double drop_probability = 0.0;
-  double error_probability = 0.0;
-  double corrupt_probability = 0.0;
   uint32_t delay_min_ms = 1;
   uint32_t delay_max_ms = 10;
 };
@@ -233,9 +211,6 @@ struct FaultScheduleEntry {
 struct FaultCounters {
   uint64_t calls = 0;
   uint64_t drops = 0;
-  uint64_t error_replies = 0;
-  uint64_t corrupts = 0;
-  uint64_t corrupt_survived = 0;  // mutated frame still decoded (accepted)
   uint64_t delays = 0;
   uint64_t deadline_hits = 0;
 };
@@ -248,8 +223,7 @@ struct FaultCounters {
 /// The fault (and its per-shard call index / rng draw) is decided at
 /// SUBMIT time on the submitting thread, so a single-threaded caller
 /// sees the same deterministic fault sequence however the inner
-/// transport schedules its jobs. Corrupt faults chain onto the inner
-/// ticket and mangle the reply at gather time.
+/// transport schedules its jobs.
 class FaultInjectionTransport final : public ShardTransport {
  public:
   FaultInjectionTransport(std::unique_ptr<ShardTransport> inner,
@@ -311,16 +285,7 @@ class FaultInjectionTransport final : public ShardTransport {
 
   /// Per-fault-kind outcomes shared by the three call shapes.
   Status DropStatus(uint32_t shard);
-  Status ErrorReplyStatus(uint32_t shard);
   Status DeadlineStatus(uint32_t shard, const TransportCallOptions& opts);
-
-  /// Encode -> flip seeded bytes -> decode. Returns the surviving reply
-  /// (byte-identical or it would not have decoded) or kUnavailable.
-  template <typename Reply>
-  Result<Reply> CorruptReply(uint32_t shard, const Reply& reply);
-
-  /// Seeded byte mutation used by CorruptReply (under the shard mutex).
-  void MutateBytes(ShardState& st, std::vector<uint8_t>& bytes);
 
   std::unique_ptr<ShardTransport> inner_;
   std::vector<std::unique_ptr<ShardState>> states_;

@@ -2,40 +2,17 @@
 #define SARGUS_SHARD_WIRE_H_
 
 /// \file wire.h
-/// \brief The versioned router <-> shard protocol: plain PODs + flat
+/// \brief The router <-> shard messages: plain structs of PODs and flat
 /// vectors, no pointers.
 ///
 /// Every message the ShardRouter exchanges with a ShardEngine is one of
-/// the structs below, and every struct has a byte-exact little-endian
-/// encoding (Encode/Decode) behind a framed header:
-///
-///     u32 magic "SGRW" | u32 protocol version | u8 message type | payload
-///     | u64 FNV-1a checksum (over every preceding byte)
-///
-/// In-process the structs are passed directly — serialization is not on
-/// the hot path — but the encodings are implemented, round-trip tested,
-/// and validated on decode (magic, version, checksum, type, exact
-/// length), so the in-process boundary is already a network-ready
-/// protocol: promoting a ShardEngine to a remote server means moving
-/// bytes, not redesigning messages.
-///
-/// Stability promise (see docs/ARCHITECTURE.md): the header layout and
-/// the meaning of existing fields never change within a protocol
-/// version; evolution is additive (append fields, bump
-/// kProtocolVersion). A decoder always rejects a version it does not
-/// know with kInvalidArgument rather than guessing. Version history:
-/// v1 had no trailing checksum and no kErrorFrame; v2 added both (the
-/// checksum is what turns a corrupted frame into a clean kInvalidArgument
-/// instead of a silently misread message — see the fault-injection
-/// transport in shard/transport.h); v3 renumbered the evaluator override
-/// byte to the three serving choices (v2 also had DFS and bidirectional
-/// values, so a v2 byte means something else under v3); v4 dropped the
-/// two override bytes from CheckRequest, since a shard serves one
-/// evaluator; v5: walk frames carry a positional list of walks, so one
-/// frame per shard carries every walk a batch's round sends there; v6
-/// dropped the single-check frame (types 1 and 2: a check travels as a
-/// batch of one) and MutateRequest's label-name string, so a mutation
-/// names its label only by an id every shard already knows.
+/// the structs below. They cross the seam as typed values: the
+/// transports (shard/transport.h) pass them to the shard in-process and
+/// hand the typed reply back, so nothing is ever encoded to bytes.
+/// Evaluation errors travel in-band, packed into each reply's
+/// status_code/error pair (PackStatus/UnpackStatus). A transport that
+/// crosses a process boundary would add a byte encoding of these
+/// structs; none exists today.
 ///
 /// Identifier convention: node, label, resource, rule and automaton
 /// state ids in wire messages are GLOBAL — every shard graph keeps the
@@ -45,32 +22,14 @@
 /// any other with no translation.
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/automaton.h"
 
 namespace sargus::wire {
-
-inline constexpr uint32_t kMagic = 0x57524753;  // "SGRW", little-endian
-inline constexpr uint32_t kProtocolVersion = 6;
-
-/// Types 1 and 2 are retired (the v5 single-check frame) and decode as
-/// unknown; do not reuse them.
-enum class MsgType : uint8_t {
-  kBatchCheckRequest = 3,
-  kBatchCheckReply = 4,
-  kWalkRequest = 5,
-  kWalkReply = 6,
-  kMutateRequest = 7,
-  kMutateReply = 8,
-  kErrorFrame = 9,
-};
 
 /// The (snapshot_generation, overlay_version) pair identifying the
 /// published shard state a reply was produced against.
@@ -216,67 +175,10 @@ struct MutateReply {
   bool operator==(const MutateReply&) const = default;
 };
 
-// ---- Error frame ----------------------------------------------------------
-
-/// The in-band failure envelope: what a shard (or a transport acting on
-/// its behalf) sends when it cannot produce the typed reply a request
-/// asked for — an unparseable request frame, an unknown message type, a
-/// handler that failed before it knew which reply shape to build. Typed
-/// replies still carry their own status_code for ordinary evaluation
-/// errors; the error frame exists so even "I could not understand you"
-/// travels as a validated wire message instead of an out-of-band C++
-/// return.
-struct ErrorFrame {
-  /// sargus StatusCode; never 0 (an OK error frame is meaningless).
-  uint8_t status_code = 0;
-  std::string message;
-  bool operator==(const ErrorFrame&) const = default;
-};
-
-/// The Status an error frame carries.
-Status StatusFromErrorFrame(const ErrorFrame& frame);
-
 // ---- Status packing -------------------------------------------------------
 
 uint8_t PackStatus(const Status& status);
 Status UnpackStatus(uint8_t code, std::string error);
-
-// ---- Serialization --------------------------------------------------------
-
-std::vector<uint8_t> Encode(const BatchCheckRequest& m);
-std::vector<uint8_t> Encode(const BatchCheckReply& m);
-std::vector<uint8_t> Encode(const WalkRequest& m);
-std::vector<uint8_t> Encode(const WalkReply& m);
-std::vector<uint8_t> Encode(const MutateRequest& m);
-std::vector<uint8_t> Encode(const MutateReply& m);
-std::vector<uint8_t> Encode(const ErrorFrame& m);
-
-/// Decoders validate the frame (magic, known version, matching type)
-/// and exact payload length; kInvalidArgument on any mismatch or
-/// truncation.
-Result<BatchCheckRequest> DecodeBatchCheckRequest(
-    std::span<const uint8_t> bytes);
-Result<BatchCheckReply> DecodeBatchCheckReply(std::span<const uint8_t> bytes);
-Result<WalkRequest> DecodeWalkRequest(std::span<const uint8_t> bytes);
-Result<WalkReply> DecodeWalkReply(std::span<const uint8_t> bytes);
-Result<MutateRequest> DecodeMutateRequest(std::span<const uint8_t> bytes);
-Result<MutateReply> DecodeMutateReply(std::span<const uint8_t> bytes);
-Result<ErrorFrame> DecodeErrorFrame(std::span<const uint8_t> bytes);
-
-/// The message type of a framed buffer, after validating magic, version
-/// and checksum (but not the payload). kInvalidArgument on any garbage.
-Result<MsgType> PeekType(std::span<const uint8_t> bytes);
-
-/// Any wire message, decoded. The frame-dispatch entry point a server
-/// loop uses (ShardEngine::HandleFrame); also the surface the wire fuzz
-/// suite hammers: for ANY byte string, ParseMessage either returns a
-/// fully validated message or a clean kInvalidArgument — it never
-/// crashes, never over-allocates, and (checksum) never accepts a
-/// mutated frame.
-using Message =
-    std::variant<BatchCheckRequest, BatchCheckReply, WalkRequest, WalkReply,
-                 MutateRequest, MutateReply, ErrorFrame>;
-Result<Message> ParseMessage(std::span<const uint8_t> bytes);
 
 }  // namespace sargus::wire
 

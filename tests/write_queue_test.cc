@@ -21,26 +21,7 @@ namespace {
 
 using storage::WalRecord;
 using testing_util::MakeDiamond;
-
-// ---- Scoped temp directory --------------------------------------------------
-
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/sargus_write_queue_test_XXXXXX";
-    path_ = mkdtemp(tmpl);
-    EXPECT_FALSE(path_.empty());
-  }
-  ~TempDir() {
-    const std::string cmd = "rm -rf '" + path_ + "'";
-    (void)system(cmd.c_str());
-  }
-  const std::string& path() const { return path_; }
-  std::string File(const std::string& name) const { return path_ + "/" + name; }
-
- private:
-  std::string path_;
-};
+using testing_util::TempDir;
 
 PolicyStore MakeStore() {
   PolicyStore store;
