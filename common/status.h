@@ -40,6 +40,10 @@ enum class StatusCode : int {
   kDataLoss = 10,
 };
 
+/// The highest code; a code read from outside the process above it is
+/// not one this build knows.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kDataLoss;
+
 /// Returns the canonical name ("INVALID_ARGUMENT", ...) for a code.
 std::string_view StatusCodeName(StatusCode code);
 

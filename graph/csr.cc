@@ -1,12 +1,15 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.h"
+#include "graph/csr_sort.h"
 #include "graph/delta_overlay.h"
 
 namespace sargus {
@@ -14,6 +17,10 @@ namespace sargus {
 namespace {
 
 using Entry = CsrSnapshot::Entry;
+
+// CsrSnapshot::ForOverwrite leaves a resized entry array unwritten only
+// while Entry has no member initialisers.
+static_assert(std::is_trivially_default_constructible_v<Entry>);
 
 /// A build runs on one thread until it has this many entries per core.
 /// A spawned or woken thread starts about one 4 ms scheduler tick after
@@ -23,9 +30,11 @@ using Entry = CsrSnapshot::Entry;
 /// 65,536-node one (393k edges) stays on one.
 constexpr size_t kMinEntriesPerChunk = size_t{1} << 18;
 
-/// Ranges up to this length sort by insertion, longer ones by std::sort
-/// (out-side) or a counting pass over their labels (in-side).
-constexpr size_t kShortRange = 32;
+/// The sort phase hands out nodes in blocks of this many, from one
+/// shared cursor, so the block holding a graph's hubs (the lowest ids of
+/// a Barabási–Albert graph) or a helper that starts late holds up no
+/// other worker.
+constexpr size_t kSortBlock = 4096;
 
 size_t NumChunks(size_t entries) {
   const size_t wanted = entries / kMinEntriesPerChunk;
@@ -57,10 +66,10 @@ std::vector<size_t> NodeBounds(const std::vector<uint32_t>& offsets,
 /// prefix pass turns those counts into cursors that start chunk c after
 /// every earlier chunk in each range, so every range holds its entries
 /// in input order, as a serial scatter would, without an atomic.
-template <typename ForEach>
+template <typename ForEach, typename Entries>
 void ChunkedScatter(size_t num_keys, const std::vector<size_t>& bounds,
                     const ForEach& for_each, std::vector<uint32_t>* offsets,
-                    std::vector<Entry>* entries) {
+                    Entries* entries) {
   const size_t chunks = bounds.size() - 1;
   auto cursors = std::make_unique_for_overwrite<uint32_t[]>(chunks * num_keys);
   ParallelFor(chunks, [&](size_t c) {
@@ -79,7 +88,7 @@ void ChunkedScatter(size_t num_keys, const std::vector<size_t>& bounds,
     }
   }
   (*offsets)[num_keys] = total;
-  entries->resize(total);
+  entries->resize(total);  // unwritten: the scatter fills every slot
   ParallelFor(chunks, [&](size_t c) {
     uint32_t* cursor = cursors.get() + c * num_keys;
     Entry* out = entries->data();
@@ -90,75 +99,24 @@ void ChunkedScatter(size_t num_keys, const std::vector<size_t>& bounds,
   });
 }
 
-/// (label, other) order. The graph coalesces duplicate (src, dst, label)
-/// triples, so within one node's range the key is unique and any sort by
-/// it gives the same result.
-bool LabelOtherLess(const Entry& a, const Entry& b) {
-  return a.label != b.label ? a.label < b.label : a.other < b.other;
+/// Sorts every range of `entries` by (label, other) with `workers`
+/// threads, each taking blocks of kSortBlock nodes from one shared cursor
+/// until none is left. The graph coalesces duplicate (src, dst, label)
+/// triples, so within one node's range, out or in, the key is unique.
+void SortRanges(size_t workers, const std::vector<uint32_t>& offsets,
+                Entry* entries) {
+  const size_t n = offsets.size() - 1;
+  std::atomic<size_t> cursor{0};
+  ParallelFor(workers, [&](size_t) {
+    for (size_t begin = cursor.fetch_add(kSortBlock, std::memory_order_relaxed);
+         begin < n;
+         begin = cursor.fetch_add(kSortBlock, std::memory_order_relaxed)) {
+      for (size_t v = begin; v < std::min(n, begin + kSortBlock); ++v) {
+        csr_sort::SortRange(entries + offsets[v], entries + offsets[v + 1]);
+      }
+    }
+  });
 }
-
-/// Stable insertion sort, the fastest way to order a short range.
-template <typename Less>
-void InsertionSort(Entry* first, Entry* last, const Less& less) {
-  if (last - first < 2) return;
-  for (Entry* i = first + 1; i < last; ++i) {
-    const Entry x = *i;
-    Entry* j = i;
-    for (; j > first && less(x, j[-1]); --j) *j = j[-1];
-    *j = x;
-  }
-}
-
-/// Sorts an out-range by (label, other).
-void SortOutRange(Entry* first, Entry* last) {
-  if (static_cast<size_t>(last - first) <= kShortRange) {
-    InsertionSort(first, last, LabelOtherLess);
-  } else {
-    std::sort(first, last, LabelOtherLess);
-  }
-}
-
-/// Stable sort of in-ranges by label. Each range arrives sorted by
-/// `other`, so the result is (label, other) order. One instance serves
-/// all of a chunk's ranges so the long-range scratch is allocated once.
-class StableLabelSorter {
- public:
-  void Sort(Entry* first, Entry* last) {
-    const size_t n = static_cast<size_t>(last - first);
-    if (n <= kShortRange) {
-      InsertionSort(first, last, [](const Entry& a, const Entry& b) {
-        return a.label < b.label;
-      });
-      return;
-    }
-    LabelId lo = first->label;
-    LabelId hi = first->label;
-    for (const Entry* e = first; e < last; ++e) {
-      lo = std::min(lo, e->label);
-      hi = std::max(hi, e->label);
-    }
-    if (lo == hi) return;
-    const size_t span = static_cast<size_t>(hi - lo) + 1;
-    if (span > n) {
-      // A few labels spread over a wide id range: a count array would
-      // cost more than the range, and the key is unique, so sort by it.
-      std::sort(first, last, LabelOtherLess);
-      return;
-    }
-    counts_.assign(span + 1, 0);
-    for (const Entry* e = first; e < last; ++e) ++counts_[e->label - lo + 1];
-    for (size_t l = 1; l <= span; ++l) counts_[l] += counts_[l - 1];
-    if (scratch_.size() < n) scratch_.resize(n);
-    for (const Entry* e = first; e < last; ++e) {
-      scratch_[counts_[e->label - lo]++] = *e;
-    }
-    std::copy(scratch_.begin(), scratch_.begin() + n, first);
-  }
-
- private:
-  std::vector<uint32_t> counts_;
-  std::vector<Entry> scratch_;
-};
 
 }  // namespace
 
@@ -169,7 +127,7 @@ CsrSnapshot CsrSnapshot::Scatter(size_t num_nodes, size_t num_inputs,
   snap.num_nodes_ = num_nodes;
 
   // Out-side: scatter by source, chunked over the inputs, then sort each
-  // range by (label, dst) over node ranges of equal entry count.
+  // range by (label, dst).
   const size_t chunks = NumChunks(num_inputs);
   std::vector<size_t> inputs(chunks + 1);
   for (size_t c = 0; c <= chunks; ++c) inputs[c] = num_inputs * c / chunks;
@@ -181,13 +139,7 @@ CsrSnapshot CsrSnapshot::Scatter(size_t num_nodes, size_t num_inputs,
         });
       },
       &snap.out_offsets_, &snap.out_entries_);
-  const std::vector<size_t> nodes = NodeBounds(snap.out_offsets_, chunks);
-  ParallelFor(chunks, [&snap, &nodes](size_t c) {
-    Entry* out = snap.out_entries_.data();
-    for (size_t v = nodes[c]; v < nodes[c + 1]; ++v) {
-      SortOutRange(out + snap.out_offsets_[v], out + snap.out_offsets_[v + 1]);
-    }
-  });
+  SortRanges(chunks, snap.out_offsets_, snap.out_entries_.data());
   return snap;
 }
 
@@ -224,9 +176,8 @@ const CsrSnapshot::InSide& CsrSnapshot::DeriveInSide() const {
   std::lock_guard<std::mutex> lock(in_mu_);
   if (const InSide* in = in_.load(std::memory_order_relaxed)) return *in;
   auto in = std::make_unique<InSide>();
-  // Transpose in source order, chunked over source ranges, so every
-  // in-range comes out sorted by source; a stable pass by label then
-  // leaves it in (label, src) order.
+  // Transpose, chunked over source ranges, then sort each in-range by
+  // (label, src) as the out-side sorts its ranges.
   const size_t chunks = NumChunks(out_entries_.size());
   ChunkedScatter(
       num_nodes_, NodeBounds(out_offsets_, chunks),
@@ -238,14 +189,7 @@ const CsrSnapshot::InSide& CsrSnapshot::DeriveInSide() const {
         }
       },
       &in->offsets, &in->entries);
-  const std::vector<size_t> nodes = NodeBounds(in->offsets, chunks);
-  ParallelFor(chunks, [&in, &nodes](size_t c) {
-    Entry* first = in->entries.data();
-    StableLabelSorter sorter;
-    for (size_t v = nodes[c]; v < nodes[c + 1]; ++v) {
-      sorter.Sort(first + in->offsets[v], first + in->offsets[v + 1]);
-    }
-  });
+  SortRanges(chunks, in->offsets, in->entries.data());
   const InSide* published = in.release();
   in_.store(published, std::memory_order_release);
   return *published;

@@ -30,9 +30,13 @@
 ///    after every earlier chunk in each node's range, so each range holds
 ///    its entries in input order, exactly as a serial pass would, and no
 ///    two threads write the same slot;
-///  - each out-range is then sorted by (label, other), and each in-range,
-///    which the transpose leaves in source order, gets a stable pass by
-///    label, over node ranges of equal entry count.
+///  - every range, out and in, is then sorted by one packed key,
+///    `uint64_t{label} << 32 | other` (graph/csr_sort.h): up to eight
+///    entries by a branch-free sorting network padded with an all-ones
+///    key no entry can have, up to 32 by insertion and longer ones by
+///    std::sort. As many workers as the scatter had chunks take blocks of
+///    4,096 nodes from one shared cursor, so the block with a graph's
+///    hubs or a helper that starts late holds up no other worker.
 /// The result is byte-identical whatever the chunk count. A build uses
 /// min(cores, entries / 2^18) chunks, at least one: on a 4-vCPU host a
 /// new thread started about one 4 ms scheduler tick after the one before
@@ -41,8 +45,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -60,10 +66,11 @@ class CsrSnapshot {
  public:
   /// One adjacency entry: the far endpoint plus the edge's label. An
   /// entry names no edge slot; the (label, other) key is unique within
-  /// one node's range.
+  /// one node's range. Trivial, so a build's entry array is not filled
+  /// before the scatter writes every slot of it.
   struct Entry {
-    NodeId other = 0;
-    LabelId label = kInvalidLabel;
+    NodeId other;
+    LabelId label;
   };
 
   CsrSnapshot() = default;
@@ -136,20 +143,34 @@ class CsrSnapshot {
   static CsrSnapshot Scatter(size_t num_nodes, size_t num_inputs,
                              const ForEachEdge& for_each_edge);
 
+  /// Default-initialises where std::allocator value-initialises, so
+  /// resize() leaves new entries unwritten.
+  template <typename T>
+  struct ForOverwrite : std::allocator<T> {
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  using Entries = std::vector<Entry, ForOverwrite<Entry>>;
+
   struct InSide {
     std::vector<uint32_t> offsets;
-    std::vector<Entry> entries;
+    Entries entries;
   };
 
-  /// Derives the in-side from the (label, other)-sorted out-side, once:
-  /// a transpose in source order, then a stable pass by label, both
-  /// chunked like the out-side. Callers that lose the race wait on
-  /// in_mu_ and return the winner's result.
+  /// Derives the in-side from the out-side, once: a transpose, then the
+  /// out-side's per-range sort, both chunked like the out-side. Callers
+  /// that lose the race wait on in_mu_ and return the winner's result.
   const InSide& DeriveInSide() const;
 
   size_t num_nodes_ = 0;
   std::vector<uint32_t> out_offsets_{0};
-  std::vector<Entry> out_entries_;
+  Entries out_entries_;
   /// Owned; null until DeriveInSide publishes it, then never changed.
   mutable std::atomic<const InSide*> in_{nullptr};
   mutable std::mutex in_mu_;

@@ -22,7 +22,7 @@ uint8_t PackStatus(const Status& status) {
 
 Status UnpackStatus(uint8_t code, std::string error) {
   if (code == 0) return OkStatus();
-  if (code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
+  if (code > static_cast<uint8_t>(kLastStatusCode)) {
     return Status::Internal("wire: unknown status code " +
                             std::to_string(code) + ": " + error);
   }

@@ -200,8 +200,8 @@ class BlobWriter {
 
   /// Writes `field` of every row, in row order: one column of a padded
   /// struct (no length prefix; the caller writes the row count once).
-  template <typename T, typename M>
-  void PutColumn(const std::vector<T>& rows, M T::*field) {
+  template <typename T, typename A, typename M>
+  void PutColumn(const std::vector<T, A>& rows, M T::*field) {
     static_assert(std::is_trivially_copyable_v<M>);
     for (size_t i = 0; i < rows.size();) {
       if (kBlobChunkBytes - used_ < sizeof(M)) Flush();
@@ -296,8 +296,8 @@ class BlobReader {
   /// Fills `field` of every row of the already sized `rows`: the
   /// inverse of BlobWriter::PutColumn, copied out of the buffer a chunk
   /// at a time.
-  template <typename T, typename M>
-  void GetColumn(std::vector<T>* rows, M T::*field) {
+  template <typename T, typename A, typename M>
+  void GetColumn(std::vector<T, A>* rows, M T::*field) {
     static_assert(std::is_trivially_copyable_v<M>);
     const size_t n = rows->size();
     if (!ok_ || n > Remaining() / sizeof(M)) {

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/csr_sort.h"
 
 namespace sargus::storage {
 
@@ -106,7 +107,7 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
     uint64_t prev_key = 0;
     for (uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       const Entry& e = csr->out_entries_[i];
-      const uint64_t key = (uint64_t{e.label} << 32 | e.other) + 1;
+      const uint64_t key = csr_sort::Key(e) + 1;
       if (e.other >= n || key <= prev_key) {
         return Status::DataLoss("bundle: csr entry out of range or order");
       }

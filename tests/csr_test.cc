@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <thread>
@@ -10,6 +12,7 @@
 
 #include "common/rng.h"
 #include "graph/csr.h"
+#include "graph/csr_sort.h"
 #include "graph/delta_overlay.h"
 #include "synth/generators.h"
 #include "tests/test_util.h"
@@ -134,6 +137,10 @@ struct ReferenceSide {
   std::vector<CsrSnapshot::Entry> entries;
 };
 
+bool EntryLess(const CsrSnapshot::Entry& a, const CsrSnapshot::Entry& b) {
+  return a.label != b.label ? a.label < b.label : a.other < b.other;
+}
+
 /// The straightforward build the fast one must reproduce: copy the live
 /// edges, counting-sort them by endpoint, then std::sort every range by
 /// (label, other).
@@ -158,11 +165,7 @@ ReferenceSide ReferenceBuild(const SocialGraph& g, bool out_side) {
   }
   for (size_t v = 0; v < n; ++v) {
     std::sort(side.entries.begin() + side.offsets[v],
-              side.entries.begin() + side.offsets[v + 1],
-              [](const CsrSnapshot::Entry& a, const CsrSnapshot::Entry& b) {
-                return a.label != b.label ? a.label < b.label
-                                          : a.other < b.other;
-              });
+              side.entries.begin() + side.offsets[v + 1], EntryLess);
   }
   return side;
 }
@@ -267,6 +270,121 @@ TEST(CsrSnapshot, BuildMatchesReference) {
         std::move(*gen), 23,
         "large labels " + std::to_string(num_labels));
   }
+}
+
+// ---- The range sort ---------------------------------------------------------
+
+// By the 0-1 principle, a comparator network that sorts every input of
+// two distinct values sorts every input. SortRange pads a range of up to
+// eight entries to eight, so every length up to eight is its own input
+// set; the low value has the larger `other`, so the label must decide.
+TEST(CsrSnapshot, SortRangeSortsEveryBinaryInputOfEveryPaddedLength) {
+  const CsrSnapshot::Entry low{0xFFFFFFFEu, 0};
+  const CsrSnapshot::Entry high{0, 1};
+  for (size_t n = 0; n <= 8; ++n) {
+    for (uint32_t bits = 0; bits < (1u << n); ++bits) {
+      std::vector<CsrSnapshot::Entry> range(n);
+      for (size_t i = 0; i < n; ++i) range[i] = (bits >> i & 1) ? high : low;
+      csr_sort::SortRange(range.data(), range.data() + n);
+      const size_t ones = static_cast<size_t>(std::popcount(bits));
+      for (size_t i = 0; i < n; ++i) {
+        const CsrSnapshot::Entry want = i < n - ones ? low : high;
+        EXPECT_EQ(range[i].other, want.other) << n << " " << bits << " " << i;
+        EXPECT_EQ(range[i].label, want.label) << n << " " << bits << " " << i;
+      }
+    }
+  }
+}
+
+/// `n` entries with distinct (label, other) keys, a third of each field
+/// drawn from its extremes: labels 0 and 0xFFFE (the largest a dictionary
+/// mints), others 0 and `max_other`.
+std::vector<CsrSnapshot::Entry> RandomRange(size_t n, NodeId max_other,
+                                            Rng& rng) {
+  auto pick = [&rng](uint64_t max) -> uint64_t {
+    switch (rng.NextBounded(6)) {
+      case 0:
+        return 0;
+      case 1:
+        return max;
+      default:
+        return rng.NextBounded(max + 1);
+    }
+  };
+  std::vector<CsrSnapshot::Entry> range;
+  while (range.size() < n) {
+    const CsrSnapshot::Entry e{static_cast<NodeId>(pick(max_other)),
+                               static_cast<LabelId>(pick(0xFFFE))};
+    if (std::none_of(range.begin(), range.end(), [&e](const auto& x) {
+          return x.other == e.other && x.label == e.label;
+        })) {
+      range.push_back(e);
+    }
+  }
+  return range;
+}
+
+// Every length from 0 to 40 crosses the network, insertion and std::sort
+// paths and both of their cutoffs.
+TEST(CsrSnapshot, RangesOfEveryLengthSortLikeStdSort) {
+  Rng rng(97);
+  for (size_t n = 0; n <= 40; ++n) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<CsrSnapshot::Entry> range =
+          RandomRange(n, 0xFFFFFFFEu, rng);
+      std::vector<CsrSnapshot::Entry> want = range;
+      std::sort(want.begin(), want.end(), EntryLess);
+      csr_sort::SortRange(range.data(), range.data() + n);
+      ExpectSameEntries(range, want, "length " + std::to_string(n), "range",
+                        static_cast<NodeId>(trial));
+    }
+  }
+
+  // The same through Build, over a dictionary that interns every label
+  // id up to 0xFFFE: node v's out-range has v entries, and the in-ranges
+  // collect them.
+  SocialGraph g;
+  const NodeId nodes = 2000;
+  (void)g.AddNodes(nodes);
+  for (size_t l = 0; l <= 0xFFFE; ++l) {
+    ASSERT_EQ(g.labels().Intern(std::string("l").append(std::to_string(l))), l);
+  }
+  for (NodeId v = 0; v <= 40; ++v) {
+    for (const CsrSnapshot::Entry& e : RandomRange(v, nodes - 1, rng)) {
+      ASSERT_TRUE(g.AddEdge(v, e.other, e.label).ok());
+    }
+  }
+  ExpectMatchesReference(g, "extreme labels");
+}
+
+// A build of at least 2^19 entries runs its sort phase in more than one
+// worker. Here every hub sits in the first block of nodes the workers
+// take, so one worker sorts all the long ranges while the others take
+// the rest; the layout still equals the serial reference.
+TEST(CsrSnapshot, HubsInTheFirstBlockBuildLikeTheSerialReference) {
+  SocialGraph g;
+  const NodeId nodes = 150000;
+  (void)g.AddNodes(nodes);
+  for (const char* name : {"friend", "colleague", "family"}) {
+    (void)g.labels().Intern(name);
+  }
+  Rng rng(11);
+  auto label = [&rng] { return static_cast<LabelId>(rng.NextBounded(3)); };
+  for (NodeId hub = 0; hub < 32; ++hub) {
+    for (int i = 0; i < 4000; ++i) {
+      const NodeId v = static_cast<NodeId>(rng.NextBounded(nodes));
+      ASSERT_TRUE(g.AddEdge(hub, v, label()).ok());
+      ASSERT_TRUE(g.AddEdge(v, hub, label()).ok());
+    }
+  }
+  for (NodeId v = 32; v < nodes; ++v) {
+    for (int i = 0; i < 2; ++i) {
+      const NodeId w = static_cast<NodeId>(32 + rng.NextBounded(nodes - 32));
+      ASSERT_TRUE(g.AddEdge(v, w, label()).ok());
+    }
+  }
+  ASSERT_GE(g.NumEdges(), size_t{1} << 19);
+  ExpectMatchesReference(g, "hubs first");
 }
 
 // Background compaction builds the next CSR from the frozen overlay
