@@ -4,11 +4,14 @@
 /// Before the scratch pool, every Evaluate allocated and zeroed an
 /// O(|V| x automaton states) visited array (two for bidirectional), so
 /// even a grant whose witness is one hop long paid a cost linear in the
-/// graph. With the epoch-stamped pool the steady-state cost is O(work
-/// touched): latency for a short-witness grant should stay roughly flat
-/// as |V| grows. The *_ColdScratch variant re-creates the scratch pool
-/// every query -- reintroducing the O(|V|) floor on purpose -- so the
-/// flat-vs-linear split is visible inside one run.
+/// graph. With the pooled one-bit-per-slot sets, which each walk clears
+/// from its own frontier, the steady-state cost is O(work touched):
+/// latency for a short-witness grant should stay roughly flat as |V|
+/// grows. The *_ColdScratch variant re-creates the scratch pool every
+/// query -- reintroducing the O(|V|) floor on purpose -- so the
+/// flat-vs-linear split is visible inside one run. The warm variants
+/// report `scratch_bytes`, the pooled context's footprint
+/// (QueryScratch::MemoryBytes) at each graph size.
 ///
 /// CI runs this binary with --benchmark_out to keep a machine-readable
 /// BENCH_hotpath.json trajectory across PRs.
@@ -81,6 +84,10 @@ void RunShortGrant(benchmark::State& state, const Evaluator& eval,
       break;
     }
     benchmark::DoNotOptimize(r->granted);
+  }
+  if (!cold_scratch) {
+    state.counters["scratch_bytes"] =
+        static_cast<double>(warm.scratch.MemoryBytes());
   }
   state.SetLabel("|V|=" + std::to_string(p.csr.NumNodes()) +
                  " |E|=" + std::to_string(p.g->NumEdges()) +

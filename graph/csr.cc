@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -22,26 +21,11 @@ using Entry = CsrSnapshot::Entry;
 // while Entry has no member initialisers.
 static_assert(std::is_trivially_default_constructible_v<Entry>);
 
-/// A build runs on one thread until it has this many entries per core.
-/// A spawned or woken thread starts about one 4 ms scheduler tick after
-/// the one before it, so four chunks of 2 ms each take 8 ms; at 2^18
-/// entries a chunk's share of the build outlasts that stagger. A
-/// 262,144-node Barabási–Albert graph (1.57M edges) gets four chunks, a
-/// 65,536-node one (393k edges) stays on one.
-constexpr size_t kMinEntriesPerChunk = size_t{1} << 18;
-
 /// The sort phase hands out nodes in blocks of this many, from one
 /// shared cursor, so the block holding a graph's hubs (the lowest ids of
 /// a Barabási–Albert graph) or a helper that starts late holds up no
 /// other worker.
 constexpr size_t kSortBlock = 4096;
-
-size_t NumChunks(size_t entries) {
-  const size_t wanted = entries / kMinEntriesPerChunk;
-  if (wanted <= 1) return 1;  // skips the core count's file read
-  return std::min<size_t>(wanted,
-                          std::max(1u, std::thread::hardware_concurrency()));
-}
 
 /// Splits nodes [0, offsets.size() - 1) into `chunks` ranges of about
 /// equal entry count: range c is [bounds[c], bounds[c + 1]).
@@ -78,16 +62,36 @@ void ChunkedScatter(size_t num_keys, const std::vector<size_t>& bounds,
     for_each(bounds[c], bounds[c + 1],
              [count](NodeId key, const Entry&) { ++count[key]; });
   });
-  offsets->assign(num_keys + 1, 0);
-  uint32_t total = 0;
-  for (size_t v = 0; v < num_keys; ++v) {
-    (*offsets)[v] = total;
+  // The prefix pass, split by key range over the same workers: each
+  // range but the last sums its counts, a serial prefix over those sums
+  // gives every range its first offset, and each range then turns its
+  // counts into cursors.
+  offsets->resize(num_keys + 1);
+  std::vector<uint32_t> range_start(chunks, 0);
+  auto key_begin = [&](size_t r) { return num_keys * r / chunks; };
+  ParallelFor(chunks - 1, [&](size_t r) {
+    const size_t begin = key_begin(r), end = key_begin(r + 1);
+    uint32_t sum = 0;
     for (size_t c = 0; c < chunks; ++c) {
-      uint32_t& at = cursors[c * num_keys + v];
-      total += std::exchange(at, total);
+      const uint32_t* count = cursors.get() + c * num_keys;
+      for (size_t v = begin; v < end; ++v) sum += count[v];
     }
-  }
-  (*offsets)[num_keys] = total;
+    range_start[r + 1] = sum;
+  });
+  for (size_t r = 1; r < chunks; ++r) range_start[r] += range_start[r - 1];
+  ParallelFor(chunks, [&](size_t r) {
+    const size_t begin = key_begin(r), end = key_begin(r + 1);
+    uint32_t total = range_start[r];
+    for (size_t v = begin; v < end; ++v) {
+      (*offsets)[v] = total;
+      for (size_t c = 0; c < chunks; ++c) {
+        uint32_t& at = cursors[c * num_keys + v];
+        total += std::exchange(at, total);
+      }
+    }
+    if (r + 1 == chunks) (*offsets)[num_keys] = total;
+  });
+  const uint32_t total = offsets->back();
   entries->resize(total);  // unwritten: the scatter fills every slot
   ParallelFor(chunks, [&](size_t c) {
     uint32_t* cursor = cursors.get() + c * num_keys;

@@ -38,10 +38,11 @@
 ///    4,096 nodes from one shared cursor, so the block with a graph's
 ///    hubs or a helper that starts late holds up no other worker.
 /// The result is byte-identical whatever the chunk count. A build uses
-/// min(cores, entries / 2^18) chunks, at least one: on a 4-vCPU host a
-/// new thread started about one 4 ms scheduler tick after the one before
-/// it, so a smaller build runs on the calling thread alone, and a
-/// compaction of a graph above that floor briefly uses every core.
+/// min(cores, entries / 2^18) chunks, at least one (NumChunks, see
+/// common/parallel.h for the measured fork-join and start-up costs
+/// behind that floor), so a smaller build runs on the calling thread
+/// alone, and a compaction of a graph above the floor briefly uses
+/// every core.
 
 #include <atomic>
 #include <cstdint>

@@ -21,7 +21,7 @@ std::vector<NodeId> CollectMatchingAudience(const SocialGraph& g,
       (ctx != nullptr ? *ctx : ThreadLocalEvalContext()).scratch;
   const HopAutomaton& nfa = expr.automaton();
 
-  scratch.node_marks.BeginEpoch(num_nodes);
+  scratch.node_marks.Reserve(num_nodes);
   std::vector<NodeId> audience;
   auto mark = [&](NodeId v) {
     if (scratch.node_marks.Insert(v)) audience.push_back(v);
@@ -36,6 +36,8 @@ std::vector<NodeId> CollectMatchingAudience(const SocialGraph& g,
     return false;  // collect the whole audience, never stop early
   });
 
+  // Every mark is an audience member, so the marks clear from the list.
+  for (NodeId v : audience) scratch.node_marks.ClearWordOf(v);
   std::sort(audience.begin(), audience.end());
   return audience;
 }

@@ -4,14 +4,16 @@
 /// \file eval_context.h
 /// \brief Per-query scratch memory, pooled across queries.
 ///
-/// Every evaluator needs transient working state proportional to the
-/// product space (|V| × automaton states): visited sets, parent chains,
-/// frontiers, per-hop dedup arrays. Allocating and zeroing those per
-/// query puts an O(|V|) floor under every request, even a one-hop grant.
-/// QueryScratch owns all of them as epoch-stamped sets (O(1) logical
-/// reset, see common/epoch_set.h) and lazily-grown vectors, so in steady
-/// state a query performs no heap allocation for them at all — cost is
-/// O(work touched), the whole point of this subsystem.
+/// Every evaluator needs working state proportional to the product space
+/// (|V| × automaton states): visited sets, parent chains, frontiers,
+/// per-hop dedup sets. Allocating and zeroing those per query puts an
+/// O(|V|) floor under every request, even a one-hop grant. QueryScratch
+/// owns them all as one-bit-per-slot sets (common/slot_bitset.h) and
+/// lazily-grown vectors. Every set is empty between queries: the code
+/// that inserts into it clears it again, when it is done, from the list
+/// of slots it already keeps (a frontier, an audience). So in steady
+/// state a query allocates none of them and touches only the slots it
+/// visits, the whole point of this subsystem.
 ///
 /// Thread-safety contract: an EvalContext must not be used by two threads
 /// at once. A reader thread hammering an AccessReadView passes one
@@ -23,7 +25,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/epoch_set.h"
+#include "common/slot_bitset.h"
 #include "common/types.h"
 
 namespace sargus {
@@ -43,29 +45,45 @@ struct ProductParent {
 
 /// The pooled scratch arrays. Grown to the high-water mark of everything
 /// evaluated through it and reused; never shrinks.
-struct QueryScratch {
-  /// Product-space membership for the (forward) walker.
-  EpochStampSet visited;
-  /// Parent chain, indexed like `visited`; a slot is meaningful only when
-  /// `visited` contains it in the current epoch, so stale values are
-  /// harmless and the array is never cleared.
-  std::vector<ProductParent> parents;
-  /// Forward frontier: FIFO via the walker's moving head index (BFS).
-  /// Cleared (capacity kept) per query.
-  std::vector<ProductConfig> frontier;
+class QueryScratch {
+ public:
+  /// Product-space membership of the (forward) walker. Only a
+  /// ProductWalker inserts into it, and each walk clears it from its
+  /// frontier when it ends, so it reads empty between walks.
+  const SlotBitSet& visited() const { return visited_; }
 
-  /// Backward-side membership + frontier for bidirectional search.
-  EpochStampSet visited_back;
+  /// Backward-side membership + frontier for bidirectional search; the
+  /// search clears the set from `frontier_back` when it is done.
+  SlotBitSet visited_back;
   std::vector<ProductConfig> frontier_back;
 
-  /// Per-hop line-vertex dedup for the adjacency join (one epoch per
-  /// hop), plus its double-buffered frontiers.
-  EpochStampSet line_seen;
+  /// Per-hop line-vertex dedup for the adjacency join, plus its
+  /// double-buffered frontiers; each hop clears the previous hop's bits
+  /// from the frontier they were pushed to.
+  SlotBitSet line_seen;
   std::vector<LineVertexId> line_frontier;
   std::vector<LineVertexId> line_next;
 
-  /// Node-level marks for audience collection.
-  EpochStampSet node_marks;
+  /// Node-level marks for audience collection, cleared from the
+  /// audience the collector returns.
+  SlotBitSet node_marks;
+
+  /// Bytes held by every pooled array (capacity, not size): the
+  /// per-context footprint a serving thread keeps between queries.
+  size_t MemoryBytes() const;
+
+ private:
+  friend class ProductWalker;
+
+  SlotBitSet visited_;
+  /// Parent chain, indexed like `visited_`; a slot is meaningful only
+  /// while `visited_` contains it, so stale values are harmless and the
+  /// array is never cleared.
+  std::vector<ProductParent> parents_;
+  /// Forward frontier: FIFO via the walker's moving head index (BFS).
+  /// Every fresh `visited_` insert is pushed here and nothing is popped,
+  /// so it lists exactly the set's members until the walk ends.
+  std::vector<ProductConfig> frontier_;
 };
 
 struct EvalContext {

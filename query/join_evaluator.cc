@@ -73,16 +73,18 @@ Result<bool> JoinIndexEvaluator::JoinSequence(const ReachQuery& q,
                                               EvalContext& ctx,
                                               Evaluation* eval) const {
   // Frontier of line vertices after each hop, deduplicated per hop via
-  // the pooled epoch set (one epoch per hop — an O(1) reset, where the
-  // seed code re-zeroed an O(|line vertices|) array per sequence).
-  // Parents are kept only when a witness was requested.
+  // the pooled bit set. A hop's bits are exactly the frontier it pushed,
+  // so the next hop clears them from that list (O(frontier), where the
+  // seed code re-zeroed an O(|line vertices|) array per sequence). The
+  // last hop inserts nothing, so every exit but the tuple cap's leaves
+  // the set empty. Parents are kept only when a witness was requested.
   const size_t m = hops.size();
   QueryScratch& scratch = ctx.scratch;
   std::vector<LineVertexId>& frontier = scratch.line_frontier;
   std::vector<LineVertexId>& next = scratch.line_next;
   frontier.clear();
-  EpochStampSet& seen = scratch.line_seen;
-  seen.BeginEpoch(lg_->NumVertices());
+  SlotBitSet& seen = scratch.line_seen;
+  seen.Reserve(lg_->NumVertices());
   std::vector<std::vector<LineVertexId>> parents;  // per hop, per vertex pos
   std::vector<std::vector<LineVertexId>> frontiers;
   const bool track = q.want_witness;
@@ -116,7 +118,9 @@ Result<bool> JoinIndexEvaluator::JoinSequence(const ReachQuery& q,
   }
 
   for (size_t i = 1; i < m; ++i) {
-    seen.BeginEpoch(lg_->NumVertices());  // fresh dedup scope for this hop
+    // Fresh dedup scope for this hop: the set holds the last hop's
+    // frontier.
+    for (LineVertexId lv : frontier) seen.ClearWordOf(lv);
     next.clear();
     std::vector<LineVertexId> next_parents;
     const bool last = (i + 1 == m);
@@ -156,6 +160,7 @@ Result<bool> JoinIndexEvaluator::JoinSequence(const ReachQuery& q,
         // Cap is on *live* tuples (this hop's frontier), as in the
         // faithful join — not on cumulative work across sequences.
         if (next.size() > options_.max_intermediate_tuples) {
+          for (LineVertexId pushed : next) seen.ClearWordOf(pushed);
           return Status::ResourceExhausted("adjacency join exceeded tuple cap");
         }
       }

@@ -12,7 +12,7 @@ std::vector<NodeId> ProductWalker::BuildWitness(NodeId final_node, NodeId at,
   uint32_t cur_state = state;
   while (true) {
     const ProductParent& p =
-        scratch_->parents[ProductConfigId(cur_node, cur_state, num_states_)];
+        scratch_->parents_[ProductConfigId(cur_node, cur_state, num_states_)];
     if (p.node == kInvalidNode) break;
     // Every parent link is exactly one consumed edge, so repeated nodes
     // (self-loops) are legitimate path entries.

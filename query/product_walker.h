@@ -15,9 +15,11 @@
 /// bidirectional search to detect frontier intersection).
 ///
 /// All transient state lives in the caller's QueryScratch: the walker
-/// itself is a cheap view object constructed per query. Constructing it
-/// opens a new epoch on `scratch.visited` and truncates the frontier —
-/// O(1) in steady state, never an O(|V|·states) allocation.
+/// itself is a cheap view object constructed per query. A walk starts
+/// on an empty visited set and frontier and leaves them empty: every
+/// fresh visited insert is pushed to the frontier, so the destructor
+/// clears the set from that list, O(configurations visited) and never
+/// O(|V|·states). Only one walker may use a scratch at a time.
 ///
 /// Snapshot-consistency contract: a walk runs over one CsrSnapshot plus
 /// an optional DeltaOverlay (pending mutations merged into every neighbor
@@ -66,12 +68,24 @@ class ProductWalker {
     // Size by the logical node range — snapshot nodes plus staged node
     // additions — so walks may touch overlay-staged nodes safely.
     const size_t slots = LogicalNumNodes(csr, overlay) * size_t{num_states_};
-    scratch.visited.BeginEpoch(slots);
-    if (track_parents_ && scratch.parents.size() < slots) {
-      scratch.parents.resize(slots);
+    scratch.visited_.Reserve(slots);
+    if (track_parents_ && scratch.parents_.size() < slots) {
+      scratch.parents_.resize(slots);
     }
-    scratch.frontier.clear();
   }
+
+  /// Clears every visited bit this walk set, from the frontier that
+  /// lists them, and empties the frontier for the next walk.
+  ~ProductWalker() {
+    for (const ProductConfig& c : scratch_->frontier_) {
+      scratch_->visited_.ClearWordOf(
+          ProductConfigId(c.node, c.state, num_states_));
+    }
+    scratch_->frontier_.clear();
+  }
+
+  ProductWalker(const ProductWalker&) = delete;
+  ProductWalker& operator=(const ProductWalker&) = delete;
 
   /// Seeds the automaton's start closure at `node` (parents marked as
   /// search roots).
@@ -85,19 +99,21 @@ class ProductWalker {
   /// configuration is fresh this walk.
   bool Push(NodeId node, uint32_t state, NodeId from, uint32_t from_state) {
     const size_t id = ProductConfigId(node, state, num_states_);
-    if (!scratch_->visited.Insert(id)) return false;
-    if (track_parents_) scratch_->parents[id] = ProductParent{from, from_state};
-    scratch_->frontier.push_back(ProductConfig{node, state});
+    if (!scratch_->visited_.Insert(id)) return false;
+    if (track_parents_) {
+      scratch_->parents_[id] = ProductParent{from, from_state};
+    }
+    scratch_->frontier_.push_back(ProductConfig{node, state});
     return true;
   }
 
   bool Visited(NodeId node, uint32_t state) const {
-    return scratch_->visited.Contains(
+    return scratch_->visited_.Contains(
         ProductConfigId(node, state, num_states_));
   }
 
   /// Configurations still awaiting expansion.
-  size_t Remaining() const { return scratch_->frontier.size() - head_; }
+  size_t Remaining() const { return scratch_->frontier_.size() - head_; }
 
   /// Pops the oldest configuration (FIFO) and expands it. For every
   /// outgoing (or, for backward steps, incoming) edge whose far node
@@ -110,7 +126,7 @@ class ProductWalker {
   /// Returns true when a callback stopped the walk.
   template <typename OnAcceptEdge, typename OnFreshPush>
   bool Step(OnAcceptEdge&& on_accept, OnFreshPush&& on_push) {
-    const ProductConfig c = scratch_->frontier[head_++];
+    const ProductConfig c = scratch_->frontier_[head_++];
     ++pairs_visited_;
 
     const BoundStep& step = nfa_->StepSpec(c.state);

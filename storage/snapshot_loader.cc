@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "graph/csr_sort.h"
 
 namespace sargus::storage {
@@ -99,20 +100,33 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
       offsets.front() != 0 || offsets.back() != num_entries) {
     return Status::DataLoss("bundle: csr offsets out of range");
   }
-  for (size_t v = 0; v < n; ++v) {
-    if (offsets[v] > offsets[v + 1] || offsets[v + 1] > num_entries) {
-      return Status::DataLoss("bundle: csr offsets out of range");
-    }
-    // Strictly increasing (label, other) keys: sorted, and no edge twice.
-    uint64_t prev_key = 0;
-    for (uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      const Entry& e = csr->out_entries_[i];
-      const uint64_t key = csr_sort::Key(e) + 1;
-      if (e.other >= n || key <= prev_key) {
-        return Status::DataLoss("bundle: csr entry out of range or order");
+  // The per-node check only reads, so it splits by node range; the first
+  // range that fails holds the lowest failing node, whose message a
+  // serial scan would have returned.
+  const size_t chunks = NumChunks(num_entries);
+  std::vector<const char*> errors(chunks, nullptr);
+  ParallelFor(chunks, [&](size_t c) {
+    for (size_t v = n * c / chunks; v < n * (c + 1) / chunks; ++v) {
+      if (offsets[v] > offsets[v + 1] || offsets[v + 1] > num_entries) {
+        errors[c] = "bundle: csr offsets out of range";
+        return;
       }
-      prev_key = key;
+      // Strictly increasing (label, other) keys: sorted, and no edge
+      // twice.
+      uint64_t prev_key = 0;
+      for (uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        const Entry& e = csr->out_entries_[i];
+        const uint64_t key = csr_sort::Key(e) + 1;
+        if (e.other >= n || key <= prev_key) {
+          errors[c] = "bundle: csr entry out of range or order";
+          return;
+        }
+        prev_key = key;
+      }
     }
+  });
+  for (const char* error : errors) {
+    if (error != nullptr) return Status::DataLoss(error);
   }
   return OkStatus();
 }

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/epoch_set.h"
 #include "common/rng.h"
 #include "engine/access_engine.h"
 #include "query/eval_context.h"
@@ -529,45 +528,30 @@ TEST(CompactionThreshold, DefaultScalesWithEdgesAndOverrideWins) {
   }
 }
 
-// ---- Epoch wraparound under a grown node space ------------------------------
+// ---- Reused scratch under a grown node space --------------------------------
 
-TEST(CompactionEpochs, WraparoundUnderGrownNodeSpace) {
-  // Unit: grow the backing array, then force the wrap; stale stamps from
-  // the pre-growth era must not read as members afterwards.
-  EpochStampSet set;
-  set.BeginEpoch(8);
-  for (size_t i = 0; i < 8; ++i) EXPECT_TRUE(set.Insert(i));
-  set.SetEpochForTesting(std::numeric_limits<uint32_t>::max() - 1);
-  set.BeginEpoch(16);  // grows AND lands on the last pre-wrap epoch
-  EXPECT_TRUE(set.Insert(3));
-  EXPECT_TRUE(set.Insert(12));
-  set.BeginEpoch(16);  // wraps: one-time wipe, epoch restarts at 1
-  EXPECT_EQ(set.epoch(), 1u);
-  for (size_t i = 0; i < 16; ++i) {
-    EXPECT_FALSE(set.Contains(i)) << i;
-  }
-  EXPECT_TRUE(set.Insert(12));
-  EXPECT_TRUE(set.Contains(12));
-
-  // Engine-level: queries against views whose logical node count grew
-  // (AddNode) stay correct across a forced wraparound of the reused
-  // per-context scratch.
-  EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0, {});
+TEST(CompactionNodeGrowth, ReusedScratchUnderGrownNodeSpace) {
+  // Queries against a view whose logical node count grew (AddNode) walk
+  // onto a staged node past the CSR: the deny walk visits it in the
+  // second hop's state. They stay correct on one reused per-context
+  // scratch, and each walk leaves its visited set empty.
+  EngineFixture f(MakeDiamond(), {"colleague[1,2]"}, /*owner=*/0, {});
   auto id = f.engine->AddNode();
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(f.engine->AddEdge(0, *id, "colleague").ok());
   auto view = f.engine->AcquireReadView();
   EvalContext ctx;
-  ctx.scratch.visited.SetEpochForTesting(
-      std::numeric_limits<uint32_t>::max() - 3);
-  for (int i = 0; i < 8; ++i) {  // straddles the wrap
+  for (int i = 0; i < 8; ++i) {
     auto yes = view->CheckAccess({.requester = *id, .resource = f.res}, ctx);
     auto no = view->CheckAccess({.requester = 1, .resource = f.res}, ctx);
     ASSERT_TRUE(yes.ok());
     ASSERT_TRUE(no.ok());
     EXPECT_TRUE(yes->granted) << i;
     EXPECT_FALSE(no->granted) << i;
+    EXPECT_TRUE(ctx.scratch.visited().Empty()) << i;
   }
+  // The set covers the staged node's slots.
+  EXPECT_GT(ctx.scratch.visited().capacity(), size_t{*id});
 }
 
 // ---- The CSR in-side across compactions ------------------------------------

@@ -188,6 +188,72 @@ TEST(ReadView, BatchAgreesWithLoopAndIsPositional) {
   EXPECT_EQ(engine.AuditTrail().size(), 40u);
 }
 
+// ---- Scratch left empty by every walk ---------------------------------------
+
+// Each walk clears the bits it set from the list it pushed them to, so
+// whichever way it ends, the next walk on the context starts on empty
+// sets. On the diamond, "friend[1,2]/colleague[1]" from owner 0 grants
+// 3 and 5 and walks everything else to exhaustion.
+
+void ExpectScratchEmpty(const EvalContext& ctx) {
+  EXPECT_GT(ctx.scratch.visited().capacity(), 0u);
+  EXPECT_TRUE(ctx.scratch.visited().Empty());
+  EXPECT_TRUE(ctx.scratch.node_marks.Empty());
+}
+
+TEST(ReadViewScratch, EarlyStoppedGrantLeavesSetsEmpty) {
+  ViewFixture f({"friend[1,2]/colleague[1]"});
+  auto view = f.engine->AcquireReadView();
+  EvalContext ctx;
+  auto d = view->CheckAccess({.requester = 3, .resource = f.res}, ctx);
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(d->granted);
+  ExpectScratchEmpty(ctx);
+}
+
+TEST(ReadViewScratch, ExhaustedDenyLeavesSetsEmpty) {
+  ViewFixture f({"friend[1,2]/colleague[1]"});
+  auto view = f.engine->AcquireReadView();
+  EvalContext ctx;
+  auto d = view->CheckAccess({.requester = 1, .resource = f.res}, ctx);
+  ASSERT_TRUE(d.ok());
+  EXPECT_FALSE(d->granted);
+  EXPECT_GT(d->stats.pairs_visited, 0u);
+  ExpectScratchEmpty(ctx);
+}
+
+TEST(ReadViewScratch, WitnessRequestLeavesSetsEmpty) {
+  ViewFixture f({"friend[1,2]/colleague[1]"});
+  auto view = f.engine->AcquireReadView();
+  EvalContext ctx;
+  auto d = view->CheckAccess(
+      {.requester = 5, .resource = f.res, .want_witness = true}, ctx);
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(d->granted);
+  EXPECT_EQ(d->witness, (std::vector<NodeId>{0, 1, 5}));
+  ExpectScratchEmpty(ctx);
+}
+
+TEST(ReadViewScratch, BatchAudienceLeavesSetsEmpty) {
+  ViewFixture f({"friend[1,2]/colleague[1]"});
+  auto view = f.engine->AcquireReadView();
+  std::vector<AccessRequest> requests;
+  for (NodeId v = 1; v < 6; ++v) {
+    requests.push_back({.requester = v, .resource = f.res});
+  }
+  EvalContext ctx;
+  auto batch = view->CheckAccessBatch(requests, ctx);
+  ASSERT_EQ(batch.size(), requests.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(batch[i].ok()) << i;
+    EXPECT_EQ(batch[i]->evaluator_name, "batch-audience") << i;
+    const NodeId v = requests[i].requester;
+    EXPECT_EQ(batch[i]->granted, v == 3 || v == 5) << v;
+  }
+  EXPECT_GT(ctx.scratch.node_marks.capacity(), 0u);
+  ExpectScratchEmpty(ctx);
+}
+
 // ---- Concurrency ------------------------------------------------------------
 
 TEST(ReadView, ConcurrentReadersVsMutatorAgreeWithPerStateOracle) {

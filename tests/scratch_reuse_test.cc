@@ -1,16 +1,15 @@
-/// Tests for the query-scratch subsystem: epoch-stamped sets, pooled
-/// reuse across queries (the zero-allocation steady state), forced epoch
-/// wraparound, witness-parent isolation between queries, and the
-/// thread-safety contract of const Evaluate.
+/// Tests for the query-scratch subsystem: the one-bit-per-slot set,
+/// pooled reuse across queries (the zero-allocation steady state), sets
+/// left empty by every walk, witness-parent isolation between queries,
+/// and the thread-safety contract of const Evaluate.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <limits>
 #include <thread>
 #include <vector>
 
-#include "common/epoch_set.h"
+#include "common/slot_bitset.h"
 #include "query/audience.h"
 #include "query/bidirectional.h"
 #include "query/eval_context.h"
@@ -25,47 +24,44 @@ using testing_util::BuildStack;
 using testing_util::MakeDiamond;
 using testing_util::MustBind;
 
-TEST(EpochStampSet, InsertContainsAndEpochReset) {
-  EpochStampSet set;
-  set.BeginEpoch(8);
+TEST(SlotBitSet, InsertContainsAndClear) {
+  SlotBitSet set;
+  set.Reserve(130);
+  EXPECT_TRUE(set.Empty());
   EXPECT_FALSE(set.Contains(3));
   EXPECT_TRUE(set.Insert(3));
-  EXPECT_FALSE(set.Insert(3));  // already a member this epoch
+  EXPECT_FALSE(set.Insert(3));  // already a member
   EXPECT_TRUE(set.Contains(3));
+  EXPECT_TRUE(set.Insert(129));  // a slot in another word
+  EXPECT_FALSE(set.Contains(128));
+  EXPECT_FALSE(set.Empty());
 
-  set.BeginEpoch(8);  // O(1) reset
+  // Clearing from the inserted slots empties the set.
+  set.ClearWordOf(3);
   EXPECT_FALSE(set.Contains(3));
+  EXPECT_TRUE(set.Contains(129));
+  set.ClearWordOf(129);
+  EXPECT_TRUE(set.Empty());
   EXPECT_TRUE(set.Insert(3));
 }
 
-TEST(EpochStampSet, GrowsLazilyAndKeepsHighWaterMark) {
-  EpochStampSet set;
-  set.BeginEpoch(4);
+TEST(SlotBitSet, GrowthLeavesNewWordsClear) {
+  SlotBitSet set;
+  set.Reserve(4);
+  EXPECT_EQ(set.capacity(), 64u);  // whole words
   EXPECT_TRUE(set.Insert(2));
-  EXPECT_EQ(set.capacity(), 4u);
-  set.BeginEpoch(16);  // grow
-  EXPECT_FALSE(set.Contains(2));
-  EXPECT_TRUE(set.Insert(15));
-  EXPECT_EQ(set.capacity(), 16u);
-  set.BeginEpoch(4);  // never shrinks
-  EXPECT_EQ(set.capacity(), 16u);
-}
-
-TEST(EpochStampSet, WraparoundWipesStaleStamps) {
-  EpochStampSet set;
-  set.BeginEpoch(4);
-  EXPECT_TRUE(set.Insert(1));
-
-  // Jump to the last representable epoch; the stamp written above (epoch
-  // 1) must never read as a member again after the wrap.
-  set.SetEpochForTesting(std::numeric_limits<uint32_t>::max());
-  set.BeginEpoch(4);
-  EXPECT_EQ(set.epoch(), 1u);
-  EXPECT_FALSE(set.Contains(1));
-  EXPECT_TRUE(set.Insert(1));
-  set.BeginEpoch(4);
-  EXPECT_EQ(set.epoch(), 2u);
-  EXPECT_FALSE(set.Contains(1));
+  set.Reserve(1000);  // grow while a member is set
+  EXPECT_GE(set.capacity(), 1000u);
+  EXPECT_TRUE(set.Contains(2));  // growth keeps the old words
+  for (size_t i = 64; i < set.capacity(); ++i) {
+    ASSERT_FALSE(set.Contains(i)) << i;
+  }
+  EXPECT_TRUE(set.Insert(999));
+  const size_t bytes = set.MemoryBytes();
+  set.Reserve(4);  // never shrinks
+  EXPECT_GE(set.capacity(), 1000u);
+  EXPECT_EQ(set.MemoryBytes(), bytes);
+  EXPECT_TRUE(set.Contains(999));
 }
 
 class ScratchReuseTest : public ::testing::Test {
@@ -78,9 +74,9 @@ class ScratchReuseTest : public ::testing::Test {
 };
 
 /// Back-to-back grant -> deny -> grant on one evaluator and one context:
-/// stamps must reset logically between queries (no stale visited state
-/// producing a wrong deny or grant) and the backing arrays must be
-/// reused, not reallocated.
+/// each walk must leave the visited set empty (no stale visited state
+/// producing a wrong deny or grant) and the arrays must be reused, not
+/// reallocated.
 TEST_F(ScratchReuseTest, GrantDenyGrantReusesStamps) {
   const BoundPathExpression expr = MustBind(stack_->g, "friend[1,2]/colleague[1]");
   OnlineEvaluator eval(stack_->g, stack_->csr);
@@ -89,27 +85,30 @@ TEST_F(ScratchReuseTest, GrantDenyGrantReusesStamps) {
   auto grant1 = eval.Evaluate(ReachQuery{0, 3, &expr, true}, ctx);
   ASSERT_TRUE(grant1.ok());
   EXPECT_TRUE(grant1->granted);
-  const uint32_t epoch_after_first = ctx.scratch.visited.epoch();
-  const size_t capacity_after_first = ctx.scratch.visited.capacity();
+  EXPECT_GT(ctx.scratch.visited().capacity(), 0u);
+  EXPECT_TRUE(ctx.scratch.visited().Empty());
+  const size_t bytes_after_first = ctx.scratch.MemoryBytes();
 
   auto deny = eval.Evaluate(ReachQuery{5, 0, &expr, true}, ctx);
   ASSERT_TRUE(deny.ok());
   EXPECT_FALSE(deny->granted);
   EXPECT_TRUE(deny->witness.empty());
+  EXPECT_TRUE(ctx.scratch.visited().Empty());
 
   auto grant2 = eval.Evaluate(ReachQuery{0, 3, &expr, true}, ctx);
   ASSERT_TRUE(grant2.ok());
   EXPECT_TRUE(grant2->granted);
   EXPECT_EQ(grant2->witness, grant1->witness);
   EXPECT_EQ(grant2->stats.pairs_visited, grant1->stats.pairs_visited);
+  EXPECT_TRUE(ctx.scratch.visited().Empty());
 
-  // The pool advanced one epoch per query without regrowing: the
-  // steady-state path performed no O(|V|·states) allocation.
-  EXPECT_EQ(ctx.scratch.visited.epoch(), epoch_after_first + 2);
-  EXPECT_EQ(ctx.scratch.visited.capacity(), capacity_after_first);
+  // No regrowth: the steady-state path performed no O(|V|·states)
+  // allocation.
+  EXPECT_EQ(ctx.scratch.MemoryBytes(), bytes_after_first);
 }
 
-/// Witness parents are never cleared (only epoch-invalidated); a later
+/// Witness parents are never cleared (a slot is read only while the
+/// visited set holds it); a later
 /// query must not stitch a path out of a previous query's parent links.
 TEST_F(ScratchReuseTest, WitnessParentsDoNotLeakAcrossQueries) {
   const BoundPathExpression long_expr = MustBind(stack_->g, "friend[1,2]/colleague[1]");
@@ -131,47 +130,34 @@ TEST_F(ScratchReuseTest, WitnessParentsDoNotLeakAcrossQueries) {
   EXPECT_EQ(second->witness, (std::vector<NodeId>{4, 3}));
 }
 
-/// Forcing epoch wraparound mid-workload must not change any decision:
-/// the wipe makes the wrapped epoch indistinguishable from a fresh pool.
-TEST_F(ScratchReuseTest, EpochWraparoundKeepsDecisionsStable) {
+/// A context reused across every pair, alternating the online and the
+/// bidirectional evaluator, decides exactly as a fresh context per query
+/// does, and every set in the pool reads empty afterwards.
+TEST_F(ScratchReuseTest, ReusedContextKeepsDecisionsStable) {
   const BoundPathExpression expr = MustBind(stack_->g, "friend[1,2]/colleague[1]");
   OnlineEvaluator online(stack_->g, stack_->csr);
   BidirectionalEvaluator bidir(stack_->g, stack_->csr);
   EvalContext ctx;
 
-  // Reference decisions on a pristine context.
-  std::vector<bool> expected;
   for (NodeId src = 0; src < 6; ++src) {
     for (NodeId dst = 0; dst < 6; ++dst) {
       EvalContext fresh;
-      expected.push_back(
-          online.Evaluate(ReachQuery{src, dst, &expr, false}, fresh)->granted);
-    }
-  }
-
-  // Two epochs away from the wrap: the sweep below crosses it for every
-  // set in the pool.
-  const uint32_t near_max = std::numeric_limits<uint32_t>::max() - 2;
-  ctx.scratch.visited.SetEpochForTesting(near_max);
-  ctx.scratch.visited_back.SetEpochForTesting(near_max);
-  ctx.scratch.line_seen.SetEpochForTesting(near_max);
-  ctx.scratch.node_marks.SetEpochForTesting(near_max);
-
-  size_t i = 0;
-  for (NodeId src = 0; src < 6; ++src) {
-    for (NodeId dst = 0; dst < 6; ++dst, ++i) {
+      const bool expected =
+          online.Evaluate(ReachQuery{src, dst, &expr, false}, fresh)->granted;
       EXPECT_EQ(
           online.Evaluate(ReachQuery{src, dst, &expr, true}, ctx)->granted,
-          expected[i])
+          expected)
           << "online " << src << "->" << dst;
       EXPECT_EQ(
-          bidir.Evaluate(ReachQuery{src, dst, &expr, false}, ctx)->granted,
-          expected[i])
+          bidir.Evaluate(ReachQuery{src, dst, &expr, dst % 2 == 0}, ctx)
+              ->granted,
+          expected)
           << "bidir " << src << "->" << dst;
     }
   }
-  // The pool really did wrap (epoch restarted from 1).
-  EXPECT_LT(ctx.scratch.visited.epoch(), near_max);
+  EXPECT_TRUE(ctx.scratch.visited().Empty());
+  EXPECT_GT(ctx.scratch.visited_back.capacity(), 0u);
+  EXPECT_TRUE(ctx.scratch.visited_back.Empty());
 }
 
 /// The adjacency join's per-sequence seen array comes from the pool too.
@@ -194,6 +180,18 @@ TEST_F(ScratchReuseTest, JoinEvaluatorReusesLineScratch) {
   EXPECT_TRUE(grant2->granted);
   EXPECT_EQ(grant2->witness, grant1->witness);
   EXPECT_EQ(ctx.scratch.line_seen.capacity(), line_capacity);
+  EXPECT_TRUE(ctx.scratch.line_seen.Empty());
+
+  // A sequence stopped by the tuple cap mid-hop clears its bits too:
+  // 0 -> 2 fails friend/colleague, then friend/friend/colleague pushes
+  // one live tuple after its first hop, over a cap of zero.
+  JoinIndexOptions capped;
+  capped.max_intermediate_tuples = 0;
+  JoinIndexEvaluator capped_join(stack_->g, stack_->lg, *stack_->cluster,
+                                 capped);
+  auto exhausted = capped_join.Evaluate(ReachQuery{0, 2, &expr, false}, ctx);
+  EXPECT_EQ(exhausted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(ctx.scratch.line_seen.Empty());
 }
 
 /// The audience collector shares the same pool; repeated calls agree and
@@ -203,12 +201,14 @@ TEST_F(ScratchReuseTest, AudienceCollectorReusesScratch) {
   EvalContext ctx;
   const auto first = CollectMatchingAudience(stack_->g, stack_->csr, expr, 0,
                                              &ctx);
-  const size_t capacity = ctx.scratch.visited.capacity();
+  const size_t bytes = ctx.scratch.MemoryBytes();
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(CollectMatchingAudience(stack_->g, stack_->csr, expr, 0, &ctx),
               first);
   }
-  EXPECT_EQ(ctx.scratch.visited.capacity(), capacity);
+  EXPECT_EQ(ctx.scratch.MemoryBytes(), bytes);
+  EXPECT_TRUE(ctx.scratch.visited().Empty());
+  EXPECT_TRUE(ctx.scratch.node_marks.Empty());
 }
 
 /// Thread-safety contract: any number of threads may call Evaluate(q) on
