@@ -19,7 +19,11 @@
 ///    0.3: ~24–26 ms rebuilds), because a process's first ~20 chunked
 ///    CSR builds each run ~3x slower than later ones. A single sample
 ///    of each read anywhere from 0.85 to 3.4. `bundle_bytes` tracks
-///    on-disk size: 14.7 MB at 256k nodes (55.1 MB with the v5 bundle);
+///    on-disk size: 14.7 MB at 256k nodes (55.1 MB with the v5 bundle).
+///    `graph_bytes` is the reopened graph's MemoryBytes(): the refilled
+///    10-byte edge slots (no triple index until a mutation) plus the
+///    attribute columns, 19.9 MB at 256k nodes (24.6 MB when a slot
+///    was a padded 12-byte Edge plus a 1-byte live flag);
 ///  * BM_SaveSnapshot: writer-observed SaveSnapshot() latency (the
 ///    streamed serialize + atomic-publish cost compaction pays off the
 ///    serving path).
@@ -124,14 +128,19 @@ BENCHMARK(BM_ColdStartRebuild)->Apply(ColdStartArgs);
 
 void BM_ColdStartOpenFromDir(benchmark::State& state) {
   auto& setup = GetSetup(static_cast<size_t>(state.range(0)));
+  size_t graph_bytes = 0;
   for (auto _ : state) {
     SocialGraph g;
-    auto engine = AccessControlEngine::OpenFromDir(setup.dir, &g,
-                                                   setup.store);
-    if (!engine.ok()) std::abort();
-    benchmark::DoNotOptimize((*engine)->AcquireReadView());
+    {
+      auto engine = AccessControlEngine::OpenFromDir(setup.dir, &g,
+                                                     setup.store);
+      if (!engine.ok()) std::abort();
+      benchmark::DoNotOptimize((*engine)->AcquireReadView());
+    }
+    graph_bytes = g.MemoryBytes();  // read once the engine has stopped
   }
   state.counters["nodes"] = static_cast<double>(state.range(0));
+  state.counters["graph_bytes"] = static_cast<double>(graph_bytes);
   state.counters["bundle_bytes"] = static_cast<double>(setup.bundle_bytes);
   state.counters["wal_tail_records"] = static_cast<double>(kTailMutations);
   // speedup_vs_rebuild: median one-shot rebuild over median one-shot

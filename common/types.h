@@ -35,7 +35,8 @@ using ResourceId = uint32_t;
 /// An access rule attached to a resource.
 using RuleId = uint32_t;
 
-/// Sentinel for "no such label" (LabelDictionary::Lookup miss).
+/// Sentinel for "no such label" (LabelDictionary::Lookup miss), and the
+/// label of a dead SocialGraph edge slot.
 inline constexpr LabelId kInvalidLabel = std::numeric_limits<LabelId>::max();
 
 /// Sentinel for "no such attribute".

@@ -17,8 +17,8 @@ namespace {
 
 using Entry = CsrSnapshot::Entry;
 
-// CsrSnapshot::ForOverwrite leaves a resized entry array unwritten only
-// while Entry has no member initialisers.
+// ForOverwrite (common/for_overwrite.h) leaves a resized entry array
+// unwritten only while Entry has no member initialisers.
 static_assert(std::is_trivially_default_constructible_v<Entry>);
 
 /// The sort phase hands out nodes in blocks of this many, from one

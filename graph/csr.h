@@ -52,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/for_overwrite.h"
 #include "common/types.h"
 #include "graph/social_graph.h"
 
@@ -144,19 +145,7 @@ class CsrSnapshot {
   static CsrSnapshot Scatter(size_t num_nodes, size_t num_inputs,
                              const ForEachEdge& for_each_edge);
 
-  /// Default-initialises where std::allocator value-initialises, so
-  /// resize() leaves new entries unwritten.
-  template <typename T>
-  struct ForOverwrite : std::allocator<T> {
-    template <typename U>
-    void construct(U* p) {
-      ::new (static_cast<void*>(p)) U;
-    }
-    template <typename U, typename... Args>
-    void construct(U* p, Args&&... args) {
-      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-    }
-  };
+  /// resize() leaves new entries unwritten: the scatter fills them.
   using Entries = std::vector<Entry, ForOverwrite<Entry>>;
 
   struct InSide {

@@ -128,12 +128,12 @@ Result<EdgeId> SocialGraph::AddEdge(NodeId src, NodeId dst, LabelId label) {
   }
   const size_t slot = ProbeSlot(src, dst, label);
   if (edge_lookup_[slot] != kEmptySlot) return edge_lookup_[slot];
-  if (edges_.size() >= kEmptySlot) {
+  if (slots_.size() >= kEmptySlot) {
     return Status::ResourceExhausted("AddEdge: edge slots exhausted");
   }
-  const EdgeId id = static_cast<EdgeId>(edges_.size());
-  edges_.push_back(Edge{src, dst, label});
-  live_.push_back(1);
+  // label < labels_.size() <= 0xFFFF, so it is never the tombstone.
+  const EdgeId id = static_cast<EdgeId>(slots_.size());
+  slots_.push_back(Slot{src, dst, label});
   ++num_live_edges_;
   edge_lookup_[slot] = id;
   return id;
@@ -153,7 +153,7 @@ Status SocialGraph::RemoveEdge(EdgeId edge) {
     return Status::NotFound("RemoveEdge: no live edge in slot");
   }
   EnsureEdgeLookup();
-  const Edge& rec = edges_[edge];
+  const Slot& rec = slots_[edge];
   const size_t mask = edge_lookup_.size() - 1;
   size_t hole = ProbeSlot(rec.src, rec.dst, rec.label);
   // Backward shift: pull each later member of the probe run into the
@@ -161,7 +161,7 @@ Status SocialGraph::RemoveEdge(EdgeId edge) {
   // every remaining id reachable from its home without tombstones.
   for (size_t j = (hole + 1) & mask; edge_lookup_[j] != kEmptySlot;
        j = (j + 1) & mask) {
-    const Edge& moved = edges_[edge_lookup_[j]];
+    const Slot& moved = slots_[edge_lookup_[j]];
     const size_t home =
         EdgeTripleHash(moved.src, moved.dst, moved.label) & mask;
     if (((j - home) & mask) >= ((j - hole) & mask)) {
@@ -170,7 +170,7 @@ Status SocialGraph::RemoveEdge(EdgeId edge) {
     }
   }
   edge_lookup_[hole] = kEmptySlot;
-  live_[edge] = 0;
+  slots_[edge].label = kInvalidLabel;  // the probes above read it live
   --num_live_edges_;
   return OkStatus();
 }
@@ -180,7 +180,7 @@ size_t SocialGraph::ProbeSlot(NodeId src, NodeId dst, LabelId label) const {
   for (size_t i = EdgeTripleHash(src, dst, label) & mask;; i = (i + 1) & mask) {
     const EdgeId id = edge_lookup_[i];
     if (id == kEmptySlot) return i;
-    const Edge& e = edges_[id];
+    const Slot& e = slots_[id];
     if (e.src == src && e.dst == dst && e.label == label) return i;
   }
 }
@@ -188,9 +188,9 @@ size_t SocialGraph::ProbeSlot(NodeId src, NodeId dst, LabelId label) const {
 void SocialGraph::RehashEdgeLookup(size_t capacity) const {
   edge_lookup_.assign(capacity, kEmptySlot);
   const size_t mask = capacity - 1;
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    if (!live_[e]) continue;
-    const Edge& rec = edges_[e];
+  for (EdgeId e = 0; e < slots_.size(); ++e) {
+    const Slot& rec = slots_[e];
+    if (rec.label == kInvalidLabel) continue;
     // Live triples are distinct, so the first empty slot is the place.
     size_t i = EdgeTripleHash(rec.src, rec.dst, rec.label) & mask;
     while (edge_lookup_[i] != kEmptySlot) i = (i + 1) & mask;
@@ -204,13 +204,10 @@ void SocialGraph::EnsureEdgeLookup() const {
   edge_lookup_stale_ = false;
 }
 
-void SocialGraph::ShrinkToFit() {
-  edges_.shrink_to_fit();
-  live_.shrink_to_fit();
-}
+void SocialGraph::ShrinkToFit() { slots_.shrink_to_fit(); }
 
 size_t SocialGraph::MemoryBytes() const {
-  size_t bytes = edges_.capacity() * sizeof(Edge) + live_.capacity();
+  size_t bytes = slots_.capacity() * sizeof(Slot);
   for (const auto& col : attr_columns_) {
     bytes += col.capacity() * sizeof(int64_t);
   }

@@ -12,15 +12,24 @@
 ///
 /// Edge slots are stable: RemoveEdge tombstones the slot instead of
 /// compacting, so EdgeIds held by callers never dangle. Iteration goes
-/// through EdgeSlotCount()/IsLiveEdge(). A snapshot bundle stores no
-/// slots: the loader refills them densely, in CSR order.
+/// through EdgeSlotCount()/IsLiveEdge(). A slot is one 10-byte record
+/// {src, dst, label} with no padding, and a dead slot is marked in band
+/// by label kInvalidLabel: AddEdge refuses a label id at or past the
+/// dictionary's size, and the dictionary holds at most 0xFFFF names, so
+/// no stored edge carries that label. An edge thus costs 10 B of slot
+/// plus its share of the triple index (4 B per index slot, kept 3/8 to
+/// 3/4 full) and, in every CsrSnapshot, an 8-byte entry. A snapshot
+/// bundle stores no slots: the loader refills them densely, in CSR
+/// order, one node range per core.
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "common/for_overwrite.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -53,7 +62,8 @@ class NameDictionary {
 };
 
 /// One directed labeled edge. `label` is interned in the graph's label
-/// dictionary.
+/// dictionary. A value type: SocialGraph stores its slots in a packed
+/// record of its own and hands out copies.
 struct Edge {
   NodeId src = 0;
   NodeId dst = 0;
@@ -103,7 +113,8 @@ class SocialGraph {
   /// Same, with a label id already interned in this graph's dictionary.
   Result<EdgeId> AddEdge(NodeId src, NodeId dst, LabelId label);
 
-  /// Tombstones the edge slot. kNotFound if the slot is dead or invalid.
+  /// Tombstones the edge slot: its record's label becomes kInvalidLabel.
+  /// kNotFound if the slot is dead or invalid.
   Status RemoveEdge(EdgeId edge);
 
   /// Slot of the live edge (src, dst, label), or nullopt when absent.
@@ -118,14 +129,20 @@ class SocialGraph {
   size_t NumEdges() const { return num_live_edges_; }
 
   /// Total slots ever allocated (live + tombstoned); the iteration bound.
-  size_t EdgeSlotCount() const { return edges_.size(); }
+  size_t EdgeSlotCount() const { return slots_.size(); }
 
+  /// True when `edge` is a slot whose record carries a label, not the
+  /// kInvalidLabel tombstone.
   bool IsLiveEdge(EdgeId edge) const {
-    return edge < edges_.size() && live_[edge];
+    return edge < slots_.size() && slots_[edge].label != kInvalidLabel;
   }
 
-  /// Record for a slot; valid only while IsLiveEdge(edge).
-  const Edge& edge(EdgeId edge) const { return edges_[edge]; }
+  /// A copy of the slot's record; meaningful only while IsLiveEdge(edge)
+  /// (a dead slot reads back with label kInvalidLabel).
+  Edge edge(EdgeId edge) const {
+    const Slot& s = slots_[edge];
+    return Edge{s.src, s.dst, s.label};
+  }
 
   // ---- Dictionaries --------------------------------------------------------
 
@@ -137,7 +154,7 @@ class SocialGraph {
   /// across all shard copies (see graph/subgraph.h).
   NameDictionary& attrs() { return attrs_; }
 
-  /// Releases the edge columns' spare capacity. The generators call it
+  /// Releases the edge slots' spare capacity. The generators call it
   /// on a finished graph, so a graph that will only be read does not
   /// carry up to 2x its edge storage.
   void ShrinkToFit();
@@ -157,9 +174,20 @@ class SocialGraph {
  private:
   friend struct storage::StorageAccess;
 
+  /// One edge slot: Edge's fields without its 2 padding bytes. Read
+  /// its members by value; a reference cannot bind to a packed member.
+  /// No member initialisers, so ForOverwrite leaves a resized array
+  /// unwritten for the loader to fill.
+  struct [[gnu::packed]] Slot {
+    NodeId src;
+    NodeId dst;
+    LabelId label;  // kInvalidLabel marks a dead slot
+  };
+  static_assert(sizeof(Slot) == 10 &&
+                std::is_trivially_default_constructible_v<Slot>);
+
   size_t num_nodes_ = 0;
-  std::vector<Edge> edges_;
-  std::vector<uint8_t> live_;
+  std::vector<Slot, ForOverwrite<Slot>> slots_;
   size_t num_live_edges_ = 0;
   NameDictionary labels_;
   NameDictionary attrs_;
@@ -178,11 +206,11 @@ class SocialGraph {
 
   // The triple -> slot index: an open-addressed, linearly probed table
   // of live edge ids. A slot holds only the id; its key is read back
-  // from edges_. The capacity is a power of two (or 0) at most 3/4
-  // full, and RemoveEdge deletes by backward shift, so no tombstones
-  // accumulate. Lazily materialized (hence mutable): the loader marks
-  // it stale and the first lookup/mutation rebuilds it from
-  // edges_/live_.
+  // from that edge's record in slots_, one record per probe. The
+  // capacity is a power of two (or 0) at most 3/4 full, and RemoveEdge
+  // deletes by backward shift, so no tombstones accumulate. Lazily
+  // materialized (hence mutable): the loader marks it stale and the
+  // first lookup/mutation rebuilds it from slots_.
   mutable std::vector<EdgeId> edge_lookup_;
   mutable bool edge_lookup_stale_ = false;
 };

@@ -36,13 +36,6 @@ struct ProductConfig {
   uint32_t state = 0;
 };
 
-/// Parent link for witness reconstruction: the configuration whose edge
-/// discovered this one (kInvalidNode marks a search seed).
-struct ProductParent {
-  NodeId node = kInvalidNode;
-  uint32_t state = 0;
-};
-
 /// The pooled scratch arrays. Grown to the high-water mark of everything
 /// evaluated through it and reused; never shrinks.
 class QueryScratch {
@@ -75,15 +68,18 @@ class QueryScratch {
  private:
   friend class ProductWalker;
 
+  /// The parent link of a search root.
+  static constexpr size_t kNoParent = static_cast<size_t>(-1);
+
   SlotBitSet visited_;
-  /// Parent chain, indexed like `visited_`; a slot is meaningful only
-  /// while `visited_` contains it, so stale values are harmless and the
-  /// array is never cleared.
-  std::vector<ProductParent> parents_;
   /// Forward frontier: FIFO via the walker's moving head index (BFS).
   /// Every fresh `visited_` insert is pushed here and nothing is popped,
   /// so it lists exactly the set's members until the walk ends.
   std::vector<ProductConfig> frontier_;
+  /// Witness walks only: parallel to `frontier_`, the frontier index of
+  /// the configuration whose edge discovered each entry (kNoParent for
+  /// a root). O(configurations visited), emptied with the frontier.
+  std::vector<size_t> parents_;
 };
 
 struct EvalContext {

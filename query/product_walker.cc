@@ -6,19 +6,18 @@ namespace sargus {
 
 std::vector<NodeId> ProductWalker::BuildWitness(NodeId final_node, NodeId at,
                                                 uint32_t state) const {
+  // Every visited configuration is on the frontier exactly once, so one
+  // scan finds (at, state); its parent links then lead back to a seed.
+  const std::vector<ProductConfig>& frontier = scratch_->frontier_;
+  size_t i = 0;
+  while (frontier[i].node != at || frontier[i].state != state) ++i;
   // Chain: src ... at, then the final edge to final_node.
   std::vector<NodeId> path{final_node, at};
-  NodeId cur_node = at;
-  uint32_t cur_state = state;
-  while (true) {
-    const ProductParent& p =
-        scratch_->parents_[ProductConfigId(cur_node, cur_state, num_states_)];
-    if (p.node == kInvalidNode) break;
-    // Every parent link is exactly one consumed edge, so repeated nodes
-    // (self-loops) are legitimate path entries.
-    path.push_back(p.node);
-    cur_node = p.node;
-    cur_state = p.state;
+  // Every parent link is exactly one consumed edge, so repeated nodes
+  // (self-loops) are legitimate path entries.
+  for (i = scratch_->parents_[i]; i != QueryScratch::kNoParent;
+       i = scratch_->parents_[i]) {
+    path.push_back(frontier[i].node);
   }
   std::reverse(path.begin(), path.end());
   return path;

@@ -69,42 +69,32 @@ class ProductWalker {
     // additions — so walks may touch overlay-staged nodes safely.
     const size_t slots = LogicalNumNodes(csr, overlay) * size_t{num_states_};
     scratch.visited_.Reserve(slots);
-    if (track_parents_ && scratch.parents_.size() < slots) {
-      scratch.parents_.resize(slots);
-    }
   }
 
   /// Clears every visited bit this walk set, from the frontier that
-  /// lists them, and empties the frontier for the next walk.
+  /// lists them, and empties the frontier and its parent links for the
+  /// next walk.
   ~ProductWalker() {
     for (const ProductConfig& c : scratch_->frontier_) {
       scratch_->visited_.ClearWordOf(
           ProductConfigId(c.node, c.state, num_states_));
     }
     scratch_->frontier_.clear();
+    scratch_->parents_.clear();
   }
 
   ProductWalker(const ProductWalker&) = delete;
   ProductWalker& operator=(const ProductWalker&) = delete;
 
-  /// Seeds the automaton's start closure at `node` (parents marked as
-  /// search roots).
+  /// Seeds the automaton's start closure at `node` (search roots).
   void SeedStarts(NodeId node) {
-    for (uint32_t s : nfa_->StartStates()) {
-      Push(node, s, kInvalidNode, 0);
-    }
+    for (uint32_t s : nfa_->StartStates()) Push(node, s);
   }
 
-  /// Marks (node, state) visited and enqueues it; returns true when the
-  /// configuration is fresh this walk.
-  bool Push(NodeId node, uint32_t state, NodeId from, uint32_t from_state) {
-    const size_t id = ProductConfigId(node, state, num_states_);
-    if (!scratch_->visited_.Insert(id)) return false;
-    if (track_parents_) {
-      scratch_->parents_[id] = ProductParent{from, from_state};
-    }
-    scratch_->frontier_.push_back(ProductConfig{node, state});
-    return true;
+  /// Marks (node, state) visited and enqueues it as a search root;
+  /// returns true when the configuration is fresh this walk.
+  bool Push(NodeId node, uint32_t state) {
+    return PushFrom(node, state, QueryScratch::kNoParent);
   }
 
   bool Visited(NodeId node, uint32_t state) const {
@@ -126,7 +116,8 @@ class ProductWalker {
   /// Returns true when a callback stopped the walk.
   template <typename OnAcceptEdge, typename OnFreshPush>
   bool Step(OnAcceptEdge&& on_accept, OnFreshPush&& on_push) {
-    const ProductConfig c = scratch_->frontier_[head_++];
+    const size_t at = head_++;
+    const ProductConfig c = scratch_->frontier_[at];
     ++pairs_visited_;
 
     const BoundStep& step = nfa_->StepSpec(c.state);
@@ -139,7 +130,7 @@ class ProductWalker {
           if (!BoundPathExpression::NodePasses(*graph_, w, step)) return false;
           if (accepts && on_accept(w, c.node, c.state)) return true;
           for (uint32_t t : targets) {
-            if (Push(w, t, c.node, c.state) && on_push(w, t)) return true;
+            if (PushFrom(w, t, at) && on_push(w, t)) return true;
           }
           return false;
         });
@@ -159,11 +150,22 @@ class ProductWalker {
   uint64_t pairs_visited() const { return pairs_visited_; }
 
   /// Witness path src ... final_node, given the accepting edge
-  /// (at, state) -> final_node. Requires track_parents.
+  /// (at, state) -> final_node, where (at, state) is a configuration
+  /// this walk visited. Requires track_parents.
   std::vector<NodeId> BuildWitness(NodeId final_node, NodeId at,
                                    uint32_t state) const;
 
  private:
+  /// Push, recording frontier index `parent` as the configuration whose
+  /// edge discovered this one.
+  bool PushFrom(NodeId node, uint32_t state, size_t parent) {
+    const size_t id = ProductConfigId(node, state, num_states_);
+    if (!scratch_->visited_.Insert(id)) return false;
+    if (track_parents_) scratch_->parents_.push_back(parent);
+    scratch_->frontier_.push_back(ProductConfig{node, state});
+    return true;
+  }
+
   const SocialGraph* graph_;
   const CsrSnapshot* csr_;
   const DeltaOverlay* overlay_;

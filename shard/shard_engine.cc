@@ -188,7 +188,7 @@ wire::WalkResult RunWalk(const AccessReadView& view, const ShardTopology* topo,
     walker.SeedStarts(walk.owner);
   } else {
     for (const wire::FrontierEntry& e : walk.frontier) {
-      walker.Push(e.node, e.state, kInvalidNode, 0);
+      walker.Push(e.node, e.state);
     }
   }
 

@@ -388,8 +388,9 @@ struct StorageAccess {
   static void SaveCsr(const CsrSnapshot& csr, BlobWriter& w);
   static Status LoadCsr(BlobReader& r, CsrSnapshot* csr);
   /// Refills `g`'s node count and edge slots from `csr`: one live slot
-  /// per out-entry, in CSR order, the triple index stale. Refuses
-  /// (kDataLoss) a label past `g`'s dictionary.
+  /// per out-entry, in CSR order, written by node range on every core,
+  /// the triple index stale. Refuses (kDataLoss) a label past `g`'s
+  /// dictionary.
   static Status FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g);
 
   static void SaveOverlay(const DeltaOverlay& o, BlobWriter& w);

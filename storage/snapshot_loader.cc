@@ -1,5 +1,6 @@
 #include "storage/snapshot_loader.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -133,17 +134,32 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
 
 Status StorageAccess::FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g) {
   const size_t num_labels = g->labels_.size();
-  g->num_nodes_ = csr.num_nodes_;
-  g->edges_.reserve(csr.NumEdges());
-  g->live_.assign(csr.NumEdges(), 1);
+  const size_t n = csr.num_nodes_;
+  const std::vector<uint32_t>& offsets = csr.out_offsets_;
+  g->num_nodes_ = n;
+  g->slots_.resize(csr.NumEdges());  // unwritten: the ranges fill every slot
   g->num_live_edges_ = csr.NumEdges();
-  for (NodeId v = 0; v < csr.num_nodes_; ++v) {
-    for (const CsrSnapshot::Entry& e : csr.Out(v)) {
-      if (e.label >= num_labels) {
-        return Status::DataLoss("bundle: csr entry label out of range");
+  // Split by node range like LoadCsr's check: each range writes its own
+  // slots [offsets[begin], offsets[end]). A label past the dictionary
+  // would be a slot no index can key (or, at kInvalidLabel, a live edge
+  // read as dead), so any failing range refuses the bundle with the one
+  // message the serial scan gave.
+  const size_t chunks = NumChunks(csr.NumEdges());
+  std::vector<uint8_t> failed(chunks, 0);
+  ParallelFor(chunks, [&](size_t c) {
+    for (size_t v = n * c / chunks; v < n * (c + 1) / chunks; ++v) {
+      SocialGraph::Slot* out = g->slots_.data() + offsets[v];
+      for (const CsrSnapshot::Entry& e : csr.Out(static_cast<NodeId>(v))) {
+        if (e.label >= num_labels) {
+          failed[c] = 1;
+          return;
+        }
+        *out++ = SocialGraph::Slot{static_cast<NodeId>(v), e.other, e.label};
       }
-      g->edges_.push_back(Edge{v, e.other, e.label});
     }
+  });
+  if (std::find(failed.begin(), failed.end(), 1) != failed.end()) {
+    return Status::DataLoss("bundle: csr entry label out of range");
   }
   // Do NOT rebuild the triple lookup here: the cold-start-to-first-query
   // path never needs it (the engine's membership test reads the CSR).

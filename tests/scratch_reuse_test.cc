@@ -107,9 +107,9 @@ TEST_F(ScratchReuseTest, GrantDenyGrantReusesStamps) {
   EXPECT_EQ(ctx.scratch.MemoryBytes(), bytes_after_first);
 }
 
-/// Witness parents are never cleared (a slot is read only while the
-/// visited set holds it); a later
-/// query must not stitch a path out of a previous query's parent links.
+/// Witness parents live beside the frontier and are emptied with it; a
+/// later query must not stitch a path out of a previous query's parent
+/// links.
 TEST_F(ScratchReuseTest, WitnessParentsDoNotLeakAcrossQueries) {
   const BoundPathExpression long_expr = MustBind(stack_->g, "friend[1,2]/colleague[1]");
   const BoundPathExpression short_expr = MustBind(stack_->g, "colleague[1]");

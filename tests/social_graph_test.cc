@@ -81,6 +81,75 @@ TEST(SocialGraph, RemoveEdgeTombstones) {
   EXPECT_EQ(g.NumEdges(), 1u);
 }
 
+// A slot is marked dead in its own record, by the kInvalidLabel
+// tombstone: the removed slot reads dead, the index misses it, and a
+// re-add takes a new slot. Growing the index (a rehash over every slot),
+// copying the graph and shrinking it keep the tombstone where it was.
+// With no attribute column, MemoryBytes is 10 B per slot plus the index.
+TEST(SocialGraph, DeadSlotIsMarkedInBand) {
+  SocialGraph g;
+  g.AddNodes(200);
+  const LabelId f = g.labels().Intern("friend");
+  for (NodeId v = 0; v + 1 < 64; ++v) ASSERT_TRUE(g.AddEdge(v, v + 1, f).ok());
+  const EdgeId dead = *g.FindEdge(5, 6, f);
+  ASSERT_TRUE(g.RemoveEdge(dead).ok());
+  EXPECT_FALSE(g.IsLiveEdge(dead));
+  EXPECT_EQ(g.edge(dead).label, kInvalidLabel);
+  EXPECT_FALSE(g.FindEdge(5, 6, f).has_value());
+  EXPECT_FALSE(g.FindEdge(5, 6, kInvalidLabel).has_value());
+  EXPECT_EQ(g.NumEdges(), 62u);
+  const EdgeId readded = *g.AddEdge(5, 6, f);
+  EXPECT_EQ(readded, g.EdgeSlotCount() - 1);
+  EXPECT_NE(readded, dead);
+  EXPECT_FALSE(g.IsLiveEdge(dead));
+
+  const size_t capacity = g.edge_index_capacity();
+  for (NodeId v = 64; v + 1 < 200; ++v) {
+    ASSERT_TRUE(g.AddEdge(v, v + 1, f).ok());
+  }
+  ASSERT_GT(g.edge_index_capacity(), capacity);  // rehashed past the slot
+  auto expect_dead_slot_kept = [&](const SocialGraph& h) {
+    EXPECT_FALSE(h.IsLiveEdge(dead));
+    EXPECT_EQ(h.FindEdge(5, 6, f), std::optional<EdgeId>(readded));
+    EXPECT_FALSE(h.FindEdge(5, 6, kInvalidLabel).has_value());
+    for (EdgeId e = 0; e < h.EdgeSlotCount(); ++e) {
+      if (e == dead) continue;
+      ASSERT_TRUE(h.IsLiveEdge(e)) << e;
+      const Edge rec = h.edge(e);
+      ASSERT_EQ(h.FindEdge(rec.src, rec.dst, rec.label),
+                std::optional<EdgeId>(e));
+    }
+    EXPECT_EQ(h.NumEdges(), h.EdgeSlotCount() - 1);
+  };
+  expect_dead_slot_kept(g);
+  const SocialGraph copy = g;
+  expect_dead_slot_kept(copy);
+  g.ShrinkToFit();
+  expect_dead_slot_kept(g);
+  EXPECT_EQ(g.MemoryBytes(), g.EdgeSlotCount() * 10 +
+                                 g.edge_index_capacity() * sizeof(EdgeId));
+}
+
+// kInvalidLabel marks dead slots, so no edge may carry it: with the
+// dictionary full (0xFFFF names, ids 0..0xFFFE), the sentinel id is
+// still past its end and refused, and the last real id is stored live.
+TEST(SocialGraph, RefusesTheTombstoneLabel) {
+  SocialGraph g;
+  g.AddNodes(2);
+  for (int i = 0; i < 0xFFFF; ++i) {
+    g.labels().Intern(std::string("l").append(std::to_string(i)));
+  }
+  ASSERT_EQ(g.labels().size(), 0xFFFFu);
+  auto refused = g.AddEdge(0, 1, kInvalidLabel);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.EdgeSlotCount(), 0u);
+  auto last = g.AddEdge(0, 1, LabelId{0xFFFE});
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(g.IsLiveEdge(*last));
+  EXPECT_EQ(g.NumEdges(), 1u);
+}
+
 TEST(SocialGraph, Attributes) {
   SocialGraph g;
   g.AddNode();

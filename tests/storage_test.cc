@@ -1128,6 +1128,67 @@ TEST(Bundle, MultiChunkBundleReopensToSameCsr) {
   ExpectSameCsr((*reopened)->AcquireReadView()->csr(), CsrSnapshot::Build(g));
 }
 
+// The refill writes the slots by node range, one range per core. A
+// bundle large enough for four ranges refills what a serial pass over
+// the CSR would: slot i holds the i-th out-entry in CSR order, dense.
+// A resealed label past the dictionary in the last range is refused with
+// the message the serial scan gave.
+TEST(Bundle, MultiChunkRefillMatchesSerial) {
+  TempDir dir;
+  auto generated =
+      GenerateBarabasiAlbert({.base = {.num_nodes = 200000, .seed = 31}});
+  ASSERT_TRUE(generated.ok());
+  SocialGraph g = std::move(*generated);
+  ASSERT_GE(g.NumEdges(), size_t{4} << 18);  // four ranges on four cores
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); e += 89) {
+    ASSERT_TRUE(g.RemoveEdge(e).ok());
+  }
+  PolicyStore store;
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+
+  SocialGraph h;
+  auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &h, store);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(h.EdgeSlotCount(), h.NumEdges());
+  EXPECT_EQ(LiveTriples(h), LiveTriples(g));
+  const auto view = (*reopened)->AcquireReadView();
+  const CsrSnapshot& csr = view->csr();
+  ASSERT_EQ(h.EdgeSlotCount(), csr.NumEdges());
+  EdgeId slot = 0;
+  NodeId last_source = 0;
+  for (NodeId v = 0; v < csr.NumNodes(); ++v) {
+    for (const CsrSnapshot::Entry& e : csr.Out(v)) {
+      const Edge rec = h.edge(slot);
+      ASSERT_TRUE(rec.src == v && rec.dst == e.other && rec.label == e.label)
+          << "slot " << slot;
+      ++slot;
+      last_source = v;
+    }
+  }
+
+  // Section layout as in RefusesMalformedCsrSection; the label column
+  // ends the section, and its last entry is in the last node range.
+  const size_t n = csr.NumNodes();
+  const size_t m = csr.NumEdges();
+  ASSERT_GE(last_source, n * 3 / 4);
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+  auto info = storage::ReadBundleInfo(bundle_path);
+  ASSERT_TRUE(info.ok());
+  const size_t table_index = SectionIndex(*info, storage::SectionKind::kCsr);
+  const size_t last_label = 8 + 8 + 4 * (n + 1) + 8 + 4 * m + 2 * (m - 1);
+  ASSERT_EQ(last_label + 2, info->sections[table_index].size);
+  WriteAll(bundle_path,
+           Resealed(pristine, *info, table_index, last_label,
+                    static_cast<uint16_t>(g.labels().size())));
+  auto loaded = storage::LoadBundle(bundle_path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(loaded.status().message(), "bundle: csr entry label out of range");
+}
+
 // A reopen loads only the out-side. The engine derives the in-side before
 // it publishes when a rule has a backward step, and never otherwise; the
 // reopened engine answers exactly as the one that saved the bundle.
