@@ -63,8 +63,8 @@ const LightPipeline& GetLightPipeline(size_t nodes) {
 std::pair<NodeId, NodeId> ShortGrantPair(const LightPipeline& p) {
   const LabelId friend_label = p.g->labels().Lookup("friend");
   for (NodeId src = 0; src < p.csr.NumNodes(); ++src) {
-    const auto entries = p.csr.OutWithLabel(src, friend_label);
-    if (!entries.empty()) return {src, entries.front().other};
+    const auto friends = p.csr.OutWithLabel(src, friend_label);
+    if (!friends.empty()) return {src, friends.front()};
   }
   std::abort();  // generators always emit friend edges
 }

@@ -23,7 +23,10 @@
 ///    `graph_bytes` is the reopened graph's MemoryBytes(): the refilled
 ///    10-byte edge slots (no triple index until a mutation) plus the
 ///    attribute columns, 19.9 MB at 256k nodes (24.6 MB when a slot
-///    was a padded 12-byte Edge plus a 1-byte live flag);
+///    was a padded 12-byte Edge plus a 1-byte live flag), and
+///    `csr_bytes` the loaded CSR's MemoryBytes(): its out-side's
+///    offsets and two columns, read straight from the bundle, 4 B per
+///    node and 6 B per entry;
 ///  * BM_SaveSnapshot: writer-observed SaveSnapshot() latency (the
 ///    streamed serialize + atomic-publish cost compaction pays off the
 ///    serving path).
@@ -129,18 +132,22 @@ BENCHMARK(BM_ColdStartRebuild)->Apply(ColdStartArgs);
 void BM_ColdStartOpenFromDir(benchmark::State& state) {
   auto& setup = GetSetup(static_cast<size_t>(state.range(0)));
   size_t graph_bytes = 0;
+  size_t csr_bytes = 0;
   for (auto _ : state) {
     SocialGraph g;
     {
       auto engine = AccessControlEngine::OpenFromDir(setup.dir, &g,
                                                      setup.store);
       if (!engine.ok()) std::abort();
-      benchmark::DoNotOptimize((*engine)->AcquireReadView());
+      const auto view = (*engine)->AcquireReadView();
+      benchmark::DoNotOptimize(view);
+      csr_bytes = view->csr().MemoryBytes();
     }
     graph_bytes = g.MemoryBytes();  // read once the engine has stopped
   }
   state.counters["nodes"] = static_cast<double>(state.range(0));
   state.counters["graph_bytes"] = static_cast<double>(graph_bytes);
+  state.counters["csr_bytes"] = static_cast<double>(csr_bytes);
   state.counters["bundle_bytes"] = static_cast<double>(setup.bundle_bytes);
   state.counters["wal_tail_records"] = static_cast<double>(kTailMutations);
   // speedup_vs_rebuild: median one-shot rebuild over median one-shot

@@ -463,11 +463,8 @@ bool AccessControlEngine::EdgeInBaseLocked(NodeId src, NodeId dst,
   // triple index (which a reopen leaves stale). Nodes past the
   // snapshot's count (staged adds) cannot have base edges.
   if (src >= csr_->NumNodes()) return false;
-  const auto range = csr_->OutWithLabel(src, label);
-  const auto it = std::lower_bound(
-      range.begin(), range.end(), dst,
-      [](const CsrSnapshot::Entry& e, NodeId d) { return e.other < d; });
-  return it != range.end() && it->other == dst;
+  const std::span<const NodeId> targets = csr_->OutWithLabel(src, label);
+  return std::binary_search(targets.begin(), targets.end(), dst);
 }
 
 Status AccessControlEngine::StageAddEdge(NodeId src, NodeId dst,

@@ -241,22 +241,21 @@ inline bool ForEachNeighborEdge(const CsrSnapshot& csr,
     }
     return false;
   }
-  const auto entries =
+  const std::span<const NodeId> base =
       backward ? csr.InWithLabel(node, label) : csr.OutWithLabel(node, label);
   if (overlay == nullptr || overlay->empty()) {
-    for (const CsrSnapshot::Entry& e : entries) {
-      if (fn(e.other)) return true;
+    for (NodeId w : base) {
+      if (fn(w)) return true;
     }
     return false;
   }
   const bool check_removed = overlay->has_deletions();
-  for (const CsrSnapshot::Entry& e : entries) {
-    if (check_removed &&
-        (backward ? overlay->IsRemoved(e.other, node, label)
-                  : overlay->IsRemoved(node, e.other, label))) {
+  for (NodeId w : base) {
+    if (check_removed && (backward ? overlay->IsRemoved(w, node, label)
+                                   : overlay->IsRemoved(node, w, label))) {
       continue;
     }
-    if (fn(e.other)) return true;
+    if (fn(w)) return true;
   }
   const auto added =
       backward ? overlay->AddedIn(node, label) : overlay->AddedOut(node, label);

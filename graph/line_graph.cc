@@ -12,15 +12,20 @@ LineGraph LineGraph::Build(const CsrSnapshot& csr, Options options) {
 
   lg.vertices_.reserve(csr.NumEdges() * (options.include_backward ? 2 : 1));
   for (NodeId u = 0; u < n; ++u) {
-    for (const CsrSnapshot::Entry& e : csr.Out(u)) {
-      lg.vertices_.push_back(Vertex{u, e.other, e.label, /*backward=*/false});
+    const auto dsts = csr.Out(u);
+    const auto labels = csr.OutLabels(u);
+    for (size_t i = 0; i < dsts.size(); ++i) {
+      lg.vertices_.push_back(Vertex{u, dsts[i], labels[i], /*backward=*/false});
     }
   }
   if (options.include_backward) {
     for (NodeId u = 0; u < n; ++u) {
-      for (const CsrSnapshot::Entry& e : csr.Out(u)) {
+      const auto dsts = csr.Out(u);
+      const auto labels = csr.OutLabels(u);
+      for (size_t i = 0; i < dsts.size(); ++i) {
         // Backward orientation: traversed dst -> src.
-        lg.vertices_.push_back(Vertex{e.other, u, e.label, /*backward=*/true});
+        lg.vertices_.push_back(
+            Vertex{dsts[i], u, labels[i], /*backward=*/true});
       }
     }
   }

@@ -18,7 +18,8 @@
 /// dictionary's size, and the dictionary holds at most 0xFFFF names, so
 /// no stored edge carries that label. An edge thus costs 10 B of slot
 /// plus its share of the triple index (4 B per index slot, kept 3/8 to
-/// 3/4 full) and, in every CsrSnapshot, an 8-byte entry. A snapshot
+/// 3/4 full) and, in every CsrSnapshot, a 6-byte entry per side (a
+/// 4-byte id and a 2-byte label, in two columns). A snapshot
 /// bundle stores no slots: the loader refills them densely, in CSR
 /// order, one node range per core.
 

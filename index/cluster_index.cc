@@ -61,9 +61,9 @@ std::vector<uint8_t> ClusterJoinIndex::LabelPairMatrix(
   // graph holds backward orientations.
   const bool backward = lg.includes_backward();
   auto for_each_succ = [&csr, backward](uint32_t v, auto&& emit) {
-    for (const auto& e : csr.Out(v)) emit(e.other);
+    for (NodeId w : csr.Out(v)) emit(w);
     if (backward) {
-      for (const auto& e : csr.In(v)) emit(e.other);
+      for (NodeId w : csr.In(v)) emit(w);
     }
   };
   const SccResult scc = ComputeSccGeneric(num_nodes_, for_each_succ);

@@ -38,7 +38,7 @@ TransitiveClosure TransitiveClosure::Build(const CsrSnapshot& csr,
   if (as_undirected) {
     Dsu dsu(n);
     for (NodeId u = 0; u < n; ++u) {
-      for (const auto& e : csr.Out(u)) dsu.Union(u, e.other);
+      for (NodeId v : csr.Out(u)) dsu.Union(u, v);
     }
     // Renumber roots densely.
     std::vector<uint32_t> dense(n, UINT32_MAX);
@@ -61,7 +61,7 @@ TransitiveClosure TransitiveClosure::Build(const CsrSnapshot& csr,
   // Directed: SCC condensation, then bitset rows propagated in reverse
   // topological order (successors before predecessors).
   SccResult scc = ComputeSccGeneric(n, [&csr](uint32_t v, auto&& emit) {
-    for (const auto& e : csr.Out(v)) emit(e.other);
+    for (NodeId w : csr.Out(v)) emit(w);
   });
   tc.component_of_ = std::move(scc.component_of);
   tc.num_components_ = scc.num_components;
@@ -71,8 +71,8 @@ TransitiveClosure TransitiveClosure::Build(const CsrSnapshot& csr,
   std::vector<std::pair<uint32_t, uint32_t>> arcs;
   for (NodeId u = 0; u < n; ++u) {
     const uint32_t cu = tc.component_of_[u];
-    for (const auto& e : csr.Out(u)) {
-      const uint32_t cv = tc.component_of_[e.other];
+    for (NodeId v : csr.Out(u)) {
+      const uint32_t cv = tc.component_of_[v];
       if (cu != cv) arcs.emplace_back(cu, cv);
     }
   }

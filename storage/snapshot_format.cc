@@ -52,12 +52,12 @@ void StorageAccess::SaveGraph(const SocialGraph& g, BlobWriter& w) {
 
 void StorageAccess::SaveCsr(const CsrSnapshot& csr, BlobWriter& w) {
   w.PutU64(csr.num_nodes_);
-  w.PutVec(csr.out_offsets_);
-  // Entry has 2 padding bytes -> columns. The in-side is derived on load.
-  using Entry = CsrSnapshot::Entry;
-  w.PutU64(csr.out_entries_.size());
-  w.PutColumn(csr.out_entries_, &Entry::other);
-  w.PutColumn(csr.out_entries_, &Entry::label);
+  w.PutVec(csr.out_.offsets);
+  // The out-side's two columns, as they lie in memory; the in-side is
+  // derived on load.
+  w.PutU64(csr.NumEdges());
+  w.PutArray(csr.out_.ids);
+  w.PutArray(csr.out_.labels);
 }
 
 void StorageAccess::SaveOverlay(const DeltaOverlay& o, BlobWriter& w) {

@@ -8,10 +8,15 @@
 /// adopt, never an index *computation*.
 ///
 /// Each edge is stored once, as a row of the CSR's out-side (6 B: the
-/// far endpoint and the label). The graph section holds only the name
-/// dictionaries and the attribute columns. The loader derives the rest:
-/// the CSR's in-side (the out-side transposed) and the graph's edge
-/// slots (one live slot per out-entry, in CSR order).
+/// far endpoint and the label). The CSR section is the node count, the
+/// out-offsets, the entry count and then the out-side's two columns,
+/// every id and then every label, the bytes CsrSnapshot holds in memory
+/// (graph/csr.h): SaveCsr writes each column with one bulk copy and
+/// LoadCsr reads it straight into the snapshot's column. The graph
+/// section holds only the name dictionaries and the attribute columns.
+/// The loader derives the rest: the CSR's in-side (the out-side
+/// transposed) and the graph's edge slots (one live slot per out-entry,
+/// in CSR order).
 ///
 /// File layout (little-endian throughout; the build static_asserts it):
 ///
@@ -28,10 +33,10 @@
 /// adopting it
 /// (the corruption-matrix test flips bits everywhere and expects an
 /// explicit kDataLoss, never a crash or a wrong decision). Structs with
-/// interior padding (CsrSnapshot::Entry, the overlay's triples) are
-/// serialized as parallel scalar columns — raw struct memcpy would
-/// checksum uninitialized padding bytes. Padding-free structs and plain
-/// scalar vectors are bulk-copied.
+/// interior padding (the overlay's triples) are serialized as parallel
+/// scalar columns — raw struct memcpy would checksum uninitialized
+/// padding bytes. Padding-free structs and plain scalar vectors are
+/// bulk-copied.
 ///
 /// Both directions stream. WriteBundle puts each section through one
 /// kBlobChunkBytes buffer into the temp file at its page-aligned offset,
@@ -193,8 +198,15 @@ class BlobWriter {
   /// stale stack memory); padded structs go through PutColumn.
   template <typename T>
   void PutVec(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
     PutU64(v.size());
+    PutArray(v);
+  }
+
+  /// PutVec without the length prefix, for arrays of one length whose
+  /// count the caller writes once.
+  template <typename T, typename A>
+  void PutArray(const std::vector<T, A>& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
     PutRaw(v.data(), v.size() * sizeof(T));
   }
 
@@ -291,6 +303,17 @@ class BlobReader {
     }
     out->resize(count);
     GetRaw(out->data(), count * sizeof(T));
+  }
+
+  /// Fills the already sized `out`: the inverse of BlobWriter::PutArray.
+  template <typename T, typename A>
+  void GetArray(std::vector<T, A>* out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (!ok_ || out->size() > Remaining() / sizeof(T)) {
+      ok_ = false;
+      return;
+    }
+    GetRaw(out->data(), out->size() * sizeof(T));
   }
 
   /// Fills `field` of every row of the already sized `rows`: the

@@ -76,18 +76,19 @@ Status StorageAccess::LoadGraph(BlobReader& r, SocialGraph* g) {
 }
 
 Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
-  using Entry = CsrSnapshot::Entry;
-  // An entry is 6 bytes on disk: other, label.
+  // An entry is 6 bytes on disk: other, then label, one column each.
   constexpr size_t kEntryBytes = sizeof(NodeId) + sizeof(LabelId);
+  CsrSnapshot::Side& out = csr->out_;
   csr->num_nodes_ = r.GetU64();
-  r.GetVec(&csr->out_offsets_);
+  r.GetVec(&out.offsets);
   const uint64_t num_entries = r.GetU64();
   if (!r.ok() || num_entries > r.Remaining() / kEntryBytes) {
     return Status::DataLoss("bundle: csr out-entry count out of range");
   }
-  csr->out_entries_.resize(num_entries);
-  r.GetColumn(&csr->out_entries_, &Entry::other);
-  r.GetColumn(&csr->out_entries_, &Entry::label);
+  out.ids.resize(num_entries);  // unwritten: GetArray fills both
+  out.labels.resize(num_entries);
+  r.GetArray(&out.ids);
+  r.GetArray(&out.labels);
   SARGUS_RETURN_IF_ERROR(FinishSection(r, "csr"));
 
   // Out() and every walker index through these unchecked, and the
@@ -96,7 +97,7 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   // passes its checksum but is not a well-formed CSR is refused here
   // rather than read out of bounds later.
   const size_t n = csr->num_nodes_;
-  const std::vector<uint32_t>& offsets = csr->out_offsets_;
+  const std::vector<uint32_t>& offsets = out.offsets;
   if (n > std::numeric_limits<NodeId>::max() || offsets.size() != n + 1 ||
       offsets.front() != 0 || offsets.back() != num_entries) {
     return Status::DataLoss("bundle: csr offsets out of range");
@@ -116,9 +117,8 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
       // twice.
       uint64_t prev_key = 0;
       for (uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-        const Entry& e = csr->out_entries_[i];
-        const uint64_t key = csr_sort::Key(e) + 1;
-        if (e.other >= n || key <= prev_key) {
+        const uint64_t key = csr_sort::Key(out.ids[i], out.labels[i]) + 1;
+        if (out.ids[i] >= n || key <= prev_key) {
           errors[c] = "bundle: csr entry out of range or order";
           return;
         }
@@ -135,7 +135,7 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
 Status StorageAccess::FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g) {
   const size_t num_labels = g->labels_.size();
   const size_t n = csr.num_nodes_;
-  const std::vector<uint32_t>& offsets = csr.out_offsets_;
+  const CsrSnapshot::Side& out = csr.out_;
   g->num_nodes_ = n;
   g->slots_.resize(csr.NumEdges());  // unwritten: the ranges fill every slot
   g->num_live_edges_ = csr.NumEdges();
@@ -146,15 +146,16 @@ Status StorageAccess::FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g) {
   // message the serial scan gave.
   const size_t chunks = NumChunks(csr.NumEdges());
   std::vector<uint8_t> failed(chunks, 0);
+  SocialGraph::Slot* slots = g->slots_.data();
   ParallelFor(chunks, [&](size_t c) {
     for (size_t v = n * c / chunks; v < n * (c + 1) / chunks; ++v) {
-      SocialGraph::Slot* out = g->slots_.data() + offsets[v];
-      for (const CsrSnapshot::Entry& e : csr.Out(static_cast<NodeId>(v))) {
-        if (e.label >= num_labels) {
+      for (uint32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
+        if (out.labels[i] >= num_labels) {
           failed[c] = 1;
           return;
         }
-        *out++ = SocialGraph::Slot{static_cast<NodeId>(v), e.other, e.label};
+        slots[i] = SocialGraph::Slot{static_cast<NodeId>(v), out.ids[i],
+                                     out.labels[i]};
       }
     }
   });

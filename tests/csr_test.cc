@@ -29,8 +29,7 @@ TEST(CsrSnapshot, MirrorsLiveEdges) {
   // Node 0 has friend edges to 1 and 4.
   auto out0 = csr.Out(0);
   ASSERT_EQ(out0.size(), 2u);
-  std::vector<NodeId> targets;
-  for (const auto& e : out0) targets.push_back(e.other);
+  std::vector<NodeId> targets(out0.begin(), out0.end());
   std::sort(targets.begin(), targets.end());
   EXPECT_EQ(targets, (std::vector<NodeId>{1, 4}));
 
@@ -44,10 +43,12 @@ TEST(CsrSnapshot, LabelRanges) {
   const LabelId friend_l = g.labels().Lookup("friend");
   const LabelId colleague_l = g.labels().Lookup("colleague");
 
-  EXPECT_EQ(csr.OutWithLabel(1, friend_l).size(), 1u);     // 1 -f-> 2
-  EXPECT_EQ(csr.OutWithLabel(1, colleague_l).size(), 1u);  // 1 -c-> 5
-  EXPECT_EQ(csr.InWithLabel(3, colleague_l).size(), 2u);   // from 2 and 4
-  EXPECT_EQ(csr.InWithLabel(3, friend_l).size(), 1u);      // from 5
+  using Ids = std::vector<NodeId>;
+  auto ids = [](std::span<const NodeId> s) { return Ids(s.begin(), s.end()); };
+  EXPECT_EQ(ids(csr.OutWithLabel(1, friend_l)), Ids{2});      // 1 -f-> 2
+  EXPECT_EQ(ids(csr.OutWithLabel(1, colleague_l)), Ids{5});   // 1 -c-> 5
+  EXPECT_EQ(ids(csr.InWithLabel(3, colleague_l)), (Ids{2, 4}));
+  EXPECT_EQ(ids(csr.InWithLabel(3, friend_l)), Ids{5});       // from 5
   EXPECT_TRUE(csr.OutWithLabel(3, friend_l).empty());
 }
 
@@ -106,21 +107,38 @@ void FoldWithShuffledAdditions(SocialGraph& g, const DeltaOverlay& overlay,
   }
 }
 
+/// One node's range, out or in, as its two columns.
+struct Range {
+  std::span<const NodeId> ids;
+  std::span<const LabelId> labels;
+};
+
+Range OutRange(const CsrSnapshot& csr, NodeId v) {
+  return {csr.Out(v), csr.OutLabels(v)};
+}
+
+Range InRange(const CsrSnapshot& csr, NodeId v) {
+  return {csr.In(v), csr.InLabels(v)};
+}
+
+bool SameRange(const Range& a, const Range& b) {
+  return std::ranges::equal(a.ids, b.ids) &&
+         std::ranges::equal(a.labels, b.labels);
+}
+
 /// Expects `side` range `v` to hold the same entries in `a` and `b`.
 /// The message is built only on a mismatch, so a million-edge graph
 /// compares in one pass.
-void ExpectSameEntries(std::span<const CsrSnapshot::Entry> a,
-                       std::span<const CsrSnapshot::Entry> b,
+void ExpectSameEntries(const Range& a, const Range& b,
                        const std::string& where, const char* side, NodeId v) {
-  auto same = [](const CsrSnapshot::Entry& x, const CsrSnapshot::Entry& y) {
-    return x.other == y.other && x.label == y.label;
-  };
-  if (std::equal(a.begin(), a.end(), b.begin(), b.end(), same)) return;
+  if (SameRange(a, b)) return;
   const std::string at = where + " " + side + " of " + std::to_string(v);
-  ASSERT_EQ(a.size(), b.size()) << at;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].other, b[i].other) << at << " entry " << i;
-    EXPECT_EQ(a[i].label, b[i].label) << at << " entry " << i;
+  ASSERT_EQ(a.ids.size(), b.ids.size()) << at;
+  ASSERT_EQ(a.labels.size(), a.ids.size()) << at;
+  ASSERT_EQ(b.labels.size(), b.ids.size()) << at;
+  for (size_t i = 0; i < a.ids.size(); ++i) {
+    EXPECT_EQ(a.ids[i], b.ids[i]) << at << " entry " << i;
+    EXPECT_EQ(a.labels[i], b.labels[i]) << at << " entry " << i;
   }
 }
 
@@ -131,15 +149,32 @@ constexpr size_t kFourChunkEdges = size_t{4} << 18;
 
 // ---- The build against a reference ----------------------------------------
 
+/// One entry as a (label, other) pair, whose order is the CSR's.
+using Key = std::pair<LabelId, NodeId>;
+
+/// Splits `keys` into the two columns SortRange and the CSR hold.
+void SplitKeys(const std::vector<Key>& keys, std::vector<NodeId>* ids,
+               std::vector<LabelId>* labels) {
+  ids->clear();
+  labels->clear();
+  for (const auto& [label, other] : keys) {
+    ids->push_back(other);
+    labels->push_back(label);
+  }
+}
+
 /// One direction of a CSR as the reference build lays it out.
 struct ReferenceSide {
   std::vector<uint32_t> offsets;
-  std::vector<CsrSnapshot::Entry> entries;
-};
+  std::vector<NodeId> ids;
+  std::vector<LabelId> labels;
 
-bool EntryLess(const CsrSnapshot::Entry& a, const CsrSnapshot::Entry& b) {
-  return a.label != b.label ? a.label < b.label : a.other < b.other;
-}
+  Range At(NodeId v) const {
+    const size_t size = offsets[v + 1] - offsets[v];
+    return {{ids.data() + offsets[v], size},
+            {labels.data() + offsets[v], size}};
+  }
+};
 
 /// The straightforward build the fast one must reproduce: copy the live
 /// edges, counting-sort them by endpoint, then std::sort every range by
@@ -156,17 +191,18 @@ ReferenceSide ReferenceBuild(const SocialGraph& g, bool out_side) {
     ++side.offsets[(out_side ? rec.src : rec.dst) + 1];
   }
   for (size_t v = 0; v < n; ++v) side.offsets[v + 1] += side.offsets[v];
-  side.entries.resize(edges.size());
+  std::vector<Key> keys(edges.size());
   std::vector<uint32_t> cursor(side.offsets.begin(), side.offsets.end() - 1);
   for (const Edge& rec : edges) {
     const NodeId at = out_side ? rec.src : rec.dst;
     const NodeId other = out_side ? rec.dst : rec.src;
-    side.entries[cursor[at]++] = {other, rec.label};
+    keys[cursor[at]++] = {rec.label, other};
   }
   for (size_t v = 0; v < n; ++v) {
-    std::sort(side.entries.begin() + side.offsets[v],
-              side.entries.begin() + side.offsets[v + 1], EntryLess);
+    std::sort(keys.begin() + side.offsets[v],
+              keys.begin() + side.offsets[v + 1]);
   }
+  SplitKeys(keys, &side.ids, &side.labels);
   return side;
 }
 
@@ -176,14 +212,9 @@ void ExpectMatchesReference(const SocialGraph& g, const std::string& where) {
   ASSERT_EQ(csr.NumEdges(), g.NumEdges()) << where;
   const ReferenceSide out = ReferenceBuild(g, /*out_side=*/true);
   const ReferenceSide in = ReferenceBuild(g, /*out_side=*/false);
-  auto range = [](const ReferenceSide& side, NodeId v) {
-    return std::span<const CsrSnapshot::Entry>(
-        side.entries.data() + side.offsets[v],
-        side.offsets[v + 1] - side.offsets[v]);
-  };
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    ExpectSameEntries(csr.Out(v), range(out, v), where, "out", v);
-    ExpectSameEntries(csr.In(v), range(in, v), where, "in", v);
+    ExpectSameEntries(OutRange(csr, v), out.At(v), where, "out", v);
+    ExpectSameEntries(InRange(csr, v), in.At(v), where, "in", v);
   }
 }
 
@@ -276,22 +307,29 @@ TEST(CsrSnapshot, BuildMatchesReference) {
 
 // By the 0-1 principle, a comparator network that sorts every input of
 // two distinct values sorts every input. SortRange pads a range of up to
-// eight entries to eight, so every length up to eight is its own input
-// set; the low value has the larger `other`, so the label must decide.
+// 4, 8 or 16 entries to that width, so every length up to 16 is its own
+// input set, and lengths 4, 8 and 16 give each network all of its 2^4,
+// 2^8 and 2^16 full-width inputs; the low value has the larger `other`,
+// so the label must decide.
 TEST(CsrSnapshot, SortRangeSortsEveryBinaryInputOfEveryPaddedLength) {
-  const CsrSnapshot::Entry low{0xFFFFFFFEu, 0};
-  const CsrSnapshot::Entry high{0, 1};
-  for (size_t n = 0; n <= 8; ++n) {
+  const Key low{0, 0xFFFFFFFEu};
+  const Key high{1, 0};
+  std::vector<uint64_t> long_keys;
+  std::vector<NodeId> ids;
+  std::vector<LabelId> labels;
+  for (size_t n = 0; n <= 16; ++n) {
     for (uint32_t bits = 0; bits < (1u << n); ++bits) {
-      std::vector<CsrSnapshot::Entry> range(n);
+      std::vector<Key> range(n);
       for (size_t i = 0; i < n; ++i) range[i] = (bits >> i & 1) ? high : low;
-      csr_sort::SortRange(range.data(), range.data() + n);
-      const size_t ones = static_cast<size_t>(std::popcount(bits));
-      for (size_t i = 0; i < n; ++i) {
-        const CsrSnapshot::Entry want = i < n - ones ? low : high;
-        EXPECT_EQ(range[i].other, want.other) << n << " " << bits << " " << i;
-        EXPECT_EQ(range[i].label, want.label) << n << " " << bits << " " << i;
-      }
+      SplitKeys(range, &ids, &labels);
+      csr_sort::SortRange(ids.data(), labels.data(), n, long_keys);
+      const size_t zeros = n - static_cast<size_t>(std::popcount(bits));
+      for (size_t i = 0; i < n; ++i) range[i] = i < zeros ? low : high;
+      std::vector<NodeId> want_ids;
+      std::vector<LabelId> want_labels;
+      SplitKeys(range, &want_ids, &want_labels);
+      ASSERT_EQ(ids, want_ids) << n << " " << bits;
+      ASSERT_EQ(labels, want_labels) << n << " " << bits;
     }
   }
 }
@@ -299,8 +337,7 @@ TEST(CsrSnapshot, SortRangeSortsEveryBinaryInputOfEveryPaddedLength) {
 /// `n` entries with distinct (label, other) keys, a third of each field
 /// drawn from its extremes: labels 0 and 0xFFFE (the largest a dictionary
 /// mints), others 0 and `max_other`.
-std::vector<CsrSnapshot::Entry> RandomRange(size_t n, NodeId max_other,
-                                            Rng& rng) {
+std::vector<Key> RandomRange(size_t n, NodeId max_other, Rng& rng) {
   auto pick = [&rng](uint64_t max) -> uint64_t {
     switch (rng.NextBounded(6)) {
       case 0:
@@ -311,32 +348,39 @@ std::vector<CsrSnapshot::Entry> RandomRange(size_t n, NodeId max_other,
         return rng.NextBounded(max + 1);
     }
   };
-  std::vector<CsrSnapshot::Entry> range;
+  std::vector<Key> range;
   while (range.size() < n) {
-    const CsrSnapshot::Entry e{static_cast<NodeId>(pick(max_other)),
-                               static_cast<LabelId>(pick(0xFFFE))};
-    if (std::none_of(range.begin(), range.end(), [&e](const auto& x) {
-          return x.other == e.other && x.label == e.label;
-        })) {
-      range.push_back(e);
+    const NodeId other = static_cast<NodeId>(pick(max_other));
+    const Key key{static_cast<LabelId>(pick(0xFFFE)), other};
+    if (std::find(range.begin(), range.end(), key) == range.end()) {
+      range.push_back(key);
     }
   }
   return range;
 }
 
-// Every length from 0 to 40 crosses the network, insertion and std::sort
-// paths and both of their cutoffs.
+// Every length from 0 to 40 crosses the three networks, the insertion
+// and std::sort paths and every cutoff between them. One key buffer
+// serves every call, as it serves a sort worker, so a long range also
+// sorts in a buffer grown by a longer one.
 TEST(CsrSnapshot, RangesOfEveryLengthSortLikeStdSort) {
   Rng rng(97);
-  for (size_t n = 0; n <= 40; ++n) {
-    for (int trial = 0; trial < 50; ++trial) {
-      std::vector<CsrSnapshot::Entry> range =
-          RandomRange(n, 0xFFFFFFFEu, rng);
-      std::vector<CsrSnapshot::Entry> want = range;
-      std::sort(want.begin(), want.end(), EntryLess);
-      csr_sort::SortRange(range.data(), range.data() + n);
-      ExpectSameEntries(range, want, "length " + std::to_string(n), "range",
-                        static_cast<NodeId>(trial));
+  std::vector<uint64_t> long_keys;
+  for (const size_t first : {size_t{0}, size_t{40}}) {
+    for (size_t i = 0; i <= 40; ++i) {
+      const size_t n = first == 0 ? i : first - i;
+      for (int trial = 0; trial < 50; ++trial) {
+        std::vector<Key> range = RandomRange(n, 0xFFFFFFFEu, rng);
+        std::vector<NodeId> ids, want_ids;
+        std::vector<LabelId> labels, want_labels;
+        SplitKeys(range, &ids, &labels);
+        std::sort(range.begin(), range.end());
+        SplitKeys(range, &want_ids, &want_labels);
+        csr_sort::SortRange(ids.data(), labels.data(), n, long_keys);
+        ExpectSameEntries({ids, labels}, {want_ids, want_labels},
+                          "length " + std::to_string(n), "range",
+                          static_cast<NodeId>(trial));
+      }
     }
   }
 
@@ -350,8 +394,8 @@ TEST(CsrSnapshot, RangesOfEveryLengthSortLikeStdSort) {
     ASSERT_EQ(g.labels().Intern(std::string("l").append(std::to_string(l))), l);
   }
   for (NodeId v = 0; v <= 40; ++v) {
-    for (const CsrSnapshot::Entry& e : RandomRange(v, nodes - 1, rng)) {
-      ASSERT_TRUE(g.AddEdge(v, e.other, e.label).ok());
+    for (const auto& [label, other] : RandomRange(v, nodes - 1, rng)) {
+      ASSERT_TRUE(g.AddEdge(v, other, label).ok());
     }
   }
   ExpectMatchesReference(g, "extreme labels");
@@ -477,8 +521,10 @@ TEST(CsrSnapshot, MergedBuildMatchesPostFoldRebuild) {
     ASSERT_EQ(merged.NumEdges(), rebuilt.NumEdges()) << label;
     EXPECT_EQ(merged.NumNodes(), logical) << label;
     for (NodeId v = 0; v < merged.NumNodes(); ++v) {
-      ExpectSameEntries(merged.Out(v), rebuilt.Out(v), label, "out", v);
-      ExpectSameEntries(merged.In(v), rebuilt.In(v), label, "in", v);
+      ExpectSameEntries(OutRange(merged, v), OutRange(rebuilt, v), label,
+                        "out", v);
+      ExpectSameEntries(InRange(merged, v), InRange(rebuilt, v), label, "in",
+                        v);
     }
   }
 }
@@ -496,7 +542,7 @@ TEST(CsrSnapshot, RacingFirstInCallsShareOneDerivation) {
     const size_t out_bytes = csr.MemoryBytes();
     constexpr int kThreads = 6;
     std::atomic<int> ready{0};
-    std::vector<const CsrSnapshot::Entry*> first(kThreads, nullptr);
+    std::vector<const NodeId*> first(kThreads, nullptr);
     std::vector<size_t> mismatches(kThreads, 0);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
@@ -508,16 +554,7 @@ TEST(CsrSnapshot, RacingFirstInCallsShareOneDerivation) {
         const NodeId n = static_cast<NodeId>(g.NumNodes());
         for (NodeId i = 0; i < n; ++i) {
           const NodeId v = static_cast<NodeId>((i + t * 499u) % n);
-          const auto got = csr.In(v);
-          const std::span<const CsrSnapshot::Entry> want(
-              in.entries.data() + in.offsets[v],
-              in.offsets[v + 1] - in.offsets[v]);
-          if (!std::equal(got.begin(), got.end(), want.begin(), want.end(),
-                          [](const auto& a, const auto& b) {
-                            return a.other == b.other && a.label == b.label;
-                          })) {
-            ++mismatches[t];
-          }
+          if (!SameRange(InRange(csr, v), in.At(v))) ++mismatches[t];
         }
         first[t] = csr.In(0).data();
       });
@@ -535,7 +572,7 @@ TEST(CsrSnapshot, RacingFirstInCallsShareOneDerivation) {
 TEST(CsrSnapshot, MoveCarriesTheDerivedInSide) {
   const SocialGraph g = testing_util::MakeDiamond();
   CsrSnapshot a = CsrSnapshot::Build(g);
-  const CsrSnapshot::Entry* in3 = a.In(3).data();
+  const NodeId* in3 = a.In(3).data();
   CsrSnapshot b = std::move(a);
   EXPECT_TRUE(b.HasInSide());
   EXPECT_EQ(b.In(3).data(), in3);
@@ -547,6 +584,19 @@ TEST(CsrSnapshot, MoveCarriesTheDerivedInSide) {
   b = CsrSnapshot::Build(g);
   EXPECT_FALSE(b.HasInSide());
   EXPECT_EQ(b.In(3).size(), 3u);
+}
+
+// A side costs one 4-byte offset per node (plus one) and 6 bytes per
+// entry, a 4-byte id and a 2-byte label in two columns, with no padding
+// and no spare capacity; the in-side adds as much once derived.
+TEST(CsrSnapshot, MemoryBytesIsSixBytesPerEntry) {
+  const SocialGraph g = testing_util::MakeDiamond();
+  const CsrSnapshot csr = CsrSnapshot::Build(g);
+  ASSERT_GT(g.NumEdges(), 0u);
+  const size_t side_bytes = (g.NumNodes() + 1) * 4 + g.NumEdges() * 6;
+  EXPECT_EQ(csr.MemoryBytes(), side_bytes);
+  ASSERT_EQ(csr.In(3).size(), 3u);
+  EXPECT_EQ(csr.MemoryBytes(), 2 * side_bytes);
 }
 
 }  // namespace

@@ -317,8 +317,8 @@ TEST(EvaluatorAgreement, WitnessesAgreeOnValidity) {
     EXPECT_EQ(w.back(), 3u) << eval->name();
     for (size_t i = 0; i + 1 < w.size(); ++i) {
       bool edge_exists = false;
-      for (const auto& e : s->csr.Out(w[i])) {
-        if (e.other == w[i + 1]) edge_exists = true;
+      for (NodeId next : s->csr.Out(w[i])) {
+        if (next == w[i + 1]) edge_exists = true;
       }
       EXPECT_TRUE(edge_exists)
           << eval->name() << ": no edge " << w[i] << "->" << w[i + 1];

@@ -90,8 +90,8 @@ TEST_F(OnlineEvalTest, WitnessIsValidPath) {
   // Every consecutive pair is a real edge of the right label family.
   for (size_t i = 0; i + 1 < w.size(); ++i) {
     bool found = false;
-    for (const auto& e : stack_->csr.Out(w[i])) {
-      if (e.other == w[i + 1]) found = true;
+    for (NodeId next : stack_->csr.Out(w[i])) {
+      if (next == w[i + 1]) found = true;
     }
     EXPECT_TRUE(found) << "no edge " << w[i] << " -> " << w[i + 1];
   }

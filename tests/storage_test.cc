@@ -1060,17 +1060,13 @@ std::set<std::tuple<NodeId, NodeId, LabelId>> LiveTriples(
 void ExpectSameCsr(const CsrSnapshot& loaded, const CsrSnapshot& expected) {
   ASSERT_EQ(loaded.NumNodes(), expected.NumNodes());
   ASSERT_EQ(loaded.NumEdges(), expected.NumEdges());
-  auto same = [](std::span<const CsrSnapshot::Entry> a,
-                 std::span<const CsrSnapshot::Entry> b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                      [](const CsrSnapshot::Entry& x,
-                         const CsrSnapshot::Entry& y) {
-                        return x.other == y.other && x.label == y.label;
-                      });
-  };
   for (NodeId v = 0; v < expected.NumNodes(); ++v) {
-    ASSERT_TRUE(same(loaded.Out(v), expected.Out(v))) << "out of " << v;
-    ASSERT_TRUE(same(loaded.In(v), expected.In(v))) << "in of " << v;
+    ASSERT_TRUE(std::ranges::equal(loaded.Out(v), expected.Out(v)) &&
+                std::ranges::equal(loaded.OutLabels(v), expected.OutLabels(v)))
+        << "out of " << v;
+    ASSERT_TRUE(std::ranges::equal(loaded.In(v), expected.In(v)) &&
+                std::ranges::equal(loaded.InLabels(v), expected.InLabels(v)))
+        << "in of " << v;
   }
 }
 
@@ -1159,9 +1155,11 @@ TEST(Bundle, MultiChunkRefillMatchesSerial) {
   EdgeId slot = 0;
   NodeId last_source = 0;
   for (NodeId v = 0; v < csr.NumNodes(); ++v) {
-    for (const CsrSnapshot::Entry& e : csr.Out(v)) {
+    const auto dsts = csr.Out(v);
+    const auto labels = csr.OutLabels(v);
+    for (size_t i = 0; i < dsts.size(); ++i) {
       const Edge rec = h.edge(slot);
-      ASSERT_TRUE(rec.src == v && rec.dst == e.other && rec.label == e.label)
+      ASSERT_TRUE(rec.src == v && rec.dst == dsts[i] && rec.label == labels[i])
           << "slot " << slot;
       ++slot;
       last_source = v;

@@ -105,11 +105,11 @@ inline bool BruteForceMatch(const SocialGraph& g, const CsrSnapshot& csr,
     // Consume one more edge of the current step.
     if (f.hops < steps[f.step].max_hops) {
       const BoundStep& st = steps[f.step];
-      const auto entries = st.backward ? csr.InWithLabel(f.node, st.label)
-                                       : csr.OutWithLabel(f.node, st.label);
-      for (const auto& e : entries) {
-        if (!BoundPathExpression::NodePasses(g, e.other, st)) continue;
-        stack.push_back({e.other, f.step, f.hops + 1});
+      const auto next = st.backward ? csr.InWithLabel(f.node, st.label)
+                                    : csr.OutWithLabel(f.node, st.label);
+      for (NodeId w : next) {
+        if (!BoundPathExpression::NodePasses(g, w, st)) continue;
+        stack.push_back({w, f.step, f.hops + 1});
       }
     }
   }

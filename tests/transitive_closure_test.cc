@@ -73,10 +73,10 @@ TEST(TransitiveClosure, AgreesWithBfsOnRandomGraph) {
     std::vector<NodeId> queue{src};
     seen[src] = 1;
     for (size_t h = 0; h < queue.size(); ++h) {
-      for (const auto& e : csr.Out(queue[h])) {
-        if (!seen[e.other]) {
-          seen[e.other] = 1;
-          queue.push_back(e.other);
+      for (NodeId w : csr.Out(queue[h])) {
+        if (!seen[w]) {
+          seen[w] = 1;
+          queue.push_back(w);
         }
       }
     }
