@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "core/path_parser.h"
 #include "graph/csr.h"
+#include "graph/delta_overlay.h"
 #include "graph/line_graph.h"
 #include "index/cluster_index.h"
 #include "index/line_oracle.h"
@@ -84,6 +85,27 @@ inline SocialGraph MakeGraph(GraphKind kind, size_t nodes, size_t num_labels,
   }();
   if (!g.ok()) std::abort();
   return std::move(g).ValueOrDie();
+}
+
+/// A churned overlay over `g`: every 32nd live edge staged for removal
+/// and as many absent triples, drawn uniformly, staged for addition
+/// (1/16 of the edge count in all). Deterministic per graph.
+inline DeltaOverlay MakeChurnOverlay(const SocialGraph& g) {
+  DeltaOverlay overlay;
+  size_t removed = 0;
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); e += 32) {
+    if (!g.IsLiveEdge(e)) continue;
+    const Edge& rec = g.edge(e);
+    removed += overlay.StageRemove(rec.src, rec.dst, rec.label) ? 1 : 0;
+  }
+  Rng rng(7);
+  while (overlay.NumAdded() < removed) {
+    const NodeId s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+    const NodeId d = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+    const LabelId l = static_cast<LabelId>(rng.NextBounded(g.labels().size()));
+    if (!g.FindEdge(s, d, l).has_value()) (void)overlay.StageAdd(s, d, l);
+  }
+  return overlay;
 }
 
 /// Returns a cached pipeline (built once per process per key).

@@ -59,6 +59,20 @@ void BM_OnlineBfs(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineBfs)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000);
 
+// BM_OnlineBfs's requests through a churned overlay (MakeChurnOverlay:
+// every 32nd edge removed, as many absent triples added): the
+// overlay-aware walk the engine serves between compactions.
+void BM_OnlineBfsWithOverlay(benchmark::State& state) {
+  const size_t nodes = static_cast<size_t>(state.range(0));
+  const Pipeline& p = GetPipeline(GraphKind::kBarabasiAlbert, nodes);
+  const DeltaOverlay overlay = MakeChurnOverlay(*p.g);
+  RunQueryBench(state, nodes, [&overlay](const Pipeline& q) {
+    return std::make_unique<OnlineEvaluator>(*q.g, q.csr, &overlay);
+  });
+  state.counters["overlay"] = static_cast<double>(overlay.size());
+}
+BENCHMARK(BM_OnlineBfsWithOverlay)->Arg(1000)->Arg(16000);
+
 void BM_OnlineBidirectional(benchmark::State& state) {
   RunQueryBench(state, static_cast<size_t>(state.range(0)),
                 [](const Pipeline& p) {

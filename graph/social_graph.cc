@@ -204,7 +204,16 @@ void SocialGraph::EnsureEdgeLookup() const {
   edge_lookup_stale_ = false;
 }
 
-void SocialGraph::ShrinkToFit() { slots_.shrink_to_fit(); }
+void SocialGraph::ReleaseEdgeLookup() {
+  // Swap, not clear(): only giving up the buffer frees its memory.
+  std::vector<EdgeId>().swap(edge_lookup_);
+  edge_lookup_stale_ = true;
+}
+
+void SocialGraph::ShrinkToFit() {
+  slots_.shrink_to_fit();
+  ReleaseEdgeLookup();
+}
 
 size_t SocialGraph::MemoryBytes() const {
   size_t bytes = slots_.capacity() * sizeof(Slot);

@@ -17,11 +17,13 @@
 /// by label kInvalidLabel: AddEdge refuses a label id at or past the
 /// dictionary's size, and the dictionary holds at most 0xFFFF names, so
 /// no stored edge carries that label. An edge thus costs 10 B of slot
-/// plus its share of the triple index (4 B per index slot, kept 3/8 to
-/// 3/4 full) and, in every CsrSnapshot, a 6-byte entry per side (a
-/// 4-byte id and a 2-byte label, in two columns). A snapshot
-/// bundle stores no slots: the loader refills them densely, in CSR
-/// order, one node range per core.
+/// and, in every CsrSnapshot, a 6-byte entry per side (a 4-byte id and
+/// a 2-byte label, in two columns). The triple index (4 B per index
+/// slot, kept 3/8 to 3/4 full) exists only while a graph is being
+/// mutated: ShrinkToFit, which the generators and ExtractShardGraph
+/// run on a finished graph, releases it, and a snapshot bundle stores
+/// neither it nor the slots (the loader refills the slots densely, in
+/// CSR order, one node range per core).
 
 #include <cstdint>
 #include <optional>
@@ -120,10 +122,10 @@ class SocialGraph {
 
   /// Slot of the live edge (src, dst, label), or nullopt when absent.
   /// (Duplicate triples are coalesced by AddEdge, so the triple is a key.)
-  /// The snapshot loader leaves the triple index stale; the first
-  /// AddEdge/RemoveEdge/FindEdge rebuilds it, mutating state under this
-  /// const method, so concurrent FindEdge calls on a stale graph need
-  /// external synchronization.
+  /// A generated or loaded graph holds a stale triple index (see
+  /// ShrinkToFit); the first AddEdge/RemoveEdge/FindEdge rebuilds it,
+  /// mutating state under this const method, so concurrent FindEdge
+  /// calls on a stale graph need external synchronization.
   std::optional<EdgeId> FindEdge(NodeId src, NodeId dst, LabelId label) const;
 
   /// Number of live edges.
@@ -155,9 +157,12 @@ class SocialGraph {
   /// across all shard copies (see graph/subgraph.h).
   NameDictionary& attrs() { return attrs_; }
 
-  /// Releases the edge slots' spare capacity. The generators call it
-  /// on a finished graph, so a graph that will only be read does not
-  /// carry up to 2x its edge storage.
+  /// Releases the edge slots' spare capacity and the triple index,
+  /// leaving the index stale. The generators and ExtractShardGraph call
+  /// it on a finished graph, so a graph that will only be read carries
+  /// neither up to 2x its edge storage nor the index; the first
+  /// AddEdge/RemoveEdge/FindEdge after it rebuilds the index from the
+  /// slots.
   void ShrinkToFit();
 
   /// Slots in the triple -> edge index (a power of two, or 0 while no
@@ -197,6 +202,8 @@ class SocialGraph {
   // GetAttribute treats the missing tail as unset.
   std::vector<std::vector<int64_t>> attr_columns_;
 
+  /// Frees edge_lookup_'s buffer and marks it stale.
+  void ReleaseEdgeLookup();
   /// Rematerializes edge_lookup_ from the live slots when stale.
   void EnsureEdgeLookup() const;
   /// Index in edge_lookup_ of the live edge (src, dst, label), or of the
@@ -210,8 +217,8 @@ class SocialGraph {
   // from that edge's record in slots_, one record per probe. The
   // capacity is a power of two (or 0) at most 3/4 full, and RemoveEdge
   // deletes by backward shift, so no tombstones accumulate. Lazily
-  // materialized (hence mutable): the loader marks it stale and the
-  // first lookup/mutation rebuilds it from slots_.
+  // materialized (hence mutable): ShrinkToFit and the loader release it
+  // and the first lookup/mutation rebuilds it from slots_.
   mutable std::vector<EdgeId> edge_lookup_;
   mutable bool edge_lookup_stale_ = false;
 };

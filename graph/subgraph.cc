@@ -45,6 +45,9 @@ Result<SocialGraph> ExtractShardGraph(const SocialGraph& g,
     const auto added = sub.AddEdge(edge.src, edge.dst, edge.label);
     if (!added.ok()) return added.status();
   }
+  // A shard graph is finished here: drop slot slack and the triple index,
+  // as a generated graph does.
+  sub.ShrinkToFit();
   return sub;
 }
 

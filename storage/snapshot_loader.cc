@@ -166,8 +166,7 @@ Status StorageAccess::FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g) {
   // path never needs it (the engine's membership test reads the CSR).
   // Mark it stale instead; the graph rematerializes it on first use
   // (~0.06 s at 1.5M edges), which is always on the mutation/fold path.
-  g->edge_lookup_.clear();
-  g->edge_lookup_stale_ = true;
+  g->ReleaseEdgeLookup();
   return OkStatus();
 }
 

@@ -428,6 +428,64 @@ TEST(CompactionStraddle, RebuildWaitsOutHeldBuild) {
   EXPECT_FALSE(f.Granted(1));
 }
 
+// ---- A generated graph's first compaction ----------------------------------
+
+// A generated graph holds no triple index (ShrinkToFit released it), so
+// the first compaction's merged build rebuilds it on the worker, before
+// the fold writes through it. Decisions after the compaction match a
+// brute-force walk of a mirror that took every mutation eagerly, and the
+// folded caller graph holds exactly the mirror's triples.
+TEST(CompactionStaleIndex, FirstCompactionRebuildsGeneratedGraphIndex) {
+  auto gen = GenerateBarabasiAlbert(
+      {.base = {.num_nodes = 1024, .seed = 13}, .edges_per_node = 3});
+  ASSERT_TRUE(gen.ok());
+  EngineFixture f(std::move(*gen), {"friend[1,2]"}, /*owner=*/0,
+                  {.compact_threshold = 0});
+  ASSERT_EQ(f.g.edge_index_capacity(), 0u);
+  const BoundPathExpression expr = MustBind(f.g, "friend[1,2]");
+  MirrorGraph mirror(f.g);
+  const LabelId fr = f.g.labels().Lookup("friend");
+
+  for (EdgeId e = 0; e < f.g.EdgeSlotCount(); e += 16) {
+    const Edge rec = f.g.edge(e);
+    ASSERT_TRUE(f.engine->RemoveEdge(rec.src, rec.dst, rec.label).ok());
+    mirror.Remove(rec.src, rec.dst, rec.label);
+  }
+  Rng rng(35);
+  for (int added = 0; added < 200;) {
+    const NodeId s = static_cast<NodeId>(rng.NextBounded(f.g.NumNodes()));
+    const NodeId d = static_cast<NodeId>(rng.NextBounded(f.g.NumNodes()));
+    if (s == d || mirror.g.FindEdge(s, d, fr).has_value()) continue;
+    ASSERT_TRUE(f.engine->AddEdge(s, d, fr).ok());
+    mirror.Add(s, d, fr);
+    ++added;
+  }
+  EXPECT_EQ(f.g.edge_index_capacity(), 0u);  // staging leaves it stale
+
+  size_t capacity_at_build = 0;
+  f.engine->SetCompactionBuildHookForTesting([&](const CsrSnapshot&) {
+    capacity_at_build = f.g.edge_index_capacity();
+  });
+  ASSERT_TRUE(f.engine->Compact().ok());
+  f.engine->WaitForCompaction();
+  EXPECT_GT(capacity_at_build, 0u);
+  EXPECT_TRUE(f.engine->overlay().empty());
+
+  const CsrSnapshot csr = CsrSnapshot::Build(mirror.g);
+  for (NodeId req = 0; req < mirror.g.NumNodes(); ++req) {
+    const bool expected =
+        req == 0 || testing_util::BruteForceMatch(mirror.g, csr, expr, 0, req);
+    ASSERT_EQ(f.Granted(req), expected) << "requester " << req;
+  }
+  ASSERT_EQ(f.g.NumEdges(), mirror.g.NumEdges());
+  for (EdgeId e = 0; e < mirror.g.EdgeSlotCount(); ++e) {
+    if (!mirror.g.IsLiveEdge(e)) continue;
+    const Edge rec = mirror.g.edge(e);
+    ASSERT_TRUE(f.g.FindEdge(rec.src, rec.dst, rec.label).has_value()) << e;
+  }
+  EXPECT_LE(f.g.NumEdges() * 4, f.g.edge_index_capacity() * 3);
+}
+
 // ---- Background compaction: concurrent chaos (TSan target) ------------------
 
 TEST(CompactionStress, ReadersRaceBackgroundCompactions) {

@@ -363,15 +363,63 @@ TEST(SocialGraph, EdgeIndexRebuiltOnFirstFindAfterLoad) {
   EXPECT_LE(h.NumEdges() * 4, h.edge_index_capacity() * 3);
 }
 
-// MemoryBytes counts the index, and the whole graph stays within 24 B
-// per live edge (the node-based map it replaced cost ~60 B on its own).
+// Every generator finishes its graph with ShrinkToFit, which releases
+// the triple index: a generated graph holds none. The first FindEdge
+// rebuilds it from the slots, and from then on lookups, coalescing and
+// removal behave as on a graph that never dropped it, with the rebuilt
+// table inside the 3/4 bound.
+TEST(SocialGraph, FinishedGraphHoldsNoEdgeIndex) {
+  const SocialGraphSpec base{.num_nodes = 2048, .seed = 11};
+  auto check = [](const char* kind, Result<SocialGraph> generated) {
+    SCOPED_TRACE(kind);
+    ASSERT_TRUE(generated.ok());
+    SocialGraph& g = *generated;
+    EXPECT_EQ(g.edge_index_capacity(), 0u);
+    for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+      if (!g.IsLiveEdge(e)) continue;
+      const Edge rec = g.edge(e);
+      ASSERT_EQ(g.FindEdge(rec.src, rec.dst, rec.label),
+                std::optional<EdgeId>(e));
+    }
+    ASSERT_TRUE(g.IsLiveEdge(0));
+    const Edge first = g.edge(0);
+    const size_t edges = g.NumEdges();
+    const auto again = g.AddEdge(first.src, first.dst, first.label);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, EdgeId{0});  // coalesced onto the existing slot
+    EXPECT_EQ(g.NumEdges(), edges);
+    ASSERT_TRUE(g.RemoveEdge(0).ok());
+    EXPECT_FALSE(g.FindEdge(first.src, first.dst, first.label).has_value());
+    EXPECT_EQ(g.NumEdges(), edges - 1);
+    EXPECT_GT(g.edge_index_capacity(), 0u);
+    EXPECT_LE(g.NumEdges() * 4, g.edge_index_capacity() * 3);
+  };
+  check("ER", GenerateErdosRenyi({.base = base, .avg_out_degree = 4.0}));
+  check("BA", GenerateBarabasiAlbert({.base = base, .edges_per_node = 4}));
+  check("WS", GenerateWattsStrogatz(
+                  {.base = base, .neighbors_per_side = 2,
+                   .rewire_probability = 0.1}));
+}
+
+// A finished graph's MemoryBytes is exactly 10 B a slot plus its
+// attribute columns (one int64 per node each): no index. The first probe
+// rebuilds the index, which MemoryBytes then counts, and the whole graph
+// stays within 24 B per live edge (the node-based map the index replaced
+// cost ~60 B on its own).
 TEST(SocialGraph, MemoryBytesCountsTheEdgeIndex) {
   auto g = GenerateBarabasiAlbert({.base = {.num_nodes = 65536, .seed = 5}});
   ASSERT_TRUE(g.ok());
+  // A slot is a packed 10-byte record (DeadSlotIsMarkedInBand pins it).
+  const size_t column_bytes =
+      g->attrs().size() * g->NumNodes() * sizeof(int64_t);
+  const size_t stale_bytes = g->EdgeSlotCount() * 10 + column_bytes;
+  EXPECT_EQ(g->edge_index_capacity(), 0u);
+  EXPECT_EQ(g->MemoryBytes(), stale_bytes);
+  const Edge rec = g->edge(0);
+  ASSERT_TRUE(g->FindEdge(rec.src, rec.dst, rec.label).has_value());
   const size_t index_bytes = g->edge_index_capacity() * sizeof(EdgeId);
   EXPECT_GT(index_bytes, 0u);
-  // A slot is a packed 10-byte record (DeadSlotIsMarkedInBand pins it).
-  EXPECT_GE(g->MemoryBytes(), g->EdgeSlotCount() * 10 + index_bytes);
+  EXPECT_EQ(g->MemoryBytes(), stale_bytes + index_bytes);
   EXPECT_LE(static_cast<double>(g->MemoryBytes()) /
                 static_cast<double>(g->NumEdges()),
             24.0);
