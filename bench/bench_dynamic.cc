@@ -49,6 +49,9 @@ void MutateOneEdge(SocialGraph& g, Rng& rng) {
 void BM_ChurnJoinIndex(benchmark::State& state) {
   const size_t queries_per_mutation = static_cast<size_t>(state.range(0));
   SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, kNodes, 3, 42);
+  // Thawed up front: each mutation would thaw a frozen graph anyway, and
+  // the first one must not time the thaw.
+  g.Thaw();
   auto parsed = ParsePathExpression(kQ1);
   auto expr = BoundPathExpression::Bind(*parsed, g);
   Rng rng(7);
@@ -93,6 +96,9 @@ BENCHMARK(BM_ChurnJoinIndex)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 void BM_ChurnOnline(benchmark::State& state) {
   const size_t queries_per_mutation = static_cast<size_t>(state.range(0));
   SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, kNodes, 3, 42);
+  // Thawed up front: each mutation would thaw a frozen graph anyway, and
+  // the first one must not time the thaw.
+  g.Thaw();
   auto parsed = ParsePathExpression(kQ1);
   auto expr = BoundPathExpression::Bind(*parsed, g);
   Rng rng(7);
@@ -245,6 +251,9 @@ BENCHMARK(BM_OverlayMutationWithCompaction)
 void BM_RebuildMutationBaseline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, n, 3, 42);
+  // Thawed up front: each mutation would thaw a frozen graph anyway, and
+  // the first one must not time the thaw.
+  g.Thaw();
   Rng rng(13);
   for (auto _ : state) {
     MutateOneEdge(g, rng);
@@ -282,6 +291,9 @@ void StageFreshInsertions(AccessControlEngine& engine, const SocialGraph& g,
 void BM_CompactStallBlocking(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, n, 3, 42);
+  // Thawed up front, so every timed compaction folds into slots; the
+  // first one over a frozen graph would also time the thaw.
+  g.Thaw();
   PolicyStore store;
   const ResourceId res = store.RegisterResource(/*owner=*/0, "doc");
   (void)store.AddRuleFromPaths(res, {kQ1}).ValueOrDie();

@@ -13,7 +13,9 @@
 /// stages.
 ///
 /// BM_CsrBuild times the one build the engine does serve: the CSR
-/// snapshot, over BA graphs at 3 and 64 labels (its cost must not grow
+/// snapshot from a thawed graph's slots (what Freeze, a compaction and a
+/// rebuild over a mutated graph run), over BA graphs at 3 and 64 labels
+/// (its cost must not grow
 /// with the label count), plus the merged build a background compaction
 /// runs over graph ⊕ overlay, and the build followed by the first In(),
 /// which derives the in-side: the full cost for a rule set with a
@@ -84,9 +86,11 @@ void BM_CsrBuild(benchmark::State& state) {
   const bool merged = state.range(2) == 1;
   const bool in_side = state.range(2) == 2;
   SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, nodes, num_labels, 42);
+  // Thawed, so every arm scatters edge slots: over a frozen graph Build
+  // would only copy the snapshot the graph already holds.
+  g.Thaw();
   const DeltaOverlay overlay = merged ? MakeChurnOverlay(g) : DeltaOverlay();
-  // The input graph as the build reads it: the merged arm's setup probed
-  // the triple index, so it holds it; the plain arm's graph does not.
+  // The input graph as the build reads it: slots plus triple index.
   state.counters["graph_bytes"] = static_cast<double>(g.MemoryBytes());
   size_t edges = 0;
   size_t csr_bytes = 0;

@@ -9,9 +9,9 @@
 ///    already-loaded graph and RebuildIndexes() (the CSR);
 ///  * BM_ColdStartOpenFromDir: the durable path — OpenFromDir() over a
 ///    saved bundle plus a WAL tail of kTailMutations records (load,
-///    checksum-verify every section, adopt, derive the graph's edge
-///    slots, replay; the rule walks forward, so neither side derives the
-///    CSR's in-side). The `speedup_vs_rebuild` counter at 256k nodes is
+///    checksum-verify every section, adopt, freeze the graph over the
+///    loaded CSR, replay; the rule walks forward, so neither side derives
+///    the CSR's in-side). The `speedup_vs_rebuild` counter at 256k nodes is
 ///    the subsystem's headline series: the median of kSpeedupSamples
 ///    one-shot rebuilds over the median of as many one-shot opens. On 4
 ///    cores it reads ~2.0 in a short run (min_time 0.01: ~31–36 ms
@@ -20,10 +20,11 @@
 ///    CSR builds each run ~3x slower than later ones. A single sample
 ///    of each read anywhere from 0.85 to 3.4. `bundle_bytes` tracks
 ///    on-disk size: 14.7 MB at 256k nodes (55.1 MB with the v5 bundle).
-///    `graph_bytes` is the reopened graph's MemoryBytes(): the refilled
-///    10-byte edge slots (no triple index until a mutation) plus the
-///    attribute columns, 19.9 MB at 256k nodes (24.6 MB when a slot
-///    was a padded 12-byte Edge plus a 1-byte live flag), and
+///    `graph_bytes` is the reopened graph's MemoryBytes(): it is frozen
+///    over the loaded CSR, so that snapshot (shared with the engine)
+///    plus the attribute columns, 14.7 MB at 256k nodes (19.9 MB when
+///    the loader refilled 10-byte edge slots, 24.6 MB when a slot was a
+///    padded 12-byte Edge plus a 1-byte live flag), and
 ///    `csr_bytes` the loaded CSR's MemoryBytes(): its out-side's
 ///    offsets and two columns, read straight from the bundle, 4 B per
 ///    node and 6 B per entry;
@@ -80,6 +81,10 @@ DurableSetup& GetSetup(size_t nodes) {
   auto s = std::make_unique<DurableSetup>();
   s->graph = std::make_unique<SocialGraph>(
       MakeGraph(GraphKind::kErdosRenyi, nodes, 3, 42));
+  // Thawed, so the rebuild series (BM_ColdStartRebuild and
+  // speedup_vs_rebuild) time a CSR build from slots; an engine over a
+  // frozen graph would adopt its snapshot instead.
+  s->graph->Thaw();
   const ResourceId res = s->store.RegisterResource(0, "res");
   if (!s->store.AddRuleFromPaths(res, {"friend[1,2]/colleague[1]"}).ok()) {
     std::abort();

@@ -148,7 +148,11 @@ Status AccessControlEngine::RebuildIndexesLocked() {
   // The overlay is relative to the snapshot being replaced; staged
   // mutations that should survive must go through Compact() instead.
   overlay_.Clear();
-  csr_ = std::make_shared<const CsrSnapshot>(CsrSnapshot::Build(*graph_));
+  // A frozen graph is its CSR: serve that snapshot rather than build a
+  // second copy of the same edges.
+  csr_ = graph_->frozen()
+             ? graph_->frozen_csr()
+             : std::make_shared<const CsrSnapshot>(CsrSnapshot::Build(*graph_));
   // Unconditional policy rebuild: fresh dictionary entries (labels
   // interned since the last build) may fix previously failed binds.
   policy_ = PolicySnapshot::Build(*store_, *graph_);
@@ -590,7 +594,12 @@ void AccessControlEngine::CompactionWorker() {
     // The expensive part, off every lock: the writer keeps staging
     // mutations, readers keep serving published views. The graph and
     // frozen_ are stable during the build — staging writes neither, and
-    // only this thread folds or clears building_.
+    // only this thread folds or clears building_. The first compaction
+    // over a frozen graph thaws it here (slots and triple index; the
+    // engine keeps serving the snapshot the graph gives up), and every
+    // compaction makes room for the fold here, so the fold under the lock
+    // neither thaws nor grows the slots or the index.
+    mutable_graph_->ReserveEdges(frozen_.size());
     auto csr = std::make_shared<const CsrSnapshot>(
         CsrSnapshot::Build(*graph_, frozen_));
     PrepareInSide(*csr, *policy);
@@ -756,7 +765,7 @@ Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
       new AccessControlEngine(*graph, store, options));
   {
     std::lock_guard<std::mutex> lock(engine->mutation_mu_);
-    engine->csr_ = std::move(loaded.csr);
+    engine->csr_ = graph->frozen_csr();
     engine->overlay_ = std::move(loaded.overlay);
     engine->snapshot_generation_.store(loaded.stamp.generation,
                                        std::memory_order_release);

@@ -203,7 +203,8 @@ class AccessControlEngine {
   // serialized — see file comment) ------------------------------------------
 
   /// (Re)builds the CSR snapshot and the compiled policies and
-  /// publishes a fresh view. Call after construction (and after mutating
+  /// publishes a fresh view. Over a frozen graph the snapshot is not
+  /// built but adopted: the engine serves the graph's own CsrSnapshot. Call after construction (and after mutating
   /// the graph *outside* the engine). Waits out any in-flight
   /// compaction, then discards any staged overlay mutations — the
   /// overlay is defined relative to the snapshot being replaced; use
@@ -311,10 +312,10 @@ class AccessControlEngine {
   /// bundle (pread in bounded chunks, never a whole-file mapping),
   /// adopt its graph into `*graph` and its CSR/overlay into the engine
   /// (no index computation). The bundle stores each edge once, in the
-  /// CSR, so `*graph`'s edge slots are refilled from it: dense
-  /// (EdgeSlotCount() == NumEdges()) and in CSR order, which means slot
-  /// ids from before the save do not survive a reopen. Then replay the
-  /// WAL tail whose
+  /// CSR, and `*graph` comes back frozen over it (graph/social_graph.h),
+  /// sharing that one snapshot with the engine: its edge ids are CSR
+  /// positions, so slot ids from before the save survive a reopen only
+  /// if the saved graph was frozen too. Then replay the WAL tail whose
   /// (generation, version) stamps the bundle does not cover, truncate
   /// any torn WAL tail, and reopen the WAL for appending. The first
   /// CheckAccess works immediately — no RebuildIndexes. Policies are

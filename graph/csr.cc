@@ -20,16 +20,6 @@ namespace {
 /// other worker.
 constexpr size_t kSortBlock = 4096;
 
-/// Every input also names the key of the input about this many
-/// positions later, whose destination the scatter prefetches for
-/// writing. An entry goes to two columns, so most inputs would
-/// otherwise stall on two cache misses; at 16 inputs ahead the lines
-/// arrive in time, and the cursor read then has rarely moved on by
-/// more than a line. The serial scatter pass at 65,536 nodes took
-/// 1.8-2.1 ms without the prefetch and 1.3-1.45 ms with it (Intel Xeon,
-/// 4 vCPUs).
-constexpr size_t kScatterAhead = 16;
-
 /// Splits nodes [0, offsets.size() - 1) into `chunks` ranges of about
 /// equal entry count: range c is [bounds[c], bounds[c + 1]).
 std::vector<size_t> NodeBounds(const std::vector<uint32_t>& offsets,
@@ -142,9 +132,9 @@ void SortRanges(size_t workers, Side* side) {
 
 }  // namespace
 
-template <typename ForEachEdge>
+template <typename ForEachInput>
 CsrSnapshot CsrSnapshot::Scatter(size_t num_nodes, size_t num_inputs,
-                                 const ForEachEdge& for_each_edge) {
+                                 const ForEachInput& for_each_edge) {
   CsrSnapshot snap;
   snap.num_nodes_ = num_nodes;
 
@@ -216,25 +206,31 @@ const CsrSnapshot::Side& CsrSnapshot::DeriveInSide() const {
 }
 
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g) {
+  if (const CsrSnapshot* frozen = g.frozen_csr().get()) {
+    // A frozen graph is its out-side already: copy that.
+    CsrSnapshot snap;
+    snap.num_nodes_ = frozen->num_nodes_;
+    snap.out_ = frozen->out_;
+    return snap;
+  }
   return Scatter(g.NumNodes(), g.EdgeSlotCount(),
                  [&g](size_t begin, size_t end, const auto& fn) {
-                   for (EdgeId e = begin; e < end; ++e) {
-                     if (!g.IsLiveEdge(e)) continue;
-                     fn(g.edge(e),
-                        g.edge(std::min(e + kScatterAhead, end - 1)).src);
-                   }
+                   ForEachEdge(g, begin, end,
+                               [&fn](EdgeId, const Edge& rec, NodeId ahead) {
+                                 fn(rec, ahead);
+                               });
                  });
 }
 
 CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
                                const DeltaOverlay& overlay) {
-  // The inputs are the edge slots, then the staged additions. Before the
-  // two passes of Scatter, each staged triple probes the graph's triple
-  // index once: a staged removal flags its edge's slot in `removed`, and
-  // a staged addition the graph already holds live (added outside the
-  // engine since the last rebuild) is left out, so it stays one edge, as
-  // the fold keeps it: a repeated (label, other) key is a bundle the
-  // loader refuses.
+  // The inputs are the edge ids, then the staged additions. Before the
+  // two passes of Scatter, each staged triple is looked up in the graph
+  // once: a staged removal flags its edge in `removed`, and a staged
+  // addition the graph already holds live (added outside the engine
+  // since the last rebuild) is left out, so it stays one edge, as the
+  // fold keeps it: a repeated (label, other) key is a bundle the loader
+  // refuses.
   const size_t slots = g.EdgeSlotCount();
   std::vector<uint8_t> removed(slots, 0);
   overlay.ForEachRemoved([&](const DeltaOverlay::EdgeTriple& t) {
@@ -250,10 +246,10 @@ CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
   return Scatter(
       g.NumNodes() + overlay.num_staged_nodes(), slots + added.size(),
       [&](size_t begin, size_t end, const auto& fn) {
-        for (EdgeId e = begin; e < std::min(end, slots); ++e) {
-          if (!g.IsLiveEdge(e) || removed[e]) continue;
-          fn(g.edge(e), g.edge(std::min(e + kScatterAhead, slots - 1)).src);
-        }
+        ForEachEdge(g, begin, std::min(end, slots),
+                    [&](EdgeId e, const Edge& rec, NodeId ahead) {
+                      if (!removed[e]) fn(rec, ahead);
+                    });
         for (size_t i = std::max(begin, slots); i < end; ++i) {
           fn(added[i - slots],
              added[std::min(i - slots + kScatterAhead, added.size() - 1)].src);

@@ -7,6 +7,8 @@
 ///
 /// This is the structure traversal-based evaluators run on. It is a value
 /// type: the result never observes later mutations of the source graph.
+/// A frozen SocialGraph is one of these, shared: the engine serves it,
+/// and a mutation thaws the graph into slots without touching it.
 ///
 /// Each side holds per-node offsets (4 B a node) into two parallel
 /// columns: `ids`, the far endpoint of every entry (4 B), and `labels`,
@@ -30,7 +32,7 @@
 /// path; the paper's indexes and the tests simply call In().
 ///
 /// Both sides are laid out by the same chunked counting scatter:
-///  - the input (edge slots for the out-side, source nodes for the
+///  - the input (edge ids for the out-side, source nodes for the
 ///    in-side) is cut into contiguous chunks, one per thread, and each
 ///    chunk counts its share into its own per-node array;
 ///  - a prefix pass turns the counts into cursors that start chunk c
@@ -83,7 +85,9 @@ class CsrSnapshot {
   CsrSnapshot& operator=(CsrSnapshot&& other) noexcept;
   ~CsrSnapshot();
 
-  /// Snapshots the live edges of `g`.
+  /// Snapshots the live edges of `g`: a scatter of a thawed graph's
+  /// slots, or a copy of a frozen graph's out-side (an engine adopts
+  /// that snapshot rather than calling this).
   static CsrSnapshot Build(const SocialGraph& g);
 
   /// Snapshots the *logical* graph g ⊕ overlay without mutating g: base
@@ -97,6 +101,17 @@ class CsrSnapshot {
 
   size_t NumNodes() const { return num_nodes_; }
   size_t NumEdges() const { return out_.ids.size(); }
+
+  /// Calls fn(EdgeId e, const Edge& rec, NodeId ahead) for every live
+  /// edge of `g` with an id in [begin, end), in id order. A frozen graph
+  /// is read by node range: one binary search finds the first source,
+  /// then each node's out-range follows in turn. `ahead` only steers a
+  /// prefetch: the source of the edge about 16 ids later on a thawed
+  /// graph, the edge's own source on a frozen one (whose edges arrive
+  /// by source already).
+  template <typename Fn>
+  static void ForEachEdge(const SocialGraph& g, size_t begin, size_t end,
+                          const Fn& fn);
 
   /// Targets of `node`'s out-edges, sorted by (label, target);
   /// OutLabels(node) holds their labels, entry for entry.
@@ -134,6 +149,7 @@ class CsrSnapshot {
 
  private:
   friend struct storage::StorageAccess;
+  friend class SocialGraph;  // a frozen graph reads its own snapshot
 
   /// resize() leaves new elements unwritten: the scatter fills them.
   template <typename T>
@@ -168,6 +184,16 @@ class CsrSnapshot {
     }
   };
 
+  /// Every input also names the key of the input about this many
+  /// positions later, whose destination the scatter prefetches for
+  /// writing. An entry goes to two columns, so most inputs would
+  /// otherwise stall on two cache misses; at 16 inputs ahead the lines
+  /// arrive in time, and the cursor read then has rarely moved on by
+  /// more than a line. The serial scatter pass at 65,536 nodes took
+  /// 1.8-2.1 ms without the prefetch and 1.3-1.45 ms with it (Intel Xeon,
+  /// 4 vCPUs).
+  static constexpr size_t kScatterAhead = 16;
+
   /// Shared core of both Build overloads, over `num_inputs` input
   /// positions. `for_each_edge(begin, end, fn)` calls fn(const Edge&,
   /// NodeId ahead) once per logical edge at positions [begin, end), in
@@ -175,9 +201,9 @@ class CsrSnapshot {
   /// source of an input about 16 positions later (any node of the
   /// snapshot is correct: it only steers a prefetch); calls for disjoint
   /// ranges run concurrently.
-  template <typename ForEachEdge>
+  template <typename ForEachInput>
   static CsrSnapshot Scatter(size_t num_nodes, size_t num_inputs,
-                             const ForEachEdge& for_each_edge);
+                             const ForEachInput& for_each_edge);
 
   const Side& InSide() const {
     const Side* in = in_.load(std::memory_order_acquire);
@@ -195,6 +221,31 @@ class CsrSnapshot {
   mutable std::atomic<const Side*> in_{nullptr};
   mutable std::mutex in_mu_;
 };
+
+template <typename Fn>
+void CsrSnapshot::ForEachEdge(const SocialGraph& g, size_t begin, size_t end,
+                              const Fn& fn) {
+  const CsrSnapshot* csr = g.frozen_csr().get();
+  if (csr == nullptr) {
+    for (size_t e = begin; e < end; ++e) {
+      if (!g.IsLiveEdge(static_cast<EdgeId>(e))) continue;
+      fn(static_cast<EdgeId>(e), g.edge(static_cast<EdgeId>(e)),
+         g.edge(static_cast<EdgeId>(std::min(e + kScatterAhead, end - 1))).src);
+    }
+    return;
+  }
+  if (begin >= end) return;
+  const Side& out = csr->out_;
+  auto v = static_cast<NodeId>(
+      std::upper_bound(out.offsets.begin(), out.offsets.end(), begin) -
+      out.offsets.begin() - 1);
+  for (size_t e = begin; e < end; ++v) {
+    const size_t stop = std::min<size_t>(end, out.offsets[v + 1]);
+    for (; e < stop; ++e) {
+      fn(static_cast<EdgeId>(e), Edge{v, out.ids[e], out.labels[e]}, v);
+    }
+  }
+}
 
 }  // namespace sargus
 

@@ -1,6 +1,10 @@
 #include "graph/social_graph.h"
 
+#include <algorithm>
 #include <limits>
+
+#include "common/parallel.h"
+#include "graph/csr.h"
 
 namespace sargus {
 
@@ -56,6 +60,7 @@ uint64_t SocialGraph::EdgeTripleHash(NodeId src, NodeId dst, LabelId label) {
 NodeId SocialGraph::AddNode() { return AddNodes(1); }
 
 NodeId SocialGraph::AddNodes(size_t count) {
+  Thaw();
   const NodeId id = static_cast<NodeId>(num_nodes_);
   num_nodes_ += count;
   return id;
@@ -121,7 +126,11 @@ Result<EdgeId> SocialGraph::AddEdge(NodeId src, NodeId dst, LabelId label) {
   if (label >= labels_.size()) {
     return Status::InvalidArgument("AddEdge: unknown label id");
   }
-  EnsureEdgeLookup();
+  if (csr_ != nullptr) {
+    // A coalesced add changes nothing, so it leaves the graph frozen.
+    if (const auto found = FindEdge(src, dst, label)) return *found;
+    Thaw();
+  }
   // Grow first so the probe below lands in the table the id stays in.
   if ((num_live_edges_ + 1) * 4 > edge_lookup_.size() * 3) {
     RehashEdgeLookup(LookupCapacityFor(num_live_edges_ + 1));
@@ -141,7 +150,15 @@ Result<EdgeId> SocialGraph::AddEdge(NodeId src, NodeId dst, LabelId label) {
 
 std::optional<EdgeId> SocialGraph::FindEdge(NodeId src, NodeId dst,
                                             LabelId label) const {
-  EnsureEdgeLookup();
+  if (csr_ != nullptr) {
+    // The label's slice of src's out-range holds its targets ascending,
+    // and a frozen edge's id is its position in the out-side.
+    if (src >= csr_->NumNodes()) return std::nullopt;
+    const std::span<const NodeId> dsts = csr_->OutWithLabel(src, label);
+    const auto it = std::lower_bound(dsts.begin(), dsts.end(), dst);
+    if (it == dsts.end() || *it != dst) return std::nullopt;
+    return static_cast<EdgeId>(&*it - csr_->out_.ids.data());
+  }
   if (edge_lookup_.empty()) return std::nullopt;
   const EdgeId id = edge_lookup_[ProbeSlot(src, dst, label)];
   if (id == kEmptySlot) return std::nullopt;
@@ -152,7 +169,7 @@ Status SocialGraph::RemoveEdge(EdgeId edge) {
   if (!IsLiveEdge(edge)) {
     return Status::NotFound("RemoveEdge: no live edge in slot");
   }
-  EnsureEdgeLookup();
+  Thaw();
   const Slot& rec = slots_[edge];
   const size_t mask = edge_lookup_.size() - 1;
   size_t hole = ProbeSlot(rec.src, rec.dst, rec.label);
@@ -185,7 +202,7 @@ size_t SocialGraph::ProbeSlot(NodeId src, NodeId dst, LabelId label) const {
   }
 }
 
-void SocialGraph::RehashEdgeLookup(size_t capacity) const {
+void SocialGraph::RehashEdgeLookup(size_t capacity) {
   edge_lookup_.assign(capacity, kEmptySlot);
   const size_t mask = capacity - 1;
   for (EdgeId e = 0; e < slots_.size(); ++e) {
@@ -198,25 +215,54 @@ void SocialGraph::RehashEdgeLookup(size_t capacity) const {
   }
 }
 
-void SocialGraph::EnsureEdgeLookup() const {
-  if (!edge_lookup_stale_) return;
-  RehashEdgeLookup(LookupCapacityFor(num_live_edges_));
-  edge_lookup_stale_ = false;
+Edge SocialGraph::FrozenEdge(EdgeId edge) const {
+  const std::vector<uint32_t>& offsets = csr_->out_.offsets;
+  // The source is the node whose out-range holds position `edge`: the
+  // last node whose range starts at or before it.
+  const auto src = static_cast<NodeId>(
+      std::upper_bound(offsets.begin(), offsets.end(), edge) -
+      offsets.begin() - 1);
+  return Edge{src, csr_->out_.ids[edge], csr_->out_.labels[edge]};
 }
 
-void SocialGraph::ReleaseEdgeLookup() {
-  // Swap, not clear(): only giving up the buffer frees its memory.
+void SocialGraph::Freeze() {
+  if (csr_ != nullptr) return;
+  csr_ = std::make_shared<const CsrSnapshot>(CsrSnapshot::Build(*this));
+  // Swap, not clear(): only giving up a buffer frees its memory.
+  decltype(slots_)().swap(slots_);
   std::vector<EdgeId>().swap(edge_lookup_);
-  edge_lookup_stale_ = true;
 }
 
-void SocialGraph::ShrinkToFit() {
-  slots_.shrink_to_fit();
-  ReleaseEdgeLookup();
+void SocialGraph::ReserveEdges(size_t count) {
+  const size_t capacity = LookupCapacityFor(num_live_edges_ + count);
+  if (csr_ == nullptr) {
+    slots_.reserve(slots_.size() + count);
+    if (capacity > edge_lookup_.size()) RehashEdgeLookup(capacity);
+    return;
+  }
+  const std::shared_ptr<const CsrSnapshot> csr = std::move(csr_);
+  slots_.reserve(num_live_edges_ + count);
+  slots_.resize(num_live_edges_);  // unwritten: the ranges fill every slot
+  // Slot e is the e-th out-entry, so each node range writes its own
+  // slots [offsets[begin], offsets[end]).
+  const size_t n = csr->NumNodes();
+  const std::vector<uint32_t>& offsets = csr->out_.offsets;
+  const size_t chunks = NumChunks(num_live_edges_);
+  Slot* slots = slots_.data();
+  ParallelFor(chunks, [&](size_t c) {
+    for (size_t v = n * c / chunks; v < n * (c + 1) / chunks; ++v) {
+      for (uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        slots[i] = Slot{static_cast<NodeId>(v), csr->out_.ids[i],
+                        csr->out_.labels[i]};
+      }
+    }
+  });
+  RehashEdgeLookup(capacity);
 }
 
 size_t SocialGraph::MemoryBytes() const {
   size_t bytes = slots_.capacity() * sizeof(Slot);
+  if (csr_ != nullptr) bytes += csr_->MemoryBytes();
   for (const auto& col : attr_columns_) {
     bytes += col.capacity() * sizeof(int64_t);
   }

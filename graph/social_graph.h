@@ -10,22 +10,40 @@
 /// from it; after a mutation, callers rebuild the snapshots they need
 /// (see bench/bench_dynamic.cc for the cost model this implies).
 ///
-/// Edge slots are stable: RemoveEdge tombstones the slot instead of
-/// compacting, so EdgeIds held by callers never dangle. Iteration goes
-/// through EdgeSlotCount()/IsLiveEdge(). A slot is one 10-byte record
-/// {src, dst, label} with no padding, and a dead slot is marked in band
-/// by label kInvalidLabel: AddEdge refuses a label id at or past the
-/// dictionary's size, and the dictionary holds at most 0xFFFF names, so
-/// no stored edge carries that label. An edge thus costs 10 B of slot
-/// and, in every CsrSnapshot, a 6-byte entry per side (a 4-byte id and
-/// a 2-byte label, in two columns). The triple index (4 B per index
-/// slot, kept 3/8 to 3/4 full) exists only while a graph is being
-/// mutated: ShrinkToFit, which the generators and ExtractShardGraph
-/// run on a finished graph, releases it, and a snapshot bundle stores
-/// neither it nor the slots (the loader refills the slots densely, in
-/// CSR order, one node range per core).
+/// A graph's edges take one of two forms.
+///  - **Thawed**: edge slots plus a triple index, the form a graph is
+///    built and mutated in. A slot is one 10-byte record {src, dst,
+///    label} with no padding, and a dead slot is marked in band by label
+///    kInvalidLabel: AddEdge refuses a label id at or past the
+///    dictionary's size, and the dictionary holds at most 0xFFFF names,
+///    so no stored edge carries that label. RemoveEdge tombstones the
+///    slot instead of compacting. The triple index costs 4 B per index
+///    slot, kept 3/8 to 3/4 full.
+///  - **Frozen**: the graph's CsrSnapshot and nothing else, held as a
+///    shared_ptr<const CsrSnapshot> (6 B an edge: a 4-byte id and a
+///    2-byte label, in two columns). Freeze() makes it; the generators
+///    and ExtractShardGraph freeze every graph they finish, and a
+///    reopened bundle's graph is frozen over the CSR the loader read.
+///    An engine built over a frozen graph serves that very snapshot
+///    instead of building a second one, and a copy of the graph shares
+///    it. FindEdge binary-searches the source's out-range, so a frozen
+///    graph needs no triple index.
+/// Every node or edge mutation (AddNode(s), an AddEdge that adds,
+/// RemoveEdge) thaws a frozen graph first: the slots are refilled from
+/// the CSR, one node range per core, and the triple index is rebuilt.
+/// SetAttribute does not thaw (attributes live beside either form).
+///
+/// The EdgeId contract: an EdgeId names one edge from one Freeze() to
+/// the next. Freeze renumbers the live edges into CSR order (by source,
+/// then label, then target) and drops the tombstones, so a frozen graph
+/// holds edges 0 .. NumEdges() - 1, edge e being the e-th CSR out-entry.
+/// A thaw keeps every id (slot e is refilled with edge e), and a thawed
+/// graph's mutations keep the ids of the edges they leave live, so ids
+/// are stable across a thaw and between Freeze calls. Iteration goes
+/// through EdgeSlotCount()/IsLiveEdge() in either form.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -38,6 +56,8 @@
 #include "common/types.h"
 
 namespace sargus {
+
+class CsrSnapshot;
 
 namespace storage {
 struct StorageAccess;  // snapshot bundle (de)serializer, storage/
@@ -77,7 +97,9 @@ class SocialGraph {
  public:
   SocialGraph() = default;
 
-  // Movable and copyable (generators return by value; benches copy).
+  // Movable and copyable (generators return by value; benches copy). A
+  // copy of a frozen graph shares its snapshot, and thawing either one
+  // leaves the other as it was.
   SocialGraph(const SocialGraph&) = default;
   SocialGraph& operator=(const SocialGraph&) = default;
   SocialGraph(SocialGraph&&) noexcept = default;
@@ -85,19 +107,21 @@ class SocialGraph {
 
   // ---- Nodes ---------------------------------------------------------------
 
+  /// Thaws a frozen graph (see the file comment).
   NodeId AddNode();
 
-  /// Appends `count` nodes at once; returns the first new id. Touches
-  /// only the node counter — attribute columns grow lazily on the next
-  /// SetAttribute — which is what lets compaction fold staged node
-  /// additions in while read views (which never consult the counter and
-  /// bound attribute reads by column size) are in flight.
+  /// Appends `count` nodes at once; returns the first new id. Thaws a
+  /// frozen graph; otherwise touches only the node counter — attribute
+  /// columns grow lazily on the next SetAttribute — which is what lets
+  /// compaction fold staged node additions in while read views (which
+  /// never consult the counter and bound attribute reads by column size)
+  /// are in flight.
   NodeId AddNodes(size_t count);
 
   size_t NumNodes() const { return num_nodes_; }
 
   /// Sets integer attribute `name` on `node` (interning the name).
-  /// Fails with kInvalidArgument if `node` is out of range.
+  /// Fails with kInvalidArgument if `node` is out of range. Never thaws.
   Status SetAttribute(NodeId node, const std::string& name, int64_t value);
 
   /// Attribute by pre-resolved id; nullopt when unset/unknown.
@@ -110,41 +134,80 @@ class SocialGraph {
   // ---- Edges ---------------------------------------------------------------
 
   /// Adds edge src -[label]-> dst, interning the label name. Duplicate
-  /// (src, dst, label) edges are coalesced: the existing id is returned.
+  /// (src, dst, label) edges are coalesced: the existing id is returned
+  /// (without thawing a frozen graph).
   Result<EdgeId> AddEdge(NodeId src, NodeId dst, const std::string& label);
 
   /// Same, with a label id already interned in this graph's dictionary.
   Result<EdgeId> AddEdge(NodeId src, NodeId dst, LabelId label);
 
-  /// Tombstones the edge slot: its record's label becomes kInvalidLabel.
-  /// kNotFound if the slot is dead or invalid.
+  /// Tombstones the edge slot, thawing a frozen graph first: its record's
+  /// label becomes kInvalidLabel. kNotFound if the slot is dead or
+  /// invalid.
   Status RemoveEdge(EdgeId edge);
 
-  /// Slot of the live edge (src, dst, label), or nullopt when absent.
+  /// Id of the live edge (src, dst, label), or nullopt when absent.
   /// (Duplicate triples are coalesced by AddEdge, so the triple is a key.)
-  /// A generated or loaded graph holds a stale triple index (see
-  /// ShrinkToFit); the first AddEdge/RemoveEdge/FindEdge rebuilds it,
-  /// mutating state under this const method, so concurrent FindEdge
-  /// calls on a stale graph need external synchronization.
+  /// A frozen graph binary-searches the label range of src's out-range;
+  /// a thawed one probes its triple index. Either way a pure read, safe
+  /// from any number of threads.
   std::optional<EdgeId> FindEdge(NodeId src, NodeId dst, LabelId label) const;
 
   /// Number of live edges.
   size_t NumEdges() const { return num_live_edges_; }
 
   /// Total slots ever allocated (live + tombstoned); the iteration bound.
-  size_t EdgeSlotCount() const { return slots_.size(); }
+  /// A frozen graph has no tombstones: it is NumEdges().
+  size_t EdgeSlotCount() const {
+    return csr_ != nullptr ? num_live_edges_ : slots_.size();
+  }
 
-  /// True when `edge` is a slot whose record carries a label, not the
-  /// kInvalidLabel tombstone.
+  /// True when `edge` is a live edge: below NumEdges() on a frozen graph,
+  /// a slot whose record carries a label (not the kInvalidLabel
+  /// tombstone) on a thawed one.
   bool IsLiveEdge(EdgeId edge) const {
+    if (csr_ != nullptr) return edge < num_live_edges_;
     return edge < slots_.size() && slots_[edge].label != kInvalidLabel;
   }
 
-  /// A copy of the slot's record; meaningful only while IsLiveEdge(edge)
-  /// (a dead slot reads back with label kInvalidLabel).
+  /// A copy of the edge's record; meaningful only while IsLiveEdge(edge)
+  /// (a dead slot reads back with label kInvalidLabel). On a frozen graph
+  /// this binary-searches the CSR offsets for the source, so a loop over
+  /// every edge should read the CSR by node range instead
+  /// (CsrSnapshot::ForEachEdge).
   Edge edge(EdgeId edge) const {
+    if (csr_ != nullptr) return FrozenEdge(edge);
     const Slot& s = slots_[edge];
     return Edge{s.src, s.dst, s.label};
+  }
+
+  // ---- Forms ---------------------------------------------------------------
+
+  /// Freezes the graph: builds its CsrSnapshot once, renumbers the live
+  /// edges into CSR order, and frees the slots and the triple index. A
+  /// no-op on a frozen graph.
+  void Freeze();
+
+  /// Thaws a frozen graph back into slots, in the same order (so every
+  /// EdgeId survives), rebuilds the triple index and drops this graph's
+  /// share of the snapshot. A no-op on a thawed graph.
+  void Thaw() { ReserveEdges(0); }
+
+  /// Makes room for `count` more edges: thaws a frozen graph, then sizes
+  /// the slots' capacity and the triple index so that `count` further
+  /// AddEdge calls neither reallocate the slots nor rehash the index.
+  /// The engine's compaction worker calls it off the writer lock before
+  /// each build, with the size of the overlay it will fold, so the fold
+  /// under the lock never thaws or rehashes.
+  void ReserveEdges(size_t count);
+
+  /// True while the graph is in its frozen form.
+  bool frozen() const { return csr_ != nullptr; }
+
+  /// The frozen form's snapshot, or null while thawed. An engine adopts
+  /// it instead of building its own.
+  const std::shared_ptr<const CsrSnapshot>& frozen_csr() const {
+    return csr_;
   }
 
   // ---- Dictionaries --------------------------------------------------------
@@ -157,16 +220,8 @@ class SocialGraph {
   /// across all shard copies (see graph/subgraph.h).
   NameDictionary& attrs() { return attrs_; }
 
-  /// Releases the edge slots' spare capacity and the triple index,
-  /// leaving the index stale. The generators and ExtractShardGraph call
-  /// it on a finished graph, so a graph that will only be read carries
-  /// neither up to 2x its edge storage nor the index; the first
-  /// AddEdge/RemoveEdge/FindEdge after it rebuilds the index from the
-  /// slots.
-  void ShrinkToFit();
-
   /// Slots in the triple -> edge index (a power of two, or 0 while no
-  /// edge is live or the index is stale). It is kept at most 3/4 full.
+  /// edge is live or the graph is frozen). It is kept at most 3/4 full.
   size_t edge_index_capacity() const { return edge_lookup_.size(); }
 
   /// Home-slot hash of a triple in that index: the slot is the hash
@@ -174,7 +229,10 @@ class SocialGraph {
   /// wrap past the end of the table.
   static uint64_t EdgeTripleHash(NodeId src, NodeId dst, LabelId label);
 
-  /// Approximate heap footprint in bytes, the edge index included.
+  /// Approximate heap footprint in bytes: the slots and the triple index
+  /// of a thawed graph, or the snapshot of a frozen one (counted once,
+  /// however many engines and copies share it), plus the attribute
+  /// columns.
   size_t MemoryBytes() const;
 
  private:
@@ -183,7 +241,7 @@ class SocialGraph {
   /// One edge slot: Edge's fields without its 2 padding bytes. Read
   /// its members by value; a reference cannot bind to a packed member.
   /// No member initialisers, so ForOverwrite leaves a resized array
-  /// unwritten for the loader to fill.
+  /// unwritten for a thaw to fill.
   struct [[gnu::packed]] Slot {
     NodeId src;
     NodeId dst;
@@ -193,8 +251,11 @@ class SocialGraph {
                 std::is_trivially_default_constructible_v<Slot>);
 
   size_t num_nodes_ = 0;
-  std::vector<Slot, ForOverwrite<Slot>> slots_;
+  std::vector<Slot, ForOverwrite<Slot>> slots_;  // empty while frozen
   size_t num_live_edges_ = 0;
+  /// The frozen form; null while thawed. Never mutated through: copies
+  /// of the graph and engines share it.
+  std::shared_ptr<const CsrSnapshot> csr_;
   NameDictionary labels_;
   NameDictionary attrs_;
   // Per-attribute dense columns; INT64_MIN marks "unset". Columns may
@@ -202,25 +263,22 @@ class SocialGraph {
   // GetAttribute treats the missing tail as unset.
   std::vector<std::vector<int64_t>> attr_columns_;
 
-  /// Frees edge_lookup_'s buffer and marks it stale.
-  void ReleaseEdgeLookup();
-  /// Rematerializes edge_lookup_ from the live slots when stale.
-  void EnsureEdgeLookup() const;
+  /// edge(e) of a frozen graph.
+  Edge FrozenEdge(EdgeId edge) const;
   /// Index in edge_lookup_ of the live edge (src, dst, label), or of the
-  /// empty slot where it would go. The table must be non-empty.
+  /// empty slot where it would go. The graph must be thawed and the
+  /// table non-empty.
   size_t ProbeSlot(NodeId src, NodeId dst, LabelId label) const;
   /// Rebuilds edge_lookup_ at `capacity` slots from the live edges.
-  void RehashEdgeLookup(size_t capacity) const;
+  void RehashEdgeLookup(size_t capacity);
 
-  // The triple -> slot index: an open-addressed, linearly probed table
-  // of live edge ids. A slot holds only the id; its key is read back
-  // from that edge's record in slots_, one record per probe. The
-  // capacity is a power of two (or 0) at most 3/4 full, and RemoveEdge
-  // deletes by backward shift, so no tombstones accumulate. Lazily
-  // materialized (hence mutable): ShrinkToFit and the loader release it
-  // and the first lookup/mutation rebuilds it from slots_.
-  mutable std::vector<EdgeId> edge_lookup_;
-  mutable bool edge_lookup_stale_ = false;
+  // The triple -> slot index of a thawed graph: an open-addressed,
+  // linearly probed table of live edge ids. A slot holds only the id;
+  // its key is read back from that edge's record in slots_, one record
+  // per probe. The capacity is a power of two (or 0) at most 3/4 full,
+  // and RemoveEdge deletes by backward shift, so no tombstones
+  // accumulate. Freeze frees it and Thaw rebuilds it.
+  std::vector<EdgeId> edge_lookup_;
 };
 
 }  // namespace sargus

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "graph/csr.h"
+
 namespace sargus {
 
 Result<SocialGraph> ExtractShardGraph(const SocialGraph& g,
@@ -38,16 +40,17 @@ Result<SocialGraph> ExtractShardGraph(const SocialGraph& g,
     }
   }
 
-  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-    if (!g.IsLiveEdge(e)) continue;
-    const Edge& edge = g.edge(e);
-    if (shard_of[edge.src] != shard && shard_of[edge.dst] != shard) continue;
-    const auto added = sub.AddEdge(edge.src, edge.dst, edge.label);
-    if (!added.ok()) return added.status();
-  }
-  // A shard graph is finished here: drop slot slack and the triple index,
-  // as a generated graph does.
-  sub.ShrinkToFit();
+  Status added;
+  CsrSnapshot::ForEachEdge(
+      g, 0, g.EdgeSlotCount(), [&](EdgeId, const Edge& edge, NodeId) {
+        if (!added.ok()) return;
+        if (shard_of[edge.src] != shard && shard_of[edge.dst] != shard) return;
+        added = sub.AddEdge(edge.src, edge.dst, edge.label).status();
+      });
+  SARGUS_RETURN_IF_ERROR(added);
+  // A shard graph is finished here: freeze it, as a generated graph is,
+  // so the shard engine serves its snapshot instead of building one.
+  sub.Freeze();
   return sub;
 }
 

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <span>
 
+#include "graph/csr.h"
+
 namespace sargus {
 namespace {
 
@@ -29,21 +31,20 @@ std::vector<uint32_t> CommunityAssignment(const SocialGraph& g,
 
   // Undirected adjacency (CSR over live edges, both directions).
   std::vector<uint32_t> degree(n, 0);
-  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-    if (!g.IsLiveEdge(e)) continue;
-    ++degree[g.edge(e).src];
-    ++degree[g.edge(e).dst];
-  }
+  CsrSnapshot::ForEachEdge(g, 0, g.EdgeSlotCount(),
+                           [&](EdgeId, const Edge& edge, NodeId) {
+                             ++degree[edge.src];
+                             ++degree[edge.dst];
+                           });
   std::vector<size_t> offset(n + 1, 0);
   for (size_t v = 0; v < n; ++v) offset[v + 1] = offset[v] + degree[v];
   std::vector<NodeId> adj(offset[n]);
   std::vector<size_t> cursor(offset.begin(), offset.end() - 1);
-  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
-    if (!g.IsLiveEdge(e)) continue;
-    const Edge& edge = g.edge(e);
-    adj[cursor[edge.src]++] = edge.dst;
-    adj[cursor[edge.dst]++] = edge.src;
-  }
+  CsrSnapshot::ForEachEdge(g, 0, g.EdgeSlotCount(),
+                           [&](EdgeId, const Edge& edge, NodeId) {
+                             adj[cursor[edge.src]++] = edge.dst;
+                             adj[cursor[edge.dst]++] = edge.src;
+                           });
 
   // Label propagation: each node takes the most frequent label among its
   // neighbors, smallest label on ties, nodes visited in id order. Fully

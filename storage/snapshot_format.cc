@@ -47,7 +47,8 @@ void StorageAccess::SaveGraph(const SocialGraph& g, BlobWriter& w) {
   for (const std::string& s : g.attrs_.names_) w.PutString(s);
   w.PutU64(g.attr_columns_.size());
   for (const auto& col : g.attr_columns_) w.PutVec(col);
-  // The node count and the edge slots are refilled from the CSR.
+  // The node count and the edges come back from the CSR: the loaded
+  // graph is frozen over it.
 }
 
 void StorageAccess::SaveCsr(const CsrSnapshot& csr, BlobWriter& w) {

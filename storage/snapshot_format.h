@@ -15,8 +15,8 @@
 /// LoadCsr reads it straight into the snapshot's column. The graph
 /// section holds only the name dictionaries and the attribute columns.
 /// The loader derives the rest: the CSR's in-side (the out-side
-/// transposed) and the graph's edge slots (one live slot per out-entry,
-/// in CSR order).
+/// transposed), on first use, and the graph's edges, which are the
+/// loaded CSR itself (the graph comes back frozen over it).
 ///
 /// File layout (little-endian throughout; the build static_asserts it):
 ///
@@ -410,11 +410,11 @@ struct StorageAccess {
   /// loads only the out-side; the in-side is derived on first use.
   static void SaveCsr(const CsrSnapshot& csr, BlobWriter& w);
   static Status LoadCsr(BlobReader& r, CsrSnapshot* csr);
-  /// Refills `g`'s node count and edge slots from `csr`: one live slot
-  /// per out-entry, in CSR order, written by node range on every core,
-  /// the triple index stale. Refuses (kDataLoss) a label past `g`'s
-  /// dictionary.
-  static Status FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g);
+  /// Hands `csr` to `g` as its frozen form (node count and edges, edge e
+  /// being the e-th out-entry). Refuses (kDataLoss) a label past `g`'s
+  /// dictionary, checked by node range on every core.
+  static Status FreezeGraphOver(std::shared_ptr<const CsrSnapshot> csr,
+                                SocialGraph* g);
 
   static void SaveOverlay(const DeltaOverlay& o, BlobWriter& w);
   static Status LoadOverlay(BlobReader& r, DeltaOverlay* o);

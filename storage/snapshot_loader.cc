@@ -132,41 +132,32 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   return OkStatus();
 }
 
-Status StorageAccess::FillGraphEdges(const CsrSnapshot& csr, SocialGraph* g) {
+Status StorageAccess::FreezeGraphOver(std::shared_ptr<const CsrSnapshot> csr,
+                                      SocialGraph* g) {
+  // A label past the dictionary would be an edge no lookup can name
+  // (or, at kInvalidLabel, a live edge read as dead once thawed), so any
+  // failing node range refuses the bundle with the one message a serial
+  // scan gives.
   const size_t num_labels = g->labels_.size();
-  const size_t n = csr.num_nodes_;
-  const CsrSnapshot::Side& out = csr.out_;
-  g->num_nodes_ = n;
-  g->slots_.resize(csr.NumEdges());  // unwritten: the ranges fill every slot
-  g->num_live_edges_ = csr.NumEdges();
-  // Split by node range like LoadCsr's check: each range writes its own
-  // slots [offsets[begin], offsets[end]). A label past the dictionary
-  // would be a slot no index can key (or, at kInvalidLabel, a live edge
-  // read as dead), so any failing range refuses the bundle with the one
-  // message the serial scan gave.
-  const size_t chunks = NumChunks(csr.NumEdges());
+  const size_t n = csr->NumNodes();
+  const size_t chunks = NumChunks(csr->NumEdges());
   std::vector<uint8_t> failed(chunks, 0);
-  SocialGraph::Slot* slots = g->slots_.data();
   ParallelFor(chunks, [&](size_t c) {
     for (size_t v = n * c / chunks; v < n * (c + 1) / chunks; ++v) {
-      for (uint32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
-        if (out.labels[i] >= num_labels) {
+      for (const LabelId label : csr->OutLabels(static_cast<NodeId>(v))) {
+        if (label >= num_labels) {
           failed[c] = 1;
           return;
         }
-        slots[i] = SocialGraph::Slot{static_cast<NodeId>(v), out.ids[i],
-                                     out.labels[i]};
       }
     }
   });
   if (std::find(failed.begin(), failed.end(), 1) != failed.end()) {
     return Status::DataLoss("bundle: csr entry label out of range");
   }
-  // Do NOT rebuild the triple lookup here: the cold-start-to-first-query
-  // path never needs it (the engine's membership test reads the CSR).
-  // Mark it stale instead; the graph rematerializes it on first use
-  // (~0.06 s at 1.5M edges), which is always on the mutation/fold path.
-  g->ReleaseEdgeLookup();
+  g->num_nodes_ = n;
+  g->num_live_edges_ = csr->NumEdges();
+  g->csr_ = std::move(csr);
   return OkStatus();
 }
 
@@ -208,7 +199,7 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   SARGUS_ASSIGN_OR_RETURN(BundleInfo info, ReadBundleHeader(file));
 
   LoadedBundle out;
-  out.csr = std::make_shared<CsrSnapshot>();
+  auto csr = std::make_shared<CsrSnapshot>();
   out.stamp = info.stamp;
   out.compact_threshold = info.compact_threshold;
 
@@ -237,7 +228,7 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
         decoded = StorageAccess::LoadGraph(r, &out.graph);
         break;
       case SectionKind::kCsr:
-        decoded = StorageAccess::LoadCsr(r, out.csr.get());
+        decoded = StorageAccess::LoadCsr(r, csr.get());
         break;
       case SectionKind::kOverlay:
         decoded = StorageAccess::LoadOverlay(r, &out.overlay);
@@ -264,8 +255,9 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   // Checks that join sections: labels are bounded by the graph section's
   // dictionary, overlay endpoints by the CSR's node count.
   SARGUS_RETURN_IF_ERROR(CheckOverlayRanges(
-      out.overlay, out.csr->NumNodes(), out.graph.labels().size()));
-  SARGUS_RETURN_IF_ERROR(StorageAccess::FillGraphEdges(*out.csr, &out.graph));
+      out.overlay, csr->NumNodes(), out.graph.labels().size()));
+  SARGUS_RETURN_IF_ERROR(
+      StorageAccess::FreezeGraphOver(std::move(csr), &out.graph));
   return out;
 }
 

@@ -13,10 +13,11 @@
 /// count toward the process's resident set while the copies are made.
 /// The reconstruction work is what the bundle deliberately does not
 /// store: the CSR's in-side (the out-side transposed, then a stable
-/// pass by label over each range), the graph's edge slots (one per
-/// out-entry, in CSR order), dictionary name->id maps and the overlay's
-/// adjacency (rebuilt by re-staging its triples); the graph's
-/// edge-triple lookup is left stale and rebuilt on first use.
+/// pass by label over each range, derived on first use), dictionary
+/// name->id maps and the overlay's adjacency (rebuilt by re-staging its
+/// triples). The graph gets no edge slots and no triple index: it is
+/// frozen over the loaded CSR (graph/social_graph.h), and the engine
+/// serves that same snapshot.
 ///
 /// Every failure — missing file, bad magic, checksum mismatch, section
 /// bounds out of range, truncated section payload, a section that
@@ -35,11 +36,10 @@
 namespace sargus::storage {
 
 /// A fully adopted bundle, ready for AccessControlEngine::OpenFromDir to
-/// install. `csr` is mutable here (the loader fills it); the engine
-/// freezes it behind shared_ptr<const> on install.
+/// install. `graph` is frozen over the bundle's CSR, which the engine
+/// adopts as its snapshot.
 struct LoadedBundle {
   SocialGraph graph;
-  std::shared_ptr<CsrSnapshot> csr;
   DeltaOverlay overlay;
   SnapshotStamp stamp;
   uint64_t compact_threshold = 0;

@@ -81,7 +81,7 @@ Result<SocialGraph> GenerateErdosRenyi(const ErdosRenyiSpec& spec) {
     }
     AddRandomEdge(g, rng, spec.base, alphabet, u, v);
   }
-  g.ShrinkToFit();
+  g.Freeze();
   return g;
 }
 
@@ -125,7 +125,7 @@ Result<SocialGraph> GenerateBarabasiAlbert(const BarabasiAlbertSpec& spec) {
       pool.push_back(t);
     }
   }
-  g.ShrinkToFit();
+  g.Freeze();
   return g;
 }
 
@@ -152,7 +152,7 @@ Result<SocialGraph> GenerateWattsStrogatz(const WattsStrogatzSpec& spec) {
       AddRandomEdge(g, rng, spec.base, alphabet, static_cast<NodeId>(u), v);
     }
   }
-  g.ShrinkToFit();
+  g.Freeze();
   return g;
 }
 

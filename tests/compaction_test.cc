@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -430,18 +431,22 @@ TEST(CompactionStraddle, RebuildWaitsOutHeldBuild) {
 
 // ---- A generated graph's first compaction ----------------------------------
 
-// A generated graph holds no triple index (ShrinkToFit released it), so
-// the first compaction's merged build rebuilds it on the worker, before
-// the fold writes through it. Decisions after the compaction match a
-// brute-force walk of a mirror that took every mutation eagerly, and the
-// folded caller graph holds exactly the mirror's triples.
+// A generated graph is frozen and holds no triple index, and the engine
+// serves its snapshot; staging leaves it frozen. The first compaction
+// thaws it on the worker (slots and index, sized for the fold) before
+// the merged build, so the fold writes through a built index that it
+// never has to grow. Decisions after the compaction
+// match a brute-force walk of a mirror that took every mutation eagerly,
+// and the folded caller graph holds exactly the mirror's triples.
 TEST(CompactionStaleIndex, FirstCompactionRebuildsGeneratedGraphIndex) {
   auto gen = GenerateBarabasiAlbert(
       {.base = {.num_nodes = 1024, .seed = 13}, .edges_per_node = 3});
   ASSERT_TRUE(gen.ok());
   EngineFixture f(std::move(*gen), {"friend[1,2]"}, /*owner=*/0,
                   {.compact_threshold = 0});
+  ASSERT_TRUE(f.g.frozen());
   ASSERT_EQ(f.g.edge_index_capacity(), 0u);
+  EXPECT_EQ(&f.engine->AcquireReadView()->csr(), f.g.frozen_csr().get());
   const BoundPathExpression expr = MustBind(f.g, "friend[1,2]");
   MirrorGraph mirror(f.g);
   const LabelId fr = f.g.labels().Lookup("friend");
@@ -460,14 +465,18 @@ TEST(CompactionStaleIndex, FirstCompactionRebuildsGeneratedGraphIndex) {
     mirror.Add(s, d, fr);
     ++added;
   }
-  EXPECT_EQ(f.g.edge_index_capacity(), 0u);  // staging leaves it stale
+  EXPECT_TRUE(f.g.frozen());  // staging writes only the overlay
+  EXPECT_EQ(f.g.edge_index_capacity(), 0u);
 
   size_t capacity_at_build = 0;
+  bool frozen_at_build = true;
   f.engine->SetCompactionBuildHookForTesting([&](const CsrSnapshot&) {
     capacity_at_build = f.g.edge_index_capacity();
+    frozen_at_build = f.g.frozen();
   });
   ASSERT_TRUE(f.engine->Compact().ok());
   f.engine->WaitForCompaction();
+  EXPECT_FALSE(frozen_at_build);
   EXPECT_GT(capacity_at_build, 0u);
   EXPECT_TRUE(f.engine->overlay().empty());
 
@@ -484,6 +493,8 @@ TEST(CompactionStaleIndex, FirstCompactionRebuildsGeneratedGraphIndex) {
     ASSERT_TRUE(f.g.FindEdge(rec.src, rec.dst, rec.label).has_value()) << e;
   }
   EXPECT_LE(f.g.NumEdges() * 4, f.g.edge_index_capacity() * 3);
+  // The worker sized the index for the fold: it did not grow under the lock.
+  EXPECT_EQ(f.g.edge_index_capacity(), capacity_at_build);
 }
 
 // ---- Background compaction: concurrent chaos (TSan target) ------------------
@@ -549,6 +560,104 @@ TEST(CompactionStress, ReadersRaceBackgroundCompactions) {
   engine.WaitForCompaction();
   EXPECT_EQ(errors.load(), 0u);
   EXPECT_GT(engine.snapshot_generation(), 1u);
+}
+
+// The first compaction over a frozen (generated) graph thaws it on the
+// worker, off the writer lock, while the engine keeps serving the
+// snapshot the graph gives up. Readers (views and facade, with an
+// attribute filter and a backward step, so they read attribute columns
+// and the shared in-side) and two submitting writers run throughout;
+// the build hook, which runs after the thaw and before the completion
+// takes the lock, sees the graph thawed and commits a write of its own,
+// which could not complete if the worker held the lock.
+TEST(CompactionStress, FirstCompactionThawsWhileServing) {
+  auto gen = GenerateBarabasiAlbert(
+      {.base = {.num_nodes = 4096, .seed = 17}, .edges_per_node = 3});
+  ASSERT_TRUE(gen.ok());
+  SocialGraph g = std::move(*gen);
+  ASSERT_TRUE(g.frozen());
+  PolicyStore store;
+  const ResourceId res = store.RegisterResource(/*owner=*/0, "doc");
+  (void)store.AddRuleFromPaths(res, {"friend[1,2]{age>=30}"}).ValueOrDie();
+  (void)store.AddRuleFromPaths(res, {"friend-[1]/colleague[1]"}).ValueOrDie();
+  const size_t base_nodes = g.NumNodes();
+  AccessControlEngine engine(g, store, {.compact_threshold = 0});
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_EQ(&engine.AcquireReadView()->csr(), g.frozen_csr().get());
+  const LabelId fr = g.labels().Lookup("friend");
+
+  std::atomic<int> hook_calls{0};
+  std::atomic<bool> hook_saw_thawed{false};
+  std::atomic<bool> hook_write_ok{false};
+  engine.SetCompactionBuildHookForTesting([&](const CsrSnapshot&) {
+    if (hook_calls.fetch_add(1) > 0) return;  // the first build only
+    hook_saw_thawed = !g.frozen();
+    hook_write_ok = engine.AddEdge(1, 2, fr).ok();
+  });
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(200 + t);
+      EvalContext ctx;
+      while (!done.load(std::memory_order_acquire)) {
+        const NodeId req = static_cast<NodeId>(rng.NextBounded(base_nodes));
+        auto view = engine.AcquireReadView();
+        if (!view->CheckAccess({.requester = req, .resource = res}, ctx).ok() ||
+            !engine.CheckAccess({.requester = req, .resource = res}).ok()) {
+          errors.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  std::atomic<size_t> submitted{0};
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(300 + t);
+      while (!done.load(std::memory_order_acquire)) {
+        const NodeId s = static_cast<NodeId>(rng.NextBounded(base_nodes));
+        const NodeId d = static_cast<NodeId>(rng.NextBounded(base_nodes));
+        WriteTicket ticket = rng.NextBool(0.8) ? engine.SubmitAddEdge(s, d, fr)
+                                               : engine.SubmitRemoveEdge(s, d, fr);
+        const Status st = ticket.Wait().status;
+        if (!st.ok() && st.code() != StatusCode::kNotFound) {
+          errors.fetch_add(1, std::memory_order_relaxed);
+        }
+        submitted.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (submitted.load(std::memory_order_relaxed) < 64) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(engine.Compact().ok());
+  engine.WaitForCompaction();
+  const size_t after_first = submitted.load(std::memory_order_relaxed);
+  while (submitted.load(std::memory_order_relaxed) < after_first + 64) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_TRUE(hook_saw_thawed.load());
+  EXPECT_TRUE(hook_write_ok.load());
+  EXPECT_FALSE(g.frozen());
+  // Fold what is left: the thawed caller graph then holds exactly the
+  // served snapshot's edges.
+  engine.FlushWrites();
+  ASSERT_TRUE(engine.Compact().ok());
+  engine.WaitForCompaction();
+  EXPECT_GE(engine.full_compactions(), 1u);
+  const auto view = engine.AcquireReadView();
+  ASSERT_TRUE(view->overlay().empty());
+  EXPECT_EQ(g.NumEdges(), view->csr().NumEdges());
+  const CsrSnapshot rebuilt = CsrSnapshot::Build(g);
+  for (NodeId v = 0; v < rebuilt.NumNodes(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(rebuilt.Out(v), view->csr().Out(v))) << v;
+  }
 }
 
 // ---- Threshold scaling ------------------------------------------------------

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "engine/access_engine.h"
+#include "synth/generators.h"
 #include "tests/test_util.h"
 
 namespace sargus {
@@ -178,6 +183,69 @@ TEST_F(EngineTest, AuditTrailRecordsDecisions) {
   // Requester 4 was granted (0-f->4), requester 3 denied.
   EXPECT_FALSE(trail[0].granted);
   EXPECT_TRUE(trail[1].granted);
+}
+
+// An engine over a frozen graph serves the graph's own snapshot: the
+// view's csr() is that object, not a second build of the same edges. Its
+// decisions equal those of an engine over a thawed copy (which builds a
+// CSR from slots) on the agreement wall's policies, for every requester,
+// with witnesses, forward and backward rules alike.
+TEST_F(EngineTest, AdoptsFrozenGraphCsr) {
+  auto gen = GenerateBarabasiAlbert(
+      {.base = {.num_nodes = 40, .seed = 31}, .edges_per_node = 2});
+  ASSERT_TRUE(gen.ok());
+  const SocialGraph frozen = std::move(*gen);
+  ASSERT_TRUE(frozen.frozen());
+  SocialGraph thawed = frozen;
+  thawed.Thaw();
+
+  const std::vector<std::pair<NodeId, std::vector<std::vector<std::string>>>>
+      policies = {
+          {0, {{"friend[1]"}, {"colleague[1]/friend[1,2]"}}},
+          {3, {{"friend[1,2]", "colleague[1,2]"}}},
+          {7, {{"friend[1]{age>=40}/colleague[1,2]"}, {"family-[1,2]"}}},
+          {12, {{"family[1]/friend[1]", "friend-[1]/colleague[1]"}}},
+      };
+  std::vector<ResourceId> resources;
+  for (const auto& [owner, rules] : policies) {
+    const ResourceId id =
+        store_.RegisterResource(owner, "doc" + std::to_string(owner));
+    for (const auto& paths : rules) {
+      ASSERT_TRUE(store_.AddRuleFromPaths(id, paths).ok());
+    }
+    resources.push_back(id);
+  }
+
+  AccessControlEngine adopting(frozen, store_);
+  AccessControlEngine building(thawed, store_);
+  ASSERT_TRUE(adopting.RebuildIndexes().ok());
+  ASSERT_TRUE(building.RebuildIndexes().ok());
+  const auto view = adopting.AcquireReadView();
+  const auto built = building.AcquireReadView();
+  EXPECT_EQ(&view->csr(), frozen.frozen_csr().get());
+  EXPECT_NE(&built->csr(), frozen.frozen_csr().get());
+  // The backward rules derived the in-side once, on the shared snapshot.
+  EXPECT_TRUE(frozen.frozen_csr()->HasInSide());
+
+  EvalContext ctx;
+  size_t grants = 0;
+  for (const ResourceId resource : resources) {
+    for (NodeId requester = 0; requester < frozen.NumNodes(); ++requester) {
+      const AccessRequest req{.requester = requester,
+                              .resource = resource,
+                              .want_witness = true};
+      auto a = view->CheckAccess(req, ctx);
+      auto b = built->CheckAccess(req, ctx);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a->granted, b->granted)
+          << "resource " << resource << " requester " << requester;
+      EXPECT_EQ(a->matched_rule, b->matched_rule);
+      EXPECT_EQ(a->witness, b->witness);
+      EXPECT_EQ(a->evaluator_name, b->evaluator_name);
+      grants += a->granted ? 1 : 0;
+    }
+  }
+  EXPECT_GT(grants, 0u);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -83,9 +85,10 @@ TEST(SocialGraph, RemoveEdgeTombstones) {
 
 // A slot is marked dead in its own record, by the kInvalidLabel
 // tombstone: the removed slot reads dead, the index misses it, and a
-// re-add takes a new slot. Growing the index (a rehash over every slot),
-// copying the graph and shrinking it keep the tombstone where it was.
-// With no attribute column, MemoryBytes is 10 B per slot plus the index.
+// re-add takes a new slot. Growing the index (a rehash over every slot)
+// and copying the graph keep the tombstone where it was; a Freeze drops
+// it. With no attribute column, a thawed graph's MemoryBytes is 10 B per
+// slot plus the index.
 TEST(SocialGraph, DeadSlotIsMarkedInBand) {
   SocialGraph g;
   g.AddNodes(200);
@@ -124,8 +127,10 @@ TEST(SocialGraph, DeadSlotIsMarkedInBand) {
   expect_dead_slot_kept(g);
   const SocialGraph copy = g;
   expect_dead_slot_kept(copy);
-  g.ShrinkToFit();
-  expect_dead_slot_kept(g);
+  g.Freeze();  // renumbers the live edges densely: the tombstone is gone
+  EXPECT_EQ(g.EdgeSlotCount(), g.NumEdges());
+  g.Thaw();  // slots sized exactly, no slack
+  EXPECT_EQ(g.EdgeSlotCount(), g.NumEdges());
   EXPECT_EQ(g.MemoryBytes(), g.EdgeSlotCount() * 10 +
                                  g.edge_index_capacity() * sizeof(EdgeId));
 }
@@ -313,11 +318,12 @@ TEST(SocialGraph, EdgeIndexMatchesOracle) {
   }
 }
 
-// A bundle stores no edge slots: the loader refills them densely, in
-// CSR order, and leaves the index stale (capacity 0); the first FindEdge
-// rebuilds it and finds every live triple at its CSR position, and no
-// removed one. The bundle's sections are several MiB, so this also
-// streams them across chunk edges both ways.
+// A bundle stores no edge slots: the loaded graph is frozen over the
+// bundle's CSR, so it holds no index (capacity 0) and FindEdge finds
+// every live triple at its CSR position, and no removed one, by binary
+// search alone. The first mutation thaws it and rebuilds the index. The
+// bundle's sections are several MiB, so this also streams them across
+// chunk edges both ways.
 TEST(SocialGraph, EdgeIndexRebuiltOnFirstFindAfterLoad) {
   auto generated =
       GenerateBarabasiAlbert({.base = {.num_nodes = 65536, .seed = 5}});
@@ -340,7 +346,8 @@ TEST(SocialGraph, EdgeIndexRebuiltOnFirstFindAfterLoad) {
   ::unlink(path.c_str());
   ::rmdir(tmpl);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const SocialGraph& h = loaded->graph;
+  SocialGraph& h = loaded->graph;
+  EXPECT_TRUE(h.frozen());
   EXPECT_EQ(h.edge_index_capacity(), 0u);
   ASSERT_EQ(h.NumEdges(), g.NumEdges());
   ASSERT_EQ(h.EdgeSlotCount(), h.NumEdges());
@@ -359,21 +366,27 @@ TEST(SocialGraph, EdgeIndexRebuiltOnFirstFindAfterLoad) {
               g.IsLiveEdge(e))
         << e;
   }
+  EXPECT_EQ(h.edge_index_capacity(), 0u);  // lookups never built it
+  const Edge first = h.edge(0);
+  ASSERT_TRUE(h.RemoveEdge(0).ok());
+  EXPECT_FALSE(h.frozen());
+  EXPECT_FALSE(h.FindEdge(first.src, first.dst, first.label).has_value());
   EXPECT_GT(h.edge_index_capacity(), 0u);
   EXPECT_LE(h.NumEdges() * 4, h.edge_index_capacity() * 3);
 }
 
-// Every generator finishes its graph with ShrinkToFit, which releases
-// the triple index: a generated graph holds none. The first FindEdge
-// rebuilds it from the slots, and from then on lookups, coalescing and
-// removal behave as on a graph that never dropped it, with the rebuilt
-// table inside the 3/4 bound.
+// Every generator freezes its graph, which holds no triple index: a
+// generated graph's lookups read the CSR, and an add that coalesces
+// leaves it frozen. The first mutation thaws it, and from then on
+// lookups, coalescing and removal behave as on a graph that was never
+// frozen, with the rebuilt table inside the 3/4 bound.
 TEST(SocialGraph, FinishedGraphHoldsNoEdgeIndex) {
   const SocialGraphSpec base{.num_nodes = 2048, .seed = 11};
   auto check = [](const char* kind, Result<SocialGraph> generated) {
     SCOPED_TRACE(kind);
     ASSERT_TRUE(generated.ok());
     SocialGraph& g = *generated;
+    EXPECT_TRUE(g.frozen());
     EXPECT_EQ(g.edge_index_capacity(), 0u);
     for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
       if (!g.IsLiveEdge(e)) continue;
@@ -386,9 +399,11 @@ TEST(SocialGraph, FinishedGraphHoldsNoEdgeIndex) {
     const size_t edges = g.NumEdges();
     const auto again = g.AddEdge(first.src, first.dst, first.label);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(*again, EdgeId{0});  // coalesced onto the existing slot
+    EXPECT_EQ(*again, EdgeId{0});  // coalesced onto the existing edge
     EXPECT_EQ(g.NumEdges(), edges);
+    EXPECT_TRUE(g.frozen());
     ASSERT_TRUE(g.RemoveEdge(0).ok());
+    EXPECT_FALSE(g.frozen());
     EXPECT_FALSE(g.FindEdge(first.src, first.dst, first.label).has_value());
     EXPECT_EQ(g.NumEdges(), edges - 1);
     EXPECT_GT(g.edge_index_capacity(), 0u);
@@ -401,28 +416,150 @@ TEST(SocialGraph, FinishedGraphHoldsNoEdgeIndex) {
                    .rewire_probability = 0.1}));
 }
 
-// A finished graph's MemoryBytes is exactly 10 B a slot plus its
-// attribute columns (one int64 per node each): no index. The first probe
-// rebuilds the index, which MemoryBytes then counts, and the whole graph
-// stays within 24 B per live edge (the node-based map the index replaced
-// cost ~60 B on its own).
+// A frozen graph's MemoryBytes is exactly its snapshot's plus its
+// attribute columns (one int64 per node each): no slots, no index. A
+// thaw refills 10 B a slot and rebuilds the index, which MemoryBytes then
+// counts instead of the snapshot, and the whole graph stays within 24 B
+// per live edge (the node-based map the index replaced cost ~60 B on its
+// own).
 TEST(SocialGraph, MemoryBytesCountsTheEdgeIndex) {
   auto g = GenerateBarabasiAlbert({.base = {.num_nodes = 65536, .seed = 5}});
   ASSERT_TRUE(g.ok());
-  // A slot is a packed 10-byte record (DeadSlotIsMarkedInBand pins it).
   const size_t column_bytes =
       g->attrs().size() * g->NumNodes() * sizeof(int64_t);
-  const size_t stale_bytes = g->EdgeSlotCount() * 10 + column_bytes;
+  ASSERT_TRUE(g->frozen());
   EXPECT_EQ(g->edge_index_capacity(), 0u);
-  EXPECT_EQ(g->MemoryBytes(), stale_bytes);
-  const Edge rec = g->edge(0);
-  ASSERT_TRUE(g->FindEdge(rec.src, rec.dst, rec.label).has_value());
+  EXPECT_EQ(g->MemoryBytes(), g->frozen_csr()->MemoryBytes() + column_bytes);
+  g->Thaw();
+  // A slot is a packed 10-byte record (DeadSlotIsMarkedInBand pins it).
   const size_t index_bytes = g->edge_index_capacity() * sizeof(EdgeId);
   EXPECT_GT(index_bytes, 0u);
-  EXPECT_EQ(g->MemoryBytes(), stale_bytes + index_bytes);
+  EXPECT_EQ(g->MemoryBytes(),
+            g->EdgeSlotCount() * 10 + column_bytes + index_bytes);
   EXPECT_LE(static_cast<double>(g->MemoryBytes()) /
                 static_cast<double>(g->NumEdges()),
             24.0);
+}
+
+// Freeze renumbers the live edges into CSR order and drops the
+// tombstones: edge e is the e-th out-entry of the graph's snapshot, and
+// FindEdge finds every live triple there, and no removed one, with no
+// triple index. A thaw keeps every id, and a copy of a frozen graph
+// shares the snapshot and thaws without touching the original.
+TEST(SocialGraph, FreezeRenumbersIntoCsrOrder) {
+  const SocialGraphSpec base{.num_nodes = 4096, .seed = 21};
+  auto check = [](const char* kind, Result<SocialGraph> generated) {
+    SCOPED_TRACE(kind);
+    ASSERT_TRUE(generated.ok());
+    SocialGraph& g = *generated;
+    std::vector<Edge> removed;
+    for (EdgeId e = 3; e < g.EdgeSlotCount(); e += 5) {
+      removed.push_back(g.edge(e));
+      ASSERT_TRUE(g.RemoveEdge(e).ok());
+    }
+    ASSERT_FALSE(g.frozen());
+    ASSERT_GT(g.EdgeSlotCount(), g.NumEdges());  // tombstones
+    const size_t live = g.NumEdges();
+    g.Freeze();
+    ASSERT_TRUE(g.frozen());
+    EXPECT_EQ(g.NumEdges(), live);
+    EXPECT_EQ(g.EdgeSlotCount(), live);
+    EXPECT_EQ(g.edge_index_capacity(), 0u);
+
+    const CsrSnapshot& csr = *g.frozen_csr();
+    ASSERT_EQ(csr.NumEdges(), live);
+    EdgeId e = 0;
+    for (NodeId v = 0; v < csr.NumNodes(); ++v) {
+      const auto dsts = csr.Out(v);
+      const auto labels = csr.OutLabels(v);
+      for (size_t i = 0; i < dsts.size(); ++i, ++e) {
+        ASSERT_TRUE(g.IsLiveEdge(e));
+        const Edge rec = g.edge(e);
+        ASSERT_TRUE(rec.src == v && rec.dst == dsts[i] &&
+                    rec.label == labels[i])
+            << "edge " << e;
+        ASSERT_EQ(g.FindEdge(v, dsts[i], labels[i]), std::optional<EdgeId>(e));
+      }
+    }
+    EXPECT_FALSE(g.IsLiveEdge(e));
+    for (const Edge& rec : removed) {
+      ASSERT_FALSE(g.FindEdge(rec.src, rec.dst, rec.label).has_value());
+    }
+    EXPECT_FALSE(g.FindEdge(0, 1, kInvalidLabel).has_value());
+    EXPECT_FALSE(
+        g.FindEdge(static_cast<NodeId>(g.NumNodes()), 0, 0).has_value());
+    EXPECT_EQ(g.edge_index_capacity(), 0u);
+
+    // A copy shares the snapshot; thawing it leaves the original frozen
+    // over the same object, with the same answers.
+    SocialGraph copy = g;
+    EXPECT_EQ(copy.frozen_csr().get(), &csr);
+    copy.Thaw();
+    EXPECT_FALSE(copy.frozen());
+    EXPECT_EQ(copy.frozen_csr(), nullptr);
+    ASSERT_EQ(copy.EdgeSlotCount(), live);
+    for (EdgeId id = 0; id < live; ++id) {
+      const Edge a = g.edge(id);
+      const Edge b = copy.edge(id);
+      ASSERT_TRUE(a.src == b.src && a.dst == b.dst && a.label == b.label)
+          << "edge " << id;
+      ASSERT_EQ(copy.FindEdge(a.src, a.dst, a.label),
+                std::optional<EdgeId>(id));
+    }
+    ASSERT_TRUE(copy.RemoveEdge(0).ok());
+    EXPECT_TRUE(g.frozen());
+    EXPECT_EQ(g.frozen_csr().get(), &csr);
+    EXPECT_EQ(g.NumEdges(), live);
+    EXPECT_TRUE(g.IsLiveEdge(0));
+
+    // Freezing the copy again renumbers past the removed first edge.
+    copy.Freeze();
+    EXPECT_EQ(copy.NumEdges(), live - 1);
+    const Edge a = g.edge(1);
+    const Edge b = copy.edge(0);
+    EXPECT_TRUE(a.src == b.src && a.dst == b.dst && a.label == b.label);
+  };
+  check("ER", GenerateErdosRenyi({.base = base, .avg_out_degree = 4.0}));
+  check("BA", GenerateBarabasiAlbert({.base = base, .edges_per_node = 4}));
+  check("WS", GenerateWattsStrogatz(
+                  {.base = base, .neighbors_per_side = 2,
+                   .rewire_probability = 0.1}));
+}
+
+// A frozen graph's reads are pure, and its snapshot is shared and
+// immutable (bar the in-side, derived once under its own lock), so
+// readers of the original race neither the first In() on the shared
+// snapshot nor a copy that thaws, mutates and refreezes beside them.
+TEST(SocialGraph, CopyThawsWhileOriginalIsRead) {
+  auto generated =
+      GenerateBarabasiAlbert({.base = {.num_nodes = 2048, .seed = 9}});
+  ASSERT_TRUE(generated.ok());
+  const SocialGraph g = std::move(*generated);
+  const size_t edges = g.NumEdges();
+  std::atomic<size_t> misses{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (EdgeId e = t; e < edges; e += 3) {
+        const Edge rec = g.edge(e);
+        if (!g.IsLiveEdge(e) ||
+            g.FindEdge(rec.src, rec.dst, rec.label) != std::optional(e) ||
+            g.frozen_csr()->In(rec.dst).empty()) {
+          misses.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 4; ++round) {
+    SocialGraph copy = g;
+    ASSERT_TRUE(copy.RemoveEdge(static_cast<EdgeId>(round)).ok());
+    ASSERT_TRUE(copy.AddEdge(0, 1, LabelId{0}).ok());
+    copy.Freeze();
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(misses.load(), 0u);
+  EXPECT_TRUE(g.frozen());
+  EXPECT_EQ(g.NumEdges(), edges);
 }
 
 TEST(NameDictionary, CapsAtSentinelBoundary) {

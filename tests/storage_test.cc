@@ -1053,10 +1053,10 @@ std::set<std::tuple<NodeId, NodeId, LabelId>> LiveTriples(
   return triples;
 }
 
-// The bundle stores each edge once, as a CSR out-entry. A reopen refills
-// the graph's slots from it: the saved live triples, one dense slot each
-// (the saved graph's tombstones are gone), and a CSR equal on both sides
-// to a fresh build over the saved graph.
+// The bundle stores each edge once, as a CSR out-entry. A reopen freezes
+// the graph over it: the saved live triples, one dense edge id each (the
+// saved graph's tombstones are gone), and a CSR equal on both sides to a
+// fresh build over the saved graph.
 void ExpectSameCsr(const CsrSnapshot& loaded, const CsrSnapshot& expected) {
   ASSERT_EQ(loaded.NumNodes(), expected.NumNodes());
   ASSERT_EQ(loaded.NumEdges(), expected.NumEdges());
@@ -1099,6 +1099,9 @@ TEST(Bundle, ReopenRefillsGraphFromCsr) {
   }
 
   ExpectSameCsr((*reopened)->AcquireReadView()->csr(), CsrSnapshot::Build(g));
+  // The reopened graph and engine share the one loaded snapshot.
+  EXPECT_TRUE(h.frozen());
+  EXPECT_EQ(&(*reopened)->AcquireReadView()->csr(), h.frozen_csr().get());
 }
 
 // A bundle large enough that the in-side derivation runs in several
@@ -1122,11 +1125,14 @@ TEST(Bundle, MultiChunkBundleReopensToSameCsr) {
   auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &h, store);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ExpectSameCsr((*reopened)->AcquireReadView()->csr(), CsrSnapshot::Build(g));
+  // The reopened graph and engine share the one loaded snapshot.
+  EXPECT_TRUE(h.frozen());
+  EXPECT_EQ(&(*reopened)->AcquireReadView()->csr(), h.frozen_csr().get());
 }
 
-// The refill writes the slots by node range, one range per core. A
-// bundle large enough for four ranges refills what a serial pass over
-// the CSR would: slot i holds the i-th out-entry in CSR order, dense.
+// The reopened graph is frozen over the loaded CSR, and the label check
+// runs by node range, one range per core. In a bundle large enough for
+// four ranges, edge i is the i-th out-entry in CSR order, dense.
 // A resealed label past the dictionary in the last range is refused with
 // the message the serial scan gave.
 TEST(Bundle, MultiChunkRefillMatchesSerial) {
@@ -1539,7 +1545,7 @@ TEST(Corruption, BundleBitFlipMatrix) {
     ASSERT_TRUE(loaded.ok());
     storage::BundlePayload payload;
     payload.graph = &loaded->graph;
-    payload.csr = loaded->csr.get();
+    payload.csr = loaded->graph.frozen_csr().get();
     payload.overlay = &loaded->overlay;
     payload.stamp = loaded->stamp;
     payload.compact_threshold = loaded->compact_threshold;
@@ -1582,7 +1588,7 @@ TEST(Corruption, BundleBitFlipMatrix) {
         << "flip at checksummed byte " << at << " loaded anyway";
     storage::BundlePayload payload;
     payload.graph = &loaded->graph;
-    payload.csr = loaded->csr.get();
+    payload.csr = loaded->graph.frozen_csr().get();
     payload.overlay = &loaded->overlay;
     payload.stamp = loaded->stamp;
     payload.compact_threshold = loaded->compact_threshold;
