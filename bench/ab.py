@@ -7,9 +7,12 @@
 
 The parent side is `--parent` exported with `git archive` into
 `--scratch` (default .ab/<sha> at the checkout root), so the repository
-gains no worktree and the export is reused by later runs. The change
-side is the working tree, built where its own tools build it. Both sides
-are built before the first pair.
+gains no worktree and the export is reused by later runs. `--overlay
+FILE` copies the working tree's FILE over the parent's before it is
+built (into .ab/<sha>-overlay), so a benchmark added by the change can
+time the parent's library too. The change side is the working tree,
+built where its own tools build it. Both sides are built before the
+first pair.
 
 Pair i runs one process per side, the parent first on odd pairs and the
 change first on even ones, so drift over the run hits both alike.
@@ -32,6 +35,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,20 +59,27 @@ def git(*args):
                           stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
-def export_parent(rev, scratch):
-    """The parent revision's tree under `scratch`; exported once per sha."""
+def export_parent(rev, scratch, overlay):
+    """The parent revision's tree under `scratch`; exported once per sha.
+
+    A tree with `overlay` files gets a directory of its own, and the
+    working tree's copies of those files are written into it on every
+    run, so a plain export never holds one.
+    """
     sha = git("rev-parse", "--verify", rev + "^{commit}")
-    tree = Path(scratch) if scratch else ROOT / ".ab" / sha[:12]
+    suffix = "-overlay" if overlay else ""
+    tree = Path(scratch) if scratch else ROOT / ".ab" / (sha[:12] + suffix)
     stamp = tree / ".ab_sha"
-    if stamp.is_file() and stamp.read_text().strip() == sha:
-        return sha, tree
-    tree.mkdir(parents=True, exist_ok=True)
-    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha],
-                               stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
-    if archive.wait() != 0:
-        sys.exit(f"ab.py: git archive {sha} failed")
-    stamp.write_text(sha + "\n")
+    if not (stamp.is_file() and stamp.read_text().strip() == sha + suffix):
+        tree.mkdir(parents=True, exist_ok=True)
+        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha],
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
+        if archive.wait() != 0:
+            sys.exit(f"ab.py: git archive {sha} failed")
+        stamp.write_text(sha + suffix + "\n")
+    for path in overlay:
+        shutil.copyfile(ROOT / path, tree / path)
     return sha, tree
 
 
@@ -178,6 +189,9 @@ def main():
     parser.add_argument("--bench", help="a Google Benchmark binary, e.g. bench_storage")
     parser.add_argument("--filter", default=".", help="--benchmark_filter regex")
     parser.add_argument("--min-time", default="1", help="--benchmark_min_time")
+    parser.add_argument("--overlay", action="append", default=[], metavar="FILE",
+                        help="a working-tree file (path from the checkout root) copied "
+                             "into the parent's tree, e.g. a benchmark the parent lacks")
     parser.add_argument("-o", dest="out")
     args = parser.parse_args()
     if (args.workload is None) == (args.bench is None):
@@ -185,7 +199,7 @@ def main():
     if args.pairs < 2:
         parser.error("--pairs needs at least 2")
 
-    sha, parent_tree = export_parent(args.parent, args.scratch)
+    sha, parent_tree = export_parent(args.parent, args.scratch, args.overlay)
     if args.workload:
         make = lambda tree: E2eSide(tree, args.workload, args.seconds)
     else:
@@ -230,7 +244,7 @@ def main():
     command = "python3 bench/ab.py " + " ".join(argv)
     report = {
         "command": command,
-        "parent": {"rev": args.parent, "sha": sha},
+        "parent": {"rev": args.parent, "sha": sha, "overlay": args.overlay},
         "change": {"tree": "working tree", "head": git("rev-parse", "HEAD")},
         "machine": {"nproc": os.cpu_count(), "cpu_model": model,
                     "steal_share": (steal1 - steal0) / max(1, total1 - total0)},

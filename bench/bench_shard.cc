@@ -20,6 +20,9 @@
 /// queue against a direct engine call), and BM_ShardFaultInjection runs
 /// the full retry / breaker machinery under a seeded fault storm,
 /// reporting the robustness counters next to the latency.
+///
+/// BM_ShardRouterBuild prices router set-up, ShardRouter::Build alone,
+/// at 1,000 and 65,536 BA nodes in 4 contiguous shards.
 
 #include <benchmark/benchmark.h>
 
@@ -49,29 +52,38 @@ struct ShardedFixture {
   std::vector<ResourceId> resources;
 };
 
-std::unique_ptr<ShardedFixture> MakeFixture(
-    uint32_t shards, FaultInjectionTransport** fault = nullptr,
-    PartitionStrategy strategy = PartitionStrategy::kContiguous) {
-  auto f = std::make_unique<ShardedFixture>();
-  f->graph = std::make_unique<SocialGraph>(
-      MakeGraph(GraphKind::kBarabasiAlbert, kNodes, 3, /*seed=*/17));
-  f->store = std::make_unique<PolicyStore>();
-  // Hot owners: resource ownership is itself Zipf-skewed over the node
-  // space, so the request mix concentrates on a few popular owners.
-  ZipfSampler owners(kNodes, kTheta, 99);
+/// kResources resources over `nodes` nodes, cycling through three rule
+/// sets. Hot owners: resource ownership is itself Zipf-skewed over the
+/// node space, so the request mix concentrates on a few popular owners.
+/// Null if a rule fails to parse.
+std::unique_ptr<PolicyStore> MakeZipfStore(size_t nodes,
+                                           std::vector<ResourceId>* resources) {
+  auto store = std::make_unique<PolicyStore>();
+  ZipfSampler owners(nodes, kTheta, 99);
   const std::vector<std::vector<std::string>> rule_sets = {
       {"friend[1,2]"},
       {"friend[1,2]/colleague[1]"},
       {"colleague[1,3]"},
   };
   for (size_t i = 0; i < kResources; ++i) {
-    const ResourceId r = f->store->RegisterResource(
+    const ResourceId r = store->RegisterResource(
         static_cast<NodeId>(owners.Next()), "res" + std::to_string(i));
-    if (!f->store->AddRuleFromPaths(r, rule_sets[i % rule_sets.size()]).ok()) {
+    if (!store->AddRuleFromPaths(r, rule_sets[i % rule_sets.size()]).ok()) {
       return nullptr;
     }
-    f->resources.push_back(r);
+    resources->push_back(r);
   }
+  return store;
+}
+
+std::unique_ptr<ShardedFixture> MakeFixture(
+    uint32_t shards, FaultInjectionTransport** fault = nullptr,
+    PartitionStrategy strategy = PartitionStrategy::kContiguous) {
+  auto f = std::make_unique<ShardedFixture>();
+  f->graph = std::make_unique<SocialGraph>(
+      MakeGraph(GraphKind::kBarabasiAlbert, kNodes, 3, /*seed=*/17));
+  f->store = MakeZipfStore(kNodes, &f->resources);
+  if (f->store == nullptr) return nullptr;
   RouterOptions opts;
   opts.partition.num_shards = shards;
   // Contiguous ranges (the default) ignore community structure on
@@ -419,6 +431,43 @@ BENCHMARK(BM_ShardBatchFanOut)
     ->Arg(4)
     ->Arg(8)
     ->UseManualTime();
+
+/// Router set-up: ShardRouter::Build alone (partition, shard graph
+/// extraction, shard engine builds, executor start) over a generated BA
+/// graph in 4 contiguous shards. The router's teardown, which joins the
+/// executor's workers, runs outside the timed interval.
+void BM_ShardRouterBuild(benchmark::State& state) {
+  const auto nodes = static_cast<size_t>(state.range(0));
+  const SocialGraph graph =
+      MakeGraph(GraphKind::kBarabasiAlbert, nodes, 3, /*seed=*/17);
+  std::vector<ResourceId> resources;
+  const auto store = MakeZipfStore(nodes, &resources);
+  if (store == nullptr) {
+    state.SkipWithError("store build failed");
+    return;
+  }
+  RouterOptions opts;
+  opts.partition.num_shards = 4;
+  opts.partition.strategy = PartitionStrategy::kContiguous;
+  using Clock = std::chrono::steady_clock;
+  for (auto _ : state) {
+    ShardRouter router(graph, *store, opts);
+    const auto t0 = Clock::now();
+    const Status built = router.Build();
+    const auto t1 = Clock::now();
+    if (!built.ok()) {
+      state.SkipWithError("router build failed");
+      return;
+    }
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.counters["edges"] = static_cast<double>(graph.NumEdges());
+}
+BENCHMARK(BM_ShardRouterBuild)
+    ->Arg(1000)
+    ->Arg(65536)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

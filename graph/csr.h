@@ -20,8 +20,8 @@
 /// at the same positions.
 ///
 /// The out-side is the one copy of the snapshot's edges; the bundle
-/// stores its two columns as they lie in memory, and Build and the
-/// bundle loader make only it. The in-side, which only a backward step
+/// stores its two columns as they lie in memory, and Build, Filtered and
+/// the bundle loader make only it. The in-side, which only a backward step
 /// (`label-[a,b]`) walks, is derived from the out-side by the first
 /// In(), InLabels() or InWithLabel() call, exactly
 /// once however many threads race on it, and published with a release
@@ -112,6 +112,14 @@ class CsrSnapshot {
   template <typename Fn>
   static void ForEachEdge(const SocialGraph& g, size_t begin, size_t end,
                           const Fn& fn);
+
+  /// A snapshot over the same nodes holding the out-entries src -> other
+  /// for which keep(src, other) is true. Dropping entries keeps every
+  /// range's (label, other) order, so this is two passes, a count into
+  /// offsets and a copy of both columns, with no scatter and no sort.
+  /// The in-side is derived on first use, as on any snapshot.
+  template <typename Keep>
+  CsrSnapshot Filtered(const Keep& keep) const;
 
   /// Targets of `node`'s out-edges, sorted by (label, target);
   /// OutLabels(node) holds their labels, entry for entry.
@@ -245,6 +253,41 @@ void CsrSnapshot::ForEachEdge(const SocialGraph& g, size_t begin, size_t end,
       fn(static_cast<EdgeId>(e), Edge{v, out.ids[e], out.labels[e]}, v);
     }
   }
+}
+
+template <typename Keep>
+CsrSnapshot CsrSnapshot::Filtered(const Keep& keep) const {
+  CsrSnapshot snap;
+  snap.num_nodes_ = num_nodes_;
+  const std::vector<uint32_t>& from = out_.offsets;
+  std::vector<uint32_t>& to = snap.out_.offsets;
+  const NodeId* ids = out_.ids.data();
+  const LabelId* labels = out_.labels.data();
+  to.resize(num_nodes_ + 1);
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    uint32_t kept = to[v];
+    for (uint32_t i = from[v]; i < from[v + 1]; ++i) kept += keep(v, ids[i]);
+    to[v + 1] = kept;
+  }
+  const uint32_t total = to.back();
+  snap.out_.ids.resize(total);  // unwritten: the copy fills both
+  snap.out_.labels.resize(total);
+  NodeId* kept_ids = snap.out_.ids.data();
+  LabelId* kept_labels = snap.out_.labels.data();
+  // No branch on keep, which would mispredict: every entry is written
+  // at the cursor and only a kept one moves it on, so a dropped entry is
+  // overwritten by the next kept one (or stopped past the last).
+  uint32_t at = 0;
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    for (uint32_t i = from[v]; i < from[v + 1]; ++i) {
+      if (at < total) {
+        kept_ids[at] = ids[i];
+        kept_labels[at] = labels[i];
+      }
+      at += keep(v, ids[i]);
+    }
+  }
+  return snap;
 }
 
 }  // namespace sargus

@@ -233,6 +233,34 @@ void SocialGraph::Freeze() {
   std::vector<EdgeId>().swap(edge_lookup_);
 }
 
+Status SocialGraph::FreezeOver(std::shared_ptr<const CsrSnapshot> csr) {
+  // A label past the dictionary would be an edge no lookup can name
+  // (or, at kInvalidLabel, a live edge read as dead once thawed). Each
+  // chunk takes the largest label of its share of the label column, a
+  // loop without a branch.
+  const size_t entries = csr->NumEdges();
+  const LabelId* labels = csr->out_.labels.data();
+  const size_t chunks = NumChunks(entries);
+  std::vector<LabelId> largest(chunks, 0);
+  ParallelFor(chunks, [&](size_t c) {
+    LabelId top = 0;
+    for (size_t i = entries * c / chunks; i < entries * (c + 1) / chunks; ++i) {
+      top = std::max(top, labels[i]);
+    }
+    largest[c] = top;
+  });
+  if (entries > 0 &&
+      *std::max_element(largest.begin(), largest.end()) >= labels_.size()) {
+    return Status::InvalidArgument("FreezeOver: csr entry label out of range");
+  }
+  num_nodes_ = csr->NumNodes();
+  num_live_edges_ = entries;
+  csr_ = std::move(csr);
+  decltype(slots_)().swap(slots_);
+  std::vector<EdgeId>().swap(edge_lookup_);
+  return OkStatus();
+}
+
 void SocialGraph::ReserveEdges(size_t count) {
   const size_t capacity = LookupCapacityFor(num_live_edges_ + count);
   if (csr_ == nullptr) {

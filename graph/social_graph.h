@@ -21,9 +21,9 @@
 ///    slot, kept 3/8 to 3/4 full.
 ///  - **Frozen**: the graph's CsrSnapshot and nothing else, held as a
 ///    shared_ptr<const CsrSnapshot> (6 B an edge: a 4-byte id and a
-///    2-byte label, in two columns). Freeze() makes it; the generators
-///    and ExtractShardGraph freeze every graph they finish, and a
-///    reopened bundle's graph is frozen over the CSR the loader read.
+///    2-byte label, in two columns). Freeze() makes it, and every
+///    generator freezes the graph it finishes. FreezeOver() adopts one:
+///    a reopened graph the loaded CSR, a shard graph a filtered copy.
 ///    An engine built over a frozen graph serves that very snapshot
 ///    instead of building a second one, and a copy of the graph shares
 ///    it. FindEdge binary-searches the source's out-range, so a frozen
@@ -188,6 +188,12 @@ class SocialGraph {
   /// no-op on a frozen graph.
   void Freeze();
 
+  /// Freezes the graph over `csr`, shared: the node count becomes csr's
+  /// and edge e its e-th out-entry; slots and triple index are freed.
+  /// kInvalidArgument, with the graph unchanged, when a label is past
+  /// the dictionary (the label column is checked on every core).
+  Status FreezeOver(std::shared_ptr<const CsrSnapshot> csr);
+
   /// Thaws a frozen graph back into slots, in the same order (so every
   /// EdgeId survives), rebuilds the triple index and drops this graph's
   /// share of the snapshot. A no-op on a thawed graph.
@@ -215,10 +221,6 @@ class SocialGraph {
   const NameDictionary& labels() const { return labels_; }
   NameDictionary& labels() { return labels_; }
   const NameDictionary& attrs() const { return attrs_; }
-  /// Mutable attribute dictionary, mirroring labels(): shard-graph
-  /// extraction pre-interns every name so attribute ids are identical
-  /// across all shard copies (see graph/subgraph.h).
-  NameDictionary& attrs() { return attrs_; }
 
   /// Slots in the triple -> edge index (a power of two, or 0 while no
   /// edge is live or the graph is frozen). It is kept at most 3/4 full.

@@ -1,5 +1,6 @@
 #include "graph/subgraph.h"
 
+#include <memory>
 #include <string>
 
 #include "graph/csr.h"
@@ -15,42 +16,18 @@ Result<SocialGraph> ExtractShardGraph(const SocialGraph& g,
         std::to_string(shard_of.size()) + " nodes, graph has " +
         std::to_string(g.NumNodes()));
   }
-
-  SocialGraph sub;
-  sub.AddNodes(g.NumNodes());
-
-  // Dictionaries first, in interning order, so every label/attribute id
-  // is identical in every shard copy — the invariant the whole sharded
-  // tier leans on (identical BoundSteps => identical automaton state
-  // numbering => wire frontier states compose).
-  for (uint16_t i = 0; i < g.labels().size(); ++i) {
-    sub.labels().Intern(g.labels().ToString(i));
-  }
-  for (uint16_t i = 0; i < g.attrs().size(); ++i) {
-    sub.attrs().Intern(g.attrs().ToString(i));
-  }
-
-  // Full attribute copy: cut-edge walks filter on far-side nodes too.
-  for (uint16_t a = 0; a < g.attrs().size(); ++a) {
-    const std::string& name = g.attrs().ToString(a);
-    for (NodeId node = 0; node < g.NumNodes(); ++node) {
-      if (const auto v = g.GetAttribute(node, static_cast<AttrId>(a))) {
-        SARGUS_RETURN_IF_ERROR(sub.SetAttribute(node, name, *v));
-      }
-    }
-  }
-
-  Status added;
-  CsrSnapshot::ForEachEdge(
-      g, 0, g.EdgeSlotCount(), [&](EdgeId, const Edge& edge, NodeId) {
-        if (!added.ok()) return;
-        if (shard_of[edge.src] != shard && shard_of[edge.dst] != shard) return;
-        added = sub.AddEdge(edge.src, edge.dst, edge.label).status();
-      });
-  SARGUS_RETURN_IF_ERROR(added);
-  // A shard graph is finished here: freeze it, as a generated graph is,
-  // so the shard engine serves its snapshot instead of building one.
+  // The copy brings the node count, both dictionaries (same ids in
+  // every shard, so automaton states and wire frontiers compose) and
+  // every attribute column (cut-edge walks filter on far-side nodes).
+  // It shares a frozen master's snapshot; a thawed one's is built here.
+  SocialGraph sub = g;
   sub.Freeze();
+  const std::shared_ptr<const CsrSnapshot> master = sub.frozen_csr();
+  SARGUS_RETURN_IF_ERROR(
+      sub.FreezeOver(std::make_shared<const CsrSnapshot>(
+          master->Filtered([shard_of, shard](NodeId src, NodeId dst) {
+            return shard_of[src] == shard || shard_of[dst] == shard;
+          }))));
   return sub;
 }
 

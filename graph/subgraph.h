@@ -27,11 +27,15 @@
 namespace sargus {
 
 /// The shard-local copy of `g` for `shard` under assignment `shard_of`
-/// (node -> shard id; must cover every node). Node count, attribute
-/// values and both dictionaries are copied in full — and in interning
-/// order, so every id means the same thing in every copy; edges are
-/// kept iff an endpoint lies on the shard. kInvalidArgument when
-/// `shard_of` does not match the graph's node count.
+/// (node -> shard id; must cover every node). Node count, both
+/// dictionaries and the attribute columns are copied whole, so every id
+/// means the same thing in every copy. The edges are those of g's
+/// snapshot (its frozen_csr(), built first for a thawed g) with an
+/// endpoint on the shard: a filtered copy of its out-side
+/// (CsrSnapshot::Filtered), which the shard graph is frozen over, with
+/// no edge added one at a time and no sort.
+/// kInvalidArgument when `shard_of` does not match the graph's node
+/// count.
 Result<SocialGraph> ExtractShardGraph(const SocialGraph& g,
                                       std::span<const uint32_t> shard_of,
                                       uint32_t shard);

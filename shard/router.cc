@@ -112,16 +112,16 @@ Status ShardRouter::Build() {
   SARGUS_ASSIGN_OR_RETURN(
       partition_, GraphPartitioner::Partition(*master_graph_, options_.partition));
 
+  // One immutable copy of the store, shared by every shard.
+  const auto store = std::make_shared<const PolicyStore>(*master_store_);
   shards_.clear();
   for (uint32_t s = 0; s < partition_.num_shards; ++s) {
     SARGUS_ASSIGN_OR_RETURN(
         SocialGraph sub,
         ExtractShardGraph(*master_graph_, partition_.shard_of, s));
-    SARGUS_ASSIGN_OR_RETURN(PolicyStore cloned,
-                            ClonePolicyStore(*master_store_));
     shards_.push_back(std::make_unique<ShardEngine>(
-        s, std::make_unique<SocialGraph>(std::move(sub)),
-        std::make_unique<PolicyStore>(std::move(cloned)), options_.engine));
+        s, std::make_unique<SocialGraph>(std::move(sub)), store,
+        options_.engine));
   }
   for (auto& shard : shards_) {
     SARGUS_RETURN_IF_ERROR(shard->Build());
@@ -145,16 +145,15 @@ Status ShardRouter::Build() {
       partition_.num_shards, kBreakerFailureThreshold, kBreakerOpenMs);
 
   resources_.clear();
-  resources_.reserve(master_store_->NumResources());
-  for (ResourceId r = 0; r < master_store_->NumResources(); ++r) {
-    const PolicyStore::Resource& res = master_store_->resource(r);
+  resources_.reserve(store->NumResources());
+  for (ResourceId r = 0; r < store->NumResources(); ++r) {
+    const PolicyStore::Resource& res = store->resource(r);
     resources_.push_back(RouterResource{res.owner, res.rules});
   }
   num_paths_.clear();
-  num_paths_.reserve(master_store_->NumRules());
-  for (RuleId id = 0; id < master_store_->NumRules(); ++id) {
-    num_paths_.push_back(
-        static_cast<uint32_t>(master_store_->rule(id).paths.size()));
+  num_paths_.reserve(store->NumRules());
+  for (RuleId id = 0; id < store->NumRules(); ++id) {
+    num_paths_.push_back(static_cast<uint32_t>(store->rule(id).paths.size()));
   }
 
   auto topo = std::make_shared<ShardTopology>();

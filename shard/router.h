@@ -43,12 +43,12 @@
 /// a copy-on-write topology with the new node's assignment.
 ///
 /// The contract is the same at every N, 1 included: Build() copies the
-/// caller's graph into per-shard graphs and clones the caller's store
-/// per shard, so neither is ever written afterwards (mutations and
-/// compactions land in the shard copies), and every data-plane call
-/// reaches its shard through the thread-per-shard executor
-/// (shard/executor_transport.h). An N = 1 router is one copied shard
-/// behind that executor, not a shortcut to a plain engine.
+/// caller's graph into per-shard graphs and the caller's store into one
+/// immutable copy every shard shares, so neither is ever written
+/// afterwards (mutations and compactions land in the shard copies), and
+/// every data-plane call reaches its shard through the thread-per-shard
+/// executor (shard/executor_transport.h). An N = 1 router is one copied
+/// shard behind that executor, not a shortcut to a plain engine.
 ///
 /// Robustness: every data-plane shard call goes through a
 /// ShardTransport (shard/transport.h) under a retry / deadline /

@@ -9,29 +9,6 @@
 
 namespace sargus {
 
-Result<PolicyStore> ClonePolicyStore(const PolicyStore& store) {
-  PolicyStore copy;
-  for (ResourceId r = 0; r < store.NumResources(); ++r) {
-    const PolicyStore::Resource& res = store.resource(r);
-    const ResourceId assigned = copy.RegisterResource(res.owner, res.name);
-    if (assigned != r) {
-      return Status::Internal("ClonePolicyStore: resource id drifted");
-    }
-  }
-  for (RuleId id = 0; id < store.NumRules(); ++id) {
-    const PolicyStore::Rule& rule = store.rule(id);
-    std::vector<std::string> paths;
-    paths.reserve(rule.paths.size());
-    for (const PathExpression& p : rule.paths) paths.push_back(p.ToString());
-    SARGUS_ASSIGN_OR_RETURN(const RuleId assigned,
-                            copy.AddRuleFromPaths(rule.resource, paths));
-    if (assigned != id) {
-      return Status::Internal("ClonePolicyStore: rule id drifted");
-    }
-  }
-  return copy;
-}
-
 wire::CheckRequest ToWire(const AccessRequest& request) {
   wire::CheckRequest w;
   w.requester = request.requester;
@@ -88,7 +65,7 @@ Result<AccessDecision> FromWire(const wire::CheckReply& reply,
 }
 
 ShardEngine::ShardEngine(uint32_t id, std::unique_ptr<SocialGraph> graph,
-                         std::unique_ptr<PolicyStore> store,
+                         std::shared_ptr<const PolicyStore> store,
                          const EngineOptions& options)
     : id_(id),
       graph_(std::move(graph)),

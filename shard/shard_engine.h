@@ -28,10 +28,10 @@
 ///     mutation names its label by id only; the router interns names
 ///     into every shard first (InternLabel), so ids stay aligned.
 ///
-/// A ShardEngine owns its extracted graph copy and a clone of the master
-/// policy store (identical resource/rule ids — see ClonePolicyStore), at
-/// every shard count: an N = 1 router copies the whole graph into its
-/// one shard, so the caller's graph and store are never written.
+/// A ShardEngine owns its extracted graph copy and shares the router's
+/// one immutable copy of the master policy store, so rule ids in wire
+/// messages mean the same everywhere by construction. At every shard
+/// count the caller's graph and store are never written.
 
 #include <memory>
 #include <mutex>
@@ -43,13 +43,6 @@
 #include "shard/wire.h"
 
 namespace sargus {
-
-/// Deep copy of `store` preserving every ResourceId and RuleId (replayed
-/// in id order through the public registration API; path expressions
-/// round-trip through their canonical text form). The sharded tier
-/// clones the master store per shard so rule ids in wire messages mean
-/// the same thing everywhere.
-Result<PolicyStore> ClonePolicyStore(const PolicyStore& store);
 
 // Wire <-> engine request/decision conversion, shared by the router and
 // the shard engines.
@@ -63,10 +56,10 @@ Result<AccessDecision> FromWire(const wire::CheckReply& reply,
 
 class ShardEngine {
  public:
-  /// Takes ownership of the extracted shard graph and the cloned policy
-  /// store.
+  /// Takes ownership of the extracted shard graph and a share of the
+  /// router's policy store, which nothing writes after Build.
   ShardEngine(uint32_t id, std::unique_ptr<SocialGraph> graph,
-              std::unique_ptr<PolicyStore> store,
+              std::shared_ptr<const PolicyStore> store,
               const EngineOptions& options);
 
   /// Builds the wrapped engine's indexes; required before any request.
@@ -118,7 +111,7 @@ class ShardEngine {
  private:
   uint32_t id_;
   std::unique_ptr<SocialGraph> graph_;
-  std::unique_ptr<PolicyStore> store_;
+  std::shared_ptr<const PolicyStore> store_;
   AccessControlEngine engine_;  // after the owned pieces: ctor order
 
   mutable std::mutex topo_mu_;

@@ -410,11 +410,6 @@ struct StorageAccess {
   /// loads only the out-side; the in-side is derived on first use.
   static void SaveCsr(const CsrSnapshot& csr, BlobWriter& w);
   static Status LoadCsr(BlobReader& r, CsrSnapshot* csr);
-  /// Hands `csr` to `g` as its frozen form (node count and edges, edge e
-  /// being the e-th out-entry). Refuses (kDataLoss) a label past `g`'s
-  /// dictionary, checked by node range on every core.
-  static Status FreezeGraphOver(std::shared_ptr<const CsrSnapshot> csr,
-                                SocialGraph* g);
 
   static void SaveOverlay(const DeltaOverlay& o, BlobWriter& w);
   static Status LoadOverlay(BlobReader& r, DeltaOverlay* o);

@@ -1,7 +1,7 @@
 #include "storage/snapshot_loader.h"
 
-#include <algorithm>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -132,35 +132,6 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   return OkStatus();
 }
 
-Status StorageAccess::FreezeGraphOver(std::shared_ptr<const CsrSnapshot> csr,
-                                      SocialGraph* g) {
-  // A label past the dictionary would be an edge no lookup can name
-  // (or, at kInvalidLabel, a live edge read as dead once thawed), so any
-  // failing node range refuses the bundle with the one message a serial
-  // scan gives.
-  const size_t num_labels = g->labels_.size();
-  const size_t n = csr->NumNodes();
-  const size_t chunks = NumChunks(csr->NumEdges());
-  std::vector<uint8_t> failed(chunks, 0);
-  ParallelFor(chunks, [&](size_t c) {
-    for (size_t v = n * c / chunks; v < n * (c + 1) / chunks; ++v) {
-      for (const LabelId label : csr->OutLabels(static_cast<NodeId>(v))) {
-        if (label >= num_labels) {
-          failed[c] = 1;
-          return;
-        }
-      }
-    }
-  });
-  if (std::find(failed.begin(), failed.end(), 1) != failed.end()) {
-    return Status::DataLoss("bundle: csr entry label out of range");
-  }
-  g->num_nodes_ = n;
-  g->num_live_edges_ = csr->NumEdges();
-  g->csr_ = std::move(csr);
-  return OkStatus();
-}
-
 Status StorageAccess::LoadOverlay(BlobReader& r, DeltaOverlay* o) {
   using Triple = DeltaOverlay::EdgeTriple;
   auto load_triples = [&r](std::vector<Triple>* out) {
@@ -256,8 +227,9 @@ Result<LoadedBundle> LoadBundle(const std::string& path) {
   // dictionary, overlay endpoints by the CSR's node count.
   SARGUS_RETURN_IF_ERROR(CheckOverlayRanges(
       out.overlay, csr->NumNodes(), out.graph.labels().size()));
-  SARGUS_RETURN_IF_ERROR(
-      StorageAccess::FreezeGraphOver(std::move(csr), &out.graph));
+  if (!out.graph.FreezeOver(std::move(csr)).ok()) {
+    return Status::DataLoss("bundle: csr entry label out of range");
+  }
   return out;
 }
 

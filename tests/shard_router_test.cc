@@ -15,6 +15,8 @@
 
 #include "common/rng.h"
 #include "engine/access_engine.h"
+#include "graph/csr.h"
+#include "graph/subgraph.h"
 #include "shard/executor_transport.h"
 #include "shard/partitioner.h"
 #include "shard/router.h"
@@ -105,6 +107,153 @@ TEST(Partitioner, ZeroShardsRejected) {
   opts.num_shards = 0;
   EXPECT_EQ(GraphPartitioner::Partition(g, opts).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// ---- Subgraph: shard graph extraction -------------------------------------
+
+/// The shard graph built edge by edge: `AddEdge` for every live edge with
+/// an endpoint on `shard`, then `Freeze`.
+SocialGraph AddEdgeReference(const SocialGraph& g,
+                             const std::vector<uint32_t>& shard_of,
+                             uint32_t shard) {
+  SocialGraph ref;
+  ref.AddNodes(g.NumNodes());
+  for (uint16_t i = 0; i < g.labels().size(); ++i) {
+    ref.labels().Intern(g.labels().ToString(i));
+  }
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+    if (!g.IsLiveEdge(e)) continue;
+    const Edge rec = g.edge(e);
+    if (shard_of[rec.src] != shard && shard_of[rec.dst] != shard) continue;
+    EXPECT_TRUE(ref.AddEdge(rec.src, rec.dst, rec.label).ok());
+  }
+  ref.Freeze();
+  return ref;
+}
+
+/// A thawed master: an ER graph with every seventh edge removed (so its
+/// slots hold tombstones), nodes appended past every attribute column,
+/// edges onto them, and an attribute set on a few nodes only.
+SocialGraph ThawedMaster() {
+  ErdosRenyiSpec spec;
+  spec.base.num_nodes = 120;
+  spec.base.seed = 5;
+  SocialGraph g = GenerateErdosRenyi(spec).ValueOrDie();
+  for (EdgeId e = 0; e < g.EdgeSlotCount(); e += 7) {
+    EXPECT_TRUE(g.RemoveEdge(e).ok());
+  }
+  for (NodeId v = 0; v < 40; v += 3) {
+    EXPECT_TRUE(g.SetAttribute(v, "rank", v).ok());
+  }
+  const NodeId first = g.AddNodes(6);
+  for (NodeId v = first; v < g.NumNodes(); ++v) {
+    EXPECT_TRUE(g.AddEdge(v, v - first, "friend").ok());
+    EXPECT_TRUE(g.AddEdge(v - 1, v, "family").ok());
+  }
+  return g;
+}
+
+TEST(Subgraph, ShardGraphMatchesAddEdgeReference) {
+  std::vector<std::pair<std::string, SocialGraph>> masters;
+  {
+    BarabasiAlbertSpec ba;
+    ba.base.num_nodes = 200;
+    ba.base.seed = 3;
+    masters.emplace_back("ba", GenerateBarabasiAlbert(ba).ValueOrDie());
+    ErdosRenyiSpec er;
+    er.base.num_nodes = 150;
+    er.base.seed = 4;
+    masters.emplace_back("er", GenerateErdosRenyi(er).ValueOrDie());
+    WattsStrogatzSpec ws;
+    ws.base.num_nodes = 150;
+    ws.base.seed = 6;
+    masters.emplace_back("ws", GenerateWattsStrogatz(ws).ValueOrDie());
+    masters.emplace_back("thawed", ThawedMaster());
+  }
+  for (const auto& [name, g] : masters) {
+    ASSERT_EQ(g.frozen(), name != "thawed") << name;
+    for (const PartitionStrategy strategy :
+         {PartitionStrategy::kContiguous, PartitionStrategy::kCommunity}) {
+      for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
+        PartitionOptions opts;
+        opts.num_shards = shards;
+        opts.strategy = strategy;
+        const GraphPartition part =
+            GraphPartitioner::Partition(g, opts).ValueOrDie();
+        for (uint32_t s = 0; s < shards; ++s) {
+          const std::string context =
+              name + " strategy " + std::to_string(int(strategy)) + " " +
+              std::to_string(s) + "/" + std::to_string(shards);
+          auto extracted = ExtractShardGraph(g, part.shard_of, s);
+          ASSERT_TRUE(extracted.ok()) << context;
+          const SocialGraph& sub = *extracted;
+          ASSERT_TRUE(sub.frozen()) << context;
+
+          // Nodes, dictionaries and attributes are the master's.
+          ASSERT_EQ(sub.NumNodes(), g.NumNodes()) << context;
+          ASSERT_EQ(sub.labels().size(), g.labels().size()) << context;
+          for (uint16_t i = 0; i < g.labels().size(); ++i) {
+            EXPECT_EQ(sub.labels().ToString(i), g.labels().ToString(i));
+          }
+          ASSERT_EQ(sub.attrs().size(), g.attrs().size()) << context;
+          for (uint16_t a = 0; a < g.attrs().size(); ++a) {
+            EXPECT_EQ(sub.attrs().ToString(a), g.attrs().ToString(a));
+            for (NodeId v = 0; v < g.NumNodes(); ++v) {
+              EXPECT_EQ(sub.GetAttribute(v, AttrId{a}),
+                        g.GetAttribute(v, AttrId{a}))
+                  << context << " node " << v;
+            }
+          }
+
+          // Out-entries equal the AddEdge-then-Freeze reference.
+          const SocialGraph ref = AddEdgeReference(g, part.shard_of, s);
+          ASSERT_EQ(sub.NumEdges(), ref.NumEdges()) << context;
+          const CsrSnapshot& got = *sub.frozen_csr();
+          const CsrSnapshot& want = *ref.frozen_csr();
+          for (NodeId v = 0; v < g.NumNodes(); ++v) {
+            ASSERT_TRUE(std::ranges::equal(got.Out(v), want.Out(v)))
+                << context << " node " << v;
+            ASSERT_TRUE(std::ranges::equal(got.OutLabels(v), want.OutLabels(v)))
+                << context << " node " << v;
+          }
+
+          // Kept triples are found; triples off the shard are not.
+          for (EdgeId e = 0; e < g.EdgeSlotCount(); ++e) {
+            if (!g.IsLiveEdge(e)) continue;
+            const Edge rec = g.edge(e);
+            const auto found = sub.FindEdge(rec.src, rec.dst, rec.label);
+            if (part.shard_of[rec.src] == s || part.shard_of[rec.dst] == s) {
+              ASSERT_TRUE(found.has_value()) << context << " edge " << e;
+              const Edge at = sub.edge(*found);
+              EXPECT_EQ(std::tie(at.src, at.dst, at.label),
+                        std::tie(rec.src, rec.dst, rec.label));
+            } else {
+              EXPECT_FALSE(found.has_value()) << context << " edge " << e;
+            }
+          }
+
+          // An edge that adds thaws the shard graph, keeping every id.
+          SocialGraph thawed = sub;
+          const NodeId last = static_cast<NodeId>(g.NumNodes() - 1);
+          const LabelId fresh = thawed.labels().Intern("subgraph-test");
+          const auto added = thawed.AddEdge(last, 0, fresh);
+          ASSERT_TRUE(added.ok()) << context;
+          EXPECT_FALSE(thawed.frozen()) << context;
+          EXPECT_TRUE(sub.frozen()) << context;
+          ASSERT_EQ(thawed.NumEdges(), sub.NumEdges() + 1) << context;
+          EXPECT_EQ(*added, sub.NumEdges()) << context;
+          for (EdgeId e = 0; e < sub.NumEdges(); ++e) {
+            const Edge a = sub.edge(e);
+            const Edge b = thawed.edge(e);
+            ASSERT_EQ(std::tie(a.src, a.dst, a.label),
+                      std::tie(b.src, b.dst, b.label))
+                << context << " edge " << e;
+            EXPECT_EQ(thawed.FindEdge(a.src, a.dst, a.label), e) << context;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- Wire: the typed seam ------------------------------------------------
